@@ -1,0 +1,76 @@
+"""memsel: how many steps of memory does a discrete-state process need?
+
+The library fits h-step Markov models to observed trajectories with a
+Dirichlet prior per context, evaluates nine closed-form selection
+criteria (AIC, DIC1/2, LPD, LPPD, WAIC1/2, LOO, CV2) on the deviance
+scale, and picks the depth that predicts new trajectories best. A
+simulation layer measures the statistical power of each criterion, and a
+Monte-Carlo oracle can audit any closed-form value.
+"""
+
+from .chain import (
+    START,
+    BoundaryMode,
+    Context,
+    CountTable,
+    StateAlphabet,
+    Trajectory,
+    TrajectoryCounts,
+    count_transitions,
+    decode_context,
+    encode_context,
+    merge_counts,
+)
+from .criteria import (
+    CRITERIA,
+    CriterionReport,
+    DirichletPrior,
+    PosteriorSummary,
+    aic,
+    criterion_values,
+    default_param_count,
+    dic,
+    evaluate,
+    loo,
+    lpd,
+    lppd,
+    lppd_cv2,
+    padded_param_count,
+    param_count,
+    posterior_summary,
+    predictive_log_density,
+    select_order,
+    waic,
+)
+from .oracle import (
+    MIN_DRAWS,
+    OracleEstimate,
+    as_single_point,
+    cv2_refit,
+    loo_refit,
+    mc_cv2,
+    mc_loo,
+    mc_lpd,
+    mc_lppd,
+    mc_variance_loglik,
+)
+from .simulate import (
+    DeltaTable,
+    FreeThrowModel,
+    FreeThrowPowerResult,
+    FreeThrowSimConfig,
+    PowerStudyResult,
+    RandomNetwork,
+    SelectionFrequencyTable,
+    SimConfig,
+    delta_distributions,
+    free_throw_power,
+    generate_network,
+    power_analysis,
+    run_power_study,
+    sample_free_throw_trajectories,
+    sample_trajectory,
+)
+from .tying import TieMap, jagged_free_throw_map, tie_counts, tied_param_count
+
+__version__ = "0.1.0"

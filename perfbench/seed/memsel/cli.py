@@ -1,0 +1,459 @@
+"""Command-line front end.
+
+Subcommands: criteria, select, simulate, oracle, import. Every command
+that writes files also drops a manifest.json with the resolved
+configuration, input digests and seed, which is enough to reproduce the
+outputs byte-identically (timestamps aside). Exit codes: 0 success,
+1 oracle audit failure, 2 bad input or configuration, 3 empty input.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import sys
+from pathlib import Path
+
+from . import __version__
+from .chain import BoundaryMode, count_transitions
+from .criteria import CRITERIA, DirichletPrior, evaluate
+from .dataio import (
+    TrajectoryFormatError,
+    file_digest,
+    import_outcome_csv,
+    load_tie_map,
+    read_trajectories_jsonl,
+    write_delta_csv,
+    write_reports,
+    write_selection_csv,
+    write_trajectories_jsonl,
+)
+from .oracle import (
+    MIN_DRAWS,
+    as_single_point,
+    mc_cv2,
+    mc_loo,
+    mc_lpd,
+    mc_lppd,
+    mc_variance_loglik,
+)
+from .simulate import (
+    FreeThrowModel,
+    FreeThrowSimConfig,
+    SimConfig,
+    free_throw_power,
+    run_power_study,
+)
+from .tying import jagged_free_throw_map, tie_counts, tied_param_count
+
+EXIT_OK = 0
+EXIT_AUDIT = 1
+EXIT_CONFIG = 2
+EXIT_EMPTY = 3
+
+_Z_LIMIT = 4.0
+
+
+class CliError(Exception):
+    def __init__(self, message: str, code: int = EXIT_CONFIG):
+        super().__init__(message)
+        self.code = code
+
+
+def _parse_h_range(args) -> list[int]:
+    if args.h_range is not None:
+        text = args.h_range
+        sep = ".." if ".." in text else (":" if ":" in text else None)
+        try:
+            if sep:
+                lo, hi = text.split(sep, 1)
+                lo, hi = int(lo), int(hi)
+            else:
+                lo, hi = 0, int(text)
+        except ValueError:
+            raise CliError(f"cannot parse --h-range {text!r}; use e.g. 0..3") from None
+    elif args.h_max is not None:
+        lo, hi = 0, args.h_max
+    else:
+        raise CliError("one of --h-range or --h-max is required")
+    if lo < 0 or hi < lo:
+        raise CliError(f"invalid depth range {lo}..{hi}")
+    return list(range(lo, hi + 1))
+
+
+def _parse_prior(text: str | None, m: int) -> DirichletPrior:
+    if text is None:
+        return DirichletPrior.symmetric(m)
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise CliError(f"cannot parse --prior-alpha {text!r}") from None
+    if len(parts) == 1:
+        return DirichletPrior.symmetric(m, parts[0])
+    if len(parts) != m:
+        raise CliError(f"--prior-alpha needs 1 or {m} components, got {len(parts)}")
+    return DirichletPrior(parts)
+
+
+def _load_input(args):
+    path = Path(args.input)
+    if not path.exists():
+        raise CliError(f"input file {path} does not exist")
+    states = args.states.split(",") if args.states else None
+    try:
+        if path.suffix.lower() == ".csv":
+            labels = tuple(args.labels.split(",")) if args.labels else ("0", "1")
+            alphabet, trajs = import_outcome_csv(path, labels)
+        else:
+            alphabet, trajs = read_trajectories_jsonl(path, states)
+    except TrajectoryFormatError as exc:
+        if exc.line == 0:
+            raise CliError(f"{path}: empty input ({exc})", EXIT_EMPTY) from None
+        raise CliError(f"{path}: {exc}") from None
+    return alphabet, trajs
+
+
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path], seed) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "command": command,
+        "argv": sys.argv[1:],
+        "config": config,
+        "inputs": {str(p): file_digest(p) for p in inputs},
+        "seed": seed,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    with (out_dir / "manifest.json").open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _reports_for(args, alphabet, trajs):
+    h_values = _parse_h_range(args)
+    prior = _parse_prior(args.prior_alpha, alphabet.size)
+    boundary = BoundaryMode(args.boundary)
+    reports = []
+    for h in h_values:
+        tc = count_transitions(trajs, h, alphabet, boundary)
+        aic_k = alphabet.size ** (h + 1) if args.aic_penalty == "full" else None
+        reports.append(evaluate(tc, prior, aic_k=aic_k))
+    if args.tie:
+        tie_h = 1
+        if args.tie == "jagged":
+            tie_map = jagged_free_throw_map(alphabet, boundary)
+            label = "jagged(h=1)"
+        else:
+            tie_map = load_tie_map(args.tie, alphabet)
+            tie_h = tie_map.h
+            label = f"tied(h={tie_map.h})"
+        tc = count_transitions(trajs, tie_h, alphabet, boundary)
+        tied = tie_counts(tc, tie_map)
+        reports.append(evaluate(
+            tied, prior, k_params=tied_param_count(tie_map, alphabet.size), label=label))
+    return reports, prior, boundary
+
+
+def cmd_criteria(args) -> int:
+    alphabet, trajs = _load_input(args)
+    reports, prior, boundary = _reports_for(args, alphabet, trajs)
+    out_dir = Path(args.out)
+    write_reports(reports, out_dir)
+    config = {
+        "input": str(args.input),
+        "h_values": [r.h for r in reports],
+        "labels": [r.label for r in reports],
+        "prior_alpha": prior.alpha.tolist(),
+        "boundary": boundary.value,
+        "tie": args.tie,
+        "aic_penalty": args.aic_penalty,
+        "states": list(alphabet.labels),
+    }
+    _write_manifest(out_dir, "criteria", config, [Path(args.input)], seed=None)
+    for name in CRITERIA:
+        best = min(reports, key=lambda r: (r.value(name), r.h))
+        print(f"{name}: best {best.label} ({best.value(name):.4f})")
+    return EXIT_OK
+
+
+def cmd_select(args) -> int:
+    alphabet, trajs = _load_input(args)
+    if args.criterion not in CRITERIA:
+        raise CliError(f"unknown criterion {args.criterion!r}")
+    reports, prior, boundary = _reports_for(args, alphabet, trajs)
+    out_dir = Path(args.out)
+    write_reports(reports, out_dir)
+    config = {
+        "input": str(args.input),
+        "criterion": args.criterion,
+        "boundary": boundary.value,
+        "prior_alpha": prior.alpha.tolist(),
+    }
+    _write_manifest(out_dir, "select", config, [Path(args.input)], seed=None)
+    best = min(reports, key=lambda r: (r.value(args.criterion), r.h))
+    print(f"selected: {best.label} by {args.criterion} = {best.value(args.criterion):.4f}")
+    return EXIT_OK
+
+
+def _parse_ft_model(text: str) -> FreeThrowModel:
+    """h0:p | jagged:p_after_miss,p_otherwise | h1:p_first,p_after_hit,p_after_miss"""
+    try:
+        kind, _, params = text.partition(":")
+        values = [float(p) for p in params.split(",")] if params else []
+        if kind == "h0" and len(values) == 1:
+            return FreeThrowModel.independent(values[0])
+        if kind == "jagged" and len(values) == 2:
+            return FreeThrowModel.jagged(values[0], values[1])
+        if kind == "h1" and len(values) == 3:
+            return FreeThrowModel(values[0], values[1], values[2])
+    except ValueError:
+        pass
+    raise CliError(
+        f"cannot parse --ft-model {text!r}; use h0:P, jagged:P_MISS,P_OTHER "
+        "or h1:P_FIRST,P_HIT,P_MISS"
+    )
+
+
+def _sim_config(args) -> SimConfig:
+    if args.profile == "paper":
+        return SimConfig(
+            m=8, h_true=args.h_true, h_range=(1, 2, 3, 4, 5),
+            J_values=(4, 8, 16, 32, 64, 128, 256), replicates=10_000,
+            seed=args.seed, boundary=BoundaryMode(args.boundary),
+            network_per_replicate=args.network_per_replicate,
+        )
+    if args.profile == "ci":
+        return SimConfig(
+            m=8, h_true=args.h_true, h_range=(1, 2, 3, 4, 5),
+            J_values=(4, 16, 64), replicates=200,
+            seed=args.seed, boundary=BoundaryMode(args.boundary),
+            network_per_replicate=args.network_per_replicate,
+        )
+    criteria = tuple(args.criteria.split(",")) if args.criteria else CRITERIA
+    h_range = tuple(_parse_h_range(args)) if (args.h_range or args.h_max is not None) else (1, 2, 3, 4, 5)
+    return SimConfig(
+        m=args.M, h_true=args.h_true, h_range=h_range,
+        J_values=tuple(args.J or [4]), replicates=args.replicates,
+        length_cap=args.length_cap, seed=args.seed, criteria=criteria,
+        boundary=BoundaryMode(args.boundary),
+        network_per_replicate=args.network_per_replicate,
+    )
+
+
+def cmd_simulate(args) -> int:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.free_throw:
+        model = _parse_ft_model(args.ft_model)
+        criteria = tuple(args.criteria.split(",")) if args.criteria else ("AIC", "WAIC1", "WAIC2", "LOO")
+        try:
+            cfg = FreeThrowSimConfig(
+                model=model, games=args.games, lam=getattr(args, "lambda"),
+                replicates=args.replicates, seed=args.seed,
+                criteria=criteria, boundary=BoundaryMode(args.boundary),
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        result = free_throw_power(cfg)
+        write_selection_csv(result.selection, out_dir / "selection.csv")
+        config = {
+            "model": {"name": model.name, "p_first": model.p_first,
+                      "p_after_hit": model.p_after_hit, "p_after_miss": model.p_after_miss},
+            "games": cfg.games, "lambda": cfg.lam, "replicates": cfg.replicates,
+            "seed": cfg.seed, "boundary": cfg.boundary.value,
+            "criteria": list(cfg.criteria),
+        }
+        summary = {
+            **config,
+            "jagged_win_rate": result.jagged_win_rate,
+            "selection": result.selection.to_records(),
+        }
+    else:
+        try:
+            cfg = _sim_config(args)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        result = run_power_study(cfg, workers=args.workers)
+        write_selection_csv(result.selection, out_dir / "selection.csv")
+        if result.deltas.rows:
+            write_delta_csv(result.deltas, out_dir / "delta.csv")
+        summary = {
+            "config": {
+                "M": cfg.m, "h_true": cfg.h_true, "h_range": list(cfg.h_range),
+                "J_values": list(cfg.J_values), "replicates": cfg.replicates,
+                "criteria": list(cfg.criteria), "boundary": cfg.boundary.value,
+                "network_per_replicate": cfg.network_per_replicate,
+            },
+            "selection": result.selection.to_records(),
+            "deltas": result.deltas.to_records(),
+        }
+        config = summary["config"]
+    with (out_dir / "summary.json").open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _write_manifest(out_dir, "simulate", config, [], seed=args.seed)
+    print(f"wrote {out_dir / 'selection.csv'}")
+    return EXIT_OK
+
+
+def cmd_oracle(args) -> int:
+    alphabet, trajs = _load_input(args)
+    if args.draws < MIN_DRAWS:
+        raise CliError(f"--draws must be at least {MIN_DRAWS}")
+    prior = _parse_prior(args.prior_alpha, alphabet.size)
+    boundary = BoundaryMode(args.boundary)
+    tc = count_transitions(trajs, args.h, alphabet, boundary)
+    from .criteria import dic, loo, lpd, lppd, lppd_cv2, waic
+
+    checks: list[tuple[str, float, object]] = []
+    checks.append(("LPD", lpd(tc.total, prior),
+                   mc_lpd(tc.total, prior, args.draws, args.seed)))
+    checks.append(("LPPD", lppd(tc, prior),
+                   mc_lppd(tc, prior, args.draws, args.seed + 1)))
+    checks.append(("LOO", loo(tc, prior),
+                   mc_loo(tc, prior, args.draws, args.seed + 2)))
+    if tc.n_trajectories >= 2:
+        checks.append(("CV2", lppd_cv2(tc, prior),
+                       mc_cv2(tc, prior, args.draws, args.seed + 3)))
+    checks.append(("k_WAIC2", waic(tc, prior, variant=2)[1],
+                   mc_variance_loglik(tc, prior, args.draws, args.seed + 4)))
+    est = mc_variance_loglik(as_single_point(tc), prior, args.draws, args.seed + 5)
+    checks.append(("k_DIC2", dic(tc, prior, variant=2)[1],
+                   type(est)(2.0 * est.estimate, 2.0 * est.std_error, est.draws)))
+
+    rows = []
+    worst = 0.0
+    print(f"{'quantity':>8} {'closed':>14} {'mc':>14} {'se':>10} {'z':>7}")
+    for name, closed, estimate in checks:
+        z = estimate.z(closed)
+        worst = max(worst, abs(z))
+        print(f"{name:>8} {closed:14.6f} {estimate.estimate:14.6f} "
+              f"{estimate.std_error:10.2e} {z:7.2f}")
+        rows.append({"quantity": name, "closed": closed, "mc": estimate.estimate,
+                     "std_error": estimate.std_error, "z": z})
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / "oracle.json").open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(rows, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    config = {"input": str(args.input), "h": args.h, "draws": args.draws,
+              "boundary": boundary.value, "prior_alpha": prior.alpha.tolist()}
+    _write_manifest(out_dir, "oracle", config, [Path(args.input)], seed=args.seed)
+    if worst > _Z_LIMIT:
+        print(f"AUDIT FAILED: |z| = {worst:.2f} exceeds {_Z_LIMIT}")
+        return EXIT_AUDIT
+    return EXIT_OK
+
+
+def cmd_import(args) -> int:
+    labels = tuple(args.labels.split(",")) if args.labels else ("0", "1")
+    try:
+        alphabet, trajs = import_outcome_csv(args.input, labels)
+    except TrajectoryFormatError as exc:
+        if exc.line == 0:
+            raise CliError(str(exc), EXIT_EMPTY) from None
+        raise CliError(f"{args.input}: {exc}") from None
+    write_trajectories_jsonl(args.output, alphabet, trajs)
+    total = sum(len(t) for t in trajs)
+    print(f"imported {len(trajs)} trajectories, {total} steps -> {args.output}")
+    return EXIT_OK
+
+
+def _add_data_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="trajectory JSONL (or outcome CSV)")
+    p.add_argument("--states", help="comma-separated state labels (overrides the header)")
+    p.add_argument("--labels", help="comma-separated outcome labels for CSV input")
+    p.add_argument("--prior-alpha", help="symmetric value or comma list (default 1)")
+    p.add_argument("--boundary", choices=["padded", "truncated"], default="padded")
+    p.add_argument("--out", default="memsel_out", help="output directory")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="memsel",
+        description="Select the memory depth of a discrete-state process from data.",
+    )
+    parser.add_argument("--version", action="version", version=f"memsel {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("criteria", help="criterion report per memory depth")
+    _add_data_options(p)
+    p.add_argument("--h-range", help="inclusive range, e.g. 0..3")
+    p.add_argument("--h-max", type=int, help="shorthand for 0..H")
+    p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
+    p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
+    p.set_defaults(func=cmd_criteria)
+
+    p = sub.add_parser("select", help="pick the best depth under one criterion")
+    _add_data_options(p)
+    p.add_argument("--h-range", help="inclusive range, e.g. 0..3")
+    p.add_argument("--h-max", type=int)
+    p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
+    p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
+    p.add_argument("--criterion", default="LOO", help=f"one of {', '.join(CRITERIA)}")
+    p.set_defaults(func=cmd_select)
+
+    p = sub.add_parser("simulate", help="selection power studies")
+    p.add_argument("--profile", choices=["paper", "ci"],
+                   help="preset grids; 'paper' is the full 10^4-replicate study")
+    p.add_argument("--M", type=int, default=8)
+    p.add_argument("--h-true", type=int, default=1)
+    p.add_argument("--h-range", help="inclusive range, e.g. 1..5")
+    p.add_argument("--h-max", type=int)
+    p.add_argument("--J", type=int, action="append", default=None,
+                   help="sample size; repeat for a sweep (default 4)")
+    p.add_argument("--replicates", type=int, default=200)
+    p.add_argument("--length-cap", type=int, default=10_000)
+    p.add_argument("--criteria", help="comma list (default: all)")
+    p.add_argument("--boundary", choices=["padded", "truncated"], default="padded")
+    p.add_argument("--network-per-replicate", action="store_true",
+                   help="draw a fresh true network for every replicate")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=None,
+                   help="process count (default: MEMSEL_THREADS or 1)")
+    p.add_argument("--free-throw", action="store_true",
+                   help="per-game experiment with Poisson game lengths")
+    p.add_argument("--lambda", dest="lambda", type=float, default=7.615,
+                   help="mean shots per game for --free-throw")
+    p.add_argument("--games", type=int, default=91)
+    p.add_argument("--ft-model", default="jagged:0.82,0.66",
+                   help="true model: h0:P | jagged:P_MISS,P_OTHER | h1:P1,PH,PM")
+    p.add_argument("--out", default="memsel_out")
+    p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("oracle", help="audit closed forms against Monte Carlo")
+    _add_data_options(p)
+    p.add_argument("--h", type=int, required=True, help="memory depth to audit")
+    p.add_argument("--draws", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_oracle)
+
+    p = sub.add_parser("import", help="convert (group, outcome) CSV to JSONL")
+    p.add_argument("--input", required=True)
+    p.add_argument("--output", required=True)
+    p.add_argument("--labels", help="comma-separated outcome labels (default 0,1)")
+    p.set_defaults(func=cmd_import)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def main_entry() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -1,0 +1,245 @@
+"""File formats: trajectory JSONL, sports CSV import, tie-map JSON, reports.
+
+See FORMATS.md at the repository root for the format reference. Reading
+errors carry the 1-based line number of the offending record.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+from pathlib import Path
+
+from .chain import START, Context, StateAlphabet, Trajectory
+from .criteria import CriterionReport
+from .tying import TieMap
+
+__all__ = [
+    "TrajectoryFormatError",
+    "read_trajectories_jsonl",
+    "write_trajectories_jsonl",
+    "import_outcome_csv",
+    "load_tie_map",
+    "write_reports",
+    "write_selection_csv",
+    "write_delta_csv",
+    "file_digest",
+]
+
+START_TOKEN = "START"  # reserved token string for tie-map context files
+
+
+class TrajectoryFormatError(ValueError):
+    """A malformed record; ``line`` is the 1-based line number."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def read_trajectories_jsonl(
+    path,
+    states: list[str] | None = None,
+) -> tuple[StateAlphabet, list[Trajectory]]:
+    """Read one-trajectory-per-line JSONL: {"id": ..., "seq": [label, ...]}.
+
+    The alphabet comes from, in order of precedence: the ``states``
+    argument, a header line {"states": [...]}, or the sorted set of labels
+    seen in the file.
+    """
+    path = Path(path)
+    raw: list[tuple[int, dict]] = []
+    header_states: list[str] | None = None
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TrajectoryFormatError(lineno, f"invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise TrajectoryFormatError(lineno, "expected a JSON object")
+            if "states" in obj and "seq" not in obj:
+                if header_states is not None or raw:
+                    raise TrajectoryFormatError(lineno, "header line must come first")
+                header_states = [str(s) for s in obj["states"]]
+                continue
+            if "seq" not in obj:
+                raise TrajectoryFormatError(lineno, 'missing "seq" field')
+            raw.append((lineno, obj))
+    if not raw:
+        raise TrajectoryFormatError(0, "no trajectories in input")
+
+    if states is not None:
+        labels = [str(s) for s in states]
+    elif header_states is not None:
+        labels = header_states
+    else:
+        seen: set[str] = set()
+        for _, obj in raw:
+            seen.update(str(s) for s in obj["seq"])
+        labels = sorted(seen)
+    alphabet = StateAlphabet(tuple(labels))
+
+    trajs: list[Trajectory] = []
+    for lineno, obj in raw:
+        seq = obj["seq"]
+        if not isinstance(seq, list) or not seq:
+            raise TrajectoryFormatError(lineno, '"seq" must be a non-empty list')
+        try:
+            steps = tuple(alphabet.index(str(s)) for s in seq)
+        except ValueError as exc:
+            raise TrajectoryFormatError(lineno, str(exc)) from None
+        tid = str(obj.get("id", f"traj{len(trajs)}"))
+        trajs.append(Trajectory(tid, steps))
+    return alphabet, trajs
+
+
+def write_trajectories_jsonl(path, alphabet: StateAlphabet, trajectories) -> None:
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps({"states": list(alphabet.labels)}) + "\n")
+        for tr in trajectories:
+            rec = {"id": tr.id, "seq": [alphabet.label(s) for s in tr.steps]}
+            fh.write(json.dumps(rec) + "\n")
+
+
+def import_outcome_csv(
+    path,
+    labels: tuple[str, str] = ("0", "1"),
+) -> tuple[StateAlphabet, list[Trajectory]]:
+    """Import ordered (group_id, outcome) CSV rows as per-group trajectories.
+
+    Rows sharing a group id form one trajectory in file order; the default
+    labels follow the miss=0 / hit=1 convention. A header row whose second
+    column is not a known label is skipped.
+    """
+    path = Path(path)
+    alphabet = StateAlphabet(tuple(labels))
+    order: list[str] = []
+    seqs: dict[str, list[int]] = {}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < 2:
+                raise TrajectoryFormatError(lineno, "expected two columns: group id, outcome")
+            gid, outcome = row[0].strip(), row[1].strip()
+            if lineno == 1 and outcome not in alphabet.labels:
+                continue  # header row
+            try:
+                state = alphabet.index(outcome)
+            except ValueError as exc:
+                raise TrajectoryFormatError(lineno, str(exc)) from None
+            if gid not in seqs:
+                order.append(gid)
+                seqs[gid] = []
+            seqs[gid].append(state)
+    if not order:
+        raise TrajectoryFormatError(0, "no outcome rows in input")
+    trajs = [Trajectory(gid, tuple(seqs[gid])) for gid in order]
+    return alphabet, trajs
+
+
+def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
+    """Load a tie map: {"h": int, "classes": [{"contexts": [[token, ...], ...]}
+    or {"default": true}, ...]}.
+
+    Context tokens are state labels or the reserved string "START"; at
+    most one class may be the default catch-all.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict) or "h" not in spec or "classes" not in spec:
+        raise ValueError('tie map file must define "h" and "classes"')
+    h = int(spec["h"])
+    classes = spec["classes"]
+    if not isinstance(classes, list) or not classes:
+        raise ValueError("tie map needs a non-empty class list")
+    assignments: dict[Context, int] = {}
+    default_class: int | None = None
+    for cls_id, cls in enumerate(classes):
+        if not isinstance(cls, dict):
+            raise ValueError(f"class {cls_id} must be an object")
+        if cls.get("default"):
+            if default_class is not None:
+                raise ValueError("only one class may be the default")
+            default_class = cls_id
+        for tokens in cls.get("contexts", []):
+            if len(tokens) != h:
+                raise ValueError(f"context {tokens!r} does not have length {h}")
+            ids = tuple(
+                START if str(t) == START_TOKEN else alphabet.index(str(t))
+                for t in tokens
+            )
+            ctx = Context(ids)
+            if ctx in assignments:
+                raise ValueError(f"context {tokens!r} listed in two classes")
+            assignments[ctx] = cls_id
+    return TieMap(h=h, n_classes=len(classes), assignments=assignments,
+                  default_class=default_class)
+
+
+# ---------------------------------------------------------------------------
+# Report and table writers (deterministic byte output)
+
+
+_REPORT_COLUMNS = (
+    "label", "h", "boundary", "J", "transitions", "k_params",
+    "AIC", "DIC1", "DIC2", "LPD", "LPPD", "WAIC1", "WAIC2", "LOO", "CV2",
+    "k_DIC1", "k_DIC2", "k_WAIC1", "k_WAIC2",
+)
+
+
+def _cell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_reports(reports: list[CriterionReport], out_dir) -> tuple[Path, Path]:
+    """Write criteria.json and criteria.csv; returns the two paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dicts = [r.as_dict() for r in reports]
+    json_path = out_dir / "criteria.json"
+    with json_path.open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(dicts, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    csv_path = out_dir / "criteria.csv"
+    with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(_REPORT_COLUMNS) + "\n")
+        for d in dicts:
+            fh.write(",".join(_cell(d[c]) for c in _REPORT_COLUMNS) + "\n")
+    return json_path, csv_path
+
+
+def write_selection_csv(table, path) -> Path:
+    path = Path(path)
+    cols = ("h_true", "J", "criterion", "h_chosen", "frequency")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for rec in table.to_records():
+            fh.write(",".join(_cell(rec[c]) for c in cols) + "\n")
+    return path
+
+
+def write_delta_csv(table, path) -> Path:
+    path = Path(path)
+    cols = ("h_true", "J", "criterion", "h", "min", "max", "mean", "frac_below_zero")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for rec in table.to_records():
+            fh.write(",".join(_cell(rec[c]) for c in cols) + "\n")
+    return path
+
+
+def file_digest(path) -> str:
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

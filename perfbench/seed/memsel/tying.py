@@ -1,0 +1,115 @@
+"""Parameter tying: pooling contexts into shared classes.
+
+Tying is a pure count-table reduction. Summing the count rows of the
+contexts in a class preserves the Dirichlet-multinomial structure
+class-wise, so every closed-form criterion applies verbatim to the
+reduced table, with C (M - 1) free parameters for C classes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Hashable, Mapping
+
+import numpy as np
+
+from .chain import (
+    START,
+    BoundaryMode,
+    Context,
+    CountTable,
+    StateAlphabet,
+    TrajectoryCounts,
+)
+
+__all__ = ["TieMap", "tie_counts", "jagged_free_throw_map", "tied_param_count"]
+
+
+@dataclass(frozen=True)
+class TieMap:
+    """Assignment of length-h contexts to shared parameter classes.
+
+    ``assignments`` maps contexts to class ids 0..C-1; contexts not listed
+    fall into ``default_class`` when one is set, otherwise looking them up
+    is an error.
+    """
+
+    h: int
+    n_classes: int
+    assignments: Mapping[Context, int]
+    default_class: int | None = None
+
+    def __post_init__(self):
+        if self.h < 0:
+            raise ValueError("memory depth h must be >= 0")
+        if self.n_classes < 1:
+            raise ValueError("a tie map needs at least one class")
+        assignments = dict(self.assignments)
+        for ctx, cls in assignments.items():
+            if not isinstance(ctx, Context) or len(ctx) != self.h:
+                raise ValueError(f"tie map key {ctx!r} is not a length-{self.h} context")
+            if not 0 <= cls < self.n_classes:
+                raise ValueError(f"class id {cls} outside 0..{self.n_classes - 1}")
+        if self.default_class is not None and not 0 <= self.default_class < self.n_classes:
+            raise ValueError("default class id out of range")
+        object.__setattr__(self, "assignments", assignments)
+
+    def class_of(self, ctx: Context) -> int:
+        cls = self.assignments.get(ctx, self.default_class)
+        if cls is None:
+            raise ValueError(f"context {ctx!r} has no tie class and the map has no default")
+        return cls
+
+
+def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
+    """Reduce count tables so rows are keyed by class id instead of context.
+
+    Counts are summed within each class, per trajectory and in total, so
+    the reduced total still equals the reduced per-trajectory sum exactly.
+    """
+    if tie_map.h != tc.h:
+        raise ValueError(f"tie map is for h={tie_map.h} but the counts have h={tc.h}")
+
+    def reduce(table: CountTable) -> CountTable:
+        rows: dict[Hashable, np.ndarray] = {}
+        for ctx, vec in table.rows.items():
+            cls = tie_map.class_of(ctx)
+            acc = rows.get(cls)
+            if acc is None:
+                rows[cls] = vec.copy()
+            else:
+                acc += vec
+        return CountTable(tc.h, tc.alphabet, rows, tc.boundary)
+
+    per = tuple((tid, reduce(t)) for tid, t in tc.per_trajectory)
+    return TrajectoryCounts(per, reduce(tc.total))
+
+
+def tied_param_count(tie_map: TieMap, m: int) -> int:
+    """Free parameters of a tied model: C (M - 1)."""
+    return tie_map.n_classes * (m - 1)
+
+
+def jagged_free_throw_map(
+    alphabet: StateAlphabet,
+    boundary: BoundaryMode = BoundaryMode.PADDED,
+    miss_state: int = 0,
+) -> TieMap:
+    """Two-class h=1 map: outcomes are independent except right after a miss.
+
+    Class 0 holds the after-miss context; class 1 pools the after-hit
+    context with (in padded mode) the first-shot START context, which is
+    exactly the "not after a miss" condition.
+    """
+    if alphabet.size != 2:
+        raise ValueError("the jagged free-throw model needs a binary alphabet")
+    if miss_state not in (0, 1):
+        raise ValueError("miss_state must be 0 or 1")
+    hit_state = 1 - miss_state
+    assignments = {
+        Context((miss_state,)): 0,
+        Context((hit_state,)): 1,
+    }
+    if BoundaryMode(boundary) is BoundaryMode.PADDED:
+        assignments[Context((START,))] = 1
+    return TieMap(h=1, n_classes=2, assignments=assignments)
