@@ -17,30 +17,23 @@ from .chain import (
     Trajectory,
     TrajectoryCounts,
     count_transitions,
-    decode_context,
-    encode_context,
     merge_counts,
 )
 from .criteria import (
     CRITERIA,
+    K_TERMS,
     CriterionReport,
     DirichletPrior,
-    PosteriorSummary,
     aic,
-    criterion_values,
+    argmin,
     default_param_count,
-    dic,
     evaluate,
-    loo,
+    evaluate_depths,
     lpd,
-    lppd,
-    lppd_cv2,
     padded_param_count,
     param_count,
-    posterior_summary,
     predictive_log_density,
     select_order,
-    waic,
 )
 from .oracle import (
     MIN_DRAWS,
@@ -63,10 +56,8 @@ from .simulate import (
     RandomNetwork,
     SelectionFrequencyTable,
     SimConfig,
-    delta_distributions,
     free_throw_power,
     generate_network,
-    power_analysis,
     run_power_study,
     sample_free_throw_trajectories,
     sample_trajectory,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "Context",
     "CountTable",
     "TrajectoryCounts",
-    "encode_context",
-    "decode_context",
     "count_transitions",
     "merge_counts",
 ]
@@ -130,19 +128,6 @@ class Context:
         return sep.join(parts) if parts else "()"
 
 
-def encode_context(tokens: Sequence[int], alphabet: StateAlphabet) -> Context:
-    """Canonical hashable key for a history tuple; ``decode_context`` inverts it."""
-    ctx = Context(tuple(tokens))
-    for t in ctx.tokens:
-        if t != START and t >= alphabet.size:
-            raise ValueError(f"state id {t} outside alphabet of size {alphabet.size}")
-    return ctx
-
-
-def decode_context(ctx: Context) -> tuple[int, ...]:
-    return ctx.tokens
-
-
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Sparse transition counts: context -> length-M vector of destination counts.
@@ -191,9 +176,6 @@ class CountTable:
         vec = self.rows.get(ctx)
         return self._zero if vec is None else vec
 
-    def row_sum(self, ctx) -> int:
-        return int(self.get(ctx).sum())
-
     def matrix(self) -> tuple[tuple, np.ndarray]:
         """Row keys (insertion order) and the stacked count matrix."""
         cached = self._matrix
@@ -240,15 +222,6 @@ class TrajectoryCounts:
     @property
     def boundary(self) -> BoundaryMode:
         return self.total.boundary
-
-    def validate(self) -> None:
-        """Check that the total equals the sum of the per-trajectory tables."""
-        rebuilt = merge_counts(
-            [t for _, t in self.per_trajectory],
-            h=self.h, alphabet=self.alphabet, boundary=self.boundary,
-        )
-        if not (rebuilt == self.total):
-            raise ValueError("total table does not match the per-trajectory sum")
 
 
 def count_transitions(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .chain import BoundaryMode, count_transitions
-from .criteria import CRITERIA, DirichletPrior, evaluate
+from .criteria import CRITERIA, DirichletPrior, argmin, evaluate, evaluate_depths
 from .dataio import (
     TrajectoryFormatError,
     file_digest,
@@ -45,7 +45,7 @@ from .simulate import (
     free_throw_power,
     run_power_study,
 )
-from .tying import jagged_free_throw_map, tie_counts, tied_param_count
+from .tying import jagged_free_throw_map
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -134,24 +134,14 @@ def _reports_for(args, alphabet, trajs):
     h_values = _parse_h_range(args)
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
-    reports = []
-    for h in h_values:
-        tc = count_transitions(trajs, h, alphabet, boundary)
-        aic_k = alphabet.size ** (h + 1) if args.aic_penalty == "full" else None
-        reports.append(evaluate(tc, prior, aic_k=aic_k))
-    if args.tie:
-        tie_h = 1
-        if args.tie == "jagged":
-            tie_map = jagged_free_throw_map(alphabet, boundary)
-            label = "jagged(h=1)"
-        else:
-            tie_map = load_tie_map(args.tie, alphabet)
-            tie_h = tie_map.h
-            label = f"tied(h={tie_map.h})"
-        tc = count_transitions(trajs, tie_h, alphabet, boundary)
-        tied = tie_counts(tc, tie_map)
-        reports.append(evaluate(
-            tied, prior, k_params=tied_param_count(tie_map, alphabet.size), label=label))
+    tie_map = tie_label = None
+    if args.tie == "jagged":
+        tie_map, tie_label = jagged_free_throw_map(alphabet, boundary), "jagged(h=1)"
+    elif args.tie:
+        tie_map = load_tie_map(args.tie, alphabet)
+    reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
+                              aic_penalty=args.aic_penalty, tie_map=tie_map,
+                              tie_label=tie_label)
     return reports, prior, boundary
 
 
@@ -172,8 +162,12 @@ def cmd_criteria(args) -> int:
     }
     _write_manifest(out_dir, "criteria", config, [Path(args.input)], seed=None)
     for name in CRITERIA:
-        best = min(reports, key=lambda r: (r.value(name), r.h))
-        print(f"{name}: best {best.label} ({best.value(name):.4f})")
+        try:
+            best = argmin(reports, name)
+        except ValueError:
+            print(f"{name}: unavailable (needs at least two trajectories)")
+        else:
+            print(f"{name}: best {best.label} ({best.value(name):.4f})")
     return EXIT_OK
 
 
@@ -182,6 +176,7 @@ def cmd_select(args) -> int:
     if args.criterion not in CRITERIA:
         raise CliError(f"unknown criterion {args.criterion!r}")
     reports, prior, boundary = _reports_for(args, alphabet, trajs)
+    best = argmin(reports, args.criterion)
     out_dir = Path(args.out)
     write_reports(reports, out_dir)
     config = {
@@ -191,7 +186,6 @@ def cmd_select(args) -> int:
         "prior_alpha": prior.alpha.tolist(),
     }
     _write_manifest(out_dir, "select", config, [Path(args.input)], seed=None)
-    best = min(reports, key=lambda r: (r.value(args.criterion), r.h))
     print(f"selected: {best.label} by {args.criterion} = {best.value(args.criterion):.4f}")
     return EXIT_OK
 
@@ -304,22 +298,24 @@ def cmd_oracle(args) -> int:
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
     tc = count_transitions(trajs, args.h, alphabet, boundary)
-    from .criteria import dic, loo, lpd, lppd, lppd_cv2, waic
+    rep = evaluate(tc, prior, ("LPD", "LPPD", "LOO", "CV2", "WAIC2", "DIC2"))
 
+    # LPD and LPPD go back from the deviance scale to the log scale the
+    # estimators work on; multiplying by -0.5 is exact.
     checks: list[tuple[str, float, object]] = []
-    checks.append(("LPD", lpd(tc.total, prior),
+    checks.append(("LPD", -0.5 * rep.value("LPD"),
                    mc_lpd(tc.total, prior, args.draws, args.seed)))
-    checks.append(("LPPD", lppd(tc, prior),
+    checks.append(("LPPD", -0.5 * rep.value("LPPD"),
                    mc_lppd(tc, prior, args.draws, args.seed + 1)))
-    checks.append(("LOO", loo(tc, prior),
+    checks.append(("LOO", rep.value("LOO"),
                    mc_loo(tc, prior, args.draws, args.seed + 2)))
     if tc.n_trajectories >= 2:
-        checks.append(("CV2", lppd_cv2(tc, prior),
+        checks.append(("CV2", rep.value("CV2"),
                        mc_cv2(tc, prior, args.draws, args.seed + 3)))
-    checks.append(("k_WAIC2", waic(tc, prior, variant=2)[1],
+    checks.append(("k_WAIC2", rep.value("k_WAIC2"),
                    mc_variance_loglik(tc, prior, args.draws, args.seed + 4)))
     est = mc_variance_loglik(as_single_point(tc), prior, args.draws, args.seed + 5)
-    checks.append(("k_DIC2", dic(tc, prior, variant=2)[1],
+    checks.append(("k_DIC2", rep.value("k_DIC2"),
                    type(est)(2.0 * est.estimate, 2.0 * est.std_error, est.draws)))
 
     rows = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,30 +28,28 @@ from .chain import (
     merge_counts,
 )
 from .specfun import digamma, log_multivariate_beta, trigamma
+from .tying import TieMap, tie_counts, tied_param_count
 
 __all__ = [
     "CRITERIA",
+    "K_TERMS",
     "DirichletPrior",
-    "PosteriorSummary",
     "CriterionReport",
-    "posterior_summary",
     "default_param_count",
     "padded_param_count",
     "param_count",
     "aic",
     "lpd",
-    "lppd",
     "predictive_log_density",
-    "waic",
-    "dic",
-    "loo",
-    "lppd_cv2",
-    "criterion_values",
     "evaluate",
+    "evaluate_depths",
+    "argmin",
     "select_order",
 ]
 
 CRITERIA = ("AIC", "DIC1", "DIC2", "LPD", "LPPD", "WAIC1", "WAIC2", "LOO", "CV2")
+# complexity terms reported alongside the criteria that use them
+K_TERMS = ("k_DIC1", "k_DIC2", "k_WAIC1", "k_WAIC2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,35 +91,6 @@ def _prior_for(alphabet: StateAlphabet, prior: DirichletPrior | None) -> Dirichl
     return prior
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorSummary:
-    """Posterior Dirichlet parameters and means for every observed context."""
-
-    params: dict
-    means: dict
-    prior_mean: np.ndarray
-
-    def mean_for(self, ctx) -> np.ndarray:
-        """Posterior mean transition vector; the prior mean for unseen contexts."""
-        return self.means.get(ctx, self.prior_mean)
-
-
-def posterior_summary(table: CountTable, prior: DirichletPrior | None = None) -> PosteriorSummary:
-    prior = _prior_for(table.alphabet, prior)
-    params: dict = {}
-    means: dict = {}
-    for ctx, vec in table.rows.items():
-        a = vec + prior.alpha
-        a.flags.writeable = False
-        mean = a / a.sum()
-        mean.flags.writeable = False
-        params[ctx] = a
-        means[ctx] = mean
-    prior_mean = prior.alpha / prior.total
-    prior_mean.flags.writeable = False
-    return PosteriorSummary(params, means, prior_mean)
-
-
 # ---------------------------------------------------------------------------
 # Parameter counting
 
@@ -157,7 +126,7 @@ def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Internal aligned-array view
+# Internal aligned-array view and kernels
 
 
 class _View:
@@ -187,19 +156,21 @@ class _View:
         return self._per
 
 
-def _ml_loglik(N: np.ndarray, Ns: np.ndarray) -> float:
-    # sum N log(N / N_row), with 0 log 0 = 0
+def _aic(N: np.ndarray, Ns: np.ndarray, k_params: int) -> float:
+    # -2 sum N log(N / N_row) + 2 k, with 0 log 0 = 0
+    if N.size == 0:
+        ml_loglik = 0.0
+    else:
+        ratio = np.where(N > 0, N / Ns[:, None], 1.0)
+        ml_loglik = float(np.sum(N * np.log(ratio)))
+    return -2.0 * ml_loglik + 2.0 * float(k_params)
+
+
+def _lpd(N: np.ndarray, alpha: np.ndarray) -> float:
     if N.size == 0:
         return 0.0
-    ratio = np.where(N > 0, N / Ns[:, None], 1.0)
-    return float(np.sum(N * np.log(ratio)))
-
-
-def _lpd(v: _View) -> float:
-    if v.N.size == 0:
-        return 0.0
-    upper = log_multivariate_beta(2 * v.N + v.alpha, axis=-1)
-    lower = log_multivariate_beta(v.N + v.alpha, axis=-1)
+    upper = log_multivariate_beta(2 * N + alpha, axis=-1)
+    lower = log_multivariate_beta(N + alpha, axis=-1)
     return float(np.sum(upper - lower))
 
 
@@ -215,13 +186,20 @@ def _lppd(v: _View) -> float:
     return out
 
 
-def _k_waic1(v: _View, lppd_value: float) -> float:
+def _post_mean_loglik(v: _View) -> float:
+    # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
     if v.N.size == 0:
-        return 2.0 * lppd_value
-    post_mean_ll = float(
-        np.sum(v.N * (digamma(v.N + v.alpha) - digamma(v.Ns + v.a0)[:, None]))
+        return 0.0
+    return float(np.sum(v.N * (digamma(v.N + v.alpha) - digamma(v.Ns + v.a0)[:, None])))
+
+
+def _plugin_loglik(v: _View) -> float:
+    # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
+    if v.N.size == 0:
+        return 0.0
+    return float(
+        np.sum(v.N * (np.log(v.N + v.alpha) - np.log(v.Ns + v.a0)[:, None]))
     )
-    return 2.0 * lppd_value - 2.0 * post_mean_ll
 
 
 def _k_waic2(v: _View) -> float:
@@ -237,24 +215,6 @@ def _k_waic2(v: _View) -> float:
         ts = t.sum(axis=1)
         out += float(np.sum(t * t * pg_rows[idx]) - np.sum(ts * ts * pg_sums[idx]))
     return out
-
-
-def _plugin_loglik(v: _View) -> float:
-    # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
-    if v.N.size == 0:
-        return 0.0
-    return float(
-        np.sum(v.N * (np.log(v.N + v.alpha) - np.log(v.Ns + v.a0)[:, None]))
-    )
-
-
-def _k_dic1(v: _View) -> float:
-    if v.N.size == 0:
-        return 0.0
-    post_mean_ll = float(
-        np.sum(v.N * (digamma(v.N + v.alpha) - digamma(v.Ns + v.a0)[:, None]))
-    )
-    return 2.0 * (_plugin_loglik(v) - post_mean_ll)
 
 
 def _k_dic2(v: _View) -> float:
@@ -278,16 +238,33 @@ def _loo(v: _View) -> float:
     return -2.0 * out
 
 
+def _cv2(tc: TrajectoryCounts, prior: DirichletPrior) -> float:
+    # The first floor(J/2) trajectories (input order) are scored against the
+    # posterior of the remaining ones and vice versa; needs J >= 2.
+    half = tc.n_trajectories // 2
+    tables = [t for _, t in tc.per_trajectory]
+    first, second = tables[:half], tables[half:]
+    meta = dict(h=tc.h, alphabet=tc.alphabet, boundary=tc.boundary)
+    train_for_first = merge_counts(second, **meta)
+    train_for_second = merge_counts(first, **meta)
+    out = 0.0
+    for tab in first:
+        out += predictive_log_density(train_for_first, tab, prior)
+    for tab in second:
+        out += predictive_log_density(train_for_second, tab, prior)
+    return -2.0 * out
+
+
 # ---------------------------------------------------------------------------
-# Public closed forms
+# Count-table forms
 
 
 def aic(total: CountTable, k_params: int) -> float:
     """-2 max log likelihood + 2 k, with 0 log 0 = 0 and empty rows skipped."""
     if k_params < 1:
         raise ValueError("k_params must be >= 1")
-    keys, n = total.matrix()
-    return -2.0 * _ml_loglik(n, n.sum(axis=1)) + 2.0 * float(k_params)
+    _, n = total.matrix()
+    return _aic(n, n.sum(axis=1), k_params)
 
 
 def lpd(total: CountTable, prior: DirichletPrior | None = None) -> float:
@@ -297,12 +274,7 @@ def lpd(total: CountTable, prior: DirichletPrior | None = None) -> float:
     dataset (the Bayes-factor numerator). Reports store -2 x this value.
     """
     prior = _prior_for(total.alphabet, prior)
-    if total.n_contexts == 0:
-        return 0.0
-    keys, n = total.matrix()
-    upper = log_multivariate_beta(2 * n + prior.alpha, axis=-1)
-    lower = log_multivariate_beta(n + prior.alpha, axis=-1)
-    return float(np.sum(upper - lower))
+    return _lpd(total.matrix()[1], prior.alpha)
 
 
 def predictive_log_density(
@@ -326,105 +298,19 @@ def predictive_log_density(
     return float(np.sum(upper - lower))
 
 
-def lppd(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
-    """Log pointwise predictive density with trajectories as the points."""
-    prior = _prior_for(tc.alphabet, prior)
-    return _lppd(_View(tc, prior))
-
-
-def waic(
-    tc: TrajectoryCounts,
-    prior: DirichletPrior | None = None,
-    variant: int = 1,
-) -> tuple[float, float]:
-    """WAIC value and its effective-complexity term: -2 LPPD + 2 k_variant.
-
-    Variant 1 penalizes with posterior-mean log probabilities; variant 2
-    with posterior variances of the per-trajectory log likelihoods (always
-    nonnegative).
-    """
-    prior = _prior_for(tc.alphabet, prior)
-    v = _View(tc, prior)
-    lppd_value = _lppd(v)
-    if variant == 1:
-        k = _k_waic1(v, lppd_value)
-    elif variant == 2:
-        k = _k_waic2(v)
-    else:
-        raise ValueError("WAIC variant must be 1 or 2")
-    return -2.0 * lppd_value + 2.0 * k, k
-
-
-def dic(
-    tc: TrajectoryCounts,
-    prior: DirichletPrior | None = None,
-    variant: int = 1,
-) -> tuple[float, float]:
-    """DIC value and complexity term: deviance at the posterior mean + 2 k.
-
-    k_DIC1 is twice the gap between the plug-in log likelihood and the
-    posterior-mean log likelihood (nonnegative by Jensen); k_DIC2 is twice
-    the posterior variance of the log likelihood.
-    """
-    prior = _prior_for(tc.alphabet, prior)
-    v = _View(tc, prior)
-    deviance = -2.0 * _plugin_loglik(v)
-    if variant == 1:
-        k = _k_dic1(v)
-    elif variant == 2:
-        k = _k_dic2(v)
-    else:
-        raise ValueError("DIC variant must be 1 or 2")
-    return deviance + 2.0 * k, k
-
-
-def loo(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
-    """Leave-one-out cross-validated predictive density (deviance scale).
-
-    -2 sum_j sum_x log B(N_x + a) / B(N_x - N_x^(j) + a): each trajectory
-    is scored against the posterior fitted to all the others. With a
-    single trajectory this reduces to its prior predictive density.
-    """
-    prior = _prior_for(tc.alphabet, prior)
-    return _loo(_View(tc, prior))
-
-
-def lppd_cv2(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
-    """Two-fold cross-validated predictive density (deviance scale).
-
-    The first floor(J/2) trajectories (input order) are scored against the
-    posterior of the remaining ones and vice versa. Order-dependent by
-    design; with J = 2 it coincides exactly with LOO.
-    """
-    j = tc.n_trajectories
-    if j < 2:
-        raise ValueError("two-fold cross validation needs at least two trajectories")
-    prior = _prior_for(tc.alphabet, prior)
-    half = j // 2
-    tables = [t for _, t in tc.per_trajectory]
-    first, second = tables[:half], tables[half:]
-    meta = dict(h=tc.h, alphabet=tc.alphabet, boundary=tc.boundary)
-    train_for_first = merge_counts(second, **meta)
-    train_for_second = merge_counts(first, **meta)
-    out = 0.0
-    for tab in first:
-        out += predictive_log_density(train_for_first, tab, prior)
-    for tab in second:
-        out += predictive_log_density(train_for_second, tab, prior)
-    return -2.0 * out
-
-
 # ---------------------------------------------------------------------------
 # Reports and order selection
 
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """All criterion values and complexity terms for one fitted model.
+    """Criterion values and complexity terms for one fitted model.
 
-    Every criterion field is on the deviance scale; in particular ``lpd``
-    and ``lppd`` store -2 x the log predictive quantities. ``cv2`` is NaN
-    when only one trajectory is available.
+    ``values`` maps names from CRITERIA and K_TERMS to numbers. Every
+    criterion is on the deviance scale; in particular LPD and LPPD store
+    -2 x the log predictive quantities. CV2 is NaN when only one
+    trajectory is available. A report made with ``which`` holds only
+    those criteria and the complexity terms they use.
     """
 
     h: int
@@ -433,31 +319,14 @@ class CriterionReport:
     n_trajectories: int
     n_transitions: int
     k_params: int
-    aic: float
-    dic1: float
-    dic2: float
-    lpd: float
-    lppd: float
-    waic1: float
-    waic2: float
-    loo: float
-    cv2: float
-    k_dic1: float
-    k_dic2: float
-    k_waic1: float
-    k_waic2: float
+    values: dict[str, float]
 
-    _FIELDS: ClassVar[dict[str, str]] = {
-        "AIC": "aic", "DIC1": "dic1", "DIC2": "dic2", "LPD": "lpd",
-        "LPPD": "lppd", "WAIC1": "waic1", "WAIC2": "waic2", "LOO": "loo",
-        "CV2": "cv2",
-    }
-
-    def value(self, criterion: str) -> float:
+    def value(self, name: str) -> float:
+        """A criterion or complexity term by name, e.g. "LOO" or "k_WAIC2"."""
         try:
-            return getattr(self, self._FIELDS[criterion])
+            return self.values[name]
         except KeyError:
-            raise ValueError(f"unknown criterion {criterion!r}") from None
+            raise ValueError(f"unknown or unevaluated criterion {name!r}") from None
 
     def as_dict(self) -> dict:
         return {
@@ -467,19 +336,7 @@ class CriterionReport:
             "J": self.n_trajectories,
             "transitions": self.n_transitions,
             "k_params": self.k_params,
-            "AIC": self.aic,
-            "DIC1": self.dic1,
-            "DIC2": self.dic2,
-            "LPD": self.lpd,
-            "LPPD": self.lppd,
-            "WAIC1": self.waic1,
-            "WAIC2": self.waic2,
-            "LOO": self.loo,
-            "CV2": self.cv2,
-            "k_DIC1": self.k_dic1,
-            "k_DIC2": self.k_dic2,
-            "k_WAIC1": self.k_waic1,
-            "k_WAIC2": self.k_waic2,
+            **self.values,
         }
 
 
@@ -493,106 +350,130 @@ def _normalize_which(which) -> tuple[str, ...]:
     return names
 
 
-def criterion_values(
+def evaluate(
     tc: TrajectoryCounts,
     prior: DirichletPrior | None = None,
     which: Iterable[str] | None = None,
     k_params: int | None = None,
-    aic_k: int | None = None,
-) -> dict[str, float]:
-    """Deviance-scale values of the requested criteria for one fitted table.
+    label: str | None = None,
+) -> CriterionReport:
+    """Criterion report for one fitted memory depth.
 
-    Lighter-weight than ``evaluate``: only the requested criteria are
-    computed, which matters inside simulation loops.
+    ``which`` limits the work to the named criteria (default: all of
+    CRITERIA). ``k_params`` is the parameter count of the AIC penalty;
+    it defaults to the mode-aware free-parameter count of an untied
+    depth-h model, so pass it for tied models or other penalties.
     """
-    values, _ = _compute(tc, prior, _normalize_which(which), k_params, aic_k)
-    return values
-
-
-def _compute(tc, prior, which, k_params, aic_k):
+    which = _normalize_which(which)
+    need = set(which)
     prior = _prior_for(tc.alphabet, prior)
-    v = _View(tc, prior)
-    m = tc.alphabet.size
     if k_params is None:
-        k_params = param_count(m, tc.h, tc.boundary)
+        k_params = param_count(tc.alphabet.size, tc.h, tc.boundary)
+    v = _View(tc, prior)
+
+    # log-scale quantities shared by several criteria
+    lppd = _lppd(v) if need & {"LPPD", "WAIC1", "WAIC2"} else None
+    plugin = _plugin_loglik(v) if need & {"DIC1", "DIC2"} else None
+    post = _post_mean_loglik(v) if need & {"WAIC1", "DIC1"} else None
+
     values: dict[str, float] = {}
     ks: dict[str, float] = {}
-
-    lppd_value = None
-    if {"LPPD", "WAIC1", "WAIC2"} & set(which):
-        lppd_value = _lppd(v)
-    plugin = None
-    if {"DIC1", "DIC2"} & set(which):
-        plugin = _plugin_loglik(v)
-
     for name in which:
         if name == "AIC":
-            values[name] = -2.0 * _ml_loglik(v.N, v.Ns) + 2.0 * float(aic_k if aic_k is not None else k_params)
+            values[name] = _aic(v.N, v.Ns, k_params)
         elif name == "LPD":
-            values[name] = -2.0 * _lpd(v)
+            values[name] = -2.0 * _lpd(v.N, v.alpha)
         elif name == "LPPD":
-            values[name] = -2.0 * lppd_value
-        elif name == "WAIC1":
-            k = _k_waic1(v, lppd_value)
-            ks["k_WAIC1"] = k
-            values[name] = -2.0 * lppd_value + 2.0 * k
-        elif name == "WAIC2":
-            k = _k_waic2(v)
-            ks["k_WAIC2"] = k
-            values[name] = -2.0 * lppd_value + 2.0 * k
-        elif name == "DIC1":
-            k = _k_dic1(v)
-            ks["k_DIC1"] = k
-            values[name] = -2.0 * plugin + 2.0 * k
-        elif name == "DIC2":
-            k = _k_dic2(v)
-            ks["k_DIC2"] = k
-            values[name] = -2.0 * plugin + 2.0 * k
+            values[name] = -2.0 * lppd
         elif name == "LOO":
             values[name] = _loo(v)
         elif name == "CV2":
-            values[name] = lppd_cv2(tc, prior) if tc.n_trajectories >= 2 else math.nan
-    return values, ks
-
-
-def evaluate(
-    tc: TrajectoryCounts,
-    prior: DirichletPrior | None = None,
-    k_params: int | None = None,
-    label: str | None = None,
-    aic_k: int | None = None,
-) -> CriterionReport:
-    """Full criterion report for one fitted memory depth.
-
-    ``k_params`` defaults to the mode-aware free-parameter count of an
-    untied depth-h model; pass it explicitly for tied models. ``aic_k``
-    overrides the AIC penalty alone.
-    """
-    m = tc.alphabet.size
-    if k_params is None:
-        k_params = param_count(m, tc.h, tc.boundary)
-    values, ks = _compute(tc, prior, CRITERIA, k_params, aic_k)
+            values[name] = _cv2(tc, prior) if tc.n_trajectories >= 2 else math.nan
+        else:
+            # WAIC penalizes the LPPD fit and DIC the plug-in fit at the
+            # posterior mean; variant 1 takes k from posterior means of the
+            # log likelihood, variant 2 from its posterior variances.
+            if name == "WAIC1":
+                fit, k = lppd, 2.0 * lppd - 2.0 * post
+            elif name == "WAIC2":
+                fit, k = lppd, _k_waic2(v)
+            elif name == "DIC1":
+                fit, k = plugin, 2.0 * (plugin - post)
+            else:
+                fit, k = plugin, _k_dic2(v)
+            ks["k_" + name] = k
+            values[name] = -2.0 * fit + 2.0 * k
+    values.update(ks)
     return CriterionReport(
         h=tc.h,
         label=label if label is not None else f"h={tc.h}",
         boundary=tc.boundary.value,
         n_trajectories=tc.n_trajectories,
         n_transitions=tc.total.total_transitions(),
-        k_params=int(aic_k if aic_k is not None else k_params),
-        aic=values["AIC"],
-        dic1=values["DIC1"],
-        dic2=values["DIC2"],
-        lpd=values["LPD"],
-        lppd=values["LPPD"],
-        waic1=values["WAIC1"],
-        waic2=values["WAIC2"],
-        loo=values["LOO"],
-        cv2=values["CV2"],
-        k_dic1=ks["k_DIC1"],
-        k_dic2=ks["k_DIC2"],
-        k_waic1=ks["k_WAIC1"],
-        k_waic2=ks["k_WAIC2"],
+        k_params=int(k_params),
+        values=values,
     )
+
+
+def evaluate_depths(
+    trajectories: Sequence[Trajectory],
+    alphabet: StateAlphabet,
+    h_range: Iterable[int],
+    prior: DirichletPrior | None = None,
+    mode: BoundaryMode = BoundaryMode.PADDED,
+    which: Iterable[str] | None = None,
+    aic_penalty: str = "params",
+    tie_map: TieMap | None = None,
+    tie_label: str | None = None,
+) -> list[CriterionReport]:
+    """Count and evaluate every depth in ``h_range``, in increasing order.
+
+    ``aic_penalty`` is "params" (free-parameter count) or "full"
+    (M^(h+1), the blunter alternative). With ``tie_map`` one more report,
+    for the tied model, is appended; it reuses the count made at
+    ``tie_map.h`` when that depth is in ``h_range``.
+    """
+    hs = sorted({int(h) for h in h_range})
+    if not hs:
+        raise ValueError("h_range must be non-empty")
+    if hs[0] < 0:
+        raise ValueError("memory depths must be >= 0")
+    if aic_penalty not in ("params", "full"):
+        raise ValueError("aic_penalty must be 'params' or 'full'")
+    trajs = list(trajectories)
+    prior = _prior_for(alphabet, prior)
+    counts: dict[int, TrajectoryCounts] = {}
+    reports = []
+    for h in hs:
+        counts[h] = count_transitions(trajs, h, alphabet, mode)
+        k = alphabet.size ** (h + 1) if aic_penalty == "full" else None
+        reports.append(evaluate(counts[h], prior, which, k_params=k))
+    if tie_map is not None:
+        tc = counts.get(tie_map.h)
+        if tc is None:
+            tc = count_transitions(trajs, tie_map.h, alphabet, mode)
+        reports.append(evaluate(
+            tie_counts(tc, tie_map), prior, which,
+            k_params=tied_param_count(tie_map, alphabet.size),
+            label=tie_label if tie_label is not None else f"tied(h={tie_map.h})",
+        ))
+    return reports
+
+
+def argmin(reports: Iterable[CriterionReport], criterion: str) -> CriterionReport:
+    """The report with the least ``criterion`` value.
+
+    Ties break toward the smaller h, then toward the earlier report. A NaN
+    value (CV2 on a single trajectory) raises ValueError.
+    """
+    reports = list(reports)
+    for rep in reports:
+        if math.isnan(rep.value(criterion)):
+            raise ValueError(
+                f"criterion {criterion} is unavailable for this dataset "
+                f"(needs at least two trajectories)"
+            )
+    return min(reports, key=lambda r: (r.value(criterion), r.h))
 
 
 def select_order(
@@ -604,35 +485,38 @@ def select_order(
     criterion: str = "LOO",
     aic_penalty: str = "params",
 ) -> tuple[int, list[CriterionReport]]:
-    """Fit every depth in ``h_range`` and pick the argmin of ``criterion``.
-
-    Ties break toward the smaller h. ``aic_penalty`` is either "params"
-    (free-parameter count) or "full" (M^(h+1), the blunter alternative).
-    """
-    hs = sorted({int(h) for h in h_range})
-    if not hs:
-        raise ValueError("h_range must be non-empty")
-    if hs[0] < 0:
-        raise ValueError("memory depths must be >= 0")
+    """Fit every depth in ``h_range`` and pick the argmin of ``criterion``."""
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    if aic_penalty not in ("params", "full"):
-        raise ValueError("aic_penalty must be 'params' or 'full'")
-    trajs = list(trajectories)
-    reports: list[CriterionReport] = []
-    for h in hs:
-        tc = count_transitions(trajs, h, alphabet, mode)
-        aic_k = alphabet.size ** (h + 1) if aic_penalty == "full" else None
-        reports.append(evaluate(tc, prior, aic_k=aic_k))
-    best_h = None
-    best_val = math.inf
-    for rep in reports:
-        val = rep.value(criterion)
-        if math.isnan(val):
-            raise ValueError(
-                f"criterion {criterion} is unavailable for this dataset "
-                f"(needs at least two trajectories)"
-            )
-        if val < best_val:
-            best_h, best_val = rep.h, val
-    return best_h, reports
+    reports = evaluate_depths(trajectories, alphabet, h_range, prior, mode,
+                              aic_penalty=aic_penalty)
+    return argmin(reports, criterion).h, reports
+
+
+# ---------------------------------------------------------------------------
+# Single-criterion views over ``evaluate``. perfbench/probe.py times each
+# criterion kernel through these names; the library itself does not use them.
+
+
+def lppd(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
+    return -0.5 * evaluate(tc, prior, ("LPPD",)).value("LPPD")
+
+
+def loo(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
+    return evaluate(tc, prior, ("LOO",)).value("LOO")
+
+
+def lppd_cv2(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
+    return evaluate(tc, prior, ("CV2",)).value("CV2")
+
+
+def waic(tc: TrajectoryCounts, prior: DirichletPrior | None = None,
+         variant: int = 1) -> tuple[float, float]:
+    rep = evaluate(tc, prior, (f"WAIC{variant}",))
+    return rep.value(f"WAIC{variant}"), rep.value(f"k_WAIC{variant}")
+
+
+def dic(tc: TrajectoryCounts, prior: DirichletPrior | None = None,
+        variant: int = 1) -> tuple[float, float]:
+    rep = evaluate(tc, prior, (f"DIC{variant}",))
+    return rep.value(f"DIC{variant}"), rep.value(f"k_DIC{variant}")

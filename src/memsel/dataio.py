@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .chain import START, Context, StateAlphabet, Trajectory
-from .criteria import CriterionReport
+from .criteria import CRITERIA, K_TERMS, CriterionReport
 from .tying import TieMap
 
 __all__ = [
@@ -189,11 +189,7 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
 # Report and table writers (deterministic byte output)
 
 
-_REPORT_COLUMNS = (
-    "label", "h", "boundary", "J", "transitions", "k_params",
-    "AIC", "DIC1", "DIC2", "LPD", "LPPD", "WAIC1", "WAIC2", "LOO", "CV2",
-    "k_DIC1", "k_DIC2", "k_WAIC1", "k_WAIC2",
-)
+_REPORT_COLUMNS = ("label", "h", "boundary", "J", "transitions", "k_params") + CRITERIA + K_TERMS
 
 
 def _cell(value) -> str:

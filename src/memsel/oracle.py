@@ -65,32 +65,50 @@ def _cell_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(max(n, 1))]
 
 
-def _log_mean_power(post: np.ndarray, expo: np.ndarray, draws: int, rng) -> tuple[float, float]:
-    """MC estimate of log E_{p ~ Dirichlet(post)} prod_m p_m^expo_m.
-
-    Returns the log estimate and its delta-method standard error.
-    """
+def _loglik_draws(post: np.ndarray, expo: np.ndarray, draws: int, rng) -> np.ndarray:
+    """log prod_m p_m^expo_m at each of ``draws`` draws p ~ Dirichlet(post)."""
     cols = np.nonzero(expo > 0)[0]
     p = rng.dirichlet(post, size=draws)
-    t = np.log(p[:, cols]) @ expo[cols].astype(float)
+    return np.log(p[:, cols]) @ expo[cols].astype(float)
+
+
+def _log_mean_power(t: np.ndarray) -> tuple[float, float]:
+    """log E exp(t) from draws of t, with its delta-method variance."""
     mx = float(t.max())
     w = np.exp(t - mx)
     mean_w = float(w.mean())
     est = mx + math.log(mean_w)
-    se = float(w.std(ddof=1)) / (mean_w * math.sqrt(draws))
-    return est, se
+    se = float(w.std(ddof=1)) / (mean_w * math.sqrt(t.size))
+    return est, se * se
 
 
-def _sum_cells(cells, draws, seed) -> OracleEstimate:
+def _variance(t: np.ndarray) -> tuple[float, float]:
+    """Sample variance of the draws, with its asymptotic variance."""
+    d = t - t.mean()
+    m2 = float(np.mean(d * d))
+    m4 = float(np.mean(d**4))
+    return float(np.var(t, ddof=1)), max(m4 - m2 * m2, 0.0) / t.size
+
+
+def _sum_cells(cells, draws, seed, estimator=_log_mean_power) -> OracleEstimate:
     """Independent per-cell estimates summed; standard errors in quadrature."""
     rngs = _cell_rngs(seed, len(cells))
     est = 0.0
     var = 0.0
     for (post, expo), rng in zip(cells, rngs):
-        e, s = _log_mean_power(post, expo, draws, rng)
+        e, v = estimator(_loglik_draws(post, expo, draws, rng))
         est += e
-        var += s * s
+        var += v
     return OracleEstimate(est, math.sqrt(var), draws)
+
+
+def _posterior_cells(tc: TrajectoryCounts, prior: DirichletPrior) -> list:
+    """One (posterior given the total, trajectory counts) cell per trajectory row."""
+    return [
+        (tc.total.get(ctx) + prior.alpha, vec)
+        for _, table in tc.per_trajectory
+        for ctx, vec in table.rows.items()
+    ]
 
 
 def mc_lpd(
@@ -120,11 +138,7 @@ def mc_lppd(
     """
     draws = _require_draws(draws)
     prior = _prior_for(tc.alphabet, prior)
-    cells = []
-    for _, table in tc.per_trajectory:
-        for ctx, vec in table.rows.items():
-            cells.append((tc.total.get(ctx) + prior.alpha, vec))
-    return _sum_cells(cells, draws, seed)
+    return _sum_cells(_posterior_cells(tc, prior), draws, seed)
 
 
 def mc_loo(
@@ -185,25 +199,7 @@ def mc_variance_loglik(
     """
     draws = _require_draws(draws)
     prior = _prior_for(tc.alphabet, prior)
-    cells = []
-    for _, table in tc.per_trajectory:
-        for ctx, vec in table.rows.items():
-            cells.append((tc.total.get(ctx) + prior.alpha, vec))
-    rngs = _cell_rngs(seed, len(cells))
-    est = 0.0
-    var = 0.0
-    for (post, expo), rng in zip(cells, rngs):
-        cols = np.nonzero(expo > 0)[0]
-        p = rng.dirichlet(post, size=draws)
-        t = np.log(p[:, cols]) @ expo[cols].astype(float)
-        d = t - t.mean()
-        m2 = float(np.mean(d * d))
-        m4 = float(np.mean(d**4))
-        s2 = float(np.var(t, ddof=1))
-        est += s2
-        # asymptotic variance of the sample variance
-        var += max(m4 - m2 * m2, 0.0) / draws
-    return OracleEstimate(est, math.sqrt(var), draws)
+    return _sum_cells(_posterior_cells(tc, prior), draws, seed, _variance)
 
 
 def as_single_point(tc: TrajectoryCounts) -> TrajectoryCounts:
@@ -218,8 +214,9 @@ def as_single_point(tc: TrajectoryCounts) -> TrajectoryCounts:
 def loo_refit(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
     """Leave-one-out by actually refitting without each trajectory.
 
-    Matches the closed-form ``loo`` exactly: the refit posterior counts
-    plus the held-out counts recompose the total in integer arithmetic.
+    Matches the closed-form LOO of ``evaluate`` exactly: the refit
+    posterior counts plus the held-out counts recompose the total in
+    integer arithmetic.
     """
     prior = _prior_for(tc.alphabet, prior)
     tables = [t for _, t in tc.per_trajectory]

@@ -23,14 +23,9 @@ from .chain import (
     Context,
     StateAlphabet,
     Trajectory,
-    count_transitions,
 )
-from .criteria import (
-    CRITERIA,
-    DirichletPrior,
-    criterion_values,
-)
-from .tying import jagged_free_throw_map, tie_counts, tied_param_count
+from .criteria import CRITERIA, argmin, evaluate_depths
+from .tying import jagged_free_throw_map
 
 __all__ = [
     "RandomNetwork",
@@ -46,8 +41,6 @@ __all__ = [
     "generate_network",
     "sample_trajectory",
     "run_power_study",
-    "power_analysis",
-    "delta_distributions",
     "sample_free_throw_trajectories",
     "free_throw_power",
     "worker_count",
@@ -108,6 +101,10 @@ def _padded_contexts(m: int, h: int):
 
 def generate_network(m: int, h_true: int, seed: int) -> RandomNetwork:
     """Draw one row per depth-h context from a flat Dirichlet, deterministically."""
+    return _draw_network(m, h_true, _rng(seed, _TAG_NETWORK, h_true))
+
+
+def _draw_network(m: int, h_true: int, rng: np.random.Generator) -> RandomNetwork:
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
     if h_true < 0:
@@ -118,7 +115,6 @@ def generate_network(m: int, h_true: int, seed: int) -> RandomNetwork:
             f"enumerating {n_contexts} contexts for M={m}, h={h_true} is not "
             "supported; this would need sparse on-demand row generation"
         )
-    rng = _rng(seed, _TAG_NETWORK, h_true)
     alphabet = StateAlphabet.of_size(m)
     ones = np.ones(m)
     rows = {ctx: rng.dirichlet(ones) for ctx in _padded_contexts(m, h_true)}
@@ -216,7 +212,7 @@ class SelectionFrequencyTable:
         for r in self.rows:
             if r.J == J and r.criterion == criterion and r.h_chosen == h:
                 return r.frequency
-        return 0.0
+        raise KeyError((J, criterion, h))
 
     def to_records(self) -> list[dict]:
         return [
@@ -265,26 +261,17 @@ class PowerStudyResult:
 
 
 def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int):
-    """Criterion values per h for one freshly sampled batch of trajectories."""
+    """Criterion reports per h for one freshly sampled batch of trajectories."""
     if net is None:
-        net = generate_network(cfg.m, cfg.h_true, _mix_seed(cfg.seed, j_index, rep))
+        net = _draw_network(cfg.m, cfg.h_true, _rng(cfg.seed, _TAG_NETWORK, j_index, rep))
     rng = _rng(cfg.seed, _TAG_TRAJECTORIES, j_index, rep)
     j = cfg.J_values[j_index]
     trajs = [
         sample_trajectory(net, cfg.length_cap, rng, traj_id=f"r{rep}t{i}")
         for i in range(j)
     ]
-    prior = DirichletPrior.symmetric(cfg.m)
-    per_h: dict[int, dict[str, float]] = {}
-    for h in cfg.h_range:
-        tc = count_transitions(trajs, h, net.alphabet, cfg.boundary)
-        per_h[h] = criterion_values(tc, prior, which=cfg.criteria)
-    return per_h
-
-
-def _mix_seed(seed: int, j_index: int, rep: int) -> int:
-    # distinct per-replicate network seeds for the fresh-network protocol
-    return (int(seed) * 1_000_003 + j_index * 101 + rep) & 0xFFFFFFFFFFFFFFFF
+    return evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
+                           which=cfg.criteria)
 
 
 def _replicate_job(args):
@@ -322,18 +309,13 @@ def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyRes
         block = results[j_index * cfg.replicates:(j_index + 1) * cfg.replicates]
         chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
         deltas = {(c, h): [] for c in cfg.criteria for h in cfg.h_range}
-        for per_h in block:
+        for reports in block:
             for c in cfg.criteria:
-                best_h, best_v = None, np.inf
-                for h in cfg.h_range:
-                    v = per_h[h][c]
-                    if v < best_v:
-                        best_h, best_v = h, v
-                chosen_counts[c][best_h] += 1
+                chosen_counts[c][argmin(reports, c).h] += 1
                 if track_delta:
-                    ref = per_h[cfg.h_true][c]
-                    for h in cfg.h_range:
-                        deltas[(c, h)].append(per_h[h][c] - ref)
+                    ref = reports[cfg.h_range.index(cfg.h_true)].value(c)
+                    for r in reports:
+                        deltas[(c, r.h)].append(r.value(c) - ref)
         for c in cfg.criteria:
             for h in cfg.h_range:
                 sel_rows.append(SelectionRow(
@@ -348,18 +330,6 @@ def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyRes
                     ))
     return PowerStudyResult(cfg, SelectionFrequencyTable(tuple(sel_rows)),
                             DeltaTable(tuple(delta_rows)))
-
-
-def power_analysis(cfg: SimConfig, workers: int | None = None) -> SelectionFrequencyTable:
-    """Fraction of replicates in which each depth wins, per (J, criterion)."""
-    return run_power_study(cfg, workers).selection
-
-
-def delta_distributions(cfg: SimConfig, workers: int | None = None) -> DeltaTable:
-    """Summary statistics of Criterion(h) - Criterion(h_true) over replicates."""
-    if cfg.h_true not in cfg.h_range:
-        raise ValueError("delta distributions need h_true inside h_range")
-    return run_power_study(cfg, workers).deltas
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +389,8 @@ class FreeThrowSimConfig:
         for name in self.criteria:
             if name not in CRITERIA:
                 raise ValueError(f"unknown criterion {name!r}")
+        if "CV2" in self.criteria and self.games < 2:
+            raise ValueError("the CV2 criterion needs games >= 2")
         if self.include_jagged and not {0, 1} <= set(self.h_range):
             raise ValueError("the jagged comparison needs h=0 and h=1 in h_range")
 
@@ -465,8 +437,7 @@ def free_throw_power(cfg: FreeThrowSimConfig) -> FreeThrowPowerResult:
     is also scored per replicate and its wins against both the h=0 and
     full h=1 models are tabulated.
     """
-    prior = DirichletPrior.symmetric(2)
-    jagged_map = jagged_free_throw_map(FT_ALPHABET, cfg.boundary)
+    jagged_map = jagged_free_throw_map(FT_ALPHABET, cfg.boundary) if cfg.include_jagged else None
     chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
     jagged_wins = {c: 0 for c in cfg.criteria}
     effective = 0
@@ -476,26 +447,17 @@ def free_throw_power(cfg: FreeThrowSimConfig) -> FreeThrowPowerResult:
         if not trajs:
             continue
         effective += 1
-        per_h: dict[int, dict[str, float]] = {}
-        tc_by_h: dict[int, object] = {}
-        for h in cfg.h_range:
-            tc = count_transitions(trajs, h, FT_ALPHABET, cfg.boundary)
-            tc_by_h[h] = tc
-            per_h[h] = criterion_values(tc, prior, which=cfg.criteria)
+        reports = evaluate_depths(trajs, FT_ALPHABET, cfg.h_range, mode=cfg.boundary,
+                                  which=cfg.criteria, tie_map=jagged_map)
+        depths = reports[:len(cfg.h_range)]
         for c in cfg.criteria:
-            best_h, best_v = None, np.inf
-            for h in cfg.h_range:
-                if per_h[h][c] < best_v:
-                    best_h, best_v = h, per_h[h][c]
-            chosen_counts[c][best_h] += 1
-        if cfg.include_jagged:
-            tied = tie_counts(tc_by_h[1], jagged_map)
-            jagged_vals = criterion_values(
-                tied, prior, which=cfg.criteria,
-                k_params=tied_param_count(jagged_map, 2),
-            )
+            chosen_counts[c][argmin(depths, c).h] += 1
+        if jagged_map is not None:
+            # the jagged model wins only when strictly below both h=0 and
+            # h=1: it sorts after them on ties
+            h0, h1, jagged = depths[0], depths[1], reports[-1]
             for c in cfg.criteria:
-                if jagged_vals[c] < per_h[0][c] and jagged_vals[c] < per_h[1][c]:
+                if argmin((h0, h1, jagged), c) is jagged:
                     jagged_wins[c] += 1
     if effective == 0:
         raise ValueError("every replicate drew zero games; increase lam or games")

@@ -20,17 +20,7 @@ from memsel.chain import (
     count_transitions,
 )
 from memsel.cli import main
-from memsel.criteria import (
-    CRITERIA,
-    aic,
-    criterion_values,
-    dic,
-    loo,
-    lpd,
-    lppd,
-    lppd_cv2,
-    waic,
-)
+from memsel.criteria import CRITERIA, aic, evaluate, lpd
 from memsel.oracle import (
     OracleEstimate,
     as_single_point,
@@ -101,16 +91,17 @@ def test_criterion_01_oracle_agreement(oracle_suite):
     worst = 0.0
     for idx, (trajs, tc) in enumerate(oracle_suite):
         s = 1000 + idx * 10
+        rep = evaluate(tc)
         checks = [
             ("LPD", lpd(tc.total), mc_lpd(tc.total, draws=ORACLE_DRAWS, seed=s)),
-            ("LPPD", lppd(tc), mc_lppd(tc, draws=ORACLE_DRAWS, seed=s + 1)),
-            ("LOO", loo(tc), mc_loo(tc, draws=ORACLE_DRAWS, seed=s + 2)),
-            ("CV2", lppd_cv2(tc), mc_cv2(tc, draws=ORACLE_DRAWS, seed=s + 3)),
-            ("k_WAIC2", waic(tc, variant=2)[1],
+            ("LPPD", -0.5 * rep.value("LPPD"), mc_lppd(tc, draws=ORACLE_DRAWS, seed=s + 1)),
+            ("LOO", rep.value("LOO"), mc_loo(tc, draws=ORACLE_DRAWS, seed=s + 2)),
+            ("CV2", rep.value("CV2"), mc_cv2(tc, draws=ORACLE_DRAWS, seed=s + 3)),
+            ("k_WAIC2", rep.value("k_WAIC2"),
              mc_variance_loglik(tc, draws=ORACLE_DRAWS, seed=s + 4)),
         ]
         half = mc_variance_loglik(as_single_point(tc), draws=ORACLE_DRAWS, seed=s + 5)
-        checks.append(("k_DIC2", dic(tc, variant=2)[1],
+        checks.append(("k_DIC2", rep.value("k_DIC2"),
                        OracleEstimate(2 * half.estimate, 2 * half.std_error, half.draws)))
         for name, closed, est in checks:
             z = abs(est.z(closed))
@@ -122,8 +113,9 @@ def test_criterion_01_oracle_agreement(oracle_suite):
 
 def test_criterion_02_refit_equivalence(oracle_suite):
     for idx, (trajs, tc) in enumerate(oracle_suite):
-        assert loo(tc) == loo_refit(tc), f"instance {idx}: LOO refit mismatch"
-        assert lppd_cv2(tc) == cv2_refit(trajs, tc.h, tc.alphabet), \
+        rep = evaluate(tc, which=("LOO", "CV2"))
+        assert rep.value("LOO") == loo_refit(tc), f"instance {idx}: LOO refit mismatch"
+        assert rep.value("CV2") == cv2_refit(trajs, tc.h, tc.alphabet), \
             f"instance {idx}: CV2 refit mismatch"
     _report(2, "closed-form LOO and CV2 equal literal refit loops exactly "
                "on all 50 instances")
@@ -206,12 +198,12 @@ def test_criterion_08_exact_jagged_values_need_per_game_data():
     assert sum(len(t) for t in trajs) == 693
     tc = count_transitions(trajs, 1, AB2)
     tied = tie_counts(tc, jagged_free_throw_map(AB2))
-    values = criterion_values(tied, k_params=2)
+    values = evaluate(tied, k_params=2)
     for name in ("AIC", "WAIC1", "WAIC2", "LOO"):
-        assert math.isfinite(values[name])
+        assert math.isfinite(values.value(name))
     # aggregate-preserving synthetic data lands near the season-total
     # AIC (~871); exact values need the real sequences
-    assert 850 < values["AIC"] < 900
+    assert 850 < values.value("AIC") < 900
     _report(8, "jagged pipeline computes the full criterion row from per-game "
                "data; exact values require the real shot sequences "
                "(not derivable from season totals)")
@@ -261,37 +253,34 @@ def test_criterion_10_invariant_suite():
         perm = rng.permutation(m)
         permuted = [Trajectory(t.id, tuple(int(perm[s]) for s in t.steps)) for t in trajs]
         tcp = count_transitions(permuted, h, alphabet)
-        va, vb = criterion_values(tc), criterion_values(tcp)
+        va, vb = evaluate(tc), evaluate(tcp)
         for name in CRITERIA:
-            if math.isnan(va[name]):
-                assert math.isnan(vb[name])
+            if math.isnan(va.value(name)):
+                assert math.isnan(vb.value(name))
                 continue
-            assert va[name] == pytest.approx(vb[name], rel=1e-10, abs=1e-10)
+            assert va.value(name) == pytest.approx(vb.value(name), rel=1e-10, abs=1e-10)
 
         # definitional identities, exact
-        lppd_value = lppd(tc)
         for variant in (1, 2):
-            w, kw = waic(tc, variant=variant)
-            assert w == -2.0 * lppd_value + 2.0 * kw
+            kw = va.value(f"k_WAIC{variant}")
+            assert va.value(f"WAIC{variant}") == va.value("LPPD") + 2.0 * kw
         # nonnegative complexities
-        assert dic(tc, variant=1)[1] >= 0.0
-        assert dic(tc, variant=2)[1] >= 0.0
-        assert waic(tc, variant=2)[1] >= 0.0
+        assert va.value("k_DIC1") >= 0.0
+        assert va.value("k_DIC2") >= 0.0
+        assert va.value("k_WAIC2") >= 0.0
         # single-trajectory collapse
         if tc.n_trajectories == 1:
-            assert lppd_value == lpd(tc.total)
+            assert -0.5 * va.value("LPPD") == lpd(tc.total)
         checks += 1
 
     # trivial-count identities
     empty_tc = count_transitions(
         [Trajectory("a", (0,)), Trajectory("b", (1,))], 2, AB2, BoundaryMode.TRUNCATED)
     assert lpd(empty_tc.total) == 0.0
-    assert lppd(empty_tc) == 0.0
-    assert loo(empty_tc) == 0.0
-    assert lppd_cv2(empty_tc) == 0.0
-    for variant in (1, 2):
-        assert waic(empty_tc, variant=variant) == (0.0, 0.0)
-        assert dic(empty_tc, variant=variant) == (0.0, 0.0)
+    empty = evaluate(empty_tc)
+    for name in ("LPPD", "LOO", "CV2", "WAIC1", "WAIC2", "DIC1", "DIC2",
+                 "k_WAIC1", "k_WAIC2", "k_DIC1", "k_DIC2"):
+        assert empty.value(name) == 0.0, name
     assert aic(empty_tc.total, 6) == 12.0
 
     _report(10, f"invariant suite green on {checks} random instances plus "

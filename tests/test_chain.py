@@ -11,10 +11,9 @@ from memsel.chain import (
     StateAlphabet,
     Trajectory,
     count_transitions,
-    decode_context,
-    encode_context,
     merge_counts,
 )
+from memsel.dataio import load_tie_map
 
 AB3 = StateAlphabet.of_size(3)
 
@@ -48,29 +47,33 @@ class TestAlphabetAndTrajectory:
 
 class TestContext:
     def test_empty_context_for_h0(self):
-        ctx = encode_context((), AB3)
+        ctx = Context(())
         assert len(ctx) == 0
-        assert decode_context(ctx) == ()
+        assert ctx.tokens == ()
 
     def test_start_prefix_allowed(self):
-        ctx = encode_context((START, 2), AB3)
+        ctx = Context((START, 2))
         assert ctx.tokens == (START, 2)
         assert ctx.display(AB3) == "·2"
 
     def test_order_sensitivity(self):
-        assert encode_context((1, 0, 2), AB3) != encode_context((2, 0, 1), AB3)
+        assert Context((1, 0, 2)) != Context((2, 0, 1))
 
     def test_roundtrip(self):
         toks = (START, START, 1)
-        assert decode_context(encode_context(toks, AB3)) == toks
+        assert Context(toks).tokens == toks
+        assert Context(toks) == Context(list(toks))
 
     def test_start_after_state_rejected(self):
         with pytest.raises(ValueError):
-            encode_context((1, START), AB3)
+            Context((1, START))
 
-    def test_out_of_range_token_rejected(self):
+    def test_out_of_range_token_rejected(self, tmp_path):
+        # contexts enter from outside through tie-map files, checked there
+        path = tmp_path / "tie.json"
+        path.write_text('{"h": 1, "classes": [{"contexts": [["3"]]}]}')
         with pytest.raises(ValueError):
-            encode_context((3,), AB3)
+            load_tie_map(path, AB3)
 
 
 class TestCounting:
@@ -102,14 +105,13 @@ class TestCounting:
     def test_h0_single_context(self):
         tc = count_transitions([Trajectory("a", (0, 1)), Trajectory("b", (2,))], 0, AB3)
         assert set(tc.total.rows) == {Context(())}
-        assert tc.total.row_sum(Context(())) == 3
+        assert tc.total.get(Context(())).sum() == 3
 
     def test_per_trajectory_tables_sum_to_total(self):
         rng = np.random.default_rng(1)
         trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 3, int(rng.integers(1, 7))).tolist()))
                  for i in range(8)]
         tc = count_transitions(trajs, 2, AB3)
-        tc.validate()
         rebuilt = merge_counts([t for _, t in tc.per_trajectory])
         assert rebuilt == tc.total
 

@@ -84,9 +84,25 @@ class TestCriteriaCommand:
                      "--out", str(out)]) == 0
         assert len(read_csv(out / "criteria.csv")) == 3
 
+    def test_cv2_unavailable_on_one_trajectory(self, one_game, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["criteria", "--input", str(one_game), "--h-max", "1",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "CV2: unavailable (needs at least two trajectories)" in printed
+        assert "LOO: best h=" in printed
+        assert all(r["CV2"] == "nan" for r in read_csv(out / "criteria.csv"))
+
     def test_missing_range_is_config_error(self, season, tmp_path):
         assert main(["criteria", "--input", str(season),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.fixture
+def one_game(tmp_path):
+    path = tmp_path / "one.jsonl"
+    path.write_text('{"id": "g0", "seq": ["1", "0", "1", "1", "0"]}\n')
+    return path
 
 
 class TestSelectCommand:
@@ -98,6 +114,11 @@ class TestSelectCommand:
     def test_unknown_criterion(self, season, tmp_path):
         assert main(["select", "--input", str(season), "--h-max", "1",
                      "--criterion", "XYZ", "--out", str(tmp_path / "o")]) == 2
+
+    def test_cv2_on_one_trajectory(self, one_game, tmp_path, capsys):
+        assert main(["select", "--input", str(one_game), "--h-max", "1",
+                     "--criterion", "CV2", "--out", str(tmp_path / "o")]) == 2
+        assert "needs at least two trajectories" in capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -178,6 +199,14 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "LOO" in summary["jagged_win_rate"]
 
+    def test_free_throw_cv2_needs_two_games(self, tmp_path, capsys):
+        base = ["simulate", "--free-throw", "--criteria", "LOO,CV2", "--replicates", "20",
+                "--out", str(tmp_path / "o")]
+        assert main(base + ["--games", "1"]) == 2
+        # two games at a low shot rate: some replicates keep only one game
+        assert main(base + ["--games", "2", "--lambda", "0.3"]) == 2
+        assert "needs at least two trajectories" in capsys.readouterr().err
+
     def test_bad_ft_model_is_config_error(self, tmp_path):
         assert main(["simulate", "--free-throw", "--ft-model", "nope",
                      "--out", str(tmp_path / "o")]) == 2
@@ -198,8 +227,8 @@ class TestOracleCommand:
                      "--draws", "10", "--out", str(tmp_path / "o")]) == 2
 
     def test_corrupted_closed_form_fails_audit(self, season, tmp_path, monkeypatch):
-        real = memsel.criteria.loo
-        monkeypatch.setattr(memsel.criteria, "loo", lambda tc, prior=None: real(tc, prior) + 50.0)
+        real = memsel.criteria._loo
+        monkeypatch.setattr(memsel.criteria, "_loo", lambda v: real(v) + 50.0)
         assert main(["oracle", "--input", str(season), "--h", "1",
                      "--draws", "20000", "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 1

@@ -19,20 +19,14 @@ from memsel.criteria import (
     CRITERIA,
     DirichletPrior,
     aic,
-    criterion_values,
+    argmin,
     default_param_count,
-    dic,
     evaluate,
-    loo,
     lpd,
-    lppd,
-    lppd_cv2,
     padded_param_count,
     param_count,
-    posterior_summary,
     predictive_log_density,
     select_order,
-    waic,
 )
 from memsel.oracle import cv2_refit, loo_refit
 
@@ -43,6 +37,17 @@ EMPTY2 = CountTable(1, AB2, {})
 
 def single_row_table(counts, alphabet=AB2):
     return CountTable(0, alphabet, {Context(()): np.array(counts)})
+
+
+def value(tc, name, prior=None):
+    """One criterion or complexity term, evaluated alone."""
+    which = name[2:] if name.startswith("k_") else name
+    return evaluate(tc, prior, which=(which,)).value(name)
+
+
+def log_lppd(tc):
+    """LPPD back on the log scale; the factor -0.5 undoes -2 exactly."""
+    return -0.5 * value(tc, "LPPD")
 
 
 def single_row_tc(counts, alphabet=AB2):
@@ -127,13 +132,13 @@ class TestLppd:
         rng = np.random.default_rng(0)
         for _ in range(20):
             _, _, tc = random_instance(rng, j=1)
-            assert lppd(tc) == lpd(tc.total)
+            assert log_lppd(tc) == lpd(tc.total)
 
     def test_empty_counts(self):
         trajs = [Trajectory("a", (0,)), Trajectory("b", (1,))]
         tc = count_transitions(trajs, 2, AB2, BoundaryMode.TRUNCATED)
         assert tc.total.n_contexts == 0
-        assert lppd(tc) == 0.0
+        assert log_lppd(tc) == 0.0
 
     def test_matches_predictive_density_route(self):
         rng = np.random.default_rng(1)
@@ -142,23 +147,23 @@ class TestLppd:
             via_pred = sum(
                 predictive_log_density(tc.total, table) for _, table in tc.per_trajectory
             )
-            assert lppd(tc) == via_pred
+            assert log_lppd(tc) == via_pred
 
 
 class TestWaic:
     def test_empty_counts(self):
         trajs = [Trajectory("a", (0,)), Trajectory("b", (1,))]
         tc = count_transitions(trajs, 2, AB2, BoundaryMode.TRUNCATED)
-        for variant in (1, 2):
-            value, k = waic(tc, variant=variant)
-            assert value == 0.0 and k == 0.0
+        rep = evaluate(tc)
+        for name in ("WAIC1", "k_WAIC1", "WAIC2", "k_WAIC2"):
+            assert rep.value(name) == 0.0
 
     def test_k_waic2_single_context(self):
         # one trajectory with counts [2, 1]: the variance decomposes into
         # 4 psi'(3) + 1 psi'(2) - 9 psi'(5)
         tc = single_row_tc([2, 1])
         expected = 4 * sp.polygamma(1, 3) + sp.polygamma(1, 2) - 9 * sp.polygamma(1, 5)
-        _, k2 = waic(tc, variant=2)
+        k2 = value(tc, "k_WAIC2")
         assert k2 == pytest.approx(float(expected), rel=1e-12)
         assert k2 == pytest.approx(0.2327637326, abs=1e-9)
 
@@ -166,42 +171,42 @@ class TestWaic:
         rng = np.random.default_rng(2)
         for _ in range(30):
             _, _, tc = random_instance(rng)
-            lppd_value = lppd(tc)
+            rep = evaluate(tc)
             for variant in (1, 2):
-                value, k = waic(tc, variant=variant)
-                assert value == -2.0 * lppd_value + 2.0 * k
+                k = rep.value(f"k_WAIC{variant}")
+                assert rep.value(f"WAIC{variant}") == rep.value("LPPD") + 2.0 * k
 
     def test_k_waic2_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             _, _, tc = random_instance(rng)
-            assert waic(tc, variant=2)[1] >= 0.0
+            assert value(tc, "k_WAIC2") >= 0.0
 
     def test_variant_validation(self):
         tc = single_row_tc([1, 1])
         with pytest.raises(ValueError):
-            waic(tc, variant=3)
+            evaluate(tc, which=("WAIC3",))
 
 
 class TestDic:
     def test_empty_counts(self):
         trajs = [Trajectory("a", (0,)), Trajectory("b", (1,))]
         tc = count_transitions(trajs, 2, AB2, BoundaryMode.TRUNCATED)
-        for variant in (1, 2):
-            value, k = dic(tc, variant=variant)
-            assert value == 0.0 and k == 0.0
+        rep = evaluate(tc)
+        for name in ("DIC1", "k_DIC1", "DIC2", "k_DIC2"):
+            assert rep.value(name) == 0.0
 
     def test_k_dic1_nonnegative_jensen(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             _, _, tc = random_instance(rng)
-            assert dic(tc, variant=1)[1] >= 0.0
+            assert value(tc, "k_DIC1") >= 0.0
 
     def test_k_dic2_single_context(self):
         # counts [3, 1]: 2 (9 psi'(4) + 1 psi'(2) - 16 psi'(6))
         tc = single_row_tc([3, 1])
         expected = 2 * (9 * sp.polygamma(1, 4) + sp.polygamma(1, 2) - 16 * sp.polygamma(1, 6))
-        _, k2 = dic(tc, variant=2)
+        k2 = value(tc, "k_DIC2")
         assert k2 == pytest.approx(float(expected), rel=1e-12)
         assert k2 == pytest.approx(0.5963467534, abs=1e-9)
 
@@ -212,9 +217,11 @@ class TestDic:
             keys, n = tc.total.matrix()
             ns = n.sum(axis=1)
             deviance = -2.0 * float(np.sum(n * (np.log(n + 1.0) - np.log(ns + tc.alphabet.size)[:, None])))
+            rep = evaluate(tc)
             for variant in (1, 2):
-                value, k = dic(tc, variant=variant)
-                assert value == pytest.approx(deviance + 2 * k, rel=1e-12, abs=1e-12)
+                k = rep.value(f"k_DIC{variant}")
+                assert rep.value(f"DIC{variant}") == pytest.approx(
+                    deviance + 2 * k, rel=1e-12, abs=1e-12)
 
 
 class TestLoo:
@@ -225,23 +232,23 @@ class TestLoo:
             sum(sp.gammaln(counts + 1)) - sp.gammaln(sum(counts + 1))
             - (sum(sp.gammaln(np.ones(2))) - sp.gammaln(2.0))
         )
-        assert loo(tc) == pytest.approx(float(expected), rel=1e-12)
+        assert value(tc, "LOO") == pytest.approx(float(expected), rel=1e-12)
 
     def test_empty_counts(self):
         trajs = [Trajectory("a", (0,)), Trajectory("b", (1,))]
         tc = count_transitions(trajs, 2, AB2, BoundaryMode.TRUNCATED)
-        assert loo(tc) == 0.0
+        assert value(tc, "LOO") == 0.0
 
     def test_equals_refit_loop_exactly(self):
         rng = np.random.default_rng(6)
         for _ in range(40):
             _, _, tc = random_instance(rng)
-            assert loo(tc) == loo_refit(tc)
+            assert value(tc, "LOO") == loo_refit(tc)
 
     def test_three_binary_trajectories(self):
         trajs = [Trajectory("a", (0, 0)), Trajectory("b", (0, 1)), Trajectory("c", (1,))]
         tc = count_transitions(trajs, 0, AB2)
-        assert loo(tc) == loo_refit(tc)
+        assert value(tc, "LOO") == loo_refit(tc)
 
 
 class TestCv2:
@@ -249,18 +256,20 @@ class TestCv2:
         rng = np.random.default_rng(7)
         for _ in range(30):
             _, _, tc = random_instance(rng, j=2)
-            assert lppd_cv2(tc) == loo(tc)
+            rep = evaluate(tc)
+            assert rep.value("CV2") == rep.value("LOO")
 
     def test_equals_refit_loop_exactly(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             _, trajs, tc = random_instance(rng, j=4, h=1)
-            assert lppd_cv2(tc) == cv2_refit(trajs, 1, tc.alphabet)
+            assert value(tc, "CV2") == cv2_refit(trajs, 1, tc.alphabet)
 
     def test_needs_two_trajectories(self):
         _, _, tc = random_instance(np.random.default_rng(9), j=1)
-        with pytest.raises(ValueError):
-            lppd_cv2(tc)
+        assert math.isnan(value(tc, "CV2"))
+        with pytest.raises(ValueError, match="CV2.*at least two trajectories"):
+            argmin([evaluate(tc)], "CV2")
 
     def test_order_dependent_by_design(self):
         trajs = [
@@ -269,8 +278,8 @@ class TestCv2:
             Trajectory("t2", (0, 1, 0, 1)),
             Trajectory("t3", (1, 1, 0)),
         ]
-        forward = lppd_cv2(count_transitions(trajs, 1, AB2))
-        rotated = lppd_cv2(count_transitions(trajs[1:] + trajs[:1], 1, AB2))
+        forward = value(count_transitions(trajs, 1, AB2), "CV2")
+        rotated = value(count_transitions(trajs[1:] + trajs[:1], 1, AB2), "CV2")
         assert forward != rotated  # the folds hold different trajectories
 
 
@@ -284,39 +293,42 @@ class TestInvariances:
             permuted = [Trajectory(t.id, tuple(int(perm[s]) for s in t.steps)) for t in trajs]
             tc_a = count_transitions(trajs, 1, AB3)
             tc_b = count_transitions(permuted, 1, AB3)
-            va = criterion_values(tc_a)
-            vb = criterion_values(tc_b)
+            va = evaluate(tc_a)
+            vb = evaluate(tc_b)
             for name in CRITERIA:
-                assert va[name] == pytest.approx(vb[name], rel=1e-10, abs=1e-10)
+                assert va.value(name) == pytest.approx(vb.value(name), rel=1e-10, abs=1e-10)
 
     def test_trajectory_order_invariance(self):
         rng = np.random.default_rng(12)
         trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 2, 6).tolist())) for i in range(5)]
         shuffled = list(trajs)
         rng.shuffle(shuffled)
-        va = criterion_values(count_transitions(trajs, 1, AB2))
-        vb = criterion_values(count_transitions(shuffled, 1, AB2))
+        va = evaluate(count_transitions(trajs, 1, AB2))
+        vb = evaluate(count_transitions(shuffled, 1, AB2))
         for name in CRITERIA:
             if name == "CV2":
                 continue  # order-dependent by design
-            assert va[name] == pytest.approx(vb[name], rel=1e-10, abs=1e-10)
+            assert va.value(name) == pytest.approx(vb.value(name), rel=1e-10, abs=1e-10)
 
 
 class TestPosteriorSummary:
     def test_means_normalized_and_positive(self):
+        # DIC's plug-in deviance sits at the posterior means (N + a) / (N_row + a0)
         rng = np.random.default_rng(13)
         _, _, tc = random_instance(rng, j=3)
-        summary = posterior_summary(tc.total)
-        for ctx, mean in summary.means.items():
-            assert abs(mean.sum() - 1.0) < 1e-12
-            assert np.all(mean > 0.0)
-            expected = (tc.total.rows[ctx] + 1.0) / (tc.total.rows[ctx].sum() + tc.alphabet.size)
-            assert np.allclose(mean, expected, rtol=1e-14)
+        _, n = tc.total.matrix()
+        means = (n + 1.0) / (n.sum(axis=1) + tc.alphabet.size)[:, None]
+        assert np.allclose(means.sum(axis=1), 1.0, rtol=1e-14)
+        assert np.all(means > 0.0)
+        rep = evaluate(tc)
+        plugin = rep.value("DIC1") - 2.0 * rep.value("k_DIC1")
+        assert plugin == pytest.approx(-2.0 * float(np.sum(n * np.log(means))), rel=1e-12)
 
     def test_unseen_context_falls_back_to_prior_mean(self):
-        table = single_row_table([1, 1])
-        summary = posterior_summary(table)
-        assert np.allclose(summary.mean_for(Context((0,))), [0.5, 0.5])
+        # a context absent from the training counts is predicted by the prior mean
+        train = CountTable(1, AB2, {Context((1,)): np.array([1, 1])})
+        test = CountTable(1, AB2, {Context((0,)): np.array([0, 1])})
+        assert predictive_log_density(train, test) == pytest.approx(math.log(0.5), rel=1e-14)
 
 
 class TestEvaluateAndSelect:
@@ -325,17 +337,20 @@ class TestEvaluateAndSelect:
         _, _, tc = random_instance(rng, j=3, h=1)
         rep = evaluate(tc)
         # report stores -2 LPPD, so WAIC = stored LPPD + 2 k
-        assert rep.waic1 == pytest.approx(rep.lppd + 2 * rep.k_waic1, rel=1e-12)
-        assert rep.waic2 == pytest.approx(rep.lppd + 2 * rep.k_waic2, rel=1e-12)
+        assert rep.value("WAIC1") == pytest.approx(
+            rep.value("LPPD") + 2 * rep.value("k_WAIC1"), rel=1e-12)
+        assert rep.value("WAIC2") == pytest.approx(
+            rep.value("LPPD") + 2 * rep.value("k_WAIC2"), rel=1e-12)
         assert rep.n_trajectories == 3
-        assert rep.value("LOO") == rep.loo
         d = rep.as_dict()
-        assert d["k_WAIC2"] == rep.k_waic2
+        assert d["LOO"] == rep.value("LOO")
+        assert d["k_WAIC2"] == rep.value("k_WAIC2")
+        with pytest.raises(ValueError):
+            rep.value("NOPE")
 
     def test_cv2_nan_for_single_trajectory(self):
         _, _, tc = random_instance(np.random.default_rng(15), j=1)
-        rep = evaluate(tc)
-        assert math.isnan(rep.cv2)
+        assert math.isnan(evaluate(tc).value("CV2"))
 
     def test_select_prefers_true_memoryless_model(self):
         rng = np.random.default_rng(16)
@@ -356,6 +371,16 @@ class TestEvaluateAndSelect:
         values = [r.value("LOO") for r in reports]
         assert all(v == values[0] for v in values)
 
+    def test_argmin_ties_prefer_smaller_h_then_list_order(self):
+        # one length-1 trajectory gives equal values at every h
+        trajs = [Trajectory("t", (1,))]
+        _, (h0, h2) = select_order(trajs, AB2, [0, 2], criterion="LOO")
+        assert h0.value("LOO") == h2.value("LOO")
+        assert argmin([h2, h0], "LOO") is h0
+        again = evaluate(count_transitions(trajs, 0, AB2))
+        assert argmin([h0, again], "LOO") is h0
+        assert argmin([again, h0], "LOO") is again
+
     def test_select_validation(self):
         trajs = [Trajectory("t", (1, 0))]
         with pytest.raises(ValueError):
@@ -374,8 +399,8 @@ class TestEvaluateAndSelect:
     def test_prior_changes_bayesian_criteria_only(self):
         rng = np.random.default_rng(17)
         _, _, tc = random_instance(rng, j=3, h=0, m=2)
-        base = criterion_values(tc)
-        half = criterion_values(tc, DirichletPrior.symmetric(2, 0.5))
-        assert half["AIC"] == base["AIC"]
-        assert half["LOO"] != base["LOO"]
-        assert half["LPD"] != base["LPD"]
+        base = evaluate(tc)
+        half = evaluate(tc, DirichletPrior.symmetric(2, 0.5))
+        assert half.value("AIC") == base.value("AIC")
+        assert half.value("LOO") != base.value("LOO")
+        assert half.value("LPD") != base.value("LPD")

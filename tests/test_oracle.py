@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_instance
 from memsel.chain import StateAlphabet, Trajectory, count_transitions
-from memsel.criteria import dic, loo, lpd, lppd, lppd_cv2, waic
+from memsel.criteria import evaluate, lpd
 from memsel.oracle import (
     MIN_DRAWS,
     as_single_point,
@@ -48,7 +48,7 @@ def test_lppd_agreement():
     for i in range(6):
         _, _, tc = random_instance(rng)
         est = mc_lppd(tc, draws=DRAWS, seed=100 + i)
-        assert abs(est.z(lppd(tc))) < 4.0
+        assert abs(est.z(-0.5 * evaluate(tc).value("LPPD"))) < 4.0
 
 
 def test_lpd_agreement_and_j1_collapse():
@@ -66,19 +66,21 @@ def test_loo_and_cv2_agreement():
     rng = np.random.default_rng(3)
     for i in range(4):
         _, trajs, tc = random_instance(rng, j=3)
-        assert abs(mc_loo(tc, draws=DRAWS, seed=300 + i).z(loo(tc))) < 4.0
-        assert abs(mc_cv2(tc, draws=DRAWS, seed=400 + i).z(lppd_cv2(tc))) < 4.0
+        rep = evaluate(tc)
+        assert abs(mc_loo(tc, draws=DRAWS, seed=300 + i).z(rep.value("LOO"))) < 4.0
+        assert abs(mc_cv2(tc, draws=DRAWS, seed=400 + i).z(rep.value("CV2"))) < 4.0
 
 
 def test_variance_oracle_validates_waic2_and_dic2():
     rng = np.random.default_rng(4)
     for i in range(4):
         _, _, tc = random_instance(rng)
-        k2 = waic(tc, variant=2)[1]
+        rep = evaluate(tc)
+        k2 = rep.value("k_WAIC2")
         est = mc_variance_loglik(tc, draws=DRAWS, seed=500 + i)
         assert est.estimate >= 0.0
         assert abs(est.z(k2)) < 4.0
-        kd2 = dic(tc, variant=2)[1]
+        kd2 = rep.value("k_DIC2")
         est_total = mc_variance_loglik(as_single_point(tc), draws=DRAWS, seed=600 + i)
         assert abs((kd2 / 2 - est_total.estimate) / est_total.std_error) < 4.0
 
@@ -114,6 +116,7 @@ def test_refit_oracles_match_closed_forms():
     rng = np.random.default_rng(7)
     for _ in range(25):
         _, trajs, tc = random_instance(rng, h=1)
-        assert loo_refit(tc) == loo(tc)
+        rep = evaluate(tc)
+        assert loo_refit(tc) == rep.value("LOO")
         if tc.n_trajectories >= 2:
-            assert cv2_refit(trajs, 1, tc.alphabet) == lppd_cv2(tc)
+            assert cv2_refit(trajs, 1, tc.alphabet) == rep.value("CV2")

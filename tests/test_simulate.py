@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from memsel import simulate
 from memsel.chain import BoundaryMode, Context, StateAlphabet, count_transitions
 from memsel.simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
     RandomNetwork,
     SimConfig,
-    delta_distributions,
     free_throw_power,
     generate_network,
     run_power_study,
@@ -122,8 +122,10 @@ class TestPowerStudy:
     def test_delta_requires_h_true_in_range(self):
         cfg = SimConfig(m=4, h_true=3, h_range=(1, 2), J_values=(2,), replicates=2,
                         criteria=("LOO",), seed=0)
-        with pytest.raises(ValueError):
-            delta_distributions(cfg)
+        res = run_power_study(cfg)
+        assert res.deltas.rows == ()
+        with pytest.raises(KeyError):
+            res.deltas.row(2, "LOO", 1)
 
     def test_network_per_replicate_changes_results(self):
         cfg = SimConfig(m=4, h_true=1, h_range=(1, 2), J_values=(4,), replicates=30,
@@ -131,6 +133,32 @@ class TestPowerStudy:
         fresh = run_power_study(cfg)
         shared = run_power_study(self.CFG)
         assert fresh.selection != shared.selection
+
+    def test_fresh_networks_differ_across_grid_cells(self, monkeypatch):
+        # cells (j, rep) and (j + 1, rep - 101) once shared a network seed
+        cfg = SimConfig(m=3, h_true=1, h_range=(1,), J_values=(2, 2), replicates=102,
+                        criteria=("LOO",), seed=7, network_per_replicate=True)
+        nets = []
+        real = simulate.sample_trajectory
+
+        def spy(net, *args, **kwargs):
+            nets.append(net)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "sample_trajectory", spy)
+        simulate._replicate_values(cfg, None, 0, 101)
+        simulate._replicate_values(cfg, None, 1, 0)
+        a, b = nets[0], nets[-1]
+        assert any(not np.array_equal(a.rows[k], b.rows[k]) for k in a.rows)
+
+    def test_unknown_frequency_cell_raises(self):
+        res = run_power_study(self.CFG)
+        with pytest.raises(KeyError):
+            res.selection.frequency(4, "LOO", 9)
+        with pytest.raises(KeyError):
+            res.selection.frequency(8, "LOO", 1)
+        with pytest.raises(KeyError):
+            res.selection.frequency(4, "AIC", 1)
 
     def test_delta_separation_grows_with_sample_size(self):
         cfg = SimConfig(m=8, h_true=2, h_range=(1, 2), J_values=(8, 64),
@@ -202,3 +230,13 @@ class TestFreeThrow:
             FreeThrowSimConfig(model=model, h_range=(1, 2), include_jagged=True)
         with pytest.raises(ValueError):
             FreeThrowSimConfig(model=model, criteria=("NOPE",))
+        with pytest.raises(ValueError, match="CV2"):
+            FreeThrowSimConfig(model=model, games=1, criteria=("LOO", "CV2"))
+
+    def test_cv2_replicate_with_one_game_raises(self):
+        # two games at a low shot rate: some replicates keep only one game
+        cfg = FreeThrowSimConfig(
+            model=FreeThrowModel.independent(0.7), games=2, lam=0.3,
+            replicates=50, seed=0, criteria=("CV2",))
+        with pytest.raises(ValueError, match="CV2.*at least two trajectories"):
+            free_throw_power(cfg)
