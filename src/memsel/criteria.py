@@ -6,6 +6,9 @@ below reduces to sums of log-gamma, digamma and trigamma terms over the
 observed count rows. All values are reported on the deviance scale
 (-2 x log predictive quantity), so lower is better for every criterion.
 
+LPPD, LOO, CV2 and k_WAIC2 sum over (trajectory, context) rows: one
+pointwise kernel scores them, one term per trajectory, in a batched pass.
+
 Criterion names used throughout: AIC, DIC1, DIC2, LPD, LPPD, WAIC1,
 WAIC2, LOO, CV2.
 """
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +30,6 @@ from .chain import (
     Trajectory,
     TrajectoryCounts,
     count_transitions,
-    merge_counts,
 )
 from .specfun import digamma, log_multivariate_beta, trigamma
 from .tying import TieMap, tie_counts, tied_param_count
@@ -129,31 +133,20 @@ def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
 # Internal aligned-array view and kernels
 
 
+# Most stacked rows per block of the pointwise kernel (a trajectory with more
+# is a block of its own); it bounds the temporaries, never the results.
+_BLOCK_ROWS = 512
+
+
 class _View:
     """Aligned array form of a TrajectoryCounts for vectorised criterion sums."""
 
-    __slots__ = ("keys", "N", "Ns", "alpha", "a0", "_tc", "_per")
+    __slots__ = ("N", "Ns", "alpha", "a0")
 
     def __init__(self, tc: TrajectoryCounts, prior: DirichletPrior):
-        self.keys, self.N = tc.total.matrix()
+        self.N = tc.total.matrix()[1]
         self.Ns = self.N.sum(axis=1)
-        self.alpha = prior.alpha
-        self.a0 = prior.total
-        self._tc = tc
-        self._per = None
-
-    @property
-    def per(self):
-        """Per-trajectory (row-index array, count matrix) pairs."""
-        if self._per is None:
-            index = {k: i for i, k in enumerate(self.keys)}
-            per = []
-            for _, table in self._tc.per_trajectory:
-                tkeys, tmat = table.matrix()
-                idx = np.fromiter((index[k] for k in tkeys), dtype=np.intp, count=len(tkeys))
-                per.append((idx, tmat))
-            self._per = per
-        return self._per
+        self.alpha, self.a0 = prior.alpha, prior.total
 
 
 def _aic(N: np.ndarray, Ns: np.ndarray, k_params: int) -> float:
@@ -174,15 +167,63 @@ def _lpd(N: np.ndarray, alpha: np.ndarray) -> float:
     return float(np.sum(upper - lower))
 
 
-def _lppd(v: _View) -> float:
-    out = 0.0
-    for idx, tmat in v.per:
-        if tmat.size == 0:
-            continue
-        g = v.N[idx]
-        upper = log_multivariate_beta(g + tmat + v.alpha, axis=-1)
-        lower = log_multivariate_beta(g + v.alpha, axis=-1)
-        out += float(np.sum(upper - lower))
+def _pointwise(tc: TrajectoryCounts, v: _View, names: set[str]) -> dict[str, np.ndarray]:
+    """Per-trajectory log-scale terms of "LPPD", "LOO", "CV2" and "k_WAIC2".
+
+    Trajectory j's term sums, over its count rows t with total rows g and
+    rows c of the other CV2 fold (the first floor(J/2) trajectories against
+    the rest and vice versa): log B(g + t + a) - log B(g + a) for LPPD,
+    log B(g + a) - log B(g - t + a) for LOO, log B(c + t + a) - log B(c + a)
+    for CV2, and t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2.
+    The rows are stacked once; each log-beta term is one call per block of
+    whole trajectories, and each trajectory's value one numpy sum over its
+    own rows (never add.reduceat, which sums in another order), so every
+    value is bit-identical to scoring one trajectory at a time.
+    """
+    keys, N = tc.total.matrix()
+    index = {k: i for i, k in enumerate(keys)}
+    mats = [table.matrix() for _, table in tc.per_trajectory]
+    idx = np.array([index[k] for tkeys, _ in mats for k in tkeys], dtype=np.intp)
+    T = np.concatenate([N[:0]] + [tmat for _, tmat in mats])
+    bounds = np.cumsum([0] + [len(tkeys) for tkeys, _ in mats]).tolist()
+    n_traj, a = tc.n_trajectories, v.alpha
+    out = {name: np.zeros(n_traj) for name in names}
+    if "CV2" in names:
+        split = bounds[n_traj // 2]
+        first = np.zeros_like(N)
+        np.add.at(first, idx[:split], T[:split])  # exact: integer counts
+        second = N - first
+    if "k_WAIC2" in names:
+        pg_rows, pg_sums = trigamma(N + a), trigamma(v.Ns + v.a0)
+    j0 = 0
+    while j0 < n_traj:
+        j1 = j0 + 1
+        while j1 < n_traj and bounds[j1 + 1] - bounds[j0] <= _BLOCK_ROWS:
+            j1 += 1
+        r0, r1 = bounds[j0], bounds[j1]
+        i, t = idx[r0:r1], T[r0:r1]
+        g, diffs = N[i], {}
+        if names & {"LPPD", "LOO"}:
+            base = log_multivariate_beta(g + a, axis=-1)
+        if "LPPD" in names:
+            diffs["LPPD"] = log_multivariate_beta(g + t + a, axis=-1) - base
+        if "LOO" in names:
+            diffs["LOO"] = base - log_multivariate_beta((g - t) + a, axis=-1)
+        if "CV2" in names:
+            k = min(max(split - r0, 0), r1 - r0)
+            c = np.concatenate((second[i[:k]], first[i[k:]]))
+            diffs["CV2"] = (log_multivariate_beta(c + t + a, axis=-1)
+                            - log_multivariate_beta(c + a, axis=-1))
+        if "k_WAIC2" in names:
+            tf, ts = t.astype(float), t.sum(axis=1).astype(float)
+            sq_rows, sq_sums = tf * tf * pg_rows[i], ts * ts * pg_sums[i]
+        for j in range(j0, j1):
+            s, e = bounds[j] - r0, bounds[j + 1] - r0
+            for name, d in diffs.items():
+                out[name][j] = d[s:e].sum()
+            if "k_WAIC2" in names:
+                out["k_WAIC2"][j] = sq_rows[s:e].sum() - sq_sums[s:e].sum()
+        j0 = j1
     return out
 
 
@@ -197,62 +238,15 @@ def _plugin_loglik(v: _View) -> float:
     # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
     if v.N.size == 0:
         return 0.0
-    return float(
-        np.sum(v.N * (np.log(v.N + v.alpha) - np.log(v.Ns + v.a0)[:, None]))
-    )
-
-
-def _k_waic2(v: _View) -> float:
-    if v.N.size == 0:
-        return 0.0
-    pg_rows = trigamma(v.N + v.alpha)
-    pg_sums = trigamma(v.Ns + v.a0)
-    out = 0.0
-    for idx, tmat in v.per:
-        if tmat.size == 0:
-            continue
-        t = tmat.astype(float)
-        ts = t.sum(axis=1)
-        out += float(np.sum(t * t * pg_rows[idx]) - np.sum(ts * ts * pg_sums[idx]))
-    return out
+    return float(np.sum(v.N * (np.log(v.N + v.alpha) - np.log(v.Ns + v.a0)[:, None])))
 
 
 def _k_dic2(v: _View) -> float:
     if v.N.size == 0:
         return 0.0
-    n = v.N.astype(float)
-    ns = v.Ns.astype(float)
+    n, ns = v.N.astype(float), v.Ns.astype(float)
     term = np.sum(n * n * trigamma(v.N + v.alpha), axis=1) - ns * ns * trigamma(v.Ns + v.a0)
     return 2.0 * float(np.sum(term))
-
-
-def _loo(v: _View) -> float:
-    out = 0.0
-    for idx, tmat in v.per:
-        if tmat.size == 0:
-            continue
-        g = v.N[idx]
-        upper = log_multivariate_beta(g + v.alpha, axis=-1)
-        lower = log_multivariate_beta((g - tmat) + v.alpha, axis=-1)
-        out += float(np.sum(upper - lower))
-    return -2.0 * out
-
-
-def _cv2(tc: TrajectoryCounts, prior: DirichletPrior) -> float:
-    # The first floor(J/2) trajectories (input order) are scored against the
-    # posterior of the remaining ones and vice versa; needs J >= 2.
-    half = tc.n_trajectories // 2
-    tables = [t for _, t in tc.per_trajectory]
-    first, second = tables[:half], tables[half:]
-    meta = dict(h=tc.h, alphabet=tc.alphabet, boundary=tc.boundary)
-    train_for_first = merge_counts(second, **meta)
-    train_for_second = merge_counts(first, **meta)
-    out = 0.0
-    for tab in first:
-        out += predictive_log_density(train_for_first, tab, prior)
-    for tab in second:
-        out += predictive_log_density(train_for_second, tab, prior)
-    return -2.0 * out
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +279,8 @@ def predictive_log_density(
     """sum_x log B(train_x + test_x + a) / B(train_x + a) over the test rows.
 
     The log probability of the test counts under the posterior fitted to
-    the training counts; contexts absent from the training table fall back
-    to the prior. This single form underlies LPPD, LOO and CV2.
+    the training counts (unseen contexts fall back to the prior): the
+    oracle's refit loops score with it; ``evaluate`` batches the same sums.
     """
     prior = _prior_for(train.alphabet, prior)
     tkeys, tmat = test.matrix()
@@ -372,7 +366,13 @@ def evaluate(
     v = _View(tc, prior)
 
     # log-scale quantities shared by several criteria
-    lppd = _lppd(v) if need & {"LPPD", "WAIC1", "WAIC2"} else None
+    users = {"LPPD": {"LPPD", "WAIC1", "WAIC2"}, "LOO": {"LOO"}, "k_WAIC2": {"WAIC2"},
+             "CV2": {"CV2"} if tc.n_trajectories >= 2 else set()}
+    terms = {term for term, used_by in users.items() if need & used_by}
+    pointwise = _pointwise(tc, v, terms) if terms else {}
+    # trajectories add left to right (not sum(), which compensates from Python 3.12)
+    sums = {n: reduce(add, x.tolist(), 0.0) for n, x in pointwise.items()}
+    lppd = sums.get("LPPD")
     plugin = _plugin_loglik(v) if need & {"DIC1", "DIC2"} else None
     post = _post_mean_loglik(v) if need & {"WAIC1", "DIC1"} else None
 
@@ -386,9 +386,9 @@ def evaluate(
         elif name == "LPPD":
             values[name] = -2.0 * lppd
         elif name == "LOO":
-            values[name] = _loo(v)
+            values[name] = -2.0 * sums["LOO"]
         elif name == "CV2":
-            values[name] = _cv2(tc, prior) if tc.n_trajectories >= 2 else math.nan
+            values[name] = -2.0 * sums["CV2"] if "CV2" in sums else math.nan
         else:
             # WAIC penalizes the LPPD fit and DIC the plug-in fit at the
             # posterior mean; variant 1 takes k from posterior means of the
@@ -396,7 +396,7 @@ def evaluate(
             if name == "WAIC1":
                 fit, k = lppd, 2.0 * lppd - 2.0 * post
             elif name == "WAIC2":
-                fit, k = lppd, _k_waic2(v)
+                fit, k = lppd, sums["k_WAIC2"]
             elif name == "DIC1":
                 fit, k = plugin, 2.0 * (plugin - post)
             else:
@@ -409,7 +409,7 @@ def evaluate(
         label=label if label is not None else f"h={tc.h}",
         boundary=tc.boundary.value,
         n_trajectories=tc.n_trajectories,
-        n_transitions=tc.total.total_transitions(),
+        n_transitions=int(v.Ns.sum()),
         k_params=int(k_params),
         values=values,
     )

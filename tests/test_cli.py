@@ -227,8 +227,15 @@ class TestOracleCommand:
                      "--draws", "10", "--out", str(tmp_path / "o")]) == 2
 
     def test_corrupted_closed_form_fails_audit(self, season, tmp_path, monkeypatch):
-        real = memsel.criteria._loo
-        monkeypatch.setattr(memsel.criteria, "_loo", lambda v: real(v) + 50.0)
+        real = memsel.criteria._pointwise
+
+        def corrupted(tc, v, names):
+            terms = real(tc, v, names)
+            if "LOO" in terms:
+                terms["LOO"][0] -= 25.0  # LOO = -2 x the sum: adds 50
+            return terms
+
+        monkeypatch.setattr(memsel.criteria, "_pointwise", corrupted)
         assert main(["oracle", "--input", str(season), "--h", "1",
                      "--draws", "20000", "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 1

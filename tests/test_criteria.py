@@ -22,6 +22,7 @@ from memsel.criteria import (
     argmin,
     default_param_count,
     evaluate,
+    evaluate_depths,
     lpd,
     padded_param_count,
     param_count,
@@ -370,6 +371,24 @@ class TestEvaluateAndSelect:
         assert best == 0
         values = [r.value("LOO") for r in reports]
         assert all(v == values[0] for v in values)
+
+    def test_exact_ties_across_depths_select_smallest_h(self):
+        # walks of at most 4 steps: at every h >= 3 each padded context is a
+        # START run plus the walk's whole prefix, so the h = 3, 4 and 5
+        # tables match row for row and every criterion must tie bit for bit
+        trajs = [Trajectory("a", (0, 1, 1, 0)), Trajectory("b", (0, 1, 1, 1)),
+                 Trajectory("c", (1, 0)), Trajectory("d", (0, 1, 0, 0))]
+        for prior in (None, DirichletPrior(np.array([0.3, 1.7]))):
+            # one shared AIC penalty, so AIC's fit term is compared too
+            reports = [evaluate(count_transitions(trajs, h, AB2), prior, k_params=7)
+                       for h in (3, 4, 5)]
+            for name in CRITERIA:
+                hexes = {float(r.value(name)).hex() for r in reports}
+                assert len(hexes) == 1, name
+                assert argmin(reports[::-1], name).h == 3, name
+            default = evaluate_depths(trajs, AB2, range(3, 6), prior)
+            for name in set(CRITERIA) - {"AIC"}:  # AIC's default penalty grows with h
+                assert argmin(default, name).h == 3, name
 
     def test_argmin_ties_prefer_smaller_h_then_list_order(self):
         # one length-1 trajectory gives equal values at every h
