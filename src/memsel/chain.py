@@ -4,10 +4,15 @@ A model of memory depth h predicts each step of a trajectory from the
 h-tuple of states preceding it (its context). The first h steps of a
 trajectory have incomplete histories; ``BoundaryMode`` decides whether
 they are counted against START-padded contexts or skipped entirely.
+
+Counting is one numpy pass per depth over integer context codes (base
+M+1, START a digit of its own), with rows in order of first occurrence;
+a ``Context`` key is made once per distinct row, never once per step.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterable, Mapping
@@ -145,7 +150,6 @@ class CountTable:
     def __post_init__(self):
         if self.h < 0:
             raise ValueError("memory depth h must be >= 0")
-        object.__setattr__(self, "boundary", BoundaryMode(self.boundary))
         m = self.alphabet.size
         norm: dict[Hashable, np.ndarray] = {}
         for key, vec in self.rows.items():
@@ -155,21 +159,33 @@ class CountTable:
             if arr.min(initial=0) < 0:
                 raise ValueError(f"negative transition count in row {key!r}")
             if arr.any():
-                arr = arr.copy()
-                arr.flags.writeable = False
                 norm[key] = arr
-        object.__setattr__(self, "rows", norm)
-        zero = np.zeros(m, dtype=np.int64)
+        keys = tuple(norm)
+        self._set_rows(keys, np.stack([norm[k] for k in keys]) if keys
+                       else np.zeros((0, m), dtype=np.int64))
+
+    @classmethod
+    def _counted(cls, h, alphabet, boundary, keys, matrix) -> "CountTable":
+        """A table over rows made by counting: nonzero int64 by construction, so unchecked."""
+        table = object.__new__(cls)
+        table.__dict__.update(h=h, alphabet=alphabet, boundary=boundary)
+        table._set_rows(tuple(keys), matrix)
+        return table
+
+    def _set_rows(self, keys: tuple, matrix: np.ndarray) -> None:
+        # rows are read-only views into one stacked matrix
+        matrix.flags.writeable = False
+        zero = np.zeros(self.alphabet.size, dtype=np.int64)
         zero.flags.writeable = False
-        object.__setattr__(self, "_zero", zero)
-        object.__setattr__(self, "_matrix", None)
+        self.__dict__.update(boundary=BoundaryMode(self.boundary), _zero=zero,
+                             rows=dict(zip(keys, matrix)), _matrix=(keys, matrix))
 
     @property
     def n_contexts(self) -> int:
         return len(self.rows)
 
     def total_transitions(self) -> int:
-        return int(sum(int(v.sum()) for v in self.rows.values()))
+        return int(self._matrix[1].sum())
 
     def get(self, ctx) -> np.ndarray:
         """Count vector for ``ctx``; all zeros when the context was never seen."""
@@ -178,17 +194,7 @@ class CountTable:
 
     def matrix(self) -> tuple[tuple, np.ndarray]:
         """Row keys (insertion order) and the stacked count matrix."""
-        cached = self._matrix
-        if cached is None:
-            keys = tuple(self.rows)
-            if keys:
-                mat = np.stack([self.rows[k] for k in keys])
-            else:
-                mat = np.zeros((0, self.alphabet.size), dtype=np.int64)
-            mat.flags.writeable = False
-            cached = (keys, mat)
-            object.__setattr__(self, "_matrix", cached)
-        return cached
+        return self._matrix
 
     def __eq__(self, other):
         if not isinstance(other, CountTable):
@@ -200,16 +206,53 @@ class CountTable:
         return all(np.array_equal(v, other.rows[k]) for k, v in self.rows.items())
 
 
-@dataclass(frozen=True)
 class TrajectoryCounts:
-    """Per-trajectory count tables plus their element-wise total."""
+    """Per-trajectory count tables plus their element-wise total.
 
-    per_trajectory: tuple[tuple[str, CountTable], ...]
-    total: CountTable
+    The per-trajectory rows are also held stacked (see ``stacked``).
+    Counting fills the stacked form and builds the ``per_trajectory``
+    tables on first access; counts made from tables stack them on first use.
+    """
+
+    def __init__(self, per_trajectory, total: CountTable):
+        self.total, self._per, self._stack = total, tuple(per_trajectory), None
+        self.ids = tuple(tid for tid, _ in self._per)
+
+    @classmethod
+    def _from_stack(cls, ids, total, idx, counts, bounds) -> "TrajectoryCounts":
+        tc = cls((), total)
+        counts.flags.writeable = False
+        tc.ids, tc._per, tc._stack = tuple(ids), None, (idx, counts, bounds)
+        return tc
+
+    @property
+    def per_trajectory(self) -> tuple[tuple[str, CountTable], ...]:
+        if self._per is None:
+            keys = self.total.matrix()[0]
+            idx, counts, bounds = self._stack
+            b = bounds.tolist()
+            self._per = tuple(
+                (tid, CountTable._counted(self.h, self.alphabet, self.boundary,
+                                          [keys[i] for i in idx[s:e].tolist()], counts[s:e]))
+                for tid, s, e in zip(self.ids, b, b[1:]))
+        return self._per
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every trajectory's rows in turn: their total-table rows, counts and bounds."""
+        if self._stack is None:
+            keys, n = self.total.matrix()
+            index = {k: i for i, k in enumerate(keys)}
+            mats = [table.matrix() for _, table in self._per]
+            idx = np.array([index[k] for tkeys, _ in mats for k in tkeys], dtype=np.intp)
+            counts = np.concatenate([n[:0]] + [tmat for _, tmat in mats])
+            counts.flags.writeable = False
+            bounds = np.cumsum([0] + [len(tkeys) for tkeys, _ in mats])
+            self._stack = (idx, counts, bounds)
+        return self._stack
 
     @property
     def n_trajectories(self) -> int:
-        return len(self.per_trajectory)
+        return len(self.ids)
 
     @property
     def h(self) -> int:
@@ -224,6 +267,30 @@ class TrajectoryCounts:
         return self.total.boundary
 
 
+def _first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of ``keys`` numbered in order of first occurrence, and each id's first position."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")  # np.unique's sort: no more numpy code paged in
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], first[order]
+
+
+def _stack(traj: np.ndarray, row: np.ndarray, n_rows: int, n_traj: int):
+    """Group elements by (trajectory, total row), in order of first occurrence.
+
+    ``traj`` must be nondecreasing. Returns each element's stacked row,
+    the total row of every stacked row and each trajectory's row bounds.
+    """
+    prow, first = _first_occurrence(traj * n_rows + row)
+    return prow, row[first], np.bincount(traj[first] + 1, minlength=n_traj + 1).cumsum()
+
+
+def _digit(steps: np.ndarray, pos: np.ndarray, at: np.ndarray, lag: int) -> np.ndarray:
+    """Code digit of the token ``lag`` steps before each step in ``at``: START 0, state s s+1."""
+    return np.where(pos[at] >= lag, steps.take(at - lag, mode="clip") + 1, 0)
+
+
 def count_transitions(
     trajectories: Iterable[Trajectory],
     h: int,
@@ -235,7 +302,8 @@ def count_transitions(
     In PADDED mode every step contributes one count, with the first steps
     assigned START-padded contexts; in TRUNCATED mode only steps preceded
     by h real states contribute, so a trajectory of length L yields
-    max(L - h, 0) counts.
+    max(L - h, 0) counts. Rows appear in order of first occurrence, in the
+    total table and in every trajectory's table.
     """
     mode = BoundaryMode(mode)
     if h < 0:
@@ -244,37 +312,36 @@ def count_transitions(
     if not trajs:
         raise ValueError("no trajectories to count")
     m = alphabet.size
-    per: list[tuple[str, CountTable]] = []
-    total_rows: dict[Hashable, np.ndarray] = {}
-    for tr in trajs:
-        if max(tr.steps) >= m:
-            raise ValueError(
-                f"trajectory {tr.id!r} contains state id {max(tr.steps)} "
-                f"outside alphabet of size {m}"
-            )
-        rows: dict[Hashable, np.ndarray] = {}
-        steps = tr.steps
-        first = 0 if mode is BoundaryMode.PADDED else h
-        for l in range(first, len(steps)):
-            if l >= h:
-                toks = steps[l - h:l]
-            else:
-                toks = (START,) * (h - l) + steps[:l]
-            ctx = Context(toks)
-            row = rows.get(ctx)
-            if row is None:
-                row = np.zeros(m, dtype=np.int64)
-                rows[ctx] = row
-            row[steps[l]] += 1
-        per.append((tr.id, CountTable(h, alphabet, rows, mode)))
-        for ctx, vec in rows.items():
-            acc = total_rows.get(ctx)
-            if acc is None:
-                total_rows[ctx] = vec.copy()
-            else:
-                acc += vec
-    total = CountTable(h, alphabet, total_rows, mode)
-    return TrajectoryCounts(tuple(per), total)
+    lengths = np.array([len(tr.steps) for tr in trajs])
+    steps = np.fromiter(itertools.chain.from_iterable(tr.steps for tr in trajs), np.int64,
+                        int(lengths.sum()))
+    if steps.max() >= m:
+        tr = next(tr for tr in trajs if max(tr.steps) >= m)
+        raise ValueError(f"trajectory {tr.id!r} contains state id {max(tr.steps)} "
+                         f"outside alphabet of size {m}")
+    traj = np.repeat(np.arange(len(trajs)), lengths)
+    pos = np.arange(steps.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    at = np.flatnonzero(pos >= (h if mode is BoundaryMode.TRUNCATED else 0))
+    # one base-(M+1) digit per lag; re-ranking keeps the codes inside int64
+    code, span = np.zeros(at.size, dtype=np.int64), 1
+    for lag in range(h, 0, -1):
+        if span * (m + 1) > 2**63:
+            uniq, code = np.unique(code, return_inverse=True)
+            span = uniq.size
+        code = code * (m + 1) + _digit(steps, pos, at, lag)
+        span *= m + 1
+    row, first = _first_occurrence(code)
+    prow, idx, bounds = _stack(traj[at], row, first.size, len(trajs))
+    dest = steps[at]
+    n = np.bincount(row * m + dest, minlength=first.size * m).reshape(-1, m)
+    t = np.bincount(prow * m + dest, minlength=idx.size * m).reshape(-1, m)
+    # one Context per distinct row, decoded from the step where it first occurs
+    toks = np.empty((first.size, h), dtype=np.int64)
+    for j in range(h):
+        toks[:, j] = _digit(steps, pos, at[first], h - j) - 1
+    keys = [Context(tuple(tk)) for tk in toks.tolist()]
+    total = CountTable._counted(h, alphabet, mode, keys, n)
+    return TrajectoryCounts._from_stack([tr.id for tr in trajs], total, idx, t, bounds)
 
 
 def merge_counts(
@@ -303,9 +370,5 @@ def merge_counts(
     rows: dict[Hashable, np.ndarray] = {}
     for t in tables:
         for ctx, vec in t.rows.items():
-            acc = rows.get(ctx)
-            if acc is None:
-                rows[ctx] = vec.copy()
-            else:
-                acc += vec
+            rows[ctx] = rows[ctx] + vec if ctx in rows else vec
     return CountTable(h, alphabet, rows, boundary)

@@ -175,17 +175,15 @@ def _pointwise(tc: TrajectoryCounts, v: _View, names: set[str]) -> dict[str, np.
     the rest and vice versa): log B(g + t + a) - log B(g + a) for LPPD,
     log B(g + a) - log B(g - t + a) for LOO, log B(c + t + a) - log B(c + a)
     for CV2, and t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2.
-    The rows are stacked once; each log-beta term is one call per block of
-    whole trajectories, and each trajectory's value one numpy sum over its
-    own rows (never add.reduceat, which sums in another order), so every
-    value is bit-identical to scoring one trajectory at a time.
+    The rows come stacked from ``tc.stacked()``; each log-beta term is one
+    call per block of whole trajectories, and each trajectory's value one
+    numpy sum over its own rows (never add.reduceat, which sums in another
+    order), so every value is bit-identical to scoring one trajectory at a
+    time.
     """
-    keys, N = tc.total.matrix()
-    index = {k: i for i, k in enumerate(keys)}
-    mats = [table.matrix() for _, table in tc.per_trajectory]
-    idx = np.array([index[k] for tkeys, _ in mats for k in tkeys], dtype=np.intp)
-    T = np.concatenate([N[:0]] + [tmat for _, tmat in mats])
-    bounds = np.cumsum([0] + [len(tkeys) for tkeys, _ in mats]).tolist()
+    N = v.N
+    idx, T, bounds = tc.stacked()
+    bounds = bounds.tolist()
     n_traj, a = tc.n_trajectories, v.alpha
     out = {name: np.zeros(n_traj) for name in names}
     if "CV2" in names:

@@ -104,11 +104,8 @@ def _sum_cells(cells, draws, seed, estimator=_log_mean_power) -> OracleEstimate:
 
 def _posterior_cells(tc: TrajectoryCounts, prior: DirichletPrior) -> list:
     """One (posterior given the total, trajectory counts) cell per trajectory row."""
-    return [
-        (tc.total.get(ctx) + prior.alpha, vec)
-        for _, table in tc.per_trajectory
-        for ctx, vec in table.rows.items()
-    ]
+    idx, counts, _ = tc.stacked()
+    return list(zip(tc.total.matrix()[1][idx] + prior.alpha, counts))
 
 
 def mc_lpd(
@@ -150,12 +147,9 @@ def mc_loo(
     """MC estimate of leave-one-out (deviance scale, so -2 x the log sum)."""
     draws = _require_draws(draws)
     prior = _prior_for(tc.alphabet, prior)
-    cells = []
-    for _, table in tc.per_trajectory:
-        for ctx, vec in table.rows.items():
-            rest = tc.total.get(ctx) - vec
-            cells.append((rest + prior.alpha, vec))
-    inner = _sum_cells(cells, draws, seed)
+    idx, counts, _ = tc.stacked()
+    rest = tc.total.matrix()[1][idx] - counts
+    inner = _sum_cells(list(zip(rest + prior.alpha, counts)), draws, seed)
     return OracleEstimate(-2.0 * inner.estimate, 2.0 * inner.std_error, draws)
 
 

@@ -14,6 +14,7 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -83,8 +84,11 @@ class RandomNetwork:
     absorbing_state: int
 
     def __post_init__(self):
-        cum = {ctx: np.cumsum(vec) for ctx, vec in self.rows.items()}
-        object.__setattr__(self, "_cum", cum)
+        # cumulative rows keyed by context code: base M+1 digits, oldest
+        # first, START 0 and state s s+1 (the code count_transitions uses)
+        codes = [reduce(lambda c, t: c * (self.m + 1) + t + 1, ctx.tokens, 0) for ctx in self.rows]
+        cum = np.cumsum(np.array(list(self.rows.values()), dtype=float), axis=1)
+        object.__setattr__(self, "_cum", dict(zip(codes, cum)))
 
     @property
     def m(self) -> int:
@@ -135,21 +139,15 @@ def sample_trajectory(
     """
     if length_cap < 1:
         raise ValueError("length cap must be >= 1")
-    h = net.h_true
-    history = [net.start_state]
+    base, span = net.m + 1, (net.m + 1) ** net.h_true
+    code = (net.start_state + 1) % span  # the context START..START, start state
     steps: list[int] = []
     cum = net._cum
     while len(steps) < length_cap:
-        if h == 0:
-            ctx = Context(())
-        elif len(history) >= h:
-            ctx = Context(tuple(history[-h:]))
-        else:
-            ctx = Context((START,) * (h - len(history)) + tuple(history))
-        nxt = int(np.searchsorted(cum[ctx], rng.random(), side="right"))
+        nxt = int(np.searchsorted(cum[code], rng.random(), side="right"))
         nxt = min(nxt, net.m - 1)
         steps.append(nxt)
-        history.append(nxt)
+        code = (code * base + nxt + 1) % span
         if nxt == net.absorbing_state:
             break
     truncated = steps[-1] != net.absorbing_state

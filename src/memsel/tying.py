@@ -9,7 +9,7 @@ reduced table, with C (M - 1) free parameters for C classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .chain import (
     CountTable,
     StateAlphabet,
     TrajectoryCounts,
+    _first_occurrence,
+    _stack,
 )
 
 __all__ = ["TieMap", "tie_counts", "jagged_free_throw_map", "tied_param_count"]
@@ -66,23 +68,22 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
 
     Counts are summed within each class, per trajectory and in total, so
     the reduced total still equals the reduced per-trajectory sum exactly.
+    Classes appear in order of first occurrence, like counted contexts.
     """
     if tie_map.h != tc.h:
         raise ValueError(f"tie map is for h={tie_map.h} but the counts have h={tc.h}")
-
-    def reduce(table: CountTable) -> CountTable:
-        rows: dict[Hashable, np.ndarray] = {}
-        for ctx, vec in table.rows.items():
-            cls = tie_map.class_of(ctx)
-            acc = rows.get(cls)
-            if acc is None:
-                rows[cls] = vec.copy()
-            else:
-                acc += vec
-        return CountTable(tc.h, tc.alphabet, rows, tc.boundary)
-
-    per = tuple((tid, reduce(t)) for tid, t in tc.per_trajectory)
-    return TrajectoryCounts(per, reduce(tc.total))
+    keys, n = tc.total.matrix()
+    classes = np.array([tie_map.class_of(ctx) for ctx in keys], dtype=np.int64)
+    row, first = _first_occurrence(classes)
+    tied = np.zeros((first.size, tc.alphabet.size), dtype=np.int64)
+    np.add.at(tied, row, n)
+    idx, t, bounds = tc.stacked()
+    traj = np.repeat(np.arange(tc.n_trajectories), np.diff(bounds))
+    prow, tidx, tbounds = _stack(traj, row[idx], first.size, tc.n_trajectories)
+    tied_t = np.zeros((tidx.size, tc.alphabet.size), dtype=np.int64)
+    np.add.at(tied_t, prow, t)
+    total = CountTable._counted(tc.h, tc.alphabet, tc.boundary, classes[first].tolist(), tied)
+    return TrajectoryCounts._from_stack(tc.ids, total, tidx, tied_t, tbounds)
 
 
 def tied_param_count(tie_map: TieMap, m: int) -> int:

@@ -130,6 +130,16 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_transitions([Trajectory("t", (0, 5))], 1, AB3)
 
+    def test_error_messages(self):
+        good, bad = Trajectory("good", (0, 1, 2)), Trajectory("bad", (1, 4, 0))
+        for mode in BoundaryMode:
+            with pytest.raises(ValueError, match=r"trajectory 'bad' contains state id 4"):
+                count_transitions([good, bad, good], 1, AB3, mode)
+        with pytest.raises(ValueError, match="h must be >= 0"):
+            count_transitions([good], -1, AB3)
+        with pytest.raises(ValueError, match="no trajectories"):
+            count_transitions(iter(()), 0, AB3)
+
 
 class TestCountTable:
     def test_zero_rows_dropped_and_readonly(self):

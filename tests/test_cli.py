@@ -142,6 +142,23 @@ class TestErrorPaths:
         assert main(["criteria", "--input", str(empty), "--h-max", "1",
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_unmapped_tie_context_is_config_error(self, season, tmp_path, capsys):
+        # an h=1 map over the padded contexts with no default misses "1"
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"h": 1, "classes": [
+            {"contexts": [["0"]]}, {"contexts": [["START"]]}]}))
+        for command in (["criteria"], ["select", "--criterion", "LOO"]):
+            out = tmp_path / command[0]
+            assert main(command + ["--input", str(season), "--h-range", "0..2",
+                                   "--tie", str(path), "--out", str(out)]) == 2
+            assert "no tie class" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_negative_oracle_depth_is_config_error(self, season, tmp_path, capsys):
+        assert main(["oracle", "--input", str(season), "--h", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "h must be >= 0" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["criteria", "--input", str(tmp_path / "nope.jsonl"),
                      "--h-max", "1", "--out", str(tmp_path / "o")]) == 2

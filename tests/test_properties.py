@@ -3,12 +3,22 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memsel.criteria
 from conftest import random_instance
-from memsel.chain import BoundaryMode, StateAlphabet, Trajectory, count_transitions, merge_counts
+from memsel.chain import (
+    START,
+    BoundaryMode,
+    Context,
+    StateAlphabet,
+    Trajectory,
+    TrajectoryCounts,
+    count_transitions,
+    merge_counts,
+)
 from memsel.criteria import (
     CRITERIA,
     DirichletPrior,
@@ -18,7 +28,9 @@ from memsel.criteria import (
     predictive_log_density,
 )
 from memsel.oracle import cv2_refit, loo_refit
+from memsel.simulate import generate_network, sample_trajectory
 from memsel.specfun import log_multivariate_beta, trigamma
+from memsel.tying import TieMap, tie_counts
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -147,3 +159,161 @@ def test_loo_and_cv2_equal_refit_loops(seed, m, j, h, mode, asymmetric):
     rep = evaluate(tc, prior, which=("LOO", "CV2"))
     assert rep.value("LOO") == loo_refit(tc, prior)
     assert rep.value("CV2") == cv2_refit(trajs, h, tc.alphabet, mode, prior)
+
+
+# ---------------------------------------------------------------------------
+# Counting, tying and sampling against plain per-step loops
+
+
+def reference_count(trajs, h, m, mode):
+    """Per-trajectory and total rows from one dict lookup per step."""
+    per, total = [], {}
+    for tr in trajs:
+        rows = {}
+        first = 0 if mode is BoundaryMode.PADDED else h
+        for l in range(first, len(tr.steps)):
+            toks = tr.steps[l - h:l] if l >= h else (START,) * (h - l) + tr.steps[:l]
+            rows.setdefault(Context(toks), [0] * m)[tr.steps[l]] += 1
+        per.append((tr.id, rows))
+        for ctx, vec in rows.items():
+            acc = total.setdefault(ctx, [0] * m)
+            acc[:] = [a + b for a, b in zip(acc, vec)]
+    return per, total
+
+
+def assert_table(table, rows):
+    keys, mat = table.matrix()
+    assert list(keys) == list(rows)  # first-occurrence order, not just the same set
+    assert mat.tolist() == list(rows.values())
+
+
+def assert_counts_match_reference(trajs, h, m, mode):
+    tc = count_transitions(trajs, h, StateAlphabet.of_size(m), mode)
+    per, total = reference_count(trajs, h, m, mode)
+    assert_table(tc.total, total)
+    assert [tid for tid, _ in tc.per_trajectory] == [tid for tid, _ in per]
+    for (_, table), (_, rows) in zip(tc.per_trajectory, per):
+        assert_table(table, rows)
+    return tc
+
+
+def random_walks(rng, m, j, max_len):
+    return [Trajectory(f"w{i}", tuple(rng.integers(0, m, int(rng.integers(1, max_len + 1))).tolist()))
+            for i in range(j)]
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    j=st.integers(1, 6),
+    h=st.integers(0, 5),
+    max_len=st.sampled_from([1, 3, 12, 60]),
+    mode=st.sampled_from(list(BoundaryMode)),
+)
+def test_counting_matches_per_step_loop(seed, m, j, h, max_len, mode):
+    # max_len 1 gives single-step walks; TRUNCATED walks of at most h steps
+    # leave trajectories with zero rows
+    trajs = random_walks(np.random.default_rng(seed), m, j, max_len)
+    assert_counts_match_reference(trajs, h, m, mode)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(40, 45),
+       mode=st.sampled_from(list(BoundaryMode)))
+def test_counting_past_the_int64_code_range(seed, h, mode):
+    # 3^40 > 2^63: the codes are re-ranked before they would overflow
+    rng = np.random.default_rng(seed)
+    trajs = random_walks(rng, 2, 4, 80) + [Trajectory("long", tuple(rng.integers(0, 2, 90).tolist()))]
+    assert 3**h > 2**63
+    tc = assert_counts_match_reference(trajs, h, 2, mode)
+    assert tc.total.n_contexts > 1
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_contexts_differing_only_in_the_oldest_state_stay_apart(m, mode):
+    # at h = 45 the oldest digit's weight (M+1)^44 is 0 modulo 2^64 for even
+    # bases, so a code that wrapped instead of re-ranking merges these rows
+    h = 45
+    trajs = [Trajectory(f"s{a}", (a,) + (1,) * h) for a in range(m)]
+    tc = assert_counts_match_reference(trajs, h, m, mode)
+    assert tc.total.n_contexts == (m if mode is BoundaryMode.TRUNCATED else 1 + m * h)
+
+
+def reference_tie(table, tie_map):
+    rows = {}
+    for ctx, vec in table.rows.items():
+        acc = rows.setdefault(tie_map.class_of(ctx), [0] * len(vec))
+        acc[:] = [a + int(b) for a, b in zip(acc, vec)]
+    return rows
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 4),
+    j=st.integers(1, 6),
+    h=st.integers(0, 3),
+    mode=st.sampled_from(list(BoundaryMode)),
+    n_classes=st.integers(1, 4),
+)
+def test_tying_matches_class_reduce_loop(seed, m, j, h, mode, n_classes):
+    rng = np.random.default_rng(seed)
+    tc = count_transitions(random_walks(rng, m, j, 12), h, StateAlphabet.of_size(m), mode)
+    keys = tc.total.matrix()[0]
+    # about half the contexts listed, the rest caught by the default class
+    listed = {ctx: int(rng.integers(0, n_classes)) for ctx in keys if rng.random() < 0.5}
+    tie_map = TieMap(h, n_classes, listed, default_class=int(rng.integers(0, n_classes)))
+    tied = tie_counts(tc, tie_map)
+    assert_table(tied.total, reference_tie(tc.total, tie_map))
+    for (_, table), (_, orig) in zip(tied.per_trajectory, tc.per_trajectory):
+        assert_table(table, reference_tie(orig, tie_map))
+
+
+def assert_same_report(a, b):
+    assert a.values.keys() == b.values.keys()
+    for name, x in a.values.items():
+        y = b.values[name]
+        assert x == y or (math.isnan(x) and math.isnan(y)), name
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 4),
+    j=st.integers(1, 5),
+    h=st.integers(0, 3),
+    mode=st.sampled_from(list(BoundaryMode)),
+)
+def test_counts_from_tables_stack_like_counting(seed, m, j, h, mode):
+    rng = np.random.default_rng(seed)
+    counted = count_transitions(random_walks(rng, m, j, 10), h, StateAlphabet.of_size(m), mode)
+    rebuilt = TrajectoryCounts(counted.per_trajectory, counted.total)
+    for x, y in zip(counted.stacked(), rebuilt.stacked()):
+        assert x.dtype.kind == y.dtype.kind == "i"
+        assert np.array_equal(x, y)
+    assert_same_report(evaluate(counted), evaluate(rebuilt))
+
+
+def reference_walk(net, length_cap, rng):
+    """The walk looked up by Context, one tuple per step."""
+    h, history, steps = net.h_true, [net.start_state], []
+    while len(steps) < length_cap:
+        padded = (START,) * h + tuple(history)
+        cum = np.cumsum(net.rows[Context(padded[len(padded) - h:])])
+        nxt = min(int(np.searchsorted(cum, rng.random(), side="right")), net.m - 1)
+        steps.append(nxt)
+        history.append(nxt)
+        if nxt == net.absorbing_state:
+            break
+    return tuple(steps)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), h=st.integers(0, 3))
+def test_sampler_matches_context_walk(seed, m, h):
+    net = generate_network(m, h, seed)
+    for rep in range(5):
+        walk = sample_trajectory(net, 40, np.random.default_rng([seed, rep]))
+        assert walk.steps == reference_walk(net, 40, np.random.default_rng([seed, rep]))

@@ -87,6 +87,13 @@ def test_h_mismatch_rejected():
         tie_counts(tc, jagged_free_throw_map(AB2))
 
 
+def test_unmapped_context_without_default_rejected():
+    tc = count_transitions([Trajectory("g", (0, 1, 1, 0))], 1, AB2)
+    partial = TieMap(1, 2, {Context((START,)): 0, Context((0,)): 1})
+    with pytest.raises(ValueError, match="no tie class"):
+        tie_counts(tc, partial)
+
+
 class TestJaggedMap:
     def test_padded_classes(self):
         tm = jagged_free_throw_map(AB2, BoundaryMode.PADDED)
