@@ -11,7 +11,6 @@ Monte-Carlo oracle can audit any closed-form value.
 from .chain import (
     START,
     BoundaryMode,
-    Context,
     CountTable,
     StateAlphabet,
     Trajectory,

@@ -5,9 +5,11 @@ h-tuple of states preceding it (its context). The first h steps of a
 trajectory have incomplete histories; ``BoundaryMode`` decides whether
 they are counted against START-padded contexts or skipped entirely.
 
-Counting is one numpy pass per depth over integer context codes (base
-M+1, START a digit of its own), with rows in order of first occurrence;
-a ``Context`` key is made once per distinct row, never once per step.
+A context is a plain tuple of h tokens, oldest first: state ids, with
+START only as a prefix. Counting is one numpy pass per depth over integer
+context codes (base M+1, START a digit of its own), with rows in order of
+first occurrence; the tuple key is made once per distinct row, never once
+per step.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "BoundaryMode",
     "StateAlphabet",
     "Trajectory",
-    "Context",
     "CountTable",
     "TrajectoryCounts",
     "count_transitions",
@@ -34,9 +35,6 @@ __all__ = [
 # Reserved boundary token. It may appear only as a contiguous context
 # prefix and can never be a transition destination.
 START: int = -1
-
-# Display glyph for START in human-readable context strings.
-START_GLYPH = "·"
 
 
 class BoundaryMode(str, Enum):
@@ -103,34 +101,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-@dataclass(frozen=True)
-class Context:
-    """An ordered history tuple; START tokens only as a contiguous prefix."""
-
-    tokens: tuple[int, ...]
-
-    def __post_init__(self):
-        tokens = tuple(int(t) for t in self.tokens)
-        object.__setattr__(self, "tokens", tokens)
-        seen_state = False
-        for t in tokens:
-            if t == START:
-                if seen_state:
-                    raise ValueError("START tokens may only form a contiguous context prefix")
-            elif t < 0:
-                raise ValueError(f"invalid context token {t}")
-            else:
-                seen_state = True
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def display(self, alphabet: StateAlphabet) -> str:
-        parts = [START_GLYPH if t == START else alphabet.label(t) for t in self.tokens]
-        sep = "" if all(len(p) == 1 for p in parts) else ","
-        return sep.join(parts) if parts else "()"
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,23 +177,17 @@ class CountTable:
 
 
 class TrajectoryCounts:
-    """Per-trajectory count tables plus their element-wise total.
+    """Every trajectory's count rows, stacked, plus their element-wise total.
 
-    The per-trajectory rows are also held stacked (see ``stacked``).
-    Counting fills the stacked form and builds the ``per_trajectory``
-    tables on first access; counts made from tables stack them on first use.
+    ``idx`` gives each stacked row's row in ``total``, ``counts`` its
+    destination counts, and trajectory j owns rows ``bounds[j]:bounds[j+1]``.
+    The ``per_trajectory`` tables are built from them on first access.
     """
 
-    def __init__(self, per_trajectory, total: CountTable):
-        self.total, self._per, self._stack = total, tuple(per_trajectory), None
-        self.ids = tuple(tid for tid, _ in self._per)
-
-    @classmethod
-    def _from_stack(cls, ids, total, idx, counts, bounds) -> "TrajectoryCounts":
-        tc = cls((), total)
+    def __init__(self, ids, total: CountTable, idx: np.ndarray, counts: np.ndarray,
+                 bounds: np.ndarray):
         counts.flags.writeable = False
-        tc.ids, tc._per, tc._stack = tuple(ids), None, (idx, counts, bounds)
-        return tc
+        self.ids, self.total, self._stack, self._per = tuple(ids), total, (idx, counts, bounds), None
 
     @property
     def per_trajectory(self) -> tuple[tuple[str, CountTable], ...]:
@@ -239,15 +203,6 @@ class TrajectoryCounts:
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every trajectory's rows in turn: their total-table rows, counts and bounds."""
-        if self._stack is None:
-            keys, n = self.total.matrix()
-            index = {k: i for i, k in enumerate(keys)}
-            mats = [table.matrix() for _, table in self._per]
-            idx = np.array([index[k] for tkeys, _ in mats for k in tkeys], dtype=np.intp)
-            counts = np.concatenate([n[:0]] + [tmat for _, tmat in mats])
-            counts.flags.writeable = False
-            bounds = np.cumsum([0] + [len(tkeys) for tkeys, _ in mats])
-            self._stack = (idx, counts, bounds)
         return self._stack
 
     @property
@@ -335,13 +290,12 @@ def count_transitions(
     dest = steps[at]
     n = np.bincount(row * m + dest, minlength=first.size * m).reshape(-1, m)
     t = np.bincount(prow * m + dest, minlength=idx.size * m).reshape(-1, m)
-    # one Context per distinct row, decoded from the step where it first occurs
+    # one token tuple per distinct row, decoded from the step where it first occurs
     toks = np.empty((first.size, h), dtype=np.int64)
     for j in range(h):
         toks[:, j] = _digit(steps, pos, at[first], h - j) - 1
-    keys = [Context(tuple(tk)) for tk in toks.tolist()]
-    total = CountTable._counted(h, alphabet, mode, keys, n)
-    return TrajectoryCounts._from_stack([tr.id for tr in trajs], total, idx, t, bounds)
+    total = CountTable._counted(h, alphabet, mode, map(tuple, toks.tolist()), n)
+    return TrajectoryCounts([tr.id for tr in trajs], total, idx, t, bounds)
 
 
 def merge_counts(

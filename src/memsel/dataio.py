@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .chain import START, Context, StateAlphabet, Trajectory
+from .chain import START, StateAlphabet, Trajectory
 from .criteria import CRITERIA, K_TERMS, CriterionReport
 from .tying import TieMap
 
@@ -65,6 +65,8 @@ def read_trajectories_jsonl(
             if "states" in obj and "seq" not in obj:
                 if header_states is not None or raw:
                     raise TrajectoryFormatError(lineno, "header line must come first")
+                if not isinstance(obj["states"], list):
+                    raise TrajectoryFormatError(lineno, '"states" must be a list of labels')
                 header_states = [str(s) for s in obj["states"]]
                 continue
             if "seq" not in obj:
@@ -161,7 +163,7 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
     classes = spec["classes"]
     if not isinstance(classes, list) or not classes:
         raise ValueError("tie map needs a non-empty class list")
-    assignments: dict[Context, int] = {}
+    assignments: dict[tuple, int] = {}
     default_class: int | None = None
     for cls_id, cls in enumerate(classes):
         if not isinstance(cls, dict):
@@ -170,14 +172,14 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
             if default_class is not None:
                 raise ValueError("only one class may be the default")
             default_class = cls_id
-        for tokens in cls.get("contexts", []):
-            if len(tokens) != h:
-                raise ValueError(f"context {tokens!r} does not have length {h}")
-            ids = tuple(
-                START if str(t) == START_TOKEN else alphabet.index(str(t))
-                for t in tokens
-            )
-            ctx = Context(ids)
+        contexts = cls.get("contexts", [])
+        if not isinstance(contexts, list):
+            raise ValueError(f'class {cls_id}: "contexts" must be a list of contexts')
+        for tokens in contexts:
+            if not isinstance(tokens, list) or len(tokens) != h:
+                raise ValueError(f"context {tokens!r} is not a length-{h} list")
+            ctx = tuple(START if str(t) == START_TOKEN else alphabet.index(str(t))
+                        for t in tokens)
             if ctx in assignments:
                 raise ValueError(f"context {tokens!r} listed in two classes")
             assignments[ctx] = cls_id

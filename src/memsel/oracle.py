@@ -164,19 +164,14 @@ def mc_cv2(
     if tc.n_trajectories < 2:
         raise ValueError("two-fold cross validation needs at least two trajectories")
     prior = _prior_for(tc.alphabet, prior)
-    half = tc.n_trajectories // 2
-    tables = [t for _, t in tc.per_trajectory]
-    meta = dict(h=tc.h, alphabet=tc.alphabet, boundary=tc.boundary)
-    folds = [
-        (tables[:half], merge_counts(tables[half:], **meta)),
-        (tables[half:], merge_counts(tables[:half], **meta)),
-    ]
-    cells = []
-    for held_out, train in folds:
-        for table in held_out:
-            for ctx, vec in table.rows.items():
-                cells.append((train.get(ctx) + prior.alpha, vec))
-    inner = _sum_cells(cells, draws, seed)
+    idx, counts, bounds = tc.stacked()
+    n = tc.total.matrix()[1]
+    split = bounds[tc.n_trajectories // 2]
+    first = np.zeros_like(n)
+    np.add.at(first, idx[:split], counts[:split])  # exact: integer counts
+    # each held-out row is scored against the other fold's counts
+    train = np.concatenate(((n - first)[idx[:split]], first[idx[split:]]))
+    inner = _sum_cells(list(zip(train + prior.alpha, counts)), draws, seed)
     return OracleEstimate(-2.0 * inner.estimate, 2.0 * inner.std_error, draws)
 
 
@@ -198,7 +193,9 @@ def mc_variance_loglik(
 
 def as_single_point(tc: TrajectoryCounts) -> TrajectoryCounts:
     """Wrap the total counts as one pseudo-trajectory (for k_DIC2 checks)."""
-    return TrajectoryCounts((("total", tc.total),), tc.total)
+    n_rows = tc.total.n_contexts
+    return TrajectoryCounts(("total",), tc.total, np.arange(n_rows), tc.total.matrix()[1],
+                            np.array([0, n_rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,12 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .chain import (
     START,
     BoundaryMode,
-    Context,
     StateAlphabet,
     Trajectory,
 )
@@ -73,8 +71,9 @@ def worker_count() -> int:
 class RandomNetwork:
     """True transition probabilities for every depth-h context.
 
-    State 0 is the designated start state and state M-1 the absorbing
-    state; every row is a probability vector over destinations.
+    ``rows`` maps each context tuple (START-padded, as in counting) to a
+    probability vector over destinations. State 0 is the designated start
+    state and state M-1 the absorbing state.
     """
 
     alphabet: StateAlphabet
@@ -84,11 +83,8 @@ class RandomNetwork:
     absorbing_state: int
 
     def __post_init__(self):
-        # cumulative rows keyed by context code: base M+1 digits, oldest
-        # first, START 0 and state s s+1 (the code count_transitions uses)
-        codes = [reduce(lambda c, t: c * (self.m + 1) + t + 1, ctx.tokens, 0) for ctx in self.rows]
         cum = np.cumsum(np.array(list(self.rows.values()), dtype=float), axis=1)
-        object.__setattr__(self, "_cum", dict(zip(codes, cum)))
+        object.__setattr__(self, "_cum", dict(zip(self.rows, cum)))
 
     @property
     def m(self) -> int:
@@ -100,7 +96,7 @@ def _padded_contexts(m: int, h: int):
     for n_start in range(h, -1, -1):
         prefix = (START,) * n_start
         for suffix in itertools.product(range(m), repeat=h - n_start):
-            yield Context(prefix + suffix)
+            yield prefix + suffix
 
 
 def generate_network(m: int, h_true: int, seed: int) -> RandomNetwork:
@@ -139,15 +135,14 @@ def sample_trajectory(
     """
     if length_cap < 1:
         raise ValueError("length cap must be >= 1")
-    base, span = net.m + 1, (net.m + 1) ** net.h_true
-    code = (net.start_state + 1) % span  # the context START..START, start state
+    ctx = ((START,) * net.h_true + (net.start_state,))[1:]  # START..START, start state
     steps: list[int] = []
     cum = net._cum
     while len(steps) < length_cap:
-        nxt = int(np.searchsorted(cum[code], rng.random(), side="right"))
+        nxt = int(np.searchsorted(cum[ctx], rng.random(), side="right"))
         nxt = min(nxt, net.m - 1)
         steps.append(nxt)
-        code = (code * base + nxt + 1) % span
+        ctx = (ctx + (nxt,))[1:]
         if nxt == net.absorbing_state:
             break
     truncated = steps[-1] != net.absorbing_state

@@ -16,7 +16,6 @@ import numpy as np
 from .chain import (
     START,
     BoundaryMode,
-    Context,
     CountTable,
     StateAlphabet,
     TrajectoryCounts,
@@ -27,18 +26,30 @@ from .chain import (
 __all__ = ["TieMap", "tie_counts", "jagged_free_throw_map", "tied_param_count"]
 
 
+def _check_context(ctx, h: int) -> None:
+    """Reject a key that is not a length-h token tuple with START only as a prefix."""
+    if not isinstance(ctx, tuple) or len(ctx) != h:
+        raise ValueError(f"tie map key {ctx!r} is not a length-{h} context")
+    k = ctx.count(START)
+    if ctx[:k] != (START,) * k:
+        raise ValueError("START tokens may only form a contiguous context prefix")
+    for t in ctx[k:]:
+        if not isinstance(t, (int, np.integer)) or t < 0:
+            raise ValueError(f"invalid context token {t!r}")
+
+
 @dataclass(frozen=True)
 class TieMap:
     """Assignment of length-h contexts to shared parameter classes.
 
-    ``assignments`` maps contexts to class ids 0..C-1; contexts not listed
-    fall into ``default_class`` when one is set, otherwise looking them up
-    is an error.
+    ``assignments`` maps contexts (tuples of h state ids, START only as a
+    prefix) to class ids 0..C-1; contexts not listed fall into
+    ``default_class`` when one is set, otherwise looking them up is an error.
     """
 
     h: int
     n_classes: int
-    assignments: Mapping[Context, int]
+    assignments: Mapping[tuple, int]
     default_class: int | None = None
 
     def __post_init__(self):
@@ -48,15 +59,14 @@ class TieMap:
             raise ValueError("a tie map needs at least one class")
         assignments = dict(self.assignments)
         for ctx, cls in assignments.items():
-            if not isinstance(ctx, Context) or len(ctx) != self.h:
-                raise ValueError(f"tie map key {ctx!r} is not a length-{self.h} context")
+            _check_context(ctx, self.h)
             if not 0 <= cls < self.n_classes:
                 raise ValueError(f"class id {cls} outside 0..{self.n_classes - 1}")
         if self.default_class is not None and not 0 <= self.default_class < self.n_classes:
             raise ValueError("default class id out of range")
         object.__setattr__(self, "assignments", assignments)
 
-    def class_of(self, ctx: Context) -> int:
+    def class_of(self, ctx: tuple) -> int:
         cls = self.assignments.get(ctx, self.default_class)
         if cls is None:
             raise ValueError(f"context {ctx!r} has no tie class and the map has no default")
@@ -83,7 +93,7 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
     tied_t = np.zeros((tidx.size, tc.alphabet.size), dtype=np.int64)
     np.add.at(tied_t, prow, t)
     total = CountTable._counted(tc.h, tc.alphabet, tc.boundary, classes[first].tolist(), tied)
-    return TrajectoryCounts._from_stack(tc.ids, total, tidx, tied_t, tbounds)
+    return TrajectoryCounts(tc.ids, total, tidx, tied_t, tbounds)
 
 
 def tied_param_count(tie_map: TieMap, m: int) -> int:
@@ -107,10 +117,7 @@ def jagged_free_throw_map(
     if miss_state not in (0, 1):
         raise ValueError("miss_state must be 0 or 1")
     hit_state = 1 - miss_state
-    assignments = {
-        Context((miss_state,)): 0,
-        Context((hit_state,)): 1,
-    }
+    assignments = {(miss_state,): 0, (hit_state,): 1}
     if BoundaryMode(boundary) is BoundaryMode.PADDED:
-        assignments[Context((START,))] = 1
+        assignments[(START,)] = 1
     return TieMap(h=1, n_classes=2, assignments=assignments)

@@ -24,10 +24,10 @@ def random_instance(rng, m=None, j=None, h=None, max_len=6,
 
 def random_count_table(rng, m=2, max_count=6):
     """A single-context count table with random nonzero counts."""
-    from memsel.chain import Context, CountTable
+    from memsel.chain import CountTable
 
     counts = rng.integers(0, max_count + 1, m)
     if not counts.any():
         counts[int(rng.integers(0, m))] = 1
     alphabet = StateAlphabet.of_size(m)
-    return CountTable(0, alphabet, {Context(()): counts}, BoundaryMode.PADDED)
+    return CountTable(0, alphabet, {(): counts}, BoundaryMode.PADDED)

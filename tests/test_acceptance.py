@@ -13,7 +13,6 @@ import pytest
 
 from memsel.chain import (
     BoundaryMode,
-    Context,
     CountTable,
     StateAlphabet,
     Trajectory,
@@ -122,7 +121,7 @@ def test_criterion_02_refit_equivalence(oracle_suite):
 
 
 def test_criterion_03_free_throw_aic():
-    table = CountTable(0, AB2, {Context(()): np.array([222, 471])})
+    table = CountTable(0, AB2, {(): np.array([222, 471])})
     value = aic(table, 1)
     # exact recomputation from the 471-of-693 season totals
     expected = -2.0 * (471 * math.log(471 / 693) + 222 * math.log(222 / 693)) + 2.0

@@ -1,12 +1,13 @@
 """Counting, contexts and boundary handling."""
 
+import json
+
 import numpy as np
 import pytest
 
 from memsel.chain import (
     START,
     BoundaryMode,
-    Context,
     CountTable,
     StateAlphabet,
     Trajectory,
@@ -14,12 +15,19 @@ from memsel.chain import (
     merge_counts,
 )
 from memsel.dataio import load_tie_map
+from memsel.tying import TieMap
 
 AB3 = StateAlphabet.of_size(3)
 
 
 def rows_of(table):
-    return {k.tokens: v.tolist() for k, v in table.rows.items()}
+    return {k: v.tolist() for k, v in table.rows.items()}
+
+
+def tie_map_file(tmp_path, h, contexts):
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({"h": h, "classes": [{"contexts": contexts}]}))
+    return path
 
 
 class TestAlphabetAndTrajectory:
@@ -46,34 +54,41 @@ class TestAlphabetAndTrajectory:
 
 
 class TestContext:
-    def test_empty_context_for_h0(self):
-        ctx = Context(())
-        assert len(ctx) == 0
-        assert ctx.tokens == ()
+    # contexts are plain token tuples; they enter from outside through tie
+    # maps, which check them
+    def test_empty_context_for_h0(self, tmp_path):
+        tm = load_tie_map(tie_map_file(tmp_path, 0, [[]]), AB3)
+        assert list(tm.assignments) == [()]
+        assert tm.class_of(()) == 0
 
-    def test_start_prefix_allowed(self):
-        ctx = Context((START, 2))
-        assert ctx.tokens == (START, 2)
-        assert ctx.display(AB3) == "·2"
+    def test_start_prefix_allowed(self, tmp_path):
+        tm = load_tie_map(tie_map_file(tmp_path, 2, [["START", "2"]]), AB3)
+        assert list(tm.assignments) == [(START, 2)]
+        assert TieMap(2, 1, {(START, 2): 0}).class_of((START, 2)) == 0
 
     def test_order_sensitivity(self):
-        assert Context((1, 0, 2)) != Context((2, 0, 1))
+        tm = TieMap(3, 2, {(1, 0, 2): 0, (2, 0, 1): 1})
+        assert tm.class_of((1, 0, 2)) != tm.class_of((2, 0, 1))
 
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         toks = (START, START, 1)
-        assert Context(toks).tokens == toks
-        assert Context(toks) == Context(list(toks))
+        tm = load_tie_map(tie_map_file(tmp_path, 3, [["START", "START", "1"]]), AB3)
+        assert list(tm.assignments) == [toks]
+        assert tm.class_of(toks) == 0
 
-    def test_start_after_state_rejected(self):
-        with pytest.raises(ValueError):
-            Context((1, START))
+    def test_start_after_state_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="contiguous context prefix"):
+            TieMap(2, 1, {(1, START): 0})
+        with pytest.raises(ValueError, match="contiguous context prefix"):
+            load_tie_map(tie_map_file(tmp_path, 2, [["1", "START"]]), AB3)
+        with pytest.raises(ValueError, match="invalid context token"):
+            TieMap(1, 1, {(-2,): 0})
+        with pytest.raises(ValueError, match="not a length-2 context"):
+            TieMap(2, 1, {(1,): 0})
 
     def test_out_of_range_token_rejected(self, tmp_path):
-        # contexts enter from outside through tie-map files, checked there
-        path = tmp_path / "tie.json"
-        path.write_text('{"h": 1, "classes": [{"contexts": [["3"]]}]}')
         with pytest.raises(ValueError):
-            load_tie_map(path, AB3)
+            load_tie_map(tie_map_file(tmp_path, 1, [["3"]]), AB3)
 
 
 class TestCounting:
@@ -104,8 +119,8 @@ class TestCounting:
 
     def test_h0_single_context(self):
         tc = count_transitions([Trajectory("a", (0, 1)), Trajectory("b", (2,))], 0, AB3)
-        assert set(tc.total.rows) == {Context(())}
-        assert tc.total.get(Context(())).sum() == 3
+        assert set(tc.total.rows) == {()}
+        assert tc.total.get(()).sum() == 3
 
     def test_per_trajectory_tables_sum_to_total(self):
         rng = np.random.default_rng(1)
@@ -144,33 +159,33 @@ class TestCounting:
 class TestCountTable:
     def test_zero_rows_dropped_and_readonly(self):
         table = CountTable(1, AB3, {
-            Context((0,)): np.array([0, 0, 0]),
-            Context((1,)): np.array([1, 0, 2]),
+            (0,): np.array([0, 0, 0]),
+            (1,): np.array([1, 0, 2]),
         })
-        assert set(table.rows) == {Context((1,))}
+        assert set(table.rows) == {(1,)}
         with pytest.raises(ValueError):
-            table.rows[Context((1,))][0] = 9
+            table.rows[(1,)][0] = 9
 
     def test_get_missing_is_zero(self):
-        table = CountTable(1, AB3, {Context((1,)): np.array([1, 0, 2])})
-        assert table.get(Context((0,))).tolist() == [0, 0, 0]
+        table = CountTable(1, AB3, {(1,): np.array([1, 0, 2])})
+        assert table.get((0,)).tolist() == [0, 0, 0]
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            CountTable(0, AB3, {Context(()): np.array([1, -1, 0])})
+            CountTable(0, AB3, {(): np.array([1, -1, 0])})
 
     def test_matrix_insertion_order(self):
         table = CountTable(1, AB3, {
-            Context((2,)): np.array([0, 1, 0]),
-            Context((0,)): np.array([3, 0, 0]),
+            (2,): np.array([0, 1, 0]),
+            (0,): np.array([3, 0, 0]),
         })
         keys, mat = table.matrix()
-        assert keys == (Context((2,)), Context((0,)))
+        assert keys == ((2,), (0,))
         assert mat.tolist() == [[0, 1, 0], [3, 0, 0]]
 
     def test_merge_requires_consistency(self):
-        t1 = CountTable(0, AB3, {Context(()): np.array([1, 0, 0])})
-        t2 = CountTable(1, AB3, {Context((0,)): np.array([1, 0, 0])})
+        t1 = CountTable(0, AB3, {(): np.array([1, 0, 0])})
+        t2 = CountTable(1, AB3, {(0,): np.array([1, 0, 0])})
         with pytest.raises(ValueError):
             merge_counts([t1, t2])
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from memsel.dataio import (
     read_trajectories_jsonl,
     write_trajectories_jsonl,
 )
-from memsel.chain import START, Context, StateAlphabet, Trajectory
+from memsel.chain import START, StateAlphabet, Trajectory
 
 
 @pytest.fixture
@@ -154,6 +154,25 @@ class TestErrorPaths:
             assert "no tie class" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_non_list_states_header_is_line_numbered(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"states": 5}\n{"id": "a", "seq": ["0", "1"]}\n')
+        assert main(["criteria", "--input", str(bad), "--h-max", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contexts", [["01"], 5])
+    def test_tie_contexts_must_be_lists(self, season, tmp_path, capsys, contexts):
+        # a string context is not split into its characters
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"h": 2, "classes": [
+            {"contexts": contexts}, {"default": True}]}))
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "0..2",
+                     "--tie", str(path), "--out", str(out)]) == 2
+        assert "list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_oracle_depth_is_config_error(self, season, tmp_path, capsys):
         assert main(["oracle", "--input", str(season), "--h", "-1",
                      "--out", str(tmp_path / "o")]) == 2
@@ -290,15 +309,15 @@ class TestDataIo:
         path.write_text(json.dumps(spec))
         tm = load_tie_map(path, StateAlphabet(("0", "1")))
         assert tm.n_classes == 2
-        assert tm.class_of(Context((0,))) == 0
-        assert tm.class_of(Context((START,))) == 1
+        assert tm.class_of((0,)) == 0
+        assert tm.class_of((START,)) == 1
 
     def test_tie_map_default_class(self, tmp_path):
         spec = {"h": 1, "classes": [{"contexts": [["0"]]}, {"default": True}]}
         path = tmp_path / "tie.json"
         path.write_text(json.dumps(spec))
         tm = load_tie_map(path, StateAlphabet(("0", "1")))
-        assert tm.class_of(Context((1,))) == 1
+        assert tm.class_of((1,)) == 1
 
     def test_csv_import_header_optional(self, tmp_path):
         p = tmp_path / "no_header.csv"

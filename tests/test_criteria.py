@@ -9,7 +9,6 @@ from scipy import special as sp
 from conftest import random_instance
 from memsel.chain import (
     BoundaryMode,
-    Context,
     CountTable,
     StateAlphabet,
     Trajectory,
@@ -37,7 +36,7 @@ EMPTY2 = CountTable(1, AB2, {})
 
 
 def single_row_table(counts, alphabet=AB2):
-    return CountTable(0, alphabet, {Context(()): np.array(counts)})
+    return CountTable(0, alphabet, {(): np.array(counts)})
 
 
 def value(tc, name, prior=None):
@@ -327,8 +326,8 @@ class TestPosteriorSummary:
 
     def test_unseen_context_falls_back_to_prior_mean(self):
         # a context absent from the training counts is predicted by the prior mean
-        train = CountTable(1, AB2, {Context((1,)): np.array([1, 1])})
-        test = CountTable(1, AB2, {Context((0,)): np.array([0, 1])})
+        train = CountTable(1, AB2, {(1,): np.array([1, 1])})
+        test = CountTable(1, AB2, {(0,): np.array([0, 1])})
         assert predictive_log_density(train, test) == pytest.approx(math.log(0.5), rel=1e-14)
 
 

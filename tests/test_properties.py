@@ -12,7 +12,6 @@ from conftest import random_instance
 from memsel.chain import (
     START,
     BoundaryMode,
-    Context,
     StateAlphabet,
     Trajectory,
     TrajectoryCounts,
@@ -27,7 +26,7 @@ from memsel.criteria import (
     evaluate_depths,
     predictive_log_density,
 )
-from memsel.oracle import cv2_refit, loo_refit
+from memsel.oracle import as_single_point, cv2_refit, loo_refit, mc_variance_loglik
 from memsel.simulate import generate_network, sample_trajectory
 from memsel.specfun import log_multivariate_beta, trigamma
 from memsel.tying import TieMap, tie_counts
@@ -173,7 +172,7 @@ def reference_count(trajs, h, m, mode):
         first = 0 if mode is BoundaryMode.PADDED else h
         for l in range(first, len(tr.steps)):
             toks = tr.steps[l - h:l] if l >= h else (START,) * (h - l) + tr.steps[:l]
-            rows.setdefault(Context(toks), [0] * m)[tr.steps[l]] += 1
+            rows.setdefault(toks, [0] * m)[tr.steps[l]] += 1
         per.append((tr.id, rows))
         for ctx, vec in rows.items():
             acc = total.setdefault(ctx, [0] * m)
@@ -278,6 +277,16 @@ def assert_same_report(a, b):
         assert x == y or (math.isnan(x) and math.isnan(y)), name
 
 
+def stack_from_tables(per_trajectory, total):
+    """Stacked arrays rebuilt from per-trajectory tables, one key lookup per row."""
+    keys, n = total.matrix()
+    index = {k: i for i, k in enumerate(keys)}
+    mats = [table.matrix() for _, table in per_trajectory]
+    idx = np.array([index[k] for tkeys, _ in mats for k in tkeys], dtype=np.intp)
+    counts = np.concatenate([n[:0]] + [tmat for _, tmat in mats])
+    return idx, counts, np.cumsum([0] + [len(tkeys) for tkeys, _ in mats])
+
+
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -287,21 +296,73 @@ def assert_same_report(a, b):
     mode=st.sampled_from(list(BoundaryMode)),
 )
 def test_counts_from_tables_stack_like_counting(seed, m, j, h, mode):
+    # as_single_point stacks the total table as one trajectory directly; it
+    # must equal stacking that table by key lookup, and score the same
     rng = np.random.default_rng(seed)
     counted = count_transitions(random_walks(rng, m, j, 10), h, StateAlphabet.of_size(m), mode)
-    rebuilt = TrajectoryCounts(counted.per_trajectory, counted.total)
-    for x, y in zip(counted.stacked(), rebuilt.stacked()):
-        assert x.dtype.kind == y.dtype.kind == "i"
+    for x, y in zip(counted.stacked(), stack_from_tables(counted.per_trajectory, counted.total)):
         assert np.array_equal(x, y)
-    assert_same_report(evaluate(counted), evaluate(rebuilt))
+    single = as_single_point(counted)
+    ref = TrajectoryCounts(("total",), counted.total,
+                           *stack_from_tables((("total", counted.total),), counted.total))
+    n = counted.total.n_contexts
+    expected = (np.arange(n), counted.total.matrix()[1], [0, n])
+    for x, y, z in zip(single.stacked(), ref.stacked(), expected):
+        assert x.dtype.kind == y.dtype.kind == "i"
+        assert np.array_equal(x, y) and np.array_equal(x, z)
+    assert [tid for tid, _ in single.per_trajectory] == ["total"]
+    assert single.per_trajectory[0][1] == counted.total
+    a, b = evaluate(single), evaluate(ref)
+    assert {k: v.hex() for k, v in a.values.items()} == {k: v.hex() for k, v in b.values.items()}
+    a, b = (mc_variance_loglik(tc, draws=1000, seed=seed) for tc in (single, ref))
+    assert (a.estimate.hex(), a.std_error.hex()) == (b.estimate.hex(), b.std_error.hex())
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 4),
+    j=st.integers(1, 5),
+    h=st.integers(0, 3),
+    mode=st.sampled_from(list(BoundaryMode)),
+)
+def test_identity_tie_map_gives_the_untied_report(seed, m, j, h, mode):
+    rng = np.random.default_rng(seed)
+    tc = count_transitions(random_walks(rng, m, j, 12), h, StateAlphabet.of_size(m), mode)
+    keys = tc.total.matrix()[0]
+    identity = TieMap(h, max(len(keys), 1), {ctx: c for c, ctx in enumerate(keys)})
+    assert_same_report(evaluate(tie_counts(tc, identity)), evaluate(tc))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 5),
+    j=st.integers(1, 5),
+    h=st.integers(0, 5),
+    max_len=st.sampled_from([1, 3, 12]),
+)
+def test_start_only_as_prefix_and_only_when_padded(seed, m, j, h, max_len):
+    trajs = random_walks(np.random.default_rng(seed), m, j, max_len)
+    alphabet = StateAlphabet.of_size(m)
+    padded = count_transitions(trajs, h, alphabet, BoundaryMode.PADDED)
+    truncated = count_transitions(trajs, h, alphabet, BoundaryMode.TRUNCATED)
+    assert [t.total_transitions() for _, t in padded.per_trajectory] == [len(tr) for tr in trajs]
+    assert ([t.total_transitions() for _, t in truncated.per_trajectory]
+            == [max(len(tr) - h, 0) for tr in trajs])
+    for ctx in padded.total.rows:
+        k = ctx.count(START)
+        assert len(ctx) == h and ctx[:k] == (START,) * k
+    assert (START,) * h in padded.total.rows
+    assert all(START not in ctx for ctx in truncated.total.rows)
 
 
 def reference_walk(net, length_cap, rng):
-    """The walk looked up by Context, one tuple per step."""
+    """The walk looked up by a context tuple rebuilt from the history at each step."""
     h, history, steps = net.h_true, [net.start_state], []
     while len(steps) < length_cap:
         padded = (START,) * h + tuple(history)
-        cum = np.cumsum(net.rows[Context(padded[len(padded) - h:])])
+        cum = np.cumsum(net.rows[padded[len(padded) - h:]])
         nxt = min(int(np.searchsorted(cum, rng.random(), side="right")), net.m - 1)
         steps.append(nxt)
         history.append(nxt)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memsel import simulate
-from memsel.chain import BoundaryMode, Context, StateAlphabet, count_transitions
+from memsel.chain import BoundaryMode, StateAlphabet, count_transitions
 from memsel.simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
@@ -50,8 +50,8 @@ class TestSampling:
     def test_immediate_absorption_gives_length_one(self):
         ab = StateAlphabet.of_size(3)
         row = np.array([0.0, 0.0, 1.0])  # always jump to the absorbing state
-        rows = {Context((s,)): row for s in range(3)}
-        rows[Context((-1,))] = row
+        rows = {(s,): row for s in range(3)}
+        rows[(-1,)] = row
         net = RandomNetwork(ab, 1, rows, start_state=0, absorbing_state=2)
         tr = sample_trajectory(net, 100, np.random.default_rng(0))
         assert tr.steps == (2,)
@@ -60,8 +60,8 @@ class TestSampling:
     def test_cycle_hits_cap_and_flags(self):
         ab = StateAlphabet.of_size(3)
         to_one = np.array([0.0, 1.0, 0.0])  # never absorb
-        rows = {Context((s,)): to_one for s in range(3)}
-        rows[Context((-1,))] = to_one
+        rows = {(s,): to_one for s in range(3)}
+        rows[(-1,)] = to_one
         net = RandomNetwork(ab, 1, rows, start_state=0, absorbing_state=2)
         tr = sample_trajectory(net, 50, np.random.default_rng(0))
         assert len(tr) == 50

@@ -6,7 +6,6 @@ import pytest
 from memsel.chain import (
     START,
     BoundaryMode,
-    Context,
     StateAlphabet,
     Trajectory,
     count_transitions,
@@ -30,16 +29,16 @@ def test_tiemap_validation():
     with pytest.raises(ValueError):
         TieMap(1, 0, {})
     with pytest.raises(ValueError):
-        TieMap(1, 2, {Context((0,)): 5})
+        TieMap(1, 2, {(0,): 5})
     with pytest.raises(ValueError):
-        TieMap(1, 2, {Context((0, 1)): 0})  # wrong context length
+        TieMap(1, 2, {(0, 1): 0})  # wrong context length
     with pytest.raises(ValueError):
         TieMap(1, 2, {}, default_class=7)
-    tm = TieMap(1, 2, {Context((0,)): 0}, default_class=1)
-    assert tm.class_of(Context((1,))) == 1
-    tm2 = TieMap(1, 2, {Context((0,)): 0})
+    tm = TieMap(1, 2, {(0,): 0}, default_class=1)
+    assert tm.class_of((1,)) == 1
+    tm2 = TieMap(1, 2, {(0,): 0})
     with pytest.raises(ValueError):
-        tm2.class_of(Context((1,)))
+        tm2.class_of((1,))
 
 
 def test_identity_map_preserves_all_criteria_exactly():
@@ -47,7 +46,7 @@ def test_identity_map_preserves_all_criteria_exactly():
     trajs = binary_games(rng)
     tc = count_transitions(trajs, 1, AB2)
     identity = TieMap(1, 3, {
-        Context((START,)): 0, Context((0,)): 1, Context((1,)): 2})
+        (START,): 0, (0,): 1, (1,): 2})
     tied = tie_counts(tc, identity)
     a = evaluate(tc, k_params=3)
     b = evaluate(tied, k_params=3)
@@ -89,7 +88,7 @@ def test_h_mismatch_rejected():
 
 def test_unmapped_context_without_default_rejected():
     tc = count_transitions([Trajectory("g", (0, 1, 1, 0))], 1, AB2)
-    partial = TieMap(1, 2, {Context((START,)): 0, Context((0,)): 1})
+    partial = TieMap(1, 2, {(START,): 0, (0,): 1})
     with pytest.raises(ValueError, match="no tie class"):
         tie_counts(tc, partial)
 
@@ -98,17 +97,17 @@ class TestJaggedMap:
     def test_padded_classes(self):
         tm = jagged_free_throw_map(AB2, BoundaryMode.PADDED)
         assert tm.n_classes == 2
-        assert tm.class_of(Context((0,))) == 0       # after a miss
-        assert tm.class_of(Context((1,))) == 1       # after a hit
-        assert tm.class_of(Context((START,))) == 1   # first shot of a game
+        assert tm.class_of((0,)) == 0       # after a miss
+        assert tm.class_of((1,)) == 1       # after a hit
+        assert tm.class_of((START,)) == 1   # first shot of a game
         assert tied_param_count(tm, 2) == 2
 
     def test_truncated_classes(self):
         tm = jagged_free_throw_map(AB2, BoundaryMode.TRUNCATED)
-        assert tm.class_of(Context((0,))) == 0
-        assert tm.class_of(Context((1,))) == 1
+        assert tm.class_of((0,)) == 0
+        assert tm.class_of((1,)) == 1
         with pytest.raises(ValueError):
-            tm.class_of(Context((START,)))
+            tm.class_of((START,))
 
     def test_first_shot_pools_with_after_hit(self):
         # games starting with a make and a miss: the first-shot counts land
@@ -126,5 +125,5 @@ class TestJaggedMap:
 
     def test_miss_state_override(self):
         tm = jagged_free_throw_map(AB2, miss_state=1)
-        assert tm.class_of(Context((1,))) == 0
-        assert tm.class_of(Context((0,))) == 1
+        assert tm.class_of((1,)) == 0
+        assert tm.class_of((0,)) == 1
