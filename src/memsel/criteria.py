@@ -2,12 +2,15 @@
 
 With a Dirichlet(alpha) prior on every context's transition vector, the
 posterior given counts N_x is Dirichlet(alpha + N_x), and every criterion
-below reduces to sums of log-gamma, digamma and trigamma terms over the
-observed count rows. All values are reported on the deviance scale
-(-2 x log predictive quantity), so lower is better for every criterion.
+below reduces to log-beta ratios log B(x + t) - log B(x) with integer
+increments t, scored by ``specfun.log_beta_ratio``, plus digamma and
+trigamma terms over the observed count rows. All values are reported on
+the deviance scale (-2 x log predictive quantity), so lower is better for
+every criterion.
 
 LPPD, LOO, CV2 and k_WAIC2 sum over (trajectory, context) rows: one
-pointwise kernel scores them, one term per trajectory, in a batched pass.
+pointwise kernel scores each of them over all stacked rows at once, one
+term per trajectory.
 
 Criterion names used throughout: AIC, DIC1, DIC2, LPD, LPPD, WAIC1,
 WAIC2, LOO, CV2.
@@ -31,7 +34,7 @@ from .chain import (
     TrajectoryCounts,
     count_transitions,
 )
-from .specfun import digamma, log_multivariate_beta, trigamma
+from .specfun import digamma, log_beta_ratio, trigamma
 from .tying import TieMap, tie_counts, tied_param_count
 
 __all__ = [
@@ -133,11 +136,6 @@ def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
 # Internal aligned-array view and kernels
 
 
-# Most stacked rows per block of the pointwise kernel (a trajectory with more
-# is a block of its own); it bounds the temporaries, never the results.
-_BLOCK_ROWS = 512
-
-
 class _View:
     """Aligned array form of a TrajectoryCounts for vectorised criterion sums."""
 
@@ -160,11 +158,7 @@ def _aic(N: np.ndarray, Ns: np.ndarray, k_params: int) -> float:
 
 
 def _lpd(N: np.ndarray, alpha: np.ndarray) -> float:
-    if N.size == 0:
-        return 0.0
-    upper = log_multivariate_beta(2 * N + alpha, axis=-1)
-    lower = log_multivariate_beta(N + alpha, axis=-1)
-    return float(np.sum(upper - lower))
+    return float(log_beta_ratio(N + alpha, N)[0])
 
 
 def _pointwise(tc: TrajectoryCounts, v: _View, names: set[str]) -> dict[str, np.ndarray]:
@@ -175,53 +169,31 @@ def _pointwise(tc: TrajectoryCounts, v: _View, names: set[str]) -> dict[str, np.
     the rest and vice versa): log B(g + t + a) - log B(g + a) for LPPD,
     log B(g + a) - log B(g - t + a) for LOO, log B(c + t + a) - log B(c + a)
     for CV2, and t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2.
-    The rows come stacked from ``tc.stacked()``; each log-beta term is one
-    call per block of whole trajectories, and each trajectory's value one
-    numpy sum over its own rows (never add.reduceat, which sums in another
-    order), so every value is bit-identical to scoring one trajectory at a
-    time.
+    Each is one call over all the rows of ``tc.stacked()`` grouped by
+    trajectory: ``log_beta_ratio`` for the log-beta terms, and for k_WAIC2
+    one ``np.bincount`` of the per-row values. Both sum a trajectory's
+    terms sequentially in row order, so every value is bit-identical to
+    scoring one trajectory at a time (``predictive_log_density`` included).
     """
-    N = v.N
-    idx, T, bounds = tc.stacked()
-    bounds = bounds.tolist()
+    idx, t, bounds = tc.stacked()
     n_traj, a = tc.n_trajectories, v.alpha
-    out = {name: np.zeros(n_traj) for name in names}
+    traj = np.repeat(np.arange(n_traj), np.diff(bounds))
+    out = {}
+    if "LPPD" in names:
+        out["LPPD"] = log_beta_ratio(v.N[idx] + a, t, traj, n_traj)
+    if "LOO" in names:
+        out["LOO"] = log_beta_ratio((v.N[idx] - t) + a, t, traj, n_traj)
     if "CV2" in names:
         split = bounds[n_traj // 2]
-        first = np.zeros_like(N)
-        np.add.at(first, idx[:split], T[:split])  # exact: integer counts
-        second = N - first
+        first = np.zeros_like(v.N)
+        np.add.at(first, idx[:split], t[:split])  # exact: integer counts
+        c = np.concatenate(((v.N - first)[idx[:split]], first[idx[split:]]))
+        out["CV2"] = log_beta_ratio(c + a, t, traj, n_traj)
     if "k_WAIC2" in names:
-        pg_rows, pg_sums = trigamma(N + a), trigamma(v.Ns + v.a0)
-    j0 = 0
-    while j0 < n_traj:
-        j1 = j0 + 1
-        while j1 < n_traj and bounds[j1 + 1] - bounds[j0] <= _BLOCK_ROWS:
-            j1 += 1
-        r0, r1 = bounds[j0], bounds[j1]
-        i, t = idx[r0:r1], T[r0:r1]
-        g, diffs = N[i], {}
-        if names & {"LPPD", "LOO"}:
-            base = log_multivariate_beta(g + a, axis=-1)
-        if "LPPD" in names:
-            diffs["LPPD"] = log_multivariate_beta(g + t + a, axis=-1) - base
-        if "LOO" in names:
-            diffs["LOO"] = base - log_multivariate_beta((g - t) + a, axis=-1)
-        if "CV2" in names:
-            k = min(max(split - r0, 0), r1 - r0)
-            c = np.concatenate((second[i[:k]], first[i[k:]]))
-            diffs["CV2"] = (log_multivariate_beta(c + t + a, axis=-1)
-                            - log_multivariate_beta(c + a, axis=-1))
-        if "k_WAIC2" in names:
-            tf, ts = t.astype(float), t.sum(axis=1).astype(float)
-            sq_rows, sq_sums = tf * tf * pg_rows[i], ts * ts * pg_sums[i]
-        for j in range(j0, j1):
-            s, e = bounds[j] - r0, bounds[j + 1] - r0
-            for name, d in diffs.items():
-                out[name][j] = d[s:e].sum()
-            if "k_WAIC2" in names:
-                out["k_WAIC2"][j] = sq_rows[s:e].sum() - sq_sums[s:e].sum()
-        j0 = j1
+        tf, ts = t.astype(float), t.sum(axis=1).astype(float)
+        per_row = ((tf * tf * trigamma(v.N + a)[idx]).sum(axis=1)
+                   - ts * ts * trigamma(v.Ns + v.a0)[idx])
+        out["k_WAIC2"] = np.bincount(traj, weights=per_row, minlength=n_traj)
     return out
 
 
@@ -285,9 +257,7 @@ def predictive_log_density(
     if tmat.size == 0:
         return 0.0
     g = np.stack([train.get(k) for k in tkeys])
-    upper = log_multivariate_beta(g + tmat + prior.alpha, axis=-1)
-    lower = log_multivariate_beta(g + prior.alpha, axis=-1)
-    return float(np.sum(upper - lower))
+    return float(log_beta_ratio(g + prior.alpha, tmat)[0])
 
 
 # ---------------------------------------------------------------------------

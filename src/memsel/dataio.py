@@ -50,7 +50,7 @@ def read_trajectories_jsonl(
     """
     path = Path(path)
     raw: list[tuple[int, dict]] = []
-    header_states: list[str] | None = None
+    header_alphabet: StateAlphabet | None = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -63,11 +63,14 @@ def read_trajectories_jsonl(
             if not isinstance(obj, dict):
                 raise TrajectoryFormatError(lineno, "expected a JSON object")
             if "states" in obj and "seq" not in obj:
-                if header_states is not None or raw:
+                if header_alphabet is not None or raw:
                     raise TrajectoryFormatError(lineno, "header line must come first")
                 if not isinstance(obj["states"], list):
                     raise TrajectoryFormatError(lineno, '"states" must be a list of labels')
-                header_states = [str(s) for s in obj["states"]]
+                try:
+                    header_alphabet = StateAlphabet(tuple(obj["states"]))
+                except ValueError as exc:
+                    raise TrajectoryFormatError(lineno, str(exc)) from None
                 continue
             if "seq" not in obj:
                 raise TrajectoryFormatError(lineno, 'missing "seq" field')
@@ -76,15 +79,14 @@ def read_trajectories_jsonl(
         raise TrajectoryFormatError(0, "no trajectories in input")
 
     if states is not None:
-        labels = [str(s) for s in states]
-    elif header_states is not None:
-        labels = header_states
+        alphabet = StateAlphabet(tuple(states))
+    elif header_alphabet is not None:
+        alphabet = header_alphabet
     else:
         seen: set[str] = set()
         for _, obj in raw:
             seen.update(str(s) for s in obj["seq"])
-        labels = sorted(seen)
-    alphabet = StateAlphabet(tuple(labels))
+        alphabet = StateAlphabet(tuple(sorted(seen)))
 
     trajs: list[Trajectory] = []
     for lineno, obj in raw:

@@ -78,10 +78,16 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
 
     Counts are summed within each class, per trajectory and in total, so
     the reduced total still equals the reduced per-trajectory sum exactly.
-    Classes appear in order of first occurrence, like counted contexts.
+    Classes appear in order of first occurrence, like counted contexts. A
+    map that names a state token >= M for these counts is rejected.
     """
     if tie_map.h != tc.h:
         raise ValueError(f"tie map is for h={tie_map.h} but the counts have h={tc.h}")
+    m = tc.alphabet.size
+    for ctx in tie_map.assignments:
+        if max(ctx, default=START) >= m:
+            raise ValueError(f"tie map context {ctx!r} has state token {max(ctx)}, "
+                             f"outside the M={m} states 0..{m - 1}")
     keys, n = tc.total.matrix()
     classes = np.array([tie_map.class_of(ctx) for ctx in keys], dtype=np.int64)
     row, first = _first_occurrence(classes)

@@ -161,6 +161,14 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_repeated_header_labels_are_line_numbered(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('\n{"states": ["a", "a"]}\n{"id": "x", "seq": ["a"]}\n')
+        assert main(["criteria", "--input", str(bad), "--h-max", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "unique" in err
+
     @pytest.mark.parametrize("contexts", [["01"], 5])
     def test_tie_contexts_must_be_lists(self, season, tmp_path, capsys, contexts):
         # a string context is not split into its characters

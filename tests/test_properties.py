@@ -1,13 +1,14 @@
 """Property tests over random small instances (derandomized, so reproducible)."""
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import memsel.criteria
 from conftest import random_instance
 from memsel.chain import (
     START,
@@ -28,14 +29,18 @@ from memsel.criteria import (
 )
 from memsel.oracle import as_single_point, cv2_refit, loo_refit, mc_variance_loglik
 from memsel.simulate import generate_network, sample_trajectory
-from memsel.specfun import log_multivariate_beta, trigamma
+from memsel.specfun import log_beta_ratio, trigamma
 from memsel.tying import TieMap, tie_counts
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
 
 def reference_terms(tc, prior):
-    """LPPD, LOO, CV2 and k_WAIC2 (log scale), one trajectory at a time."""
+    """LPPD, LOO, CV2 and k_WAIC2 (log scale), one trajectory at a time.
+
+    Each trajectory's k_WAIC2 term adds its per-row values left to right,
+    the order in which ``np.bincount`` sums them.
+    """
     tables = [t for _, t in tc.per_trajectory]
     half = len(tables) // 2
     meta = dict(h=tc.h, alphabet=tc.alphabet, boundary=tc.boundary)
@@ -47,13 +52,14 @@ def reference_terms(tc, prior):
         if not keys:
             continue
         g = np.stack([tc.total.get(key) for key in keys])
-        lppd += float(np.sum(log_multivariate_beta(g + t + a) - log_multivariate_beta(g + a)))
-        loo += float(np.sum(log_multivariate_beta(g + a) - log_multivariate_beta((g - t) + a)))
+        lppd += float(log_beta_ratio(g + a, t)[0])
+        loo += float(log_beta_ratio((g - t) + a, t)[0])
         cv2 += predictive_log_density(folds[j >= half], table, prior)
         tf = t.astype(float)
         ts = tf.sum(axis=1)
-        k_waic2 += float(np.sum(tf * tf * trigamma(g + a))
-                         - np.sum(ts * ts * trigamma(g.sum(axis=1) + prior.total)))
+        per_row = ((tf * tf * trigamma(g + a)).sum(axis=1)
+                   - ts * ts * trigamma(g.sum(axis=1) + prior.total))
+        k_waic2 += reduce(add, per_row.tolist(), 0.0)
     return {"LPPD": -2.0 * lppd, "LOO": -2.0 * loo,
             "CV2": -2.0 * cv2 if len(tables) >= 2 else math.nan, "k_WAIC2": k_waic2}
 
@@ -113,35 +119,59 @@ def test_trajectory_order_leaves_argmin_unchanged(seed, j, m):
     h=st.integers(0, 4),
     mode=st.sampled_from(list(BoundaryMode)),
     asymmetric=st.booleans(),
-    block_rows=st.sampled_from([1, 3, 8, memsel.criteria._BLOCK_ROWS]),
 )
-def test_pointwise_kernel_matches_per_trajectory_loop(seed, m, j, h, mode, asymmetric,
-                                                       block_rows):
-    # TRUNCATED walks shorter than h + 1 leave trajectories with no rows;
-    # small block sizes split the stacked rows into many blocks
+def test_pointwise_kernel_matches_per_trajectory_loop(seed, m, j, h, mode, asymmetric):
+    # TRUNCATED walks shorter than h + 1 leave trajectories with no rows
     _, tc, prior = random_case(seed, m, j, h, mode, asymmetric)
-    default = memsel.criteria._BLOCK_ROWS
-    memsel.criteria._BLOCK_ROWS = block_rows
-    try:
-        assert_matches_reference(tc, prior)
-    finally:
-        memsel.criteria._BLOCK_ROWS = default
+    assert_matches_reference(tc, prior)
 
 
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(BoundaryMode)),
        asymmetric=st.booleans())
-def test_pointwise_kernel_matches_loop_beyond_one_block(seed, mode, asymmetric):
+def test_pointwise_kernel_matches_loop_on_long_walks(seed, mode, asymmetric):
     # walks of 20 to 1,500 steps over 8 states at h = 4 give tables of a
-    # few to ~1,300 rows: at the default block size some blocks hold
-    # several trajectories and some trajectories exceed a block alone
+    # few to ~1,300 rows, scored in one stacked call
     rng = np.random.default_rng(seed)
     trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 8, rng.integers(20, 1500)).tolist()))
              for i in range(8)]
     tc = count_transitions(trajs, 4, StateAlphabet.of_size(8), mode)
-    assert sum(t.n_contexts for _, t in tc.per_trajectory) > 2 * memsel.criteria._BLOCK_ROWS
     prior = DirichletPrior(rng.uniform(0.2, 3.0, 8)) if asymmetric else DirichletPrior.symmetric(8)
     assert_matches_reference(tc, prior)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 4),
+    j=st.integers(1, 5),
+    mode=st.sampled_from(list(BoundaryMode)),
+    asymmetric=st.booleans(),
+)
+def test_state_relabelling_leaves_values_and_argmin_unchanged(seed, m, j, mode, asymmetric):
+    # relabelling reorders every row's destinations, and so the order in
+    # which the log-beta kernel draws them: values agree to rounding
+    rng = np.random.default_rng(seed)
+    trajs = random_walks(rng, m, j, 12)
+    alpha = rng.uniform(0.2, 3.0, m) if asymmetric else np.ones(m)
+    p = rng.permutation(m)
+    relabelled = [Trajectory(tr.id, tuple(int(p[s]) for s in tr.steps)) for tr in trajs]
+    moved = np.empty(m)
+    moved[p] = alpha
+    alphabet = StateAlphabet.of_size(m)
+    a = evaluate_depths(trajs, alphabet, range(0, 4), DirichletPrior(alpha), mode)
+    b = evaluate_depths(relabelled, alphabet, range(0, 4), DirichletPrior(moved), mode)
+    for x, y in zip(a, b):
+        for name, value in x.values.items():
+            other = y.values[name]
+            assert (math.isclose(value, other, rel_tol=1e-12)
+                    or (math.isnan(value) and math.isnan(other))), name
+    for name in CRITERIA:
+        if name == "CV2" and j < 2:
+            continue
+        best_a, best_b = argmin(a, name), argmin(b, name)
+        if best_a.h != best_b.h:  # only an exact tie, broken by rounding, may flip
+            assert best_a.value(name) == a[best_b.h].value(name), name
 
 
 @PROPERTY

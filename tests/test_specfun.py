@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from memsel.specfun import digamma, log_gamma, log_multivariate_beta, trigamma
+from memsel.specfun import digamma, log_beta_ratio, trigamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -16,11 +17,18 @@ def grid(seed=0, n=4000):
     return np.concatenate([10 ** rng.uniform(-3, 6, n), [1e-3, 0.5, 1.0, 2.0, 1e6]])
 
 
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-    # ln(9!) by exact integer factorial
-    assert log_gamma(10.0) == pytest.approx(math.log(math.factorial(9)), rel=1e-13)
+def ratio(x, t):
+    """log B(x + t) - log B(x) of a single row."""
+    return float(log_beta_ratio([x], [t])[0])
+
+
+def mp_ratio(x, t):
+    """The same ratio in 50-digit mpmath log-gamma arithmetic."""
+    with mpmath.workdps(50):
+        def log_beta(v):
+            return sum(mpmath.loggamma(c) for c in v) - mpmath.loggamma(sum(v))
+        xs = [mpmath.mpf(float(c)) for c in x]
+        return log_beta([c + int(k) for c, k in zip(xs, t)]) - log_beta(xs)
 
 
 def test_digamma_known_values():
@@ -42,7 +50,6 @@ def test_grid_accuracy_against_scipy():
     # tolerance floors at 1 so tiny arguments (huge psi values) are judged
     # relatively; float64 cannot do better near psi'(1e-3) ~ 1e6
     z = grid()
-    assert np.max(np.abs(log_gamma(z) - sp.gammaln(z)) / np.maximum(1.0, np.abs(sp.gammaln(z)))) < 1e-12
     assert np.max(np.abs(digamma(z) - sp.digamma(z)) / np.maximum(1.0, np.abs(sp.digamma(z)))) < 1e-10
     ref = sp.polygamma(1, z)
     assert np.max(np.abs(trigamma(z) - ref) / np.maximum(1.0, np.abs(ref))) < 1e-10
@@ -51,7 +58,11 @@ def test_grid_accuracy_against_scipy():
 def test_recurrences_on_random_grid():
     rng = np.random.default_rng(42)
     z = 10 ** rng.uniform(-2, 4, 500)
-    assert np.allclose(log_gamma(z + 1) - log_gamma(z), np.log(z), rtol=1e-9, atol=1e-9)
+    # one draw: log B(x + e_m) - log B(x) = log(x_m / X)
+    x = np.stack([z, z[::-1]], axis=1)
+    one = np.tile([1, 0], (len(z), 1))
+    lbr = log_beta_ratio(x, one, np.arange(len(z)), len(z))
+    assert np.allclose(lbr, np.log(z / x.sum(axis=1)), rtol=1e-9, atol=1e-9)
     assert np.allclose(digamma(z + 1) - digamma(z), 1.0 / z, rtol=1e-9, atol=1e-9)
     assert np.allclose(trigamma(z + 1) - trigamma(z), -1.0 / z**2, rtol=1e-9, atol=1e-9)
 
@@ -60,32 +71,46 @@ def test_psi_functions_match_finite_differences():
     rng = np.random.default_rng(3)
     z = rng.uniform(0.5, 50.0, 200)
     step = 1e-4
-    fd_digamma = (log_gamma(z + step) - log_gamma(z - step)) / (2 * step)
+    fd_digamma = (sp.gammaln(z + step) - sp.gammaln(z - step)) / (2 * step)
     assert np.max(np.abs(fd_digamma - digamma(z))) < 1e-6
     fd_trigamma = (digamma(z + step) - digamma(z - step)) / (2 * step)
     assert np.max(np.abs(fd_trigamma - trigamma(z))) < 1e-6
 
 
 def test_log_beta_values():
-    assert log_multivariate_beta([1.0, 1.0]) == pytest.approx(0.0, abs=1e-14)
-    # factorials: 1! 2! / 4! = 1/12
-    assert log_multivariate_beta([2.0, 3.0]) == pytest.approx(math.log(1 / 12), rel=1e-13)
-    assert log_multivariate_beta([1.0, 1.0, 1.0]) == pytest.approx(math.log(0.5), rel=1e-13)
+    assert ratio([1.0, 1.0], [0, 0]) == 0.0
+    # factorials: B(2, 3) / B(1, 1) = 1! 2! / 4! = 1/12
+    assert ratio([1.0, 1.0], [1, 2]) == pytest.approx(math.log(1 / 12), rel=1e-13)
+    # B(2, 2, 2) / B(1, 1, 1) = (1 / 5!) / (1 / 2!) = 1/60
+    assert ratio([1.0, 1.0, 1.0], [1, 1, 1]) == pytest.approx(math.log(1 / 60), rel=1e-13)
+    # LPD of a row of counts N under a flat prior: B(2N + 1) / B(N + 1)
+    n = [3, 5]
+    expected = (math.lgamma(7) + math.lgamma(11) - math.lgamma(18)
+                - math.lgamma(4) - math.lgamma(6) + math.lgamma(10))
+    assert ratio([4.0, 6.0], n) == pytest.approx(expected, rel=1e-13)
 
 
 def test_log_beta_symmetry_and_rows():
     rng = np.random.default_rng(11)
-    v = rng.uniform(0.1, 20.0, 6)
-    p = rng.permutation(v)
-    assert log_multivariate_beta(v) == pytest.approx(log_multivariate_beta(p), rel=1e-12)
-    mat = rng.uniform(0.1, 9.0, (5, 4))
-    rows = log_multivariate_beta(mat, axis=-1)
+    x = rng.uniform(0.1, 20.0, 6)
+    t = rng.integers(0, 6, 6)
+    p = rng.permutation(6)
+    # destinations permuted together with their increments
+    assert ratio(x, t) == pytest.approx(ratio(x[p], t[p]), rel=1e-12)
+    mat, inc = rng.uniform(0.1, 9.0, (5, 4)), rng.integers(0, 7, (5, 4))
+    rows = log_beta_ratio(mat, inc, np.arange(5), 5)
     assert rows.shape == (5,)
     for i in range(5):
-        assert rows[i] == pytest.approx(log_multivariate_beta(mat[i]), rel=1e-12)
+        assert rows[i] == ratio(mat[i], inc[i])
+    # groups sum their own rows in order, whatever else is scored alongside
+    groups = np.array([1, 0, 1, 2, 1])
+    by_group = log_beta_ratio(mat, inc, groups, 4)
+    for k in range(4):
+        assert by_group[k] == log_beta_ratio(mat[groups == k], inc[groups == k])[0]
+    assert by_group[3] == 0.0
 
 
-@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
+@pytest.mark.parametrize("fn", [digamma, trigamma])
 def test_domain_errors(fn):
     for bad in (0.0, -1.5, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -94,8 +119,33 @@ def test_domain_errors(fn):
 
 def test_log_beta_domain_errors():
     with pytest.raises(ValueError):
-        log_multivariate_beta([1.0])
+        ratio([1.0], [1])
     with pytest.raises(ValueError):
-        log_multivariate_beta([1.0, 0.0])
+        log_beta_ratio([[1.0, 2.0]], [[1, 2, 3]])
+    for bad in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ratio([1.0, bad], [1, 1])
     with pytest.raises(ValueError):
-        log_multivariate_beta([1.0, -2.0])
+        ratio([1.0, 2.0], [1, -1])
+
+
+@pytest.mark.parametrize("base", [1e3, 1e5, 1e7, 1e8])
+def test_log_beta_ratio_keeps_digits_at_large_counts(base):
+    # small increments on large counts: a difference of two log-gamma sums
+    # loses ~1e-6 absolute here at 1e8; the per-draw sum does not
+    rng = np.random.default_rng(int(base))
+    x = np.floor(rng.uniform(0.1, 1.0, (20, 4)) * base) + rng.uniform(0.2, 3.0, 4)
+    t = rng.integers(0, 6, (20, 4))
+    got = log_beta_ratio(x, t, np.arange(20), 20)
+    err = max(abs(got[r] - float(mp_ratio(x[r], t[r]))) for r in range(20))
+    assert err <= 1e-13
+
+
+@pytest.mark.parametrize("total", [10**3, 10**5, 10**7])
+def test_log_beta_ratio_on_lpd_rows(total):
+    # LPD rows draw their own counts again: increment = count
+    rng = np.random.default_rng(total)
+    n = rng.multinomial(total, [0.4, 0.3, 0.2, 0.1])
+    x = n + rng.uniform(0.2, 3.0, 4)
+    expected = float(mp_ratio(x, n))
+    assert abs(ratio(x, n) - expected) <= 1e-12 * abs(expected)

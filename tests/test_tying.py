@@ -86,6 +86,15 @@ def test_h_mismatch_rejected():
         tie_counts(tc, jagged_free_throw_map(AB2))
 
 
+@pytest.mark.parametrize("ctx", [(5,), (START, 2)])
+def test_out_of_alphabet_tie_tokens_rejected(ctx):
+    # such a context can never be counted, so it would silently catch nothing
+    tc = count_transitions(binary_games(np.random.default_rng(3)), len(ctx), AB2)
+    tie_map = TieMap(len(ctx), 2, {ctx: 0}, default_class=1)
+    with pytest.raises(ValueError, match=rf"token {max(ctx)}.*M=2"):
+        tie_counts(tc, tie_map)
+
+
 def test_unmapped_context_without_default_rejected():
     tc = count_transitions([Trajectory("g", (0, 1, 1, 0))], 1, AB2)
     partial = TieMap(1, 2, {(START,): 0, (0,): 1})
