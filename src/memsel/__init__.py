@@ -38,6 +38,7 @@ from .oracle import (
     MIN_DRAWS,
     OracleEstimate,
     as_single_point,
+    audit,
     cv2_refit,
     loo_refit,
     mc_cv2,

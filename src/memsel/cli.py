@@ -29,15 +29,7 @@ from .dataio import (
     write_selection_csv,
     write_trajectories_jsonl,
 )
-from .oracle import (
-    MIN_DRAWS,
-    as_single_point,
-    mc_cv2,
-    mc_loo,
-    mc_lpd,
-    mc_lppd,
-    mc_variance_loglik,
-)
+from .oracle import MIN_DRAWS, audit
 from .simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
@@ -302,26 +294,12 @@ def cmd_oracle(args) -> int:
 
     # LPD and LPPD go back from the deviance scale to the log scale the
     # estimators work on; multiplying by -0.5 is exact.
-    checks: list[tuple[str, float, object]] = []
-    checks.append(("LPD", -0.5 * rep.value("LPD"),
-                   mc_lpd(tc.total, prior, args.draws, args.seed)))
-    checks.append(("LPPD", -0.5 * rep.value("LPPD"),
-                   mc_lppd(tc, prior, args.draws, args.seed + 1)))
-    checks.append(("LOO", rep.value("LOO"),
-                   mc_loo(tc, prior, args.draws, args.seed + 2)))
-    if tc.n_trajectories >= 2:
-        checks.append(("CV2", rep.value("CV2"),
-                       mc_cv2(tc, prior, args.draws, args.seed + 3)))
-    checks.append(("k_WAIC2", rep.value("k_WAIC2"),
-                   mc_variance_loglik(tc, prior, args.draws, args.seed + 4)))
-    est = mc_variance_loglik(as_single_point(tc), prior, args.draws, args.seed + 5)
-    checks.append(("k_DIC2", rep.value("k_DIC2"),
-                   type(est)(2.0 * est.estimate, 2.0 * est.std_error, est.draws)))
-
+    scale = {"LPD": -0.5, "LPPD": -0.5}
     rows = []
     worst = 0.0
     print(f"{'quantity':>8} {'closed':>14} {'mc':>14} {'se':>10} {'z':>7}")
-    for name, closed, estimate in checks:
+    for name, estimate in audit(tc, prior, args.draws, args.seed).items():
+        closed = scale.get(name, 1.0) * rep.value(name)
         z = estimate.z(closed)
         worst = max(worst, abs(z))
         print(f"{name:>8} {closed:14.6f} {estimate.estimate:14.6f} "

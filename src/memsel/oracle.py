@@ -6,6 +6,18 @@ posteriors. They share no code with the closed forms beyond the special
 functions, so agreement within a few standard errors is a genuine
 cross-check. The refit scorers at the bottom are the literal
 hold-out-and-score loops that LOO and CV2 collapse into closed form.
+
+Each cell (one posterior and the counts it scores) draws from its own
+stream, spawned from the seed of its cell set. ``audit`` makes every
+check of ``memsel oracle`` and draws each distinct cell set once:
+
+- the total rows at ``seed`` feed LPD and k_DIC2;
+- the per-trajectory posterior rows at ``seed + 1`` feed LPPD and k_WAIC2;
+- the leave-one-out rows at ``seed + 2`` feed LOO;
+- the two-fold rows at ``seed + 3`` feed CV2.
+
+So k_DIC2 and k_WAIC2 reuse LPD's and LPPD's draws, and every estimate
+equals the matching ``mc_*`` call at that seed.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ __all__ = [
     "mc_loo",
     "mc_cv2",
     "mc_variance_loglik",
+    "audit",
     "as_single_point",
     "loo_refit",
     "cv2_refit",
@@ -52,6 +65,10 @@ class OracleEstimate:
         if self.std_error == 0.0:
             return 0.0 if reference == self.estimate else math.inf
         return (reference - self.estimate) / self.std_error
+
+    def scaled(self, factor: float) -> "OracleEstimate":
+        """The estimate of ``factor`` times the quantity."""
+        return OracleEstimate(factor * self.estimate, abs(factor) * self.std_error, self.draws)
 
 
 def _require_draws(draws: int) -> int:
@@ -83,23 +100,32 @@ def _log_mean_power(t: np.ndarray) -> tuple[float, float]:
 
 
 def _variance(t: np.ndarray) -> tuple[float, float]:
-    """Sample variance of the draws, with its asymptotic variance."""
+    """Sample variance of the draws, with its asymptotic variance.
+
+    The variance is ``np.var(t, ddof=1)`` to the bit: the same mean,
+    squared deviations and pairwise sum.
+    """
     d = t - t.mean()
-    m2 = float(np.mean(d * d))
-    m4 = float(np.mean(d**4))
-    return float(np.var(t, ddof=1)), max(m4 - m2 * m2, 0.0) / t.size
+    d2 = d * d
+    ss = d2.sum()
+    m2 = float(ss / t.size)
+    m4 = float(np.mean(d2 * d2))
+    return float(ss / (t.size - 1)), max(m4 - m2 * m2, 0.0) / t.size
 
 
-def _sum_cells(cells, draws, seed, estimator=_log_mean_power) -> OracleEstimate:
-    """Independent per-cell estimates summed; standard errors in quadrature."""
+def _sum_cells(cells, draws, seed, estimators) -> list[OracleEstimate]:
+    """Per estimator, the independent per-cell estimates summed, standard
+    errors in quadrature; each cell's draws feed every estimator."""
     rngs = _cell_rngs(seed, len(cells))
-    est = 0.0
-    var = 0.0
+    est = [0.0] * len(estimators)
+    var = [0.0] * len(estimators)
     for (post, expo), rng in zip(cells, rngs):
-        e, v = estimator(_loglik_draws(post, expo, draws, rng))
-        est += e
-        var += v
-    return OracleEstimate(est, math.sqrt(var), draws)
+        t = _loglik_draws(post, expo, draws, rng)
+        for i, estimator in enumerate(estimators):
+            e, v = estimator(t)
+            est[i] += e
+            var[i] += v
+    return [OracleEstimate(e, math.sqrt(v), draws) for e, v in zip(est, var)]
 
 
 def _posterior_cells(tc: TrajectoryCounts, prior: DirichletPrior) -> list:
@@ -118,7 +144,7 @@ def mc_lpd(
     draws = _require_draws(draws)
     prior = _prior_for(total.alphabet, prior)
     cells = [(vec + prior.alpha, vec) for vec in total.rows.values()]
-    return _sum_cells(cells, draws, seed)
+    return _sum_cells(cells, draws, seed, (_log_mean_power,))[0]
 
 
 def mc_lppd(
@@ -135,7 +161,7 @@ def mc_lppd(
     """
     draws = _require_draws(draws)
     prior = _prior_for(tc.alphabet, prior)
-    return _sum_cells(_posterior_cells(tc, prior), draws, seed)
+    return _sum_cells(_posterior_cells(tc, prior), draws, seed, (_log_mean_power,))[0]
 
 
 def mc_loo(
@@ -149,8 +175,8 @@ def mc_loo(
     prior = _prior_for(tc.alphabet, prior)
     idx, counts, _ = tc.stacked()
     rest = tc.total.matrix()[1][idx] - counts
-    inner = _sum_cells(list(zip(rest + prior.alpha, counts)), draws, seed)
-    return OracleEstimate(-2.0 * inner.estimate, 2.0 * inner.std_error, draws)
+    cells = list(zip(rest + prior.alpha, counts))
+    return _sum_cells(cells, draws, seed, (_log_mean_power,))[0].scaled(-2.0)
 
 
 def mc_cv2(
@@ -171,8 +197,8 @@ def mc_cv2(
     np.add.at(first, idx[:split], counts[:split])  # exact: integer counts
     # each held-out row is scored against the other fold's counts
     train = np.concatenate(((n - first)[idx[:split]], first[idx[split:]]))
-    inner = _sum_cells(list(zip(train + prior.alpha, counts)), draws, seed)
-    return OracleEstimate(-2.0 * inner.estimate, 2.0 * inner.std_error, draws)
+    cells = list(zip(train + prior.alpha, counts))
+    return _sum_cells(cells, draws, seed, (_log_mean_power,))[0].scaled(-2.0)
 
 
 def mc_variance_loglik(
@@ -188,7 +214,35 @@ def mc_variance_loglik(
     """
     draws = _require_draws(draws)
     prior = _prior_for(tc.alphabet, prior)
-    return _sum_cells(_posterior_cells(tc, prior), draws, seed, _variance)
+    return _sum_cells(_posterior_cells(tc, prior), draws, seed, (_variance,))[0]
+
+
+def audit(
+    tc: TrajectoryCounts,
+    prior: DirichletPrior | None = None,
+    draws: int = 100_000,
+    seed: int = 0,
+) -> dict[str, OracleEstimate]:
+    """Every check of ``memsel oracle``, drawing each distinct cell set once.
+
+    Keys in report order: LPD, LPPD, LOO, CV2 (two or more trajectories
+    only), k_WAIC2 and k_DIC2, on the scales of the ``mc_*`` estimators.
+    LPD and k_DIC2 share the total rows' draws at ``seed``, LPPD and
+    k_WAIC2 the posterior rows' draws at ``seed + 1``; LOO and CV2 draw at
+    ``seed + 2`` and ``seed + 3``.
+    """
+    draws = _require_draws(draws)
+    prior = _prior_for(tc.alphabet, prior)
+    both = (_log_mean_power, _variance)
+    # the total rows, as one pseudo-trajectory, are mc_lpd's cells
+    lpd, half_dic = _sum_cells(_posterior_cells(as_single_point(tc), prior), draws, seed, both)
+    lppd, waic = _sum_cells(_posterior_cells(tc, prior), draws, seed + 1, both)
+    out = {"LPD": lpd, "LPPD": lppd, "LOO": mc_loo(tc, prior, draws, seed + 2)}
+    if tc.n_trajectories >= 2:
+        out["CV2"] = mc_cv2(tc, prior, draws, seed + 3)
+    out["k_WAIC2"] = waic
+    out["k_DIC2"] = half_dic.scaled(2.0)
+    return out
 
 
 def as_single_point(tc: TrajectoryCounts) -> TrajectoryCounts:

@@ -111,10 +111,21 @@ def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
     flat, totals = t.ravel(), t.sum(axis=1)
     cells = np.flatnonzero(flat)  # (row, destination) cells that draw
     reps = flat[cells]
-    pos = np.arange(int(totals.sum()))  # draw index over all rows
-    # k: draws before this one in its cell; i: draws before it in its row
-    k = pos - np.repeat(np.cumsum(reps) - reps, reps)
-    w = np.log(np.repeat(x.ravel()[cells], reps) + k)
-    i = pos - np.repeat(np.cumsum(totals) - totals, totals)
-    w -= np.log(np.repeat(x.sum(axis=1), totals) + i)
+    cell_start = np.cumsum(reps) - reps
+    row_start = np.cumsum(totals) - totals
+    # Draw-sized buffers are reused in place, at most three alive at once.
+    # k: draws before this one in its cell (from the draw index over all rows)
+    ki = np.arange(int(totals.sum()))
+    ki -= np.repeat(cell_start, reps)
+    w = np.repeat(x.ravel()[cells], reps)
+    w += ki
+    np.log(w, out=w)
+    # i: draws before this one in its row, k plus the cell's offset in its row
+    ki += np.repeat(cell_start - row_start[cells // t.shape[1]], reps)
+    xi = np.repeat(x.sum(axis=1), totals)
+    xi += ki
+    del ki
+    np.log(xi, out=xi)
+    w -= xi
+    del xi
     return np.bincount(np.repeat(group, totals), weights=w, minlength=n_groups)

@@ -1,9 +1,10 @@
 """Data files byte-identical to outputs recorded from fixed inputs.
 
 ``tests/data/expected`` holds ``criteria.csv`` for a 15-game season with
-``--tie jagged`` and for a 4-walk series with an h=2 tie-map file, plus
-``selection.csv`` and ``delta.csv`` for a fixed-seed M=4 grid. A change
-that moves any byte of them changes the program's results.
+``--tie jagged`` and for a 4-walk series with an h=2 tie-map file,
+``selection.csv`` and ``delta.csv`` for a fixed-seed M=4 grid, and
+``oracle.json`` for a fixed-seed h=1 audit of the season. A change that
+moves any byte of them changes the program's results.
 """
 
 from pathlib import Path
@@ -23,6 +24,8 @@ RUNS = {
     "grid": (["simulate", "--M", "4", "--h-true", "1", "--h-range", "1..3", "--J", "3",
               "--J", "6", "--replicates", "2", "--length-cap", "60", "--seed", "7"],
              {"selection.csv": "grid_selection.csv", "delta.csv": "grid_delta.csv"}),
+    "season_oracle": (["oracle", "--input", str(DATA / "season.jsonl"), "--h", "1",
+                       "--draws", "1000", "--seed", "0"], {"oracle.json": "season_oracle.json"}),
 }
 
 

@@ -1,15 +1,19 @@
 """Monte-Carlo oracle behavior (small-draw smoke level; the full
 50-instance audit runs in the acceptance suite)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_instance
 from memsel.chain import StateAlphabet, Trajectory, count_transitions
-from memsel.criteria import evaluate, lpd
+from memsel.criteria import DirichletPrior, evaluate, lpd
 from memsel.oracle import (
     MIN_DRAWS,
+    _variance,
     as_single_point,
+    audit,
     cv2_refit,
     loo_refit,
     mc_cv2,
@@ -83,6 +87,43 @@ def test_variance_oracle_validates_waic2_and_dic2():
         kd2 = rep.value("k_DIC2")
         est_total = mc_variance_loglik(as_single_point(tc), draws=DRAWS, seed=600 + i)
         assert abs((kd2 / 2 - est_total.estimate) / est_total.std_error) < 4.0
+
+
+def test_audit_equals_one_estimator_per_seed():
+    # audit draws each cell set once; every row equals its own mc_* call
+    rng = np.random.default_rng(8)
+    for i in range(8):
+        _, _, tc = random_instance(rng, j=int(rng.integers(1, 5)))
+        prior = None if i % 2 else DirichletPrior(rng.uniform(0.2, 3.0, tc.alphabet.size))
+        seed, draws = 700 + 10 * i, 2_000
+        got = audit(tc, prior, draws, seed)
+        want = {"LPD": mc_lpd(tc.total, prior, draws, seed),
+                "LPPD": mc_lppd(tc, prior, draws, seed + 1),
+                "LOO": mc_loo(tc, prior, draws, seed + 2)}
+        if tc.n_trajectories >= 2:
+            want["CV2"] = mc_cv2(tc, prior, draws, seed + 3)
+        want["k_WAIC2"] = mc_variance_loglik(tc, prior, draws, seed + 1)
+        half = mc_variance_loglik(as_single_point(tc), prior, draws, seed)
+        assert list(got) == list(want) + ["k_DIC2"]
+        for name, est in want.items():
+            assert got[name] == est, name
+        assert got["k_DIC2"].estimate == 2.0 * half.estimate
+        assert got["k_DIC2"].std_error == 2.0 * half.std_error
+        assert got["k_DIC2"].draws == draws
+
+
+def test_variance_estimator_matches_numpy_and_fourth_moment_form():
+    rng = np.random.default_rng(9)
+    for n in (1_000, 4_097, 20_000):
+        p = rng.dirichlet(rng.uniform(0.3, 5.0, 3), size=n)
+        for t in (rng.normal(rng.normal(0.0, 5.0), rng.uniform(0.1, 3.0), n),
+                  np.log(p) @ np.array([3.0, 1.0, 0.0])):
+            var, var_of_var = _variance(t)
+            assert var == float(np.var(t, ddof=1))
+            d = t - t.mean()
+            m2 = float(np.mean(d * d))
+            se_pow = math.sqrt(max(float(np.mean(d**4)) - m2 * m2, 0.0) / n)
+            assert abs(math.sqrt(var_of_var) - se_pow) <= 1e-12 * se_pow
 
 
 def test_known_variance_value():
