@@ -1,0 +1,341 @@
+#!/usr/bin/env python3
+"""Time counting plus scoring at a base commit and in this checkout; write BENCH_evaluate.json.
+
+Usage, from the root of a git checkout:
+
+    python3 bench/evaluate.py --base <commit> [--rounds 5] [--out BENCH_evaluate.json]
+
+The base side is the ``src/`` of ``<commit>``, exported with ``git
+archive``; the change side is this checkout's ``src/``. Each side runs in
+its own worker interpreters, all pinned to the same CPU, and the sides
+take turns call by call (never at once), alternating which goes first,
+so host-speed drift lands on both sides alike.
+
+Calls timed, each one ``criteria.evaluate_depths`` on inputs made by
+``perfbench/gen.py`` (plain numpy, so both sides score the same data):
+
+- ``power_grid``-shaped: the first J of an M=8, h=1 absorbing batch
+  (``gen.absorbing_batch``, entries 0..7) at J = 4, 16 and 64, scored at
+  h = 1..5 under all nine criteria, as one power-study replicate does;
+- ``long_series``-shaped: 20 x 600 steps of an order-2 chain on 4 states
+  with its h=2 tie map (``gen.long_series``, entries 0..3), scored at
+  h = 0..5 plus the tied model.
+
+Each shape runs in a fresh worker per side, so the worker's peak RSS
+(``ru_maxrss``) belongs to that shape; one call per entry is also
+measured under ``tracemalloc``. Then, once per side and round:
+``memsel simulate --profile ci --seed 1`` (wall time and the sha256 of
+``selection.csv``, ``delta.csv`` and ``summary.json``), and a
+``--profile paper`` estimate: replicates of the J=4 and J=256 cells
+(M=8, h_true=1, h = 1..5, all criteria, one shared network) timed
+through ``simulate._replicate_values``, a line a + b J through the two
+per-replicate means, summed over the seven paper J values x 10^4
+replicates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAPER_J = (4, 8, 16, 32, 64, 128, 256)
+PAPER_REPLICATES = 10_000
+GRID_J = (4, 16, 64)
+GRID_ENTRIES = 8
+LONG_ENTRIES = 4
+# replicates timed per paper cell: (J index in PAPER_J, replicates)
+PAPER_CELLS = ((0, 60), (6, 4))
+
+
+# ---------------------------------------------------------------------------
+# Worker side: one interpreter per source tree and shape
+
+
+def _digest(reports) -> str:
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(repr((rep.label, sorted((k, float.hex(v)) for k, v in rep.values.items())))
+                 .encode())
+    return h.hexdigest()
+
+
+def worker(src: str, cpu: int) -> int:
+    """Answer one JSON request per line with one JSON reply per line."""
+    os.sched_setaffinity(0, {cpu})
+    os.environ.pop("MEMSEL_THREADS", None)
+    sys.path.insert(0, src)
+    from memsel import cli, criteria, dataio, simulate
+    from memsel.chain import StateAlphabet, Trajectory
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"memsel was imported from {cli.__file__}, not {src}")
+    inputs = {}
+
+    def load(req):
+        key = json.dumps(req["input"], sort_keys=True)
+        if key not in inputs:
+            spec = req["input"]
+            if spec["kind"] == "walks":
+                alphabet = StateAlphabet.of_size(spec["m"])
+                trajs = [Trajectory(f"t{i}", tuple(w)) for i, w in enumerate(spec["walks"])]
+                inputs[key] = (trajs, alphabet, spec["hs"], {})
+            else:
+                alphabet, trajs = dataio.read_trajectories_jsonl(Path(spec["series"]))
+                tie = dataio.load_tie_map(Path(spec["tie_map"]), alphabet)
+                inputs[key] = (trajs, alphabet, spec["hs"], {"tie_map": tie})
+        return inputs[key]
+
+    for line in sys.stdin:
+        req = json.loads(line)
+        reply = {}
+        if req["op"] == "depths":
+            trajs, alphabet, hs, kw = load(req)
+            t0 = time.perf_counter()
+            for _ in range(req["repeat"]):
+                reports = criteria.evaluate_depths(trajs, alphabet, hs, **kw)
+            reply["seconds"] = (time.perf_counter() - t0) / req["repeat"]
+            reply["digest"] = _digest(reports)
+        elif req["op"] == "traced":
+            trajs, alphabet, hs, kw = load(req)
+            tracemalloc.start()
+            criteria.evaluate_depths(trajs, alphabet, hs, **kw)
+            reply["peak_kb"] = tracemalloc.get_traced_memory()[1] / 1024
+            tracemalloc.stop()
+        elif req["op"] == "cli":
+            buf = io.StringIO()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+                reply["rc"] = cli.main(req["argv"] + ["--out", req["out"]])
+            reply["seconds"] = time.perf_counter() - t0
+            reply["sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                               for p in sorted(Path(req["out"]).iterdir())
+                               if p.name != "manifest.json"}
+        elif req["op"] == "paper_cell":
+            cfg = simulate.SimConfig(m=8, h_true=1, h_range=(1, 2, 3, 4, 5), J_values=PAPER_J,
+                                     replicates=req["replicates"], seed=req["seed"])
+            net = simulate.generate_network(cfg.m, cfg.h_true, cfg.seed)
+            t0 = time.perf_counter()
+            for rep in range(req["replicates"]):
+                simulate._replicate_values(cfg, net, req["j_index"], rep)
+            reply["seconds_per_replicate"] = (time.perf_counter() - t0) / req["replicates"]
+        reply["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        sys.stdout.write(json.dumps(reply) + "\n")
+        sys.stdout.flush()
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Scheduling side: runs the calls in turn and writes the result
+
+
+class Side:
+    def __init__(self, name: str, src: Path, cpu: int):
+        self.name = name
+        env = {k: v for k, v in os.environ.items() if k != "MEMSEL_THREADS"}
+        env["PYTHONHASHSEED"] = "0"
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(src), "--cpu", str(cpu)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT)
+
+    def run(self, req: dict) -> dict:
+        self.proc.stdin.write(json.dumps(req) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"{self.name} worker exited")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _export_src(commit: str, dest: Path) -> Path:
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", commit, "src"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _src_digest(src: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((src / "memsel").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _quartiles(xs: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "n": len(xs)}
+
+
+def _machine(cpu: int) -> dict:
+    model = None
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    import numpy
+
+    return {"cpu_model": model, "nproc": os.cpu_count(), "pinned_cpu": cpu,
+            "platform": platform.platform(), "python": platform.python_version(),
+            "numpy": numpy.__version__}
+
+
+def _shape_inputs(work: Path) -> dict[str, list[dict]]:
+    import gen  # the benchmark's plain-numpy input generators
+
+    grid = []
+    for entry in range(GRID_ENTRIES):
+        walks = gen.absorbing_batch(entry)
+        grid += [{"kind": "walks", "m": gen.BATCH_STATES, "hs": [1, 2, 3, 4, 5],
+                  "walks": walks[:j], "label": f"entry {entry}, J={j}"} for j in GRID_J]
+    long = []
+    for entry in range(LONG_ENTRIES):
+        series, tie = gen.long_series(entry, work / "long" / str(entry))
+        long.append({"kind": "series", "series": str(series), "tie_map": str(tie),
+                     "hs": [0, 1, 2, 3, 4, 5], "label": f"entry {entry}"})
+    return {"power_grid": grid, "long_series": long}
+
+
+def _time_shape(srcs: dict, cpu: int, inputs: list[dict], rounds: int, repeat: int) -> dict:
+    """Paired per-call timings of one shape, in fresh workers per side."""
+    with contextlib.ExitStack() as stack:
+        sides = {name: Side(name, src, cpu) for name, src in srcs.items()}
+        for side in sides.values():
+            stack.callback(side.close)
+        calls = {name: [] for name in sides}
+        digests = {name: [] for name in sides}
+        order = list(sides)
+        for r in range(rounds + 1):  # round 0 warms up (imports, first-call costs)
+            for spec in inputs:
+                for name in order:
+                    reply = sides[name].run({"op": "depths", "input": spec, "repeat": repeat})
+                    if r:
+                        calls[name].append(reply["seconds"])
+                    else:
+                        digests[name].append(reply["digest"])
+                order.reverse()
+        traced = {name: [side.run({"op": "traced", "input": spec})["peak_kb"] for spec in inputs]
+                  for name, side in sides.items()}
+        rss = {name: side.run({"op": "depths", "input": inputs[0], "repeat": 1})["maxrss_mb"]
+               for name, side in sides.items()}
+    ratios = [b / c for b, c in zip(calls["base"], calls["change"])]
+    return {
+        "entries": [spec["label"] for spec in inputs], "rounds": rounds, "calls_per_timing": repeat,
+        "per_call_s": {name: _quartiles(xs) for name, xs in calls.items()},
+        "paired_speedup": _quartiles(ratios),
+        "change_ahead_in_pairs": f"{sum(x > 1.0 for x in ratios)}/{len(ratios)}",
+        "peak_rss_mb": rss,
+        "tracemalloc_peak_kb_max": {name: max(v) for name, v in traced.items()},
+        "reports_identical_in_every_entry": digests["base"] == digests["change"],
+    }
+
+
+def compare(args) -> int:
+    cpu = min(os.sched_getaffinity(0))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    result = {"topic": "evaluate",
+              "command": " ".join(["python3", "bench/evaluate.py"] + sys.argv[1:])}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        srcs = {"base": _export_src(args.base, work / "base"), "change": ROOT / "src"}
+        result["machine"] = _machine(cpu)
+        result["base"] = {"commit": _git("rev-parse", args.base),
+                          "src_sha256": _src_digest(srcs["base"])}
+        result["change"] = {"checkout_head": _git("rev-parse", "HEAD"),
+                            "src_sha256": _src_digest(srcs["change"])}
+        shapes = _shape_inputs(work)
+        result["power_grid_shape"] = _time_shape(srcs, cpu, shapes["power_grid"], args.rounds, 20)
+        result["long_series_shape"] = _time_shape(srcs, cpu, shapes["long_series"], args.rounds, 3)
+        for key in ("power_grid_shape", "long_series_shape"):
+            print(f"{key}: {json.dumps(result[key]['paired_speedup'])}", file=sys.stderr)
+
+        with contextlib.ExitStack() as stack:
+            sides = {name: Side(name, src, cpu) for name, src in srcs.items()}
+            for side in sides.values():
+                stack.callback(side.close)
+            ci = {name: [] for name in sides}
+            paper = {name: {j: [] for j, _ in PAPER_CELLS} for name in sides}
+            order = list(sides)
+            for r in range(args.rounds):
+                for name in order:
+                    reply = sides[name].run({"op": "cli", "out": str(work / f"ci-{name}-{r}"),
+                                             "argv": ["simulate", "--profile", "ci", "--seed", "1"]})
+                    ci[name].append(reply)
+                    for j_index, reps in PAPER_CELLS:
+                        cell = sides[name].run({"op": "paper_cell", "j_index": j_index,
+                                                "replicates": reps, "seed": r})
+                        paper[name][j_index].append(cell["seconds_per_replicate"])
+                order.reverse()
+                print(f"round {r + 1}/{args.rounds}: simulate --profile ci "
+                      f"base {ci['base'][-1]['seconds']:.2f} s, "
+                      f"change {ci['change'][-1]['seconds']:.2f} s", file=sys.stderr)
+
+    def estimate(per_rep: dict) -> dict:
+        (j0, _), (j1, _) = PAPER_CELLS
+        t0, t1 = statistics.median(per_rep[j0]), statistics.median(per_rep[j1])
+        slope = (t1 - t0) / (PAPER_J[j1] - PAPER_J[j0])
+        total = PAPER_REPLICATES * sum(t0 + slope * (j - PAPER_J[j0]) for j in PAPER_J)
+        return {f"J={PAPER_J[j0]}_s_per_replicate": t0, f"J={PAPER_J[j1]}_s_per_replicate": t1,
+                "estimate_s_per_h_true": total}
+
+    result["simulate_profile_ci_seed1"] = {
+        "call": "memsel simulate --profile ci --seed 1",
+        "wall_s": {name: _quartiles([x["seconds"] for x in xs]) for name, xs in ci.items()},
+        "exit_codes": {name: sorted({str(x["rc"]) for x in xs}) for name, xs in ci.items()},
+        "output_sha256": {name: xs[0]["sha256"] for name, xs in ci.items()},
+        "outputs_identical": all(x["sha256"] == ci["base"][0]["sha256"]
+                                 for xs in ci.values() for x in xs),
+    }
+    result["paper_profile_estimate"] = {
+        "model": "per-replicate time a + b J through the J=4 and J=256 medians, "
+                 "summed over J in 4..256 (7 values) x 10^4 replicates, for one h_true",
+        "cells": {f"J={PAPER_J[j]}": reps for j, reps in PAPER_CELLS},
+        **{name: estimate(per_rep) for name, per_rep in paper.items()},
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(json.dumps({k: result[k]["paired_speedup"]
+                      for k in ("power_grid_shape", "long_series_shape")}))
+    return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", help="commit to compare against (its src/ is exported with git archive)")
+    ap.add_argument("--rounds", type=int, default=5, help="timed passes over each shape's inputs")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_evaluate.json"))
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        return worker(args.worker, args.cpu)
+    if not args.base:
+        ap.error("--base is required")
+    return compare(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

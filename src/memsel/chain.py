@@ -6,10 +6,12 @@ trajectory have incomplete histories; ``BoundaryMode`` decides whether
 they are counted against START-padded contexts or skipped entirely.
 
 A context is a plain tuple of h tokens, oldest first: state ids, with
-START only as a prefix. Counting is one numpy pass per depth over integer
-context codes (base M+1, START a digit of its own), with rows in order of
-first occurrence; the tuple key is made once per distinct row, never once
-per step.
+START only as a prefix. Counting runs over integer context codes (base
+M+1, START a digit of its own), with rows in order of first occurrence;
+the tuple key is made once per distinct row, never once per step. Several
+depths of one dataset are counted in one pass: each depth's code is the
+previous depth's code with one more digit on top, and the step array is
+built once.
 """
 
 from __future__ import annotations
@@ -260,12 +262,30 @@ def count_transitions(
     max(L - h, 0) counts. Rows appear in order of first occurrence, in the
     total table and in every trajectory's table.
     """
-    mode = BoundaryMode(mode)
     if h < 0:
         raise ValueError("memory depth h must be >= 0")
+    return _count_depths(trajectories, [h], alphabet, mode)[h]
+
+
+def _count_depths(
+    trajectories: Iterable[Trajectory],
+    hs: Iterable[int],
+    alphabet: StateAlphabet,
+    mode: BoundaryMode = BoundaryMode.PADDED,
+) -> dict[int, TrajectoryCounts]:
+    """``count_transitions`` at every depth in ``hs`` (each >= 0), sharing the work.
+
+    The concatenated steps and their trajectory and position indices are
+    built once. Depth h's context code is depth h-1's code with the lag-h
+    digit on top, so one pass over the lags reaches the deepest context,
+    counting each wanted depth on the way; the codes are re-ranked
+    whenever the next digit would overflow int64.
+    """
+    mode = BoundaryMode(mode)
     trajs = list(trajectories)
     if not trajs:
         raise ValueError("no trajectories to count")
+    hs = sorted(set(hs))
     m = alphabet.size
     lengths = np.array([len(tr.steps) for tr in trajs])
     steps = np.fromiter(itertools.chain.from_iterable(tr.steps for tr in trajs), np.int64,
@@ -276,26 +296,31 @@ def count_transitions(
                          f"outside alphabet of size {m}")
     traj = np.repeat(np.arange(len(trajs)), lengths)
     pos = np.arange(steps.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    at = np.flatnonzero(pos >= (h if mode is BoundaryMode.TRUNCATED else 0))
-    # one base-(M+1) digit per lag; re-ranking keeps the codes inside int64
-    code, span = np.zeros(at.size, dtype=np.int64), 1
-    for lag in range(h, 0, -1):
-        if span * (m + 1) > 2**63:
-            uniq, code = np.unique(code, return_inverse=True)
-            span = uniq.size
-        code = code * (m + 1) + _digit(steps, pos, at, lag)
-        span *= m + 1
-    row, first = _first_occurrence(code)
-    prow, idx, bounds = _stack(traj[at], row, first.size, len(trajs))
-    dest = steps[at]
-    n = np.bincount(row * m + dest, minlength=first.size * m).reshape(-1, m)
-    t = np.bincount(prow * m + dest, minlength=idx.size * m).reshape(-1, m)
-    # one token tuple per distinct row, decoded from the step where it first occurs
-    toks = np.empty((first.size, h), dtype=np.int64)
-    for j in range(h):
-        toks[:, j] = _digit(steps, pos, at[first], h - j) - 1
-    total = CountTable._counted(h, alphabet, mode, map(tuple, toks.tolist()), n)
-    return TrajectoryCounts([tr.id for tr in trajs], total, idx, t, bounds)
+    ids = [tr.id for tr in trajs]
+    every = np.arange(steps.size)
+    code, span, out = np.zeros(steps.size, dtype=np.int64), 1, {}
+    for h in range(hs[-1] + 1):
+        if h:
+            if span * (m + 1) > 2**63:
+                uniq, code = np.unique(code, return_inverse=True)
+                span = uniq.size
+            code += _digit(steps, pos, every, h) * span
+            span *= m + 1
+        if h not in hs:
+            continue
+        at = np.flatnonzero(pos >= (h if mode is BoundaryMode.TRUNCATED else 0))
+        row, first = _first_occurrence(code[at])
+        prow, idx, bounds = _stack(traj[at], row, first.size, len(trajs))
+        dest = steps[at]
+        n = np.bincount(row * m + dest, minlength=first.size * m).reshape(-1, m)
+        t = np.bincount(prow * m + dest, minlength=idx.size * m).reshape(-1, m)
+        # one token tuple per distinct row, decoded from the step where it first occurs
+        toks = np.empty((first.size, h), dtype=np.int64)
+        for j in range(h):
+            toks[:, j] = _digit(steps, pos, at[first], h - j) - 1
+        total = CountTable._counted(h, alphabet, mode, map(tuple, toks.tolist()), n)
+        out[h] = TrajectoryCounts(ids, total, idx, t, bounds)
+    return out
 
 
 def merge_counts(

@@ -106,7 +106,8 @@ def _load_input(args):
     return alphabet, trajs
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path], seed) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path], seed,
+                    telemetry: dict | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
@@ -117,6 +118,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if telemetry is not None:
+        manifest["telemetry"] = telemetry
     with (out_dir / "manifest.json").open("w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -255,6 +258,7 @@ def cmd_simulate(args) -> int:
             "jagged_win_rate": result.jagged_win_rate,
             "selection": result.selection.to_records(),
         }
+        telemetry = None  # game lengths are Poisson draws: nothing is capped
     else:
         try:
             cfg = _sim_config(args)
@@ -275,10 +279,15 @@ def cmd_simulate(args) -> int:
             "deltas": result.deltas.to_records(),
         }
         config = summary["config"]
+        telemetry = {"truncated_walks": result.truncated_walks}
+        if result.truncated_walks:
+            walks = cfg.replicates * sum(cfg.J_values)
+            print(f"warning: {result.truncated_walks} of {walks} walks hit the length cap "
+                  f"({cfg.length_cap} steps) before absorption", file=sys.stderr)
     with (out_dir / "summary.json").open("w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out_dir, "simulate", config, [], seed=args.seed)
+    _write_manifest(out_dir, "simulate", config, [], seed=args.seed, telemetry=telemetry)
     print(f"wrote {out_dir / 'selection.csv'}")
     return EXIT_OK
 

@@ -8,9 +8,12 @@ trigamma terms over the observed count rows. All values are reported on
 the deviance scale (-2 x log predictive quantity), so lower is better for
 every criterion.
 
-LPPD, LOO, CV2 and k_WAIC2 sum over (trajectory, context) rows: one
-pointwise kernel scores each of them over all stacked rows at once, one
-term per trajectory.
+LPPD, LOO, CV2 and k_WAIC2 sum over (trajectory, context) rows, one term
+per trajectory. One scorer, ``_score``, serves ``evaluate`` (one model)
+and ``evaluate_depths`` (every depth plus a tied model): it stacks the
+rows of consecutive models, within a size bound, and runs each kernel
+once per batch, with every sum taken in the order of one model scored
+alone, so batching never changes a bit of the output.
 
 Criterion names used throughout: AIC, DIC1, DIC2, LPD, LPPD, WAIC1,
 WAIC2, LOO, CV2.
@@ -32,7 +35,7 @@ from .chain import (
     StateAlphabet,
     Trajectory,
     TrajectoryCounts,
-    count_transitions,
+    _count_depths,
 )
 from .specfun import digamma, log_beta_ratio, trigamma
 from .tying import TieMap, tie_counts, tied_param_count
@@ -133,90 +136,12 @@ def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Internal aligned-array view and kernels
+# Internal kernels
 
 
-class _View:
-    """Aligned array form of a TrajectoryCounts for vectorised criterion sums."""
-
-    __slots__ = ("N", "Ns", "alpha", "a0")
-
-    def __init__(self, tc: TrajectoryCounts, prior: DirichletPrior):
-        self.N = tc.total.matrix()[1]
-        self.Ns = self.N.sum(axis=1)
-        self.alpha, self.a0 = prior.alpha, prior.total
-
-
-def _aic(N: np.ndarray, Ns: np.ndarray, k_params: int) -> float:
-    # -2 sum N log(N / N_row) + 2 k, with 0 log 0 = 0
-    if N.size == 0:
-        ml_loglik = 0.0
-    else:
-        ratio = np.where(N > 0, N / Ns[:, None], 1.0)
-        ml_loglik = float(np.sum(N * np.log(ratio)))
-    return -2.0 * ml_loglik + 2.0 * float(k_params)
-
-
-def _lpd(N: np.ndarray, alpha: np.ndarray) -> float:
-    return float(log_beta_ratio(N + alpha, N)[0])
-
-
-def _pointwise(tc: TrajectoryCounts, v: _View, names: set[str]) -> dict[str, np.ndarray]:
-    """Per-trajectory log-scale terms of "LPPD", "LOO", "CV2" and "k_WAIC2".
-
-    Trajectory j's term sums, over its count rows t with total rows g and
-    rows c of the other CV2 fold (the first floor(J/2) trajectories against
-    the rest and vice versa): log B(g + t + a) - log B(g + a) for LPPD,
-    log B(g + a) - log B(g - t + a) for LOO, log B(c + t + a) - log B(c + a)
-    for CV2, and t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2.
-    Each is one call over all the rows of ``tc.stacked()`` grouped by
-    trajectory: ``log_beta_ratio`` for the log-beta terms, and for k_WAIC2
-    one ``np.bincount`` of the per-row values. Both sum a trajectory's
-    terms sequentially in row order, so every value is bit-identical to
-    scoring one trajectory at a time (``predictive_log_density`` included).
-    """
-    idx, t, bounds = tc.stacked()
-    n_traj, a = tc.n_trajectories, v.alpha
-    traj = np.repeat(np.arange(n_traj), np.diff(bounds))
-    out = {}
-    if "LPPD" in names:
-        out["LPPD"] = log_beta_ratio(v.N[idx] + a, t, traj, n_traj)
-    if "LOO" in names:
-        out["LOO"] = log_beta_ratio((v.N[idx] - t) + a, t, traj, n_traj)
-    if "CV2" in names:
-        split = bounds[n_traj // 2]
-        first = np.zeros_like(v.N)
-        np.add.at(first, idx[:split], t[:split])  # exact: integer counts
-        c = np.concatenate(((v.N - first)[idx[:split]], first[idx[split:]]))
-        out["CV2"] = log_beta_ratio(c + a, t, traj, n_traj)
-    if "k_WAIC2" in names:
-        tf, ts = t.astype(float), t.sum(axis=1).astype(float)
-        per_row = ((tf * tf * trigamma(v.N + a)[idx]).sum(axis=1)
-                   - ts * ts * trigamma(v.Ns + v.a0)[idx])
-        out["k_WAIC2"] = np.bincount(traj, weights=per_row, minlength=n_traj)
-    return out
-
-
-def _post_mean_loglik(v: _View) -> float:
-    # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
-    if v.N.size == 0:
-        return 0.0
-    return float(np.sum(v.N * (digamma(v.N + v.alpha) - digamma(v.Ns + v.a0)[:, None])))
-
-
-def _plugin_loglik(v: _View) -> float:
-    # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
-    if v.N.size == 0:
-        return 0.0
-    return float(np.sum(v.N * (np.log(v.N + v.alpha) - np.log(v.Ns + v.a0)[:, None])))
-
-
-def _k_dic2(v: _View) -> float:
-    if v.N.size == 0:
-        return 0.0
-    n, ns = v.N.astype(float), v.Ns.astype(float)
-    term = np.sum(n * n * trigamma(v.N + v.alpha), axis=1) - ns * ns * trigamma(v.Ns + v.a0)
-    return 2.0 * float(np.sum(term))
+def _ml_terms(N: np.ndarray, Ns: np.ndarray) -> np.ndarray:
+    # N log(N / N_row) per cell, with 0 log 0 = 0: the maximum log likelihood's terms
+    return N * np.log(np.where(N > 0, N / Ns[:, None], 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +153,7 @@ def aic(total: CountTable, k_params: int) -> float:
     if k_params < 1:
         raise ValueError("k_params must be >= 1")
     _, n = total.matrix()
-    return _aic(n, n.sum(axis=1), k_params)
+    return -2.0 * float(np.sum(_ml_terms(n, n.sum(axis=1)))) + 2.0 * float(k_params)
 
 
 def lpd(total: CountTable, prior: DirichletPrior | None = None) -> float:
@@ -238,7 +163,8 @@ def lpd(total: CountTable, prior: DirichletPrior | None = None) -> float:
     dataset (the Bayes-factor numerator). Reports store -2 x this value.
     """
     prior = _prior_for(total.alphabet, prior)
-    return _lpd(total.matrix()[1], prior.alpha)
+    n = total.matrix()[1]
+    return float(log_beta_ratio(n + prior.alpha, n)[0])
 
 
 def predictive_log_density(
@@ -312,6 +238,162 @@ def _normalize_which(which) -> tuple[str, ...]:
     return names
 
 
+# Consecutive models are scored together while their sizes add up to at most
+# this many; a larger model is scored alone. A model's size is its stacked
+# count cells (per-trajectory rows x M) plus its transitions, one Polya draw
+# each in ``log_beta_ratio``: the two lengths of the batch's temporaries.
+# Small power-study replicates batch all their depths; long series, with
+# thousands of transitions per depth, score one depth at a time.
+_BATCH_CELLS = 2**14
+
+# which criteria use each per-trajectory term
+_TERM_USERS = {"LPPD": {"LPPD", "WAIC1", "WAIC2"}, "LOO": {"LOO"}, "CV2": {"CV2"},
+               "k_WAIC2": {"WAIC2"}}
+
+
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    # a single model's arrays are used as they are, without a copy
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _score(tcs: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[str, ...],
+           ks: Sequence[int], labels: Sequence[str | None]) -> list[CriterionReport]:
+    """Reports for several models, scored in batches of consecutive models."""
+    reports, lo, batch_size = [], 0, 0
+    for hi, tc in enumerate(tcs):
+        counts = tc.stacked()[1]
+        size = counts.size + int(counts.sum())
+        if hi > lo and batch_size + size > _BATCH_CELLS:
+            reports += _score_batch(tcs[lo:hi], prior, which, ks[lo:hi], labels[lo:hi])
+            lo, batch_size = hi, 0
+        batch_size += size
+    return reports + _score_batch(tcs[lo:], prior, which, ks[lo:], labels[lo:])
+
+
+def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
+    """Score models together: their rows are stacked, model after model.
+
+    Total rows and (trajectory, context) rows are each stacked model by
+    model, so every kernel runs once per batch: one ``log_beta_ratio``
+    call per log-beta criterion, with one group per (model, trajectory)
+    (one per model for LPD), one digamma and one trigamma pair, and
+    elementwise terms whose per-model sums run over each model's own
+    contiguous slice. Trajectory j's log terms sum, over its count rows t
+    with total rows g and rows c of the other CV2 fold (the first
+    floor(J/2) trajectories against the rest and vice versa):
+    log B(g + t + a) - log B(g + a) for LPPD, log B(g + a) - log B(g - t + a)
+    for LOO, log B(c + t + a) - log B(c + a) for CV2, and
+    t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Every sum
+    adds a model's own terms in the order one model scored alone would,
+    so each value is bit-identical to scoring the models one at a time.
+    """
+    need = set(which)
+    a, a0 = prior.alpha, prior.total
+    n_rows = [tc.total.n_contexts for tc in tcs]
+    rows = np.cumsum([0] + n_rows)  # model i owns total rows rows[i]:rows[i+1]
+    js = [tc.n_trajectories for tc in tcs]
+    groups = np.cumsum([0] + js)  # ... and trajectory groups groups[i]:groups[i+1]
+    N = _concat([tc.total.matrix()[1] for tc in tcs])
+    Ns = N.sum(axis=1)
+    stacks = [tc.stacked() for tc in tcs]
+    idx = _concat([s[0] + r if r else s[0] for s, r in zip(stacks, rows.tolist())])
+    t = _concat([s[1] for s in stacks])
+    grp = np.repeat(np.arange(groups[-1]), _concat([np.diff(s[2]) for s in stacks]))
+
+    # per-trajectory terms, summed per model
+    terms = {term for term, used_by in _TERM_USERS.items() if need & used_by}
+    if max(js) < 2:
+        terms.discard("CV2")
+    pointwise = {}
+    if "LPPD" in terms:
+        pointwise["LPPD"] = log_beta_ratio(N[idx] + a, t, grp, groups[-1])
+    if "LOO" in terms:
+        pointwise["LOO"] = log_beta_ratio((N[idx] - t) + a, t, grp, groups[-1])
+    if "CV2" in terms:
+        in_first = np.concatenate([np.arange(j) < j // 2 for j in js])[grp]
+        first = np.zeros_like(N)
+        np.add.at(first, idx[in_first], t[in_first])  # exact: integer counts
+        c = first[idx]  # each row's other fold: the first fold's counts, or the rest
+        np.subtract(N[idx], c, out=c, where=in_first[:, None])
+        pointwise["CV2"] = log_beta_ratio(c + a, t, grp, groups[-1])
+    if need & {"WAIC2", "DIC2"}:
+        tri, tri_s = trigamma(N + a), trigamma(Ns + a0)
+    if "k_WAIC2" in terms:
+        tt = t.astype(float)  # t^2 psi'(g + a), in place
+        tt *= tt
+        tt *= tri[idx]
+        ts = t.sum(axis=1).astype(float)
+        per_row = tt.sum(axis=1) - ts * ts * tri_s[idx]
+        pointwise["k_WAIC2"] = np.bincount(grp, weights=per_row, minlength=groups[-1])
+    pointwise = {name: x.tolist() for name, x in pointwise.items()}
+
+    # terms over the total rows, each summed over its model's own rows
+    def per_model(x):
+        return [float(np.sum(x[r0:r1])) for r0, r1 in zip(rows[:-1], rows[1:])]
+
+    model_sums = {}
+    if "AIC" in need:
+        model_sums["ml"] = per_model(_ml_terms(N, Ns))
+    if need & {"DIC1", "DIC2"}:
+        # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
+        model_sums["plugin"] = per_model(N * (np.log(N + a) - np.log(Ns + a0)[:, None]))
+    if need & {"WAIC1", "DIC1"}:
+        # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
+        model_sums["post"] = per_model(N * (digamma(N + a) - digamma(Ns + a0)[:, None]))
+    if "DIC2" in need:
+        n, ns = N.astype(float), Ns.astype(float)
+        model_sums["k_DIC2"] = per_model(np.sum(n * n * tri, axis=1) - ns * ns * tri_s)
+    if "LPD" in need:
+        model_sums["LPD"] = log_beta_ratio(N + a, N, np.repeat(np.arange(len(tcs)), n_rows),
+                                           len(tcs)).tolist()
+
+    reports = []
+    for i, tc in enumerate(tcs):
+        sums = {name: x[i] for name, x in model_sums.items()}
+        # trajectories add left to right (not sum(), which compensates from Python 3.12)
+        sums.update({name: reduce(add, x[groups[i]:groups[i + 1]], 0.0)
+                     for name, x in pointwise.items()})
+        lppd, plugin, post = sums.get("LPPD"), sums.get("plugin"), sums.get("post")
+        values: dict[str, float] = {}
+        complexity: dict[str, float] = {}
+        for name in which:
+            if name == "AIC":
+                values[name] = -2.0 * sums["ml"] + 2.0 * float(ks[i])
+            elif name == "LPD":
+                values[name] = -2.0 * sums["LPD"]
+            elif name == "LPPD":
+                values[name] = -2.0 * lppd
+            elif name == "LOO":
+                values[name] = -2.0 * sums["LOO"]
+            elif name == "CV2":
+                values[name] = -2.0 * sums["CV2"] if js[i] >= 2 else math.nan
+            else:
+                # WAIC penalizes the LPPD fit and DIC the plug-in fit at the
+                # posterior mean; variant 1 takes k from posterior means of the
+                # log likelihood, variant 2 from its posterior variances.
+                if name == "WAIC1":
+                    fit, k = lppd, 2.0 * lppd - 2.0 * post
+                elif name == "WAIC2":
+                    fit, k = lppd, sums["k_WAIC2"]
+                elif name == "DIC1":
+                    fit, k = plugin, 2.0 * (plugin - post)
+                else:
+                    fit, k = plugin, 2.0 * sums["k_DIC2"]
+                complexity["k_" + name] = k
+                values[name] = -2.0 * fit + 2.0 * k
+        values.update(complexity)
+        reports.append(CriterionReport(
+            h=tc.h,
+            label=labels[i] if labels[i] is not None else f"h={tc.h}",
+            boundary=tc.boundary.value,
+            n_trajectories=js[i],
+            n_transitions=int(Ns[rows[i]:rows[i + 1]].sum()),
+            k_params=int(ks[i]),
+            values=values,
+        ))
+    return reports
+
+
 def evaluate(
     tc: TrajectoryCounts,
     prior: DirichletPrior | None = None,
@@ -327,60 +409,10 @@ def evaluate(
     depth-h model, so pass it for tied models or other penalties.
     """
     which = _normalize_which(which)
-    need = set(which)
     prior = _prior_for(tc.alphabet, prior)
     if k_params is None:
         k_params = param_count(tc.alphabet.size, tc.h, tc.boundary)
-    v = _View(tc, prior)
-
-    # log-scale quantities shared by several criteria
-    users = {"LPPD": {"LPPD", "WAIC1", "WAIC2"}, "LOO": {"LOO"}, "k_WAIC2": {"WAIC2"},
-             "CV2": {"CV2"} if tc.n_trajectories >= 2 else set()}
-    terms = {term for term, used_by in users.items() if need & used_by}
-    pointwise = _pointwise(tc, v, terms) if terms else {}
-    # trajectories add left to right (not sum(), which compensates from Python 3.12)
-    sums = {n: reduce(add, x.tolist(), 0.0) for n, x in pointwise.items()}
-    lppd = sums.get("LPPD")
-    plugin = _plugin_loglik(v) if need & {"DIC1", "DIC2"} else None
-    post = _post_mean_loglik(v) if need & {"WAIC1", "DIC1"} else None
-
-    values: dict[str, float] = {}
-    ks: dict[str, float] = {}
-    for name in which:
-        if name == "AIC":
-            values[name] = _aic(v.N, v.Ns, k_params)
-        elif name == "LPD":
-            values[name] = -2.0 * _lpd(v.N, v.alpha)
-        elif name == "LPPD":
-            values[name] = -2.0 * lppd
-        elif name == "LOO":
-            values[name] = -2.0 * sums["LOO"]
-        elif name == "CV2":
-            values[name] = -2.0 * sums["CV2"] if "CV2" in sums else math.nan
-        else:
-            # WAIC penalizes the LPPD fit and DIC the plug-in fit at the
-            # posterior mean; variant 1 takes k from posterior means of the
-            # log likelihood, variant 2 from its posterior variances.
-            if name == "WAIC1":
-                fit, k = lppd, 2.0 * lppd - 2.0 * post
-            elif name == "WAIC2":
-                fit, k = lppd, sums["k_WAIC2"]
-            elif name == "DIC1":
-                fit, k = plugin, 2.0 * (plugin - post)
-            else:
-                fit, k = plugin, _k_dic2(v)
-            ks["k_" + name] = k
-            values[name] = -2.0 * fit + 2.0 * k
-    values.update(ks)
-    return CriterionReport(
-        h=tc.h,
-        label=label if label is not None else f"h={tc.h}",
-        boundary=tc.boundary.value,
-        n_trajectories=tc.n_trajectories,
-        n_transitions=int(v.Ns.sum()),
-        k_params=int(k_params),
-        values=values,
-    )
+    return _score([tc], prior, which, [k_params], [label])[0]
 
 
 def evaluate_depths(
@@ -399,7 +431,8 @@ def evaluate_depths(
     ``aic_penalty`` is "params" (free-parameter count) or "full"
     (M^(h+1), the blunter alternative). With ``tie_map`` one more report,
     for the tied model, is appended; it reuses the count made at
-    ``tie_map.h`` when that depth is in ``h_range``.
+    ``tie_map.h`` when that depth is in ``h_range``. Every depth is
+    counted in one shared pass and every model scored in batches.
     """
     hs = sorted({int(h) for h in h_range})
     if not hs:
@@ -408,24 +441,19 @@ def evaluate_depths(
         raise ValueError("memory depths must be >= 0")
     if aic_penalty not in ("params", "full"):
         raise ValueError("aic_penalty must be 'params' or 'full'")
-    trajs = list(trajectories)
+    which = _normalize_which(which)
     prior = _prior_for(alphabet, prior)
-    counts: dict[int, TrajectoryCounts] = {}
-    reports = []
-    for h in hs:
-        counts[h] = count_transitions(trajs, h, alphabet, mode)
-        k = alphabet.size ** (h + 1) if aic_penalty == "full" else None
-        reports.append(evaluate(counts[h], prior, which, k_params=k))
+    extra = [] if tie_map is None else [tie_map.h]
+    counts = _count_depths(trajectories, hs + extra, alphabet, mode)
+    models = [counts[h] for h in hs]
+    m = alphabet.size
+    ks = [m ** (h + 1) if aic_penalty == "full" else param_count(m, h, mode) for h in hs]
+    labels: list[str | None] = [None] * len(hs)
     if tie_map is not None:
-        tc = counts.get(tie_map.h)
-        if tc is None:
-            tc = count_transitions(trajs, tie_map.h, alphabet, mode)
-        reports.append(evaluate(
-            tie_counts(tc, tie_map), prior, which,
-            k_params=tied_param_count(tie_map, alphabet.size),
-            label=tie_label if tie_label is not None else f"tied(h={tie_map.h})",
-        ))
-    return reports
+        models.append(tie_counts(counts[tie_map.h], tie_map))
+        ks.append(tied_param_count(tie_map, m))
+        labels.append(tie_label if tie_label is not None else f"tied(h={tie_map.h})")
+    return _score(models, prior, which, ks, labels)
 
 
 def argmin(reports: Iterable[CriterionReport], criterion: str) -> CriterionReport:

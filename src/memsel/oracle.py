@@ -95,7 +95,10 @@ def _log_mean_power(t: np.ndarray) -> tuple[float, float]:
     w = np.exp(t - mx)
     mean_w = float(w.mean())
     est = mx + math.log(mean_w)
-    se = float(w.std(ddof=1)) / (mean_w * math.sqrt(t.size))
+    # w.std(ddof=1) to the bit, reusing the mean: squared deviations, pairwise sum
+    w -= mean_w
+    w *= w
+    se = math.sqrt(float(w.sum()) / (t.size - 1)) / (mean_w * math.sqrt(t.size))
     return est, se * se
 
 

@@ -251,10 +251,12 @@ class PowerStudyResult:
     config: SimConfig
     selection: SelectionFrequencyTable
     deltas: DeltaTable
+    truncated_walks: int = 0  # sampled walks that the length cap cut before absorption
 
 
 def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int):
-    """Criterion reports per h for one freshly sampled batch of trajectories."""
+    """Criterion reports per h for one freshly sampled batch of trajectories,
+    and how many of its walks the length cap cut."""
     if net is None:
         net = _draw_network(cfg.m, cfg.h_true, _rng(cfg.seed, _TAG_NETWORK, j_index, rep))
     rng = _rng(cfg.seed, _TAG_TRAJECTORIES, j_index, rep)
@@ -263,8 +265,9 @@ def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int
         sample_trajectory(net, cfg.length_cap, rng, traj_id=f"r{rep}t{i}")
         for i in range(j)
     ]
-    return evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
-                           which=cfg.criteria)
+    reports = evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
+                              which=cfg.criteria)
+    return reports, sum(tr.truncated for tr in trajs)
 
 
 def _replicate_job(args):
@@ -278,6 +281,8 @@ def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyRes
     By default one network per true depth is drawn from the seed and
     reused for every batch; ``network_per_replicate`` draws a fresh one
     per replicate instead. Results are byte-stable for a fixed config.
+    ``truncated_walks`` counts the walks that hit ``length_cap`` before
+    absorption, over the whole grid.
     """
     workers = worker_count() if workers is None else max(1, int(workers))
     shared_net = None
@@ -302,7 +307,7 @@ def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyRes
         block = results[j_index * cfg.replicates:(j_index + 1) * cfg.replicates]
         chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
         deltas = {(c, h): [] for c in cfg.criteria for h in cfg.h_range}
-        for reports in block:
+        for reports, _ in block:
             for c in cfg.criteria:
                 chosen_counts[c][argmin(reports, c).h] += 1
                 if track_delta:
@@ -322,7 +327,8 @@ def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyRes
                         float(np.mean(arr < 0.0)),
                     ))
     return PowerStudyResult(cfg, SelectionFrequencyTable(tuple(sel_rows)),
-                            DeltaTable(tuple(delta_rows)))
+                            DeltaTable(tuple(delta_rows)),
+                            truncated_walks=sum(n for _, n in results))
 
 
 # ---------------------------------------------------------------------------

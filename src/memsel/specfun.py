@@ -6,7 +6,9 @@ of ``np.log`` terms with no log-gamma cancellation, so it keeps its
 digits at counts of 1e8 and beyond. ``digamma`` and ``trigamma`` use the
 asymptotic Bernoulli-number series after shifting the argument above 12
 with the standard recurrences; their target accuracy, grid-checked in the
-tests, is 1e-10 absolute on [1e-3, 1e6].
+tests, is 1e-10 absolute on [1e-3, 1e6]. The shift runs in place over
+the whole array, a 0/1 increment per element, with the same bits as
+shifting each argument alone.
 """
 
 from __future__ import annotations
@@ -50,41 +52,70 @@ def _positive_array(z, name: str) -> np.ndarray:
     return arr
 
 
+def _shifted(arr: np.ndarray, psi1: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Shift every argument to at least _SHIFT by the recurrence; return it and the sum.
+
+    The sum collects -1/z (psi) or +1/z^2 (psi') for each z passed on the
+    way. Each pass runs over the whole array in place, with ``inc`` 1.0
+    where an argument is still below _SHIFT and 0.0 where it is done: a
+    finished element adds 0.0 to its argument and its sum, which leaves
+    both unchanged, so every element ends with the same bits as when
+    shifted alone.
+    """
+    zz = np.array(arr, dtype=float, ndmin=1)
+    acc = np.zeros_like(zz)
+    inc = np.empty_like(zz)
+    step = np.empty_like(zz)
+    while zz.size and zz.min() < _SHIFT:
+        np.less(zz, _SHIFT, out=inc)
+        if psi1:
+            np.multiply(zz, zz, out=step)
+            np.divide(inc, step, out=step)
+            acc += step
+        else:
+            np.divide(inc, zz, out=step)
+            acc -= step
+        zz += inc
+    return zz, acc
+
+
+def _series(zz: np.ndarray, tail: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """u = 1/z^2 and the asymptotic tail's polynomial in u, Horner's rule from the last term."""
+    u = np.multiply(zz, zz)
+    np.divide(1.0, u, out=u)
+    poly = np.full_like(zz, tail[-1])
+    for c in reversed(tail[:-1]):
+        poly *= u
+        poly += c
+    return u, poly
+
+
 def digamma(z):
     """psi(z) = d/dz ln Gamma(z) for z > 0 (elementwise on arrays)."""
     arr = _positive_array(z, "digamma")
-    shape = arr.shape
-    zz = np.atleast_1d(arr).astype(float).copy()
-    acc = np.zeros_like(zz)
-    mask = zz < _SHIFT
-    while mask.any():
-        acc[mask] -= 1.0 / zz[mask]
-        zz[mask] += 1.0
-        mask = zz < _SHIFT
-    u = 1.0 / (zz * zz)
-    poly = np.zeros_like(zz)
-    for c in reversed(_PSI_TAIL):
-        poly = poly * u + c
-    res = (acc + np.log(zz) - 0.5 / zz - poly * u).reshape(shape)
+    zz, acc = _shifted(arr, psi1=False)
+    u, poly = _series(zz, _PSI_TAIL)
+    # acc + log z - 0.5 / z - poly u, summed in place in that order
+    term = np.log(zz)
+    acc += term
+    acc -= np.divide(0.5, zz, out=term)
+    acc -= np.multiply(poly, u, out=poly)
+    res = acc.reshape(arr.shape)
     return float(res) if res.ndim == 0 else res
 
 
 def trigamma(z):
     """psi'(z), the derivative of the digamma function, for z > 0."""
     arr = _positive_array(z, "trigamma")
-    shape = arr.shape
-    zz = np.atleast_1d(arr).astype(float).copy()
-    acc = np.zeros_like(zz)
-    mask = zz < _SHIFT
-    while mask.any():
-        acc[mask] += 1.0 / (zz[mask] * zz[mask])
-        zz[mask] += 1.0
-        mask = zz < _SHIFT
-    u = 1.0 / (zz * zz)
-    poly = np.zeros_like(zz)
-    for c in reversed(_PSI1_TAIL):
-        poly = poly * u + c
-    res = (acc + 1.0 / zz + 0.5 * u + poly * u / zz).reshape(shape)
+    zz, acc = _shifted(arr, psi1=True)
+    u, poly = _series(zz, _PSI1_TAIL)
+    # acc + 1 / z + 0.5 u + poly u / z, summed in place in that order
+    term = np.divide(1.0, zz)
+    acc += term
+    acc += np.multiply(0.5, u, out=term)
+    poly *= u
+    acc += np.divide(poly, zz, out=poly)
+    res = acc.reshape(arr.shape)
     return float(res) if res.ndim == 0 else res
 
 

@@ -11,6 +11,7 @@ from memsel.chain import (
     CountTable,
     StateAlphabet,
     Trajectory,
+    _count_depths,
     count_transitions,
     merge_counts,
 )
@@ -190,3 +191,68 @@ class TestCountTable:
             merge_counts([t1, t2])
         with pytest.raises(ValueError):
             merge_counts([])
+
+
+def reference_counts(trajs, h, m, mode):
+    """Per-step count loop: total rows and each trajectory's rows, in order of first occurrence."""
+    total: dict[tuple, list[int]] = {}
+    per_trajectory = []
+    for tr in trajs:
+        rows: dict[tuple, list[int]] = {}
+        for i, dest in enumerate(tr.steps):
+            if mode is BoundaryMode.TRUNCATED and i < h:
+                continue
+            ctx = tuple(tr.steps[i - lag] if i >= lag else START for lag in range(h, 0, -1))
+            for table in (total, rows):
+                table.setdefault(ctx, [0] * m)[dest] += 1
+        per_trajectory.append(rows)
+    return total, per_trajectory
+
+
+class TestCountDepths:
+    """All depths counted in one pass equal each depth counted on its own."""
+
+    @staticmethod
+    def assert_matches(tc, trajs, h, m, mode):
+        total, per_trajectory = reference_counts(trajs, h, m, mode)
+        keys, mat = tc.total.matrix()
+        assert list(keys) == list(total)
+        assert mat.tolist() == list(total.values())
+        idx, counts, bounds = tc.stacked()
+        b = bounds.tolist()
+        assert b[-1] == len(idx)
+        for j, rows in enumerate(per_trajectory):
+            assert [keys[i] for i in idx[b[j]:b[j + 1]].tolist()] == list(rows)
+            assert counts[b[j]:b[j + 1]].tolist() == list(rows.values())
+
+    def check(self, trajs, hs, m, mode):
+        alphabet = StateAlphabet.of_size(m)
+        batched = _count_depths(trajs, hs, alphabet, mode)
+        assert sorted(batched) == sorted(set(hs))
+        for h in hs:
+            alone = count_transitions(trajs, h, alphabet, mode)
+            for tc in (batched[h], alone):
+                assert (tc.h, tc.boundary, tc.ids) == (h, mode, tuple(t.id for t in trajs))
+                self.assert_matches(tc, trajs, h, m, mode)
+
+    @pytest.mark.parametrize("mode", list(BoundaryMode))
+    def test_random_datasets(self, mode):
+        rng = np.random.default_rng(11)
+        for m in range(2, 9):
+            for j in (1, 3, 7):
+                trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, m, int(rng.integers(1, 12)))
+                                                   .tolist())) for i in range(j)]
+                self.check(trajs, [0, 1, 2, 3, 5, 9], m, mode)
+                self.check(trajs, [4], m, mode)
+
+    @pytest.mark.parametrize("mode", list(BoundaryMode))
+    def test_deep_contexts_past_int64_rerank(self, mode):
+        # 3^40 > 2^63: the M=2 code is re-ranked before the lag-40 digit goes on
+        rng = np.random.default_rng(3)
+        trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 2, int(n)).tolist()))
+                 for i, n in enumerate(rng.integers(30, 90, 5))]
+        self.check(trajs, range(40, 46), 2, mode)
+
+    def test_unsorted_and_repeated_depths(self):
+        trajs = [Trajectory("a", (0, 1, 2, 1)), Trajectory("b", (2, 2))]
+        self.check(trajs, [3, 1, 3, 0], 3, BoundaryMode.PADDED)

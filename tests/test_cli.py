@@ -15,6 +15,7 @@ from memsel.dataio import (
     write_trajectories_jsonl,
 )
 from memsel.chain import START, StateAlphabet, Trajectory
+from memsel.simulate import _TAG_TRAJECTORIES, _rng, generate_network, sample_trajectory
 
 
 @pytest.fixture
@@ -225,6 +226,36 @@ class TestSimulateCommand:
         b = (tmp_path / "b" / "selection.csv").read_bytes()
         assert a == b
 
+    def test_length_cap_truncation_is_counted(self, tmp_path, capsys):
+        m, j_values, replicates, seed = 3, (2, 5), 4, 7
+        args = ["simulate", "--M", str(m), "--h-true", "1", "--h-range", "1..2",
+                "--J", "2", "--J", "5", "--replicates", str(replicates),
+                "--length-cap", "1", "--seed", str(seed)]
+        # recount: a one-step walk is cut unless that step is the absorbing state
+        net = generate_network(m, 1, seed)
+        expected = 0
+        for j_index, j in enumerate(j_values):
+            for rep in range(replicates):
+                rng = _rng(seed, _TAG_TRAJECTORIES, j_index, rep)
+                for _ in range(j):
+                    walk = sample_trajectory(net, 1, rng)
+                    expected += walk.steps[-1] != net.absorbing_state
+        assert 0 < expected < replicates * sum(j_values)
+        outputs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["telemetry"] == {"truncated_walks": expected}
+            assert f"warning: {expected} of {replicates * sum(j_values)} walks" \
+                in capsys.readouterr().err
+            outputs[workers] = [(out / f).read_bytes() for f in ("selection.csv", "delta.csv")]
+        assert outputs["1"] == outputs["2"]
+        assert main(args[:-4] + ["--seed", str(seed), "--out", str(tmp_path / "uncapped")]) == 0
+        manifest = json.loads((tmp_path / "uncapped" / "manifest.json").read_text())
+        assert manifest["telemetry"] == {"truncated_walks": 0}
+        assert "warning" not in capsys.readouterr().err
+
     def test_selection_schema(self, tmp_path):
         main(["simulate", "--M", "4", "--h-true", "1", "--h-range", "1..2",
               "--J", "4", "--replicates", "10", "--criteria", "LOO,WAIC1",
@@ -271,15 +302,16 @@ class TestOracleCommand:
                      "--draws", "10", "--out", str(tmp_path / "o")]) == 2
 
     def test_corrupted_closed_form_fails_audit(self, season, tmp_path, monkeypatch):
-        real = memsel.criteria._pointwise
+        real = memsel.criteria._score_batch
 
-        def corrupted(tc, v, names):
-            terms = real(tc, v, names)
-            if "LOO" in terms:
-                terms["LOO"][0] -= 25.0  # LOO = -2 x the sum: adds 50
-            return terms
+        def corrupted(*args):
+            reports = real(*args)
+            for rep in reports:
+                if "LOO" in rep.values:
+                    rep.values["LOO"] += 50.0
+            return reports
 
-        monkeypatch.setattr(memsel.criteria, "_pointwise", corrupted)
+        monkeypatch.setattr(memsel.criteria, "_score_batch", corrupted)
         assert main(["oracle", "--input", str(season), "--h", "1",
                      "--draws", "20000", "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 1

@@ -1,6 +1,8 @@
 """Closed-form criteria: frozen values, identities and invariances."""
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -28,7 +30,10 @@ from memsel.criteria import (
     predictive_log_density,
     select_order,
 )
+from memsel import criteria as criteria_module
 from memsel.oracle import cv2_refit, loo_refit
+from memsel.specfun import digamma, log_beta_ratio, trigamma
+from memsel.tying import TieMap, tie_counts, tied_param_count
 
 AB2 = StateAlphabet(("0", "1"))
 AB3 = StateAlphabet.of_size(3)
@@ -422,3 +427,140 @@ class TestEvaluateAndSelect:
         assert half.value("AIC") == base.value("AIC")
         assert half.value("LOO") != base.value("LOO")
         assert half.value("LPD") != base.value("LPD")
+
+
+def reference_values(tc, prior, k_params):
+    """Every criterion and k term of one model, scored alone.
+
+    The per-model loop that the batched scorer replaced, kept as the
+    reference: each value must come out of the batch with the same bits.
+    """
+    n = tc.total.matrix()[1]
+    ns = n.sum(axis=1)
+    a, a0 = prior.alpha, prior.total
+    idx, t, bounds = tc.stacked()
+    j = tc.n_trajectories
+    traj = np.repeat(np.arange(j), np.diff(bounds))
+
+    def per_trajectory(x):
+        return reduce(add, log_beta_ratio(x, t, traj, j).tolist(), 0.0)
+
+    lppd = per_trajectory(n[idx] + a)
+    loo = per_trajectory((n[idx] - t) + a)
+    cv2 = math.nan
+    if j >= 2:
+        split = bounds[j // 2]
+        first = np.zeros_like(n)
+        np.add.at(first, idx[:split], t[:split])
+        cv2 = -2.0 * per_trajectory(
+            np.concatenate(((n - first)[idx[:split]], first[idx[split:]])) + a)
+    tf, ts = t.astype(float), t.sum(axis=1).astype(float)
+    per_row = (tf * tf * trigamma(n + a)[idx]).sum(axis=1) - ts * ts * trigamma(ns + a0)[idx]
+    k_waic2 = reduce(add, np.bincount(traj, weights=per_row, minlength=j).tolist(), 0.0)
+    if n.size == 0:
+        ml = plugin = post = k_dic2 = 0.0
+    else:
+        ml = float(np.sum(n * np.log(np.where(n > 0, n / ns[:, None], 1.0))))
+        plugin = float(np.sum(n * (np.log(n + a) - np.log(ns + a0)[:, None])))
+        post = float(np.sum(n * (digamma(n + a) - digamma(ns + a0)[:, None])))
+        nf, nsf = n.astype(float), ns.astype(float)
+        k_dic2 = 2.0 * float(np.sum(
+            np.sum(nf * nf * trigamma(n + a), axis=1) - nsf * nsf * trigamma(ns + a0)))
+    k = {"k_DIC1": 2.0 * (plugin - post), "k_DIC2": k_dic2,
+         "k_WAIC1": 2.0 * lppd - 2.0 * post, "k_WAIC2": k_waic2}
+    return {
+        "AIC": -2.0 * ml + 2.0 * float(k_params),
+        "DIC1": -2.0 * plugin + 2.0 * k["k_DIC1"],
+        "DIC2": -2.0 * plugin + 2.0 * k["k_DIC2"],
+        "LPD": -2.0 * float(log_beta_ratio(n + a, n)[0]),
+        "LPPD": -2.0 * lppd,
+        "WAIC1": -2.0 * lppd + 2.0 * k["k_WAIC1"],
+        "WAIC2": -2.0 * lppd + 2.0 * k["k_WAIC2"],
+        "LOO": -2.0 * loo,
+        "CV2": cv2,
+        **k,
+    }
+
+
+class TestBatchedScorer:
+    """Models scored together equal each model scored alone, to the bit."""
+
+    @staticmethod
+    def dataset(rng, m, j, mode):
+        alphabet = StateAlphabet.of_size(m)
+        trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, m, int(rng.integers(1, 9))).tolist()))
+                 for i in range(j)]
+        prior = DirichletPrior(rng.uniform(0.2, 3.0, m))  # asymmetric
+        # a tie map with a default class: two named contexts, the rest pooled
+        tie_map = TieMap(1, 3, {(0,): 0, (m - 1,): 1}, default_class=2)
+        return alphabet, trajs, prior, tie_map
+
+    def check(self, rng, m, j, mode):
+        alphabet, trajs, prior, tie_map = self.dataset(rng, m, j, mode)
+        hs = range(0, 4)
+        reports = evaluate_depths(trajs, alphabet, hs, prior, mode, tie_map=tie_map)
+        models = [count_transitions(trajs, h, alphabet, mode) for h in hs]
+        models.append(tie_counts(models[1], tie_map))
+        ks = [param_count(m, h, mode) for h in hs] + [tied_param_count(tie_map, m)]
+        assert [r.label for r in reports][-1] == "tied(h=1)"
+        for rep, tc, k in zip(reports, models, ks):
+            ref = reference_values(tc, prior, k)
+            assert set(rep.values) == set(ref)
+            got = {name: float.hex(rep.values[name]) for name in ref}
+            assert got == {name: float.hex(v) for name, v in ref.items()}, (m, j, mode, rep.label)
+            assert rep.n_transitions == tc.total.total_transitions()
+        # one model alone through evaluate, restricted criteria included
+        for rep, tc, k in zip(reports, models, ks):
+            alone = evaluate(tc, prior, k_params=k, label=rep.label)
+            assert {n: float.hex(v) for n, v in alone.values.items()} == \
+                {n: float.hex(v) for n, v in rep.values.items()}
+            for name in CRITERIA:
+                assert float.hex(evaluate(tc, prior, (name,), k_params=k).value(name)) == \
+                    float.hex(rep.value(name))
+
+    @pytest.mark.parametrize("cells", [1, 2**14, 10**9])
+    def test_bit_identical_to_per_model_reference(self, cells, monkeypatch):
+        monkeypatch.setattr(criteria_module, "_BATCH_CELLS", cells)
+        rng = np.random.default_rng(2024)
+        for m in range(2, 9):
+            for j in range(1, 9):
+                for mode in BoundaryMode:
+                    self.check(rng, m, j, mode)
+
+    def test_empty_truncated_tables(self, monkeypatch):
+        # every trajectory shorter than the deepest h: those tables have no rows
+        trajs = [Trajectory("a", (0, 1)), Trajectory("b", (1,)), Trajectory("c", (1, 1, 0))]
+        prior = DirichletPrior([0.5, 2.0])
+        for cells in (1, 10**9):
+            monkeypatch.setattr(criteria_module, "_BATCH_CELLS", cells)
+            reports = evaluate_depths(trajs, AB2, range(0, 6), prior, BoundaryMode.TRUNCATED)
+            assert [r.n_transitions for r in reports] == [6, 3, 1, 0, 0, 0]
+            for rep in reports:
+                tc = count_transitions(trajs, rep.h, AB2, BoundaryMode.TRUNCATED)
+                ref = reference_values(tc, prior, rep.k_params)
+                assert {n: float.hex(rep.values[n]) for n in ref} == \
+                    {n: float.hex(v) for n, v in ref.items()}
+
+    def test_batches_respect_the_cell_bound(self, monkeypatch):
+        seen = []
+        real = criteria_module._score_batch
+
+        def spy(tcs, *args):
+            seen.append([tc.h for tc in tcs])
+            return real(tcs, *args)
+
+        monkeypatch.setattr(criteria_module, "_score_batch", spy)
+        rng = np.random.default_rng(5)
+        alphabet, trajs, prior, _ = self.dataset(rng, 3, 6, BoundaryMode.PADDED)
+        # a model's size is its stacked count cells plus its transitions (Polya draws)
+        sizes = {h: count_transitions(trajs, h, alphabet).stacked()[1] for h in range(4)}
+        sizes = {h: t.size + int(t.sum()) for h, t in sizes.items()}
+        monkeypatch.setattr(criteria_module, "_BATCH_CELLS", sizes[0] + sizes[1])
+        evaluate_depths(trajs, alphabet, range(4), prior)
+        assert seen[0] == [0, 1]
+        assert all(len(b) == 1 or sum(sizes[h] for h in b) <= sizes[0] + sizes[1] for b in seen)
+        assert sum(seen, []) == [0, 1, 2, 3]
+        seen.clear()
+        monkeypatch.setattr(criteria_module, "_BATCH_CELLS", 10**9)
+        evaluate_depths(trajs, alphabet, range(4), prior)
+        assert seen == [[0, 1, 2, 3]]

@@ -11,6 +11,7 @@ from memsel.chain import StateAlphabet, Trajectory, count_transitions
 from memsel.criteria import DirichletPrior, evaluate, lpd
 from memsel.oracle import (
     MIN_DRAWS,
+    _log_mean_power,
     _variance,
     as_single_point,
     audit,
@@ -161,3 +162,17 @@ def test_refit_oracles_match_closed_forms():
         assert loo_refit(tc) == rep.value("LOO")
         if tc.n_trajectories >= 2:
             assert cv2_refit(trajs, 1, tc.alphabet) == rep.value("CV2")
+
+
+def test_log_mean_power_std_equals_numpy():
+    rng = np.random.default_rng(13)
+    for n in (1_000, 4_097, 5_000):
+        for t in (rng.normal(rng.normal(0.0, 5.0), rng.uniform(0.1, 30.0), n),
+                  np.log(rng.dirichlet([0.7, 2.0], size=n)) @ np.array([4.0, 1.0])):
+            est, var = _log_mean_power(t)
+            mx = float(t.max())
+            w = np.exp(t - mx)
+            mean_w = float(w.mean())
+            se = float(w.std(ddof=1)) / (mean_w * math.sqrt(t.size))
+            assert est == mx + math.log(mean_w)
+            assert var == se * se

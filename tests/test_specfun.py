@@ -149,3 +149,44 @@ def test_log_beta_ratio_on_lpd_rows(total):
     x = n + rng.uniform(0.2, 3.0, 4)
     expected = float(mp_ratio(x, n))
     assert abs(ratio(x, n) - expected) <= 1e-12 * abs(expected)
+
+
+def reference_psi(z, psi1):
+    """psi (psi1 False) or psi' by a boolean-mask shift loop and the plain series: the bits to match."""
+    zz = np.atleast_1d(np.asarray(z, dtype=float)).copy()
+    acc = np.zeros_like(zz)
+    mask = zz < 12.0
+    while mask.any():
+        if psi1:
+            acc[mask] += 1.0 / (zz[mask] * zz[mask])
+        else:
+            acc[mask] -= 1.0 / zz[mask]
+        zz[mask] += 1.0
+        mask = zz < 12.0
+    u = 1.0 / (zz * zz)
+    poly = np.zeros_like(zz)
+    if psi1:
+        for c in (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):
+            poly = poly * u + c
+        return acc + 1.0 / zz + 0.5 * u + poly * u / zz
+    for c in (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12):
+        poly = poly * u + c
+    return acc + np.log(zz) - 0.5 / zz - poly * u
+
+
+@pytest.mark.parametrize("fn, psi1", [(digamma, False), (trigamma, True)])
+def test_in_place_shift_is_bit_identical_to_mask_loop(fn, psi1):
+    rng = np.random.default_rng(8)
+    near = [12.0, 11.0, 13.0, 1e-3, 1e6]
+    edges = [np.nextafter(v, d) for v in near for d in (0.0, np.inf)] + near
+    counts = rng.integers(0, 40, (300, 8)) + rng.uniform(0.1, 3.0, 8)  # count rows + prior
+    for z in (grid(5), np.array(edges), counts, 10 ** rng.uniform(-3, 6, (17, 3))):
+        got = fn(z)
+        assert got.shape == z.shape
+        ref = reference_psi(z, psi1).reshape(z.shape)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for scalar in edges:
+        got = fn(scalar)
+        assert isinstance(got, float)
+        assert float.hex(got) == float.hex(float(reference_psi(scalar, psi1)[0]))
+    assert fn(np.empty((0, 4))).shape == (0, 4)
