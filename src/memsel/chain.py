@@ -6,12 +6,14 @@ trajectory have incomplete histories; ``BoundaryMode`` decides whether
 they are counted against START-padded contexts or skipped entirely.
 
 A context is a plain tuple of h tokens, oldest first: state ids, with
-START only as a prefix. Counting runs over integer context codes (base
-M+1, START a digit of its own), with rows in order of first occurrence;
-the tuple key is made once per distinct row, never once per step. Several
-depths of one dataset are counted in one pass: each depth's code is the
-previous depth's code with one more digit on top, and the step array is
-built once.
+START only as a prefix. Counting runs over integer context codes, with
+rows in order of first occurrence; the tuple key is made once per
+distinct row, never once per step. Several depths of one dataset are
+counted in one pass over one step array: each depth's code is the rank
+of the previous depth's context times M+1 plus one more token digit
+(START a digit of its own), ranked again in order of first occurrence
+through a dense table, without sorting, so no code exceeds M+1 times the
+number of steps.
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ class StateAlphabet:
         except KeyError:
             raise ValueError(f"unknown state label {label!r}") from None
 
+    def indices(self, labels: Iterable) -> tuple[int, ...]:
+        """State ids of ``labels``, each converted by ``str``, mapped in one pass."""
+        try:
+            return tuple(map(self._index.__getitem__, map(str, labels)))
+        except KeyError as exc:
+            raise ValueError(f"unknown state label {exc.args[0]!r}") from None
+
     def label(self, state: int) -> str:
         return self.labels[state]
 
@@ -94,11 +103,11 @@ class Trajectory:
     truncated: bool = False  # set by the sampler when a length cap cut the walk
 
     def __post_init__(self):
-        steps = tuple(int(s) for s in self.steps)
+        steps = tuple(map(int, self.steps))
         object.__setattr__(self, "steps", steps)
         if not steps:
             raise ValueError(f"trajectory {self.id!r} has no steps")
-        if any(s < 0 for s in steps):
+        if min(steps) < 0:
             raise ValueError(f"trajectory {self.id!r} contains a negative state id")
 
     def __len__(self) -> int:
@@ -224,23 +233,37 @@ class TrajectoryCounts:
         return self.total.boundary
 
 
-def _first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of ``keys`` numbered in order of first occurrence, and each id's first position."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")  # np.unique's sort: no more numpy code paged in
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse], first[order]
+# A dense ranking table may hold at most this many entries per key; keys
+# spread wider than that (very large M, or tie classes x trajectories) are
+# ranked by sorting instead. Counting's codes span at most M + 1 entries per
+# step ranked at the previous lag, so up to 15 states never sort in PADDED
+# mode.
+_DENSE_SPAN_PER_KEY = 16
 
 
-def _stack(traj: np.ndarray, row: np.ndarray, n_rows: int, n_traj: int):
-    """Group elements by (trajectory, total row), in order of first occurrence.
+def _first_occurrence(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of ``keys`` (each in 0..span-1) numbered in order of first occurrence,
+    and each id's first position.
 
-    ``traj`` must be nondecreasing. Returns each element's stacked row,
-    the total row of every stacked row and each trajectory's row bounds.
+    A table of ``span`` entries takes each key's first position
+    (``np.minimum.at``); the keys found at their own first position are
+    then numbered in the same table. That is O(n + span) with no sort; a
+    span wider than ``_DENSE_SPAN_PER_KEY`` entries per key sorts with
+    np.unique.
     """
-    prow, first = _first_occurrence(traj * n_rows + row)
-    return prow, row[first], np.bincount(traj[first] + 1, minlength=n_traj + 1).cumsum()
+    n = keys.size
+    if span > _DENSE_SPAN_PER_KEY * n:
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank[inverse], first[order]
+    at = np.arange(n)
+    table = np.full(span, n)
+    np.minimum.at(table, keys, at)
+    first = np.flatnonzero(table[keys] == at)
+    table[keys[first]] = np.arange(first.size)
+    return table[keys], first
 
 
 def _digit(steps: np.ndarray, pos: np.ndarray, at: np.ndarray, lag: int) -> np.ndarray:
@@ -276,10 +299,14 @@ def _count_depths(
     """``count_transitions`` at every depth in ``hs`` (each >= 0), sharing the work.
 
     The concatenated steps and their trajectory and position indices are
-    built once. Depth h's context code is depth h-1's code with the lag-h
-    digit on top, so one pass over the lags reaches the deepest context,
-    counting each wanted depth on the way; the codes are re-ranked
-    whenever the next digit would overflow int64.
+    built once. Depth h's contexts are depth h-1's with the lag-h token on
+    top: the code rank * (M+1) + digit, where rank numbers depth h-1's
+    contexts, is ranked again, so one pass over the lags reaches the
+    deepest context, counting each wanted depth on the way, and no code
+    exceeds (M+1) times the number of steps. The (trajectory, context)
+    pairs are ranked by the same recursion, started from the trajectory
+    index. In TRUNCATED mode each lag drops the steps with too short a
+    history, which no deeper depth counts either.
     """
     mode = BoundaryMode(mode)
     trajs = list(trajectories)
@@ -294,32 +321,37 @@ def _count_depths(
         tr = next(tr for tr in trajs if max(tr.steps) >= m)
         raise ValueError(f"trajectory {tr.id!r} contains state id {max(tr.steps)} "
                          f"outside alphabet of size {m}")
-    traj = np.repeat(np.arange(len(trajs)), lengths)
+    n_traj = len(trajs)
+    traj = np.repeat(np.arange(n_traj), lengths)
     pos = np.arange(steps.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     ids = [tr.id for tr in trajs]
-    every = np.arange(steps.size)
-    code, span, out = np.zeros(steps.size, dtype=np.int64), 1, {}
+    # at: the counted steps; row/prow: their depth-h context and (trajectory,
+    # context) ranks; depth 0 has one context, and one pair per trajectory
+    at = np.arange(steps.size)
+    code, span, pcode, pspan = np.zeros_like(at), 1, traj, n_traj
+    out = {}
     for h in range(hs[-1] + 1):
         if h:
-            if span * (m + 1) > 2**63:
-                uniq, code = np.unique(code, return_inverse=True)
-                span = uniq.size
-            code += _digit(steps, pos, every, h) * span
-            span *= m + 1
+            if mode is BoundaryMode.TRUNCATED:
+                keep = pos[at] >= h
+                at, row, prow = at[keep], row[keep], prow[keep]
+            digit = _digit(steps, pos, at, h)
+            code, span = row * (m + 1) + digit, first.size * (m + 1)
+            pcode, pspan = prow * (m + 1) + digit, pfirst.size * (m + 1)
+        row, first = _first_occurrence(code, span)
+        prow, pfirst = _first_occurrence(pcode, pspan)
         if h not in hs:
             continue
-        at = np.flatnonzero(pos >= (h if mode is BoundaryMode.TRUNCATED else 0))
-        row, first = _first_occurrence(code[at])
-        prow, idx, bounds = _stack(traj[at], row, first.size, len(trajs))
         dest = steps[at]
         n = np.bincount(row * m + dest, minlength=first.size * m).reshape(-1, m)
-        t = np.bincount(prow * m + dest, minlength=idx.size * m).reshape(-1, m)
+        t = np.bincount(prow * m + dest, minlength=pfirst.size * m).reshape(-1, m)
+        bounds = np.bincount(traj[at[pfirst]] + 1, minlength=n_traj + 1).cumsum()
         # one token tuple per distinct row, decoded from the step where it first occurs
         toks = np.empty((first.size, h), dtype=np.int64)
         for j in range(h):
             toks[:, j] = _digit(steps, pos, at[first], h - j) - 1
         total = CountTable._counted(h, alphabet, mode, map(tuple, toks.tolist()), n)
-        out[h] = TrajectoryCounts(ids, total, idx, t, bounds)
+        out[h] = TrajectoryCounts(ids, total, row[pfirst], t, bounds)
     return out
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .dataio import (
     load_tie_map,
     read_trajectories_jsonl,
     write_delta_csv,
+    write_json,
     write_reports,
     write_selection_csv,
     write_trajectories_jsonl,
@@ -106,12 +106,12 @@ def _load_input(args):
     return alphabet, trajs
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path], seed,
+def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
                     telemetry: dict | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "config": config,
         "inputs": {str(p): file_digest(p) for p in inputs},
         "seed": seed,
@@ -120,9 +120,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
     }
     if telemetry is not None:
         manifest["telemetry"] = telemetry
-    with (out_dir / "manifest.json").open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out_dir / "manifest.json")
 
 
 def _reports_for(args, alphabet, trajs):
@@ -155,7 +153,7 @@ def cmd_criteria(args) -> int:
         "aic_penalty": args.aic_penalty,
         "states": list(alphabet.labels),
     }
-    _write_manifest(out_dir, "criteria", config, [Path(args.input)], seed=None)
+    _write_manifest(out_dir, args, config, [Path(args.input)], seed=None)
     for name in CRITERIA:
         try:
             best = argmin(reports, name)
@@ -180,7 +178,7 @@ def cmd_select(args) -> int:
         "boundary": boundary.value,
         "prior_alpha": prior.alpha.tolist(),
     }
-    _write_manifest(out_dir, "select", config, [Path(args.input)], seed=None)
+    _write_manifest(out_dir, args, config, [Path(args.input)], seed=None)
     print(f"selected: {best.label} by {args.criterion} = {best.value(args.criterion):.4f}")
     return EXIT_OK
 
@@ -284,10 +282,8 @@ def cmd_simulate(args) -> int:
             walks = cfg.replicates * sum(cfg.J_values)
             print(f"warning: {result.truncated_walks} of {walks} walks hit the length cap "
                   f"({cfg.length_cap} steps) before absorption", file=sys.stderr)
-    with (out_dir / "summary.json").open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out_dir, "simulate", config, [], seed=args.seed, telemetry=telemetry)
+    write_json(summary, out_dir / "summary.json")
+    _write_manifest(out_dir, args, config, [], seed=args.seed, telemetry=telemetry)
     print(f"wrote {out_dir / 'selection.csv'}")
     return EXIT_OK
 
@@ -317,12 +313,10 @@ def cmd_oracle(args) -> int:
                      "std_error": estimate.std_error, "z": z})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "oracle.json").open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rows, out_dir / "oracle.json")
     config = {"input": str(args.input), "h": args.h, "draws": args.draws,
               "boundary": boundary.value, "prior_alpha": prior.alpha.tolist()}
-    _write_manifest(out_dir, "oracle", config, [Path(args.input)], seed=args.seed)
+    _write_manifest(out_dir, args, config, [Path(args.input)], seed=args.seed)
     if worst > _Z_LIMIT:
         print(f"AUDIT FAILED: |z| = {worst:.2f} exceeds {_Z_LIMIT}")
         return EXIT_AUDIT
@@ -422,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except CliError as exc:

@@ -242,6 +242,8 @@ def _normalize_which(which) -> tuple[str, ...]:
 # this many; a larger model is scored alone. A model's size is its stacked
 # count cells (per-trajectory rows x M) plus its transitions, one Polya draw
 # each in ``log_beta_ratio``: the two lengths of the batch's temporaries.
+# The LPPD, LOO and CV2 call holds three x tables of stacked cells and five
+# draw-sized arrays (three weights, the k/i index and a row-total buffer).
 # Small power-study replicates batch all their depths; long series, with
 # thousands of transitions per depth, score one depth at a time.
 _BATCH_CELLS = 2**14
@@ -254,6 +256,30 @@ _TERM_USERS = {"LPPD": {"LPPD", "WAIC1", "WAIC2"}, "LOO": {"LOO"}, "CV2": {"CV2"
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
     # a single model's arrays are used as they are, without a copy
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _ratio_tables(names, N, idx, t, grp, js, a) -> np.ndarray:
+    """The x of log B(x + t) - log B(x) for each of ``names`` (LPPD, LOO, CV2), stacked.
+
+    The terms are those of ``_score_batch``; the temporaries made here are
+    freed before the kernel runs.
+    """
+    x = np.empty((len(names),) + t.shape)
+    g = N[idx]
+    for xs, name in zip(x, names):
+        if name == "LPPD":
+            np.add(g, a, out=xs)
+        elif name == "LOO":
+            np.subtract(g, t, out=xs)  # exact: integer counts
+            xs += a
+        else:
+            in_first = np.concatenate([np.arange(j) < j // 2 for j in js])[grp]
+            first = np.zeros_like(N)
+            np.add.at(first, idx[in_first], t[in_first])  # exact: integer counts
+            c = first[idx]  # each row's other fold: the first fold's counts, or the rest
+            np.subtract(g, c, out=c, where=in_first[:, None])
+            np.add(c, a, out=xs)
+    return x
 
 
 def _score(tcs: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[str, ...],
@@ -275,12 +301,13 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
 
     Total rows and (trajectory, context) rows are each stacked model by
     model, so every kernel runs once per batch: one ``log_beta_ratio``
-    call per log-beta criterion, with one group per (model, trajectory)
-    (one per model for LPD), one digamma and one trigamma pair, and
-    elementwise terms whose per-model sums run over each model's own
-    contiguous slice. Trajectory j's log terms sum, over its count rows t
-    with total rows g and rows c of the other CV2 fold (the first
-    floor(J/2) trajectories against the rest and vice versa):
+    call for LPPD, LOO and CV2 together, with one group per (model,
+    trajectory), one for LPD, with one group per model, one digamma and
+    one trigamma pair, and elementwise terms whose per-model sums run
+    over each model's own contiguous slice. Trajectory j's log terms
+    sum, over its count rows t with total rows g and rows c of the other
+    CV2 fold (the first floor(J/2) trajectories against the rest and
+    vice versa):
     log B(g + t + a) - log B(g + a) for LPPD, log B(g + a) - log B(g - t + a)
     for LOO, log B(c + t + a) - log B(c + a) for CV2, and
     t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Every sum
@@ -305,17 +332,11 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
     if max(js) < 2:
         terms.discard("CV2")
     pointwise = {}
-    if "LPPD" in terms:
-        pointwise["LPPD"] = log_beta_ratio(N[idx] + a, t, grp, groups[-1])
-    if "LOO" in terms:
-        pointwise["LOO"] = log_beta_ratio((N[idx] - t) + a, t, grp, groups[-1])
-    if "CV2" in terms:
-        in_first = np.concatenate([np.arange(j) < j // 2 for j in js])[grp]
-        first = np.zeros_like(N)
-        np.add.at(first, idx[in_first], t[in_first])  # exact: integer counts
-        c = first[idx]  # each row's other fold: the first fold's counts, or the rest
-        np.subtract(N[idx], c, out=c, where=in_first[:, None])
-        pointwise["CV2"] = log_beta_ratio(c + a, t, grp, groups[-1])
+    # LPPD, LOO and CV2 share the increments t: one kernel call scores them all
+    ratios = [name for name in ("LPPD", "LOO", "CV2") if name in terms]
+    if ratios:
+        x = _ratio_tables(ratios, N, idx, t, grp, js, a)
+        pointwise.update(zip(ratios, log_beta_ratio(x, t, grp, groups[-1])))
     if need & {"WAIC2", "DIC2"}:
         tri, tri_s = trigamma(N + a), trigamma(Ns + a0)
     if "k_WAIC2" in terms:

@@ -21,6 +21,7 @@ __all__ = [
     "write_trajectories_jsonl",
     "import_outcome_csv",
     "load_tie_map",
+    "write_json",
     "write_reports",
     "write_selection_csv",
     "write_delta_csv",
@@ -85,7 +86,7 @@ def read_trajectories_jsonl(
     else:
         seen: set[str] = set()
         for _, obj in raw:
-            seen.update(str(s) for s in obj["seq"])
+            seen.update(map(str, obj["seq"]))
         alphabet = StateAlphabet(tuple(sorted(seen)))
 
     trajs: list[Trajectory] = []
@@ -94,7 +95,7 @@ def read_trajectories_jsonl(
         if not isinstance(seq, list) or not seq:
             raise TrajectoryFormatError(lineno, '"seq" must be a non-empty list')
         try:
-            steps = tuple(alphabet.index(str(s)) for s in seq)
+            steps = alphabet.indices(seq)
         except ValueError as exc:
             raise TrajectoryFormatError(lineno, str(exc)) from None
         tid = str(obj.get("id", f"traj{len(trajs)}"))
@@ -200,15 +201,20 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def write_json(obj, path) -> Path:
+    """Write ``obj`` as indented, key-sorted JSON plus a newline, in one write."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def write_reports(reports: list[CriterionReport], out_dir) -> tuple[Path, Path]:
     """Write criteria.json and criteria.csv; returns the two paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dicts = [r.as_dict() for r in reports]
-    json_path = out_dir / "criteria.json"
-    with json_path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dicts, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_path = write_json(dicts, out_dir / "criteria.json")
     csv_path = out_dir / "criteria.csv"
     with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_REPORT_COLUMNS) + "\n")

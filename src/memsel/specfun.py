@@ -3,7 +3,8 @@
 ``log_beta_ratio`` gives log B(x + t) - log B(x) for integer increments t
 as the Polya-urn probability of drawing those counts one at a time, a sum
 of ``np.log`` terms with no log-gamma cancellation, so it keeps its
-digits at counts of 1e8 and beyond. ``digamma`` and ``trigamma`` use the
+digits at counts of 1e8 and beyond. Several tables over the same
+increments share one expansion of the draws. ``digamma`` and ``trigamma`` use the
 asymptotic Bernoulli-number series after shifting the argument above 12
 with the standard recurrences; their target accuracy, grid-checked in the
 tests, is 1e-10 absolute on [1e-3, 1e6]. The shift runs in place over
@@ -130,33 +131,43 @@ def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
     log(X + i), with X the row total. One ``np.bincount`` sums the weights
     sequentially in draw order, so a group's value depends only on its own
     rows and their order, never on the other rows scored with it.
+
+    A 3-D ``x`` stacks several such tables over the one ``t``: the draws
+    and their k, i and group indices are expanded once, and row s of the
+    result is ``log_beta_ratio(x[s], t, group, n_groups)``, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t)
-    if x.ndim != 2 or x.shape != t.shape or x.shape[1] < 2:
+    if x.ndim not in (2, 3) or x.shape[-2:] != t.shape or t.shape[1] < 2:
         raise ValueError("x and t must be matching rows of at least two components")
     if x.size and (not np.all(np.isfinite(x)) or np.min(x) <= 0.0 or np.min(t) < 0):
         raise ValueError("log_beta_ratio needs finite x > 0 and increments t >= 0")
     if group is None:
         group = np.zeros(len(t), dtype=np.intp)
+    xs = x[None] if x.ndim == 2 else x
     flat, totals = t.ravel(), t.sum(axis=1)
     cells = np.flatnonzero(flat)  # (row, destination) cells that draw
     reps = flat[cells]
     cell_start = np.cumsum(reps) - reps
     row_start = np.cumsum(totals) - totals
-    # Draw-sized buffers are reused in place, at most three alive at once.
+    # Draw-sized buffers are reused in place: with one x at most three are
+    # alive at once, with s of them s + 2.
     # k: draws before this one in its cell (from the draw index over all rows)
     ki = np.arange(int(totals.sum()))
     ki -= np.repeat(cell_start, reps)
-    w = np.repeat(x.ravel()[cells], reps)
-    w += ki
-    np.log(w, out=w)
+    ws = []
+    for xx in xs:
+        w = np.repeat(xx.ravel()[cells], reps)
+        w += ki
+        ws.append(np.log(w, out=w))
     # i: draws before this one in its row, k plus the cell's offset in its row
     ki += np.repeat(cell_start - row_start[cells // t.shape[1]], reps)
-    xi = np.repeat(x.sum(axis=1), totals)
-    xi += ki
+    for w, xx in zip(ws, xs):
+        xi = np.repeat(xx.sum(axis=1), totals)
+        xi += ki
+        w -= np.log(xi, out=xi)
+        del xi
     del ki
-    np.log(xi, out=xi)
-    w -= xi
-    del xi
-    return np.bincount(np.repeat(group, totals), weights=w, minlength=n_groups)
+    draw_group = np.repeat(group, totals)
+    out = np.array([np.bincount(draw_group, weights=w, minlength=n_groups) for w in ws])
+    return out[0] if x.ndim == 2 else out

@@ -20,7 +20,6 @@ from .chain import (
     StateAlphabet,
     TrajectoryCounts,
     _first_occurrence,
-    _stack,
 )
 
 __all__ = ["TieMap", "tie_counts", "jagged_free_throw_map", "tied_param_count"]
@@ -90,12 +89,16 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
                              f"outside the M={m} states 0..{m - 1}")
     keys, n = tc.total.matrix()
     classes = np.array([tie_map.class_of(ctx) for ctx in keys], dtype=np.int64)
-    row, first = _first_occurrence(classes)
+    row, first = _first_occurrence(classes, tie_map.n_classes)
     tied = np.zeros((first.size, tc.alphabet.size), dtype=np.int64)
     np.add.at(tied, row, n)
     idx, t, bounds = tc.stacked()
-    traj = np.repeat(np.arange(tc.n_trajectories), np.diff(bounds))
-    prow, tidx, tbounds = _stack(traj, row[idx], first.size, tc.n_trajectories)
+    # group the stacked rows by (trajectory, class), in order of first occurrence
+    n_traj = tc.n_trajectories
+    traj = np.repeat(np.arange(n_traj), np.diff(bounds))
+    prow, pfirst = _first_occurrence(traj * first.size + row[idx], n_traj * first.size)
+    tidx = row[idx[pfirst]]
+    tbounds = np.bincount(traj[pfirst] + 1, minlength=n_traj + 1).cumsum()
     tied_t = np.zeros((tidx.size, tc.alphabet.size), dtype=np.int64)
     np.add.at(tied_t, prow, t)
     total = CountTable._counted(tc.h, tc.alphabet, tc.boundary, classes[first].tolist(), tied)

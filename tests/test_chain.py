@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from memsel import chain
 from memsel.chain import (
     START,
     BoundaryMode,
@@ -16,7 +17,7 @@ from memsel.chain import (
     merge_counts,
 )
 from memsel.dataio import load_tie_map
-from memsel.tying import TieMap
+from memsel.tying import TieMap, tie_counts
 
 AB3 = StateAlphabet.of_size(3)
 
@@ -52,6 +53,21 @@ class TestAlphabetAndTrajectory:
         with pytest.raises(ValueError):
             Trajectory("neg", (0, -2))
         assert len(Trajectory("ok", (0, 1, 0))) == 3
+
+    def test_trajectory_error_messages(self):
+        with pytest.raises(ValueError, match=r"^trajectory 'empty' has no steps$"):
+            Trajectory("empty", ())
+        with pytest.raises(ValueError,
+                           match=r"^trajectory 'neg' contains a negative state id$"):
+            Trajectory("neg", (0, 1, -2, 1))
+        assert Trajectory("np", np.array([1, 0])).steps == (1, 0)
+
+    def test_indices_maps_str_of_each_label(self):
+        ab = StateAlphabet(("0", "1", "x"))
+        assert ab.indices(["x", 0, "1", 1]) == (2, 0, 1, 1)
+        assert ab.indices([]) == ()
+        with pytest.raises(ValueError, match=r"^unknown state label '7'$"):
+            ab.indices(["0", 7, "1"])
 
 
 class TestContext:
@@ -253,6 +269,75 @@ class TestCountDepths:
                  for i, n in enumerate(rng.integers(30, 90, 5))]
         self.check(trajs, range(40, 46), 2, mode)
 
+    @pytest.mark.parametrize("per_key", [0, 10**9])
+    @pytest.mark.parametrize("mode", list(BoundaryMode))
+    def test_dense_and_sorted_ranking(self, monkeypatch, mode, per_key):
+        # a bound of 0 sends every ranking to the sort, 10**9 every one to the table
+        monkeypatch.setattr(chain, "_DENSE_SPAN_PER_KEY", per_key)
+        rng = np.random.default_rng(8)
+        trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 2, int(n)).tolist()))
+                 for i, n in enumerate(rng.integers(30, 90, 5))]
+        self.check(trajs, range(40, 46), 2, mode)
+        for m in (2, 5, 9):
+            trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, m, int(rng.integers(1, 15)))
+                                               .tolist())) for i in range(6)]
+            self.check(trajs, [0, 1, 2, 4, 7], m, mode)
+
+    @pytest.mark.parametrize("mode", list(BoundaryMode))
+    def test_ranking_tables_stay_within_m_plus_1_per_step(self, monkeypatch, mode):
+        spans = []
+
+        def spy(keys, span):
+            spans.append(span)
+            return first_occurrence(keys, span)
+
+        first_occurrence = chain._first_occurrence
+        monkeypatch.setattr(chain, "_first_occurrence", spy)
+        rng = np.random.default_rng(9)
+        for m in (2, 4, 12):
+            trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, m, 40).tolist()))
+                     for i in range(30)]
+            spans.clear()
+            _count_depths(trajs, range(0, 12), StateAlphabet.of_size(m), mode)
+            assert spans and max(spans) <= (m + 1) * 40 * 30
+
     def test_unsorted_and_repeated_depths(self):
         trajs = [Trajectory("a", (0, 1, 2, 1)), Trajectory("b", (2, 2))]
         self.check(trajs, [3, 1, 3, 0], 3, BoundaryMode.PADDED)
+
+
+def reference_first_occurrence(keys):
+    """Sorting reference: np.unique's ids renumbered by first position."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], first[order]
+
+
+class TestFirstOccurrence:
+    @pytest.mark.parametrize("per_key", [0, chain._DENSE_SPAN_PER_KEY, 10**9])
+    def test_matches_sorting_reference(self, monkeypatch, per_key):
+        monkeypatch.setattr(chain, "_DENSE_SPAN_PER_KEY", per_key)
+        rng = np.random.default_rng(4)
+        for n in (0, 1, 2, 9, 100, 3000):
+            for span in {1, 2, n + 1, 5 * n + 1, 40 * n + 3}:
+                keys = rng.integers(0, span, n)
+                rank, first = chain._first_occurrence(keys, span)
+                want_rank, want_first = reference_first_occurrence(keys)
+                assert rank.tolist() == want_rank.tolist()
+                assert first.tolist() == want_first.tolist()
+
+    @pytest.mark.parametrize("per_key", [0, 10**9])
+    def test_tie_counts_on_either_branch(self, monkeypatch, per_key):
+        rng = np.random.default_rng(6)
+        trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 3, 25).tolist())) for i in range(9)]
+        tc = count_transitions(trajs, 2, AB3)
+        classes = {ctx: i % 4 for i, ctx in enumerate(sorted(tc.total.rows))}
+        tie_map = TieMap(h=2, n_classes=40, assignments=classes)
+        want = tie_counts(tc, tie_map)
+        monkeypatch.setattr(chain, "_DENSE_SPAN_PER_KEY", per_key)
+        got = tie_counts(tc, tie_map)
+        assert got.total == want.total
+        for a, b in zip(got.stacked(), want.stacked()):
+            assert a.tolist() == b.tolist()

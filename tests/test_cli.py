@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ class TestCriteriaCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "criteria"
         assert str(season) in manifest["inputs"]
+
+    def test_manifest_records_the_parsed_argv(self, season, tmp_path, monkeypatch):
+        # main(argv) records its own argv, not the host process's arguments
+        monkeypatch.setattr(sys, "argv", ["host", "extra_host_arg", "--zzz"])
+        argv = ["criteria", "--input", str(season), "--h-max", "1", "--out", str(tmp_path / "a")]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "a" / "manifest.json").read_text())["argv"] == argv
+        argv = ["criteria", "--input", str(season), "--h-max", "1", "--out", str(tmp_path / "b")]
+        monkeypatch.setattr(sys, "argv", ["memsel"] + argv)
+        assert main() == 0
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["argv"] == argv
 
     def test_jagged_tie_row(self, season, tmp_path):
         out = tmp_path / "out"
@@ -131,11 +143,13 @@ class TestErrorPaths:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_unknown_state_label(self, tmp_path):
+    def test_unknown_state_label(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         data.write_text('{"id": "a", "seq": ["0", "7"]}\n')
         assert main(["criteria", "--input", data.as_posix(), "--h-max", "1",
                      "--states", "0,1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: unknown state label '7'" in err
 
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -327,6 +341,29 @@ class TestDataIo:
         path2.write_text('{"states": ["y", "x"]}\n{"id": "a", "seq": ["x"]}\n')
         alphabet2, _ = read_trajectories_jsonl(path2)
         assert alphabet2.labels == ("y", "x")
+
+    def test_json_numbers_read_as_labels(self, tmp_path):
+        # labels are matched by their str(): the number 1 is the label "1"
+        numbers, strings = tmp_path / "n.jsonl", tmp_path / "s.jsonl"
+        numbers.write_text('{"states": ["0", "1"]}\n{"id": "a", "seq": [0, 1, 1]}\n'
+                           '{"id": "b", "seq": [1, "0"]}\n')
+        strings.write_text('{"states": ["0", "1"]}\n{"id": "a", "seq": ["0", "1", "1"]}\n'
+                           '{"id": "b", "seq": ["1", "0"]}\n')
+        got, want = read_trajectories_jsonl(numbers), read_trajectories_jsonl(strings)
+        assert got[0] == want[0]
+        assert [(t.id, t.steps) for t in got[1]] == [("a", (0, 1, 1)), ("b", (1, 0))]
+        assert [(t.id, t.steps) for t in want[1]] == [("a", (0, 1, 1)), ("b", (1, 0))]
+        inferred = tmp_path / "i.jsonl"
+        inferred.write_text('{"id": "a", "seq": [1, 0, 1]}\n')
+        alphabet, trajs = read_trajectories_jsonl(inferred)
+        assert alphabet.labels == ("0", "1") and trajs[0].steps == (1, 0, 1)
+
+    def test_unknown_label_is_line_numbered(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"states": ["0", "1"]}\n{"id": "a", "seq": [0, 1]}\n'
+                        '{"id": "b", "seq": [1, 7, 0]}\n')
+        with pytest.raises(ValueError, match=r"^line 3: unknown state label '7'$"):
+            read_trajectories_jsonl(path)
 
     def test_jsonl_roundtrip(self, tmp_path):
         ab = StateAlphabet(("a", "b", "c"))

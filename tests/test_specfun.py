@@ -110,6 +110,30 @@ def test_log_beta_symmetry_and_rows():
     assert by_group[3] == 0.0
 
 
+def test_log_beta_stacked_x_equals_each_x_alone():
+    # several x over one t: the draws are expanded once, every value keeps its bits
+    rng = np.random.default_rng(12)
+    for rows, m in ((1, 2), (7, 3), (40, 5)):
+        t = rng.integers(0, 9, (rows, m))
+        t[rng.random(rows) < 0.2] = 0
+        x = rng.uniform(0.05, 50.0, (3, rows, m))
+        groups = rng.integers(0, 4, rows)
+        got = log_beta_ratio(x, t, groups, 4)
+        assert got.shape == (3, 4)
+        for s in range(3):
+            assert got[s].tolist() == log_beta_ratio(x[s], t, groups, 4).tolist()
+    assert log_beta_ratio(np.ones((2, 0, 3)), np.zeros((0, 3), dtype=int)).shape == (2, 1)
+
+
+def test_log_beta_stacked_x_domain_checks_every_x():
+    good = np.ones((1, 2))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            log_beta_ratio(np.stack([good, np.array([[1.0, bad]])]), [[1, 1]])
+    with pytest.raises(ValueError):
+        log_beta_ratio(np.ones((2, 1, 3)), [[1, 1]])
+
+
 @pytest.mark.parametrize("fn", [digamma, trigamma])
 def test_domain_errors(fn):
     for bad in (0.0, -1.5, math.nan, math.inf):
