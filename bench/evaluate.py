@@ -5,11 +5,9 @@ Usage, from the root of a git checkout:
 
     python3 bench/evaluate.py --base <commit> [--rounds 5] [--out BENCH_evaluate.json]
 
-The base side is the ``src/`` of ``<commit>``, exported with ``git
-archive``; the change side is this checkout's ``src/``. Each side runs in
-its own worker interpreters, all pinned to the same CPU, and the sides
-take turns call by call (never at once), alternating which goes first,
-so host-speed drift lands on both sides alike.
+The base side is the ``src/`` of ``<commit>`` and the change side this
+checkout's ``src/``, paired call by call as ``bench/harness.py`` describes,
+alternating which side goes first.
 
 Calls timed, each one ``criteria.evaluate_depths`` on inputs made by
 ``perfbench/gen.py`` (plain numpy, so both sides score the same data):
@@ -35,24 +33,22 @@ replicates.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
-import platform
 import resource
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+from harness import ROOT, open_sides, quartiles
+
 PAPER_J = (4, 8, 16, 32, 64, 128, 256)
 PAPER_REPLICATES = 10_000
 GRID_J = (4, 16, 64)
@@ -74,16 +70,11 @@ def _digest(reports) -> str:
     return h.hexdigest()
 
 
-def worker(src: str, cpu: int) -> int:
+def worker() -> int:
     """Answer one JSON request per line with one JSON reply per line."""
-    os.sched_setaffinity(0, {cpu})
-    os.environ.pop("MEMSEL_THREADS", None)
-    sys.path.insert(0, src)
     from memsel import cli, criteria, dataio, simulate
     from memsel.chain import StateAlphabet, Trajectory
 
-    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"memsel was imported from {cli.__file__}, not {src}")
     inputs = {}
 
     def load(req):
@@ -143,67 +134,6 @@ def worker(src: str, cpu: int) -> int:
 # Scheduling side: runs the calls in turn and writes the result
 
 
-class Side:
-    def __init__(self, name: str, src: Path, cpu: int):
-        self.name = name
-        env = {k: v for k, v in os.environ.items() if k != "MEMSEL_THREADS"}
-        env["PYTHONHASHSEED"] = "0"
-        self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker", str(src), "--cpu", str(cpu)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT)
-
-    def run(self, req: dict) -> dict:
-        self.proc.stdin.write(json.dumps(req) + "\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise SystemExit(f"{self.name} worker exited")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.proc.stdin.close()
-        self.proc.wait(timeout=60)
-
-
-def _git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
-
-
-def _export_src(commit: str, dest: Path) -> Path:
-    data = subprocess.run(["git", "-C", str(ROOT), "archive", commit, "src"],
-                          check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(dest, filter="data")
-    return dest / "src"
-
-
-def _src_digest(src: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted((src / "memsel").glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def _quartiles(xs: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3, "n": len(xs)}
-
-
-def _machine(cpu: int) -> dict:
-    model = None
-    with contextlib.suppress(OSError):
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    import numpy
-
-    return {"cpu_model": model, "nproc": os.cpu_count(), "pinned_cpu": cpu,
-            "platform": platform.platform(), "python": platform.python_version(),
-            "numpy": numpy.__version__}
-
-
 def _shape_inputs(work: Path) -> dict[str, list[dict]]:
     import gen  # the benchmark's plain-numpy input generators
 
@@ -223,9 +153,7 @@ def _shape_inputs(work: Path) -> dict[str, list[dict]]:
 def _time_shape(srcs: dict, cpu: int, inputs: list[dict], rounds: int, repeat: int) -> dict:
     """Paired per-call timings of one shape, in fresh workers per side."""
     with contextlib.ExitStack() as stack:
-        sides = {name: Side(name, src, cpu) for name, src in srcs.items()}
-        for side in sides.values():
-            stack.callback(side.close)
+        sides = open_sides(stack, __file__, srcs, cpu)
         calls = {name: [] for name in sides}
         digests = {name: [] for name in sides}
         order = list(sides)
@@ -245,8 +173,8 @@ def _time_shape(srcs: dict, cpu: int, inputs: list[dict], rounds: int, repeat: i
     ratios = [b / c for b, c in zip(calls["base"], calls["change"])]
     return {
         "entries": [spec["label"] for spec in inputs], "rounds": rounds, "calls_per_timing": repeat,
-        "per_call_s": {name: _quartiles(xs) for name, xs in calls.items()},
-        "paired_speedup": _quartiles(ratios),
+        "per_call_s": {name: quartiles(xs) for name, xs in calls.items()},
+        "paired_speedup": quartiles(ratios),
         "change_ahead_in_pairs": f"{sum(x > 1.0 for x in ratios)}/{len(ratios)}",
         "peak_rss_mb": rss,
         "tracemalloc_peak_kb_max": {name: max(v) for name, v in traced.items()},
@@ -257,16 +185,10 @@ def _time_shape(srcs: dict, cpu: int, inputs: list[dict], rounds: int, repeat: i
 def compare(args) -> int:
     cpu = min(os.sched_getaffinity(0))
     sys.path.insert(0, str(ROOT / "perfbench"))
-    result = {"topic": "evaluate",
-              "command": " ".join(["python3", "bench/evaluate.py"] + sys.argv[1:])}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        srcs = {"base": _export_src(args.base, work / "base"), "change": ROOT / "src"}
-        result["machine"] = _machine(cpu)
-        result["base"] = {"commit": _git("rev-parse", args.base),
-                          "src_sha256": _src_digest(srcs["base"])}
-        result["change"] = {"checkout_head": _git("rev-parse", "HEAD"),
-                            "src_sha256": _src_digest(srcs["change"])}
+        srcs = {"base": harness.export_src(args.base, work / "base"), "change": ROOT / "src"}
+        result = harness.provenance("evaluate", __file__, args.base, srcs, cpu)
         shapes = _shape_inputs(work)
         result["power_grid_shape"] = _time_shape(srcs, cpu, shapes["power_grid"], args.rounds, 20)
         result["long_series_shape"] = _time_shape(srcs, cpu, shapes["long_series"], args.rounds, 3)
@@ -274,9 +196,7 @@ def compare(args) -> int:
             print(f"{key}: {json.dumps(result[key]['paired_speedup'])}", file=sys.stderr)
 
         with contextlib.ExitStack() as stack:
-            sides = {name: Side(name, src, cpu) for name, src in srcs.items()}
-            for side in sides.values():
-                stack.callback(side.close)
+            sides = open_sides(stack, __file__, srcs, cpu)
             ci = {name: [] for name in sides}
             paper = {name: {j: [] for j, _ in PAPER_CELLS} for name in sides}
             order = list(sides)
@@ -304,7 +224,7 @@ def compare(args) -> int:
 
     result["simulate_profile_ci_seed1"] = {
         "call": "memsel simulate --profile ci --seed 1",
-        "wall_s": {name: _quartiles([x["seconds"] for x in xs]) for name, xs in ci.items()},
+        "wall_s": {name: quartiles([x["seconds"] for x in xs]) for name, xs in ci.items()},
         "exit_codes": {name: sorted({str(x["rc"]) for x in xs}) for name, xs in ci.items()},
         "output_sha256": {name: xs[0]["sha256"] for name, xs in ci.items()},
         "outputs_identical": all(x["sha256"] == ci["base"][0]["sha256"]
@@ -322,20 +242,6 @@ def compare(args) -> int:
     return 0
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", help="commit to compare against (its src/ is exported with git archive)")
-    ap.add_argument("--rounds", type=int, default=5, help="timed passes over each shape's inputs")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_evaluate.json"))
-    ap.add_argument("--worker", help=argparse.SUPPRESS)
-    ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.worker:
-        return worker(args.worker, args.cpu)
-    if not args.base:
-        ap.error("--base is required")
-    return compare(args)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, 5, "timed passes over each shape's inputs",
+                          "BENCH_evaluate.json", worker, compare))

@@ -5,11 +5,9 @@ Usage, from the root of a git checkout:
 
     python3 bench/oracle.py --base <commit> [--rounds 3] [--out BENCH_oracle.json]
 
-The base side is the ``src/`` of ``<commit>``, exported with ``git
-archive``; the change side is this checkout's ``src/``. Each side runs in
-its own worker interpreter, both pinned to the same CPU, and the two take
-turns call by call (never at once), alternating which goes first, so
-host-speed drift lands on both sides alike.
+The base side is the ``src/`` of ``<commit>`` and the change side this
+checkout's ``src/``, paired call by call as ``bench/harness.py`` describes,
+alternating which side goes first.
 
 Calls timed (``--rounds`` times each):
 
@@ -31,22 +29,21 @@ share byte for byte.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+from harness import ROOT, open_sides, quartiles
+
 PANEL = 16
 PANEL_DRAWS = 5000
 QUANTITIES = ("LPD", "LPPD", "LOO", "CV2", "k_WAIC2", "k_DIC2")
@@ -67,15 +64,10 @@ def _timed(fn, slot: dict, key: str):
     return wrapper
 
 
-def worker(src: str, cpu: int) -> int:
+def worker() -> int:
     """Answer ``{"argv", "out", "split"}`` lines with ``{"rc", "seconds", ...}`` lines."""
-    os.sched_setaffinity(0, {cpu})
-    os.environ.pop("MEMSEL_THREADS", None)
-    sys.path.insert(0, src)
     from memsel import cli, oracle
 
-    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"memsel was imported from {cli.__file__}, not {src}")
     for line in sys.stdin:
         req = json.loads(line)
         slot = {"sampling_s": 0.0, "sum_cells_s": 0.0}
@@ -110,70 +102,6 @@ def worker(src: str, cpu: int) -> int:
 # Scheduling side: runs the calls in turn and writes the result
 
 
-class Side:
-    def __init__(self, name: str, src: Path, cpu: int, work: Path):
-        self.name, self.work = name, work
-        env = {k: v for k, v in os.environ.items() if k != "MEMSEL_THREADS"}
-        env["PYTHONHASHSEED"] = "0"
-        self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker", str(src), "--cpu", str(cpu)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT)
-        self.calls = 0
-
-    def run(self, argv: list[str], split: bool = False) -> dict:
-        self.calls += 1
-        out = self.work / f"{self.name}-{self.calls}"
-        self.proc.stdin.write(json.dumps({"argv": argv, "out": str(out), "split": split}) + "\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise SystemExit(f"{self.name} worker exited")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.proc.stdin.close()
-        self.proc.wait(timeout=60)
-
-
-def _git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
-
-
-def _export_src(commit: str, dest: Path) -> Path:
-    data = subprocess.run(["git", "-C", str(ROOT), "archive", commit, "src"],
-                          check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(dest, filter="data")
-    return dest / "src"
-
-
-def _src_digest(src: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted((src / "memsel").glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def _quartiles(xs: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3, "n": len(xs)}
-
-
-def _machine(cpu: int) -> dict:
-    model = None
-    with contextlib.suppress(OSError):
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    import numpy
-
-    return {"cpu_model": model, "nproc": os.cpu_count(), "pinned_cpu": cpu,
-            "platform": platform.platform(), "python": platform.python_version(),
-            "numpy": numpy.__version__}
-
-
 def _shared_fields(base_rows: list[dict], change_rows: list[dict]) -> dict:
     """Per quantity, the oracle.json fields the two sides wrote identically."""
     by_name = {r["quantity"]: r for r in change_rows}
@@ -189,18 +117,21 @@ def compare(args) -> int:
     with contextlib.ExitStack() as stack:
         work = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         seasons = [gen.season(i, work / "inputs" / str(i))[0] for i in range(PANEL)]
-        srcs = {"base": _export_src(args.base, work / "base"), "change": ROOT / "src"}
-        digests = {name: _src_digest(src) for name, src in srcs.items()}
-        sides = {name: Side(name, src, cpu, work) for name, src in srcs.items()}
-        for side in sides.values():
-            stack.callback(side.close)
+        srcs = {"base": harness.export_src(args.base, work / "base"), "change": ROOT / "src"}
+        result = harness.provenance("oracle", __file__, args.base, srcs, cpu)
+        sides = open_sides(stack, __file__, srcs, cpu)
+        call_ids = itertools.count()
+
+        def run(side: harness.Side, argv: list[str], split: bool = False) -> dict:
+            out = work / f"{side.name}-{next(call_ids)}"  # a fresh output directory per call
+            return side.run({"argv": argv, "out": str(out), "split": split})
 
         def panel_argv(i: int) -> list[str]:
             return ["oracle", "--input", str(seasons[i]), "--h", "1",
                     "--draws", str(PANEL_DRAWS), "--seed", str(i)]
 
         for side in sides.values():  # warm-up: imports and first-call costs
-            side.run(["oracle", "--input", str(seasons[0]), "--h", "1", "--draws", "1000"])
+            run(side, ["oracle", "--input", str(seasons[0]), "--h", "1", "--draws", "1000"])
 
         calls = {name: [] for name in sides}
         entries = {name: {} for name in sides}
@@ -208,7 +139,7 @@ def compare(args) -> int:
         for r in range(args.rounds):
             for i in range(PANEL):
                 for name in order:
-                    reply = sides[name].run(panel_argv(i))
+                    reply = run(sides[name], panel_argv(i))
                     calls[name].append(reply["seconds"])
                     rec = entries[name].setdefault(i, {"rc": reply["rc"], "sha256": reply.get("sha256"),
                                                        "rows": reply.get("rows", [])})
@@ -222,31 +153,26 @@ def compare(args) -> int:
         split = {name: {"sampling_s": [], "estimators_s": [], "other_s": []} for name in sides}
         for i in range(PANEL):
             for name, side in sides.items():
-                for key, value in side.run(panel_argv(i), split=True)["split"].items():
+                for key, value in run(side, panel_argv(i), split=True)["split"].items():
                     split[name][key].append(value)
 
         default_argv = ["oracle", "--input", str(ROOT / "tests" / "data" / "season.jsonl"),
                         "--h", "1", "--seed", "0"]
         default = {}
         for name, side in sides.items():
-            reply = side.run(default_argv)
+            reply = run(side, default_argv)
             default[name] = {"seconds": reply["seconds"], "rc": reply["rc"],
                              "sha256": reply.get("sha256"), "rows": reply.get("rows", [])}
 
     ratios = [b / c for b, c in zip(calls["base"], calls["change"])]
     shared = [_shared_fields(entries["base"][i]["rows"], entries["change"][i]["rows"])
               for i in range(PANEL)]
-    result = {
-        "topic": "oracle",
-        "command": " ".join(["python3", "bench/oracle.py"] + sys.argv[1:]),
-        "machine": _machine(cpu),
-        "base": {"commit": _git("rev-parse", args.base), "src_sha256": digests["base"]},
-        "change": {"checkout_head": _git("rev-parse", "HEAD"), "src_sha256": digests["change"]},
+    result.update({
         "panel": {
             "call": f"memsel oracle --input <91-game season i> --h 1 --draws {PANEL_DRAWS} --seed i",
             "entries": PANEL, "rounds": args.rounds,
-            "per_call_s": {name: _quartiles(xs) for name, xs in calls.items()},
-            "paired_speedup": _quartiles(ratios),
+            "per_call_s": {name: quartiles(xs) for name, xs in calls.items()},
+            "paired_speedup": quartiles(ratios),
             "split_median_s": {name: {k: statistics.median(v) for k, v in parts.items()}
                                for name, parts in split.items()},
             "exit_codes": {name: sorted({str(e["rc"]) for e in ent.values()})
@@ -264,27 +190,13 @@ def compare(args) -> int:
             **{name: {k: v for k, v in d.items() if k != "rows"} for name, d in default.items()},
             "fields_identical": _shared_fields(default["base"]["rows"], default["change"]["rows"]),
         },
-    }
+    })
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps({"per_call_s": result["panel"]["per_call_s"],
                       "paired_speedup": result["panel"]["paired_speedup"]}))
     return 0
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", help="commit to compare against (its src/ is exported with git archive)")
-    ap.add_argument("--rounds", type=int, default=3, help="timed passes over the panel")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_oracle.json"))
-    ap.add_argument("--worker", help=argparse.SUPPRESS)
-    ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.worker:
-        return worker(args.worker, args.cpu)
-    if not args.base:
-        ap.error("--base is required")
-    return compare(args)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, 3, "timed passes over the panel", "BENCH_oracle.json",
+                          worker, compare))

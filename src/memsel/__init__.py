@@ -50,7 +50,6 @@ from .oracle import (
 from .simulate import (
     DeltaTable,
     FreeThrowModel,
-    FreeThrowPowerResult,
     FreeThrowSimConfig,
     PowerStudyResult,
     RandomNetwork,

@@ -202,30 +202,28 @@ def _parse_ft_model(text: str) -> FreeThrowModel:
     )
 
 
+# The preset grids. Under a profile only --h-true, --seed, --boundary and
+# --network-per-replicate apply; every other field keeps its default.
+_PROFILES = {
+    "paper": {"m": 8, "h_range": (1, 2, 3, 4, 5), "J_values": (4, 8, 16, 32, 64, 128, 256),
+              "replicates": 10_000},
+    "ci": {"m": 8, "h_range": (1, 2, 3, 4, 5), "J_values": (4, 16, 64), "replicates": 200},
+}
+
+
 def _sim_config(args) -> SimConfig:
-    if args.profile == "paper":
-        return SimConfig(
-            m=8, h_true=args.h_true, h_range=(1, 2, 3, 4, 5),
-            J_values=(4, 8, 16, 32, 64, 128, 256), replicates=10_000,
-            seed=args.seed, boundary=BoundaryMode(args.boundary),
-            network_per_replicate=args.network_per_replicate,
-        )
-    if args.profile == "ci":
-        return SimConfig(
-            m=8, h_true=args.h_true, h_range=(1, 2, 3, 4, 5),
-            J_values=(4, 16, 64), replicates=200,
-            seed=args.seed, boundary=BoundaryMode(args.boundary),
-            network_per_replicate=args.network_per_replicate,
-        )
-    criteria = tuple(args.criteria.split(",")) if args.criteria else CRITERIA
-    h_range = tuple(_parse_h_range(args)) if (args.h_range or args.h_max is not None) else (1, 2, 3, 4, 5)
-    return SimConfig(
-        m=args.M, h_true=args.h_true, h_range=h_range,
-        J_values=tuple(args.J or [4]), replicates=args.replicates,
-        length_cap=args.length_cap, seed=args.seed, criteria=criteria,
-        boundary=BoundaryMode(args.boundary),
-        network_per_replicate=args.network_per_replicate,
-    )
+    if args.profile:
+        grid = _PROFILES[args.profile]
+    else:
+        grid = {
+            "m": args.M, "J_values": tuple(args.J or [4]), "replicates": args.replicates,
+            "length_cap": args.length_cap,
+            "criteria": tuple(args.criteria.split(",")) if args.criteria else CRITERIA,
+            "h_range": (tuple(_parse_h_range(args)) if (args.h_range or args.h_max is not None)
+                        else (1, 2, 3, 4, 5)),
+        }
+    return SimConfig(h_true=args.h_true, seed=args.seed, boundary=BoundaryMode(args.boundary),
+                     network_per_replicate=args.network_per_replicate, **grid)
 
 
 def cmd_simulate(args) -> int:
@@ -242,8 +240,7 @@ def cmd_simulate(args) -> int:
             )
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        result = free_throw_power(cfg)
-        write_selection_csv(result.selection, out_dir / "selection.csv")
+        result = free_throw_power(cfg, workers=args.workers)
         config = {
             "model": {"name": model.name, "p_first": model.p_first,
                       "p_after_hit": model.p_after_hit, "p_after_miss": model.p_after_miss},
@@ -251,11 +248,7 @@ def cmd_simulate(args) -> int:
             "seed": cfg.seed, "boundary": cfg.boundary.value,
             "criteria": list(cfg.criteria),
         }
-        summary = {
-            **config,
-            "jagged_win_rate": result.jagged_win_rate,
-            "selection": result.selection.to_records(),
-        }
+        summary = {**config, "jagged_win_rate": result.jagged_win_rate}
         telemetry = None  # game lengths are Poisson draws: nothing is capped
     else:
         try:
@@ -263,9 +256,6 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from None
         result = run_power_study(cfg, workers=args.workers)
-        write_selection_csv(result.selection, out_dir / "selection.csv")
-        if result.deltas.rows:
-            write_delta_csv(result.deltas, out_dir / "delta.csv")
         summary = {
             "config": {
                 "M": cfg.m, "h_true": cfg.h_true, "h_range": list(cfg.h_range),
@@ -273,7 +263,6 @@ def cmd_simulate(args) -> int:
                 "criteria": list(cfg.criteria), "boundary": cfg.boundary.value,
                 "network_per_replicate": cfg.network_per_replicate,
             },
-            "selection": result.selection.to_records(),
             "deltas": result.deltas.to_records(),
         }
         config = summary["config"]
@@ -282,6 +271,10 @@ def cmd_simulate(args) -> int:
             walks = cfg.replicates * sum(cfg.J_values)
             print(f"warning: {result.truncated_walks} of {walks} walks hit the length cap "
                   f"({cfg.length_cap} steps) before absorption", file=sys.stderr)
+    write_selection_csv(result.selection, out_dir / "selection.csv")
+    if result.deltas.rows:
+        write_delta_csv(result.deltas, out_dir / "delta.csv")
+    summary["selection"] = result.selection.to_records()
     write_json(summary, out_dir / "summary.json")
     _write_manifest(out_dir, args, config, [], seed=args.seed, telemetry=telemetry)
     print(f"wrote {out_dir / 'selection.csv'}")
@@ -388,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw a fresh true network for every replicate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: MEMSEL_THREADS or 1)")
+                   help="process count, >= 1 (default: MEMSEL_THREADS or 1)")
     p.add_argument("--free-throw", action="store_true",
                    help="per-game experiment with Poisson game lengths")
     p.add_argument("--lambda", dest="lambda", type=float, default=7.615,

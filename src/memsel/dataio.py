@@ -195,6 +195,8 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
 
 
 _REPORT_COLUMNS = ("label", "h", "boundary", "J", "transitions", "k_params") + CRITERIA + K_TERMS
+_SELECTION_COLUMNS = ("h_true", "J", "criterion", "h_chosen", "frequency")
+_DELTA_COLUMNS = ("h_true", "J", "criterion", "h", "min", "max", "mean", "frac_below_zero")
 
 
 def _cell(value) -> str:
@@ -209,38 +211,30 @@ def write_json(obj, path) -> Path:
     return path
 
 
+def _write_csv(records, cols: tuple, path) -> Path:
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for rec in records:
+            fh.write(",".join(_cell(rec[c]) for c in cols) + "\n")
+    return path
+
+
 def write_reports(reports: list[CriterionReport], out_dir) -> tuple[Path, Path]:
     """Write criteria.json and criteria.csv; returns the two paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dicts = [r.as_dict() for r in reports]
     json_path = write_json(dicts, out_dir / "criteria.json")
-    csv_path = out_dir / "criteria.csv"
-    with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_REPORT_COLUMNS) + "\n")
-        for d in dicts:
-            fh.write(",".join(_cell(d[c]) for c in _REPORT_COLUMNS) + "\n")
-    return json_path, csv_path
+    return json_path, _write_csv(dicts, _REPORT_COLUMNS, out_dir / "criteria.csv")
 
 
 def write_selection_csv(table, path) -> Path:
-    path = Path(path)
-    cols = ("h_true", "J", "criterion", "h_chosen", "frequency")
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in table.to_records():
-            fh.write(",".join(_cell(rec[c]) for c in cols) + "\n")
-    return path
+    return _write_csv(table.to_records(), _SELECTION_COLUMNS, path)
 
 
 def write_delta_csv(table, path) -> Path:
-    path = Path(path)
-    cols = ("h_true", "J", "criterion", "h", "min", "max", "mean", "frac_below_zero")
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in table.to_records():
-            fh.write(",".join(_cell(rec[c]) for c in cols) + "\n")
-    return path
+    return _write_csv(table.to_records(), _DELTA_COLUMNS, path)
 
 
 def file_digest(path) -> str:

@@ -10,6 +10,7 @@ count and execution order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +37,6 @@ __all__ = [
     "DeltaRow",
     "DeltaTable",
     "PowerStudyResult",
-    "FreeThrowPowerResult",
     "generate_network",
     "sample_trajectory",
     "run_power_study",
@@ -59,12 +59,12 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Worker cap from MEMSEL_THREADS (default 1, i.e. serial)."""
-    raw = os.environ.get("MEMSEL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Worker count from MEMSEL_THREADS: unset or empty means 1 (serial),
+    and anything but an integer >= 1 raises ValueError."""
+    raw = os.environ.get("MEMSEL_THREADS", "").strip() or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"MEMSEL_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,23 +169,32 @@ class SimConfig:
     network_per_replicate: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "h_range", tuple(sorted({int(h) for h in self.h_range})))
         object.__setattr__(self, "J_values", tuple(int(j) for j in self.J_values))
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "boundary", BoundaryMode(self.boundary))
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
         if self.length_cap < 1:
             raise ValueError("length cap must be >= 1")
         if not self.h_range:
             raise ValueError("h_range must be non-empty")
         if not self.J_values or min(self.J_values) < 1:
             raise ValueError("J values must be positive")
-        for name in self.criteria:
-            if name not in CRITERIA:
-                raise ValueError(f"unknown criterion {name!r}")
-        if "CV2" in self.criteria and min(self.J_values) < 2:
-            raise ValueError("the CV2 criterion needs J >= 2")
+        _normalize_study(self, min(self.J_values), "J")
+
+
+def _normalize_study(cfg, min_batch: int, batch_name: str) -> None:
+    """Normalise and check the fields both study configs share.
+
+    ``min_batch`` is the smallest number of trajectories one replicate
+    scores (the least J, or the number of games), which CV2 needs >= 2.
+    """
+    object.__setattr__(cfg, "h_range", tuple(sorted({int(h) for h in cfg.h_range})))
+    object.__setattr__(cfg, "criteria", tuple(cfg.criteria))
+    object.__setattr__(cfg, "boundary", BoundaryMode(cfg.boundary))
+    if cfg.replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    for name in cfg.criteria:
+        if name not in CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}")
+    if "CV2" in cfg.criteria and min_batch < 2:
+        raise ValueError(f"the CV2 criterion needs {batch_name} >= 2")
 
 
 @dataclass(frozen=True)
@@ -248,10 +257,13 @@ class DeltaTable:
 
 @dataclass(frozen=True)
 class PowerStudyResult:
-    config: SimConfig
+    config: SimConfig | FreeThrowSimConfig
     selection: SelectionFrequencyTable
     deltas: DeltaTable
     truncated_walks: int = 0  # sampled walks that the length cap cut before absorption
+    # per criterion, the fraction of kept replicates in which the tied model
+    # was strictly below every depth up to its own; None when none was scored
+    jagged_win_rate: dict | None = None
 
 
 def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int):
@@ -270,9 +282,75 @@ def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int
     return reports, sum(tr.truncated for tr in trajs)
 
 
-def _replicate_job(args):
-    cfg, net, j_index, rep = args
-    return _replicate_values(cfg, net, j_index, rep)
+def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None):
+    """Run ``replicate(cfg, shared, cell_index, rep)`` over every (cell,
+    replicate) and tabulate the results.
+
+    Jobs run cell by cell, serially or in a process pool; a job returns
+    ``(reports, truncated_walks)``, or None for a replicate with no data,
+    which is skipped. Selection frequencies are taken over the kept
+    replicates of each cell, gaps to ``h_true`` are kept when it is a
+    candidate depth, and a tied model scored after the depths counts a
+    win when it is the argmin of itself and every depth up to its own.
+    """
+    workers = worker_count() if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"the worker count must be >= 1, got {workers}")
+    n_cells, n_reps = len(cells), cfg.replicates
+    args = (itertools.repeat(cfg), itertools.repeat(shared),
+            [cell for cell in range(n_cells) for _ in range(n_reps)], list(range(n_reps)) * n_cells)
+    sel_rows: list[SelectionRow] = []
+    delta_rows: list[DeltaRow] = []
+    n_depths = len(cfg.h_range)
+    track_delta = h_true in cfg.h_range
+    wins = {c: 0 for c in cfg.criteria}
+    tied_scored, n_kept, truncated = False, 0, 0
+    # results are tallied as they arrive, so no more than one replicate's
+    # reports (plus the pool's unread results) are held at a time
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = map(replicate, *args) if pool is None else pool.map(replicate, *args, chunksize=8)
+        for label in cells:
+            chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
+            deltas = {(c, h): [] for c in cfg.criteria for h in cfg.h_range}
+            kept = 0
+            for result in itertools.islice(results, n_reps):
+                if result is None:
+                    continue
+                reports, n_truncated = result
+                kept += 1
+                truncated += n_truncated
+                depths = reports[:n_depths]
+                for c in cfg.criteria:
+                    chosen_counts[c][argmin(depths, c).h] += 1
+                    if track_delta:
+                        ref = depths[cfg.h_range.index(h_true)].value(c)
+                        for r in depths:
+                            deltas[(c, r.h)].append(r.value(c) - ref)
+                if len(reports) > n_depths:
+                    tied_scored = True
+                    tied = reports[-1]
+                    rivals = [r for r in depths if r.h <= tied.h] + [tied]
+                    for c in cfg.criteria:
+                        wins[c] += argmin(rivals, c) is tied
+            if not kept:  # only a free-throw season can come back empty
+                raise ValueError("every replicate drew zero games; increase lam or games")
+            n_kept += kept
+            for c in cfg.criteria:
+                for h in cfg.h_range:
+                    sel_rows.append(SelectionRow(h_true, label, c, h, chosen_counts[c][h] / kept))
+                if track_delta:
+                    for h in cfg.h_range:
+                        arr = np.asarray(deltas[(c, h)])
+                        delta_rows.append(DeltaRow(
+                            h_true, label, c, h,
+                            float(arr.min()), float(arr.max()), float(arr.mean()),
+                            float(np.mean(arr < 0.0)),
+                        ))
+    return PowerStudyResult(
+        cfg, SelectionFrequencyTable(tuple(sel_rows)), DeltaTable(tuple(delta_rows)),
+        truncated_walks=truncated,
+        jagged_win_rate={c: wins[c] / n_kept for c in cfg.criteria} if tied_scored else None,
+    )
 
 
 def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyResult:
@@ -280,55 +358,14 @@ def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyRes
 
     By default one network per true depth is drawn from the seed and
     reused for every batch; ``network_per_replicate`` draws a fresh one
-    per replicate instead. Results are byte-stable for a fixed config.
-    ``truncated_walks`` counts the walks that hit ``length_cap`` before
-    absorption, over the whole grid.
+    per replicate instead. Results are byte-stable for a fixed config and
+    any worker count. ``truncated_walks`` counts the walks that hit
+    ``length_cap`` before absorption, over the whole grid.
     """
-    workers = worker_count() if workers is None else max(1, int(workers))
     shared_net = None
     if not cfg.network_per_replicate:
         shared_net = generate_network(cfg.m, cfg.h_true, cfg.seed)
-
-    jobs = [
-        (cfg, shared_net, j_index, rep)
-        for j_index in range(len(cfg.J_values))
-        for rep in range(cfg.replicates)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_job, jobs, chunksize=8))
-    else:
-        results = [_replicate_job(job) for job in jobs]
-
-    sel_rows: list[SelectionRow] = []
-    delta_rows: list[DeltaRow] = []
-    track_delta = cfg.h_true in cfg.h_range
-    for j_index, j in enumerate(cfg.J_values):
-        block = results[j_index * cfg.replicates:(j_index + 1) * cfg.replicates]
-        chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
-        deltas = {(c, h): [] for c in cfg.criteria for h in cfg.h_range}
-        for reports, _ in block:
-            for c in cfg.criteria:
-                chosen_counts[c][argmin(reports, c).h] += 1
-                if track_delta:
-                    ref = reports[cfg.h_range.index(cfg.h_true)].value(c)
-                    for r in reports:
-                        deltas[(c, r.h)].append(r.value(c) - ref)
-        for c in cfg.criteria:
-            for h in cfg.h_range:
-                sel_rows.append(SelectionRow(
-                    cfg.h_true, j, c, h, chosen_counts[c][h] / cfg.replicates))
-            if track_delta:
-                for h in cfg.h_range:
-                    arr = np.asarray(deltas[(c, h)])
-                    delta_rows.append(DeltaRow(
-                        cfg.h_true, j, c, h,
-                        float(arr.min()), float(arr.max()), float(arr.mean()),
-                        float(np.mean(arr < 0.0)),
-                    ))
-    return PowerStudyResult(cfg, SelectionFrequencyTable(tuple(sel_rows)),
-                            DeltaTable(tuple(delta_rows)),
-                            truncated_walks=sum(n for _, n in results))
+    return _run_study(cfg, _replicate_values, shared_net, cfg.J_values, cfg.h_true, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -378,29 +415,13 @@ class FreeThrowSimConfig:
     include_jagged: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "h_range", tuple(sorted({int(h) for h in self.h_range})))
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "boundary", BoundaryMode(self.boundary))
         if self.lam <= 0.0:
             raise ValueError("the shots-per-game rate must be > 0")
         if self.games < 1 or self.replicates < 1:
             raise ValueError("games and replicates must be >= 1")
-        for name in self.criteria:
-            if name not in CRITERIA:
-                raise ValueError(f"unknown criterion {name!r}")
-        if "CV2" in self.criteria and self.games < 2:
-            raise ValueError("the CV2 criterion needs games >= 2")
+        _normalize_study(self, self.games, "games")
         if self.include_jagged and not {0, 1} <= set(self.h_range):
             raise ValueError("the jagged comparison needs h=0 and h=1 in h_range")
-
-
-@dataclass(frozen=True)
-class FreeThrowPowerResult:
-    config: FreeThrowSimConfig
-    selection: SelectionFrequencyTable
-    # fraction of replicates where the jagged model beat both h=0 and the
-    # full h=1 model, per criterion; None when include_jagged was off
-    jagged_win_rate: dict | None
 
 
 def sample_free_throw_trajectories(
@@ -427,45 +448,27 @@ def sample_free_throw_trajectories(
     return trajs
 
 
-def free_throw_power(cfg: FreeThrowSimConfig) -> FreeThrowPowerResult:
+def _free_throw_replicate(cfg: FreeThrowSimConfig, tie_map, cell: int, rep: int):
+    """Criterion reports for one replicated season (plus the tied model when
+    ``tie_map`` is given), or None when the season drew no game."""
+    rng = _rng(cfg.seed, _TAG_FREE_THROW, rep)
+    trajs = sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng)
+    if not trajs:
+        return None
+    return evaluate_depths(trajs, FT_ALPHABET, cfg.h_range, mode=cfg.boundary,
+                           which=cfg.criteria, tie_map=tie_map), 0
+
+
+def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> PowerStudyResult:
     """Selection frequencies over replicated seasons drawn from a known model.
 
     Each replicate draws per-game shot counts from Poisson(lam), samples
     outcomes from the true model, and runs order selection over
-    ``h_range``. When ``include_jagged`` is on, the two-class jagged model
-    is also scored per replicate and its wins against both the h=0 and
-    full h=1 models are tabulated.
+    ``h_range``; a replicate that draws no game is skipped. When
+    ``include_jagged`` is on, the two-class jagged model is also scored
+    per replicate, and ``jagged_win_rate`` gives the fraction of kept
+    replicates in which it beat both the h=0 and the full h=1 model. The
+    selection rows carry the model name as ``h_true`` and 0 as ``J``.
     """
     jagged_map = jagged_free_throw_map(FT_ALPHABET, cfg.boundary) if cfg.include_jagged else None
-    chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
-    jagged_wins = {c: 0 for c in cfg.criteria}
-    effective = 0
-    for rep in range(cfg.replicates):
-        rng = _rng(cfg.seed, _TAG_FREE_THROW, rep)
-        trajs = sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng)
-        if not trajs:
-            continue
-        effective += 1
-        reports = evaluate_depths(trajs, FT_ALPHABET, cfg.h_range, mode=cfg.boundary,
-                                  which=cfg.criteria, tie_map=jagged_map)
-        depths = reports[:len(cfg.h_range)]
-        for c in cfg.criteria:
-            chosen_counts[c][argmin(depths, c).h] += 1
-        if jagged_map is not None:
-            # the jagged model wins only when strictly below both h=0 and
-            # h=1: it sorts after them on ties
-            h0, h1, jagged = depths[0], depths[1], reports[-1]
-            for c in cfg.criteria:
-                if argmin((h0, h1, jagged), c) is jagged:
-                    jagged_wins[c] += 1
-    if effective == 0:
-        raise ValueError("every replicate drew zero games; increase lam or games")
-    rows = tuple(
-        SelectionRow(cfg.model.name, 0, c, h, chosen_counts[c][h] / effective)
-        for c in cfg.criteria
-        for h in cfg.h_range
-    )
-    win_rate = None
-    if cfg.include_jagged:
-        win_rate = {c: jagged_wins[c] / effective for c in cfg.criteria}
-    return FreeThrowPowerResult(cfg, SelectionFrequencyTable(rows), win_rate)
+    return _run_study(cfg, _free_throw_replicate, jagged_map, (0,), cfg.model.name, workers)

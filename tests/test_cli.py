@@ -3,11 +3,13 @@
 import csv
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import memsel.criteria
+import memsel.simulate
 from memsel.cli import main
 from memsel.dataio import (
     import_outcome_csv,
@@ -287,6 +289,43 @@ class TestSimulateCommand:
                      "--seed", "2", "--out", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "LOO" in summary["jagged_win_rate"]
+
+    def test_free_throw_workers_use_the_pool_and_keep_bytes(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(memsel.simulate, "ProcessPoolExecutor", CountingPool)
+        args = ["simulate", "--free-throw", "--games", "30", "--replicates", "20", "--seed", "4"]
+        outputs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+            outputs[workers] = [(out / f).read_bytes() for f in ("selection.csv", "summary.json")]
+        assert outputs["1"] == outputs["2"]
+        assert pools == [2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("mode", [[], ["--free-throw"]])
+    def test_worker_count_below_one_is_config_error(self, tmp_path, capsys, mode, workers):
+        out = tmp_path / "o"
+        assert main(["simulate", *mode, "--replicates", "2", "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert f"worker count must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (out / "selection.csv").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-2", "0", "1.5"])
+    @pytest.mark.parametrize("mode", [[], ["--free-throw"]])
+    def test_bad_memsel_threads_is_config_error(self, tmp_path, capsys, monkeypatch, mode, value):
+        monkeypatch.setenv("MEMSEL_THREADS", value)
+        args = ["simulate", *mode, "--M", "3", "--h-range", "1..2", "--replicates", "2"]
+        assert main(args + ["--out", str(tmp_path / "bad")]) == 2
+        assert f"MEMSEL_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        monkeypatch.setenv("MEMSEL_THREADS", "")
+        assert main(args + ["--out", str(tmp_path / "empty")]) == 0
 
     def test_free_throw_cv2_needs_two_games(self, tmp_path, capsys):
         base = ["simulate", "--free-throw", "--criteria", "LOO,CV2", "--replicates", "20",

@@ -3,9 +3,12 @@
 ``tests/data/expected`` holds ``criteria.csv`` for a 15-game season with
 ``--tie jagged``, ``criteria.csv`` and ``criteria.json`` for a 4-walk
 series with an h=2 tie-map file, ``selection.csv``, ``delta.csv`` and
-``summary.json`` for a fixed-seed M=4 grid, and ``oracle.json`` for a
-fixed-seed h=1 audit of the season. A change that
-moves any byte of them changes the program's results.
+``summary.json`` for a fixed-seed M=4 grid, ``selection.csv`` and
+``summary.json`` (with its ``jagged_win_rate``) for two fixed-seed
+free-throw studies, and ``oracle.json`` for a fixed-seed h=1 audit of the
+season. In the second free-throw study 6 of 40 replicates draw no game,
+so its frequencies are over the 34 that do. A change that moves any byte
+of them changes the program's results.
 """
 
 from pathlib import Path
@@ -27,6 +30,13 @@ RUNS = {
               "--J", "6", "--replicates", "2", "--length-cap", "60", "--seed", "7"],
              {"selection.csv": "grid_selection.csv", "delta.csv": "grid_delta.csv",
               "summary.json": "grid_summary.json"}),
+    "ft_jagged": (["simulate", "--free-throw", "--ft-model", "jagged:0.82,0.66", "--games", "91",
+                   "--replicates", "60", "--seed", "3", "--criteria", "AIC,WAIC1,WAIC2,LOO,CV2"],
+                  {"selection.csv": "ft_jagged_selection.csv",
+                   "summary.json": "ft_jagged_summary.json"}),
+    "ft_h0": (["simulate", "--free-throw", "--ft-model", "h0:0.7", "--games", "5", "--lambda", "0.4",
+               "--replicates", "40", "--seed", "1", "--criteria", "LOO,AIC"],
+              {"selection.csv": "ft_h0_selection.csv", "summary.json": "ft_h0_summary.json"}),
     "season_oracle": (["oracle", "--input", str(DATA / "season.jsonl"), "--h", "1",
                        "--draws", "1000", "--seed", "0"], {"oracle.json": "season_oracle.json"}),
 }

@@ -15,6 +15,7 @@ from memsel.simulate import (
     run_power_study,
     sample_free_throw_trajectories,
     sample_trajectory,
+    worker_count,
 )
 
 
@@ -89,6 +90,15 @@ class TestSampling:
         net = generate_network(2, 1, seed=0)
         with pytest.raises(ValueError):
             sample_trajectory(net, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("value, expected", [(None, 1), ("", 1), (" ", 1), ("1", 1), ("3", 3)])
+def test_worker_count_from_environment(monkeypatch, value, expected):
+    if value is None:
+        monkeypatch.delenv("MEMSEL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MEMSEL_THREADS", value)
+    assert worker_count() == expected
 
 
 class TestPowerStudy:
@@ -232,6 +242,15 @@ class TestFreeThrow:
             FreeThrowSimConfig(model=model, criteria=("NOPE",))
         with pytest.raises(ValueError, match="CV2"):
             FreeThrowSimConfig(model=model, games=1, criteria=("LOO", "CV2"))
+
+    def test_worker_count_does_not_change_results(self):
+        # seed 2 draws 5 seasons with no game among its 24 replicates
+        cfg = FreeThrowSimConfig(
+            model=FreeThrowModel.jagged(0.82, 0.66), games=4, lam=0.6,
+            replicates=24, seed=2, criteria=("AIC", "LOO"))
+        serial = free_throw_power(cfg, workers=1)
+        assert serial == free_throw_power(cfg, workers=2)
+        assert serial.jagged_win_rate is not None
 
     def test_cv2_replicate_with_one_game_raises(self):
         # two games at a low shot rate: some replicates keep only one game
