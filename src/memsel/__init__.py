@@ -16,7 +16,6 @@ from .chain import (
     Trajectory,
     TrajectoryCounts,
     count_transitions,
-    merge_counts,
 )
 from .criteria import (
     CRITERIA,

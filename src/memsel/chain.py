@@ -7,13 +7,13 @@ they are counted against START-padded contexts or skipped entirely.
 
 A context is a plain tuple of h tokens, oldest first: state ids, with
 START only as a prefix. Counting runs over integer context codes, with
-rows in order of first occurrence; the tuple key is made once per
-distinct row, never once per step. Several depths of one dataset are
-counted in one pass over one step array: each depth's code is the rank
-of the previous depth's context times M+1 plus one more token digit
-(START a digit of its own), ranked again in order of first occurrence
-through a dense table, without sorting, so no code exceeds M+1 times the
-number of steps.
+rows in order of first occurrence; a row's tuple key is decoded only
+when a caller reads the keys, never once per step. Several depths of
+one dataset are counted in one pass over one step array: each depth's
+code is the rank of the previous depth's context times M+1 plus one more
+token digit (START a digit of its own), ranked again in order of first
+occurrence through a dense table, without sorting, so no code exceeds
+M+1 times the number of steps.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "CountTable",
     "TrajectoryCounts",
     "count_transitions",
-    "merge_counts",
 ]
 
 # Reserved boundary token. It may appear only as a contiguous context
@@ -114,26 +114,29 @@ class Trajectory:
         return len(self.steps)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CountTable:
-    """Sparse transition counts: context -> length-M vector of destination counts.
+    """Transition counts: one read-only row of M destination counts per context.
 
-    Rows are stored only when nonzero; an absent context means an all-zero
-    row. Instances are immutable after construction (row arrays are
-    read-only), so they can be shared freely across workers.
+    ``counts`` holds the nonzero rows, in order of first occurrence; an
+    absent context means an all-zero row. The context of each row is
+    decoded only when ``keys`` or ``rows`` is first read, since scoring
+    needs the counts alone. Instances are immutable, so they can be shared
+    freely.
     """
 
     h: int
     alphabet: StateAlphabet
-    rows: Mapping[Hashable, np.ndarray]
-    boundary: BoundaryMode = BoundaryMode.PADDED
+    counts: np.ndarray
+    boundary: BoundaryMode
 
-    def __post_init__(self):
-        if self.h < 0:
+    def __init__(self, h: int, alphabet: StateAlphabet, rows: Mapping[Hashable, np.ndarray],
+                 boundary: BoundaryMode = BoundaryMode.PADDED):
+        if h < 0:
             raise ValueError("memory depth h must be >= 0")
-        m = self.alphabet.size
+        m = alphabet.size
         norm: dict[Hashable, np.ndarray] = {}
-        for key, vec in self.rows.items():
+        for key, vec in rows.items():
             arr = np.asarray(vec, dtype=np.int64)
             if arr.shape != (m,):
                 raise ValueError(f"count row for {key!r} must have length {m}")
@@ -142,40 +145,42 @@ class CountTable:
             if arr.any():
                 norm[key] = arr
         keys = tuple(norm)
-        self._set_rows(keys, np.stack([norm[k] for k in keys]) if keys
-                       else np.zeros((0, m), dtype=np.int64))
+        counts = np.stack(list(norm.values())) if keys else np.zeros((0, m), dtype=np.int64)
+        self._store(h, alphabet, boundary, counts, partial(tuple, keys))
 
     @classmethod
-    def _counted(cls, h, alphabet, boundary, keys, matrix) -> "CountTable":
-        """A table over rows made by counting: nonzero int64 by construction, so unchecked."""
+    def _counted(cls, h, alphabet, boundary, counts, decode) -> "CountTable":
+        """A table over rows made by counting: nonzero int64 by construction, so
+        unchecked. ``decode()`` returns the row keys when they are first read."""
         table = object.__new__(cls)
-        table.__dict__.update(h=h, alphabet=alphabet, boundary=boundary)
-        table._set_rows(tuple(keys), matrix)
+        table._store(h, alphabet, boundary, counts, decode)
         return table
 
-    def _set_rows(self, keys: tuple, matrix: np.ndarray) -> None:
-        # rows are read-only views into one stacked matrix
-        matrix.flags.writeable = False
-        zero = np.zeros(self.alphabet.size, dtype=np.int64)
-        zero.flags.writeable = False
-        self.__dict__.update(boundary=BoundaryMode(self.boundary), _zero=zero,
-                             rows=dict(zip(keys, matrix)), _matrix=(keys, matrix))
+    def _store(self, h, alphabet, boundary, counts, decode) -> None:
+        counts.flags.writeable = False
+        self.__dict__.update(h=h, alphabet=alphabet, boundary=BoundaryMode(boundary),
+                             counts=counts, _decode=decode)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """Each row's context (a token tuple, or a class id once tied), in row order."""
+        return tuple(self._decode())
+
+    @cached_property
+    def rows(self) -> dict[Hashable, np.ndarray]:
+        """Context -> its count row, a read-only view into ``counts``."""
+        return dict(zip(self.keys, self.counts))
 
     @property
     def n_contexts(self) -> int:
-        return len(self.rows)
+        return len(self.counts)
 
     def total_transitions(self) -> int:
-        return int(self._matrix[1].sum())
+        return int(self.counts.sum())
 
     def get(self, ctx) -> np.ndarray:
         """Count vector for ``ctx``; all zeros when the context was never seen."""
-        vec = self.rows.get(ctx)
-        return self._zero if vec is None else vec
-
-    def matrix(self) -> tuple[tuple, np.ndarray]:
-        """Row keys (insertion order) and the stacked count matrix."""
-        return self._matrix
+        return self.rows.get(ctx, np.zeros(self.alphabet.size, dtype=np.int64))
 
     def __eq__(self, other):
         if not isinstance(other, CountTable):
@@ -203,12 +208,11 @@ class TrajectoryCounts:
     @property
     def per_trajectory(self) -> tuple[tuple[str, CountTable], ...]:
         if self._per is None:
-            keys = self.total.matrix()[0]
             idx, counts, bounds = self._stack
             b = bounds.tolist()
             self._per = tuple(
-                (tid, CountTable._counted(self.h, self.alphabet, self.boundary,
-                                          [keys[i] for i in idx[s:e].tolist()], counts[s:e]))
+                (tid, CountTable._counted(self.h, self.alphabet, self.boundary, counts[s:e],
+                                          partial(_keys_at, self.total, idx[s:e])))
                 for tid, s, e in zip(self.ids, b, b[1:]))
         return self._per
 
@@ -269,6 +273,20 @@ def _first_occurrence(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarr
 def _digit(steps: np.ndarray, pos: np.ndarray, at: np.ndarray, lag: int) -> np.ndarray:
     """Code digit of the token ``lag`` steps before each step in ``at``: START 0, state s s+1."""
     return np.where(pos[at] >= lag, steps.take(at - lag, mode="clip") + 1, 0)
+
+
+def _contexts(steps: np.ndarray, pos: np.ndarray, at: np.ndarray, h: int) -> list[tuple]:
+    """The depth-h context of each step in ``at``, as a token tuple."""
+    toks = np.empty((at.size, h), dtype=np.int64)
+    for j in range(h):
+        toks[:, j] = _digit(steps, pos, at, h - j) - 1
+    return list(map(tuple, toks.tolist()))
+
+
+def _keys_at(table: CountTable, idx: np.ndarray) -> list:
+    """The keys of ``table``'s rows ``idx``."""
+    keys = table.keys
+    return [keys[i] for i in idx.tolist()]
 
 
 def count_transitions(
@@ -346,40 +364,8 @@ def _count_depths(
         n = np.bincount(row * m + dest, minlength=first.size * m).reshape(-1, m)
         t = np.bincount(prow * m + dest, minlength=pfirst.size * m).reshape(-1, m)
         bounds = np.bincount(traj[at[pfirst]] + 1, minlength=n_traj + 1).cumsum()
-        # one token tuple per distinct row, decoded from the step where it first occurs
-        toks = np.empty((first.size, h), dtype=np.int64)
-        for j in range(h):
-            toks[:, j] = _digit(steps, pos, at[first], h - j) - 1
-        total = CountTable._counted(h, alphabet, mode, map(tuple, toks.tolist()), n)
+        total = CountTable._counted(h, alphabet, mode, n,
+                                    partial(_contexts, steps, pos, at[first], h))
         out[h] = TrajectoryCounts(ids, total, row[pfirst], t, bounds)
     return out
 
-
-def merge_counts(
-    tables: Iterable[CountTable],
-    *,
-    h: int | None = None,
-    alphabet: StateAlphabet | None = None,
-    boundary: BoundaryMode | None = None,
-) -> CountTable:
-    """Element-wise sum of count tables (exact integer arithmetic).
-
-    Metadata is taken from the first table; the keyword arguments are
-    required only when merging an empty collection.
-    """
-    tables = list(tables)
-    if tables:
-        first = tables[0]
-        h = first.h if h is None else h
-        alphabet = first.alphabet if alphabet is None else alphabet
-        boundary = first.boundary if boundary is None else boundary
-        for t in tables:
-            if t.h != h or t.alphabet != alphabet or t.boundary != boundary:
-                raise ValueError("cannot merge count tables with differing h, alphabet or boundary")
-    elif h is None or alphabet is None or boundary is None:
-        raise ValueError("merging an empty collection requires h, alphabet and boundary")
-    rows: dict[Hashable, np.ndarray] = {}
-    for t in tables:
-        for ctx, vec in t.rows.items():
-            rows[ctx] = rows[ctx] + vec if ctx in rows else vec
-    return CountTable(h, alphabet, rows, boundary)

@@ -36,6 +36,7 @@ from .simulate import (
     SimConfig,
     free_throw_power,
     run_power_study,
+    worker_count,
 )
 from .tying import jagged_free_throw_map
 
@@ -227,20 +228,22 @@ def _sim_config(args) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every argument is checked (a ValueError exits 2) before --out is made
     if args.free_throw:
         model = _parse_ft_model(args.ft_model)
         criteria = tuple(args.criteria.split(",")) if args.criteria else ("AIC", "WAIC1", "WAIC2", "LOO")
-        try:
-            cfg = FreeThrowSimConfig(
-                model=model, games=args.games, lam=getattr(args, "lambda"),
-                replicates=args.replicates, seed=args.seed,
-                criteria=criteria, boundary=BoundaryMode(args.boundary),
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        result = free_throw_power(cfg, workers=args.workers)
+        cfg = FreeThrowSimConfig(
+            model=model, games=args.games, lam=getattr(args, "lambda"),
+            replicates=args.replicates, seed=args.seed,
+            criteria=criteria, boundary=BoundaryMode(args.boundary),
+        )
+    else:
+        cfg = _sim_config(args)
+    workers = worker_count(args.workers)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.free_throw:
+        result = free_throw_power(cfg, workers=workers)
         config = {
             "model": {"name": model.name, "p_first": model.p_first,
                       "p_after_hit": model.p_after_hit, "p_after_miss": model.p_after_miss},
@@ -251,11 +254,7 @@ def cmd_simulate(args) -> int:
         summary = {**config, "jagged_win_rate": result.jagged_win_rate}
         telemetry = None  # game lengths are Poisson draws: nothing is capped
     else:
-        try:
-            cfg = _sim_config(args)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        result = run_power_study(cfg, workers=args.workers)
+        result = run_power_study(cfg, workers=workers)
         summary = {
             "config": {
                 "M": cfg.m, "h_true": cfg.h_true, "h_range": list(cfg.h_range),

@@ -152,7 +152,7 @@ def aic(total: CountTable, k_params: int) -> float:
     """-2 max log likelihood + 2 k, with 0 log 0 = 0 and empty rows skipped."""
     if k_params < 1:
         raise ValueError("k_params must be >= 1")
-    _, n = total.matrix()
+    n = total.counts
     return -2.0 * float(np.sum(_ml_terms(n, n.sum(axis=1)))) + 2.0 * float(k_params)
 
 
@@ -163,7 +163,7 @@ def lpd(total: CountTable, prior: DirichletPrior | None = None) -> float:
     dataset (the Bayes-factor numerator). Reports store -2 x this value.
     """
     prior = _prior_for(total.alphabet, prior)
-    n = total.matrix()[1]
+    n = total.counts
     return float(log_beta_ratio(n + prior.alpha, n)[0])
 
 
@@ -179,11 +179,10 @@ def predictive_log_density(
     oracle's refit loops score with it; ``evaluate`` batches the same sums.
     """
     prior = _prior_for(train.alphabet, prior)
-    tkeys, tmat = test.matrix()
-    if tmat.size == 0:
+    if test.counts.size == 0:
         return 0.0
-    g = np.stack([train.get(k) for k in tkeys])
-    return float(log_beta_ratio(g + prior.alpha, tmat)[0])
+    g = np.stack([train.get(k) for k in test.keys])
+    return float(log_beta_ratio(g + prior.alpha, test.counts)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +319,7 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
     rows = np.cumsum([0] + n_rows)  # model i owns total rows rows[i]:rows[i+1]
     js = [tc.n_trajectories for tc in tcs]
     groups = np.cumsum([0] + js)  # ... and trajectory groups groups[i]:groups[i+1]
-    N = _concat([tc.total.matrix()[1] for tc in tcs])
+    N = _concat([tc.total.counts for tc in tcs])
     Ns = N.sum(axis=1)
     stacks = [tc.stacked() for tc in tcs]
     idx = _concat([s[0] + r if r else s[0] for s, r in zip(stacks, rows.tolist())])

@@ -33,7 +33,6 @@ from .chain import (
     StateAlphabet,
     TrajectoryCounts,
     count_transitions,
-    merge_counts,
 )
 from .criteria import DirichletPrior, _prior_for, predictive_log_density
 
@@ -134,7 +133,7 @@ def _sum_cells(cells, draws, seed, estimators) -> list[OracleEstimate]:
 def _posterior_cells(tc: TrajectoryCounts, prior: DirichletPrior) -> list:
     """One (posterior given the total, trajectory counts) cell per trajectory row."""
     idx, counts, _ = tc.stacked()
-    return list(zip(tc.total.matrix()[1][idx] + prior.alpha, counts))
+    return list(zip(tc.total.counts[idx] + prior.alpha, counts))
 
 
 def mc_lpd(
@@ -146,7 +145,7 @@ def mc_lpd(
     """MC estimate of the log predictive density of the whole dataset."""
     draws = _require_draws(draws)
     prior = _prior_for(total.alphabet, prior)
-    cells = [(vec + prior.alpha, vec) for vec in total.rows.values()]
+    cells = [(vec + prior.alpha, vec) for vec in total.counts]
     return _sum_cells(cells, draws, seed, (_log_mean_power,))[0]
 
 
@@ -177,7 +176,7 @@ def mc_loo(
     draws = _require_draws(draws)
     prior = _prior_for(tc.alphabet, prior)
     idx, counts, _ = tc.stacked()
-    rest = tc.total.matrix()[1][idx] - counts
+    rest = tc.total.counts[idx] - counts
     cells = list(zip(rest + prior.alpha, counts))
     return _sum_cells(cells, draws, seed, (_log_mean_power,))[0].scaled(-2.0)
 
@@ -194,7 +193,7 @@ def mc_cv2(
         raise ValueError("two-fold cross validation needs at least two trajectories")
     prior = _prior_for(tc.alphabet, prior)
     idx, counts, bounds = tc.stacked()
-    n = tc.total.matrix()[1]
+    n = tc.total.counts
     split = bounds[tc.n_trajectories // 2]
     first = np.zeros_like(n)
     np.add.at(first, idx[:split], counts[:split])  # exact: integer counts
@@ -251,7 +250,7 @@ def audit(
 def as_single_point(tc: TrajectoryCounts) -> TrajectoryCounts:
     """Wrap the total counts as one pseudo-trajectory (for k_DIC2 checks)."""
     n_rows = tc.total.n_contexts
-    return TrajectoryCounts(("total",), tc.total, np.arange(n_rows), tc.total.matrix()[1],
+    return TrajectoryCounts(("total",), tc.total, np.arange(n_rows), tc.total.counts,
                             np.array([0, n_rows]))
 
 
@@ -259,20 +258,28 @@ def as_single_point(tc: TrajectoryCounts) -> TrajectoryCounts:
 # Literal refit-and-score loops
 
 
-def loo_refit(tc: TrajectoryCounts, prior: DirichletPrior | None = None) -> float:
-    """Leave-one-out by actually refitting without each trajectory.
+def loo_refit(
+    trajectories,
+    h: int,
+    alphabet: StateAlphabet,
+    mode: BoundaryMode = BoundaryMode.PADDED,
+    prior: DirichletPrior | None = None,
+) -> float:
+    """Leave-one-out by recounting the other trajectories for each held-out one.
 
-    Matches the closed-form LOO of ``evaluate`` exactly: the refit
-    posterior counts plus the held-out counts recompose the total in
-    integer arithmetic.
+    Matches the closed-form LOO of ``evaluate`` exactly: the recounted
+    training counts plus the held-out counts make up the total in integer
+    arithmetic. A single trajectory is scored against an empty table.
     """
-    prior = _prior_for(tc.alphabet, prior)
-    tables = [t for _, t in tc.per_trajectory]
-    meta = dict(h=tc.h, alphabet=tc.alphabet, boundary=tc.boundary)
+    trajs = list(trajectories)
+    prior = _prior_for(alphabet, prior)
+    held_out = count_transitions(trajs, h, alphabet, mode).per_trajectory
     out = 0.0
-    for j, table in enumerate(tables):
-        rest = merge_counts(tables[:j] + tables[j + 1:], **meta)
-        out += predictive_log_density(rest, table, prior)
+    for j, (_, table) in enumerate(held_out):
+        rest = trajs[:j] + trajs[j + 1:]
+        train = (count_transitions(rest, h, alphabet, mode).total if rest
+                 else CountTable(h, alphabet, {}, mode))
+        out += predictive_log_density(train, table, prior)
     return -2.0 * out
 
 

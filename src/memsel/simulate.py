@@ -10,7 +10,6 @@ count and execution order.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -58,9 +57,14 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def worker_count() -> int:
-    """Worker count from MEMSEL_THREADS: unset or empty means 1 (serial),
-    and anything but an integer >= 1 raises ValueError."""
+def worker_count(workers: int | None = None) -> int:
+    """The worker count: ``workers`` when given, else MEMSEL_THREADS (unset or
+    empty means 1, serial). A count below 1, or a MEMSEL_THREADS that is not
+    an integer, raises ValueError."""
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"the worker count must be >= 1, got {workers}")
+        return int(workers)
     raw = os.environ.get("MEMSEL_THREADS", "").strip() or "1"
     if not raw.isdecimal() or int(raw) < 1:
         raise ValueError(f"MEMSEL_THREADS must be an integer >= 1, got {raw!r}")
@@ -293,9 +297,7 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
     candidate depth, and a tied model scored after the depths counts a
     win when it is the argmin of itself and every depth up to its own.
     """
-    workers = worker_count() if workers is None else int(workers)
-    if workers < 1:
-        raise ValueError(f"the worker count must be >= 1, got {workers}")
+    workers = worker_count(workers)
     n_cells, n_reps = len(cells), cfg.replicates
     args = (itertools.repeat(cfg), itertools.repeat(shared),
             [cell for cell in range(n_cells) for _ in range(n_reps)], list(range(n_reps)) * n_cells)
@@ -307,7 +309,8 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
     tied_scored, n_kept, truncated = False, 0, 0
     # results are tallied as they arrive, so no more than one replicate's
     # reports (plus the pool's unread results) are held at a time
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
         results = map(replicate, *args) if pool is None else pool.map(replicate, *args, chunksize=8)
         for label in cells:
             chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
@@ -346,6 +349,10 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
                             float(arr.min()), float(arr.max()), float(arr.mean()),
                             float(np.mean(arr < 0.0)),
                         ))
+    finally:
+        if pool is not None:
+            # an error in the tally drops the pending replicates instead of running them
+            pool.shutdown(cancel_futures=True)
     return PowerStudyResult(
         cfg, SelectionFrequencyTable(tuple(sel_rows)), DeltaTable(tuple(delta_rows)),
         truncated_walks=truncated,

@@ -87,11 +87,10 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
         if max(ctx, default=START) >= m:
             raise ValueError(f"tie map context {ctx!r} has state token {max(ctx)}, "
                              f"outside the M={m} states 0..{m - 1}")
-    keys, n = tc.total.matrix()
-    classes = np.array([tie_map.class_of(ctx) for ctx in keys], dtype=np.int64)
+    classes = np.array([tie_map.class_of(ctx) for ctx in tc.total.keys], dtype=np.int64)
     row, first = _first_occurrence(classes, tie_map.n_classes)
     tied = np.zeros((first.size, tc.alphabet.size), dtype=np.int64)
-    np.add.at(tied, row, n)
+    np.add.at(tied, row, tc.total.counts)
     idx, t, bounds = tc.stacked()
     # group the stacked rows by (trajectory, class), in order of first occurrence
     n_traj = tc.n_trajectories
@@ -101,7 +100,7 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
     tbounds = np.bincount(traj[pfirst] + 1, minlength=n_traj + 1).cumsum()
     tied_t = np.zeros((tidx.size, tc.alphabet.size), dtype=np.int64)
     np.add.at(tied_t, prow, t)
-    total = CountTable._counted(tc.h, tc.alphabet, tc.boundary, classes[first].tolist(), tied)
+    total = CountTable._counted(tc.h, tc.alphabet, tc.boundary, tied, classes[first].tolist)
     return TrajectoryCounts(tc.ids, total, tidx, tied_t, tbounds)
 
 

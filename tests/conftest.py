@@ -22,6 +22,17 @@ def random_instance(rng, m=None, j=None, h=None, max_len=6,
     return alphabet, trajs, tc
 
 
+def keyed_sum(tables, h, alphabet, boundary):
+    """The element-wise sum of count tables, matched row by row on their keys."""
+    from memsel.chain import CountTable
+
+    rows = {}
+    for table in tables:
+        for ctx, vec in table.rows.items():
+            rows[ctx] = rows[ctx] + vec if ctx in rows else vec
+    return CountTable(h, alphabet, rows, boundary)
+
+
 def random_count_table(rng, m=2, max_count=6):
     """A single-context count table with random nonzero counts."""
     from memsel.chain import CountTable

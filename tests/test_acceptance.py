@@ -113,7 +113,8 @@ def test_criterion_01_oracle_agreement(oracle_suite):
 def test_criterion_02_refit_equivalence(oracle_suite):
     for idx, (trajs, tc) in enumerate(oracle_suite):
         rep = evaluate(tc, which=("LOO", "CV2"))
-        assert rep.value("LOO") == loo_refit(tc), f"instance {idx}: LOO refit mismatch"
+        assert rep.value("LOO") == loo_refit(trajs, tc.h, tc.alphabet), \
+            f"instance {idx}: LOO refit mismatch"
         assert rep.value("CV2") == cv2_refit(trajs, tc.h, tc.alphabet), \
             f"instance {idx}: CV2 refit mismatch"
     _report(2, "closed-form LOO and CV2 equal literal refit loops exactly "

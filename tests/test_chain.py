@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import keyed_sum
 from memsel import chain
 from memsel.chain import (
     START,
@@ -14,7 +15,6 @@ from memsel.chain import (
     Trajectory,
     _count_depths,
     count_transitions,
-    merge_counts,
 )
 from memsel.dataio import load_tie_map
 from memsel.tying import TieMap, tie_counts
@@ -144,7 +144,7 @@ class TestCounting:
         trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 3, int(rng.integers(1, 7))).tolist()))
                  for i in range(8)]
         tc = count_transitions(trajs, 2, AB3)
-        rebuilt = merge_counts([t for _, t in tc.per_trajectory])
+        rebuilt = keyed_sum([t for _, t in tc.per_trajectory], 2, AB3, BoundaryMode.PADDED)
         assert rebuilt == tc.total
 
     def test_trajectory_order_invariance_of_total(self):
@@ -196,17 +196,8 @@ class TestCountTable:
             (2,): np.array([0, 1, 0]),
             (0,): np.array([3, 0, 0]),
         })
-        keys, mat = table.matrix()
-        assert keys == ((2,), (0,))
-        assert mat.tolist() == [[0, 1, 0], [3, 0, 0]]
-
-    def test_merge_requires_consistency(self):
-        t1 = CountTable(0, AB3, {(): np.array([1, 0, 0])})
-        t2 = CountTable(1, AB3, {(0,): np.array([1, 0, 0])})
-        with pytest.raises(ValueError):
-            merge_counts([t1, t2])
-        with pytest.raises(ValueError):
-            merge_counts([])
+        assert table.keys == ((2,), (0,))
+        assert table.counts.tolist() == [[0, 1, 0], [3, 0, 0]]
 
 
 def reference_counts(trajs, h, m, mode):
@@ -231,9 +222,9 @@ class TestCountDepths:
     @staticmethod
     def assert_matches(tc, trajs, h, m, mode):
         total, per_trajectory = reference_counts(trajs, h, m, mode)
-        keys, mat = tc.total.matrix()
+        keys = tc.total.keys
         assert list(keys) == list(total)
-        assert mat.tolist() == list(total.values())
+        assert tc.total.counts.tolist() == list(total.values())
         idx, counts, bounds = tc.stacked()
         b = bounds.tolist()
         assert b[-1] == len(idx)

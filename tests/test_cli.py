@@ -339,6 +339,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--free-throw", "--ft-model", "nope",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--workers", "0", "--replicates", "2"],
+        ["--free-throw", "--ft-model", "nope"],
+        ["--replicates", "0"],
+        ["--free-throw", "--games", "0"],
+    ])
+    def test_rejected_run_leaves_no_output_directory(self, tmp_path, args):
+        out = tmp_path / "d"
+        assert main(["simulate", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_audit_passes_on_clean_build(self, season, tmp_path, capsys):

@@ -219,7 +219,7 @@ class TestDic:
         rng = np.random.default_rng(5)
         for _ in range(30):
             _, _, tc = random_instance(rng)
-            keys, n = tc.total.matrix()
+            n = tc.total.counts
             ns = n.sum(axis=1)
             deviance = -2.0 * float(np.sum(n * (np.log(n + 1.0) - np.log(ns + tc.alphabet.size)[:, None])))
             rep = evaluate(tc)
@@ -247,13 +247,20 @@ class TestLoo:
     def test_equals_refit_loop_exactly(self):
         rng = np.random.default_rng(6)
         for _ in range(40):
-            _, _, tc = random_instance(rng)
-            assert value(tc, "LOO") == loo_refit(tc)
+            _, trajs, tc = random_instance(rng)
+            assert value(tc, "LOO") == loo_refit(trajs, tc.h, tc.alphabet)
 
     def test_three_binary_trajectories(self):
         trajs = [Trajectory("a", (0, 0)), Trajectory("b", (0, 1)), Trajectory("c", (1,))]
         tc = count_transitions(trajs, 0, AB2)
-        assert value(tc, "LOO") == loo_refit(tc)
+        assert value(tc, "LOO") == loo_refit(trajs, 0, AB2)
+
+    def test_single_trajectory_refit_trains_on_an_empty_table(self):
+        rng = np.random.default_rng(16)
+        for mode in BoundaryMode:
+            for _ in range(10):
+                _, trajs, tc = random_instance(rng, j=1, mode=mode)
+                assert value(tc, "LOO") == loo_refit(trajs, tc.h, tc.alphabet, mode)
 
 
 class TestCv2:
@@ -321,7 +328,7 @@ class TestPosteriorSummary:
         # DIC's plug-in deviance sits at the posterior means (N + a) / (N_row + a0)
         rng = np.random.default_rng(13)
         _, _, tc = random_instance(rng, j=3)
-        _, n = tc.total.matrix()
+        n = tc.total.counts
         means = (n + 1.0) / (n.sum(axis=1) + tc.alphabet.size)[:, None]
         assert np.allclose(means.sum(axis=1), 1.0, rtol=1e-14)
         assert np.all(means > 0.0)
@@ -337,6 +344,15 @@ class TestPosteriorSummary:
 
 
 class TestEvaluateAndSelect:
+    def test_scoring_decodes_no_context_keys(self):
+        rng = np.random.default_rng(18)
+        for mode in BoundaryMode:
+            _, trajs, _ = random_instance(rng, m=3, j=4, max_len=8)
+            for h in range(4):
+                tc = count_transitions(trajs, h, StateAlphabet.of_size(3), mode)
+                evaluate(tc)
+                assert not {"keys", "rows"} & vars(tc.total).keys(), (mode, h)
+
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(14)
         _, _, tc = random_instance(rng, j=3, h=1)
@@ -435,7 +451,7 @@ def reference_values(tc, prior, k_params):
     The per-model loop that the batched scorer replaced, kept as the
     reference: each value must come out of the batch with the same bits.
     """
-    n = tc.total.matrix()[1]
+    n = tc.total.counts
     ns = n.sum(axis=1)
     a, a0 = prior.alpha, prior.total
     idx, t, bounds = tc.stacked()

@@ -159,7 +159,7 @@ def test_refit_oracles_match_closed_forms():
     for _ in range(25):
         _, trajs, tc = random_instance(rng, h=1)
         rep = evaluate(tc)
-        assert loo_refit(tc) == rep.value("LOO")
+        assert loo_refit(trajs, 1, tc.alphabet) == rep.value("LOO")
         if tc.n_trajectories >= 2:
             assert cv2_refit(trajs, 1, tc.alphabet) == rep.value("CV2")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import keyed_sum, random_instance
 from memsel.chain import (
     START,
     BoundaryMode,
@@ -17,7 +17,6 @@ from memsel.chain import (
     Trajectory,
     TrajectoryCounts,
     count_transitions,
-    merge_counts,
 )
 from memsel.criteria import (
     CRITERIA,
@@ -44,11 +43,11 @@ def reference_terms(tc, prior):
     tables = [t for _, t in tc.per_trajectory]
     half = len(tables) // 2
     meta = dict(h=tc.h, alphabet=tc.alphabet, boundary=tc.boundary)
-    folds = (merge_counts(tables[half:], **meta), merge_counts(tables[:half], **meta))
+    folds = (keyed_sum(tables[half:], **meta), keyed_sum(tables[:half], **meta))
     a = prior.alpha
     lppd = loo = cv2 = k_waic2 = 0.0
     for j, table in enumerate(tables):
-        keys, t = table.matrix()
+        keys, t = table.keys, table.counts
         if not keys:
             continue
         g = np.stack([tc.total.get(key) for key in keys])
@@ -186,7 +185,7 @@ def test_state_relabelling_leaves_values_and_argmin_unchanged(seed, m, j, mode, 
 def test_loo_and_cv2_equal_refit_loops(seed, m, j, h, mode, asymmetric):
     trajs, tc, prior = random_case(seed, m, j, h, mode, asymmetric)
     rep = evaluate(tc, prior, which=("LOO", "CV2"))
-    assert rep.value("LOO") == loo_refit(tc, prior)
+    assert rep.value("LOO") == loo_refit(trajs, h, tc.alphabet, mode, prior)
     assert rep.value("CV2") == cv2_refit(trajs, h, tc.alphabet, mode, prior)
 
 
@@ -211,9 +210,8 @@ def reference_count(trajs, h, m, mode):
 
 
 def assert_table(table, rows):
-    keys, mat = table.matrix()
-    assert list(keys) == list(rows)  # first-occurrence order, not just the same set
-    assert mat.tolist() == list(rows.values())
+    assert list(table.keys) == list(rows)  # first-occurrence order, not just the same set
+    assert table.counts.tolist() == list(rows.values())
 
 
 def assert_counts_match_reference(trajs, h, m, mode):
@@ -290,7 +288,7 @@ def reference_tie(table, tie_map):
 def test_tying_matches_class_reduce_loop(seed, m, j, h, mode, n_classes):
     rng = np.random.default_rng(seed)
     tc = count_transitions(random_walks(rng, m, j, 12), h, StateAlphabet.of_size(m), mode)
-    keys = tc.total.matrix()[0]
+    keys = tc.total.keys
     # about half the contexts listed, the rest caught by the default class
     listed = {ctx: int(rng.integers(0, n_classes)) for ctx in keys if rng.random() < 0.5}
     tie_map = TieMap(h, n_classes, listed, default_class=int(rng.integers(0, n_classes)))
@@ -309,11 +307,10 @@ def assert_same_report(a, b):
 
 def stack_from_tables(per_trajectory, total):
     """Stacked arrays rebuilt from per-trajectory tables, one key lookup per row."""
-    keys, n = total.matrix()
-    index = {k: i for i, k in enumerate(keys)}
-    mats = [table.matrix() for _, table in per_trajectory]
+    index = {k: i for i, k in enumerate(total.keys)}
+    mats = [(table.keys, table.counts) for _, table in per_trajectory]
     idx = np.array([index[k] for tkeys, _ in mats for k in tkeys], dtype=np.intp)
-    counts = np.concatenate([n[:0]] + [tmat for _, tmat in mats])
+    counts = np.concatenate([total.counts[:0]] + [tmat for _, tmat in mats])
     return idx, counts, np.cumsum([0] + [len(tkeys) for tkeys, _ in mats])
 
 
@@ -336,7 +333,7 @@ def test_counts_from_tables_stack_like_counting(seed, m, j, h, mode):
     ref = TrajectoryCounts(("total",), counted.total,
                            *stack_from_tables((("total", counted.total),), counted.total))
     n = counted.total.n_contexts
-    expected = (np.arange(n), counted.total.matrix()[1], [0, n])
+    expected = (np.arange(n), counted.total.counts, [0, n])
     for x, y, z in zip(single.stacked(), ref.stacked(), expected):
         assert x.dtype.kind == y.dtype.kind == "i"
         assert np.array_equal(x, y) and np.array_equal(x, z)
@@ -359,7 +356,7 @@ def test_counts_from_tables_stack_like_counting(seed, m, j, h, mode):
 def test_identity_tie_map_gives_the_untied_report(seed, m, j, h, mode):
     rng = np.random.default_rng(seed)
     tc = count_transitions(random_walks(rng, m, j, 12), h, StateAlphabet.of_size(m), mode)
-    keys = tc.total.matrix()[0]
+    keys = tc.total.keys
     identity = TieMap(h, max(len(keys), 1), {ctx: c for c, ctx in enumerate(keys)})
     assert_same_report(evaluate(tie_counts(tc, identity)), evaluate(tc))
 

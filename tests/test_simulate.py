@@ -1,10 +1,16 @@
 """Network generation, trajectory sampling and power-study machinery."""
 
+import math
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from memsel import simulate
 from memsel.chain import BoundaryMode, StateAlphabet, count_transitions
+from memsel.criteria import CriterionReport
 from memsel.simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
@@ -99,6 +105,22 @@ def test_worker_count_from_environment(monkeypatch, value, expected):
     else:
         monkeypatch.setenv("MEMSEL_THREADS", value)
     assert worker_count() == expected
+
+
+def recording_replicate(cfg, shared, cell, rep):
+    """A replicate that leaves one file per call in directory ``shared``; its
+    one report has no CV2 value, so the tally rejects it."""
+    (Path(shared) / f"{cell}-{rep}").touch()
+    time.sleep(0.002)  # so a briefly stalled tally leaves the pool little to run
+    return [CriterionReport(0, "h=0", "padded", 1, 1, 1, {"CV2": math.nan})], 0
+
+
+def test_failed_tally_cancels_the_pending_replicates(tmp_path):
+    cfg = SimpleNamespace(replicates=4000, h_range=(0,), criteria=("CV2",))
+    with pytest.raises(ValueError, match="needs at least two trajectories"):
+        simulate._run_study(cfg, recording_replicate, str(tmp_path), (0,), 0, workers=2)
+    # the pool finishes the chunks of 8 it has already queued, and no more
+    assert len(list(tmp_path.iterdir())) < 1000
 
 
 class TestPowerStudy:

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import keyed_sum
 from memsel.chain import (
     START,
     BoundaryMode,
     StateAlphabet,
     Trajectory,
     count_transitions,
-    merge_counts,
 )
 from memsel.criteria import CRITERIA, evaluate
 from memsel.tying import TieMap, jagged_free_throw_map, tie_counts, tied_param_count
@@ -75,7 +75,7 @@ def test_class_count_conservation():
     trajs = binary_games(rng)
     tc = count_transitions(trajs, 1, AB2)
     tied = tie_counts(tc, jagged_free_throw_map(AB2))
-    assert merge_counts([t for _, t in tied.per_trajectory]) == tied.total
+    assert keyed_sum([t for _, t in tied.per_trajectory], 1, AB2, BoundaryMode.PADDED) == tied.total
     assert tied.total.total_transitions() == tc.total.total_transitions()
 
 
