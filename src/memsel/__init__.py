@@ -24,11 +24,9 @@ from .criteria import (
     DirichletPrior,
     aic,
     argmin,
-    default_param_count,
     evaluate,
     evaluate_depths,
     lpd,
-    padded_param_count,
     param_count,
     predictive_log_density,
     select_order,
@@ -47,12 +45,10 @@ from .oracle import (
     mc_variance_loglik,
 )
 from .simulate import (
-    DeltaTable,
     FreeThrowModel,
     FreeThrowSimConfig,
     PowerStudyResult,
     RandomNetwork,
-    SelectionFrequencyTable,
     SimConfig,
     free_throw_power,
     generate_network,

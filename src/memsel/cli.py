@@ -89,6 +89,13 @@ def _parse_prior(text: str | None, m: int) -> DirichletPrior:
     return DirichletPrior(parts)
 
 
+def _input_error(exc: TrajectoryFormatError, path, empty_message: str) -> CliError:
+    """Empty input exits 3 with ``empty_message``; any other bad record exits 2."""
+    if exc.line == 0:
+        return CliError(empty_message, EXIT_EMPTY)
+    return CliError(f"{path}: {exc}")
+
+
 def _load_input(args):
     path = Path(args.input)
     if not path.exists():
@@ -101,15 +108,12 @@ def _load_input(args):
         else:
             alphabet, trajs = read_trajectories_jsonl(path, states)
     except TrajectoryFormatError as exc:
-        if exc.line == 0:
-            raise CliError(f"{path}: empty input ({exc})", EXIT_EMPTY) from None
-        raise CliError(f"{path}: {exc}") from None
+        raise _input_error(exc, path, f"{path}: empty input ({exc})") from None
     return alphabet, trajs
 
 
 def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
                     telemetry: dict | None = None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": args.command,
         "argv": args.argv,
@@ -228,7 +232,8 @@ def _sim_config(args) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    # every argument is checked (a ValueError exits 2) before --out is made
+    # the first file written makes --out, so a run that a bad argument or a
+    # failed study stops (a ValueError exits 2) leaves no directory
     if args.free_throw:
         model = _parse_ft_model(args.ft_model)
         criteria = tuple(args.criteria.split(",")) if args.criteria else ("AIC", "WAIC1", "WAIC2", "LOO")
@@ -241,7 +246,6 @@ def cmd_simulate(args) -> int:
         cfg = _sim_config(args)
     workers = worker_count(args.workers)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.free_throw:
         result = free_throw_power(cfg, workers=workers)
         config = {
@@ -262,7 +266,7 @@ def cmd_simulate(args) -> int:
                 "criteria": list(cfg.criteria), "boundary": cfg.boundary.value,
                 "network_per_replicate": cfg.network_per_replicate,
             },
-            "deltas": result.deltas.to_records(),
+            "deltas": result.deltas,
         }
         config = summary["config"]
         telemetry = {"truncated_walks": result.truncated_walks}
@@ -271,9 +275,9 @@ def cmd_simulate(args) -> int:
             print(f"warning: {result.truncated_walks} of {walks} walks hit the length cap "
                   f"({cfg.length_cap} steps) before absorption", file=sys.stderr)
     write_selection_csv(result.selection, out_dir / "selection.csv")
-    if result.deltas.rows:
+    if result.deltas:
         write_delta_csv(result.deltas, out_dir / "delta.csv")
-    summary["selection"] = result.selection.to_records()
+    summary["selection"] = result.selection
     write_json(summary, out_dir / "summary.json")
     _write_manifest(out_dir, args, config, [], seed=args.seed, telemetry=telemetry)
     print(f"wrote {out_dir / 'selection.csv'}")
@@ -304,7 +308,6 @@ def cmd_oracle(args) -> int:
         rows.append({"quantity": name, "closed": closed, "mc": estimate.estimate,
                      "std_error": estimate.std_error, "z": z})
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(rows, out_dir / "oracle.json")
     config = {"input": str(args.input), "h": args.h, "draws": args.draws,
               "boundary": boundary.value, "prior_alpha": prior.alpha.tolist()}
@@ -320,9 +323,7 @@ def cmd_import(args) -> int:
     try:
         alphabet, trajs = import_outcome_csv(args.input, labels)
     except TrajectoryFormatError as exc:
-        if exc.line == 0:
-            raise CliError(str(exc), EXIT_EMPTY) from None
-        raise CliError(f"{args.input}: {exc}") from None
+        raise _input_error(exc, args.input, str(exc)) from None
     write_trajectories_jsonl(args.output, alphabet, trajs)
     total = sum(len(t) for t in trajs)
     print(f"imported {len(trajs)} trajectories, {total} steps -> {args.output}")
@@ -338,6 +339,13 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="memsel_out", help="output directory")
 
 
+def _add_model_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--h-range", help="inclusive range, e.g. 0..3")
+    p.add_argument("--h-max", type=int, help="shorthand for 0..H")
+    p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
+    p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memsel",
@@ -348,18 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criteria", help="criterion report per memory depth")
     _add_data_options(p)
-    p.add_argument("--h-range", help="inclusive range, e.g. 0..3")
-    p.add_argument("--h-max", type=int, help="shorthand for 0..H")
-    p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
-    p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
+    _add_model_options(p)
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("select", help="pick the best depth under one criterion")
     _add_data_options(p)
-    p.add_argument("--h-range", help="inclusive range, e.g. 0..3")
-    p.add_argument("--h-max", type=int)
-    p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
-    p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
+    _add_model_options(p)
     p.add_argument("--criterion", default="LOO", help=f"one of {', '.join(CRITERIA)}")
     p.set_defaults(func=cmd_select)
 

@@ -45,8 +45,6 @@ __all__ = [
     "K_TERMS",
     "DirichletPrior",
     "CriterionReport",
-    "default_param_count",
-    "padded_param_count",
     "param_count",
     "aic",
     "lpd",
@@ -105,34 +103,20 @@ def _prior_for(alphabet: StateAlphabet, prior: DirichletPrior | None) -> Dirichl
 # Parameter counting
 
 
-def default_param_count(m: int, h: int) -> int:
-    """Free parameters of a depth-h model over M states: M^h (M - 1)."""
-    if m < 2:
-        raise ValueError("alphabet size must be >= 2")
-    if h < 0:
-        raise ValueError("memory depth h must be >= 0")
-    return m**h * (m - 1)
+def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
+    """Free parameters of a depth-h model over M states, the AIC penalty.
 
-
-def padded_param_count(m: int, h: int) -> int:
-    """Free parameters when START-padded contexts are modeled: M^(h+1) - 1.
-
-    There are (M^(h+1) - 1) / (M - 1) possible contexts once the
-    START-prefixed ones are included, each carrying M - 1 free
-    probabilities.
+    Truncated counting models the M^h full contexts, M^h (M - 1)
+    parameters. Padded counting also models the START-prefixed ones,
+    (M^(h+1) - 1) / (M - 1) contexts in all, so M^(h+1) - 1 parameters.
     """
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
     if h < 0:
         raise ValueError("memory depth h must be >= 0")
-    return m ** (h + 1) - 1
-
-
-def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
-    """Mode-aware free-parameter count used for AIC penalties in reports."""
     if BoundaryMode(boundary) is BoundaryMode.PADDED:
-        return padded_param_count(m, h)
-    return default_param_count(m, h)
+        return m ** (h + 1) - 1
+    return m**h * (m - 1)
 
 
 # ---------------------------------------------------------------------------

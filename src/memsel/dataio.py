@@ -191,7 +191,9 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
 
 
 # ---------------------------------------------------------------------------
-# Report and table writers (deterministic byte output)
+# Report and table writers (deterministic byte output). Each makes the
+# directory of the file it writes, so a command that fails before its
+# first write leaves no output directory behind.
 
 
 _REPORT_COLUMNS = ("label", "h", "boundary", "J", "transitions", "k_params") + CRITERIA + K_TERMS
@@ -206,6 +208,7 @@ def _cell(value) -> str:
 def write_json(obj, path) -> Path:
     """Write ``obj`` as indented, key-sorted JSON plus a newline, in one write."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path
@@ -213,6 +216,7 @@ def write_json(obj, path) -> Path:
 
 def _write_csv(records, cols: tuple, path) -> Path:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for rec in records:
@@ -223,18 +227,21 @@ def _write_csv(records, cols: tuple, path) -> Path:
 def write_reports(reports: list[CriterionReport], out_dir) -> tuple[Path, Path]:
     """Write criteria.json and criteria.csv; returns the two paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dicts = [r.as_dict() for r in reports]
     json_path = write_json(dicts, out_dir / "criteria.json")
     return json_path, _write_csv(dicts, _REPORT_COLUMNS, out_dir / "criteria.csv")
 
 
-def write_selection_csv(table, path) -> Path:
-    return _write_csv(table.to_records(), _SELECTION_COLUMNS, path)
+def write_selection_csv(records, path) -> Path:
+    """Write a power study's selection records (``PowerStudyResult.selection``)
+    as selection.csv, one row per record in the given order."""
+    return _write_csv(records, _SELECTION_COLUMNS, path)
 
 
-def write_delta_csv(table, path) -> Path:
-    return _write_csv(table.to_records(), _DELTA_COLUMNS, path)
+def write_delta_csv(records, path) -> Path:
+    """Write a power study's delta records (``PowerStudyResult.deltas``) as
+    delta.csv, one row per record in the given order."""
+    return _write_csv(records, _DELTA_COLUMNS, path)
 
 
 def file_digest(path) -> str:

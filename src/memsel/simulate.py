@@ -31,10 +31,6 @@ __all__ = [
     "SimConfig",
     "FreeThrowModel",
     "FreeThrowSimConfig",
-    "SelectionRow",
-    "SelectionFrequencyTable",
-    "DeltaRow",
-    "DeltaTable",
     "PowerStudyResult",
     "generate_network",
     "sample_trajectory",
@@ -202,68 +198,21 @@ def _normalize_study(cfg, min_batch: int, batch_name: str) -> None:
 
 
 @dataclass(frozen=True)
-class SelectionRow:
-    h_true: object
-    J: int
-    criterion: str
-    h_chosen: int
-    frequency: float
-
-
-@dataclass(frozen=True)
-class SelectionFrequencyTable:
-    rows: tuple[SelectionRow, ...]
-
-    def frequency(self, J: int, criterion: str, h: int) -> float:
-        for r in self.rows:
-            if r.J == J and r.criterion == criterion and r.h_chosen == h:
-                return r.frequency
-        raise KeyError((J, criterion, h))
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"h_true": r.h_true, "J": r.J, "criterion": r.criterion,
-             "h_chosen": r.h_chosen, "frequency": r.frequency}
-            for r in self.rows
-        ]
-
-
-@dataclass(frozen=True)
-class DeltaRow:
-    h_true: int
-    J: int
-    criterion: str
-    h: int
-    min: float
-    max: float
-    mean: float
-    frac_below_zero: float
-
-
-@dataclass(frozen=True)
-class DeltaTable:
-    rows: tuple[DeltaRow, ...]
-
-    def row(self, J: int, criterion: str, h: int) -> DeltaRow:
-        for r in self.rows:
-            if r.J == J and r.criterion == criterion and r.h == h:
-                return r
-        raise KeyError((J, criterion, h))
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"h_true": r.h_true, "J": r.J, "criterion": r.criterion, "h": r.h,
-             "min": r.min, "max": r.max, "mean": r.mean,
-             "frac_below_zero": r.frac_below_zero}
-            for r in self.rows
-        ]
-
-
-@dataclass(frozen=True)
 class PowerStudyResult:
+    """What a power study found, as the records its output files hold.
+
+    ``selection`` has one record per (J, criterion, candidate h) with keys
+    h_true, J, criterion, h_chosen and frequency (the share of kept
+    replicates in which that criterion chose that depth). ``deltas`` has
+    one record per (J, criterion, h) with keys h_true, J, criterion, h,
+    min, max, mean and frac_below_zero, summarising each criterion's gap
+    to its value at ``h_true``; it is empty when ``h_true`` is not a
+    candidate depth. Both run cell by cell, criterion by criterion, h by h.
+    """
+
     config: SimConfig | FreeThrowSimConfig
-    selection: SelectionFrequencyTable
-    deltas: DeltaTable
+    selection: tuple[dict, ...]
+    deltas: tuple[dict, ...]
     truncated_walks: int = 0  # sampled walks that the length cap cut before absorption
     # per criterion, the fraction of kept replicates in which the tied model
     # was strictly below every depth up to its own; None when none was scored
@@ -288,21 +237,23 @@ def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int
 
 def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None):
     """Run ``replicate(cfg, shared, cell_index, rep)`` over every (cell,
-    replicate) and tabulate the results.
+    replicate) and tally the results into a PowerStudyResult.
 
     Jobs run cell by cell, serially or in a process pool; a job returns
     ``(reports, truncated_walks)``, or None for a replicate with no data,
-    which is skipped. Selection frequencies are taken over the kept
-    replicates of each cell, gaps to ``h_true`` are kept when it is a
-    candidate depth, and a tied model scored after the depths counts a
-    win when it is the argmin of itself and every depth up to its own.
+    which is skipped. Each cell appends its selection and delta records
+    (labelled with ``h_true`` and the cell's entry in ``cells`` as J):
+    selection frequencies over the cell's kept replicates, and gaps to
+    ``h_true`` when it is a candidate depth. A tied model scored after
+    the depths counts a win when it is the argmin of itself and every
+    depth up to its own.
     """
     workers = worker_count(workers)
     n_cells, n_reps = len(cells), cfg.replicates
     args = (itertools.repeat(cfg), itertools.repeat(shared),
             [cell for cell in range(n_cells) for _ in range(n_reps)], list(range(n_reps)) * n_cells)
-    sel_rows: list[SelectionRow] = []
-    delta_rows: list[DeltaRow] = []
+    selection: list[dict] = []
+    deltas: list[dict] = []
     n_depths = len(cfg.h_range)
     track_delta = h_true in cfg.h_range
     wins = {c: 0 for c in cfg.criteria}
@@ -314,7 +265,7 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
         results = map(replicate, *args) if pool is None else pool.map(replicate, *args, chunksize=8)
         for label in cells:
             chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
-            deltas = {(c, h): [] for c in cfg.criteria for h in cfg.h_range}
+            gaps = {(c, h): [] for c in cfg.criteria for h in cfg.h_range}
             kept = 0
             for result in itertools.islice(results, n_reps):
                 if result is None:
@@ -328,7 +279,7 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
                     if track_delta:
                         ref = depths[cfg.h_range.index(h_true)].value(c)
                         for r in depths:
-                            deltas[(c, r.h)].append(r.value(c) - ref)
+                            gaps[(c, r.h)].append(r.value(c) - ref)
                 if len(reports) > n_depths:
                     tied_scored = True
                     tied = reports[-1]
@@ -340,22 +291,21 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
             n_kept += kept
             for c in cfg.criteria:
                 for h in cfg.h_range:
-                    sel_rows.append(SelectionRow(h_true, label, c, h, chosen_counts[c][h] / kept))
+                    selection.append({"h_true": h_true, "J": label, "criterion": c,
+                                      "h_chosen": h, "frequency": chosen_counts[c][h] / kept})
                 if track_delta:
                     for h in cfg.h_range:
-                        arr = np.asarray(deltas[(c, h)])
-                        delta_rows.append(DeltaRow(
-                            h_true, label, c, h,
-                            float(arr.min()), float(arr.max()), float(arr.mean()),
-                            float(np.mean(arr < 0.0)),
-                        ))
+                        arr = np.asarray(gaps[(c, h)])
+                        deltas.append({"h_true": h_true, "J": label, "criterion": c, "h": h,
+                                      "min": float(arr.min()), "max": float(arr.max()),
+                                      "mean": float(arr.mean()),
+                                      "frac_below_zero": float(np.mean(arr < 0.0))})
     finally:
         if pool is not None:
             # an error in the tally drops the pending replicates instead of running them
             pool.shutdown(cancel_futures=True)
     return PowerStudyResult(
-        cfg, SelectionFrequencyTable(tuple(sel_rows)), DeltaTable(tuple(delta_rows)),
-        truncated_walks=truncated,
+        cfg, tuple(selection), tuple(deltas), truncated_walks=truncated,
         jagged_win_rate={c: wins[c] / n_kept for c in cfg.criteria} if tied_scored else None,
     )
 

@@ -33,6 +33,13 @@ def keyed_sum(tables, h, alphabet, boundary):
     return CountTable(h, alphabet, rows, boundary)
 
 
+def find_record(records, **match):
+    """The one record whose fields equal ``match``, or None when none does."""
+    hits = [r for r in records if all(r[k] == v for k, v in match.items())]
+    assert len(hits) <= 1, f"{len(hits)} records match {match}"
+    return hits[0] if hits else None
+
+
 def random_count_table(rng, m=2, max_count=6):
     """A single-context count table with random nonzero counts."""
     from memsel.chain import CountTable

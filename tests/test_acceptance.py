@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import find_record
 from memsel.chain import (
     BoundaryMode,
     CountTable,
@@ -133,10 +134,11 @@ def test_criterion_03_free_throw_aic():
 
 
 def test_criterion_04_selection_power_at_small_samples(selection_grid):
-    freq = selection_grid.selection.frequency(4, "WAIC1", 1)
+    freq = find_record(selection_grid.selection, J=4, criterion="WAIC1", h_chosen=1)["frequency"]
     assert 0.55 <= freq <= 0.75, f"WAIC1 picked h=1 in {freq:.1%} of replicates"
     # at large samples the recommended criterion is near-certain
-    loo_large = selection_grid.selection.frequency(256, "LOO", 1)
+    loo_large = find_record(selection_grid.selection, J=256, criterion="LOO",
+                            h_chosen=1)["frequency"]
     assert loo_large > 0.90
     _report(4, f"WAIC1 selects h=1 at J=4 in {freq:.1%} of 500 replicates "
                f"(target 65% +- 10pp); LOO at J=256: {loo_large:.1%}")
@@ -149,17 +151,18 @@ def test_criterion_05_no_underfitting_at_j64():
     )
     result = run_power_study(cfg)
     for crit in ("LOO", "WAIC2"):
-        row = result.deltas.row(64, crit, 1)
-        assert row.frac_below_zero == 0.0, \
-            f"{crit}: {row.frac_below_zero:.1%} of deltas below zero"
-        assert row.min > 0.0
+        row = find_record(result.deltas, J=64, criterion=crit, h=1)
+        assert row["frac_below_zero"] == 0.0, \
+            f"{crit}: {row['frac_below_zero']:.1%} of deltas below zero"
+        assert row["min"] > 0.0
     _report(5, "h_true=2, J=64: zero replicates with delta(h=1) < 0 under "
                "LOO and WAIC2 (300 replicates)")
 
 
 def test_criterion_06_lpd_complexity_bias(selection_grid):
     def over_select_rate(j):
-        return sum(selection_grid.selection.frequency(j, "LPD", h) for h in (2, 3, 4, 5))
+        return sum(find_record(selection_grid.selection, J=j, criterion="LPD", h_chosen=h)["frequency"]
+                   for h in (2, 3, 4, 5))
 
     low, high = over_select_rate(16), over_select_rate(256)
     assert high >= low, f"LPD over-selection fell from {low:.1%} to {high:.1%}"

@@ -344,6 +344,9 @@ class TestSimulateCommand:
         ["--free-throw", "--ft-model", "nope"],
         ["--replicates", "0"],
         ["--free-throw", "--games", "0"],
+        # the arguments pass; the study then fails (a season keeps one game)
+        ["--free-throw", "--games", "2", "--lambda", "0.3", "--criteria", "CV2",
+         "--replicates", "20"],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, args):
         out = tmp_path / "d"

@@ -21,11 +21,9 @@ from memsel.criteria import (
     DirichletPrior,
     aic,
     argmin,
-    default_param_count,
     evaluate,
     evaluate_depths,
     lpd,
-    padded_param_count,
     param_count,
     predictive_log_density,
     select_order,
@@ -85,15 +83,17 @@ class TestAic:
 
 class TestParamCounts:
     def test_values(self):
-        assert default_param_count(2, 0) == 1
-        assert default_param_count(2, 1) == 2
-        assert default_param_count(8, 3) == 8**3 * 7 == 3584
+        truncated = BoundaryMode.TRUNCATED
+        assert param_count(2, 0, truncated) == 1
+        assert param_count(2, 1, truncated) == 2
+        assert param_count(8, 3, truncated) == 8**3 * 7 == 3584
 
     def test_padded_counts_include_start_contexts(self):
         # one extra context per padding depth: 2^(h+1) - 1 for M=2
-        assert padded_param_count(2, 0) == 1
-        assert padded_param_count(2, 1) == 3
-        assert padded_param_count(8, 3) == 8**4 - 1
+        padded = BoundaryMode.PADDED
+        assert param_count(2, 0, padded) == 1
+        assert param_count(2, 1, padded) == 3
+        assert param_count(8, 3, padded) == 8**4 - 1
 
     def test_mode_dispatch(self):
         assert param_count(2, 1, BoundaryMode.TRUNCATED) == 2
@@ -101,13 +101,15 @@ class TestParamCounts:
 
     def test_no_overflow_for_large_h(self):
         # python integers are exact; the count is simply huge
-        assert default_param_count(8, 30) == 8**30 * 7
+        assert param_count(8, 30, BoundaryMode.TRUNCATED) == 8**30 * 7
+        assert param_count(8, 30, BoundaryMode.PADDED) == 8**31 - 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            default_param_count(1, 2)
-        with pytest.raises(ValueError):
-            default_param_count(3, -1)
+        for mode in BoundaryMode:
+            with pytest.raises(ValueError):
+                param_count(1, 2, mode)
+            with pytest.raises(ValueError):
+                param_count(3, -1, mode)
 
 
 class TestLpd:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import find_record
 from memsel import simulate
 from memsel.chain import BoundaryMode, StateAlphabet, count_transitions
 from memsel.criteria import CriterionReport
@@ -142,22 +143,22 @@ class TestPowerStudy:
     def test_frequencies_sum_to_one(self):
         res = run_power_study(self.CFG)
         for crit in self.CFG.criteria:
-            total = sum(res.selection.frequency(4, crit, h) for h in self.CFG.h_range)
+            total = sum(find_record(res.selection, J=4, criterion=crit, h_chosen=h)["frequency"]
+                        for h in self.CFG.h_range)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_delta_zero_at_true_depth(self):
         res = run_power_study(self.CFG)
         for crit in self.CFG.criteria:
-            row = res.deltas.row(4, crit, self.CFG.h_true)
-            assert row.min == 0.0 and row.max == 0.0 and row.mean == 0.0
+            row = find_record(res.deltas, J=4, criterion=crit, h=self.CFG.h_true)
+            assert row["min"] == 0.0 and row["max"] == 0.0 and row["mean"] == 0.0
 
     def test_delta_requires_h_true_in_range(self):
         cfg = SimConfig(m=4, h_true=3, h_range=(1, 2), J_values=(2,), replicates=2,
                         criteria=("LOO",), seed=0)
         res = run_power_study(cfg)
-        assert res.deltas.rows == ()
-        with pytest.raises(KeyError):
-            res.deltas.row(2, "LOO", 1)
+        assert res.deltas == ()
+        assert find_record(res.deltas, J=2, criterion="LOO", h=1) is None
 
     def test_network_per_replicate_changes_results(self):
         cfg = SimConfig(m=4, h_true=1, h_range=(1, 2), J_values=(4,), replicates=30,
@@ -183,23 +184,20 @@ class TestPowerStudy:
         a, b = nets[0], nets[-1]
         assert any(not np.array_equal(a.rows[k], b.rows[k]) for k in a.rows)
 
-    def test_unknown_frequency_cell_raises(self):
+    def test_unknown_frequency_cell_has_no_record(self):
         res = run_power_study(self.CFG)
-        with pytest.raises(KeyError):
-            res.selection.frequency(4, "LOO", 9)
-        with pytest.raises(KeyError):
-            res.selection.frequency(8, "LOO", 1)
-        with pytest.raises(KeyError):
-            res.selection.frequency(4, "AIC", 1)
+        assert find_record(res.selection, J=4, criterion="LOO", h_chosen=9) is None
+        assert find_record(res.selection, J=8, criterion="LOO", h_chosen=1) is None
+        assert find_record(res.selection, J=4, criterion="AIC", h_chosen=1) is None
 
     def test_delta_separation_grows_with_sample_size(self):
         cfg = SimConfig(m=8, h_true=2, h_range=(1, 2), J_values=(8, 64),
                         replicates=60, criteria=("LOO",), seed=4)
         res = run_power_study(cfg)
-        small = res.deltas.row(8, "LOO", 1)
-        large = res.deltas.row(64, "LOO", 1)
-        assert large.mean > small.mean
-        assert large.frac_below_zero <= small.frac_below_zero
+        small = find_record(res.deltas, J=8, criterion="LOO", h=1)
+        large = find_record(res.deltas, J=64, criterion="LOO", h=1)
+        assert large["mean"] > small["mean"]
+        assert large["frac_below_zero"] <= small["frac_below_zero"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -241,7 +239,7 @@ class TestFreeThrow:
             model=FreeThrowModel.independent(0.68), games=91, lam=7.615,
             replicates=100, seed=0, criteria=("LOO",), include_jagged=False)
         res = free_throw_power(cfg)
-        assert res.selection.frequency(0, "LOO", 0) > 0.5
+        assert find_record(res.selection, J=0, criterion="LOO", h_chosen=0)["frequency"] > 0.5
         assert res.jagged_win_rate is None
 
     def test_markov_truth_underpowered_at_season_scale(self):
@@ -251,7 +249,7 @@ class TestFreeThrow:
             model=FreeThrowModel(0.66, 0.66, 0.73), games=91, lam=7.615,
             replicates=150, seed=0, criteria=("LOO",), include_jagged=False)
         res = free_throw_power(cfg)
-        freq_h1 = res.selection.frequency(0, "LOO", 1)
+        freq_h1 = find_record(res.selection, J=0, criterion="LOO", h_chosen=1)["frequency"]
         assert 0.30 <= freq_h1 <= 0.55
 
     def test_config_validation(self):
