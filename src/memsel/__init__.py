@@ -31,19 +31,7 @@ from .criteria import (
     predictive_log_density,
     select_order,
 )
-from .oracle import (
-    MIN_DRAWS,
-    OracleEstimate,
-    as_single_point,
-    audit,
-    cv2_refit,
-    loo_refit,
-    mc_cv2,
-    mc_loo,
-    mc_lpd,
-    mc_lppd,
-    mc_variance_loglik,
-)
+from .oracle import MIN_DRAWS, OracleEstimate, audit, cv2_refit, loo_refit
 from .simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,

@@ -96,10 +96,16 @@ def _input_error(exc: TrajectoryFormatError, path, empty_message: str) -> CliErr
     return CliError(f"{path}: {exc}")
 
 
-def _load_input(args):
-    path = Path(args.input)
+def _existing(path, what: str = "input file") -> Path:
+    """``path`` as a Path; a missing file exits 2 rather than with a traceback."""
+    path = Path(path)
     if not path.exists():
-        raise CliError(f"input file {path} does not exist")
+        raise CliError(f"{what} {path} does not exist")
+    return path
+
+
+def _load_input(args):
+    path = _existing(args.input)
     states = args.states.split(",") if args.states else None
     try:
         if path.suffix.lower() == ".csv":
@@ -136,7 +142,7 @@ def _reports_for(args, alphabet, trajs):
     if args.tie == "jagged":
         tie_map, tie_label = jagged_free_throw_map(alphabet, boundary), "jagged(h=1)"
     elif args.tie:
-        tie_map = load_tie_map(args.tie, alphabet)
+        tie_map = load_tie_map(_existing(args.tie, "tie map file"), alphabet)
     reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
                               aic_penalty=args.aic_penalty, tie_map=tie_map,
                               tie_label=tie_label)
@@ -207,13 +213,31 @@ def _parse_ft_model(text: str) -> FreeThrowModel:
     )
 
 
-# The preset grids. Under a profile only --h-true, --seed, --boundary and
-# --network-per-replicate apply; every other field keeps its default.
+# The preset grids. Under a profile only --h-true, --seed, --boundary,
+# --network-per-replicate and --workers apply; the options below are refused.
 _PROFILES = {
     "paper": {"m": 8, "h_range": (1, 2, 3, 4, 5), "J_values": (4, 8, 16, 32, 64, 128, 256),
               "replicates": 10_000},
     "ci": {"m": 8, "h_range": (1, 2, 3, 4, 5), "J_values": (4, 16, 64), "replicates": 200},
 }
+_PROFILE_REFUSES = ("--M", "--J", "--replicates", "--length-cap", "--criteria", "--h-range",
+                    "--h-max", "--free-throw")
+# Every refused option defaults to None, so that a given value can be told
+# from its default; these are filled in after the check.
+_SIM_DEFAULTS = {"M": 8, "replicates": 200, "length_cap": 10_000}
+
+
+def _check_profile(args) -> None:
+    """Refuse what a --profile run would ignore, then fill in the defaults."""
+    if args.profile:
+        given = [flag for flag in _PROFILE_REFUSES
+                 if getattr(args, flag[2:].replace("-", "_")) is not None]
+        if given:
+            raise CliError(f"--profile {args.profile} sets its own grid; "
+                           f"drop {', '.join(given)}")
+    for dest, default in _SIM_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _sim_config(args) -> SimConfig:
@@ -234,6 +258,7 @@ def _sim_config(args) -> SimConfig:
 def cmd_simulate(args) -> int:
     # the first file written makes --out, so a run that a bad argument or a
     # failed study stops (a ValueError exits 2) leaves no directory
+    _check_profile(args)
     if args.free_throw:
         model = _parse_ft_model(args.ft_model)
         criteria = tuple(args.criteria.split(",")) if args.criteria else ("AIC", "WAIC1", "WAIC2", "LOO")
@@ -321,7 +346,7 @@ def cmd_oracle(args) -> int:
 def cmd_import(args) -> int:
     labels = tuple(args.labels.split(",")) if args.labels else ("0", "1")
     try:
-        alphabet, trajs = import_outcome_csv(args.input, labels)
+        alphabet, trajs = import_outcome_csv(_existing(args.input), labels)
     except TrajectoryFormatError as exc:
         raise _input_error(exc, args.input, str(exc)) from None
     write_trajectories_jsonl(args.output, alphabet, trajs)
@@ -368,14 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="selection power studies")
     p.add_argument("--profile", choices=["paper", "ci"],
                    help="preset grids; 'paper' is the full 10^4-replicate study")
-    p.add_argument("--M", type=int, default=8)
+    p.add_argument("--M", type=int, help=f"alphabet size (default {_SIM_DEFAULTS['M']})")
     p.add_argument("--h-true", type=int, default=1)
     p.add_argument("--h-range", help="inclusive range, e.g. 1..5")
     p.add_argument("--h-max", type=int)
     p.add_argument("--J", type=int, action="append", default=None,
                    help="sample size; repeat for a sweep (default 4)")
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--length-cap", type=int, default=10_000)
+    p.add_argument("--replicates", type=int,
+                   help=f"replicate count (default {_SIM_DEFAULTS['replicates']})")
+    p.add_argument("--length-cap", type=int,
+                   help=f"steps per walk (default {_SIM_DEFAULTS['length_cap']})")
     p.add_argument("--criteria", help="comma list (default: all)")
     p.add_argument("--boundary", choices=["padded", "truncated"], default="padded")
     p.add_argument("--network-per-replicate", action="store_true",
@@ -383,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
                    help="process count, >= 1 (default: MEMSEL_THREADS or 1)")
-    p.add_argument("--free-throw", action="store_true",
+    p.add_argument("--free-throw", action="store_true", default=None,
                    help="per-game experiment with Poisson game lengths")
     p.add_argument("--lambda", dest="lambda", type=float, default=7.615,
                    help="mean shots per game for --free-throw")

@@ -103,9 +103,16 @@ def read_trajectories_jsonl(
     return alphabet, trajs
 
 
-def write_trajectories_jsonl(path, alphabet: StateAlphabet, trajectories) -> None:
+def _create(path):
+    """Open ``path`` for writing, making its directory: every writer opens here,
+    so a command that fails before its first write leaves no directory."""
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8", newline="\n")
+
+
+def write_trajectories_jsonl(path, alphabet: StateAlphabet, trajectories) -> None:
+    with _create(path) as fh:
         fh.write(json.dumps({"states": list(alphabet.labels)}) + "\n")
         for tr in trajectories:
             rec = {"id": tr.id, "seq": [alphabet.label(s) for s in tr.steps]}
@@ -191,9 +198,7 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
 
 
 # ---------------------------------------------------------------------------
-# Report and table writers (deterministic byte output). Each makes the
-# directory of the file it writes, so a command that fails before its
-# first write leaves no output directory behind.
+# Report and table writers (deterministic byte output).
 
 
 _REPORT_COLUMNS = ("label", "h", "boundary", "J", "transitions", "k_params") + CRITERIA + K_TERMS
@@ -208,16 +213,14 @@ def _cell(value) -> str:
 def write_json(obj, path) -> Path:
     """Write ``obj`` as indented, key-sorted JSON plus a newline, in one write."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def _write_csv(records, cols: tuple, path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(",".join(cols) + "\n")
         for rec in records:
             fh.write(",".join(_cell(rec[c]) for c in cols) + "\n")

@@ -1,23 +1,22 @@
-"""Monte-Carlo oracles for the closed-form criteria.
+"""Monte-Carlo oracle for the closed-form criteria.
 
-These estimators integrate the same posterior expectations the closed
-forms evaluate analytically, by drawing directly from the Dirichlet
-posteriors. They share no code with the closed forms beyond the special
-functions, so agreement within a few standard errors is a genuine
-cross-check. The refit scorers at the bottom are the literal
-hold-out-and-score loops that LOO and CV2 collapse into closed form.
-
-Each cell (one posterior and the counts it scores) draws from its own
-stream, spawned from the seed of its cell set. ``audit`` makes every
-check of ``memsel oracle`` and draws each distinct cell set once:
+``audit`` estimates LPD, LPPD, LOO, CV2, k_WAIC2 and k_DIC2 by drawing
+directly from the Dirichlet posteriors whose expectations the closed
+forms evaluate analytically. It shares nothing with the closed forms but
+the prior, so agreement within a few standard errors is a genuine
+cross-check. Each cell (one posterior and the counts it scores) draws
+from its own stream, spawned from the seed of its cell set, and each of
+the four cell sets is drawn once:
 
 - the total rows at ``seed`` feed LPD and k_DIC2;
-- the per-trajectory posterior rows at ``seed + 1`` feed LPPD and k_WAIC2;
+- the per-trajectory rows, scored against the total, at ``seed + 1``
+  feed LPPD and k_WAIC2;
 - the leave-one-out rows at ``seed + 2`` feed LOO;
 - the two-fold rows at ``seed + 3`` feed CV2.
 
-So k_DIC2 and k_WAIC2 reuse LPD's and LPPD's draws, and every estimate
-equals the matching ``mc_*`` call at that seed.
+The refit scorers at the bottom are the literal hold-out-and-score loops
+that LOO and CV2 collapse into closed form: exact references, not
+estimates.
 """
 
 from __future__ import annotations
@@ -39,13 +38,7 @@ from .criteria import DirichletPrior, _prior_for, predictive_log_density
 __all__ = [
     "MIN_DRAWS",
     "OracleEstimate",
-    "mc_lpd",
-    "mc_lppd",
-    "mc_loo",
-    "mc_cv2",
-    "mc_variance_loglik",
     "audit",
-    "as_single_point",
     "loo_refit",
     "cv2_refit",
 ]
@@ -68,13 +61,6 @@ class OracleEstimate:
     def scaled(self, factor: float) -> "OracleEstimate":
         """The estimate of ``factor`` times the quantity."""
         return OracleEstimate(factor * self.estimate, abs(factor) * self.std_error, self.draws)
-
-
-def _require_draws(draws: int) -> int:
-    draws = int(draws)
-    if draws < MIN_DRAWS:
-        raise ValueError(f"at least {MIN_DRAWS} draws are required, got {draws}")
-    return draws
 
 
 def _cell_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -130,95 +116,6 @@ def _sum_cells(cells, draws, seed, estimators) -> list[OracleEstimate]:
     return [OracleEstimate(e, math.sqrt(v), draws) for e, v in zip(est, var)]
 
 
-def _posterior_cells(tc: TrajectoryCounts, prior: DirichletPrior) -> list:
-    """One (posterior given the total, trajectory counts) cell per trajectory row."""
-    idx, counts, _ = tc.stacked()
-    return list(zip(tc.total.counts[idx] + prior.alpha, counts))
-
-
-def mc_lpd(
-    total: CountTable,
-    prior: DirichletPrior | None = None,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> OracleEstimate:
-    """MC estimate of the log predictive density of the whole dataset."""
-    draws = _require_draws(draws)
-    prior = _prior_for(total.alphabet, prior)
-    cells = [(vec + prior.alpha, vec) for vec in total.counts]
-    return _sum_cells(cells, draws, seed, (_log_mean_power,))[0]
-
-
-def mc_lppd(
-    tc: TrajectoryCounts,
-    prior: DirichletPrior | None = None,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> OracleEstimate:
-    """MC estimate of the log pointwise predictive density.
-
-    For every (trajectory, context) pair the expectation of the
-    trajectory's likelihood contribution is taken over the posterior given
-    the total counts, via independent draw batches per pair.
-    """
-    draws = _require_draws(draws)
-    prior = _prior_for(tc.alphabet, prior)
-    return _sum_cells(_posterior_cells(tc, prior), draws, seed, (_log_mean_power,))[0]
-
-
-def mc_loo(
-    tc: TrajectoryCounts,
-    prior: DirichletPrior | None = None,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> OracleEstimate:
-    """MC estimate of leave-one-out (deviance scale, so -2 x the log sum)."""
-    draws = _require_draws(draws)
-    prior = _prior_for(tc.alphabet, prior)
-    idx, counts, _ = tc.stacked()
-    rest = tc.total.counts[idx] - counts
-    cells = list(zip(rest + prior.alpha, counts))
-    return _sum_cells(cells, draws, seed, (_log_mean_power,))[0].scaled(-2.0)
-
-
-def mc_cv2(
-    tc: TrajectoryCounts,
-    prior: DirichletPrior | None = None,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> OracleEstimate:
-    """MC estimate of two-fold cross validation (deviance scale)."""
-    draws = _require_draws(draws)
-    if tc.n_trajectories < 2:
-        raise ValueError("two-fold cross validation needs at least two trajectories")
-    prior = _prior_for(tc.alphabet, prior)
-    idx, counts, bounds = tc.stacked()
-    n = tc.total.counts
-    split = bounds[tc.n_trajectories // 2]
-    first = np.zeros_like(n)
-    np.add.at(first, idx[:split], counts[:split])  # exact: integer counts
-    # each held-out row is scored against the other fold's counts
-    train = np.concatenate(((n - first)[idx[:split]], first[idx[split:]]))
-    cells = list(zip(train + prior.alpha, counts))
-    return _sum_cells(cells, draws, seed, (_log_mean_power,))[0].scaled(-2.0)
-
-
-def mc_variance_loglik(
-    tc: TrajectoryCounts,
-    prior: DirichletPrior | None = None,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> OracleEstimate:
-    """MC estimate of sum_j sum_x var[log Pr(N_x^(j) | p_x)] under the posterior.
-
-    Validates k_WAIC2 directly; called with a single pseudo-trajectory
-    equal to the total counts it validates k_DIC2 / 2.
-    """
-    draws = _require_draws(draws)
-    prior = _prior_for(tc.alphabet, prior)
-    return _sum_cells(_posterior_cells(tc, prior), draws, seed, (_variance,))[0]
-
-
 def audit(
     tc: TrajectoryCounts,
     prior: DirichletPrior | None = None,
@@ -227,31 +124,35 @@ def audit(
 ) -> dict[str, OracleEstimate]:
     """Every check of ``memsel oracle``, drawing each distinct cell set once.
 
-    Keys in report order: LPD, LPPD, LOO, CV2 (two or more trajectories
-    only), k_WAIC2 and k_DIC2, on the scales of the ``mc_*`` estimators.
-    LPD and k_DIC2 share the total rows' draws at ``seed``, LPPD and
-    k_WAIC2 the posterior rows' draws at ``seed + 1``; LOO and CV2 draw at
-    ``seed + 2`` and ``seed + 3``.
+    Keys in report order: LPD and LPPD (log scale), LOO and CV2 (deviance
+    scale; CV2 for two or more trajectories only), k_WAIC2, and k_DIC2 as
+    twice the posterior variance of the total rows' log-likelihood. Seeds
+    are as in the module docstring.
     """
-    draws = _require_draws(draws)
-    prior = _prior_for(tc.alphabet, prior)
-    both = (_log_mean_power, _variance)
-    # the total rows, as one pseudo-trajectory, are mc_lpd's cells
-    lpd, half_dic = _sum_cells(_posterior_cells(as_single_point(tc), prior), draws, seed, both)
-    lppd, waic = _sum_cells(_posterior_cells(tc, prior), draws, seed + 1, both)
-    out = {"LPD": lpd, "LPPD": lppd, "LOO": mc_loo(tc, prior, draws, seed + 2)}
+    draws = int(draws)
+    if draws < MIN_DRAWS:
+        raise ValueError(f"at least {MIN_DRAWS} draws are required, got {draws}")
+    alpha = _prior_for(tc.alphabet, prior).alpha
+    both, one = (_log_mean_power, _variance), (_log_mean_power,)
+    idx, counts, bounds = tc.stacked()
+    n = tc.total.counts
+    totals = n[idx]  # the total row of each trajectory row's context
+    lpd, half_dic = _sum_cells(list(zip(n + alpha, n)), draws, seed, both)
+    lppd, waic = _sum_cells(list(zip(totals + alpha, counts)), draws, seed + 1, both)
+    # each held-out row is scored against the other trajectories' counts
+    loo = _sum_cells(list(zip(totals - counts + alpha, counts)), draws, seed + 2, one)[0]
+    out = {"LPD": lpd, "LPPD": lppd, "LOO": loo.scaled(-2.0)}
     if tc.n_trajectories >= 2:
-        out["CV2"] = mc_cv2(tc, prior, draws, seed + 3)
+        split = bounds[tc.n_trajectories // 2]
+        first = np.zeros_like(n)
+        np.add.at(first, idx[:split], counts[:split])  # exact: integer counts
+        # for CV2, against the other fold's counts
+        train = np.concatenate(((n - first)[idx[:split]], first[idx[split:]]))
+        cv2 = _sum_cells(list(zip(train + alpha, counts)), draws, seed + 3, one)[0]
+        out["CV2"] = cv2.scaled(-2.0)
     out["k_WAIC2"] = waic
     out["k_DIC2"] = half_dic.scaled(2.0)
     return out
-
-
-def as_single_point(tc: TrajectoryCounts) -> TrajectoryCounts:
-    """Wrap the total counts as one pseudo-trajectory (for k_DIC2 checks)."""
-    n_rows = tc.total.n_contexts
-    return TrajectoryCounts(("total",), tc.total, np.arange(n_rows), tc.total.counts,
-                            np.array([0, n_rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,13 @@ class TestErrorPaths:
         assert main(["criteria", "--input", str(tmp_path / "nope.jsonl"),
                      "--h-max", "1", "--out", str(tmp_path / "o")]) == 2
 
+    def test_missing_tie_map_file(self, season, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "0..1",
+                     "--tie", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
+        assert "tie map file" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestImportCommand:
     def test_roundtrip(self, tmp_path):
@@ -229,6 +236,21 @@ class TestImportCommand:
         alphabet, trajs = read_trajectories_jsonl(out)
         assert alphabet.labels == ("miss", "make")
         assert trajs[0].steps == (1, 0)
+
+    def test_missing_input_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert main(["import", "--input", str(tmp_path / "nope.csv"),
+                     "--output", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_directory_is_made(self, tmp_path):
+        csv_path = tmp_path / "games.csv"
+        csv_path.write_text("g1,1\ng1,0\ng2,1\n")
+        out = tmp_path / "missing" / "dir" / "t.jsonl"
+        assert main(["import", "--input", str(csv_path), "--output", str(out)]) == 0
+        _, trajs = read_trajectories_jsonl(out)
+        assert [t.steps for t in trajs] == [(1, 0), (1,)]
 
 
 class TestSimulateCommand:
@@ -347,12 +369,27 @@ class TestSimulateCommand:
         # the arguments pass; the study then fails (a season keeps one game)
         ["--free-throw", "--games", "2", "--lambda", "0.3", "--criteria", "CV2",
          "--replicates", "20"],
+        # a profile sets its own grid, so the options it would ignore are refused
+        ["--profile", "ci", "--replicates", "3", "--J", "4"],
+        ["--profile", "ci", "--M", "4"],
+        ["--profile", "ci", "--length-cap", "50"],
+        ["--profile", "ci", "--criteria", "LOO"],
+        ["--profile", "ci", "--h-range", "1..2"],
+        ["--profile", "ci", "--h-max", "0"],
+        ["--profile", "ci", "--free-throw"],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, args):
         out = tmp_path / "d"
         assert main(["simulate", *args, "--out", str(out)]) == 2
         assert not out.exists()
 
+
+    def test_profile_names_the_options_it_refuses(self, tmp_path, capsys):
+        assert main(["simulate", "--profile", "ci", "--replicates", "3", "--J", "4",
+                     "--free-throw", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "--profile ci" in err
+        assert "--J, --replicates, --free-throw" in err
 
 class TestOracleCommand:
     def test_audit_passes_on_clean_build(self, season, tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Monte-Carlo oracle behavior (small-draw smoke level; the full
-50-instance audit runs in the acceptance suite)."""
+50-instance audit runs in the acceptance suite).
+
+``audit`` draws LPD and k_DIC2 at ``seed``, LPPD and k_WAIC2 at
+``seed + 1``, LOO at ``seed + 2`` and CV2 at ``seed + 3``.
+"""
 
 import math
 
@@ -8,21 +12,8 @@ import pytest
 
 from conftest import random_instance
 from memsel.chain import StateAlphabet, Trajectory, count_transitions
-from memsel.criteria import DirichletPrior, evaluate, lpd
-from memsel.oracle import (
-    MIN_DRAWS,
-    _log_mean_power,
-    _variance,
-    as_single_point,
-    audit,
-    cv2_refit,
-    loo_refit,
-    mc_cv2,
-    mc_loo,
-    mc_lpd,
-    mc_lppd,
-    mc_variance_loglik,
-)
+from memsel.criteria import evaluate, lpd
+from memsel.oracle import MIN_DRAWS, _log_mean_power, _variance, audit, cv2_refit, loo_refit
 
 AB2 = StateAlphabet(("0", "1"))
 DRAWS = 20_000
@@ -30,11 +21,9 @@ DRAWS = 20_000
 
 def test_minimum_draws_enforced():
     _, _, tc = random_instance(np.random.default_rng(0))
-    for fn in (mc_lppd, mc_loo, mc_variance_loglik):
+    for draws in (MIN_DRAWS - 1, 10):
         with pytest.raises(ValueError):
-            fn(tc, draws=MIN_DRAWS - 1)
-    with pytest.raises(ValueError):
-        mc_lpd(tc.total, draws=10)
+            audit(tc, draws=draws)
 
 
 def test_zero_counts_estimates():
@@ -42,17 +31,17 @@ def test_zero_counts_estimates():
 
     trajs = [Trajectory("a", (0,)), Trajectory("b", (1,))]
     tc = count_transitions(trajs, 2, AB2, BoundaryMode.TRUNCATED)
-    est = mc_lppd(tc, draws=DRAWS, seed=0)
-    assert est.estimate == 0.0 and est.std_error == 0.0
-    est = mc_variance_loglik(tc, draws=DRAWS, seed=0)
-    assert est.estimate == 0.0
+    # no transitions, so no cells: every estimate is 0 whatever the seed
+    got = audit(tc, draws=DRAWS, seed=0)
+    assert got["LPPD"].estimate == 0.0 and got["LPPD"].std_error == 0.0
+    assert got["k_WAIC2"].estimate == 0.0
 
 
 def test_lppd_agreement():
     rng = np.random.default_rng(1)
     for i in range(6):
         _, _, tc = random_instance(rng)
-        est = mc_lppd(tc, draws=DRAWS, seed=100 + i)
+        est = audit(tc, draws=DRAWS, seed=99 + i)["LPPD"]
         assert abs(est.z(-0.5 * evaluate(tc).value("LPPD"))) < 4.0
 
 
@@ -60,8 +49,8 @@ def test_lpd_agreement_and_j1_collapse():
     rng = np.random.default_rng(2)
     for i in range(6):
         _, _, tc = random_instance(rng, j=1)
-        est_lpd = mc_lpd(tc.total, draws=DRAWS, seed=200 + i)
-        est_lppd = mc_lppd(tc, draws=DRAWS, seed=200 + i)
+        est_lpd = audit(tc, draws=DRAWS, seed=200 + i)["LPD"]
+        est_lppd = audit(tc, draws=DRAWS, seed=199 + i)["LPPD"]
         assert abs(est_lpd.z(lpd(tc.total))) < 4.0
         # same quantity and same seed: identical cells, identical estimate
         assert est_lpd.estimate == est_lppd.estimate
@@ -72,8 +61,8 @@ def test_loo_and_cv2_agreement():
     for i in range(4):
         _, trajs, tc = random_instance(rng, j=3)
         rep = evaluate(tc)
-        assert abs(mc_loo(tc, draws=DRAWS, seed=300 + i).z(rep.value("LOO"))) < 4.0
-        assert abs(mc_cv2(tc, draws=DRAWS, seed=400 + i).z(rep.value("CV2"))) < 4.0
+        assert abs(audit(tc, draws=DRAWS, seed=298 + i)["LOO"].z(rep.value("LOO"))) < 4.0
+        assert abs(audit(tc, draws=DRAWS, seed=397 + i)["CV2"].z(rep.value("CV2"))) < 4.0
 
 
 def test_variance_oracle_validates_waic2_and_dic2():
@@ -82,35 +71,11 @@ def test_variance_oracle_validates_waic2_and_dic2():
         _, _, tc = random_instance(rng)
         rep = evaluate(tc)
         k2 = rep.value("k_WAIC2")
-        est = mc_variance_loglik(tc, draws=DRAWS, seed=500 + i)
+        est = audit(tc, draws=DRAWS, seed=499 + i)["k_WAIC2"]
         assert est.estimate >= 0.0
         assert abs(est.z(k2)) < 4.0
-        kd2 = rep.value("k_DIC2")
-        est_total = mc_variance_loglik(as_single_point(tc), draws=DRAWS, seed=600 + i)
-        assert abs((kd2 / 2 - est_total.estimate) / est_total.std_error) < 4.0
-
-
-def test_audit_equals_one_estimator_per_seed():
-    # audit draws each cell set once; every row equals its own mc_* call
-    rng = np.random.default_rng(8)
-    for i in range(8):
-        _, _, tc = random_instance(rng, j=int(rng.integers(1, 5)))
-        prior = None if i % 2 else DirichletPrior(rng.uniform(0.2, 3.0, tc.alphabet.size))
-        seed, draws = 700 + 10 * i, 2_000
-        got = audit(tc, prior, draws, seed)
-        want = {"LPD": mc_lpd(tc.total, prior, draws, seed),
-                "LPPD": mc_lppd(tc, prior, draws, seed + 1),
-                "LOO": mc_loo(tc, prior, draws, seed + 2)}
-        if tc.n_trajectories >= 2:
-            want["CV2"] = mc_cv2(tc, prior, draws, seed + 3)
-        want["k_WAIC2"] = mc_variance_loglik(tc, prior, draws, seed + 1)
-        half = mc_variance_loglik(as_single_point(tc), prior, draws, seed)
-        assert list(got) == list(want) + ["k_DIC2"]
-        for name, est in want.items():
-            assert got[name] == est, name
-        assert got["k_DIC2"].estimate == 2.0 * half.estimate
-        assert got["k_DIC2"].std_error == 2.0 * half.std_error
-        assert got["k_DIC2"].draws == draws
+        # twice the total rows' variance: z is the same as for k_DIC2 / 2
+        assert abs(audit(tc, draws=DRAWS, seed=600 + i)["k_DIC2"].z(rep.value("k_DIC2"))) < 4.0
 
 
 def test_variance_estimator_matches_numpy_and_fourth_moment_form():
@@ -131,15 +96,15 @@ def test_known_variance_value():
     # single context with counts [2, 1]: posterior variance of the
     # log-likelihood is 4 psi'(3) + psi'(2) - 9 psi'(5) = 0.23276...
     tc = count_transitions([Trajectory("t", (0, 0, 1))], 0, AB2)
-    est = mc_variance_loglik(tc, draws=200_000, seed=7)
+    est = audit(tc, draws=200_000, seed=6)["k_WAIC2"]
     assert abs(est.z(0.2327637326)) < 4.0
 
 
 def test_std_error_scales_with_draws():
     rng = np.random.default_rng(5)
     _, _, tc = random_instance(rng, j=2)
-    se1 = mc_lppd(tc, draws=20_000, seed=8).std_error
-    se2 = mc_lppd(tc, draws=40_000, seed=9).std_error
+    se1 = audit(tc, draws=20_000, seed=7)["LPPD"].std_error
+    se2 = audit(tc, draws=40_000, seed=8)["LPPD"].std_error
     ratio = se2 / se1
     assert 0.8 / np.sqrt(2) < ratio < 1.2 / np.sqrt(2)
 
@@ -147,10 +112,10 @@ def test_std_error_scales_with_draws():
 def test_determinism():
     rng = np.random.default_rng(6)
     _, _, tc = random_instance(rng)
-    a = mc_lppd(tc, draws=DRAWS, seed=42)
-    b = mc_lppd(tc, draws=DRAWS, seed=42)
+    a = audit(tc, draws=DRAWS, seed=41)["LPPD"]
+    b = audit(tc, draws=DRAWS, seed=41)["LPPD"]
     assert a == b
-    c = mc_lppd(tc, draws=DRAWS, seed=43)
+    c = audit(tc, draws=DRAWS, seed=42)["LPPD"]
     assert a.estimate != c.estimate
 
 

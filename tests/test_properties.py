@@ -15,7 +15,6 @@ from memsel.chain import (
     BoundaryMode,
     StateAlphabet,
     Trajectory,
-    TrajectoryCounts,
     count_transitions,
 )
 from memsel.criteria import (
@@ -26,7 +25,7 @@ from memsel.criteria import (
     evaluate_depths,
     predictive_log_density,
 )
-from memsel.oracle import as_single_point, cv2_refit, loo_refit, mc_variance_loglik
+from memsel.oracle import cv2_refit, loo_refit
 from memsel.simulate import generate_network, sample_trajectory
 from memsel.specfun import log_beta_ratio, trigamma
 from memsel.tying import TieMap, tie_counts
@@ -323,26 +322,12 @@ def stack_from_tables(per_trajectory, total):
     mode=st.sampled_from(list(BoundaryMode)),
 )
 def test_counts_from_tables_stack_like_counting(seed, m, j, h, mode):
-    # as_single_point stacks the total table as one trajectory directly; it
-    # must equal stacking that table by key lookup, and score the same
+    # counting stacks the per-trajectory rows directly; it must equal
+    # stacking the tables by key lookup
     rng = np.random.default_rng(seed)
     counted = count_transitions(random_walks(rng, m, j, 10), h, StateAlphabet.of_size(m), mode)
     for x, y in zip(counted.stacked(), stack_from_tables(counted.per_trajectory, counted.total)):
         assert np.array_equal(x, y)
-    single = as_single_point(counted)
-    ref = TrajectoryCounts(("total",), counted.total,
-                           *stack_from_tables((("total", counted.total),), counted.total))
-    n = counted.total.n_contexts
-    expected = (np.arange(n), counted.total.counts, [0, n])
-    for x, y, z in zip(single.stacked(), ref.stacked(), expected):
-        assert x.dtype.kind == y.dtype.kind == "i"
-        assert np.array_equal(x, y) and np.array_equal(x, z)
-    assert [tid for tid, _ in single.per_trajectory] == ["total"]
-    assert single.per_trajectory[0][1] == counted.total
-    a, b = evaluate(single), evaluate(ref)
-    assert {k: v.hex() for k, v in a.values.items()} == {k: v.hex() for k, v in b.values.items()}
-    a, b = (mc_variance_loglik(tc, draws=1000, seed=seed) for tc in (single, ref))
-    assert (a.estimate.hex(), a.std_error.hex()) == (b.estimate.hex(), b.std_error.hex())
 
 
 @PROPERTY
