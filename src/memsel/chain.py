@@ -110,6 +110,15 @@ class Trajectory:
         if min(steps) < 0:
             raise ValueError(f"trajectory {self.id!r} contains a negative state id")
 
+    @classmethod
+    def _unchecked(cls, id: str, steps: tuple[int, ...], truncated: bool = False) -> "Trajectory":
+        """A trajectory from a non-empty tuple of state ids >= 0 (Python ints)
+        that the caller made itself, such as a sampled walk or the ids that
+        ``StateAlphabet.indices`` returned, stored without checking them again."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(id=id, steps=steps, truncated=truncated)
+        return traj
+
     def __len__(self) -> int:
         return len(self.steps)
 

@@ -97,10 +97,13 @@ def _input_error(exc: TrajectoryFormatError, path, empty_message: str) -> CliErr
 
 
 def _existing(path, what: str = "input file") -> Path:
-    """``path`` as a Path; a missing file exits 2 rather than with a traceback."""
+    """``path`` as a Path; a missing file or a directory exits 2 rather than
+    with a traceback."""
     path = Path(path)
     if not path.exists():
         raise CliError(f"{what} {path} does not exist")
+    if not path.is_file():
+        raise CliError(f"{what} {path} is not a file")
     return path
 
 
@@ -222,19 +225,25 @@ _PROFILES = {
 }
 _PROFILE_REFUSES = ("--M", "--J", "--replicates", "--length-cap", "--criteria", "--h-range",
                     "--h-max", "--free-throw")
+# Only the free-throw experiment reads these; a grid study refuses them.
+_FREE_THROW_ONLY = ("--games", "--lambda", "--ft-model")
 # Every refused option defaults to None, so that a given value can be told
 # from its default; these are filled in after the check.
-_SIM_DEFAULTS = {"M": 8, "replicates": 200, "length_cap": 10_000}
+_SIM_DEFAULTS = {"M": 8, "replicates": 200, "length_cap": 10_000,
+                 "games": 91, "lambda": 7.615, "ft_model": "jagged:0.82,0.66"}
 
 
-def _check_profile(args) -> None:
-    """Refuse what a --profile run would ignore, then fill in the defaults."""
-    if args.profile:
-        given = [flag for flag in _PROFILE_REFUSES
-                 if getattr(args, flag[2:].replace("-", "_")) is not None]
-        if given:
-            raise CliError(f"--profile {args.profile} sets its own grid; "
-                           f"drop {', '.join(given)}")
+def _given(args, flags: tuple[str, ...]) -> list[str]:
+    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
+def _check_options(args) -> None:
+    """Refuse what a --profile run or a grid study would ignore, then fill in
+    the defaults."""
+    if args.profile and (given := _given(args, _PROFILE_REFUSES)):
+        raise CliError(f"--profile {args.profile} sets its own grid; drop {', '.join(given)}")
+    if not args.free_throw and (given := _given(args, _FREE_THROW_ONLY)):
+        raise CliError(f"{', '.join(given)} apply only with --free-throw; drop them")
     for dest, default in _SIM_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -258,7 +267,7 @@ def _sim_config(args) -> SimConfig:
 def cmd_simulate(args) -> int:
     # the first file written makes --out, so a run that a bad argument or a
     # failed study stops (a ValueError exits 2) leaves no directory
-    _check_profile(args)
+    _check_options(args)
     if args.free_throw:
         model = _parse_ft_model(args.ft_model)
         criteria = tuple(args.criteria.split(",")) if args.criteria else ("AIC", "WAIC1", "WAIC2", "LOO")
@@ -412,11 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process count, >= 1 (default: MEMSEL_THREADS or 1)")
     p.add_argument("--free-throw", action="store_true", default=None,
                    help="per-game experiment with Poisson game lengths")
-    p.add_argument("--lambda", dest="lambda", type=float, default=7.615,
-                   help="mean shots per game for --free-throw")
-    p.add_argument("--games", type=int, default=91)
-    p.add_argument("--ft-model", default="jagged:0.82,0.66",
-                   help="true model: h0:P | jagged:P_MISS,P_OTHER | h1:P1,PH,PM")
+    p.add_argument("--lambda", dest="lambda", type=float,
+                   help=f"mean shots per game for --free-throw "
+                        f"(default {_SIM_DEFAULTS['lambda']})")
+    p.add_argument("--games", type=int,
+                   help=f"games per season for --free-throw (default {_SIM_DEFAULTS['games']})")
+    p.add_argument("--ft-model",
+                   help="true model for --free-throw: h0:P | jagged:P_MISS,P_OTHER | "
+                        f"h1:P1,PH,PM (default {_SIM_DEFAULTS['ft_model']})")
     p.add_argument("--out", default="memsel_out")
     p.set_defaults(func=cmd_simulate)
 

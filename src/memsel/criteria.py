@@ -123,6 +123,25 @@ def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
 # Internal kernels
 
 
+def _at_counts(fn, n: np.ndarray, a) -> np.ndarray:
+    """``fn(n + a)`` for integer counts ``n >= 0`` and a prior ``a``, a scalar
+    or one value per column of ``n``.
+
+    Counts repeat, so ``fn`` runs once per value 0 .. max(n) (per column)
+    and the table is read back by index, with the same bits as the direct
+    call: ``fn`` is elementwise. A table with more entries than ``n`` has
+    cells, as when a long series counts 1e8 transitions in a few rows, is
+    not built; ``fn`` then takes ``n + a`` itself.
+    """
+    values = np.arange(int(n.max(initial=0)) + 1)
+    width = n.shape[-1] if np.ndim(a) else 1
+    if values.size * width > n.size:
+        return fn(n + a)
+    if np.ndim(a):
+        return fn(values[:, None] + a)[n, np.arange(width)]
+    return fn(values + a)[n]
+
+
 def _ml_terms(N: np.ndarray, Ns: np.ndarray) -> np.ndarray:
     # N log(N / N_row) per cell, with 0 log 0 = 0: the maximum log likelihood's terms
     return N * np.log(np.where(N > 0, N / Ns[:, None], 1.0))
@@ -321,7 +340,7 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
         x = _ratio_tables(ratios, N, idx, t, grp, js, a)
         pointwise.update(zip(ratios, log_beta_ratio(x, t, grp, groups[-1])))
     if need & {"WAIC2", "DIC2"}:
-        tri, tri_s = trigamma(N + a), trigamma(Ns + a0)
+        tri, tri_s = _at_counts(trigamma, N, a), _at_counts(trigamma, Ns, a0)
     if "k_WAIC2" in terms:
         tt = t.astype(float)  # t^2 psi'(g + a), in place
         tt *= tt
@@ -343,7 +362,8 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
         model_sums["plugin"] = per_model(N * (np.log(N + a) - np.log(Ns + a0)[:, None]))
     if need & {"WAIC1", "DIC1"}:
         # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
-        model_sums["post"] = per_model(N * (digamma(N + a) - digamma(Ns + a0)[:, None]))
+        model_sums["post"] = per_model(
+            N * (_at_counts(digamma, N, a) - _at_counts(digamma, Ns, a0)[:, None]))
     if "DIC2" in need:
         n, ns = N.astype(float), Ns.astype(float)
         model_sums["k_DIC2"] = per_model(np.sum(n * n * tri, axis=1) - ns * ns * tri_s)

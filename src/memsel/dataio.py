@@ -99,7 +99,7 @@ def read_trajectories_jsonl(
         except ValueError as exc:
             raise TrajectoryFormatError(lineno, str(exc)) from None
         tid = str(obj.get("id", f"traj{len(trajs)}"))
-        trajs.append(Trajectory(tid, steps))
+        trajs.append(Trajectory._unchecked(tid, steps))
     return alphabet, trajs
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ _TAG_TRAJECTORIES = 2
 _TAG_FREE_THROW = 3
 
 _MAX_NETWORK_CONTEXTS = 2_000_000
+
+# A replicate's walks take their uniforms from its stream this many at a time.
+_UNIFORM_BLOCK = 1024
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -83,12 +87,36 @@ class RandomNetwork:
     absorbing_state: int
 
     def __post_init__(self):
-        cum = np.cumsum(np.array(list(self.rows.values()), dtype=float), axis=1)
-        object.__setattr__(self, "_cum", dict(zip(self.rows, cum)))
+        object.__setattr__(self, "_walk_table", _walk_table(self))
 
     @property
     def m(self) -> int:
         return self.alphabet.size
+
+
+def _walk_table(net: RandomNetwork) -> tuple[list, list, int]:
+    """What a walk reads at each step. Context i (numbered in the order of
+    ``net.rows``) owns the M entries from offset i x M of two flat lists:
+    its cumulative row, and for each next state the offset of the context
+    that state leads to. Returns both lists and the start context's offset.
+
+    Counting's integer codes find the successors: START is digit 0 and
+    state s digit s+1, oldest token first, so the context after state s
+    has code (code x (M+1) + s + 1) mod (M+1)^h.
+    """
+    m, h = net.m, net.h_true
+    contexts = list(net.rows)
+    base = m + 1
+    digits = np.array(contexts, dtype=np.int64).reshape(len(contexts), h) + 1
+    code = digits @ base ** np.arange(h - 1, -1, -1, dtype=np.int64)
+    successor = (code[:, None] * base + np.arange(1, m + 1)) % base**h
+    order = np.argsort(code)
+    ids = order[np.searchsorted(code, successor, sorter=order).clip(max=len(code) - 1)]
+    if not np.array_equal(code[ids], successor):
+        raise ValueError("the network has no row for some context that a walk can reach")
+    cum = np.cumsum(np.array(list(net.rows.values()), dtype=float), axis=1)
+    start = ((START,) * h + (net.start_state,))[1:]  # START..START, start state
+    return cum.ravel().tolist(), (ids * m).ravel().tolist(), contexts.index(start) * m
 
 
 def _padded_contexts(m: int, h: int):
@@ -116,8 +144,8 @@ def _draw_network(m: int, h_true: int, rng: np.random.Generator) -> RandomNetwor
             "supported; this would need sparse on-demand row generation"
         )
     alphabet = StateAlphabet.of_size(m)
-    ones = np.ones(m)
-    rows = {ctx: rng.dirichlet(ones) for ctx in _padded_contexts(m, h_true)}
+    # one call draws the rows in turn, the same stream as one call per row
+    rows = dict(zip(_padded_contexts(m, h_true), rng.dirichlet(np.ones(m), size=n_contexts)))
     return RandomNetwork(alphabet, h_true, rows, start_state=0, absorbing_state=m - 1)
 
 
@@ -131,22 +159,46 @@ def sample_trajectory(
 
     The recorded steps are the states visited after the (fixed) start
     state; histories shorter than h are padded with START and then the
-    start state itself, matching the contexts the network carries.
+    start state itself, matching the contexts the network carries. Each
+    step draws one uniform from ``rng``.
     """
     if length_cap < 1:
         raise ValueError("length cap must be >= 1")
-    ctx = ((START,) * net.h_true + (net.start_state,))[1:]  # START..START, start state
+    return _walk(net, length_cap, iter(rng.random, None), traj_id)
+
+
+def _walk(net: RandomNetwork, length_cap: int, uniforms, traj_id: str) -> Trajectory:
+    """One walk, taking the next uniform from the iterator ``uniforms`` at
+    each step and no more: the next state is the first whose cumulative
+    probability exceeds it (M-1 when a row sums to less than that)."""
+    cum, successor, row = net._walk_table
+    m, absorbing = net.m, net.absorbing_state
     steps: list[int] = []
-    cum = net._cum
-    while len(steps) < length_cap:
-        nxt = int(np.searchsorted(cum[ctx], rng.random(), side="right"))
-        nxt = min(nxt, net.m - 1)
+    for u in uniforms:
+        nxt = bisect_right(cum, u, row, row + m) - row
+        if nxt == m:
+            nxt = m - 1
         steps.append(nxt)
-        ctx = (ctx + (nxt,))[1:]
-        if nxt == net.absorbing_state:
+        if nxt == absorbing or len(steps) == length_cap:
             break
-    truncated = steps[-1] != net.absorbing_state
-    return Trajectory(traj_id, tuple(steps), truncated=truncated)
+        row = successor[row + nxt]
+    return Trajectory._unchecked(traj_id, tuple(steps), truncated=steps[-1] != absorbing)
+
+
+def _uniform_blocks(rng: np.random.Generator):
+    """The uniforms of ``rng`` in stream order, drawn _UNIFORM_BLOCK at a time."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
+def _sample_walks(net: RandomNetwork, length_cap: int, rng: np.random.Generator,
+                  ids: list[str]) -> list[Trajectory]:
+    """One walk per id, in turn, on the uniforms of ``rng``: the walks that
+    repeated ``sample_trajectory`` calls on ``rng`` make. The uniforms of the
+    last block that no walk used are dropped, so ``rng`` must serve these
+    walks alone."""
+    uniforms = _uniform_blocks(rng)
+    return [_walk(net, length_cap, uniforms, tid) for tid in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +277,8 @@ def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int
     if net is None:
         net = _draw_network(cfg.m, cfg.h_true, _rng(cfg.seed, _TAG_NETWORK, j_index, rep))
     rng = _rng(cfg.seed, _TAG_TRAJECTORIES, j_index, rep)
-    j = cfg.J_values[j_index]
-    trajs = [
-        sample_trajectory(net, cfg.length_cap, rng, traj_id=f"r{rep}t{i}")
-        for i in range(j)
-    ]
+    ids = [f"r{rep}t{i}" for i in range(cfg.J_values[j_index])]
+    trajs = _sample_walks(net, cfg.length_cap, rng, ids)
     reports = evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
                               which=cfg.criteria)
     return reports, sum(tr.truncated for tr in trajs)
@@ -401,7 +450,7 @@ def sample_free_throw_trajectories(
             hit = rng.random() < p
             outcomes.append(FT_HIT if hit else FT_MISS)
             p = model.p_after_hit if hit else model.p_after_miss
-        trajs.append(Trajectory(f"{id_prefix}{g}", tuple(outcomes)))
+        trajs.append(Trajectory._unchecked(f"{id_prefix}{g}", tuple(outcomes)))
     return trajs
 
 

@@ -207,6 +207,19 @@ class TestErrorPaths:
         assert main(["criteria", "--input", str(tmp_path / "nope.jsonl"),
                      "--h-max", "1", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["criteria", "--input", "{dir}", "--h-max", "1"],
+        ["oracle", "--input", "{dir}", "--h", "1"],
+        ["import", "--input", "{dir}", "--output", "{dir}/x.jsonl"],
+        ["criteria", "--input", "{season}", "--h-max", "1", "--tie", "{dir}"],
+    ])
+    def test_directory_given_as_a_file_is_config_error(self, season, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        argv = [a.format(dir=tmp_path, season=season) for a in command]
+        assert main(argv + (["--out", str(out)] if command[0] != "import" else [])) == 2
+        assert f"{tmp_path} is not a file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_tie_map_file(self, season, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["criteria", "--input", str(season), "--h-range", "0..1",
@@ -377,6 +390,11 @@ class TestSimulateCommand:
         ["--profile", "ci", "--h-range", "1..2"],
         ["--profile", "ci", "--h-max", "0"],
         ["--profile", "ci", "--free-throw"],
+        # a grid study reads no free-throw option, so it refuses them
+        ["--games", "5"],
+        ["--lambda", "3"],
+        ["--ft-model", "h0:0.5"],
+        ["--profile", "ci", "--games", "5"],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, args):
         out = tmp_path / "d"
@@ -390,6 +408,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "--profile ci" in err
         assert "--J, --replicates, --free-throw" in err
+
+    def test_grid_study_names_the_free_throw_options_it_refuses(self, tmp_path, capsys):
+        assert main(["simulate", "--M", "3", "--J", "4", "--replicates", "2", "--h-range",
+                     "1..2", "--games", "5", "--ft-model", "nonsense",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--games, --ft-model apply only with --free-throw" in capsys.readouterr().err
 
 class TestOracleCommand:
     def test_audit_passes_on_clean_build(self, season, tmp_path, capsys):
@@ -463,6 +487,8 @@ class TestDataIo:
         ab2, trajs2 = read_trajectories_jsonl(path)
         assert ab2 == ab
         assert [(t.id, t.steps) for t in trajs2] == [(t.id, t.steps) for t in trajs]
+        # read without re-validation, they equal trajectories built and checked
+        assert trajs2 == [Trajectory(t.id, t.steps) for t in trajs]
 
     def test_tie_map_file(self, tmp_path):
         spec = {

@@ -582,3 +582,33 @@ class TestBatchedScorer:
         monkeypatch.setattr(criteria_module, "_BATCH_CELLS", 10**9)
         evaluate_depths(trajs, alphabet, range(4), prior)
         assert seen == [[0, 1, 2, 3]]
+
+
+class TestTabulatedPsi:
+    """psi and psi' of counts plus a prior, read from a table, equal the direct call."""
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    @pytest.mark.parametrize("alpha", [np.ones(4), np.array([0.3, 1.0, 2.5, 7.0])])
+    def test_table_and_fallback_equal_the_direct_call(self, fn, alpha):
+        rng = np.random.default_rng(7)
+        small = rng.integers(0, 6, size=(300, 4))
+        big = small.copy()
+        big[0, 0] = 10**8  # a table would need 1e8 entries per column
+        empty = np.zeros((0, 4), dtype=np.int64)
+        a0 = float(alpha.sum())
+        seen = []
+
+        def spy(z):
+            seen.append(np.size(z))
+            return fn(z)
+
+        for n, tabulated in ((small, True), (big, False), (empty, False)):
+            for counts, a in ((n, alpha), (n.sum(axis=1), a0)):
+                seen.clear()
+                got = criteria_module._at_counts(spy, counts, a)
+                want = fn(counts + a)
+                assert got.shape == want.shape
+                assert np.all(got == want)
+                # the table holds one entry per value 0 .. max, per column
+                width = counts.shape[1] if np.ndim(a) else 1
+                assert seen == [(int(counts.max()) + 1) * width if tabulated else counts.size]

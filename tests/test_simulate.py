@@ -10,7 +10,7 @@ import pytest
 
 from conftest import find_record
 from memsel import simulate
-from memsel.chain import BoundaryMode, StateAlphabet, count_transitions
+from memsel.chain import START, BoundaryMode, StateAlphabet, count_transitions
 from memsel.criteria import CriterionReport
 from memsel.simulate import (
     FreeThrowModel,
@@ -35,6 +35,13 @@ class TestNetwork:
             assert np.array_equal(a.rows[ctx], b.rows[ctx])
         c = generate_network(2, 1, seed=6)
         assert any(not np.array_equal(a.rows[k], c.rows[k]) for k in a.rows)
+
+    def test_rows_match_one_draw_per_context(self):
+        for m, h in ((2, 4), (8, 2)):
+            net = generate_network(m, h, seed=3)
+            rng = np.random.default_rng(np.random.SeedSequence((3, simulate._TAG_NETWORK, h)))
+            for ctx, row in net.rows.items():
+                assert np.array_equal(row, rng.dirichlet(np.ones(m))), ctx
 
     def test_rows_normalized(self):
         net = generate_network(8, 2, seed=0)
@@ -97,6 +104,52 @@ class TestSampling:
         net = generate_network(2, 1, seed=0)
         with pytest.raises(ValueError):
             sample_trajectory(net, 0, np.random.default_rng(0))
+
+    def test_unreachable_row_rejected(self):
+        row = np.array([0.5, 0.25, 0.25])
+        rows = {(-1,): row, (0,): row, (1,): row}  # no row after state 2
+        with pytest.raises(ValueError, match="no row"):
+            RandomNetwork(StateAlphabet.of_size(3), 1, rows, start_state=0, absorbing_state=2)
+
+    @pytest.mark.parametrize("m, h_true, j, cap", [
+        (2, 0, 1, 10_000), (2, 3, 40, 10_000), (3, 1, 17, 10_000), (4, 2, 64, 3),
+        (5, 0, 100, 2), (8, 3, 256, 10_000), (8, 1, 256, 4),
+    ])
+    def test_walks_match_the_searchsorted_sampler(self, m, h_true, j, cap):
+        net = generate_network(m, h_true, seed=m + 10 * h_true)
+        ids = [f"t{i}" for i in range(j)]
+        # the walks of one replicate, on uniforms drawn in blocks ...
+        batch = simulate._sample_walks(net, cap, np.random.default_rng([m, h_true]), ids)
+        # ... are those of repeated one-uniform-per-step calls on one stream
+        rng = np.random.default_rng([m, h_true])
+        assert batch == [sample_trajectory(net, cap, rng, traj_id=tid) for tid in ids]
+        # ... and of the sampler as first written; both draw one uniform per step
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for tid in ids:
+            walk = sample_trajectory(net, cap, rng, traj_id=tid)
+            steps = searchsorted_walk(net, cap, ref_rng)
+            assert walk.steps == tuple(steps)
+            assert walk.truncated == (steps[-1] != net.absorbing_state)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if cap < 10:
+            assert any(tr.truncated for tr in batch)
+        else:  # the long batch runs across blocks
+            assert j < 256 or sum(map(len, batch)) > 2 * simulate._UNIFORM_BLOCK
+
+
+def searchsorted_walk(net, length_cap, rng):
+    """The sampler as first written: one np.searchsorted over the context's
+    cumulative row per step, on one scalar uniform."""
+    cum = dict(zip(net.rows, np.cumsum(np.array(list(net.rows.values())), axis=1)))
+    ctx = ((START,) * net.h_true + (net.start_state,))[1:]
+    steps = []
+    while len(steps) < length_cap:
+        nxt = min(int(np.searchsorted(cum[ctx], rng.random(), side="right")), net.m - 1)
+        steps.append(nxt)
+        ctx = (ctx + (nxt,))[1:]
+        if nxt == net.absorbing_state:
+            break
+    return steps
 
 
 @pytest.mark.parametrize("value, expected", [(None, 1), ("", 1), (" ", 1), ("1", 1), ("3", 3)])
@@ -172,13 +225,13 @@ class TestPowerStudy:
         cfg = SimConfig(m=3, h_true=1, h_range=(1,), J_values=(2, 2), replicates=102,
                         criteria=("LOO",), seed=7, network_per_replicate=True)
         nets = []
-        real = simulate.sample_trajectory
+        real = simulate._sample_walks
 
         def spy(net, *args, **kwargs):
             nets.append(net)
             return real(net, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "sample_trajectory", spy)
+        monkeypatch.setattr(simulate, "_sample_walks", spy)
         simulate._replicate_values(cfg, None, 0, 101)
         simulate._replicate_values(cfg, None, 1, 0)
         a, b = nets[0], nets[-1]
