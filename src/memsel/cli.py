@@ -10,6 +10,7 @@ outputs byte-identically (timestamps aside). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import sys
 from pathlib import Path
@@ -138,6 +139,7 @@ def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
 
 
 def _reports_for(args, alphabet, trajs):
+    """The report per depth, and the manifest config that reproduces it."""
     h_values = _parse_h_range(args)
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
@@ -149,14 +151,6 @@ def _reports_for(args, alphabet, trajs):
     reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
                               aic_penalty=args.aic_penalty, tie_map=tie_map,
                               tie_label=tie_label)
-    return reports, prior, boundary
-
-
-def cmd_criteria(args) -> int:
-    alphabet, trajs = _load_input(args)
-    reports, prior, boundary = _reports_for(args, alphabet, trajs)
-    out_dir = Path(args.out)
-    write_reports(reports, out_dir)
     config = {
         "input": str(args.input),
         "h_values": [r.h for r in reports],
@@ -167,6 +161,14 @@ def cmd_criteria(args) -> int:
         "aic_penalty": args.aic_penalty,
         "states": list(alphabet.labels),
     }
+    return reports, config
+
+
+def cmd_criteria(args) -> int:
+    alphabet, trajs = _load_input(args)
+    reports, config = _reports_for(args, alphabet, trajs)
+    out_dir = Path(args.out)
+    write_reports(reports, out_dir)
     _write_manifest(out_dir, args, config, [Path(args.input)], seed=None)
     for name in CRITERIA:
         try:
@@ -182,16 +184,11 @@ def cmd_select(args) -> int:
     alphabet, trajs = _load_input(args)
     if args.criterion not in CRITERIA:
         raise CliError(f"unknown criterion {args.criterion!r}")
-    reports, prior, boundary = _reports_for(args, alphabet, trajs)
+    reports, config = _reports_for(args, alphabet, trajs)
     best = argmin(reports, args.criterion)
     out_dir = Path(args.out)
     write_reports(reports, out_dir)
-    config = {
-        "input": str(args.input),
-        "criterion": args.criterion,
-        "boundary": boundary.value,
-        "prior_alpha": prior.alpha.tolist(),
-    }
+    config["criterion"] = args.criterion
     _write_manifest(out_dir, args, config, [Path(args.input)], seed=None)
     print(f"selected: {best.label} by {args.criterion} = {best.value(args.criterion):.4f}")
     return EXIT_OK
@@ -216,77 +213,73 @@ def _parse_ft_model(text: str) -> FreeThrowModel:
     )
 
 
-# The preset grids. Under a profile only --h-true, --seed, --boundary,
-# --network-per-replicate and --workers apply; the options below are refused.
+# The preset grids, as SimConfig fields. A --profile run is a grid study that
+# fixes these fields; --h-true, --seed, --boundary, --network-per-replicate and
+# --workers still apply.
+_GRID = {"m": 8, "h_range": (1, 2, 3, 4, 5), "length_cap": 10_000, "criteria": CRITERIA}
 _PROFILES = {
-    "paper": {"m": 8, "h_range": (1, 2, 3, 4, 5), "J_values": (4, 8, 16, 32, 64, 128, 256),
-              "replicates": 10_000},
-    "ci": {"m": 8, "h_range": (1, 2, 3, 4, 5), "J_values": (4, 16, 64), "replicates": 200},
+    "paper": {**_GRID, "J_values": (4, 8, 16, 32, 64, 128, 256), "replicates": 10_000},
+    "ci": {**_GRID, "J_values": (4, 16, 64), "replicates": 200},
 }
-_PROFILE_REFUSES = ("--M", "--J", "--replicates", "--length-cap", "--criteria", "--h-range",
-                    "--h-max", "--free-throw")
-# Only the free-throw experiment reads these; a grid study refuses them.
-_FREE_THROW_ONLY = ("--games", "--lambda", "--ft-model")
-# Every refused option defaults to None, so that a given value can be told
-# from its default; these are filled in after the check.
-_SIM_DEFAULTS = {"M": 8, "replicates": 200, "length_cap": 10_000,
-                 "games": 91, "lambda": 7.615, "ft_model": "jagged:0.82,0.66"}
+# The two defaults where the CLI differs from the configs (100 and 300 replicates).
+_REPLICATES = 200
+_FT_MODEL = "jagged:0.82,0.66"
+# The options that shape a study, in the order a refusal names them. Each is
+# stored under the config field it sets (--h-max sets h_range) and defaults to
+# None, so that a given option can be told from one left out.
+_STUDY_FLAGS = {"m": "--M", "J_values": "--J", "replicates": "--replicates",
+                "length_cap": "--length-cap", "criteria": "--criteria", "h_range": "--h-range",
+                "h_max": "--h-max", "free_throw": "--free-throw", "h_true": "--h-true",
+                "network_per_replicate": "--network-per-replicate", "games": "--games",
+                "lam": "--lambda", "model": "--ft-model"}
 
 
-def _given(args, flags: tuple[str, ...]) -> list[str]:
-    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+def _study_config(args) -> SimConfig | FreeThrowSimConfig:
+    """The config of a simulate run, from the options given.
 
+    A given option exits 2, named, when the --profile fixes its field (or
+    it is --free-throw), when the run's config has no such field, or when
+    it is --h-range/--h-max on a free-throw run, whose summary.json does not
+    record h_range. An option left out takes the config's default.
+    """
+    given = {dest: "h_range" if dest == "h_max" else dest
+             for dest in _STUDY_FLAGS if getattr(args, dest) is not None}
 
-def _check_options(args) -> None:
-    """Refuse what a --profile run or a grid study would ignore, then fill in
-    the defaults."""
-    if args.profile and (given := _given(args, _PROFILE_REFUSES)):
-        raise CliError(f"--profile {args.profile} sets its own grid; drop {', '.join(given)}")
-    if not args.free_throw and (given := _given(args, _FREE_THROW_ONLY)):
-        raise CliError(f"{', '.join(given)} apply only with --free-throw; drop them")
-    for dest, default in _SIM_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+    def refuse(fields, message):
+        if refused := [dest for dest, field in given.items() if field in fields]:
+            raise CliError(message.format(", ".join(_STUDY_FLAGS[d] for d in refused)))
 
-
-def _sim_config(args) -> SimConfig:
     if args.profile:
-        grid = _PROFILES[args.profile]
-    else:
-        grid = {
-            "m": args.M, "J_values": tuple(args.J or [4]), "replicates": args.replicates,
-            "length_cap": args.length_cap,
-            "criteria": tuple(args.criteria.split(",")) if args.criteria else CRITERIA,
-            "h_range": (tuple(_parse_h_range(args)) if (args.h_range or args.h_max is not None)
-                        else (1, 2, 3, 4, 5)),
-        }
-    return SimConfig(h_true=args.h_true, seed=args.seed, boundary=BoundaryMode(args.boundary),
-                     network_per_replicate=args.network_per_replicate, **grid)
+        refuse({*_PROFILES[args.profile], "free_throw"},
+               f"--profile {args.profile} sets its own grid; drop {{}}")
+    given.pop("free_throw", None)
+    config = FreeThrowSimConfig if args.free_throw else SimConfig
+    reads = {f.name for f in dataclasses.fields(config)}
+    if args.free_throw:
+        reads.remove("h_range")
+    refuse(set(given.values()) - reads, "{} do not apply with --free-throw; drop them"
+           if args.free_throw else "{} apply only with --free-throw; drop them")
+    kwargs = {"replicates": _REPLICATES, **_PROFILES.get(args.profile, {}), "seed": args.seed,
+              "boundary": args.boundary,
+              **{field: getattr(args, dest) for dest, field in given.items()}}
+    if "h_range" in given.values():
+        kwargs["h_range"] = tuple(_parse_h_range(args))
+    if args.free_throw:
+        kwargs["model"] = _parse_ft_model(kwargs.get("model", _FT_MODEL))
+    return config(**kwargs)
 
 
 def cmd_simulate(args) -> int:
     # the first file written makes --out, so a run that a bad argument or a
     # failed study stops (a ValueError exits 2) leaves no directory
-    _check_options(args)
-    if args.free_throw:
-        model = _parse_ft_model(args.ft_model)
-        criteria = tuple(args.criteria.split(",")) if args.criteria else ("AIC", "WAIC1", "WAIC2", "LOO")
-        cfg = FreeThrowSimConfig(
-            model=model, games=args.games, lam=getattr(args, "lambda"),
-            replicates=args.replicates, seed=args.seed,
-            criteria=criteria, boundary=BoundaryMode(args.boundary),
-        )
-    else:
-        cfg = _sim_config(args)
+    cfg = _study_config(args)
     workers = worker_count(args.workers)
     out_dir = Path(args.out)
     if args.free_throw:
         result = free_throw_power(cfg, workers=workers)
         config = {
-            "model": {"name": model.name, "p_first": model.p_first,
-                      "p_after_hit": model.p_after_hit, "p_after_miss": model.p_after_miss},
-            "games": cfg.games, "lambda": cfg.lam, "replicates": cfg.replicates,
-            "seed": cfg.seed, "boundary": cfg.boundary.value,
+            "model": dataclasses.asdict(cfg.model), "games": cfg.games, "lambda": cfg.lam,
+            "replicates": cfg.replicates, "seed": cfg.seed, "boundary": cfg.boundary.value,
             "criteria": list(cfg.criteria),
         }
         summary = {**config, "jagged_win_rate": result.jagged_win_rate}
@@ -400,35 +393,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="selection power studies")
-    p.add_argument("--profile", choices=["paper", "ci"],
+    p.add_argument("--profile", choices=list(_PROFILES),
                    help="preset grids; 'paper' is the full 10^4-replicate study")
-    p.add_argument("--M", type=int, help=f"alphabet size (default {_SIM_DEFAULTS['M']})")
-    p.add_argument("--h-true", type=int, default=1)
-    p.add_argument("--h-range", help="inclusive range, e.g. 1..5")
-    p.add_argument("--h-max", type=int)
-    p.add_argument("--J", type=int, action="append", default=None,
-                   help="sample size; repeat for a sweep (default 4)")
-    p.add_argument("--replicates", type=int,
-                   help=f"replicate count (default {_SIM_DEFAULTS['replicates']})")
+    # the options in _STUDY_FLAGS: each dest is the config field the option sets
+    p.add_argument("--M", dest="m", type=int, help=f"alphabet size (default {SimConfig.m})")
+    p.add_argument("--h-true", type=int, help=f"true memory depth (default {SimConfig.h_true})")
+    p.add_argument("--h-range", help="inclusive range, e.g. 1..5 (default "
+                                     f"{SimConfig.h_range[0]}..{SimConfig.h_range[-1]})")
+    p.add_argument("--h-max", type=int, help="shorthand for 0..H")
+    p.add_argument("--J", dest="J_values", metavar="J", type=int, action="append",
+                   help=f"sample size; repeat for a sweep (default {SimConfig.J_values[0]})")
+    p.add_argument("--replicates", type=int, help=f"replicate count (default {_REPLICATES})")
     p.add_argument("--length-cap", type=int,
-                   help=f"steps per walk (default {_SIM_DEFAULTS['length_cap']})")
-    p.add_argument("--criteria", help="comma list (default: all)")
+                   help=f"steps per walk (default {SimConfig.length_cap})")
+    p.add_argument("--criteria", type=lambda text: tuple(text.split(",")),
+                   help="comma list (default: all; with --free-throw "
+                        f"{','.join(FreeThrowSimConfig.criteria)})")
     p.add_argument("--boundary", choices=["padded", "truncated"], default="padded")
-    p.add_argument("--network-per-replicate", action="store_true",
+    p.add_argument("--network-per-replicate", action="store_true", default=None,
                    help="draw a fresh true network for every replicate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
                    help="process count, >= 1 (default: MEMSEL_THREADS or 1)")
     p.add_argument("--free-throw", action="store_true", default=None,
                    help="per-game experiment with Poisson game lengths")
-    p.add_argument("--lambda", dest="lambda", type=float,
-                   help=f"mean shots per game for --free-throw "
-                        f"(default {_SIM_DEFAULTS['lambda']})")
-    p.add_argument("--games", type=int,
-                   help=f"games per season for --free-throw (default {_SIM_DEFAULTS['games']})")
-    p.add_argument("--ft-model",
+    p.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float,
+                   help=f"mean shots per game for --free-throw (default {FreeThrowSimConfig.lam})")
+    p.add_argument("--games", type=int, help="games per season for --free-throw "
+                                             f"(default {FreeThrowSimConfig.games})")
+    p.add_argument("--ft-model", dest="model", metavar="FT_MODEL",
                    help="true model for --free-throw: h0:P | jagged:P_MISS,P_OTHER | "
-                        f"h1:P1,PH,PM (default {_SIM_DEFAULTS['ft_model']})")
+                        f"h1:P1,PH,PM (default {_FT_MODEL})")
     p.add_argument("--out", default="memsel_out")
     p.set_defaults(func=cmd_simulate)
 

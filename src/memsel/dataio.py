@@ -158,7 +158,7 @@ def import_outcome_csv(
 
 
 def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
-    """Load a tie map: {"h": int, "classes": [{"contexts": [[token, ...], ...]}
+    """Load a tie map: {"h": int >= 0, "classes": [{"contexts": [[token, ...], ...]}
     or {"default": true}, ...]}.
 
     Context tokens are state labels or the reserved string "START"; at
@@ -169,7 +169,9 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
         spec = json.load(fh)
     if not isinstance(spec, dict) or "h" not in spec or "classes" not in spec:
         raise ValueError('tie map file must define "h" and "classes"')
-    h = int(spec["h"])
+    h = spec["h"]
+    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
+        raise ValueError(f'tie map "h" must be an integer >= 0, got {h!r}')
     classes = spec["classes"]
     if not isinstance(classes, list) or not classes:
         raise ValueError("tie map needs a non-empty class list")

@@ -126,6 +126,18 @@ class TestSelectCommand:
                      "--criterion", "LOO", "--out", str(tmp_path / "o")]) == 0
         assert "selected: h=" in capsys.readouterr().out
 
+    def test_manifest_config_is_the_criteria_config_plus_criterion(self, season, tmp_path):
+        common = ["--input", str(season), "--h-range", "0..2", "--tie", "jagged",
+                  "--aic-penalty", "full"]
+        assert main(["criteria", *common, "--out", str(tmp_path / "c")]) == 0
+        assert main(["select", *common, "--criterion", "WAIC2", "--out", str(tmp_path / "s")]) == 0
+        criteria, select = (json.loads((tmp_path / d / "manifest.json").read_text())["config"]
+                            for d in ("c", "s"))
+        assert select == {**criteria, "criterion": "WAIC2"}
+        assert set(select) == {"input", "h_values", "labels", "prior_alpha", "boundary", "tie",
+                               "aic_penalty", "states", "criterion"}
+        assert (select["tie"], select["aic_penalty"]) == ("jagged", "full")
+
     def test_unknown_criterion(self, season, tmp_path):
         assert main(["select", "--input", str(season), "--h-max", "1",
                      "--criterion", "XYZ", "--out", str(tmp_path / "o")]) == 2
@@ -185,6 +197,17 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "unique" in err
+
+    @pytest.mark.parametrize("h", [1.9, True, "1", -1])
+    def test_tie_map_depth_must_be_an_integer(self, season, tmp_path, capsys, h):
+        # int() would read 1.9, true and "1" as h=1
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"h": h, "classes": [{"default": True}]}))
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "0..1",
+                     "--tie", str(path), "--out", str(out)]) == 2
+        assert f'tie map "h" must be an integer >= 0, got {h!r}' in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("contexts", [["01"], 5])
     def test_tie_contexts_must_be_lists(self, season, tmp_path, capsys, contexts):
@@ -353,10 +376,11 @@ class TestSimulateCommand:
         assert not (out / "selection.csv").exists()
 
     @pytest.mark.parametrize("value", ["abc", "-2", "0", "1.5"])
-    @pytest.mark.parametrize("mode", [[], ["--free-throw"]])
+    @pytest.mark.parametrize("mode", [["--M", "3", "--h-range", "1..2"],
+                                      ["--free-throw", "--games", "5"]])
     def test_bad_memsel_threads_is_config_error(self, tmp_path, capsys, monkeypatch, mode, value):
         monkeypatch.setenv("MEMSEL_THREADS", value)
-        args = ["simulate", *mode, "--M", "3", "--h-range", "1..2", "--replicates", "2"]
+        args = ["simulate", *mode, "--replicates", "2"]
         assert main(args + ["--out", str(tmp_path / "bad")]) == 2
         assert f"MEMSEL_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
         monkeypatch.setenv("MEMSEL_THREADS", "")
@@ -395,6 +419,14 @@ class TestSimulateCommand:
         ["--lambda", "3"],
         ["--ft-model", "h0:0.5"],
         ["--profile", "ci", "--games", "5"],
+        # a free-throw run reads no grid option, so it refuses them
+        ["--free-throw", "--M", "3"],
+        ["--free-throw", "--J", "4"],
+        ["--free-throw", "--length-cap", "50"],
+        ["--free-throw", "--h-range", "0..1"],
+        ["--free-throw", "--h-max", "1"],
+        ["--free-throw", "--network-per-replicate"],
+        ["--free-throw", "--h-true", "0"],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, args):
         out = tmp_path / "d"
@@ -414,6 +446,11 @@ class TestSimulateCommand:
                      "1..2", "--games", "5", "--ft-model", "nonsense",
                      "--out", str(tmp_path / "o")]) == 2
         assert "--games, --ft-model apply only with --free-throw" in capsys.readouterr().err
+
+    def test_free_throw_names_the_grid_options_it_refuses(self, tmp_path, capsys):
+        assert main(["simulate", "--free-throw", "--games", "5", "--h-true", "0", "--M", "3",
+                     "--h-max", "1", "--out", str(tmp_path / "o")]) == 2
+        assert "--M, --h-max, --h-true do not apply with --free-throw" in capsys.readouterr().err
 
 class TestOracleCommand:
     def test_audit_passes_on_clean_build(self, season, tmp_path, capsys):
