@@ -221,9 +221,6 @@ _PROFILES = {
     "paper": {**_GRID, "J_values": (4, 8, 16, 32, 64, 128, 256), "replicates": 10_000},
     "ci": {**_GRID, "J_values": (4, 16, 64), "replicates": 200},
 }
-# The two defaults where the CLI differs from the configs (100 and 300 replicates).
-_REPLICATES = 200
-_FT_MODEL = "jagged:0.82,0.66"
 # The options that shape a study, in the order a refusal names them. Each is
 # stored under the config field it sets (--h-max sets h_range) and defaults to
 # None, so that a given option can be told from one left out.
@@ -238,9 +235,8 @@ def _study_config(args) -> SimConfig | FreeThrowSimConfig:
     """The config of a simulate run, from the options given.
 
     A given option exits 2, named, when the --profile fixes its field (or
-    it is --free-throw), when the run's config has no such field, or when
-    it is --h-range/--h-max on a free-throw run, whose summary.json does not
-    record h_range. An option left out takes the config's default.
+    it is --free-throw) or when the run's config has no such field. An
+    option left out takes the config's default.
     """
     given = {dest: "h_range" if dest == "h_max" else dest
              for dest in _STUDY_FLAGS if getattr(args, dest) is not None}
@@ -255,17 +251,14 @@ def _study_config(args) -> SimConfig | FreeThrowSimConfig:
     given.pop("free_throw", None)
     config = FreeThrowSimConfig if args.free_throw else SimConfig
     reads = {f.name for f in dataclasses.fields(config)}
-    if args.free_throw:
-        reads.remove("h_range")
     refuse(set(given.values()) - reads, "{} do not apply with --free-throw; drop them"
            if args.free_throw else "{} apply only with --free-throw; drop them")
-    kwargs = {"replicates": _REPLICATES, **_PROFILES.get(args.profile, {}), "seed": args.seed,
-              "boundary": args.boundary,
+    kwargs = {**_PROFILES.get(args.profile, {}), "seed": args.seed, "boundary": args.boundary,
               **{field: getattr(args, dest) for dest, field in given.items()}}
     if "h_range" in given.values():
         kwargs["h_range"] = tuple(_parse_h_range(args))
-    if args.free_throw:
-        kwargs["model"] = _parse_ft_model(kwargs.get("model", _FT_MODEL))
+    if "model" in given:
+        kwargs["model"] = _parse_ft_model(args.model)
     return config(**kwargs)
 
 
@@ -295,7 +288,7 @@ def cmd_simulate(args) -> int:
             },
             "deltas": result.deltas,
         }
-        config = summary["config"]
+        config = {**summary["config"], "length_cap": cfg.length_cap}
         telemetry = {"truncated_walks": result.truncated_walks}
         if result.truncated_walks:
             walks = cfg.replicates * sum(cfg.J_values)
@@ -403,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-max", type=int, help="shorthand for 0..H")
     p.add_argument("--J", dest="J_values", metavar="J", type=int, action="append",
                    help=f"sample size; repeat for a sweep (default {SimConfig.J_values[0]})")
-    p.add_argument("--replicates", type=int, help=f"replicate count (default {_REPLICATES})")
+    p.add_argument("--replicates", type=int,
+                   help=f"replicate count (default {SimConfig.replicates})")
     p.add_argument("--length-cap", type=int,
                    help=f"steps per walk (default {SimConfig.length_cap})")
     p.add_argument("--criteria", type=lambda text: tuple(text.split(",")),
@@ -421,9 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"mean shots per game for --free-throw (default {FreeThrowSimConfig.lam})")
     p.add_argument("--games", type=int, help="games per season for --free-throw "
                                              f"(default {FreeThrowSimConfig.games})")
+    ft_model = FreeThrowSimConfig.model
     p.add_argument("--ft-model", dest="model", metavar="FT_MODEL",
                    help="true model for --free-throw: h0:P | jagged:P_MISS,P_OTHER | "
-                        f"h1:P1,PH,PM (default {_FT_MODEL})")
+                        f"h1:P1,PH,PM (default jagged:{ft_model.p_after_miss},"
+                        f"{ft_model.p_after_hit})")
     p.add_argument("--out", default="memsel_out")
     p.set_defaults(func=cmd_simulate)
 

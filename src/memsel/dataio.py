@@ -162,7 +162,8 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
     or {"default": true}, ...]}.
 
     Context tokens are state labels or the reserved string "START"; at
-    most one class may be the default catch-all.
+    most one class may be the default catch-all, and every other class
+    must list a context.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -180,7 +181,10 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
     for cls_id, cls in enumerate(classes):
         if not isinstance(cls, dict):
             raise ValueError(f"class {cls_id} must be an object")
-        if cls.get("default"):
+        default = cls.get("default", False)
+        if not isinstance(default, bool):
+            raise ValueError(f'class {cls_id}: "default" must be true or false, got {default!r}')
+        if default:
             if default_class is not None:
                 raise ValueError("only one class may be the default")
             default_class = cls_id

@@ -50,7 +50,6 @@ MIN_DRAWS = 1_000
 class OracleEstimate:
     estimate: float
     std_error: float
-    draws: int
 
     def z(self, reference: float) -> float:
         """Standardized gap between a reference value and this estimate."""
@@ -60,7 +59,7 @@ class OracleEstimate:
 
     def scaled(self, factor: float) -> "OracleEstimate":
         """The estimate of ``factor`` times the quantity."""
-        return OracleEstimate(factor * self.estimate, abs(factor) * self.std_error, self.draws)
+        return OracleEstimate(factor * self.estimate, abs(factor) * self.std_error)
 
 
 def _cell_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -113,7 +112,7 @@ def _sum_cells(cells, draws, seed, estimators) -> list[OracleEstimate]:
             e, v = estimator(t)
             est[i] += e
             var[i] += v
-    return [OracleEstimate(e, math.sqrt(v), draws) for e, v in zip(est, var)]
+    return [OracleEstimate(e, math.sqrt(v)) for e, v in zip(est, var)]
 
 
 def audit(

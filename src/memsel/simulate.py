@@ -83,8 +83,6 @@ class RandomNetwork:
     alphabet: StateAlphabet
     h_true: int
     rows: dict
-    start_state: int
-    absorbing_state: int
 
     def __post_init__(self):
         object.__setattr__(self, "_walk_table", _walk_table(self))
@@ -115,7 +113,7 @@ def _walk_table(net: RandomNetwork) -> tuple[list, list, int]:
     if not np.array_equal(code[ids], successor):
         raise ValueError("the network has no row for some context that a walk can reach")
     cum = np.cumsum(np.array(list(net.rows.values()), dtype=float), axis=1)
-    start = ((START,) * h + (net.start_state,))[1:]  # START..START, start state
+    start = ((START,) * h + (0,))[1:]  # START..START, start state 0
     return cum.ravel().tolist(), (ids * m).ravel().tolist(), contexts.index(start) * m
 
 
@@ -146,7 +144,7 @@ def _draw_network(m: int, h_true: int, rng: np.random.Generator) -> RandomNetwor
     alphabet = StateAlphabet.of_size(m)
     # one call draws the rows in turn, the same stream as one call per row
     rows = dict(zip(_padded_contexts(m, h_true), rng.dirichlet(np.ones(m), size=n_contexts)))
-    return RandomNetwork(alphabet, h_true, rows, start_state=0, absorbing_state=m - 1)
+    return RandomNetwork(alphabet, h_true, rows)
 
 
 def sample_trajectory(
@@ -172,7 +170,7 @@ def _walk(net: RandomNetwork, length_cap: int, uniforms, traj_id: str) -> Trajec
     each step and no more: the next state is the first whose cumulative
     probability exceeds it (M-1 when a row sums to less than that)."""
     cum, successor, row = net._walk_table
-    m, absorbing = net.m, net.absorbing_state
+    m, absorbing = net.m, net.m - 1
     steps: list[int] = []
     for u in uniforms:
         nxt = bisect_right(cum, u, row, row + m) - row
@@ -213,7 +211,7 @@ class SimConfig:
     h_true: int = 1
     h_range: tuple[int, ...] = (1, 2, 3, 4, 5)
     J_values: tuple[int, ...] = (4,)
-    replicates: int = 100
+    replicates: int = 200
     length_cap: int = 10_000
     seed: int = 0
     criteria: tuple[str, ...] = CRITERIA
@@ -221,6 +219,7 @@ class SimConfig:
     network_per_replicate: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "h_range", tuple(sorted({int(h) for h in self.h_range})))
         object.__setattr__(self, "J_values", tuple(int(j) for j in self.J_values))
         if self.length_cap < 1:
             raise ValueError("length cap must be >= 1")
@@ -237,7 +236,6 @@ def _normalize_study(cfg, min_batch: int, batch_name: str) -> None:
     ``min_batch`` is the smallest number of trajectories one replicate
     scores (the least J, or the number of games), which CV2 needs >= 2.
     """
-    object.__setattr__(cfg, "h_range", tuple(sorted({int(h) for h in cfg.h_range})))
     object.__setattr__(cfg, "criteria", tuple(cfg.criteria))
     object.__setattr__(cfg, "boundary", BoundaryMode(cfg.boundary))
     if cfg.replicates < 1:
@@ -262,7 +260,6 @@ class PowerStudyResult:
     candidate depth. Both run cell by cell, criterion by criterion, h by h.
     """
 
-    config: SimConfig | FreeThrowSimConfig
     selection: tuple[dict, ...]
     deltas: tuple[dict, ...]
     truncated_walks: int = 0  # sampled walks that the length cap cut before absorption
@@ -354,7 +351,7 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
             # an error in the tally drops the pending replicates instead of running them
             pool.shutdown(cancel_futures=True)
     return PowerStudyResult(
-        cfg, tuple(selection), tuple(deltas), truncated_walks=truncated,
+        tuple(selection), tuple(deltas), truncated_walks=truncated,
         jagged_win_rate={c: wins[c] / n_kept for c in cfg.criteria} if tied_scored else None,
     )
 
@@ -408,17 +405,18 @@ class FreeThrowModel:
 
 @dataclass(frozen=True)
 class FreeThrowSimConfig:
-    """Configuration of the per-game free-throw power experiment."""
+    """Configuration of the per-game free-throw power experiment: the
+    depths ``h_range`` and the two-class jagged model are always scored."""
 
-    model: FreeThrowModel
+    h_range = (0, 1, 2, 3)  # not a field: no run scores other depths
+
+    model: FreeThrowModel = FreeThrowModel.jagged(0.82, 0.66)
     games: int = 91
     lam: float = 7.615
-    replicates: int = 300
+    replicates: int = 200
     seed: int = 0
-    h_range: tuple[int, ...] = (0, 1, 2, 3)
     criteria: tuple[str, ...] = ("AIC", "WAIC1", "WAIC2", "LOO")
     boundary: BoundaryMode = BoundaryMode.PADDED
-    include_jagged: bool = True
 
     def __post_init__(self):
         if self.lam <= 0.0:
@@ -426,8 +424,6 @@ class FreeThrowSimConfig:
         if self.games < 1 or self.replicates < 1:
             raise ValueError("games and replicates must be >= 1")
         _normalize_study(self, self.games, "games")
-        if self.include_jagged and not {0, 1} <= set(self.h_range):
-            raise ValueError("the jagged comparison needs h=0 and h=1 in h_range")
 
 
 def sample_free_throw_trajectories(
@@ -435,7 +431,6 @@ def sample_free_throw_trajectories(
     games: int,
     lam: float,
     rng: np.random.Generator,
-    id_prefix: str = "g",
 ) -> list[Trajectory]:
     """Per-game outcome sequences with Poisson(lam) lengths; zero-shot games dropped."""
     counts = rng.poisson(lam, size=games)
@@ -450,13 +445,13 @@ def sample_free_throw_trajectories(
             hit = rng.random() < p
             outcomes.append(FT_HIT if hit else FT_MISS)
             p = model.p_after_hit if hit else model.p_after_miss
-        trajs.append(Trajectory._unchecked(f"{id_prefix}{g}", tuple(outcomes)))
+        trajs.append(Trajectory._unchecked(f"g{g}", tuple(outcomes)))
     return trajs
 
 
 def _free_throw_replicate(cfg: FreeThrowSimConfig, tie_map, cell: int, rep: int):
-    """Criterion reports for one replicated season (plus the tied model when
-    ``tie_map`` is given), or None when the season drew no game."""
+    """Criterion reports for one replicated season, the tied model last, or
+    None when the season drew no game."""
     rng = _rng(cfg.seed, _TAG_FREE_THROW, rep)
     trajs = sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng)
     if not trajs:
@@ -470,11 +465,11 @@ def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> Pow
 
     Each replicate draws per-game shot counts from Poisson(lam), samples
     outcomes from the true model, and runs order selection over
-    ``h_range``; a replicate that draws no game is skipped. When
-    ``include_jagged`` is on, the two-class jagged model is also scored
-    per replicate, and ``jagged_win_rate`` gives the fraction of kept
-    replicates in which it beat both the h=0 and the full h=1 model. The
-    selection rows carry the model name as ``h_true`` and 0 as ``J``.
+    ``h_range``; a replicate that draws no game is skipped. The two-class
+    jagged model is also scored per replicate, and ``jagged_win_rate``
+    gives the fraction of kept replicates in which it beat both the h=0
+    and the full h=1 model. The selection rows carry the model name as
+    ``h_true`` and 0 as ``J``.
     """
-    jagged_map = jagged_free_throw_map(FT_ALPHABET, cfg.boundary) if cfg.include_jagged else None
+    jagged_map = jagged_free_throw_map(FT_ALPHABET, cfg.boundary)
     return _run_study(cfg, _free_throw_replicate, jagged_map, (0,), cfg.model.name, workers)

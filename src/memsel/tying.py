@@ -44,6 +44,7 @@ class TieMap:
     ``assignments`` maps contexts (tuples of h state ids, START only as a
     prefix) to class ids 0..C-1; contexts not listed fall into
     ``default_class`` when one is set, otherwise looking them up is an error.
+    Every class other than the default must hold at least one context.
     """
 
     h: int
@@ -63,6 +64,10 @@ class TieMap:
                 raise ValueError(f"class id {cls} outside 0..{self.n_classes - 1}")
         if self.default_class is not None and not 0 <= self.default_class < self.n_classes:
             raise ValueError("default class id out of range")
+        # an empty class would still add M - 1 free parameters to the model
+        named = set(assignments.values()) | {self.default_class}
+        if empty := [cls for cls in range(self.n_classes) if cls not in named]:
+            raise ValueError(f"class {empty[0]} has no context and is not the default")
         object.__setattr__(self, "assignments", assignments)
 
     def class_of(self, ctx: tuple) -> int:
@@ -112,20 +117,17 @@ def tied_param_count(tie_map: TieMap, m: int) -> int:
 def jagged_free_throw_map(
     alphabet: StateAlphabet,
     boundary: BoundaryMode = BoundaryMode.PADDED,
-    miss_state: int = 0,
 ) -> TieMap:
     """Two-class h=1 map: outcomes are independent except right after a miss.
 
-    Class 0 holds the after-miss context; class 1 pools the after-hit
-    context with (in padded mode) the first-shot START context, which is
-    exactly the "not after a miss" condition.
+    Outcomes are 0 (miss) and 1 (hit). Class 0 holds the after-miss
+    context; class 1 pools the after-hit context with (in padded mode) the
+    first-shot START context, which is exactly the "not after a miss"
+    condition.
     """
     if alphabet.size != 2:
         raise ValueError("the jagged free-throw model needs a binary alphabet")
-    if miss_state not in (0, 1):
-        raise ValueError("miss_state must be 0 or 1")
-    hit_state = 1 - miss_state
-    assignments = {(miss_state,): 0, (hit_state,): 1}
+    assignments = {(0,): 0, (1,): 1}
     if BoundaryMode(boundary) is BoundaryMode.PADDED:
         assignments[(START,)] = 1
     return TieMap(h=1, n_classes=2, assignments=assignments)

@@ -325,7 +325,7 @@ class TestFirstOccurrence:
         trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 3, 25).tolist())) for i in range(9)]
         tc = count_transitions(trajs, 2, AB3)
         classes = {ctx: i % 4 for i, ctx in enumerate(sorted(tc.total.rows))}
-        tie_map = TieMap(h=2, n_classes=40, assignments=classes)
+        tie_map = TieMap(h=2, n_classes=4, assignments=classes)
         want = tie_counts(tc, tie_map)
         monkeypatch.setattr(chain, "_DENSE_SPAN_PER_KEY", per_key)
         got = tie_counts(tc, tie_map)

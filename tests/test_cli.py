@@ -1,6 +1,8 @@
 """Command-line interface behavior, file outputs and exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -10,15 +12,24 @@ import pytest
 
 import memsel.criteria
 import memsel.simulate
-from memsel.cli import main
+from memsel import cli
+from memsel.cli import build_parser, main
 from memsel.dataio import (
     import_outcome_csv,
     load_tie_map,
     read_trajectories_jsonl,
     write_trajectories_jsonl,
 )
-from memsel.chain import START, StateAlphabet, Trajectory
-from memsel.simulate import _TAG_TRAJECTORIES, _rng, generate_network, sample_trajectory
+from memsel.chain import START, BoundaryMode, StateAlphabet, Trajectory
+from memsel.simulate import (
+    _TAG_TRAJECTORIES,
+    FreeThrowModel,
+    FreeThrowSimConfig,
+    SimConfig,
+    _rng,
+    generate_network,
+    sample_trajectory,
+)
 
 
 @pytest.fixture
@@ -209,6 +220,30 @@ class TestErrorPaths:
         assert f'tie map "h" must be an integer >= 0, got {h!r}' in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("default", ["no", 1, None])
+    def test_tie_default_must_be_a_boolean(self, season, tmp_path, capsys, default):
+        # read as a flag, "no" made that class the catch-all
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"h": 1, "classes": [
+            {"contexts": [["0"]]}, {"contexts": [["1"], ["START"]], "default": default}]}))
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "0..1",
+                     "--tie", str(path), "--out", str(out)]) == 2
+        assert f'class 1: "default" must be true or false, got {default!r}' \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tie_class_without_context_is_config_error(self, season, tmp_path, capsys):
+        # it would add M - 1 to k_params with no count behind them
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"h": 1, "classes": [
+            {"contexts": [["0"]]}, {"contexts": [["1"], ["START"]]}, {"contexts": []}]}))
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "0..1",
+                     "--tie", str(path), "--out", str(out)]) == 2
+        assert "class 2 has no context and is not the default" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("contexts", [["01"], 5])
     def test_tie_contexts_must_be_lists(self, season, tmp_path, capsys, contexts):
         # a string context is not split into its characters
@@ -313,7 +348,7 @@ class TestSimulateCommand:
                 rng = _rng(seed, _TAG_TRAJECTORIES, j_index, rep)
                 for _ in range(j):
                     walk = sample_trajectory(net, 1, rng)
-                    expected += walk.steps[-1] != net.absorbing_state
+                    expected += walk.steps[-1] != m - 1
         assert 0 < expected < replicates * sum(j_values)
         outputs = {}
         for workers in ("1", "2"):
@@ -340,6 +375,16 @@ class TestSimulateCommand:
         assert (tmp_path / "o" / "delta.csv").exists()
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["config"]["h_true"] == 1
+
+    @pytest.mark.parametrize("cap, recorded", [(["--length-cap", "60"], 60), ([], 10_000)])
+    def test_grid_manifest_records_the_length_cap(self, tmp_path, cap, recorded):
+        out = tmp_path / "o"
+        assert main(["simulate", "--M", "4", "--h-range", "1..2", "--J", "3", "--replicates",
+                     "2", "--criteria", "LOO", *cap, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert "length_cap" not in summary["config"]
+        assert manifest["config"] == {**summary["config"], "length_cap": recorded}
 
     def test_free_throw_mode(self, tmp_path):
         assert main(["simulate", "--free-throw", "--ft-model", "jagged:0.82,0.66",
@@ -433,7 +478,6 @@ class TestSimulateCommand:
         assert main(["simulate", *args, "--out", str(out)]) == 2
         assert not out.exists()
 
-
     def test_profile_names_the_options_it_refuses(self, tmp_path, capsys):
         assert main(["simulate", "--profile", "ci", "--replicates", "3", "--J", "4",
                      "--free-throw", "--out", str(tmp_path / "o")]) == 2
@@ -451,6 +495,40 @@ class TestSimulateCommand:
         assert main(["simulate", "--free-throw", "--games", "5", "--h-true", "0", "--M", "3",
                      "--h-max", "1", "--out", str(tmp_path / "o")]) == 2
         assert "--M, --h-max, --h-true do not apply with --free-throw" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, config", [([], SimConfig),
+                                              (["--free-throw"], FreeThrowSimConfig)])
+    def test_every_config_field_is_set_by_an_option_of_its_run(self, mode, config):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices["simulate"]._actions}
+        for field in dataclasses.fields(config):
+            assert field.name in actions, f"no simulate option sets {field.name}"
+            value = not field.default if isinstance(field.default, bool) else field.default
+            args = parser.parse_args(["simulate", *mode,
+                                      *option_words(actions[field.name], value)])
+            assert getattr(cli._study_config(args), field.name) == value, field.name
+
+
+def option_words(action, value):
+    """The command-line words that set ``action``'s config field to ``value``."""
+    flag = action.option_strings[0]
+    if isinstance(value, bool):
+        return [flag]
+    if isinstance(value, BoundaryMode):
+        return [flag, value.value]
+    if isinstance(value, FreeThrowModel):
+        assert value.name == "jagged"
+        return [flag, f"jagged:{value.p_after_miss},{value.p_after_hit}"]
+    if isinstance(action, argparse._AppendAction):
+        return [word for v in value for word in (flag, str(v))]
+    if isinstance(value, tuple) and isinstance(value[0], int):  # a depth range
+        assert value == tuple(range(value[0], value[-1] + 1))
+        return [flag, f"{value[0]}..{value[-1]}"]
+    if isinstance(value, tuple):
+        return [flag, ",".join(value)]
+    return [flag, str(value)]
+
 
 class TestOracleCommand:
     def test_audit_passes_on_clean_build(self, season, tmp_path, capsys):

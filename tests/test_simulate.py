@@ -67,7 +67,7 @@ class TestSampling:
         row = np.array([0.0, 0.0, 1.0])  # always jump to the absorbing state
         rows = {(s,): row for s in range(3)}
         rows[(-1,)] = row
-        net = RandomNetwork(ab, 1, rows, start_state=0, absorbing_state=2)
+        net = RandomNetwork(ab, 1, rows)
         tr = sample_trajectory(net, 100, np.random.default_rng(0))
         assert tr.steps == (2,)
         assert not tr.truncated
@@ -77,7 +77,7 @@ class TestSampling:
         to_one = np.array([0.0, 1.0, 0.0])  # never absorb
         rows = {(s,): to_one for s in range(3)}
         rows[(-1,)] = to_one
-        net = RandomNetwork(ab, 1, rows, start_state=0, absorbing_state=2)
+        net = RandomNetwork(ab, 1, rows)
         tr = sample_trajectory(net, 50, np.random.default_rng(0))
         assert len(tr) == 50
         assert tr.truncated
@@ -109,7 +109,7 @@ class TestSampling:
         row = np.array([0.5, 0.25, 0.25])
         rows = {(-1,): row, (0,): row, (1,): row}  # no row after state 2
         with pytest.raises(ValueError, match="no row"):
-            RandomNetwork(StateAlphabet.of_size(3), 1, rows, start_state=0, absorbing_state=2)
+            RandomNetwork(StateAlphabet.of_size(3), 1, rows)
 
     @pytest.mark.parametrize("m, h_true, j, cap", [
         (2, 0, 1, 10_000), (2, 3, 40, 10_000), (3, 1, 17, 10_000), (4, 2, 64, 3),
@@ -129,7 +129,7 @@ class TestSampling:
             walk = sample_trajectory(net, cap, rng, traj_id=tid)
             steps = searchsorted_walk(net, cap, ref_rng)
             assert walk.steps == tuple(steps)
-            assert walk.truncated == (steps[-1] != net.absorbing_state)
+            assert walk.truncated == (steps[-1] != net.m - 1)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         if cap < 10:
             assert any(tr.truncated for tr in batch)
@@ -139,15 +139,16 @@ class TestSampling:
 
 def searchsorted_walk(net, length_cap, rng):
     """The sampler as first written: one np.searchsorted over the context's
-    cumulative row per step, on one scalar uniform."""
+    cumulative row per step, on one scalar uniform, from state 0 until the
+    absorbing state M-1."""
     cum = dict(zip(net.rows, np.cumsum(np.array(list(net.rows.values())), axis=1)))
-    ctx = ((START,) * net.h_true + (net.start_state,))[1:]
+    ctx = ((START,) * net.h_true + (0,))[1:]
     steps = []
     while len(steps) < length_cap:
         nxt = min(int(np.searchsorted(cum[ctx], rng.random(), side="right")), net.m - 1)
         steps.append(nxt)
         ctx = (ctx + (nxt,))[1:]
-        if nxt == net.absorbing_state:
+        if nxt == net.m - 1:
             break
     return steps
 
@@ -290,17 +291,17 @@ class TestFreeThrow:
     def test_memoryless_truth_selects_h0_majority(self):
         cfg = FreeThrowSimConfig(
             model=FreeThrowModel.independent(0.68), games=91, lam=7.615,
-            replicates=100, seed=0, criteria=("LOO",), include_jagged=False)
+            replicates=100, seed=0, criteria=("LOO",))
         res = free_throw_power(cfg)
         assert find_record(res.selection, J=0, criterion="LOO", h_chosen=0)["frequency"] > 0.5
-        assert res.jagged_win_rate is None
+        assert 0.0 <= res.jagged_win_rate["LOO"] <= 1.0
 
     def test_markov_truth_underpowered_at_season_scale(self):
         # a plausibly sized after-miss bump is found only sometimes at ~700
         # shots: the chosen-h=1 rate sits below a coin flip but well above 0
         cfg = FreeThrowSimConfig(
             model=FreeThrowModel(0.66, 0.66, 0.73), games=91, lam=7.615,
-            replicates=150, seed=0, criteria=("LOO",), include_jagged=False)
+            replicates=150, seed=0, criteria=("LOO",))
         res = free_throw_power(cfg)
         freq_h1 = find_record(res.selection, J=0, criterion="LOO", h_chosen=1)["frequency"]
         assert 0.30 <= freq_h1 <= 0.55
@@ -309,8 +310,6 @@ class TestFreeThrow:
         model = FreeThrowModel.independent(0.5)
         with pytest.raises(ValueError):
             FreeThrowSimConfig(model=model, lam=0.0)
-        with pytest.raises(ValueError):
-            FreeThrowSimConfig(model=model, h_range=(1, 2), include_jagged=True)
         with pytest.raises(ValueError):
             FreeThrowSimConfig(model=model, criteria=("NOPE",))
         with pytest.raises(ValueError, match="CV2"):

@@ -36,9 +36,18 @@ def test_tiemap_validation():
         TieMap(1, 2, {}, default_class=7)
     tm = TieMap(1, 2, {(0,): 0}, default_class=1)
     assert tm.class_of((1,)) == 1
-    tm2 = TieMap(1, 2, {(0,): 0})
+    tm2 = TieMap(1, 2, {(0,): 0, (2,): 1})
     with pytest.raises(ValueError):
         tm2.class_of((1,))
+
+
+def test_class_without_context_must_be_the_default():
+    # it would add M - 1 free parameters that no count uses
+    with pytest.raises(ValueError, match="class 1 has no context and is not the default"):
+        TieMap(1, 3, {(0,): 0, (2,): 2})
+    with pytest.raises(ValueError, match="class 0 has no context"):
+        TieMap(0, 1, {})
+    assert TieMap(1, 3, {(0,): 0, (2,): 2}, default_class=1).class_of((1,)) == 1
 
 
 def test_identity_map_preserves_all_criteria_exactly():
@@ -131,8 +140,3 @@ class TestJaggedMap:
     def test_needs_binary_alphabet(self):
         with pytest.raises(ValueError):
             jagged_free_throw_map(StateAlphabet.of_size(3))
-
-    def test_miss_state_override(self):
-        tm = jagged_free_throw_map(AB2, miss_state=1)
-        assert tm.class_of((1,)) == 0
-        assert tm.class_of((0,)) == 1
