@@ -25,9 +25,9 @@ measured under ``tracemalloc``. Then, once per side and round:
 ``memsel simulate --profile ci --seed 1`` (wall time and the sha256 of
 ``selection.csv``, ``delta.csv`` and ``summary.json``), and a
 ``--profile paper`` estimate: replicates of the J=4 and J=256 cells
-(M=8, h_true=1, h = 1..5, all criteria, one shared network) timed
-through ``simulate._replicate_values``, a line a + b J through the two
-per-replicate means, summed over the seven paper J values x 10^4
+(M=8, h_true=1, h = 1..5, all criteria, one shared network), each cell
+timed as one ``run_power_study`` of that J alone, a line a + b J through
+the two per-replicate means, summed over the seven paper J values x 10^4
 replicates.
 """
 
@@ -117,12 +117,11 @@ def worker() -> int:
                                for p in sorted(Path(req["out"]).iterdir())
                                if p.name != "manifest.json"}
         elif req["op"] == "paper_cell":
-            cfg = simulate.SimConfig(m=8, h_true=1, h_range=(1, 2, 3, 4, 5), J_values=PAPER_J,
+            cfg = simulate.SimConfig(m=8, h_true=1, h_range=(1, 2, 3, 4, 5),
+                                     J_values=(PAPER_J[req["j_index"]],),
                                      replicates=req["replicates"], seed=req["seed"])
-            net = simulate.generate_network(cfg.m, cfg.h_true, cfg.seed)
             t0 = time.perf_counter()
-            for rep in range(req["replicates"]):
-                simulate._replicate_values(cfg, net, req["j_index"], rep)
+            simulate.run_power_study(cfg, workers=1)
             reply["seconds_per_replicate"] = (time.perf_counter() - t0) / req["replicates"]
         reply["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         sys.stdout.write(json.dumps(reply) + "\n")

@@ -13,11 +13,13 @@ turns, base first. A run records its wall time and the sha256 of
 ``selection.csv``, ``delta.csv`` and ``summary.json``; the file says
 whether both sides wrote the same bytes. One run lasts several minutes.
 
-Then, per side, a split of one replicate's time over its layers:
-sampling the walks (``simulate._sample_walks`` in this checkout,
-``sample_trajectory`` before it), counting (``chain._count_depths``),
-scoring (``criteria._score``) and the rest, summed over 20 replicates of
-each paper J, so each J weighs as much as in the full run.
+Then, per side, a split of the time of one ``run_power_study`` of 20
+replicates at each paper J (so each J weighs as much as in the full run)
+over its layers: sampling the walks (``simulate._sample_walks`` in this
+checkout, ``sample_trajectory`` before it), counting
+(``chain._count_depths``), scoring (``criteria._score``, which the study
+calls from ``simulate`` where it scores a chunk of replicates at once)
+and the rest.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ def worker() -> int:
                                .hexdigest() for name in OUTPUTS}
         elif req["op"] == "split":
             sampler = "_sample_walks" if hasattr(simulate, "_sample_walks") else "sample_trajectory"
-            layers = {"sampling": (simulate, sampler), "counting": (criteria, "_count_depths"),
-                      "scoring": (criteria, "_score")}
+            # this checkout's study calls _score from simulate, once per chunk of
+            # replicates; _score calls neither name, so no time is counted twice
+            layers = {"sampling": [(simulate, sampler)], "counting": [(criteria, "_count_depths")],
+                      "scoring": [(criteria, "_score"), (simulate, "_score")]}
             spent = dict.fromkeys(layers, 0.0)
 
             def timed(name, fn):
@@ -70,15 +74,14 @@ def worker() -> int:
                         spent[name] += time.perf_counter() - t
                 return call
 
-            for name, (module, attr) in layers.items():
-                setattr(module, attr, timed(name, getattr(module, attr)))
+            for name, targets in layers.items():
+                for module, attr in targets:
+                    if hasattr(module, attr):
+                        setattr(module, attr, timed(name, getattr(module, attr)))
             cfg = simulate.SimConfig(**{**cli._PROFILES["paper"], "replicates": SPLIT_REPLICATES,
                                         "h_true": 1, "seed": 1})
-            net = simulate.generate_network(cfg.m, cfg.h_true, cfg.seed)
             t0 = time.perf_counter()
-            for j_index in range(len(cfg.J_values)):
-                for rep in range(SPLIT_REPLICATES):
-                    simulate._replicate_values(cfg, net, j_index, rep)
+            simulate.run_power_study(cfg, workers=1)
             total = time.perf_counter() - t0
             spent["rest"] = total - sum(spent.values())
             reply["share"] = {name: s / total for name, s in spent.items()}

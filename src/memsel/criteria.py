@@ -9,8 +9,9 @@ the deviance scale (-2 x log predictive quantity), so lower is better for
 every criterion.
 
 LPPD, LOO, CV2 and k_WAIC2 sum over (trajectory, context) rows, one term
-per trajectory. One scorer, ``_score``, serves ``evaluate`` (one model)
-and ``evaluate_depths`` (every depth plus a tied model): it stacks the
+per trajectory. One scorer, ``_score``, serves ``evaluate`` (one model),
+``evaluate_depths`` (every depth plus a tied model) and the power study
+(every model of a chunk of replicates): it stacks the
 rows of consecutive models, within a size bound, and runs each kernel
 once per batch, with every sum taken in the order of one model scored
 alone, so batching never changes a bit of the output.
@@ -256,8 +257,10 @@ def _normalize_which(which) -> tuple[str, ...]:
 # each in ``log_beta_ratio``: the two lengths of the batch's temporaries.
 # The LPPD, LOO and CV2 call holds three x tables of stacked cells and five
 # draw-sized arrays (three weights, the k/i index and a row-total buffer).
-# Small power-study replicates batch all their depths; long series, with
-# thousands of transitions per depth, score one depth at a time.
+# The power study scores a chunk of replicates in one call. On the paper
+# grid (M=8, h 1..5) a batch then averages 40 models at J=4, 10 at J=16 and
+# 2 at J=64; from J=128 up, as on long series, each model is scored alone.
+# 2**13 to 2**16 timed alike there, within the noise of a shared host.
 _BATCH_CELLS = 2**14
 
 # which criteria use each per-trajectory term
@@ -286,8 +289,10 @@ def _ratio_tables(names, N, idx, t, grp, js, a) -> np.ndarray:
             xs += a
         else:
             in_first = np.concatenate([np.arange(j) < j // 2 for j in js])[grp]
-            first = np.zeros_like(N)
-            np.add.at(first, idx[in_first], t[in_first])  # exact: integer counts
+            # the first fold's counts per total row cell, summed exactly: integer counts
+            m = N.shape[1]
+            cells = (idx[in_first, None] * m + np.arange(m)).ravel()
+            first = np.bincount(cells, t[in_first].ravel(), N.size).reshape(N.shape)
             c = first[idx]  # each row's other fold: the first fold's counts, or the rest
             np.subtract(g, c, out=c, where=in_first[:, None])
             np.add(c, a, out=xs)
@@ -296,27 +301,48 @@ def _ratio_tables(names, N, idx, t, grp, js, a) -> np.ndarray:
 
 def _score(tcs: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[str, ...],
            ks: Sequence[int], labels: Sequence[str | None]) -> list[CriterionReport]:
-    """Reports for several models, scored in batches of consecutive models."""
+    """Reports for several models, scored in batches of consecutive models.
+
+    The models' total rows are stacked once, and the psi and psi' terms
+    that ``which`` needs are evaluated once, over every model's count
+    cells and row sums (each through one table, or one direct call, by
+    ``_at_counts``'s rule): a batch reads its own slice of each.
+    """
+    need = set(which)
+    N = _concat([tc.total.counts for tc in tcs])
+    Ns = N.sum(axis=1)
+    rows = np.cumsum([0] + [tc.total.n_contexts for tc in tcs]).tolist()
+    psi = {fn: (_at_counts(fn, N, prior.alpha), _at_counts(fn, Ns, prior.total))
+           for fn, users in ((digamma, {"WAIC1", "DIC1"}), (trigamma, {"WAIC2", "DIC2"}))
+           if need & users}
+
+    def batch(lo, hi):
+        r0, r1 = rows[lo], rows[hi]
+        return _score_batch(tcs[lo:hi], prior, which, ks[lo:hi], labels[lo:hi], N[r0:r1],
+                            Ns[r0:r1], {fn: (x[r0:r1], xs[r0:r1]) for fn, (x, xs) in psi.items()})
+
     reports, lo, batch_size = [], 0, 0
     for hi, tc in enumerate(tcs):
         counts = tc.stacked()[1]
         size = counts.size + int(counts.sum())
         if hi > lo and batch_size + size > _BATCH_CELLS:
-            reports += _score_batch(tcs[lo:hi], prior, which, ks[lo:hi], labels[lo:hi])
+            reports += batch(lo, hi)
             lo, batch_size = hi, 0
         batch_size += size
-    return reports + _score_batch(tcs[lo:], prior, which, ks[lo:], labels[lo:])
+    return reports + batch(lo, len(tcs))
 
 
-def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
+def _score_batch(tcs, prior, which, ks, labels, N, Ns, psi) -> list[CriterionReport]:
     """Score models together: their rows are stacked, model after model.
 
-    Total rows and (trajectory, context) rows are each stacked model by
-    model, so every kernel runs once per batch: one ``log_beta_ratio``
-    call for LPPD, LOO and CV2 together, with one group per (model,
-    trajectory), one for LPD, with one group per model, one digamma and
-    one trigamma pair, and elementwise terms whose per-model sums run
-    over each model's own contiguous slice. Trajectory j's log terms
+    ``N`` and ``Ns`` are the models' total rows and row sums, stacked
+    model by model, and ``psi`` maps digamma and trigamma to their
+    values ``fn(N + a)`` and ``fn(Ns + a0)``, stacked the same way. The
+    (trajectory, context) rows are stacked the same way, so every kernel
+    runs once per batch: one ``log_beta_ratio`` call for LPPD, LOO and
+    CV2 together, with one group per (model, trajectory), one for LPD,
+    with one group per model, and elementwise terms whose per-model sums
+    run over each model's own contiguous slice. Trajectory j's log terms
     sum, over its count rows t with total rows g and rows c of the other
     CV2 fold (the first floor(J/2) trajectories against the rest and
     vice versa):
@@ -332,8 +358,6 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
     rows = np.cumsum([0] + n_rows)  # model i owns total rows rows[i]:rows[i+1]
     js = [tc.n_trajectories for tc in tcs]
     groups = np.cumsum([0] + js)  # ... and trajectory groups groups[i]:groups[i+1]
-    N = _concat([tc.total.counts for tc in tcs])
-    Ns = N.sum(axis=1)
     stacks = [tc.stacked() for tc in tcs]
     idx = _concat([s[0] + r if r else s[0] for s, r in zip(stacks, rows.tolist())])
     t = _concat([s[1] for s in stacks])
@@ -350,7 +374,7 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
         x = _ratio_tables(ratios, N, idx, t, grp, js, a)
         pointwise.update(zip(ratios, log_beta_ratio(x, t, grp, groups[-1])))
     if need & {"WAIC2", "DIC2"}:
-        tri, tri_s = _at_counts(trigamma, N, a), _at_counts(trigamma, Ns, a0)
+        tri, tri_s = psi[trigamma]
     if "k_WAIC2" in terms:
         pointwise["k_WAIC2"] = np.bincount(grp, weights=_trigamma_rows(t, tri[idx], tri_s[idx]),
                                            minlength=groups[-1])
@@ -368,8 +392,8 @@ def _score_batch(tcs, prior, which, ks, labels) -> list[CriterionReport]:
         model_sums["plugin"] = per_model(N * (np.log(N + a) - np.log(Ns + a0)[:, None]))
     if need & {"WAIC1", "DIC1"}:
         # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
-        model_sums["post"] = per_model(
-            N * (_at_counts(digamma, N, a) - _at_counts(digamma, Ns, a0)[:, None]))
+        psi_n, psi_s = psi[digamma]
+        model_sums["post"] = per_model(N * (psi_n - psi_s[:, None]))
     if "DIC2" in need:
         model_sums["k_DIC2"] = per_model(_trigamma_rows(N, tri, tri_s))
     if "LPD" in need:
@@ -463,6 +487,18 @@ def evaluate_depths(
     ``tie_map.h`` when that depth is in ``h_range``. Every depth is
     counted in one shared pass and every model scored in batches.
     """
+    which = _normalize_which(which)
+    prior = _prior_for(alphabet, prior)
+    models, ks, labels = _depth_models(trajectories, alphabet, h_range, mode, aic_penalty,
+                                       tie_map, tie_label)
+    return _score(models, prior, which, ks, labels)
+
+
+def _depth_models(trajectories, alphabet, h_range, mode=BoundaryMode.PADDED,
+                  aic_penalty="params", tie_map=None, tie_label=None):
+    """What ``evaluate_depths`` scores: the models (every depth in ``h_range``,
+    in increasing order, then the tied model), their AIC parameter counts
+    and their labels (None for a depth's default label), as three lists."""
     hs = sorted({int(h) for h in h_range})
     if not hs:
         raise ValueError("h_range must be non-empty")
@@ -470,8 +506,6 @@ def evaluate_depths(
         raise ValueError("memory depths must be >= 0")
     if aic_penalty not in ("params", "full"):
         raise ValueError("aic_penalty must be 'params' or 'full'")
-    which = _normalize_which(which)
-    prior = _prior_for(alphabet, prior)
     extra = [] if tie_map is None else [tie_map.h]
     counts = _count_depths(trajectories, hs + extra, alphabet, mode)
     models = [counts[h] for h in hs]
@@ -482,7 +516,7 @@ def evaluate_depths(
         models.append(tie_counts(counts[tie_map.h], tie_map))
         ks.append(tied_param_count(tie_map, m))
         labels.append(tie_label if tie_label is not None else f"tied(h={tie_map.h})")
-    return _score(models, prior, which, ks, labels)
+    return models, ks, labels
 
 
 def argmin(reports: Iterable[CriterionReport], criterion: str) -> CriterionReport:

@@ -216,11 +216,49 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _nested(value) -> bool:
+    return isinstance(value, (dict, list, tuple)) and bool(value)
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` nested ``indent`` deep.
+
+    ``indent`` makes ``json`` use its pure-Python encoder. Here the C
+    encoder writes each container that holds no non-empty container, and
+    each list of such dicts, in one call, with an item separator that
+    carries the newline and indentation; only the nesting is framed by
+    hand. Strings escape their newlines, so in a list of dicts "}", the
+    separator and "{" in a row mark where one dict ends and the next
+    begins: within a dict a separator is always followed by a key.
+    """
+    if not _nested(obj):
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    is_dict = isinstance(obj, dict)
+    if not any(map(_nested, obj.values() if is_dict else obj)):
+        body = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[1:-1]
+    elif not is_dict and all(isinstance(v, dict) and _nested(v) and not any(map(_nested, v.values()))
+                             for v in obj):
+        row = sep + "  "
+        text = json.dumps(obj, sort_keys=True, separators=(row, ": "))[2:-2]
+        body = "{" + row[1:] + text.replace("}" + row + "{", "\n" + inner + "}" + sep + "{" + row[1:])
+        body += "\n" + inner + "}"
+    elif is_dict:
+        # a key that is not a string is written as json writes it, then quoted
+        body = sep.join(f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                        f"{_json_text(v, inner)}" for k, v in sorted(obj.items()))
+    else:
+        body = sep.join(_json_text(v, inner) for v in obj)
+    left, right = "{}" if is_dict else "[]"
+    return f"{left}\n{inner}{body}\n{indent}{right}"
+
+
 def write_json(obj, path) -> Path:
     """Write ``obj`` as indented, key-sorted JSON plus a newline, in one write."""
     path = Path(path)
     with _create(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(obj) + "\n")
     return path
 
 

@@ -24,7 +24,7 @@ from .chain import (
     StateAlphabet,
     Trajectory,
 )
-from .criteria import CRITERIA, argmin, evaluate_depths
+from .criteria import CRITERIA, DirichletPrior, _depth_models, _score, argmin
 from .tying import jagged_free_throw_map
 
 __all__ = [
@@ -50,6 +50,12 @@ _MAX_NETWORK_CONTEXTS = 2_000_000
 
 # A replicate's walks take their uniforms from its stream this many at a time.
 _UNIFORM_BLOCK = 1024
+
+# A study scores this many consecutive (cell, replicate) jobs in one
+# ``_score`` call, serially or as one pool task; a chunk may span cells. It
+# does not depend on the worker count, and scoring never changes a bit
+# with the models scored alongside, so results do not depend on it either.
+_CHUNK = 16
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -269,49 +275,82 @@ class PowerStudyResult:
 
 
 def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int):
-    """Criterion reports per h for one freshly sampled batch of trajectories,
-    and how many of its walks the length cap cut."""
+    """The models of one freshly sampled batch of trajectories, one per h
+    (``criteria._depth_models``), and how many of its walks the length cap cut."""
     if net is None:
         net = _draw_network(cfg.m, cfg.h_true, _rng(cfg.seed, _TAG_NETWORK, j_index, rep))
     rng = _rng(cfg.seed, _TAG_TRAJECTORIES, j_index, rep)
     ids = [f"r{rep}t{i}" for i in range(cfg.J_values[j_index])]
     trajs = _sample_walks(net, cfg.length_cap, rng, ids)
-    reports = evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
-                              which=cfg.criteria)
-    return reports, sum(tr.truncated for tr in trajs)
+    models = _depth_models(trajs, net.alphabet, cfg.h_range, cfg.boundary)
+    return models, sum(tr.truncated for tr in trajs)
+
+
+def _run_chunk(cfg, replicate, shared, jobs) -> list:
+    """``replicate(cfg, shared, cell, rep)`` for each (cell, rep) of ``jobs``,
+    with every model they return scored in one ``_score`` call: per job,
+    its reports and truncated walks, or None for a replicate with no data."""
+    results = [replicate(cfg, shared, cell, rep) for cell, rep in jobs]
+    kept = [models for models, _ in filter(None, results)]  # each (tcs, ks, labels)
+    if not kept:
+        return results
+    tcs, ks, labels = (list(itertools.chain.from_iterable(part)) for part in zip(*kept))
+    prior = DirichletPrior.symmetric(tcs[0].alphabet.size)
+    reports = iter(_score(tcs, prior, tuple(cfg.criteria), ks, labels))
+    for i, result in enumerate(results):
+        if result is not None:
+            (models, _, _), truncated = result
+            results[i] = [next(reports) for _ in models], truncated
+    return results
+
+
+def _gap_summary(values: list, ref: int):
+    """Per depth, the min, max, mean and share below zero of each kept
+    replicate's gap to the depth at index ``ref``; ``values`` holds one list
+    of a criterion's values per depth for each kept replicate.
+
+    The gaps form one C-ordered row per depth and reduce along it, so each
+    statistic has the bits of the same reduction over that depth's gaps alone.
+    """
+    vals = np.array(values).T.copy()
+    gaps = vals - vals[ref]
+    return zip(gaps.min(axis=1).tolist(), gaps.max(axis=1).tolist(),
+               gaps.mean(axis=1).tolist(), (gaps < 0.0).mean(axis=1).tolist())
 
 
 def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None):
     """Run ``replicate(cfg, shared, cell_index, rep)`` over every (cell,
     replicate) and tally the results into a PowerStudyResult.
 
-    Jobs run cell by cell, serially or in a process pool; a job returns
-    ``(reports, truncated_walks)``, or None for a replicate with no data,
-    which is skipped. Each cell appends its selection and delta records
-    (labelled with ``h_true`` and the cell's entry in ``cells`` as J):
-    selection frequencies over the cell's kept replicates, and gaps to
-    ``h_true`` when it is a candidate depth. A tied model scored after
-    the depths counts a win when it is the argmin of itself and every
-    depth up to its own.
+    Jobs run cell by cell, in chunks of _CHUNK (``_run_chunk``), serially
+    or in a process pool; a job returns ``(models, truncated_walks)``, or
+    None for a replicate with no data, which is skipped. Each cell appends
+    its selection and delta records (labelled with ``h_true`` and the
+    cell's entry in ``cells`` as J): selection frequencies over the cell's
+    kept replicates, and gaps to ``h_true`` when it is a candidate depth.
+    A tied model scored after the depths counts a win when it is the
+    argmin of itself and every depth up to its own.
     """
     workers = worker_count(workers)
-    n_cells, n_reps = len(cells), cfg.replicates
-    args = (itertools.repeat(cfg), itertools.repeat(shared),
-            [cell for cell in range(n_cells) for _ in range(n_reps)], list(range(n_reps)) * n_cells)
+    n_reps = cfg.replicates
+    jobs = [(cell, rep) for cell in range(len(cells)) for rep in range(n_reps)]
+    args = (itertools.repeat(cfg), itertools.repeat(replicate), itertools.repeat(shared),
+            [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)])
     selection: list[dict] = []
     deltas: list[dict] = []
     n_depths = len(cfg.h_range)
     track_delta = h_true in cfg.h_range
     wins = {c: 0 for c in cfg.criteria}
     tied_scored, n_kept, truncated = False, 0, 0
-    # results are tallied as they arrive, so no more than one replicate's
+    # results are tallied as they arrive, so no more than one chunk's
     # reports (plus the pool's unread results) are held at a time
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
-        results = map(replicate, *args) if pool is None else pool.map(replicate, *args, chunksize=8)
+        chunks = (map if pool is None else pool.map)(_run_chunk, *args)
+        results = itertools.chain.from_iterable(chunks)
         for label in cells:
             chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
-            gaps = {(c, h): [] for c in cfg.criteria for h in cfg.h_range}
+            values = {c: [] for c in cfg.criteria}
             kept = 0
             for result in itertools.islice(results, n_reps):
                 if result is None:
@@ -323,9 +362,7 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
                 for c in cfg.criteria:
                     chosen_counts[c][argmin(depths, c).h] += 1
                     if track_delta:
-                        ref = depths[cfg.h_range.index(h_true)].value(c)
-                        for r in depths:
-                            gaps[(c, r.h)].append(r.value(c) - ref)
+                        values[c].append([r.value(c) for r in depths])
                 if len(reports) > n_depths:
                     tied_scored = True
                     tied = reports[-1]
@@ -340,12 +377,11 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
                     selection.append({"h_true": h_true, "J": label, "criterion": c,
                                       "h_chosen": h, "frequency": chosen_counts[c][h] / kept})
                 if track_delta:
-                    for h in cfg.h_range:
-                        arr = np.asarray(gaps[(c, h)])
+                    summary = _gap_summary(values[c], cfg.h_range.index(h_true))
+                    for h, (lo, hi, mean, below) in zip(cfg.h_range, summary):
                         deltas.append({"h_true": h_true, "J": label, "criterion": c, "h": h,
-                                      "min": float(arr.min()), "max": float(arr.max()),
-                                      "mean": float(arr.mean()),
-                                      "frac_below_zero": float(np.mean(arr < 0.0))})
+                                       "min": lo, "max": hi, "mean": mean,
+                                       "frac_below_zero": below})
     finally:
         if pool is not None:
             # an error in the tally drops the pending replicates instead of running them
@@ -450,14 +486,14 @@ def sample_free_throw_trajectories(
 
 
 def _free_throw_replicate(cfg: FreeThrowSimConfig, tie_map, cell: int, rep: int):
-    """Criterion reports for one replicated season, the tied model last, or
-    None when the season drew no game."""
+    """The models of one replicated season, one per h and the tied model
+    last (``criteria._depth_models``), and 0 truncated walks; or None when
+    the season drew no game."""
     rng = _rng(cfg.seed, _TAG_FREE_THROW, rep)
     trajs = sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng)
     if not trajs:
         return None
-    return evaluate_depths(trajs, FT_ALPHABET, cfg.h_range, mode=cfg.boundary,
-                           which=cfg.criteria, tie_map=tie_map), 0
+    return _depth_models(trajs, FT_ALPHABET, cfg.h_range, cfg.boundary, tie_map=tie_map), 0
 
 
 def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> PowerStudyResult:

@@ -83,12 +83,19 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
     Counts are summed within each class, per trajectory and in total, so
     the reduced total still equals the reduced per-trajectory sum exactly.
     Classes appear in order of first occurrence, like counted contexts. A
-    map that names a state token >= M for these counts is rejected.
+    map that names a state token >= M for these counts is rejected, and so
+    is one that names a START context for truncated counts, which never
+    hold one: its class would add M - 1 parameters with no count behind them.
     """
     if tie_map.h != tc.h:
         raise ValueError(f"tie map is for h={tie_map.h} but the counts have h={tc.h}")
     m = tc.alphabet.size
+    truncated = tc.boundary is BoundaryMode.TRUNCATED
     for ctx in tie_map.assignments:
+        if truncated and START in ctx:
+            shown = tuple("START" if tok == START else tok for tok in ctx)
+            raise ValueError(f"tie map context {shown!r} holds START, which truncated "
+                             "counting never sees")
         if max(ctx, default=START) >= m:
             raise ValueError(f"tie map context {ctx!r} has state token {max(ctx)}, "
                              f"outside the M={m} states 0..{m - 1}")

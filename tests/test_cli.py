@@ -6,6 +6,7 @@ import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +244,20 @@ class TestErrorPaths:
                      "--tie", str(path), "--out", str(out)]) == 2
         assert "class 2 has no context and is not the default" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_start_context_refused_under_truncated_counting(self, tmp_path, capsys):
+        # truncated counting never sees a START context; its class would add M - 1 to k_params
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"h": 1, "classes": [
+            {"contexts": [["0"]]}, {"contexts": [["1"]]}, {"contexts": [["START"]]}]}))
+        out = tmp_path / "o"
+        season = Path(__file__).parent / "data" / "season.jsonl"
+        argv = ["criteria", "--input", str(season), "--h-range", "0..1",
+                "--tie", str(path), "--out", str(out)]
+        assert main(argv + ["--boundary", "truncated"]) == 2
+        assert "tie map context ('START',) holds START" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0  # padded counting does see it
 
     @pytest.mark.parametrize("contexts", [["01"], 5])
     def test_tie_contexts_must_be_lists(self, season, tmp_path, capsys, contexts):

@@ -545,6 +545,21 @@ class TestBatchedScorer:
                 for mode in BoundaryMode:
                     self.check(rng, m, j, mode)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_cv2_fold_table_equals_the_add_at_form(self, alpha):
+        # the first fold's table is summed by np.bincount; the reference uses np.add.at
+        rng = np.random.default_rng(31)
+        for m in (2, 3, 8):
+            alphabet = StateAlphabet.of_size(m)
+            prior = DirichletPrior.symmetric(m, alpha)
+            for j in (2, 3, 7, 16):
+                trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, m, int(rng.integers(1, 12)))
+                                                   .tolist())) for i in range(j)]
+                for rep in evaluate_depths(trajs, alphabet, range(4), prior, which=("CV2",)):
+                    tc = count_transitions(trajs, rep.h, alphabet)
+                    assert float.hex(rep.value("CV2")) == \
+                        float.hex(reference_values(tc, prior, 1)["CV2"]), (m, j, rep.h)
+
     def test_empty_truncated_tables(self, monkeypatch):
         # every trajectory shorter than the deepest h: those tables have no rows
         trajs = [Trajectory("a", (0, 1)), Trajectory("b", (1,)), Trajectory("c", (1, 1, 0))]
@@ -612,3 +627,22 @@ class TestTabulatedPsi:
                 # the table holds one entry per value 0 .. max, per column
                 width = counts.shape[1] if np.ndim(a) else 1
                 assert seen == [(int(counts.max()) + 1) * width if tabulated else counts.size]
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_score_evaluates_each_table_once(self, big, monkeypatch):
+        rng = np.random.default_rng(11)
+        alphabet, trajs, prior, tie_map = TestBatchedScorer.dataset(rng, 3, 6, BoundaryMode.PADDED)
+        if big:  # one long series: a table would outgrow the cells, so each call is direct
+            trajs.append(Trajectory("long", (0, 1) * 2000))
+        want = evaluate_depths(trajs, alphabet, range(4), prior, tie_map=tie_map)
+        calls = []
+        for fn in (digamma, trigamma):
+            def spy(z, fn=fn):
+                calls.append(fn.__name__)
+                return fn(z)
+            monkeypatch.setattr(criteria_module, fn.__name__, spy)
+        monkeypatch.setattr(criteria_module, "_BATCH_CELLS", 1)  # every model a batch of its own
+        got = evaluate_depths(trajs, alphabet, range(4), prior, tie_map=tie_map)
+        assert [r.values for r in got] == [r.values for r in want]
+        # psi and psi' of the count cells and of the row sums, one call each
+        assert sorted(calls) == ["digamma", "digamma", "trigamma", "trigamma"]

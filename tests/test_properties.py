@@ -1,5 +1,6 @@
 """Property tests over random small instances (derandomized, so reproducible)."""
 
+import json
 import math
 from functools import reduce
 from operator import add
@@ -25,6 +26,7 @@ from memsel.criteria import (
     evaluate_depths,
     predictive_log_density,
 )
+from memsel.dataio import _json_text
 from memsel.oracle import cv2_refit, loo_refit
 from memsel.simulate import generate_network, sample_trajectory
 from memsel.specfun import log_beta_ratio, trigamma
@@ -396,3 +398,33 @@ def test_sampler_matches_context_walk(seed, m, h):
     for rep in range(5):
         walk = sample_trajectory(net, 40, np.random.default_rng([seed, rep]))
         assert walk.steps == reference_walk(net, 40, np.random.default_rng([seed, rep]))
+
+
+_JSON_SCALARS = (st.text() | st.integers() | st.booleans() | st.none()
+                 | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=30))
+def test_json_writer_equals_indented_json_dumps(obj):
+    # the writer keeps json.dumps(indent=2, sort_keys=True) byte for byte
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+_FLAT_DICTS = st.lists(st.dictionaries(st.text(), _JSON_SCALARS | st.just({}) | st.just([]),
+                                       max_size=4), max_size=5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _FLAT_DICTS | st.lists(_FLAT_DICTS, max_size=3), max_size=3))
+def test_json_writer_on_lists_of_flat_dicts(obj):
+    # the shape of summary.json and criteria.json: one encoder call per list of dicts
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{}, [], {"a": {}, "b": [], "c": [{}, []]}, [[[]], {"x": {}}],
+                                 [{"}": "{", "a": {}}, {"b": {}}, {}], [{"k": "},\n  {"}, {"k": 1}],
+                                 {"é": ["ü", float("nan"), -math.inf, math.inf, None, True]}])
+def test_json_writer_on_empty_containers_and_special_values(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)

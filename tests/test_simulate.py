@@ -1,6 +1,5 @@
 """Network generation, trajectory sampling and power-study machinery."""
 
-import math
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,8 +9,8 @@ import pytest
 
 from conftest import find_record
 from memsel import simulate
-from memsel.chain import START, BoundaryMode, StateAlphabet, count_transitions
-from memsel.criteria import CriterionReport
+from memsel.chain import START, BoundaryMode, StateAlphabet, Trajectory, count_transitions
+from memsel.criteria import evaluate_depths
 from memsel.simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
@@ -164,17 +163,18 @@ def test_worker_count_from_environment(monkeypatch, value, expected):
 
 def recording_replicate(cfg, shared, cell, rep):
     """A replicate that leaves one file per call in directory ``shared``; its
-    one report has no CV2 value, so the tally rejects it."""
+    one model has a single trajectory, so no CV2 value, and the tally rejects it."""
     (Path(shared) / f"{cell}-{rep}").touch()
     time.sleep(0.002)  # so a briefly stalled tally leaves the pool little to run
-    return [CriterionReport(0, "h=0", "padded", 1, 1, 1, {"CV2": math.nan})], 0
+    return ([count_transitions([Trajectory("t", (0, 1))], 0, StateAlphabet.of_size(2))],
+            [1], [None]), 0
 
 
 def test_failed_tally_cancels_the_pending_replicates(tmp_path):
     cfg = SimpleNamespace(replicates=4000, h_range=(0,), criteria=("CV2",))
     with pytest.raises(ValueError, match="needs at least two trajectories"):
         simulate._run_study(cfg, recording_replicate, str(tmp_path), (0,), 0, workers=2)
-    # the pool finishes the chunks of 8 it has already queued, and no more
+    # the pool finishes the chunks of jobs it has already queued, and no more
     assert len(list(tmp_path.iterdir())) < 1000
 
 
@@ -331,3 +331,69 @@ class TestFreeThrow:
             replicates=50, seed=0, criteria=("CV2",))
         with pytest.raises(ValueError, match="CV2.*at least two trajectories"):
             free_throw_power(cfg)
+
+
+class TestChunkedScoring:
+    """Consecutive replicates are scored together, _CHUNK at a time; every
+    result equals scoring each replicate alone, on any worker count."""
+
+    @pytest.mark.parametrize("cfg", [
+        # 37 replicates: the last chunk is short
+        SimConfig(m=4, h_true=1, h_range=(1, 2, 3), J_values=(4,), replicates=37, seed=3),
+        # 10 replicates per J: the first chunk spans both cells
+        SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=10, seed=4),
+    ])
+    def test_chunks_score_like_single_replicates(self, cfg, monkeypatch):
+        assert cfg.replicates % simulate._CHUNK
+        chunked = run_power_study(cfg)
+        assert repr(run_power_study(cfg, workers=2)) == repr(chunked)
+        monkeypatch.setattr(simulate, "_CHUNK", 1)
+        assert repr(run_power_study(cfg)) == repr(chunked)
+
+    def test_chunk_reports_equal_each_replicate_evaluated_alone(self):
+        cfg = SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=3, seed=4)
+        net = generate_network(cfg.m, cfg.h_true, cfg.seed)
+        jobs = [(0, 1), (0, 2), (1, 0), (1, 1)]  # spans both cells
+        results = simulate._run_chunk(cfg, simulate._replicate_values, net, jobs)
+        for (cell, rep), (reports, truncated) in zip(jobs, results, strict=True):
+            rng = simulate._rng(cfg.seed, simulate._TAG_TRAJECTORIES, cell, rep)
+            ids = [f"r{rep}t{i}" for i in range(cfg.J_values[cell])]
+            trajs = simulate._sample_walks(net, cfg.length_cap, rng, ids)
+            assert reports == evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
+                                              which=cfg.criteria)
+            assert truncated == sum(tr.truncated for tr in trajs)
+
+    def test_free_throw_chunk_with_empty_seasons(self, monkeypatch):
+        cfg = FreeThrowSimConfig(games=2, lam=0.3, replicates=40, seed=2)
+        chunked = free_throw_power(cfg)
+        assert repr(free_throw_power(cfg, workers=2)) == repr(chunked)
+        empty = []
+        real = simulate._free_throw_replicate
+
+        def spy(*args):
+            result = real(*args)
+            empty.append(result is None)
+            return result
+
+        monkeypatch.setattr(simulate, "_free_throw_replicate", spy)  # serial runs only
+        assert repr(free_throw_power(cfg)) == repr(chunked)
+        # the first chunk holds both empty and kept seasons
+        assert any(empty[:simulate._CHUNK]) and not all(empty[:simulate._CHUNK])
+        monkeypatch.setattr(simulate, "_CHUNK", 1)
+        assert repr(free_throw_power(cfg)) == repr(chunked)
+
+    def test_chunk_of_empty_seasons_only(self):
+        results = simulate._run_chunk(SimpleNamespace(criteria=("LOO",)),
+                                      lambda cfg, shared, cell, rep: None, None, [(0, 0), (0, 1)])
+        assert results == [None, None]
+
+    @pytest.mark.parametrize("kept", [1, 37, 200, 10_000])
+    def test_gap_summary_equals_the_per_record_form(self, kept):
+        # past 8 values numpy sums pairwise; each depth's row must sum like its gaps alone
+        rng = np.random.default_rng(kept)
+        values = (rng.normal(size=(kept, 5)) * 100.0).tolist()
+        ref = 1
+        for h, stats in enumerate(simulate._gap_summary(values, ref)):
+            arr = np.asarray([v[h] - v[ref] for v in values])
+            want = (arr.min(), arr.max(), arr.mean(), np.mean(arr < 0.0))
+            assert [float.hex(x) for x in stats] == [float.hex(float(x)) for x in want], h
