@@ -15,6 +15,9 @@ Calls timed, each one ``criteria.evaluate_depths`` on inputs made by
 - ``power_grid``-shaped: the first J of an M=8, h=1 absorbing batch
   (``gen.absorbing_batch``, entries 0..7) at J = 4, 16 and 64, scored at
   h = 1..5 under all nine criteria, as one power-study replicate does;
+- ``j256``-shaped: the same at J = 256 (the batch drawn with 256 walks,
+  entries 0..3), the largest J of ``simulate --profile paper``, where a
+  batch of ``criteria._score`` holds one or two models;
 - ``long_series``-shaped: 20 x 600 steps of an order-2 chain on 4 states
   with its h=2 tie map (``gen.long_series``, entries 0..3), scored at
   h = 0..5 plus the tied model.
@@ -23,12 +26,8 @@ Each shape runs in a fresh worker per side, so the worker's peak RSS
 (``ru_maxrss``) belongs to that shape; one call per entry is also
 measured under ``tracemalloc``. Then, once per side and round:
 ``memsel simulate --profile ci --seed 1`` (wall time and the sha256 of
-``selection.csv``, ``delta.csv`` and ``summary.json``), and a
-``--profile paper`` estimate: replicates of the J=4 and J=256 cells
-(M=8, h_true=1, h = 1..5, all criteria, one shared network), each cell
-timed as one ``run_power_study`` of that J alone, a line a + b J through
-the two per-replicate means, summed over the seven paper J values x 10^4
-replicates.
+``selection.csv``, ``delta.csv`` and ``summary.json``). ``bench/paper.py``
+times the paper run itself.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import io
 import json
 import os
 import resource
-import statistics
 import sys
 import tempfile
 import time
@@ -49,13 +47,11 @@ from pathlib import Path
 import harness
 from harness import ROOT, open_sides, quartiles
 
-PAPER_J = (4, 8, 16, 32, 64, 128, 256)
-PAPER_REPLICATES = 10_000
 GRID_J = (4, 16, 64)
 GRID_ENTRIES = 8
+J256_ENTRIES = 4
 LONG_ENTRIES = 4
-# replicates timed per paper cell: (J index in PAPER_J, replicates)
-PAPER_CELLS = ((0, 60), (6, 4))
+SHAPES = ("power_grid_shape", "j256_shape", "long_series_shape")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +68,7 @@ def _digest(reports) -> str:
 
 def worker() -> int:
     """Answer one JSON request per line with one JSON reply per line."""
-    from memsel import cli, criteria, dataio, simulate
+    from memsel import cli, criteria, dataio
     from memsel.chain import StateAlphabet, Trajectory
 
     inputs = {}
@@ -116,13 +112,6 @@ def worker() -> int:
             reply["sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                                for p in sorted(Path(req["out"]).iterdir())
                                if p.name != "manifest.json"}
-        elif req["op"] == "paper_cell":
-            cfg = simulate.SimConfig(m=8, h_true=1, h_range=(1, 2, 3, 4, 5),
-                                     J_values=(PAPER_J[req["j_index"]],),
-                                     replicates=req["replicates"], seed=req["seed"])
-            t0 = time.perf_counter()
-            simulate.run_power_study(cfg, workers=1)
-            reply["seconds_per_replicate"] = (time.perf_counter() - t0) / req["replicates"]
         reply["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         sys.stdout.write(json.dumps(reply) + "\n")
         sys.stdout.flush()
@@ -141,12 +130,20 @@ def _shape_inputs(work: Path) -> dict[str, list[dict]]:
         walks = gen.absorbing_batch(entry)
         grid += [{"kind": "walks", "m": gen.BATCH_STATES, "hs": [1, 2, 3, 4, 5],
                   "walks": walks[:j], "label": f"entry {entry}, J={j}"} for j in GRID_J]
+    j256 = []
+    saved, gen.BATCH_J = gen.BATCH_J, 256  # the same generator, drawing 256 walks
+    try:
+        for entry in range(J256_ENTRIES):
+            j256.append({"kind": "walks", "m": gen.BATCH_STATES, "hs": [1, 2, 3, 4, 5],
+                         "walks": gen.absorbing_batch(entry), "label": f"entry {entry}, J=256"})
+    finally:
+        gen.BATCH_J = saved
     long = []
     for entry in range(LONG_ENTRIES):
         series, tie = gen.long_series(entry, work / "long" / str(entry))
         long.append({"kind": "series", "series": str(series), "tie_map": str(tie),
                      "hs": [0, 1, 2, 3, 4, 5], "label": f"entry {entry}"})
-    return {"power_grid": grid, "long_series": long}
+    return {"power_grid": grid, "j256": j256, "long_series": long}
 
 
 def _time_shape(srcs: dict, cpu: int, inputs: list[dict], rounds: int, repeat: int) -> dict:
@@ -190,36 +187,24 @@ def compare(args) -> int:
         result = harness.provenance("evaluate", __file__, args.base, srcs, cpu)
         shapes = _shape_inputs(work)
         result["power_grid_shape"] = _time_shape(srcs, cpu, shapes["power_grid"], args.rounds, 20)
+        result["j256_shape"] = _time_shape(srcs, cpu, shapes["j256"], args.rounds, 3)
         result["long_series_shape"] = _time_shape(srcs, cpu, shapes["long_series"], args.rounds, 3)
-        for key in ("power_grid_shape", "long_series_shape"):
+        for key in SHAPES:
             print(f"{key}: {json.dumps(result[key]['paired_speedup'])}", file=sys.stderr)
 
         with contextlib.ExitStack() as stack:
             sides = open_sides(stack, __file__, srcs, cpu)
             ci = {name: [] for name in sides}
-            paper = {name: {j: [] for j, _ in PAPER_CELLS} for name in sides}
             order = list(sides)
             for r in range(args.rounds):
                 for name in order:
                     reply = sides[name].run({"op": "cli", "out": str(work / f"ci-{name}-{r}"),
                                              "argv": ["simulate", "--profile", "ci", "--seed", "1"]})
                     ci[name].append(reply)
-                    for j_index, reps in PAPER_CELLS:
-                        cell = sides[name].run({"op": "paper_cell", "j_index": j_index,
-                                                "replicates": reps, "seed": r})
-                        paper[name][j_index].append(cell["seconds_per_replicate"])
                 order.reverse()
                 print(f"round {r + 1}/{args.rounds}: simulate --profile ci "
                       f"base {ci['base'][-1]['seconds']:.2f} s, "
                       f"change {ci['change'][-1]['seconds']:.2f} s", file=sys.stderr)
-
-    def estimate(per_rep: dict) -> dict:
-        (j0, _), (j1, _) = PAPER_CELLS
-        t0, t1 = statistics.median(per_rep[j0]), statistics.median(per_rep[j1])
-        slope = (t1 - t0) / (PAPER_J[j1] - PAPER_J[j0])
-        total = PAPER_REPLICATES * sum(t0 + slope * (j - PAPER_J[j0]) for j in PAPER_J)
-        return {f"J={PAPER_J[j0]}_s_per_replicate": t0, f"J={PAPER_J[j1]}_s_per_replicate": t1,
-                "estimate_s_per_h_true": total}
 
     result["simulate_profile_ci_seed1"] = {
         "call": "memsel simulate --profile ci --seed 1",
@@ -229,15 +214,8 @@ def compare(args) -> int:
         "outputs_identical": all(x["sha256"] == ci["base"][0]["sha256"]
                                  for xs in ci.values() for x in xs),
     }
-    result["paper_profile_estimate"] = {
-        "model": "per-replicate time a + b J through the J=4 and J=256 medians, "
-                 "summed over J in 4..256 (7 values) x 10^4 replicates, for one h_true",
-        "cells": {f"J={PAPER_J[j]}": reps for j, reps in PAPER_CELLS},
-        **{name: estimate(per_rep) for name, per_rep in paper.items()},
-    }
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(json.dumps({k: result[k]["paired_speedup"]
-                      for k in ("power_grid_shape", "long_series_shape")}))
+    print(json.dumps({k: result[k]["paired_speedup"] for k in SHAPES}))
     return 0
 
 

@@ -16,6 +16,19 @@ rows of consecutive models, within a size bound, and runs each kernel
 once per batch, with every sum taken in the order of one model scored
 alone, so batching never changes a bit of the output.
 
+Only the count cells that draw are scored: the Polya sums of LPPD, LOO,
+CV2 and LPD run over the cells with t > 0 (``specfun._log_beta_cells``),
+each reading x at those cells and one x total per row. A row total is
+read where the row equals a row already summed: LPPD and LPD read the
+row sums of N + a, summed once per batch over its total rows, and CV2
+those of its two fold tables. LOO's row g - t + a is summed in its
+columns, since (g + a) - t, LPPD's total less the row's draws, is not
+the same float when a is not dyadic (a = 0.3). k_WAIC2 scatters its cell
+terms into a zeroed block before the row sum: numpy sums a row of 8 or
+more values as a tree, so a row with three or more terms must keep its
+columns. psi and psi' of every table come from one shared pass
+(``_psi_tables``).
+
 Criterion names used throughout: AIC, DIC1, DIC2, LPD, LPPD, WAIC1,
 WAIC2, LOO, CV2.
 """
@@ -38,7 +51,7 @@ from .chain import (
     TrajectoryCounts,
     _count_depths,
 )
-from .specfun import digamma, log_beta_ratio, trigamma
+from .specfun import _log_beta_cells, _polygamma, log_beta_ratio
 from .tying import TieMap, tie_counts, tied_param_count
 
 __all__ = [
@@ -138,8 +151,8 @@ def _at_counts(fn, n: np.ndarray, a) -> np.ndarray:
     width = n.shape[-1] if np.ndim(a) else 1
     if values.size * width > n.size:
         return fn(n + a)
-    if np.ndim(a):
-        return fn(values[:, None] + a)[n, np.arange(width)]
+    if np.ndim(a):  # column c of value v is entry v * width + c
+        return np.take(fn(values[:, None] + a), n * width + np.arange(width))
     return fn(values + a)[n]
 
 
@@ -148,14 +161,12 @@ def _ml_terms(N: np.ndarray, Ns: np.ndarray) -> np.ndarray:
     return N * np.log(np.where(N > 0, N / Ns[:, None], 1.0))
 
 
-def _trigamma_rows(n: np.ndarray, tri: np.ndarray, tri_s: np.ndarray) -> np.ndarray:
-    # sum_k n_k^2 tri_k - (sum_k n_k)^2 tri_s per row of counts n, squared in
-    # place on one float copy: k_WAIC2's per-row term and k_DIC2's
-    x = n.astype(float)
-    x *= x
-    x *= tri
-    s = n.sum(axis=1).astype(float)
-    return x.sum(axis=1) - s * s * tri_s
+def _trigamma_rows(sq: np.ndarray, s: np.ndarray, tri_s: np.ndarray) -> np.ndarray:
+    # sum_k n_k^2 tri_k - (sum_k n_k)^2 tri_s per row of counts n, from the
+    # terms n_k^2 tri_k in their columns (``sq``) and the count totals ``s``:
+    # k_WAIC2's per-row term and k_DIC2's
+    s = s.astype(float)
+    return sq.sum(axis=1) - s * s * tri_s
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +263,17 @@ def _normalize_which(which) -> tuple[str, ...]:
 
 
 # Consecutive models are scored together while their sizes add up to at most
-# this many; a larger model is scored alone. A model's size is its stacked
-# count cells (per-trajectory rows x M) plus its transitions, one Polya draw
-# each in ``log_beta_ratio``: the two lengths of the batch's temporaries.
-# The LPPD, LOO and CV2 call holds three x tables of stacked cells and five
-# draw-sized arrays (three weights, the k/i index and a row-total buffer).
-# The power study scores a chunk of replicates in one call. On the paper
-# grid (M=8, h 1..5) a batch then averages 40 models at J=4, 10 at J=16 and
-# 2 at J=64; from J=128 up, as on long series, each model is scored alone.
-# 2**13 to 2**16 timed alike there, within the noise of a shared host.
+# this many; a larger model is scored alone. A model's size is its
+# (trajectory, context) rows plus its transitions, one Polya draw each in
+# ``_log_beta_cells``: the two lengths of the batch's temporaries. The
+# LPPD, LOO and CV2 call holds five draw-sized arrays (three weights, the
+# k/i index and a row-total buffer) and, per table, one value per drawing
+# cell (never more than the draws) and one total per row; LOO's row totals
+# and k_WAIC2's block are rows x M. The power study scores a chunk of
+# replicates in one call. On the paper grid (M=8, h 1..5) a batch then
+# averages 80 models (the whole chunk) at J=4, 40 at J=16, 10 at J=64, 5 at
+# J=128 and 2 at J=256; on the ``power_grid`` benchmark the whole chunk of
+# 15 models is one batch. 2**13 to 2**16 timed alike at J = 16, 64 and 256.
 _BATCH_CELLS = 2**14
 
 # which criteria use each per-trajectory term
@@ -273,58 +286,112 @@ def _concat(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _ratio_tables(names, N, idx, t, grp, js, a) -> np.ndarray:
-    """The x of log B(x + t) - log B(x) for each of ``names`` (LPPD, LOO, CV2), stacked.
+def _drawing_cells(counts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the nonzero cells of the count rows ``counts``,
+    stacked, and their counts; the stacked dense rows are not kept."""
+    t = _concat(counts)
+    flat = np.flatnonzero(t != 0)
+    return flat, t.ravel()[flat]
 
-    The terms are those of ``_score_batch``; the temporaries made here are
-    freed before the kernel runs.
+
+def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior, psi: bool,
+                psi1: bool) -> dict:
+    """From one ``_polygamma`` pass, psi (when ``psi``) and psi' (when
+    ``psi1``) at N + a per cell and at Ns + a0 per row: "psi" and "psi_s",
+    "tri" and "tri_s".
+
+    ``_at_counts`` picks each table's arguments (one per count value, or
+    the direct values) as it does for a single function; here it is handed
+    a function that returns each argument's position in the one argument
+    vector, so it returns the position to read each cell's value from.
     """
-    x = np.empty((len(names),) + t.shape)
-    g = N[idx]
-    for xs, name in zip(x, names):
+    if not (psi or psi1):
+        return {}
+    args = []
+
+    def position(z):
+        start = sum(map(len, args))
+        args.append(z.ravel())
+        return np.arange(start, start + z.size).reshape(z.shape)
+
+    at_n, at_s = _at_counts(position, N, prior.alpha), _at_counts(position, Ns, prior.total)
+    out = {}
+    for name, r in zip(("psi", "tri"), _polygamma(np.concatenate(args), psi, psi1)):
+        if r is not None:
+            out[name], out[name + "_s"] = r[at_n], r[at_s]
+    return out
+
+
+def _ratio_tables(names, N, NA, NAs, idx, grp, js, a, cells):
+    """For each of ``names`` (LPPD, LOO, CV2), the x of log B(x + t) - log B(x)
+    at each drawing cell and each row's x total, as two lists.
+
+    The terms are those of ``_score_batch``. ``cells`` holds each drawing
+    cell's flat index in the stacked rows, its cell in the total rows, its
+    column, its count and its row. A row total is read where the row
+    equals a row already summed: LPPD's g + a is a row of N + a (``NA``,
+    row sums ``NAs``), and CV2's other fold is a row of (N - first) + a or
+    of first + a, each summed once per total row. LOO's g - t + a is summed
+    row by row: (g + a) - t, its total less t, is not the same float when
+    a is not dyadic.
+    """
+    flat, at, col, reps, row = cells
+    xc, xr = [], []
+    for name in names:
         if name == "LPPD":
-            np.add(g, a, out=xs)
+            xc.append(NA.ravel()[at])
+            xr.append(NAs[idx])
         elif name == "LOO":
-            np.subtract(g, t, out=xs)  # exact: integer counts
-            xs += a
+            xc.append((N.ravel()[at] - reps) + a[col])  # exact difference: integer counts
+            # g - t + a is g + a where t = 0; summed per row in its columns
+            dense = NA.take(idx, axis=0)
+            dense.ravel()[flat] = xc[-1]
+            xr.append(dense.sum(axis=1))
+            del dense  # freed before CV2's fold tables are built
         else:
             in_first = np.concatenate([np.arange(j) < j // 2 for j in js])[grp]
+            first_cell = in_first[row]
             # the first fold's counts per total row cell, summed exactly: integer counts
-            m = N.shape[1]
-            cells = (idx[in_first, None] * m + np.arange(m)).ravel()
-            first = np.bincount(cells, t[in_first].ravel(), N.size).reshape(N.shape)
-            c = first[idx]  # each row's other fold: the first fold's counts, or the rest
-            np.subtract(g, c, out=c, where=in_first[:, None])
-            np.add(c, a, out=xs)
-    return x
+            # (as floats; np.bincount gives int zeros when the fold has no cell)
+            first = np.bincount(at[first_cell], reps[first_cell], N.size).astype(float, copy=False)
+            c = first[at]  # each cell's other fold: the first fold's count, or the rest
+            np.subtract(N.ravel()[at], c, out=c, where=first_cell)
+            c += a[col]
+            xc.append(c)
+            first = first.reshape(N.shape)
+            rest = N - first
+            rest += a
+            first += a
+            xr.append(np.where(in_first, rest.sum(axis=1)[idx], first.sum(axis=1)[idx]))
+    return xc, xr
 
 
 def _score(tcs: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[str, ...],
            ks: Sequence[int], labels: Sequence[str | None]) -> list[CriterionReport]:
     """Reports for several models, scored in batches of consecutive models.
 
-    The models' total rows are stacked once, and the psi and psi' terms
-    that ``which`` needs are evaluated once, over every model's count
-    cells and row sums (each through one table, or one direct call, by
-    ``_at_counts``'s rule): a batch reads its own slice of each.
+    The models' total rows are stacked once, with their row sums, and the
+    psi and psi' terms that ``which`` needs are evaluated once, over every
+    model's count cells and row sums (by ``_psi_tables``): a batch reads
+    its own slice of each.
     """
     need = set(which)
     N = _concat([tc.total.counts for tc in tcs])
     Ns = N.sum(axis=1)
+    tot = {"N": N, "Ns": Ns}
+    tot.update(_psi_tables(N, Ns, prior, bool(need & {"WAIC1", "DIC1"}),
+                           bool(need & {"WAIC2", "DIC2"})))
     rows = np.cumsum([0] + [tc.total.n_contexts for tc in tcs]).tolist()
-    psi = {fn: (_at_counts(fn, N, prior.alpha), _at_counts(fn, Ns, prior.total))
-           for fn, users in ((digamma, {"WAIC1", "DIC1"}), (trigamma, {"WAIC2", "DIC2"}))
-           if need & users}
+    transitions = np.diff(np.concatenate([[0], np.cumsum(Ns)])[rows]).tolist()
 
     def batch(lo, hi):
         r0, r1 = rows[lo], rows[hi]
-        return _score_batch(tcs[lo:hi], prior, which, ks[lo:hi], labels[lo:hi], N[r0:r1],
-                            Ns[r0:r1], {fn: (x[r0:r1], xs[r0:r1]) for fn, (x, xs) in psi.items()})
+        return _score_batch(tcs[lo:hi], prior, which, ks[lo:hi], labels[lo:hi],
+                            {name: x[r0:r1] for name, x in tot.items()}, transitions[lo:hi])
 
     reports, lo, batch_size = [], 0, 0
     for hi, tc in enumerate(tcs):
-        counts = tc.stacked()[1]
-        size = counts.size + int(counts.sum())
+        size = len(tc.stacked()[1]) + transitions[hi]
         if hi > lo and batch_size + size > _BATCH_CELLS:
             reports += batch(lo, hi)
             lo, batch_size = hi, 0
@@ -332,14 +399,14 @@ def _score(tcs: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[
     return reports + batch(lo, len(tcs))
 
 
-def _score_batch(tcs, prior, which, ks, labels, N, Ns, psi) -> list[CriterionReport]:
+def _score_batch(tcs, prior, which, ks, labels, tot, transitions) -> list[CriterionReport]:
     """Score models together: their rows are stacked, model after model.
 
-    ``N`` and ``Ns`` are the models' total rows and row sums, stacked
-    model by model, and ``psi`` maps digamma and trigamma to their
-    values ``fn(N + a)`` and ``fn(Ns + a0)``, stacked the same way. The
+    ``tot`` holds the models' total rows ``N``, stacked model by model, and
+    arrays over them: the row sums ``Ns`` and those of ``psi``, ``psi_s``,
+    ``tri`` and ``tri_s`` that ``which`` needs (``_psi_tables``). The
     (trajectory, context) rows are stacked the same way, so every kernel
-    runs once per batch: one ``log_beta_ratio`` call for LPPD, LOO and
+    runs once per batch: one ``_log_beta_cells`` call for LPPD, LOO and
     CV2 together, with one group per (model, trajectory), one for LPD,
     with one group per model, and elementwise terms whose per-model sums
     run over each model's own contiguous slice. Trajectory j's log terms
@@ -348,19 +415,52 @@ def _score_batch(tcs, prior, which, ks, labels, N, Ns, psi) -> list[CriterionRep
     vice versa):
     log B(g + t + a) - log B(g + a) for LPPD, log B(g + a) - log B(g - t + a)
     for LOO, log B(c + t + a) - log B(c + a) for CV2, and
-    t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Every sum
+    t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Only the
+    cells with t > 0 are read; a row's t total comes from them. Every sum
     adds a model's own terms in the order one model scored alone would,
     so each value is bit-identical to scoring the models one at a time.
     """
     need = set(which)
     a, a0 = prior.alpha, prior.total
+    N, Ns = tot["N"], tot["Ns"]
+    m = N.shape[1]
     n_rows = [tc.total.n_contexts for tc in tcs]
     rows = np.cumsum([0] + n_rows)  # model i owns total rows rows[i]:rows[i+1]
+    # LPPD and LPD read the row sums of N + a, summed once here
+    NA = N + a
+    NAs = NA.sum(axis=1)
+
+    # terms over the total rows first, each summed over its model's own rows:
+    # their temporaries are gone before the per-trajectory arrays are built
+    def per_model(x):
+        return [float(x[r0:r1].sum()) for r0, r1 in zip(rows[:-1], rows[1:])]
+
+    model_sums = {}
+    if "AIC" in need:
+        model_sums["ml"] = per_model(_ml_terms(N, Ns))
+    if need & {"DIC1", "DIC2"}:
+        # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
+        model_sums["plugin"] = per_model(N * (np.log(NA) - np.log(Ns + a0)[:, None]))
+    if need & {"WAIC1", "DIC1"}:
+        # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
+        model_sums["post"] = per_model(N * (tot["psi"] - tot["psi_s"][:, None]))
+    if "DIC2" in need:
+        sq = N.astype(float)
+        sq *= sq
+        sq *= tot["tri"]
+        model_sums["k_DIC2"] = per_model(_trigamma_rows(sq, Ns, tot["tri_s"]))
+        del sq
+    if "LPD" in need:
+        # LPD draws every total row's counts again: x = N + a, read at the cells that draw
+        nz = np.flatnonzero(N != 0)
+        model_sums["LPD"] = _log_beta_cells(
+            [NA.ravel()[nz]], [NAs], nz // m, N.ravel()[nz], Ns,
+            np.repeat(np.arange(len(tcs)), n_rows), len(tcs))[0].tolist()
+
     js = [tc.n_trajectories for tc in tcs]
-    groups = np.cumsum([0] + js)  # ... and trajectory groups groups[i]:groups[i+1]
+    groups = np.cumsum([0] + js)  # model i owns trajectory groups groups[i]:groups[i+1]
     stacks = [tc.stacked() for tc in tcs]
     idx = _concat([s[0] + r if r else s[0] for s, r in zip(stacks, rows.tolist())])
-    t = _concat([s[1] for s in stacks])
     grp = np.repeat(np.arange(groups[-1]), _concat([np.diff(s[2]) for s in stacks]))
 
     # per-trajectory terms, summed per model
@@ -368,37 +468,33 @@ def _score_batch(tcs, prior, which, ks, labels, N, Ns, psi) -> list[CriterionRep
     if max(js) < 2:
         terms.discard("CV2")
     pointwise = {}
+    if terms:
+        flat, reps = _drawing_cells([s[1] for s in stacks])
+        row, col = np.divmod(flat, m)
+        totals = np.bincount(row, reps, len(idx)).astype(np.int64)  # exact: integer counts
+        at = idx[row] * m + col  # each cell's cell in the total rows
     # LPPD, LOO and CV2 share the increments t: one kernel call scores them all
     ratios = [name for name in ("LPPD", "LOO", "CV2") if name in terms]
     if ratios:
-        x = _ratio_tables(ratios, N, idx, t, grp, js, a)
-        pointwise.update(zip(ratios, log_beta_ratio(x, t, grp, groups[-1])))
-    if need & {"WAIC2", "DIC2"}:
-        tri, tri_s = psi[trigamma]
+        xc, xr = _ratio_tables(ratios, N, NA, NAs, idx, grp, js, a, (flat, at, col, reps, row))
+        # each of these is freed once read, as is k_WAIC2's block: a batch may
+        # hold a whole chunk of replicates, and its peak memory is what is alive at once
+        del NA
+        pointwise.update(zip(ratios, _log_beta_cells(xc, xr, row, reps, totals, grp,
+                                                     groups[-1])))
+        del xc, xr
     if "k_WAIC2" in terms:
-        pointwise["k_WAIC2"] = np.bincount(grp, weights=_trigamma_rows(t, tri[idx], tri_s[idx]),
-                                           minlength=groups[-1])
+        # each cell's t^2 psi' in its column, zeros elsewhere: numpy sums a
+        # row of 8 or more as a tree, so the row keeps its columns
+        sq = np.zeros((len(idx), m))
+        term = reps.astype(float)
+        term *= term
+        term *= tot["tri"].ravel()[at]
+        sq.ravel()[flat] = term
+        pointwise["k_WAIC2"] = np.bincount(
+            grp, weights=_trigamma_rows(sq, totals, tot["tri_s"][idx]), minlength=groups[-1])
+        del sq
     pointwise = {name: x.tolist() for name, x in pointwise.items()}
-
-    # terms over the total rows, each summed over its model's own rows
-    def per_model(x):
-        return [float(np.sum(x[r0:r1])) for r0, r1 in zip(rows[:-1], rows[1:])]
-
-    model_sums = {}
-    if "AIC" in need:
-        model_sums["ml"] = per_model(_ml_terms(N, Ns))
-    if need & {"DIC1", "DIC2"}:
-        # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
-        model_sums["plugin"] = per_model(N * (np.log(N + a) - np.log(Ns + a0)[:, None]))
-    if need & {"WAIC1", "DIC1"}:
-        # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
-        psi_n, psi_s = psi[digamma]
-        model_sums["post"] = per_model(N * (psi_n - psi_s[:, None]))
-    if "DIC2" in need:
-        model_sums["k_DIC2"] = per_model(_trigamma_rows(N, tri, tri_s))
-    if "LPD" in need:
-        model_sums["LPD"] = log_beta_ratio(N + a, N, np.repeat(np.arange(len(tcs)), n_rows),
-                                           len(tcs)).tolist()
 
     reports = []
     for i, tc in enumerate(tcs):
@@ -440,7 +536,7 @@ def _score_batch(tcs, prior, which, ks, labels, N, Ns, psi) -> list[CriterionRep
             label=labels[i] if labels[i] is not None else f"h={tc.h}",
             boundary=tc.boundary.value,
             n_trajectories=js[i],
-            n_transitions=int(Ns[rows[i]:rows[i + 1]].sum()),
+            n_transitions=transitions[i],
             k_params=int(ks[i]),
             values=values,
         ))

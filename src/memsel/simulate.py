@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -304,18 +305,19 @@ def _run_chunk(cfg, replicate, shared, jobs) -> list:
     return results
 
 
-def _gap_summary(values: list, ref: int):
-    """Per depth, the min, max, mean and share below zero of each kept
-    replicate's gap to the depth at index ``ref``; ``values`` holds one list
-    of a criterion's values per depth for each kept replicate.
+def _gap_summary(values: list, ref: int) -> list:
+    """Per criterion and depth, the min, max, mean and share below zero of
+    each kept replicate's gap to the depth at index ``ref``; ``values`` holds
+    for each kept replicate one list of values per depth for each criterion.
 
-    The gaps form one C-ordered row per depth and reduce along it, so each
-    statistic has the bits of the same reduction over that depth's gaps alone.
+    The gaps form one C-ordered (criterion, depth, kept) array, reduced
+    along its last axis, so each statistic has the bits of the same
+    reduction over that criterion and depth's gaps alone.
     """
-    vals = np.array(values).T.copy()
-    gaps = vals - vals[ref]
-    return zip(gaps.min(axis=1).tolist(), gaps.max(axis=1).tolist(),
-               gaps.mean(axis=1).tolist(), (gaps < 0.0).mean(axis=1).tolist())
+    vals = np.array(values).transpose(1, 2, 0).copy()
+    gaps = vals - vals[:, ref:ref + 1]
+    stats = (gaps.min(axis=2), gaps.max(axis=2), gaps.mean(axis=2), (gaps < 0.0).mean(axis=2))
+    return np.stack(stats, axis=2).tolist()
 
 
 def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None):
@@ -342,6 +344,9 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
     track_delta = h_true in cfg.h_range
     wins = {c: 0 for c in cfg.criteria}
     tied_scored, n_kept, truncated = False, 0, 0
+    if workers > 1:
+        # a pool that cannot pickle a job never shuts down: fail before starting one
+        pickle.dumps((cfg, replicate, shared))
     # results are tallied as they arrive, so no more than one chunk's
     # reports (plus the pool's unread results) are held at a time
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
@@ -350,7 +355,7 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
         results = itertools.chain.from_iterable(chunks)
         for label in cells:
             chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
-            values = {c: [] for c in cfg.criteria}
+            values = []
             kept = 0
             for result in itertools.islice(results, n_reps):
                 if result is None:
@@ -361,8 +366,8 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
                 depths = reports[:n_depths]
                 for c in cfg.criteria:
                     chosen_counts[c][argmin(depths, c).h] += 1
-                    if track_delta:
-                        values[c].append([r.value(c) for r in depths])
+                if track_delta:
+                    values.append([[r.value(c) for r in depths] for c in cfg.criteria])
                 if len(reports) > n_depths:
                     tied_scored = True
                     tied = reports[-1]
@@ -372,13 +377,14 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
             if not kept:  # only a free-throw season can come back empty
                 raise ValueError("every replicate drew zero games; increase lam or games")
             n_kept += kept
-            for c in cfg.criteria:
+            if track_delta:
+                summary = _gap_summary(values, cfg.h_range.index(h_true))
+            for i, c in enumerate(cfg.criteria):
                 for h in cfg.h_range:
                     selection.append({"h_true": h_true, "J": label, "criterion": c,
                                       "h_chosen": h, "frequency": chosen_counts[c][h] / kept})
                 if track_delta:
-                    summary = _gap_summary(values[c], cfg.h_range.index(h_true))
-                    for h, (lo, hi, mean, below) in zip(cfg.h_range, summary):
+                    for h, (lo, hi, mean, below) in zip(cfg.h_range, summary[i]):
                         deltas.append({"h_true": h_true, "J": label, "criterion": c, "h": h,
                                        "min": lo, "max": hi, "mean": mean,
                                        "frac_below_zero": below})

@@ -4,12 +4,16 @@
 as the Polya-urn probability of drawing those counts one at a time, a sum
 of ``np.log`` terms with no log-gamma cancellation, so it keeps its
 digits at counts of 1e8 and beyond. Several tables over the same
-increments share one expansion of the draws. ``digamma`` and ``trigamma`` use the
+increments share one expansion of the draws. Only cells with t > 0 draw:
+``_log_beta_cells`` takes x at those cells and each row's x total, and
+``log_beta_ratio`` is its dense form, reading both from full rows.
+``digamma`` and ``trigamma`` use the
 asymptotic Bernoulli-number series after shifting the argument above 12
 with the standard recurrences; their target accuracy, grid-checked in the
 tests, is 1e-10 absolute on [1e-3, 1e6]. The shift runs in place over
 the whole array, a 0/1 increment per element, with the same bits as
-shifting each argument alone.
+shifting each argument alone; ``_polygamma`` gives both functions from
+one shared shift, each with the bits of its own call.
 """
 
 from __future__ import annotations
@@ -53,31 +57,33 @@ def _positive_array(z, name: str) -> np.ndarray:
     return arr
 
 
-def _shifted(arr: np.ndarray, psi1: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Shift every argument to at least _SHIFT by the recurrence; return it and the sum.
+def _shifted(arr: np.ndarray, psi: bool, psi1: bool):
+    """Shift every argument to at least _SHIFT by the recurrence; return it
+    and the sums for psi and psi' (None for one not asked for).
 
-    The sum collects -1/z (psi) or +1/z^2 (psi') for each z passed on the
-    way. Each pass runs over the whole array in place, with ``inc`` 1.0
+    The psi sum collects -1/z and the psi' sum +1/z^2 for each z passed on
+    the way. Each pass runs over the whole array in place, with ``inc`` 1.0
     where an argument is still below _SHIFT and 0.0 where it is done: a
-    finished element adds 0.0 to its argument and its sum, which leaves
-    both unchanged, so every element ends with the same bits as when
-    shifted alone.
+    finished element adds 0.0 to its argument and its sums, which leaves
+    them unchanged, so every element ends with the same bits as when
+    shifted alone, and each sum with the bits of a loop that kept it alone.
     """
     zz = np.array(arr, dtype=float, ndmin=1)
-    acc = np.zeros_like(zz)
+    acc = np.zeros_like(zz) if psi else None
+    acc1 = np.zeros_like(zz) if psi1 else None
     inc = np.empty_like(zz)
     step = np.empty_like(zz)
     while zz.size and zz.min() < _SHIFT:
         np.less(zz, _SHIFT, out=inc)
+        if psi:
+            np.divide(inc, zz, out=step)
+            acc -= step
         if psi1:
             np.multiply(zz, zz, out=step)
             np.divide(inc, step, out=step)
-            acc += step
-        else:
-            np.divide(inc, zz, out=step)
-            acc -= step
+            acc1 += step
         zz += inc
-    return zz, acc
+    return zz, acc, acc1
 
 
 def _series(zz: np.ndarray, tail: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -91,33 +97,45 @@ def _series(zz: np.ndarray, tail: tuple[float, ...]) -> tuple[np.ndarray, np.nda
     return u, poly
 
 
+def _polygamma(arr: np.ndarray, psi: bool = True, psi1: bool = True):
+    """psi and psi' of the finite positive floats ``arr`` (None for one not
+    asked for), as 1-D arrays, from one shared shift loop. Each has the bits
+    of its own ``digamma`` or ``trigamma`` call: the shift is elementwise
+    and each series below runs its own operations in order."""
+    zz, acc, acc1 = _shifted(arr, psi, psi1)
+    if psi:
+        u, poly = _series(zz, _PSI_TAIL)
+        # acc + log z - 0.5 / z - poly u, summed in place in that order
+        term = np.log(zz)
+        acc += term
+        acc -= np.divide(0.5, zz, out=term)
+        acc -= np.multiply(poly, u, out=poly)
+    if psi1:
+        u, poly = _series(zz, _PSI1_TAIL)
+        # acc1 + 1 / z + 0.5 u + poly u / z, summed in place in that order
+        term = np.divide(1.0, zz)
+        acc1 += term
+        acc1 += np.multiply(0.5, u, out=term)
+        poly *= u
+        acc1 += np.divide(poly, zz, out=poly)
+    return acc, acc1
+
+
+def _shaped(res: np.ndarray, arr: np.ndarray):
+    res = res.reshape(arr.shape)
+    return float(res) if res.ndim == 0 else res
+
+
 def digamma(z):
     """psi(z) = d/dz ln Gamma(z) for z > 0 (elementwise on arrays)."""
     arr = _positive_array(z, "digamma")
-    zz, acc = _shifted(arr, psi1=False)
-    u, poly = _series(zz, _PSI_TAIL)
-    # acc + log z - 0.5 / z - poly u, summed in place in that order
-    term = np.log(zz)
-    acc += term
-    acc -= np.divide(0.5, zz, out=term)
-    acc -= np.multiply(poly, u, out=poly)
-    res = acc.reshape(arr.shape)
-    return float(res) if res.ndim == 0 else res
+    return _shaped(_polygamma(arr, psi1=False)[0], arr)
 
 
 def trigamma(z):
     """psi'(z), the derivative of the digamma function, for z > 0."""
     arr = _positive_array(z, "trigamma")
-    zz, acc = _shifted(arr, psi1=True)
-    u, poly = _series(zz, _PSI1_TAIL)
-    # acc + 1 / z + 0.5 u + poly u / z, summed in place in that order
-    term = np.divide(1.0, zz)
-    acc += term
-    acc += np.multiply(0.5, u, out=term)
-    poly *= u
-    acc += np.divide(poly, zz, out=poly)
-    res = acc.reshape(arr.shape)
-    return float(res) if res.ndim == 0 else res
+    return _shaped(_polygamma(arr, psi=False)[1], arr)
 
 
 def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
@@ -135,6 +153,8 @@ def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
     A 3-D ``x`` stacks several such tables over the one ``t``: the draws
     and their k, i and group indices are expanded once, and row s of the
     result is ``log_beta_ratio(x[s], t, group, n_groups)``, bit for bit.
+    Only the cells with t > 0 draw: this reads x there and each row's total,
+    and hands them to ``_log_beta_cells``.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t)
@@ -145,9 +165,21 @@ def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
     if group is None:
         group = np.zeros(len(t), dtype=np.intp)
     xs = x[None] if x.ndim == 2 else x
-    flat, totals = t.ravel(), t.sum(axis=1)
+    flat = t.ravel()
     cells = np.flatnonzero(flat)  # (row, destination) cells that draw
-    reps = flat[cells]
+    out = _log_beta_cells([xx.ravel()[cells] for xx in xs], [xx.sum(axis=1) for xx in xs],
+                          cells // t.shape[1], flat[cells], t.sum(axis=1), group, n_groups)
+    return out[0] if x.ndim == 2 else out
+
+
+def _log_beta_cells(xc, xr, row, reps, totals, group, n_groups: int) -> np.ndarray:
+    """``log_beta_ratio`` from the cells that draw, for one or more x tables.
+
+    ``reps`` holds the increments t > 0 in row order (within a row, in
+    destination order), ``row`` each one's row and ``totals`` each row's
+    sum of t; table s gives x at those cells in ``xc[s]`` and each row's x
+    total in ``xr[s]``. Row s of the result is table s's value per group.
+    """
     cell_start = np.cumsum(reps) - reps
     row_start = np.cumsum(totals) - totals
     # Draw-sized buffers are reused in place: with one x at most three are
@@ -156,18 +188,17 @@ def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
     ki = np.arange(int(totals.sum()))
     ki -= np.repeat(cell_start, reps)
     ws = []
-    for xx in xs:
-        w = np.repeat(xx.ravel()[cells], reps)
+    for x in xc:
+        w = np.repeat(x, reps)
         w += ki
         ws.append(np.log(w, out=w))
     # i: draws before this one in its row, k plus the cell's offset in its row
-    ki += np.repeat(cell_start - row_start[cells // t.shape[1]], reps)
-    for w, xx in zip(ws, xs):
-        xi = np.repeat(xx.sum(axis=1), totals)
+    ki += np.repeat(cell_start - row_start[row], reps)
+    for w, x_total in zip(ws, xr):
+        xi = np.repeat(x_total, totals)
         xi += ki
         w -= np.log(xi, out=xi)
         del xi
     del ki
     draw_group = np.repeat(group, totals)
-    out = np.array([np.bincount(draw_group, weights=w, minlength=n_groups) for w in ws])
-    return out[0] if x.ndim == 2 else out
+    return np.array([np.bincount(draw_group, weights=w, minlength=n_groups) for w in ws])

@@ -560,6 +560,23 @@ class TestBatchedScorer:
                     assert float.hex(rep.value("CV2")) == \
                         float.hex(reference_values(tc, prior, 1)["CV2"]), (m, j, rep.h)
 
+    @pytest.mark.parametrize("cells", [1, 10**9])
+    def test_non_dyadic_prior_on_rows_of_many_cells(self, cells, monkeypatch):
+        # alpha = 0.3 makes row totals inexact, and M = 8 rows of three or more
+        # drawing cells sum as a tree: both must keep the reference's bits
+        monkeypatch.setattr(criteria_module, "_BATCH_CELLS", cells)
+        rng = np.random.default_rng(41)
+        alphabet = StateAlphabet.of_size(8)
+        prior = DirichletPrior.symmetric(8, 0.3)
+        trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 8, 24).tolist())) for i in range(16)]
+        for mode in BoundaryMode:
+            for rep in evaluate_depths(trajs, alphabet, range(3), prior, mode):
+                tc = count_transitions(trajs, rep.h, alphabet, mode)
+                assert (np.count_nonzero(tc.stacked()[1], axis=1) >= 3).any()
+                ref = reference_values(tc, prior, rep.k_params)
+                assert {n: float.hex(rep.values[n]) for n in ref} == \
+                    {n: float.hex(v) for n, v in ref.items()}, (mode, rep.h)
+
     def test_empty_truncated_tables(self, monkeypatch):
         # every trajectory shorter than the deepest h: those tables have no rows
         trajs = [Trajectory("a", (0, 1)), Trajectory("b", (1,)), Trajectory("c", (1, 1, 0))]
@@ -585,9 +602,9 @@ class TestBatchedScorer:
         monkeypatch.setattr(criteria_module, "_score_batch", spy)
         rng = np.random.default_rng(5)
         alphabet, trajs, prior, _ = self.dataset(rng, 3, 6, BoundaryMode.PADDED)
-        # a model's size is its stacked count cells plus its transitions (Polya draws)
+        # a model's size is its (trajectory, context) rows plus its transitions (Polya draws)
         sizes = {h: count_transitions(trajs, h, alphabet).stacked()[1] for h in range(4)}
-        sizes = {h: t.size + int(t.sum()) for h, t in sizes.items()}
+        sizes = {h: len(t) + int(t.sum()) for h, t in sizes.items()}
         monkeypatch.setattr(criteria_module, "_BATCH_CELLS", sizes[0] + sizes[1])
         evaluate_depths(trajs, alphabet, range(4), prior)
         assert seen[0] == [0, 1]
@@ -636,13 +653,21 @@ class TestTabulatedPsi:
             trajs.append(Trajectory("long", (0, 1) * 2000))
         want = evaluate_depths(trajs, alphabet, range(4), prior, tie_map=tie_map)
         calls = []
-        for fn in (digamma, trigamma):
-            def spy(z, fn=fn):
-                calls.append(fn.__name__)
-                return fn(z)
-            monkeypatch.setattr(criteria_module, fn.__name__, spy)
+        real = criteria_module._polygamma
+
+        def spy(z, psi, psi1):
+            calls.append((psi, psi1))
+            return real(z, psi, psi1)
+
+        monkeypatch.setattr(criteria_module, "_polygamma", spy)
         monkeypatch.setattr(criteria_module, "_BATCH_CELLS", 1)  # every model a batch of its own
         got = evaluate_depths(trajs, alphabet, range(4), prior, tie_map=tie_map)
         assert [r.values for r in got] == [r.values for r in want]
-        # psi and psi' of the count cells and of the row sums, one call each
-        assert sorted(calls) == ["digamma", "digamma", "trigamma", "trigamma"]
+        # psi and psi' of the count cells and of the row sums: one shared pass per _score call
+        assert calls == [(True, True)]
+        calls.clear()
+        evaluate_depths(trajs, alphabet, range(4), prior, which=("WAIC1", "LOO"))
+        assert calls == [(True, False)]
+        calls.clear()
+        evaluate_depths(trajs, alphabet, range(4), prior, which=("LOO", "CV2"))
+        assert calls == []

@@ -2,7 +2,8 @@
 
 ``tests/data/expected`` holds ``criteria.csv`` for a 15-game season with
 ``--tie jagged``, ``criteria.csv`` and ``criteria.json`` for a 4-walk
-series with an h=2 tie-map file, ``selection.csv``, ``delta.csv`` and
+series with an h=2 tie-map file (and ``criteria.csv`` for the same run
+under the prior 0.3, 1.7, 0.9), ``selection.csv``, ``delta.csv`` and
 ``summary.json`` for a fixed-seed M=4 grid, ``selection.csv`` and
 ``summary.json`` (with its ``jagged_win_rate``) for two fixed-seed
 free-throw studies, and ``oracle.json`` for a fixed-seed h=1 audit of the
@@ -26,6 +27,10 @@ RUNS = {
                     "--tie", str(DATA / "series_tie.json")],
                    {"criteria.csv": "series_tie_criteria.csv",
                     "criteria.json": "series_tie_criteria.json"}),
+    # a non-dyadic prior: row totals of counts plus 0.3 are not exact integers
+    "series_tie_alpha": (["criteria", "--input", str(DATA / "series.jsonl"), "--h-range", "0..3",
+                          "--prior-alpha", "0.3,1.7,0.9", "--tie", str(DATA / "series_tie.json")],
+                         {"criteria.csv": "series_tie_alpha_criteria.csv"}),
     "grid": (["simulate", "--M", "4", "--h-true", "1", "--h-range", "1..3", "--J", "3",
               "--J", "6", "--replicates", "2", "--length-cap", "60", "--seed", "7"],
              {"selection.csv": "grid_selection.csv", "delta.csv": "grid_delta.csv",

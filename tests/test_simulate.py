@@ -1,5 +1,9 @@
 """Network generation, trajectory sampling and power-study machinery."""
 
+import os
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -176,6 +180,40 @@ def test_failed_tally_cancels_the_pending_replicates(tmp_path):
         simulate._run_study(cfg, recording_replicate, str(tmp_path), (0,), 0, workers=2)
     # the pool finishes the chunks of jobs it has already queued, and no more
     assert len(list(tmp_path.iterdir())) < 1000
+
+
+UNPICKLABLE_STUDY = """
+from types import SimpleNamespace
+from memsel import simulate
+
+def main():
+    def replicate(cfg, shared, cell, rep):  # a local function cannot be pickled
+        return None
+    cfg = SimpleNamespace(replicates=100, h_range=(0,), criteria=("LOO",))
+    simulate._run_study(cfg, replicate, None, (0,), 0, workers=2)
+
+main()
+"""
+
+
+def test_unpicklable_replicate_fails_promptly_on_a_pool():
+    # run apart, in a session of its own: a hung pool is killed with its workers
+    src = str(Path(simulate.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", UNPICKLABLE_STUDY], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the study hung on a replicate it cannot pickle")
+    assert proc.returncode != 0
+    assert "pickle" in err.splitlines()[-1]
+    with pytest.raises(ProcessLookupError):  # no worker process outlives the study
+        os.killpg(proc.pid, 0)
 
 
 class TestPowerStudy:
@@ -389,11 +427,16 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize("kept", [1, 37, 200, 10_000])
     def test_gap_summary_equals_the_per_record_form(self, kept):
-        # past 8 values numpy sums pairwise; each depth's row must sum like its gaps alone
+        # past 8 values numpy sums pairwise; each (criterion, depth) row must
+        # sum like its gaps alone
         rng = np.random.default_rng(kept)
-        values = (rng.normal(size=(kept, 5)) * 100.0).tolist()
+        values = (rng.normal(size=(kept, 3, 5)) * 100.0).tolist()
         ref = 1
-        for h, stats in enumerate(simulate._gap_summary(values, ref)):
-            arr = np.asarray([v[h] - v[ref] for v in values])
-            want = (arr.min(), arr.max(), arr.mean(), np.mean(arr < 0.0))
-            assert [float.hex(x) for x in stats] == [float.hex(float(x)) for x in want], h
+        summary = simulate._gap_summary(values, ref)
+        assert len(summary) == 3
+        for c, per_depth in enumerate(summary):
+            assert len(per_depth) == 5
+            for h, stats in enumerate(per_depth):
+                arr = np.asarray([v[c][h] - v[c][ref] for v in values])
+                want = (arr.min(), arr.max(), arr.mean(), np.mean(arr < 0.0))
+                assert [float.hex(x) for x in stats] == [float.hex(float(x)) for x in want], (c, h)
