@@ -19,15 +19,15 @@ from . import __version__
 from .chain import BoundaryMode, count_transitions
 from .criteria import CRITERIA, DirichletPrior, argmin, evaluate, evaluate_depths
 from .dataio import (
+    Records,
     TrajectoryFormatError,
     file_digest,
     import_outcome_csv,
     load_tie_map,
     read_trajectories_jsonl,
-    write_delta_csv,
     write_json,
     write_reports,
-    write_selection_csv,
+    write_study,
     write_trajectories_jsonl,
 )
 from .oracle import MIN_DRAWS, audit
@@ -276,6 +276,7 @@ def cmd_simulate(args) -> int:
             "criteria": list(cfg.criteria),
         }
         summary = {**config, "jagged_win_rate": result.jagged_win_rate}
+        deltas = None
         telemetry = None  # game lengths are Poisson draws: nothing is capped
     else:
         result = run_power_study(cfg, workers=workers)
@@ -286,19 +287,15 @@ def cmd_simulate(args) -> int:
                 "criteria": list(cfg.criteria), "boundary": cfg.boundary.value,
                 "network_per_replicate": cfg.network_per_replicate,
             },
-            "deltas": result.deltas,
         }
+        deltas = result.deltas
         config = {**summary["config"], "length_cap": cfg.length_cap}
         telemetry = {"truncated_walks": result.truncated_walks}
         if result.truncated_walks:
             walks = cfg.replicates * sum(cfg.J_values)
             print(f"warning: {result.truncated_walks} of {walks} walks hit the length cap "
                   f"({cfg.length_cap} steps) before absorption", file=sys.stderr)
-    write_selection_csv(result.selection, out_dir / "selection.csv")
-    if result.deltas:
-        write_delta_csv(result.deltas, out_dir / "delta.csv")
-    summary["selection"] = result.selection
-    write_json(summary, out_dir / "summary.json")
+    write_study(summary, result.selection, deltas, out_dir)
     _write_manifest(out_dir, args, config, [], seed=args.seed, telemetry=telemetry)
     print(f"wrote {out_dir / 'selection.csv'}")
     return EXIT_OK
@@ -328,7 +325,7 @@ def cmd_oracle(args) -> int:
         rows.append({"quantity": name, "closed": closed, "mc": estimate.estimate,
                      "std_error": estimate.std_error, "z": z})
     out_dir = Path(args.out)
-    write_json(rows, out_dir / "oracle.json")
+    write_json(Records(rows), out_dir / "oracle.json")
     config = {"input": str(args.input), "h": args.h, "draws": args.draws,
               "boundary": boundary.value, "prior_alpha": prior.alpha.tolist()}
     _write_manifest(out_dir, args, config, [Path(args.input)], seed=args.seed)
@@ -377,13 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("criteria", help="criterion report per memory depth")
     _add_data_options(p)
     _add_model_options(p)
-    p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("select", help="pick the best depth under one criterion")
     _add_data_options(p)
     _add_model_options(p)
     p.add_argument("--criterion", default="LOO", help=f"one of {', '.join(CRITERIA)}")
-    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="selection power studies")
     p.add_argument("--profile", choices=list(_PROFILES),
@@ -421,30 +416,36 @@ def build_parser() -> argparse.ArgumentParser:
                         f"h1:P1,PH,PM (default jagged:{ft_model.p_after_miss},"
                         f"{ft_model.p_after_hit})")
     p.add_argument("--out", default="memsel_out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="audit closed forms against Monte Carlo")
     _add_data_options(p)
     p.add_argument("--h", type=int, required=True, help="memory depth to audit")
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("import", help="convert (group, outcome) CSV to JSONL")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--labels", help="comma-separated outcome labels (default 0,1)")
-    p.set_defaults(func=cmd_import)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # main's parser, built by its first call
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     args.argv = argv
+    # looked up per call, so the cached parser holds no command function
+    command = {"criteria": cmd_criteria, "select": cmd_select, "simulate": cmd_simulate,
+               "oracle": cmd_oracle, "import": cmd_import}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

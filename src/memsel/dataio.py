@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .chain import START, StateAlphabet, Trajectory
@@ -23,8 +25,8 @@ __all__ = [
     "load_tie_map",
     "write_json",
     "write_reports",
-    "write_selection_csv",
-    "write_delta_csv",
+    "write_study",
+    "Records",
     "file_digest",
 ]
 
@@ -210,27 +212,91 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
 _REPORT_COLUMNS = ("label", "h", "boundary", "J", "transitions", "k_params") + CRITERIA + K_TERMS
 _SELECTION_COLUMNS = ("h_true", "J", "criterion", "h_chosen", "frequency")
 _DELTA_COLUMNS = ("h_true", "J", "criterion", "h", "min", "max", "mean", "frac_below_zero")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> JSON
 
 
-def _cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def _texts(column: tuple) -> tuple[list[str], list[str]]:
+    """One column's cells as CSV text and as JSON text.
+
+    A column of one plain type is formatted in one pass: floats and ints
+    with ``repr`` (JSON spells the non-finite floats NaN, Infinity and
+    -Infinity), strings as they are and JSON-quoted. Any other column
+    takes ``repr`` (floats) or ``str``, and ``json.dumps``, cell by cell.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        text = list(map(repr, column))
+        if _NONFINITE.keys().isdisjoint(text):
+            return text, text
+        return text, [_NONFINITE.get(t, t) for t in text]
+    if kinds == {int}:
+        text = list(map(repr, column))
+        return text, text
+    if kinds == {str}:
+        return list(column), list(map(encode_basestring_ascii, column))
+    return ([repr(v) if isinstance(v, float) else str(v) for v in column],
+            list(map(json.dumps, column)))
+
+
+class Records:
+    """A list of flat records (dicts of scalars under string keys), each
+    cell formatted once.
+
+    The CSV rows (``csv``) and the JSON objects (``json_text``) are cut
+    from the same cell texts. Consecutive records that share their key
+    order are formatted column by column.
+    """
+
+    def __init__(self, records):
+        # per run of records: its length, and key -> (CSV texts, JSON texts)
+        self._runs = []
+        for keys, run in groupby(records, key=tuple):
+            run = list(run)
+            columns = zip(*(rec.values() for rec in run))
+            self._runs.append((len(run), dict(zip(keys, map(_texts, columns)))))
+
+    def csv(self, columns: tuple) -> str:
+        """A header line and one line per record with its ``columns`` (each
+        record must hold them)."""
+        rows = [row for _, cells in self._runs
+                for row in map(",".join, zip(*(cells[c][0] for c in columns)))]
+        return "\n".join([",".join(columns), *rows]) + "\n"
+
+    def json_text(self, indent: str = "") -> str:
+        """``json.dumps(records, indent=2, sort_keys=True)``, nested ``indent`` deep."""
+        if not self._runs:
+            return "[]"
+        objects = []
+        for n, cells in self._runs:
+            if not cells:
+                objects += ["{}"] * n
+                continue
+            keys = sorted(cells)
+            # keys are JSON-quoted; a "%" in one is doubled for the template
+            template = "{\n  " + ",\n  ".join(
+                encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + "\n}"
+            objects += [template % row for row in zip(*(cells[k][1] for k in keys))]
+        # strings escape their newlines, so each newline here is one to indent
+        inner = indent + "  "
+        body = ",\n".join(objects).replace("\n", "\n" + inner)
+        return f"[\n{inner}{body}\n{indent}]"
 
 
 def _nested(value) -> bool:
-    return isinstance(value, (dict, list, tuple)) and bool(value)
+    return isinstance(value, Records) or isinstance(value, (dict, list, tuple)) and bool(value)
 
 
 def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` nested ``indent`` deep.
+    """``json.dumps(obj, indent=2, sort_keys=True)`` nested ``indent`` deep,
+    with each ``Records`` written as the list of its records.
 
     ``indent`` makes ``json`` use its pure-Python encoder. Here the C
-    encoder writes each container that holds no non-empty container, and
-    each list of such dicts, in one call, with an item separator that
-    carries the newline and indentation; only the nesting is framed by
-    hand. Strings escape their newlines, so in a list of dicts "}", the
-    separator and "{" in a row mark where one dict ends and the next
-    begins: within a dict a separator is always followed by a key.
+    encoder writes each container that holds no non-empty container in
+    one call, with an item separator that carries the newline and
+    indentation; only the nesting is framed by hand.
     """
+    if isinstance(obj, Records):
+        return obj.json_text(indent)
     if not _nested(obj):
         return json.dumps(obj)
     inner = indent + "  "
@@ -238,12 +304,6 @@ def _json_text(obj, indent: str = "") -> str:
     is_dict = isinstance(obj, dict)
     if not any(map(_nested, obj.values() if is_dict else obj)):
         body = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[1:-1]
-    elif not is_dict and all(isinstance(v, dict) and _nested(v) and not any(map(_nested, v.values()))
-                             for v in obj):
-        row = sep + "  "
-        text = json.dumps(obj, sort_keys=True, separators=(row, ": "))[2:-2]
-        body = "{" + row[1:] + text.replace("}" + row + "{", "\n" + inner + "}" + sep + "{" + row[1:])
-        body += "\n" + inner + "}"
     elif is_dict:
         # a key that is not a string is written as json writes it, then quoted
         body = sep.join(f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
@@ -254,41 +314,42 @@ def _json_text(obj, indent: str = "") -> str:
     return f"{left}\n{inner}{body}\n{indent}{right}"
 
 
+def _write(path, text: str) -> Path:
+    path = Path(path)
+    with _create(path) as fh:
+        fh.write(text)
+    return path
+
+
 def write_json(obj, path) -> Path:
     """Write ``obj`` as indented, key-sorted JSON plus a newline, in one write."""
-    path = Path(path)
-    with _create(path) as fh:
-        fh.write(_json_text(obj) + "\n")
-    return path
-
-
-def _write_csv(records, cols: tuple, path) -> Path:
-    path = Path(path)
-    with _create(path) as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            fh.write(",".join(_cell(rec[c]) for c in cols) + "\n")
-    return path
+    return _write(path, _json_text(obj) + "\n")
 
 
 def write_reports(reports: list[CriterionReport], out_dir) -> tuple[Path, Path]:
     """Write criteria.json and criteria.csv; returns the two paths."""
     out_dir = Path(out_dir)
-    dicts = [r.as_dict() for r in reports]
-    json_path = write_json(dicts, out_dir / "criteria.json")
-    return json_path, _write_csv(dicts, _REPORT_COLUMNS, out_dir / "criteria.csv")
+    records = Records(r.as_dict() for r in reports)
+    json_path = write_json(records, out_dir / "criteria.json")
+    return json_path, _write(out_dir / "criteria.csv", records.csv(_REPORT_COLUMNS))
 
 
-def write_selection_csv(records, path) -> Path:
-    """Write a power study's selection records (``PowerStudyResult.selection``)
-    as selection.csv, one row per record in the given order."""
-    return _write_csv(records, _SELECTION_COLUMNS, path)
+def write_study(summary: dict, selection, deltas, out_dir) -> None:
+    """Write a power study's selection.csv, delta.csv and summary.json.
 
-
-def write_delta_csv(records, path) -> Path:
-    """Write a power study's delta records (``PowerStudyResult.deltas``) as
-    delta.csv, one row per record in the given order."""
-    return _write_csv(records, _DELTA_COLUMNS, path)
+    ``selection`` and ``deltas`` are the study's records
+    (``PowerStudyResult``); ``deltas`` is None for a study that keeps
+    none. summary.json is ``summary`` with the records added under
+    "selection" and "deltas"; delta.csv is written when there are deltas.
+    """
+    out_dir = Path(out_dir)
+    summary = {**summary, "selection": Records(selection)}
+    _write(out_dir / "selection.csv", summary["selection"].csv(_SELECTION_COLUMNS))
+    if deltas is not None:
+        summary["deltas"] = Records(deltas)
+        if deltas:
+            _write(out_dir / "delta.csv", summary["deltas"].csv(_DELTA_COLUMNS))
+    write_json(summary, out_dir / "summary.json")
 
 
 def file_digest(path) -> str:

@@ -120,6 +120,17 @@ class TestCriteriaCommand:
         assert "LOO: best h=" in printed
         assert all(r["CV2"] == "nan" for r in read_csv(out / "criteria.csv"))
 
+    def test_cv2_special_value_spelled_per_format(self, one_game, tmp_path):
+        # the same NaN cell: repr in criteria.csv, JSON's NaN in criteria.json
+        out = tmp_path / "out"
+        assert main(["criteria", "--input", str(one_game), "--h-max", "1",
+                     "--out", str(out)]) == 0
+        assert [line.split(",")[14] for line in
+                (out / "criteria.csv").read_text().splitlines()] == ["CV2", "nan", "nan"]
+        text = (out / "criteria.json").read_text()
+        assert text.count('"CV2": NaN,') == 2
+        assert all(np.isnan(r["CV2"]) for r in json.loads(text))
+
     def test_missing_range_is_config_error(self, season, tmp_path):
         assert main(["criteria", "--input", str(season),
                      "--out", str(tmp_path / "o")]) == 2
@@ -647,3 +658,62 @@ class TestDataIo:
         p.write_text("g1,0\ng1,1\n")
         _, trajs = import_outcome_csv(p)
         assert trajs[0].steps == (0, 1)
+
+
+def outputs(out: Path) -> dict:
+    """Every output file's bytes, and the manifest without its timestamp and --out."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["timestamp"]
+    assert manifest["argv"][-2:] == ["--out", str(out)]
+    manifest["argv"] = manifest["argv"][:-2]
+    return {**files, "manifest.json": manifest}
+
+
+class TestRepeatedMainCalls:
+    """``main`` keeps one parser per process; no call may change the next."""
+
+    SIMULATE = ["simulate", "--M", "4", "--h-true", "1", "--h-range", "1..2", "--J", "4",
+                "--J", "16", "--replicates", "3", "--seed", "5"]
+
+    def test_outputs_equal_those_of_a_first_call(self, season, tmp_path, monkeypatch, capsys):
+        criteria = ["criteria", "--input", str(season), "--h-range", "0..2", "--tie", "jagged"]
+        oracle = ["oracle", "--input", str(season), "--h", "1", "--draws", "1000"]
+        first = {}
+        for name, argv in (("simulate", self.SIMULATE), ("criteria", criteria),
+                           ("oracle", oracle)):
+            monkeypatch.setattr(cli, "_parser", None)  # as in a new process
+            assert main(argv + ["--out", str(tmp_path / f"first-{name}")]) == 0
+            first[name] = outputs(tmp_path / f"first-{name}")
+        parser = cli._parser
+
+        assert main(self.SIMULATE + ["--out", str(tmp_path / "s1")]) == 0
+        with pytest.raises(SystemExit) as exc:  # argparse refuses the value
+            main(self.SIMULATE + ["--J", "many", "--out", str(tmp_path / "bad1")])
+        assert exc.value.code == 2
+        assert main(self.SIMULATE + ["--free-throw", "--out", str(tmp_path / "bad2")]) == 2
+        assert main(self.SIMULATE + ["--out", str(tmp_path / "s2")]) == 0
+        assert main(criteria + ["--out", str(tmp_path / "c")]) == 0
+        assert main(oracle + ["--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+        assert cli._parser is parser
+        assert outputs(tmp_path / "s1") == outputs(tmp_path / "s2") == first["simulate"]
+        assert outputs(tmp_path / "c") == first["criteria"]
+        assert outputs(tmp_path / "o") == first["oracle"]
+        manifest = json.loads((tmp_path / "s2" / "manifest.json").read_text())
+        assert manifest["config"]["J_values"] == [4, 16]
+        assert not (tmp_path / "bad1").exists() and not (tmp_path / "bad2").exists()
+
+    def test_build_parser_returns_a_new_parser(self, tmp_path):
+        assert main(self.SIMULATE + ["--out", str(tmp_path / "s")]) == 0
+        assert build_parser() is not cli._parser
+        assert build_parser() is not build_parser()
+
+    def test_commands_are_looked_up_per_call(self, season, tmp_path, monkeypatch):
+        # a command rebound after the parser was built (as a tracer does) is the one run
+        assert main(self.SIMULATE + ["--out", str(tmp_path / "s")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_criteria", lambda args: seen.append(args.command) or 7)
+        assert main(["criteria", "--input", str(season), "--h-max", "1"]) == 7
+        assert seen == ["criteria"]

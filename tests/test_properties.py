@@ -26,7 +26,7 @@ from memsel.criteria import (
     evaluate_depths,
     predictive_log_density,
 )
-from memsel.dataio import _json_text
+from memsel.dataio import Records, _json_text
 from memsel.oracle import cv2_refit, loo_refit
 from memsel.simulate import generate_network, sample_trajectory
 from memsel.specfun import log_beta_ratio, trigamma
@@ -412,19 +412,55 @@ def test_json_writer_equals_indented_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-_FLAT_DICTS = st.lists(st.dictionaries(st.text(), _JSON_SCALARS | st.just({}) | st.just([]),
-                                       max_size=4), max_size=5)
+_CELLS = _JSON_SCALARS | st.just({}) | st.just([])
+_FLAT_DICTS = st.lists(st.dictionaries(st.text(), _CELLS, max_size=4), max_size=5)
+
+
+def _flat(value) -> bool:
+    return isinstance(value, dict) and not any(isinstance(v, (dict, list)) and v
+                                               for v in value.values())
+
+
+def _with_records(obj):
+    """``obj`` with each list of flat dicts in it as ``Records``."""
+    if isinstance(obj, dict):
+        return {k: _with_records(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        if all(map(_flat, obj)):
+            return Records(obj)
+        return [_with_records(v) for v in obj]
+    return obj
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.dictionaries(st.text(), _FLAT_DICTS | st.lists(_FLAT_DICTS, max_size=3), max_size=3))
 def test_json_writer_on_lists_of_flat_dicts(obj):
-    # the shape of summary.json and criteria.json: one encoder call per list of dicts
-    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    # the shape of summary.json and criteria.json: record lists written by Records
+    expected = json.dumps(obj, indent=2, sort_keys=True)
+    assert _json_text(_with_records(obj)) == expected
+    assert _json_text(obj) == expected
 
 
 @pytest.mark.parametrize("obj", [{}, [], {"a": {}, "b": [], "c": [{}, []]}, [[[]], {"x": {}}],
                                  [{"}": "{", "a": {}}, {"b": {}}, {}], [{"k": "},\n  {"}, {"k": 1}],
-                                 {"é": ["ü", float("nan"), -math.inf, math.inf, None, True]}])
+                                 {"é": ["ü", float("nan"), -math.inf, math.inf, None, True]},
+                                 [{"v": 1.5}, {"v": math.nan}, {"v": -math.inf}, {"v": math.inf}],
+                                 {"r": [{"%s": "%", "é": math.nan, "n": None, "t": True, "i": 3}]}])
 def test_json_writer_on_empty_containers_and_special_values(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    expected = json.dumps(obj, indent=2, sort_keys=True)
+    assert _json_text(_with_records(obj)) == expected
+    assert _json_text(obj) == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(columns=st.lists(st.text(), min_size=1, max_size=4, unique=True),
+       rows=st.lists(st.tuples(st.lists(_CELLS, min_size=4, max_size=4),
+                               st.dictionaries(st.text(), _CELLS, max_size=2)), max_size=5))
+def test_record_csv_rows_are_repr_or_str_cells(columns, rows):
+    # each row: the given columns' cells (floats by repr, the rest by str);
+    # extra keys, and key orders that differ between records, are ignored
+    records = [{**extra, **dict(zip(columns, cells))} for cells, extra in rows]
+    lines = [",".join(columns)] + [",".join(repr(v) if isinstance(v, float) else str(v)
+                                            for v in (rec[c] for c in columns))
+                                   for rec in records]
+    assert Records(records).csv(tuple(columns)) == "\n".join(lines) + "\n"
