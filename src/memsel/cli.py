@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .chain import BoundaryMode, count_transitions
-from .criteria import CRITERIA, DirichletPrior, argmin, evaluate, evaluate_depths
+from .criteria import CRITERIA, DirichletPrior, _normalize_which, argmin, evaluate, evaluate_depths
 from .dataio import (
     Records,
     TrajectoryFormatError,
@@ -182,8 +182,7 @@ def cmd_criteria(args) -> int:
 
 def cmd_select(args) -> int:
     alphabet, trajs = _load_input(args)
-    if args.criterion not in CRITERIA:
-        raise CliError(f"unknown criterion {args.criterion!r}")
+    _normalize_which((args.criterion,))
     reports, config = _reports_for(args, alphabet, trajs)
     best = argmin(reports, args.criterion)
     out_dir = Path(args.out)
@@ -196,17 +195,18 @@ def cmd_select(args) -> int:
 
 def _parse_ft_model(text: str) -> FreeThrowModel:
     """h0:p | jagged:p_after_miss,p_otherwise | h1:p_first,p_after_hit,p_after_miss"""
+    kind, _, params = text.partition(":")
     try:
-        kind, _, params = text.partition(":")
         values = [float(p) for p in params.split(",")] if params else []
-        if kind == "h0" and len(values) == 1:
-            return FreeThrowModel.independent(values[0])
-        if kind == "jagged" and len(values) == 2:
-            return FreeThrowModel.jagged(values[0], values[1])
-        if kind == "h1" and len(values) == 3:
-            return FreeThrowModel(values[0], values[1], values[2])
     except ValueError:
-        pass
+        values = []  # fits no model below
+    # a probability outside (0, 1) raises FreeThrowModel's own error, not "cannot parse"
+    if kind == "h0" and len(values) == 1:
+        return FreeThrowModel.independent(values[0])
+    if kind == "jagged" and len(values) == 2:
+        return FreeThrowModel.jagged(values[0], values[1])
+    if kind == "h1" and len(values) == 3:
+        return FreeThrowModel(values[0], values[1], values[2])
     raise CliError(
         f"cannot parse --ft-model {text!r}; use h0:P, jagged:P_MISS,P_OTHER "
         "or h1:P_FIRST,P_HIT,P_MISS"

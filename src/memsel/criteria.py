@@ -27,7 +27,8 @@ the same float when a is not dyadic (a = 0.3). k_WAIC2 scatters its cell
 terms into a zeroed block before the row sum: numpy sums a row of 8 or
 more values as a tree, so a row with three or more terms must keep its
 columns. psi and psi' of every table come from one shared pass
-(``_psi_tables``).
+(``_psi_tables``) over each table's arguments, one per count value
+(``_count_args``).
 
 Criterion names used throughout: AIC, DIC1, DIC2, LPD, LPPD, WAIC1,
 WAIC2, LOO, CV2.
@@ -137,23 +138,24 @@ def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
 # Internal kernels
 
 
-def _at_counts(fn, n: np.ndarray, a) -> np.ndarray:
-    """``fn(n + a)`` for integer counts ``n >= 0`` and a prior ``a``, a scalar
-    or one value per column of ``n``.
+def _count_args(n: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
+    """The arguments ``args`` and read positions ``at`` of an elementwise
+    function at ``n + a``, for integer counts ``n >= 0`` and a prior ``a``, a
+    scalar or one value per column of ``n``: ``fn(args)[at]`` has the bits
+    of ``fn(n + a)``.
 
-    Counts repeat, so ``fn`` runs once per value 0 .. max(n) (per column)
-    and the table is read back by index, with the same bits as the direct
-    call: ``fn`` is elementwise. A table with more entries than ``n`` has
-    cells, as when a long series counts 1e8 transitions in a few rows, is
-    not built; ``fn`` then takes ``n + a`` itself.
+    Counts repeat, so ``args`` holds one argument per value 0 .. max(n)
+    (per column) and ``at`` each cell's entry. A table with more entries
+    than ``n`` has cells, as when a long series counts 1e8 transitions in a
+    few rows, is not built; ``args`` is then ``n + a`` itself.
     """
     values = np.arange(int(n.max(initial=0)) + 1)
     width = n.shape[-1] if np.ndim(a) else 1
     if values.size * width > n.size:
-        return fn(n + a)
+        return (n + a).ravel(), np.arange(n.size).reshape(n.shape)
     if np.ndim(a):  # column c of value v is entry v * width + c
-        return np.take(fn(values[:, None] + a), n * width + np.arange(width))
-    return fn(values + a)[n]
+        return (values[:, None] + a).ravel(), n * width + np.arange(width)
+    return values + a, n
 
 
 def _ml_terms(N: np.ndarray, Ns: np.ndarray) -> np.ndarray:
@@ -253,12 +255,17 @@ class CriterionReport:
 
 
 def _normalize_which(which) -> tuple[str, ...]:
+    """``which`` as a tuple of criterion names (None: all of CRITERIA); an
+    unknown or repeated name raises ValueError. Every criterion list that
+    the library or the CLI takes is checked here."""
     if which is None:
         return CRITERIA
     names = tuple(which)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"criterion {name!r} is named twice")
     return names
 
 
@@ -298,25 +305,15 @@ def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior, psi: bool,
                 psi1: bool) -> dict:
     """From one ``_polygamma`` pass, psi (when ``psi``) and psi' (when
     ``psi1``) at N + a per cell and at Ns + a0 per row: "psi" and "psi_s",
-    "tri" and "tri_s".
-
-    ``_at_counts`` picks each table's arguments (one per count value, or
-    the direct values) as it does for a single function; here it is handed
-    a function that returns each argument's position in the one argument
-    vector, so it returns the position to read each cell's value from.
+    "tri" and "tri_s". The pass runs over both tables' ``_count_args``,
+    the cells' first.
     """
     if not (psi or psi1):
         return {}
-    args = []
-
-    def position(z):
-        start = sum(map(len, args))
-        args.append(z.ravel())
-        return np.arange(start, start + z.size).reshape(z.shape)
-
-    at_n, at_s = _at_counts(position, N, prior.alpha), _at_counts(position, Ns, prior.total)
+    (args_n, at_n), (args_s, at_s) = _count_args(N, prior.alpha), _count_args(Ns, prior.total)
+    at_s = at_s + args_n.size
     out = {}
-    for name, r in zip(("psi", "tri"), _polygamma(np.concatenate(args), psi, psi1)):
+    for name, r in zip(("psi", "tri"), _polygamma(np.concatenate([args_n, args_s]), psi, psi1)):
         if r is not None:
             out[name], out[name + "_s"] = r[at_n], r[at_s]
     return out
@@ -641,8 +638,7 @@ def select_order(
     aic_penalty: str = "params",
 ) -> tuple[int, list[CriterionReport]]:
     """Fit every depth in ``h_range`` and pick the argmin of ``criterion``."""
-    if criterion not in CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    _normalize_which((criterion,))
     reports = evaluate_depths(trajectories, alphabet, h_range, prior, mode,
                               aic_penalty=aic_penalty)
     return argmin(reports, criterion).h, reports

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -215,13 +214,13 @@ _DELTA_COLUMNS = ("h_true", "J", "criterion", "h", "min", "max", "mean", "frac_b
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> JSON
 
 
-def _texts(column: tuple) -> tuple[list[str], list[str]]:
-    """One column's cells as CSV text and as JSON text.
+def _texts(key: str, column: tuple) -> tuple[list[str], list[str]]:
+    """Column ``key``'s cells as CSV text and as JSON text, in one pass.
 
-    A column of one plain type is formatted in one pass: floats and ints
-    with ``repr`` (JSON spells the non-finite floats NaN, Infinity and
-    -Infinity), strings as they are and JSON-quoted. Any other column
-    takes ``repr`` (floats) or ``str``, and ``json.dumps``, cell by cell.
+    Floats and ints are written with ``repr`` (JSON spells the non-finite
+    floats NaN, Infinity and -Infinity), strings as they are and
+    JSON-quoted. A column holding any other type, or more than one type,
+    raises ValueError.
     """
     kinds = set(map(type, column))
     if kinds == {float}:
@@ -234,48 +233,48 @@ def _texts(column: tuple) -> tuple[list[str], list[str]]:
         return text, text
     if kinds == {str}:
         return list(column), list(map(encode_basestring_ascii, column))
-    return ([repr(v) if isinstance(v, float) else str(v) for v in column],
-            list(map(json.dumps, column)))
+    raise ValueError(f"column {key!r} must hold only floats, only ints or only strings, "
+                     f"not {', '.join(sorted(k.__name__ for k in kinds))}")
 
 
 class Records:
-    """A list of flat records (dicts of scalars under string keys), each
-    cell formatted once.
+    """A list of flat records, each cell formatted once.
 
-    The CSV rows (``csv``) and the JSON objects (``json_text``) are cut
-    from the same cell texts. Consecutive records that share their key
-    order are formatted column by column.
+    Every record holds the same string keys in one order, and each column
+    holds one type: float, int or str. The CSV rows (``csv``) and the JSON
+    objects (``json_text``) are cut from the same cell texts, formatted
+    column by column. Records with another key order, no key or a column
+    of another type raise ValueError.
     """
 
     def __init__(self, records):
-        # per run of records: its length, and key -> (CSV texts, JSON texts)
-        self._runs = []
-        for keys, run in groupby(records, key=tuple):
-            run = list(run)
-            columns = zip(*(rec.values() for rec in run))
-            self._runs.append((len(run), dict(zip(keys, map(_texts, columns)))))
+        records = list(records)
+        keys = tuple(records[0]) if records else ()
+        if records and not keys:
+            raise ValueError("a record needs at least one column")
+        for rec in records:
+            if tuple(rec) != keys:
+                raise ValueError(f"every record must hold the keys {keys} in that order, "
+                                 f"got {tuple(rec)}")
+        # key -> (CSV texts, JSON texts); empty when there are no records
+        columns = zip(*(rec.values() for rec in records))
+        self._cells = dict(zip(keys, map(_texts, keys, columns)))
 
     def csv(self, columns: tuple) -> str:
         """A header line and one line per record with its ``columns`` (each
         record must hold them)."""
-        rows = [row for _, cells in self._runs
-                for row in map(",".join, zip(*(cells[c][0] for c in columns)))]
+        rows = map(",".join, zip(*(self._cells[c][0] for c in columns))) if self._cells else ()
         return "\n".join([",".join(columns), *rows]) + "\n"
 
     def json_text(self, indent: str = "") -> str:
         """``json.dumps(records, indent=2, sort_keys=True)``, nested ``indent`` deep."""
-        if not self._runs:
+        if not self._cells:
             return "[]"
-        objects = []
-        for n, cells in self._runs:
-            if not cells:
-                objects += ["{}"] * n
-                continue
-            keys = sorted(cells)
-            # keys are JSON-quoted; a "%" in one is doubled for the template
-            template = "{\n  " + ",\n  ".join(
-                encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + "\n}"
-            objects += [template % row for row in zip(*(cells[k][1] for k in keys))]
+        keys = sorted(self._cells)
+        # keys are JSON-quoted; a "%" in one is doubled for the template
+        template = "{\n  " + ",\n  ".join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + "\n}"
+        objects = [template % row for row in zip(*(self._cells[k][1] for k in keys))]
         # strings escape their newlines, so each newline here is one to indent
         inner = indent + "  "
         body = ",\n".join(objects).replace("\n", "\n" + inner)

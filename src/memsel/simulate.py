@@ -11,6 +11,7 @@ count and execution order.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import pickle
 from bisect import bisect_right
@@ -25,7 +26,7 @@ from .chain import (
     StateAlphabet,
     Trajectory,
 )
-from .criteria import CRITERIA, DirichletPrior, _depth_models, _score, argmin
+from .criteria import CRITERIA, DirichletPrior, _depth_models, _normalize_which, _score, argmin
 from .tying import jagged_free_throw_map
 
 __all__ = [
@@ -243,13 +244,10 @@ def _normalize_study(cfg, min_batch: int, batch_name: str) -> None:
     ``min_batch`` is the smallest number of trajectories one replicate
     scores (the least J, or the number of games), which CV2 needs >= 2.
     """
-    object.__setattr__(cfg, "criteria", tuple(cfg.criteria))
+    object.__setattr__(cfg, "criteria", _normalize_which(cfg.criteria))
     object.__setattr__(cfg, "boundary", BoundaryMode(cfg.boundary))
     if cfg.replicates < 1:
         raise ValueError("replicates must be >= 1")
-    for name in cfg.criteria:
-        if name not in CRITERIA:
-            raise ValueError(f"unknown criterion {name!r}")
     if "CV2" in cfg.criteria and min_batch < 2:
         raise ValueError(f"the CV2 criterion needs {batch_name} >= 2")
 
@@ -461,8 +459,8 @@ class FreeThrowSimConfig:
     boundary: BoundaryMode = BoundaryMode.PADDED
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("the shots-per-game rate must be > 0")
+        if not 0.0 < self.lam < math.inf:  # also false for NaN
+            raise ValueError(f"the shots-per-game rate must be finite and > 0, got {self.lam}")
         if self.games < 1 or self.replicates < 1:
             raise ValueError("games and replicates must be >= 1")
         _normalize_study(self, self.games, "games")

@@ -3,10 +3,11 @@
 ``log_beta_ratio`` gives log B(x + t) - log B(x) for integer increments t
 as the Polya-urn probability of drawing those counts one at a time, a sum
 of ``np.log`` terms with no log-gamma cancellation, so it keeps its
-digits at counts of 1e8 and beyond. Several tables over the same
-increments share one expansion of the draws. Only cells with t > 0 draw:
-``_log_beta_cells`` takes x at those cells and each row's x total, and
-``log_beta_ratio`` is its dense form, reading both from full rows.
+digits at counts of 1e8 and beyond. Only cells with t > 0 draw:
+``_log_beta_cells`` takes x at those cells and each row's x total, for
+one or more x tables over the same increments, which share one expansion
+of the draws. ``log_beta_ratio`` is its dense form for one 2-D table,
+reading both from full rows.
 ``digamma`` and ``trigamma`` use the
 asymptotic Bernoulli-number series after shifting the argument above 12
 with the standard recurrences; their target accuracy, grid-checked in the
@@ -150,26 +151,21 @@ def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
     sequentially in draw order, so a group's value depends only on its own
     rows and their order, never on the other rows scored with it.
 
-    A 3-D ``x`` stacks several such tables over the one ``t``: the draws
-    and their k, i and group indices are expanded once, and row s of the
-    result is ``log_beta_ratio(x[s], t, group, n_groups)``, bit for bit.
     Only the cells with t > 0 draw: this reads x there and each row's total,
     and hands them to ``_log_beta_cells``.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t)
-    if x.ndim not in (2, 3) or x.shape[-2:] != t.shape or t.shape[1] < 2:
+    if x.ndim != 2 or x.shape != t.shape or t.shape[1] < 2:
         raise ValueError("x and t must be matching rows of at least two components")
     if x.size and (not np.all(np.isfinite(x)) or np.min(x) <= 0.0 or np.min(t) < 0):
         raise ValueError("log_beta_ratio needs finite x > 0 and increments t >= 0")
     if group is None:
         group = np.zeros(len(t), dtype=np.intp)
-    xs = x[None] if x.ndim == 2 else x
     flat = t.ravel()
     cells = np.flatnonzero(flat)  # (row, destination) cells that draw
-    out = _log_beta_cells([xx.ravel()[cells] for xx in xs], [xx.sum(axis=1) for xx in xs],
-                          cells // t.shape[1], flat[cells], t.sum(axis=1), group, n_groups)
-    return out[0] if x.ndim == 2 else out
+    return _log_beta_cells([x.ravel()[cells]], [x.sum(axis=1)], cells // t.shape[1],
+                           flat[cells], t.sum(axis=1), group, n_groups)[0]
 
 
 def _log_beta_cells(xc, xr, row, reps, totals, group, n_groups: int) -> np.ndarray:

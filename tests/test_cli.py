@@ -161,9 +161,11 @@ class TestSelectCommand:
                                "aic_penalty", "states", "criterion"}
         assert (select["tie"], select["aic_penalty"]) == ("jagged", "full")
 
-    def test_unknown_criterion(self, season, tmp_path):
+    def test_unknown_criterion(self, season, tmp_path, capsys):
         assert main(["select", "--input", str(season), "--h-max", "1",
                      "--criterion", "XYZ", "--out", str(tmp_path / "o")]) == 2
+        assert "error: unknown criterion 'XYZ'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_cv2_on_one_trajectory(self, one_game, tmp_path, capsys):
         assert main(["select", "--input", str(one_game), "--h-max", "1",
@@ -502,6 +504,27 @@ class TestSimulateCommand:
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, args):
         out = tmp_path / "d"
         assert main(["simulate", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--M", "3", "--h-range", "1..2", "--J", "4", "--replicates", "5", "--criteria",
+          "LOO,LOO"], "criterion 'LOO' is named twice"),
+        (["--free-throw", "--criteria", "AIC,AIC"], "criterion 'AIC' is named twice"),
+        (["--criteria", "LOO,XYZ"], "unknown criterion 'XYZ'"),
+        (["--free-throw", "--ft-model", "jagged:1,0.5"],
+         "hit probabilities must lie strictly inside (0, 1)"),
+        (["--free-throw", "--ft-model", "h1:0.5,nan,0.5"],
+         "hit probabilities must lie strictly inside (0, 1)"),
+        (["--free-throw", "--ft-model", "jagged:0.5"], "cannot parse --ft-model"),
+        (["--free-throw", "--ft-model", "h0:x"], "cannot parse --ft-model"),
+        (["--free-throw", "--lambda", "nan"], "rate must be finite and > 0, got nan"),
+        (["--free-throw", "--lambda", "inf"], "rate must be finite and > 0, got inf"),
+    ], ids=["repeated", "ft-repeated", "unknown", "ft-p-range", "ft-p-nan", "ft-arity",
+            "ft-text", "ft-lambda-nan", "ft-lambda-inf"])
+    def test_config_error_names_its_cause(self, tmp_path, capsys, args, message):
+        out = tmp_path / "d"
+        assert main(["simulate", *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_profile_names_the_options_it_refuses(self, tmp_path, capsys):

@@ -412,21 +412,40 @@ def test_json_writer_equals_indented_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-_CELLS = _JSON_SCALARS | st.just({}) | st.just([])
-_FLAT_DICTS = st.lists(st.dictionaries(st.text(), _CELLS, max_size=4), max_size=5)
+# a column of Records holds one type
+_COLUMN_CELLS = (st.floats(allow_nan=True, allow_infinity=True), st.integers(), st.text())
 
 
-def _flat(value) -> bool:
-    return isinstance(value, dict) and not any(isinstance(v, (dict, list)) and v
-                                               for v in value.values())
+@st.composite
+def _typed_records(draw):
+    """Keys in one order and records over them, each column of one type: float, int or str."""
+    keys = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 5))
+    columns = [draw(st.lists(draw(st.sampled_from(_COLUMN_CELLS)), min_size=n, max_size=n))
+               for _ in keys]
+    return keys, [dict(zip(keys, cells)) for cells in zip(*columns)]
+
+
+_FLAT_DICTS = _typed_records().map(lambda drawn: drawn[1])
+
+
+def _typed(records) -> bool:
+    """Whether Records takes ``records``: dicts sharing one non-empty key
+    order, each column of one type, float, int or str."""
+    if not all(isinstance(rec, dict) for rec in records) or {} in records:
+        return False
+    if len({tuple(rec) for rec in records}) > 1:
+        return False
+    return all(len(set(map(type, col))) == 1 and type(col[0]) in (float, int, str)
+               for col in zip(*(rec.values() for rec in records)))
 
 
 def _with_records(obj):
-    """``obj`` with each list of flat dicts in it as ``Records``."""
+    """``obj`` with each list of records that Records takes as ``Records``."""
     if isinstance(obj, dict):
         return {k: _with_records(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        if all(map(_flat, obj)):
+        if _typed(obj):
             return Records(obj)
         return [_with_records(v) for v in obj]
     return obj
@@ -445,7 +464,10 @@ def test_json_writer_on_lists_of_flat_dicts(obj):
                                  [{"}": "{", "a": {}}, {"b": {}}, {}], [{"k": "},\n  {"}, {"k": 1}],
                                  {"é": ["ü", float("nan"), -math.inf, math.inf, None, True]},
                                  [{"v": 1.5}, {"v": math.nan}, {"v": -math.inf}, {"v": math.inf}],
-                                 {"r": [{"%s": "%", "é": math.nan, "n": None, "t": True, "i": 3}]}])
+                                 {"r": [{"%s": "%", "é": math.nan, "n": None, "t": True, "i": 3}]},
+                                 [{"}": "{", "a": "},\n  {"}, {"}": "", "a": "%s"}],
+                                 {"r": [{"%s": "%", "é": math.nan, "i": 3}, {"%s": "", "é": 0.5,
+                                                                         "i": -1}]}])
 def test_json_writer_on_empty_containers_and_special_values(obj):
     expected = json.dumps(obj, indent=2, sort_keys=True)
     assert _json_text(_with_records(obj)) == expected
@@ -453,14 +475,28 @@ def test_json_writer_on_empty_containers_and_special_values(obj):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(columns=st.lists(st.text(), min_size=1, max_size=4, unique=True),
-       rows=st.lists(st.tuples(st.lists(_CELLS, min_size=4, max_size=4),
-                               st.dictionaries(st.text(), _CELLS, max_size=2)), max_size=5))
-def test_record_csv_rows_are_repr_or_str_cells(columns, rows):
-    # each row: the given columns' cells (floats by repr, the rest by str);
-    # extra keys, and key orders that differ between records, are ignored
-    records = [{**extra, **dict(zip(columns, cells))} for cells, extra in rows]
+@given(drawn=_typed_records(), data=st.data())
+def test_record_csv_rows_are_repr_or_str_cells(drawn, data):
+    # each row: the given columns' cells (floats by repr, the rest by str),
+    # in the order asked for; keys not asked for are left out
+    keys, records = drawn
+    order = data.draw(st.permutations(keys))
+    columns = order[:data.draw(st.integers(1, len(order)))]
     lines = [",".join(columns)] + [",".join(repr(v) if isinstance(v, float) else str(v)
                                             for v in (rec[c] for c in columns))
                                    for rec in records]
     assert Records(records).csv(tuple(columns)) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"a": 1.5, "b": "x"}, {"a": 2, "b": "y"}], "column 'a' must hold only floats"),
+    ([{"a": np.float64(0.5)}], "column 'a' must hold only floats"),
+    ([{"a": True}], "column 'a' must hold only floats"),
+    ([{"a": None}], "column 'a' must hold only floats"),
+    ([{"a": 1, "b": 2}, {"b": 2, "a": 1}], "every record must hold the keys"),
+    ([{"a": 1}, {"a": 1, "b": 2}], "every record must hold the keys"),
+    ([{}, {}], "a record needs at least one column"),
+], ids=["mixed", "float64", "bool", "none", "key-order", "extra-key", "empty-record"])
+def test_records_refuse_mixed_columns_and_key_orders(records, message):
+    with pytest.raises(ValueError, match=message):
+        Records(records)

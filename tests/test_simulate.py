@@ -1,5 +1,6 @@
 """Network generation, trajectory sampling and power-study machinery."""
 
+import math
 import os
 import signal
 import subprocess
@@ -296,8 +297,11 @@ class TestPowerStudy:
             SimConfig(replicates=0)
         with pytest.raises(ValueError):
             SimConfig(h_range=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown criterion 'BOGUS'"):
             SimConfig(criteria=("BOGUS",))
+        # a repeated name would be tallied twice
+        with pytest.raises(ValueError, match="criterion 'LOO' is named twice"):
+            SimConfig(criteria=("LOO", "AIC", "LOO"))
         with pytest.raises(ValueError):
             SimConfig(criteria=("CV2",), J_values=(1,))
 
@@ -346,10 +350,13 @@ class TestFreeThrow:
 
     def test_config_validation(self):
         model = FreeThrowModel.independent(0.5)
-        with pytest.raises(ValueError):
-            FreeThrowSimConfig(model=model, lam=0.0)
-        with pytest.raises(ValueError):
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate must be finite and > 0"):
+                FreeThrowSimConfig(model=model, lam=lam)
+        with pytest.raises(ValueError, match="unknown criterion 'NOPE'"):
             FreeThrowSimConfig(model=model, criteria=("NOPE",))
+        with pytest.raises(ValueError, match="criterion 'AIC' is named twice"):
+            FreeThrowSimConfig(model=model, criteria=("AIC", "AIC"))
         with pytest.raises(ValueError, match="CV2"):
             FreeThrowSimConfig(model=model, games=1, criteria=("LOO", "CV2"))
 

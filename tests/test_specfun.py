@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from memsel.specfun import digamma, log_beta_ratio, trigamma
+from memsel.specfun import _log_beta_cells, digamma, log_beta_ratio, trigamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -110,28 +110,26 @@ def test_log_beta_symmetry_and_rows():
     assert by_group[3] == 0.0
 
 
-def test_log_beta_stacked_x_equals_each_x_alone():
-    # several x over one t: the draws are expanded once, every value keeps its bits
+def test_log_beta_cells_tables_equal_each_table_alone():
+    # several x tables over one t: the draws are expanded once, every value keeps its bits
     rng = np.random.default_rng(12)
     for rows, m in ((1, 2), (7, 3), (40, 5)):
         t = rng.integers(0, 9, (rows, m))
         t[rng.random(rows) < 0.2] = 0
         x = rng.uniform(0.05, 50.0, (3, rows, m))
         groups = rng.integers(0, 4, rows)
-        got = log_beta_ratio(x, t, groups, 4)
+        flat = t.ravel()
+        cells = np.flatnonzero(flat)
+        draws = (cells // m, flat[cells], t.sum(axis=1), groups, 4)
+        got = _log_beta_cells([xs.ravel()[cells] for xs in x], [xs.sum(axis=1) for xs in x],
+                              *draws)
         assert got.shape == (3, 4)
-        for s in range(3):
-            assert got[s].tolist() == log_beta_ratio(x[s], t, groups, 4).tolist()
-    assert log_beta_ratio(np.ones((2, 0, 3)), np.zeros((0, 3), dtype=int)).shape == (2, 1)
-
-
-def test_log_beta_stacked_x_domain_checks_every_x():
-    good = np.ones((1, 2))
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            log_beta_ratio(np.stack([good, np.array([[1.0, bad]])]), [[1, 1]])
-    with pytest.raises(ValueError):
-        log_beta_ratio(np.ones((2, 1, 3)), [[1, 1]])
+        for xs, row in zip(x, got):
+            alone = _log_beta_cells([xs.ravel()[cells]], [xs.sum(axis=1)], *draws)
+            assert row.tolist() == alone[0].tolist() == log_beta_ratio(xs, t, groups, 4).tolist()
+    none = np.zeros(0, dtype=np.int64)
+    assert _log_beta_cells([np.zeros(0)] * 2, [np.zeros(0)] * 2, none, none, none, none,
+                           1).tolist() == [[0.0], [0.0]]
 
 
 @pytest.mark.parametrize("fn", [digamma, trigamma])
@@ -146,6 +144,8 @@ def test_log_beta_domain_errors():
         ratio([1.0], [1])
     with pytest.raises(ValueError):
         log_beta_ratio([[1.0, 2.0]], [[1, 2, 3]])
+    with pytest.raises(ValueError):  # x is one 2-D table
+        log_beta_ratio(np.ones((2, 1, 3)), [[1, 1, 1]])
     for bad in (0.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ratio([1.0, bad], [1, 1])
