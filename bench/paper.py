@@ -15,11 +15,13 @@ whether both sides wrote the same bytes. One run lasts several minutes.
 
 Then, per side, a split of the time of one ``run_power_study`` of 20
 replicates at each paper J (so each J weighs as much as in the full run)
-over its layers: sampling the walks (``simulate._sample_walks`` in this
-checkout, ``sample_trajectory`` before it), counting
-(``chain._count_depths``), scoring (``criteria._score``, which the study
-calls from ``simulate`` where it scores a chunk of replicates at once)
-and the rest.
+over its layers: sampling the walks (``simulate._sample_walks``, or
+``sample_trajectory`` in checkouts before it), counting
+(``chain._count_depths``, which ``criteria._depth_models`` calls once per
+pass: since the study counts several replicates of a chunk in one pass,
+once per pass, before that once per replicate), scoring
+(``criteria._score``, which the study calls from ``simulate`` where it
+scores a chunk of replicates at once) and the rest.
 """
 
 from __future__ import annotations
@@ -59,8 +61,11 @@ def worker() -> int:
                                .hexdigest() for name in OUTPUTS}
         elif req["op"] == "split":
             sampler = "_sample_walks" if hasattr(simulate, "_sample_walks") else "sample_trajectory"
-            # this checkout's study calls _score from simulate, once per chunk of
-            # replicates; _score calls neither name, so no time is counted twice
+            # the study counts through criteria._depth_models, which calls
+            # _count_depths by criteria's name for it, once per pass over one or
+            # several replicates, and scores through simulate's name for _score,
+            # once per chunk; neither layer calls the other, so no time is
+            # counted twice
             layers = {"sampling": [(simulate, sampler)], "counting": [(criteria, "_count_depths")],
                       "scoring": [(criteria, "_score"), (simulate, "_score")]}
             spent = dict.fromkeys(layers, 0.0)

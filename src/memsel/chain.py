@@ -13,7 +13,10 @@ one dataset are counted in one pass over one step array: each depth's
 code is the rank of the previous depth's context times M+1 plus one more
 token digit (START a digit of its own), ranked again in order of first
 occurrence through a dense table, without sorting, so no code exceeds
-M+1 times the number of steps.
+M+1 times the number of steps. Several sets of trajectories (the
+replicates of a power study) can share the pass: the set is the
+outermost key, and each set's rows come out contiguous, with the bits
+they have when the set is counted alone (``CountStack``).
 """
 
 from __future__ import annotations
@@ -292,6 +295,11 @@ def _contexts(steps: np.ndarray, pos: np.ndarray, at: np.ndarray, h: int) -> lis
     return list(map(tuple, toks.tolist()))
 
 
+def _row_contexts(steps, pos, first: np.ndarray, h: int, r0: int, r1: int) -> list[tuple]:
+    """The contexts of total rows r0:r1, from each row's first counted step ``first``."""
+    return _contexts(steps, pos, first[r0:r1], h)
+
+
 def _keys_at(table: CountTable, idx: np.ndarray) -> list:
     """The keys of ``table``'s rows ``idx``."""
     keys = table.keys
@@ -314,30 +322,80 @@ def count_transitions(
     """
     if h < 0:
         raise ValueError("memory depth h must be >= 0")
-    return _count_depths(trajectories, [h], alphabet, mode)[h]
+    return _count_depths([list(trajectories)], [h], alphabet, mode)[h].view(0)
+
+
+class CountStack:
+    """Several sets of trajectories counted at one depth, stacked set after
+    set: the form the scorer reads.
+
+    Set s owns the total rows ``rows[s]:rows[s+1]`` of ``counts`` and the
+    trajectories ``sets[s]:sets[s+1]``. Trajectory g owns the (trajectory,
+    context) rows ``bounds[g]:bounds[g+1]`` of ``t``, and ``idx`` gives each
+    of those rows its row in ``counts``. ``view(s)`` is set s's
+    TrajectoryCounts, with the bits it has when counted alone.
+    """
+
+    def __init__(self, h, alphabet, boundary, ids, counts, rows, idx, t, bounds, sets,
+                 decode=None):
+        counts.flags.writeable = False
+        t.flags.writeable = False
+        self.h, self.alphabet, self.boundary, self.ids = h, alphabet, boundary, ids
+        self.counts, self.rows, self.idx, self.t = counts, rows, idx, t
+        self.bounds, self.sets, self._decode = bounds, sets, decode
+
+    @classmethod
+    def of(cls, tc: TrajectoryCounts) -> "CountStack":
+        """The one-set stack over ``tc``'s arrays (it has no ``view``)."""
+        idx, t, bounds = tc.stacked()
+        return cls(tc.h, tc.alphabet, tc.boundary, tc.ids, tc.total.counts,
+                   np.array([0, tc.total.n_contexts]), idx, t, bounds,
+                   np.array([0, tc.n_trajectories]))
+
+    @property
+    def n_sets(self) -> int:
+        return len(self.sets) - 1
+
+    def view(self, s: int) -> TrajectoryCounts:
+        """Set s's counts as a TrajectoryCounts over views of the stack's arrays."""
+        r0, r1 = self.rows[s:s + 2].tolist()
+        g0, g1 = self.sets[s:s + 2].tolist()
+        p0, p1 = self.bounds[[g0, g1]].tolist()
+        idx, bounds = self.idx[p0:p1], self.bounds[g0:g1 + 1]
+        total = CountTable._counted(self.h, self.alphabet, self.boundary, self.counts[r0:r1],
+                                    partial(self._decode, r0, r1))
+        return TrajectoryCounts(self.ids[g0:g1], total, idx - r0 if r0 else idx, self.t[p0:p1],
+                                bounds - p0 if p0 else bounds)
 
 
 def _count_depths(
-    trajectories: Iterable[Trajectory],
+    sets: Iterable[list[Trajectory]],
     hs: Iterable[int],
     alphabet: StateAlphabet,
     mode: BoundaryMode = BoundaryMode.PADDED,
-) -> dict[int, TrajectoryCounts]:
-    """``count_transitions`` at every depth in ``hs`` (each >= 0), sharing the work.
+) -> dict[int, CountStack]:
+    """Every set of trajectories in ``sets`` counted at every depth in ``hs``
+    (each >= 0), in one pass: per depth, a CountStack of the sets in turn.
 
     The concatenated steps and their trajectory and position indices are
-    built once. Depth h's contexts are depth h-1's with the lag-h token on
-    top: the code rank * (M+1) + digit, where rank numbers depth h-1's
-    contexts, is ranked again, so one pass over the lags reaches the
-    deepest context, counting each wanted depth on the way, and no code
-    exceeds (M+1) times the number of steps. The (trajectory, context)
-    pairs are ranked by the same recursion, started from the trajectory
-    index. In TRUNCATED mode each lag drops the steps with too short a
+    built once. The set is the outermost key: depth 0 has one context per
+    set, its code the set's index, and one (trajectory, context) pair per
+    trajectory, its code the trajectory's index over all sets. Depth h's
+    contexts are depth h-1's with the lag-h token on top: the code
+    rank * (M+1) + digit, where rank numbers depth h-1's contexts, is
+    ranked again in order of first occurrence, so one pass over the lags
+    reaches the deepest context, counting each wanted depth on the way, and
+    no code exceeds (M+1) times the number of steps. The pairs are ranked
+    by the same recursion. Each set's rows then come out contiguous, in
+    their own order of first occurrence, with the counts of the set counted
+    alone. In TRUNCATED mode each lag drops the steps with too short a
     history, which no deeper depth counts either.
     """
     mode = BoundaryMode(mode)
-    trajs = list(trajectories)
-    if not trajs:
+    sets = list(sets)
+    sizes = [len(s) for s in sets]
+    trajs = list(itertools.chain.from_iterable(sets))
+    if not sizes or not all(sizes):
         raise ValueError("no trajectories to count")
     hs = sorted(set(hs))
     m = alphabet.size
@@ -348,14 +406,16 @@ def _count_depths(
         tr = next(tr for tr in trajs if max(tr.steps) >= m)
         raise ValueError(f"trajectory {tr.id!r} contains state id {max(tr.steps)} "
                          f"outside alphabet of size {m}")
-    n_traj = len(trajs)
+    n_sets, n_traj = len(sizes), len(trajs)
     traj = np.repeat(np.arange(n_traj), lengths)
+    owner = np.repeat(np.repeat(np.arange(n_sets), sizes), lengths)  # each step's set
     pos = np.arange(steps.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    ids = [tr.id for tr in trajs]
+    ids = tuple(tr.id for tr in trajs)
+    set_bounds = np.cumsum([0] + sizes)
     # at: the counted steps; row/prow: their depth-h context and (trajectory,
-    # context) ranks; depth 0 has one context, and one pair per trajectory
+    # context) ranks
     at = np.arange(steps.size)
-    code, span, pcode, pspan = np.zeros_like(at), 1, traj, n_traj
+    code, span, pcode, pspan = owner, n_sets, traj, n_traj
     out = {}
     for h in range(hs[-1] + 1):
         if h:
@@ -372,9 +432,8 @@ def _count_depths(
         dest = steps[at]
         n = np.bincount(row * m + dest, minlength=first.size * m).reshape(-1, m)
         t = np.bincount(prow * m + dest, minlength=pfirst.size * m).reshape(-1, m)
+        rows = np.bincount(owner[at[first]] + 1, minlength=n_sets + 1).cumsum()
         bounds = np.bincount(traj[at[pfirst]] + 1, minlength=n_traj + 1).cumsum()
-        total = CountTable._counted(h, alphabet, mode, n,
-                                    partial(_contexts, steps, pos, at[first], h))
-        out[h] = TrajectoryCounts(ids, total, row[pfirst], t, bounds)
+        out[h] = CountStack(h, alphabet, mode, ids, n, rows, row[pfirst], t, bounds, set_bounds,
+                            partial(_row_contexts, steps, pos, at[first], h))
     return out
-

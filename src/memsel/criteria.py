@@ -11,10 +11,12 @@ every criterion.
 LPPD, LOO, CV2 and k_WAIC2 sum over (trajectory, context) rows, one term
 per trajectory. One scorer, ``_score``, serves ``evaluate`` (one model),
 ``evaluate_depths`` (every depth plus a tied model) and the power study
-(every model of a chunk of replicates): it stacks the
-rows of consecutive models, within a size bound, and runs each kernel
-once per batch, with every sum taken in the order of one model scored
-alone, so batching never changes a bit of the output.
+(every model of a chunk of replicates). It reads count tables as
+counted, stacked set after set (``chain.CountStack``), scores
+consecutive models in batches within a size bound, running each kernel
+once per batch with every sum taken in the order of one model scored
+alone, so batching never changes a bit of the output, and returns one
+array of values, a row per model.
 
 Only the count cells that draw are scored: the Polya sums of LPPD, LOO,
 CV2 and LPD run over the cells with t > 0 (``specfun._log_beta_cells``),
@@ -37,15 +39,15 @@ WAIC2, LOO, CV2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chain import (
     BoundaryMode,
+    CountStack,
     CountTable,
     StateAlphabet,
     Trajectory,
@@ -277,28 +279,31 @@ def _normalize_which(which) -> tuple[str, ...]:
 # k/i index and a row-total buffer) and, per table, one value per drawing
 # cell (never more than the draws) and one total per row; LOO's row totals
 # and k_WAIC2's block are rows x M. The power study scores a chunk of
-# replicates in one call. On the paper grid (M=8, h 1..5) a batch then
-# averages 80 models (the whole chunk) at J=4, 40 at J=16, 10 at J=64, 5 at
-# J=128 and 2 at J=256; on the ``power_grid`` benchmark the whole chunk of
-# 15 models is one batch. 2**13 to 2**16 timed alike at J = 16, 64 and 256.
+# replicates in one call, counted a few replicates at a time (while their
+# steps fit ``simulate._JOIN_STEPS``), so a batch may hold several counting
+# passes' stacks. On the paper grid (M=8, h 1..5) a batch then averages 80
+# models (the whole chunk) at J=4, 40 at J=16, 10 at J=64, 5 at J=128 and 2
+# at J=256; on the ``power_grid`` benchmark the whole chunk of 15 models is
+# one batch. 2**13 to 2**16 timed alike at J = 16, 64 and 256.
 _BATCH_CELLS = 2**14
 
 # which criteria use each per-trajectory term
 _TERM_USERS = {"LPPD": {"LPPD", "WAIC1", "WAIC2"}, "LOO": {"LOO"}, "CV2": {"CV2"},
                "k_WAIC2": {"WAIC2"}}
 
+# the criteria reported with a complexity term k_<name>
+_PENALIZED = ("WAIC1", "WAIC2", "DIC1", "DIC2")
+
+
+def _columns(which: tuple[str, ...]) -> tuple[str, ...]:
+    """The columns of ``_score``'s values: ``which`` in turn, then the
+    complexity terms of the criteria in it that have one, in the same order."""
+    return tuple(which) + tuple("k_" + name for name in which if name in _PENALIZED)
+
 
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    # a single model's arrays are used as they are, without a copy
+    # a single piece is used as it is, without a copy
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _drawing_cells(counts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of the nonzero cells of the count rows ``counts``,
-    stacked, and their counts; the stacked dense rows are not kept."""
-    t = _concat(counts)
-    flat = np.flatnonzero(t != 0)
-    return flat, t.ravel()[flat]
 
 
 def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior, psi: bool,
@@ -319,16 +324,17 @@ def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior, psi: bool,
     return out
 
 
-def _ratio_tables(names, N, NA, NAs, idx, grp, js, a, cells):
+def _ratio_tables(names, N, NA, NAs, idx, in_first, a, cells):
     """For each of ``names`` (LPPD, LOO, CV2), the x of log B(x + t) - log B(x)
     at each drawing cell and each row's x total, as two lists.
 
     The terms are those of ``_score_batch``. ``cells`` holds each drawing
     cell's flat index in the stacked rows, its cell in the total rows, its
-    column, its count and its row. A row total is read where the row
-    equals a row already summed: LPPD's g + a is a row of N + a (``NA``,
-    row sums ``NAs``), and CV2's other fold is a row of (N - first) + a or
-    of first + a, each summed once per total row. LOO's g - t + a is summed
+    column, its count and its row; ``in_first`` marks the stacked rows of
+    each model's first CV2 fold. A row total is read where the row equals a
+    row already summed: LPPD's g + a is a row of N + a (``NA``, row sums
+    ``NAs``), and CV2's other fold is a row of (N - first) + a or of
+    first + a, each summed once per total row. LOO's g - t + a is summed
     row by row: (g + a) - t, its total less t, is not the same float when
     a is not dyadic.
     """
@@ -346,7 +352,6 @@ def _ratio_tables(names, N, NA, NAs, idx, grp, js, a, cells):
             xr.append(dense.sum(axis=1))
             del dense  # freed before CV2's fold tables are built
         else:
-            in_first = np.concatenate([np.arange(j) < j // 2 for j in js])[grp]
             first_cell = in_first[row]
             # the first fold's counts per total row cell, summed exactly: integer counts
             # (as floats; np.bincount gives int zeros when the fold has no cell)
@@ -363,66 +368,105 @@ def _ratio_tables(names, N, NA, NAs, idx, grp, js, a, cells):
     return xc, xr
 
 
-def _score(tcs: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[str, ...],
-           ks: Sequence[int], labels: Sequence[str | None]) -> list[CriterionReport]:
-    """Reports for several models, scored in batches of consecutive models.
+def _left_sums(xs: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """For each row of ``xs`` and each model, ``reduce(add, terms, 0.0)``
+    over the model's ``js`` consecutive terms in the row: added left to
+    right from 0.0, as Python adds them (not ``sum()``, which compensates
+    from Python 3.12, nor numpy's pairwise sum). Each model's terms follow
+    a 0.0 in a zero-padded row of one ``np.add.accumulate``; the padding
+    adds 0.0 to a sum that is never -0.0.
+    """
+    block = np.zeros((len(xs), len(js), 1 + int(js.max(initial=0))))
+    model = np.repeat(np.arange(len(js)), js)
+    block[:, model, np.arange(model.size) - (np.cumsum(js) - js)[model] + 1] = xs
+    return np.add.accumulate(block, axis=2)[:, :, -1]
 
-    The models' total rows are stacked once, with their row sums, and the
-    psi and psi' terms that ``which`` needs are evaluated once, over every
-    model's count cells and row sums (by ``_psi_tables``): a batch reads
-    its own slice of each.
+
+def _score(stacks: Sequence[CountStack], prior: DirichletPrior, which: tuple[str, ...],
+           ks: Sequence[int]) -> np.ndarray:
+    """Criterion values for every model, one row each in the columns
+    ``_columns(which)``: the models are the sets of each stack in turn, and
+    ``ks`` holds each stack's AIC parameter count.
+
+    Consecutive models are scored in batches (``_BATCH_CELLS``), each batch
+    reading its slices of the stacks as counted. The stacks' total rows are
+    joined once, with their row sums, and the psi and psi' terms that
+    ``which`` needs are evaluated once, over every model's count cells and
+    row sums (by ``_psi_tables``): a batch reads its own slice of each.
     """
     need = set(which)
-    N = _concat([tc.total.counts for tc in tcs])
+    N = _concat([st.counts for st in stacks])
     Ns = N.sum(axis=1)
     tot = {"N": N, "Ns": Ns}
     tot.update(_psi_tables(N, Ns, prior, bool(need & {"WAIC1", "DIC1"}),
                            bool(need & {"WAIC2", "DIC2"})))
-    rows = np.cumsum([0] + [tc.total.n_contexts for tc in tcs]).tolist()
-    transitions = np.diff(np.concatenate([[0], np.cumsum(Ns)])[rows]).tolist()
+    # per model: its total rows (rows[i]:rows[i+1]), trajectories, pair rows and k
+    offsets = np.cumsum([0] + [len(st.counts) for st in stacks])
+    rows = np.concatenate([st.rows[:-1] + off for st, off in zip(stacks, offsets.tolist())]
+                          + [offsets[-1:]])
+    js = _concat([np.diff(st.sets) for st in stacks])
+    pairs = _concat([np.diff(st.bounds[st.sets]) for st in stacks])
+    kk = np.repeat(np.asarray(ks, dtype=np.int64), [st.n_sets for st in stacks])
+    transitions = np.diff(np.concatenate([[0], np.cumsum(Ns)])[rows])
+    out = np.empty((len(js), len(_columns(which))))
+    first_model = np.cumsum([0] + [st.n_sets for st in stacks]).tolist()
 
     def batch(lo, hi):
         r0, r1 = rows[lo], rows[hi]
-        return _score_batch(tcs[lo:hi], prior, which, ks[lo:hi], labels[lo:hi],
-                            {name: x[r0:r1] for name, x in tot.items()}, transitions[lo:hi])
+        idx, t, traj_sizes = [], [], []
+        for i in range(bisect_right(first_model, lo) - 1, len(stacks)):
+            if first_model[i] >= hi:
+                break
+            st = stacks[i]
+            s0, s1 = max(lo - first_model[i], 0), min(hi - first_model[i], st.n_sets)
+            g0, g1 = st.sets[s0], st.sets[s1]
+            p0, p1 = st.bounds[g0], st.bounds[g1]
+            shift = offsets[i] - r0
+            idx.append(st.idx[p0:p1] + shift if shift else st.idx[p0:p1])
+            t.append(st.t[p0:p1])
+            traj_sizes.append(np.diff(st.bounds[g0:g1 + 1]))
+        out[lo:hi] = _score_batch(kk[lo:hi], js[lo:hi], rows[lo:hi + 1] - r0,
+                                  {name: x[r0:r1] for name, x in tot.items()}, _concat(idx),
+                                  _concat(t), _concat(traj_sizes), prior, which)
 
-    reports, lo, batch_size = [], 0, 0
-    for hi, tc in enumerate(tcs):
-        size = len(tc.stacked()[1]) + transitions[hi]
+    lo, batch_size = 0, 0
+    for hi, size in enumerate((pairs + transitions).tolist()):
         if hi > lo and batch_size + size > _BATCH_CELLS:
-            reports += batch(lo, hi)
+            batch(lo, hi)
             lo, batch_size = hi, 0
         batch_size += size
-    return reports + batch(lo, len(tcs))
+    batch(lo, len(js))
+    return out
 
 
-def _score_batch(tcs, prior, which, ks, labels, tot, transitions) -> list[CriterionReport]:
+def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndarray:
     """Score models together: their rows are stacked, model after model.
 
-    ``tot`` holds the models' total rows ``N``, stacked model by model, and
-    arrays over them: the row sums ``Ns`` and those of ``psi``, ``psi_s``,
-    ``tri`` and ``tri_s`` that ``which`` needs (``_psi_tables``). The
-    (trajectory, context) rows are stacked the same way, so every kernel
-    runs once per batch: one ``_log_beta_cells`` call for LPPD, LOO and
-    CV2 together, with one group per (model, trajectory), one for LPD,
-    with one group per model, and elementwise terms whose per-model sums
-    run over each model's own contiguous slice. Trajectory j's log terms
-    sum, over its count rows t with total rows g and rows c of the other
-    CV2 fold (the first floor(J/2) trajectories against the rest and
-    vice versa):
+    Model i owns the total rows ``rows[i]:rows[i+1]`` of ``tot["N"]`` and
+    ``js[i]`` consecutive trajectories, trajectory g the next
+    ``traj_sizes[g]`` (trajectory, context) rows, with counts ``t`` and
+    total rows ``idx``. ``tot`` also holds arrays over the total rows: the
+    row sums ``Ns`` and those of ``psi``, ``psi_s``, ``tri`` and ``tri_s``
+    that ``which`` needs (``_psi_tables``). Every kernel runs once per
+    batch: one ``_log_beta_cells`` call for LPPD, LOO and CV2 together,
+    with one group per (model, trajectory), one for LPD, with one group
+    per model, and elementwise terms whose per-model sums run over each
+    model's own contiguous slice. Trajectory j's log terms sum, over its
+    count rows t with total rows g and rows c of the other CV2 fold (the
+    first floor(J/2) trajectories against the rest and vice versa):
     log B(g + t + a) - log B(g + a) for LPPD, log B(g + a) - log B(g - t + a)
     for LOO, log B(c + t + a) - log B(c + a) for CV2, and
     t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Only the
     cells with t > 0 are read; a row's t total comes from them. Every sum
     adds a model's own terms in the order one model scored alone would,
     so each value is bit-identical to scoring the models one at a time.
+    Returns one row of values per model, in the columns ``_columns(which)``.
     """
     need = set(which)
     a, a0 = prior.alpha, prior.total
     N, Ns = tot["N"], tot["Ns"]
-    m = N.shape[1]
-    n_rows = [tc.total.n_contexts for tc in tcs]
-    rows = np.cumsum([0] + n_rows)  # model i owns total rows rows[i]:rows[i+1]
+    n_models, m = len(js), N.shape[1]
+    spans = list(zip(rows[:-1].tolist(), rows[1:].tolist()))
     # LPPD and LPD read the row sums of N + a, summed once here
     NA = N + a
     NAs = NA.sum(axis=1)
@@ -430,55 +474,56 @@ def _score_batch(tcs, prior, which, ks, labels, tot, transitions) -> list[Criter
     # terms over the total rows first, each summed over its model's own rows:
     # their temporaries are gone before the per-trajectory arrays are built
     def per_model(x):
-        return [float(x[r0:r1].sum()) for r0, r1 in zip(rows[:-1], rows[1:])]
+        return np.array([x[r0:r1].sum() for r0, r1 in spans], dtype=float)
 
-    model_sums = {}
+    sums = {}
     if "AIC" in need:
-        model_sums["ml"] = per_model(_ml_terms(N, Ns))
+        sums["ml"] = per_model(_ml_terms(N, Ns))
     if need & {"DIC1", "DIC2"}:
         # log-likelihood at the posterior mean: sum N log((N + a) / (N_row + a0))
-        model_sums["plugin"] = per_model(N * (np.log(NA) - np.log(Ns + a0)[:, None]))
+        sums["plugin"] = per_model(N * (np.log(NA) - np.log(Ns + a0)[:, None]))
     if need & {"WAIC1", "DIC1"}:
         # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
-        model_sums["post"] = per_model(N * (tot["psi"] - tot["psi_s"][:, None]))
+        sums["post"] = per_model(N * (tot["psi"] - tot["psi_s"][:, None]))
     if "DIC2" in need:
         sq = N.astype(float)
         sq *= sq
         sq *= tot["tri"]
-        model_sums["k_DIC2"] = per_model(_trigamma_rows(sq, Ns, tot["tri_s"]))
+        sums["k_DIC2"] = per_model(_trigamma_rows(sq, Ns, tot["tri_s"]))
         del sq
     if "LPD" in need:
         # LPD draws every total row's counts again: x = N + a, read at the cells that draw
         nz = np.flatnonzero(N != 0)
-        model_sums["LPD"] = _log_beta_cells(
+        sums["LPD"] = _log_beta_cells(
             [NA.ravel()[nz]], [NAs], nz // m, N.ravel()[nz], Ns,
-            np.repeat(np.arange(len(tcs)), n_rows), len(tcs))[0].tolist()
+            np.repeat(np.arange(n_models), np.diff(rows)), n_models)[0]
 
-    js = [tc.n_trajectories for tc in tcs]
-    groups = np.cumsum([0] + js)  # model i owns trajectory groups groups[i]:groups[i+1]
-    stacks = [tc.stacked() for tc in tcs]
-    idx = _concat([s[0] + r if r else s[0] for s, r in zip(stacks, rows.tolist())])
-    grp = np.repeat(np.arange(groups[-1]), _concat([np.diff(s[2]) for s in stacks]))
+    n_groups = len(traj_sizes)  # one group per (model, trajectory)
+    grp = np.repeat(np.arange(n_groups), traj_sizes)
 
     # per-trajectory terms, summed per model
     terms = {term for term, used_by in _TERM_USERS.items() if need & used_by}
-    if max(js) < 2:
+    if js.max() < 2:
         terms.discard("CV2")
     pointwise = {}
     if terms:
-        flat, reps = _drawing_cells([s[1] for s in stacks])
+        flat = np.flatnonzero(t != 0)
+        reps = t.ravel()[flat]
         row, col = np.divmod(flat, m)
         totals = np.bincount(row, reps, len(idx)).astype(np.int64)  # exact: integer counts
         at = idx[row] * m + col  # each cell's cell in the total rows
     # LPPD, LOO and CV2 share the increments t: one kernel call scores them all
     ratios = [name for name in ("LPPD", "LOO", "CV2") if name in terms]
     if ratios:
-        xc, xr = _ratio_tables(ratios, N, NA, NAs, idx, grp, js, a, (flat, at, col, reps, row))
+        in_first = None
+        if "CV2" in terms:  # each model's first floor(J/2) trajectories, per stacked row
+            model = np.repeat(np.arange(n_models), js)
+            in_first = ((np.arange(n_groups) - (np.cumsum(js) - js)[model]) < (js // 2)[model])[grp]
+        xc, xr = _ratio_tables(ratios, N, NA, NAs, idx, in_first, a, (flat, at, col, reps, row))
         # each of these is freed once read, as is k_WAIC2's block: a batch may
         # hold a whole chunk of replicates, and its peak memory is what is alive at once
         del NA
-        pointwise.update(zip(ratios, _log_beta_cells(xc, xr, row, reps, totals, grp,
-                                                     groups[-1])))
+        pointwise.update(zip(ratios, _log_beta_cells(xc, xr, row, reps, totals, grp, n_groups)))
         del xc, xr
     if "k_WAIC2" in terms:
         # each cell's t^2 psi' in its column, zeros elsewhere: numpy sums a
@@ -489,55 +534,50 @@ def _score_batch(tcs, prior, which, ks, labels, tot, transitions) -> list[Criter
         term *= tot["tri"].ravel()[at]
         sq.ravel()[flat] = term
         pointwise["k_WAIC2"] = np.bincount(
-            grp, weights=_trigamma_rows(sq, totals, tot["tri_s"][idx]), minlength=groups[-1])
+            grp, weights=_trigamma_rows(sq, totals, tot["tri_s"][idx]), minlength=n_groups)
         del sq
-    pointwise = {name: x.tolist() for name, x in pointwise.items()}
+    if pointwise:
+        sums.update(zip(pointwise, _left_sums(np.array(list(pointwise.values())), js)))
 
-    reports = []
-    for i, tc in enumerate(tcs):
-        sums = {name: x[i] for name, x in model_sums.items()}
-        # trajectories add left to right (not sum(), which compensates from Python 3.12)
-        sums.update({name: reduce(add, x[groups[i]:groups[i + 1]], 0.0)
-                     for name, x in pointwise.items()})
-        lppd, plugin, post = sums.get("LPPD"), sums.get("plugin"), sums.get("post")
-        values: dict[str, float] = {}
-        complexity: dict[str, float] = {}
-        for name in which:
-            if name == "AIC":
-                values[name] = -2.0 * sums["ml"] + 2.0 * float(ks[i])
-            elif name == "LPD":
-                values[name] = -2.0 * sums["LPD"]
-            elif name == "LPPD":
-                values[name] = -2.0 * lppd
-            elif name == "LOO":
-                values[name] = -2.0 * sums["LOO"]
-            elif name == "CV2":
-                values[name] = -2.0 * sums["CV2"] if js[i] >= 2 else math.nan
+    lppd, plugin, post = sums.get("LPPD"), sums.get("plugin"), sums.get("post")
+    values, complexity = [], []
+    for name in which:
+        if name == "AIC":
+            values.append(-2.0 * sums["ml"] + 2.0 * ks.astype(float))
+        elif name in ("LPD", "LPPD", "LOO"):
+            values.append(-2.0 * sums[name])
+        elif name == "CV2":
+            values.append(np.where(js >= 2, -2.0 * sums["CV2"], math.nan) if "CV2" in sums
+                          else np.full(n_models, math.nan))
+        else:
+            # WAIC penalizes the LPPD fit and DIC the plug-in fit at the
+            # posterior mean; variant 1 takes k from posterior means of the
+            # log likelihood, variant 2 from its posterior variances.
+            if name == "WAIC1":
+                fit, k = lppd, 2.0 * lppd - 2.0 * post
+            elif name == "WAIC2":
+                fit, k = lppd, sums["k_WAIC2"]
+            elif name == "DIC1":
+                fit, k = plugin, 2.0 * (plugin - post)
             else:
-                # WAIC penalizes the LPPD fit and DIC the plug-in fit at the
-                # posterior mean; variant 1 takes k from posterior means of the
-                # log likelihood, variant 2 from its posterior variances.
-                if name == "WAIC1":
-                    fit, k = lppd, 2.0 * lppd - 2.0 * post
-                elif name == "WAIC2":
-                    fit, k = lppd, sums["k_WAIC2"]
-                elif name == "DIC1":
-                    fit, k = plugin, 2.0 * (plugin - post)
-                else:
-                    fit, k = plugin, 2.0 * sums["k_DIC2"]
-                complexity["k_" + name] = k
-                values[name] = -2.0 * fit + 2.0 * k
-        values.update(complexity)
-        reports.append(CriterionReport(
-            h=tc.h,
-            label=labels[i] if labels[i] is not None else f"h={tc.h}",
-            boundary=tc.boundary.value,
-            n_trajectories=js[i],
-            n_transitions=transitions[i],
-            k_params=int(ks[i]),
-            values=values,
-        ))
-    return reports
+                fit, k = plugin, 2.0 * sums["k_DIC2"]
+            complexity.append(k)
+            values.append(-2.0 * fit + 2.0 * k)
+    return np.stack(values + complexity, axis=1) if values else np.empty((n_models, 0))
+
+
+def _reports(stacks, ks, labels, which, values: np.ndarray) -> list[CriterionReport]:
+    """The reports of one-set stacks from their rows of ``_score`` values."""
+    columns = _columns(which)
+    return [CriterionReport(
+        h=st.h,
+        label=label if label is not None else f"h={st.h}",
+        boundary=st.boundary.value,
+        n_trajectories=len(st.ids),
+        n_transitions=int(st.counts.sum()),
+        k_params=int(k),
+        values=dict(zip(columns, row)),
+    ) for st, k, label, row in zip(stacks, ks, labels, values.tolist(), strict=True)]
 
 
 def evaluate(
@@ -558,7 +598,9 @@ def evaluate(
     prior = _prior_for(tc.alphabet, prior)
     if k_params is None:
         k_params = param_count(tc.alphabet.size, tc.h, tc.boundary)
-    return _score([tc], prior, which, [k_params], [label])[0]
+    stacks = [CountStack.of(tc)]
+    return _reports(stacks, [k_params], [label], which,
+                    _score(stacks, prior, which, [k_params]))[0]
 
 
 def evaluate_depths(
@@ -582,16 +624,21 @@ def evaluate_depths(
     """
     which = _normalize_which(which)
     prior = _prior_for(alphabet, prior)
-    models, ks, labels = _depth_models(trajectories, alphabet, h_range, mode, aic_penalty,
-                                       tie_map, tie_label)
-    return _score(models, prior, which, ks, labels)
+    stacks, ks = _depth_models([list(trajectories)], alphabet, h_range, mode, aic_penalty,
+                               tie_map)
+    labels: list[str | None] = [None] * len(stacks)
+    if tie_map is not None:
+        labels[-1] = tie_label if tie_label is not None else f"tied(h={tie_map.h})"
+    return _reports(stacks, ks, labels, which, _score(stacks, prior, which, ks))
 
 
-def _depth_models(trajectories, alphabet, h_range, mode=BoundaryMode.PADDED,
-                  aic_penalty="params", tie_map=None, tie_label=None):
-    """What ``evaluate_depths`` scores: the models (every depth in ``h_range``,
-    in increasing order, then the tied model), their AIC parameter counts
-    and their labels (None for a depth's default label), as three lists."""
+def _depth_models(sets, alphabet, h_range, mode=BoundaryMode.PADDED, aic_penalty="params",
+                  tie_map=None):
+    """What ``evaluate_depths`` scores, for every set of trajectories in
+    ``sets`` at once: one stack per depth in ``h_range``, in increasing
+    order, holding every set (counted in one ``_count_depths`` pass), then
+    with ``tie_map`` one one-set stack per set holding its tied model; and
+    each stack's AIC parameter count."""
     hs = sorted({int(h) for h in h_range})
     if not hs:
         raise ValueError("h_range must be non-empty")
@@ -600,16 +647,20 @@ def _depth_models(trajectories, alphabet, h_range, mode=BoundaryMode.PADDED,
     if aic_penalty not in ("params", "full"):
         raise ValueError("aic_penalty must be 'params' or 'full'")
     extra = [] if tie_map is None else [tie_map.h]
-    counts = _count_depths(trajectories, hs + extra, alphabet, mode)
-    models = [counts[h] for h in hs]
+    counts = _count_depths(sets, hs + extra, alphabet, mode)
+    stacks = [counts[h] for h in hs]
     m = alphabet.size
     ks = [m ** (h + 1) if aic_penalty == "full" else param_count(m, h, mode) for h in hs]
-    labels: list[str | None] = [None] * len(hs)
     if tie_map is not None:
-        models.append(tie_counts(counts[tie_map.h], tie_map))
-        ks.append(tied_param_count(tie_map, m))
-        labels.append(tie_label if tie_label is not None else f"tied(h={tie_map.h})")
-    return models, ks, labels
+        tied = counts[tie_map.h]
+        stacks += [CountStack.of(tie_counts(tied.view(s), tie_map)) for s in range(tied.n_sets)]
+        ks += [tied_param_count(tie_map, m)] * tied.n_sets
+    return stacks, ks
+
+
+def _unavailable(criterion: str) -> ValueError:
+    return ValueError(f"criterion {criterion} is unavailable for this dataset "
+                      f"(needs at least two trajectories)")
 
 
 def argmin(reports: Iterable[CriterionReport], criterion: str) -> CriterionReport:
@@ -621,10 +672,7 @@ def argmin(reports: Iterable[CriterionReport], criterion: str) -> CriterionRepor
     reports = list(reports)
     for rep in reports:
         if math.isnan(rep.value(criterion)):
-            raise ValueError(
-                f"criterion {criterion} is unavailable for this dataset "
-                f"(needs at least two trajectories)"
-            )
+            raise _unavailable(criterion)
     return min(reports, key=lambda r: (r.value(criterion), r.h))
 
 

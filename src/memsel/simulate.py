@@ -15,7 +15,6 @@ import math
 import os
 import pickle
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,15 @@ from .chain import (
     StateAlphabet,
     Trajectory,
 )
-from .criteria import CRITERIA, DirichletPrior, _depth_models, _normalize_which, _score, argmin
+from .criteria import (
+    CRITERIA,
+    DirichletPrior,
+    _concat,
+    _depth_models,
+    _normalize_which,
+    _score,
+    _unavailable,
+)
 from .tying import jagged_free_throw_map
 
 __all__ = [
@@ -58,6 +65,15 @@ _UNIFORM_BLOCK = 1024
 # does not depend on the worker count, and scoring never changes a bit
 # with the models scored alongside, so results do not depend on it either.
 _CHUNK = 16
+
+# A chunk's consecutive kept replicates are counted in one ``_count_depths``
+# pass while their steps add up to at most this many; a larger replicate is
+# counted alone. Counting's ranking tables grow with the steps of a pass:
+# on the paper grid one pass over a chunk's 16 replicates took a tenth of
+# 16 passes at J=4 (835 steps) but longer at J=128 and 256 (26k and 52k
+# steps). 2**13 timed best of 2**12 to 2**15 at J = 64, 128 and 256. Each
+# set's counts keep their bits in any pass, so results do not depend on it.
+_JOIN_STEPS = 2**13
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -226,9 +242,13 @@ class SimConfig:
     boundary: BoundaryMode = BoundaryMode.PADDED
     network_per_replicate: bool = False
 
+    tie_map = None  # not a field: a grid study scores the depths alone
+
     def __post_init__(self):
         object.__setattr__(self, "h_range", tuple(sorted({int(h) for h in self.h_range})))
         object.__setattr__(self, "J_values", tuple(int(j) for j in self.J_values))
+        if self.h_true < 0:
+            raise ValueError("true memory depth must be >= 0")
         if self.length_cap < 1:
             raise ValueError("length cap must be >= 1")
         if not self.h_range:
@@ -236,6 +256,10 @@ class SimConfig:
         if not self.J_values or min(self.J_values) < 1:
             raise ValueError("J values must be positive")
         _normalize_study(self, min(self.J_values), "J")
+
+    @property
+    def alphabet(self) -> StateAlphabet:
+        return StateAlphabet.of_size(self.m)
 
 
 def _normalize_study(cfg, min_batch: int, batch_name: str) -> None:
@@ -274,48 +298,109 @@ class PowerStudyResult:
 
 
 def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int):
-    """The models of one freshly sampled batch of trajectories, one per h
-    (``criteria._depth_models``), and how many of its walks the length cap cut."""
+    """One freshly sampled batch of trajectories, and how many of its walks
+    the length cap cut."""
     if net is None:
         net = _draw_network(cfg.m, cfg.h_true, _rng(cfg.seed, _TAG_NETWORK, j_index, rep))
     rng = _rng(cfg.seed, _TAG_TRAJECTORIES, j_index, rep)
     ids = [f"r{rep}t{i}" for i in range(cfg.J_values[j_index])]
     trajs = _sample_walks(net, cfg.length_cap, rng, ids)
-    models = _depth_models(trajs, net.alphabet, cfg.h_range, cfg.boundary)
-    return models, sum(tr.truncated for tr in trajs)
+    return trajs, sum(tr.truncated for tr in trajs)
 
 
-def _run_chunk(cfg, replicate, shared, jobs) -> list:
-    """``replicate(cfg, shared, cell, rep)`` for each (cell, rep) of ``jobs``,
-    with every model they return scored in one ``_score`` call: per job,
-    its reports and truncated walks, or None for a replicate with no data."""
+def _run_chunk(cfg, replicate, shared, jobs):
+    """``replicate(cfg, shared, cell, rep)`` for each (cell, rep) of ``jobs``:
+    which jobs returned data (a job returns its trajectories and truncated
+    walks, or None for a replicate with no data), the criterion values of
+    the kept ones, and their truncated walks in all.
+
+    The values form one (kept job, model, column) array: the models of
+    ``criteria._depth_models`` per job, each depth in ``cfg.h_range`` and
+    then the tied model of ``cfg.tie_map``, in the columns of
+    ``criteria._score`` for ``cfg.criteria``. Consecutive kept jobs are
+    counted in one pass while their steps fit ``_JOIN_STEPS``, and every
+    model of the chunk is scored in one ``_score`` call.
+    """
     results = [replicate(cfg, shared, cell, rep) for cell, rep in jobs]
-    kept = [models for models, _ in filter(None, results)]  # each (tcs, ks, labels)
+    kept = [trajs for trajs, _ in filter(None, results)]
+    truncated = sum(n for _, n in filter(None, results))
+    flags = [result is not None for result in results]
     if not kept:
-        return results
-    tcs, ks, labels = (list(itertools.chain.from_iterable(part)) for part in zip(*kept))
-    prior = DirichletPrior.symmetric(tcs[0].alphabet.size)
-    reports = iter(_score(tcs, prior, tuple(cfg.criteria), ks, labels))
-    for i, result in enumerate(results):
-        if result is not None:
-            (models, _, _), truncated = result
-            results[i] = [next(reports) for _ in models], truncated
-    return results
+        return flags, None, truncated
+    joins, steps = [], _JOIN_STEPS
+    for trajs in kept:
+        size = sum(map(len, trajs))
+        if steps + size > _JOIN_STEPS:
+            joins.append([])
+            steps = 0
+        joins[-1].append(trajs)
+        steps += size
+    alphabet = cfg.alphabet
+    stacks, ks, n_stacks_of = [], [], []
+    for sets in joins:
+        join_stacks, join_ks = _depth_models(sets, alphabet, cfg.h_range, cfg.boundary,
+                                             tie_map=cfg.tie_map)
+        stacks += join_stacks
+        ks += join_ks
+        n_stacks_of.append(len(join_stacks))
+    values = _score(stacks, DirichletPrior.symmetric(alphabet.size), tuple(cfg.criteria), ks)
+    # a join's rows run depth by depth, each over its sets, then its tied
+    # models one set each: reordered set by set
+    depths, width, out, lo = len(cfg.h_range), values.shape[1], [], 0
+    for sets, n_stacks in zip(joins, n_stacks_of):
+        n_sets = len(sets)
+        n_tied = n_stacks - depths  # one-set stacks: 0, or one per set
+        rows = values[lo:lo + (depths * n_sets + n_tied)]
+        out.append(np.concatenate(
+            [rows[:depths * n_sets].reshape(depths, n_sets, width).swapaxes(0, 1),
+             rows[depths * n_sets:].reshape(n_sets, n_tied // n_sets, width)], axis=1))
+        lo += len(rows)
+    return flags, _concat(out), truncated
 
 
-def _gap_summary(values: list, ref: int) -> list:
+def _gap_summary(values, ref: int) -> list:
     """Per criterion and depth, the min, max, mean and share below zero of
     each kept replicate's gap to the depth at index ``ref``; ``values`` holds
-    for each kept replicate one list of values per depth for each criterion.
+    for each kept replicate one row of values per depth for each criterion.
 
     The gaps form one C-ordered (criterion, depth, kept) array, reduced
     along its last axis, so each statistic has the bits of the same
     reduction over that criterion and depth's gaps alone.
     """
-    vals = np.array(values).transpose(1, 2, 0).copy()
+    vals = np.asarray(values).transpose(1, 2, 0).copy()
     gaps = vals - vals[:, ref:ref + 1]
     stats = (gaps.min(axis=2), gaps.max(axis=2), gaps.mean(axis=2), (gaps < 0.0).mean(axis=2))
     return np.stack(stats, axis=2).tolist()
+
+
+def _tally_cell(cfg, h_true, label, values: np.ndarray, selection: list, deltas: list):
+    """Append one cell's selection and delta records from the values of its
+    kept replicates (``_run_chunk``'s array), and return the tied model's
+    wins per criterion (zeros without a tied model).
+
+    A criterion chooses the first depth of least value, so a tie goes to
+    the smaller h; the tied model wins when it is strictly below every
+    depth up to its own.
+    """
+    criteria, n_depths = tuple(cfg.criteria), len(cfg.h_range)
+    depths = values[:, :n_depths, :len(criteria)]
+    chosen = depths.argmin(axis=1)
+    for i, c in enumerate(criteria):
+        counts = np.bincount(chosen[:, i], minlength=n_depths).tolist()
+        for h, count in zip(cfg.h_range, counts):
+            selection.append({"h_true": h_true, "J": label, "criterion": c, "h_chosen": h,
+                              "frequency": count / len(values)})
+    if h_true in cfg.h_range:
+        summary = _gap_summary(depths.transpose(0, 2, 1), cfg.h_range.index(h_true))
+        for i, c in enumerate(criteria):
+            for h, (lo, hi, mean, below) in zip(cfg.h_range, summary[i]):
+                deltas.append({"h_true": h_true, "J": label, "criterion": c, "h": h,
+                               "min": lo, "max": hi, "mean": mean, "frac_below_zero": below})
+    if cfg.tie_map is None:
+        return np.zeros(len(criteria), dtype=np.int64)
+    rivals = [i for i, h in enumerate(cfg.h_range) if h <= cfg.tie_map.h]
+    tied = values[:, n_depths, :len(criteria)]
+    return (tied[:, None] < depths[:, rivals]).all(axis=1).sum(axis=0)
 
 
 def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None):
@@ -323,76 +408,63 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
     replicate) and tally the results into a PowerStudyResult.
 
     Jobs run cell by cell, in chunks of _CHUNK (``_run_chunk``), serially
-    or in a process pool; a job returns ``(models, truncated_walks)``, or
-    None for a replicate with no data, which is skipped. Each cell appends
-    its selection and delta records (labelled with ``h_true`` and the
-    cell's entry in ``cells`` as J): selection frequencies over the cell's
-    kept replicates, and gaps to ``h_true`` when it is a candidate depth.
-    A tied model scored after the depths counts a win when it is the
-    argmin of itself and every depth up to its own.
+    or in a process pool; a job returns its trajectories and truncated
+    walks, or None for a replicate with no data, which is skipped. A NaN
+    value raises as its chunk arrives. Each cell appends its selection and
+    delta records (labelled with ``h_true`` and the cell's entry in
+    ``cells`` as J) once its last chunk is in (``_tally_cell``): selection
+    frequencies over the cell's kept replicates, and gaps to ``h_true``
+    when it is a candidate depth.
     """
     workers = worker_count(workers)
+    if workers > 1:
+        # a pool that cannot pickle a job never shuts down: fail before starting one
+        pickle.dumps((cfg, replicate, shared))
     n_reps = cfg.replicates
     jobs = [(cell, rep) for cell in range(len(cells)) for rep in range(n_reps)]
     args = (itertools.repeat(cfg), itertools.repeat(replicate), itertools.repeat(shared),
             [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)])
+    criteria = tuple(cfg.criteria)
     selection: list[dict] = []
     deltas: list[dict] = []
-    n_depths = len(cfg.h_range)
-    track_delta = h_true in cfg.h_range
-    wins = {c: 0 for c in cfg.criteria}
-    tied_scored, n_kept, truncated = False, 0, 0
+    wins = np.zeros(len(criteria), dtype=np.int64)
+    n_kept, truncated = 0, 0
+    labels = iter(cells)
+    flags, parts = [], []  # the jobs and kept values not yet tallied, in job order
+    # results are tallied as they arrive, so no more than one cell's values
+    # (plus the pool's unread results) are held at a time
+    pool = None
     if workers > 1:
-        # a pool that cannot pickle a job never shuts down: fail before starting one
-        pickle.dumps((cfg, replicate, shared))
-    # results are tallied as they arrive, so no more than one chunk's
-    # reports (plus the pool's unread results) are held at a time
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+        pool = ProcessPoolExecutor(workers)
     try:
-        chunks = (map if pool is None else pool.map)(_run_chunk, *args)
-        results = itertools.chain.from_iterable(chunks)
-        for label in cells:
-            chosen_counts = {c: {h: 0 for h in cfg.h_range} for c in cfg.criteria}
-            values = []
-            kept = 0
-            for result in itertools.islice(results, n_reps):
-                if result is None:
-                    continue
-                reports, n_truncated = result
-                kept += 1
-                truncated += n_truncated
-                depths = reports[:n_depths]
-                for c in cfg.criteria:
-                    chosen_counts[c][argmin(depths, c).h] += 1
-                if track_delta:
-                    values.append([[r.value(c) for r in depths] for c in cfg.criteria])
-                if len(reports) > n_depths:
-                    tied_scored = True
-                    tied = reports[-1]
-                    rivals = [r for r in depths if r.h <= tied.h] + [tied]
-                    for c in cfg.criteria:
-                        wins[c] += argmin(rivals, c) is tied
-            if not kept:  # only a free-throw season can come back empty
-                raise ValueError("every replicate drew zero games; increase lam or games")
-            n_kept += kept
-            if track_delta:
-                summary = _gap_summary(values, cfg.h_range.index(h_true))
-            for i, c in enumerate(cfg.criteria):
-                for h in cfg.h_range:
-                    selection.append({"h_true": h_true, "J": label, "criterion": c,
-                                      "h_chosen": h, "frequency": chosen_counts[c][h] / kept})
-                if track_delta:
-                    for h, (lo, hi, mean, below) in zip(cfg.h_range, summary[i]):
-                        deltas.append({"h_true": h_true, "J": label, "criterion": c, "h": h,
-                                       "min": lo, "max": hi, "mean": mean,
-                                       "frac_below_zero": below})
+        for chunk_flags, values, n_truncated in (map if pool is None else pool.map)(
+                _run_chunk, *args):
+            truncated += n_truncated
+            flags += chunk_flags
+            if values is not None:
+                nan = np.isnan(values[:, :, :len(criteria)]).any(axis=(0, 1))
+                if nan.any():
+                    raise _unavailable(criteria[int(nan.argmax())])
+                parts.append(values)
+            while len(flags) >= n_reps:  # a cell is complete
+                kept = sum(flags[:n_reps])
+                del flags[:n_reps]
+                if not kept:  # only a free-throw season can come back empty
+                    raise ValueError("every replicate drew zero games; increase lam or games")
+                joined = _concat(parts)
+                parts = [joined[kept:]] if kept < len(joined) else []
+                n_kept += kept
+                wins += _tally_cell(cfg, h_true, next(labels), joined[:kept], selection, deltas)
     finally:
         if pool is not None:
             # an error in the tally drops the pending replicates instead of running them
             pool.shutdown(cancel_futures=True)
     return PowerStudyResult(
         tuple(selection), tuple(deltas), truncated_walks=truncated,
-        jagged_win_rate={c: wins[c] / n_kept for c in cfg.criteria} if tied_scored else None,
+        jagged_win_rate=(None if cfg.tie_map is None else
+                         {c: w / n_kept for c, w in zip(criteria, wins.tolist())}),
     )
 
 
@@ -443,12 +515,17 @@ class FreeThrowModel:
         return cls(p_otherwise, p_otherwise, p_after_miss, name="jagged")
 
 
+# The largest rate numpy's Poisson sampler takes, computed as numpy does.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 @dataclass(frozen=True)
 class FreeThrowSimConfig:
     """Configuration of the per-game free-throw power experiment: the
     depths ``h_range`` and the two-class jagged model are always scored."""
 
     h_range = (0, 1, 2, 3)  # not a field: no run scores other depths
+    alphabet = FT_ALPHABET  # not a field
 
     model: FreeThrowModel = FreeThrowModel.jagged(0.82, 0.66)
     games: int = 91
@@ -461,9 +538,17 @@ class FreeThrowSimConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:  # also false for NaN
             raise ValueError(f"the shots-per-game rate must be finite and > 0, got {self.lam}")
+        if self.lam > _POISSON_LAM_MAX:
+            raise ValueError(f"the shots-per-game rate must be at most {_POISSON_LAM_MAX!r}, "
+                             f"numpy's Poisson limit, got {self.lam}")
         if self.games < 1 or self.replicates < 1:
             raise ValueError("games and replicates must be >= 1")
         _normalize_study(self, self.games, "games")
+
+    @property
+    def tie_map(self):
+        """The two-class jagged map, scored after the depths."""
+        return jagged_free_throw_map(FT_ALPHABET, self.boundary)
 
 
 def sample_free_throw_trajectories(
@@ -489,15 +574,12 @@ def sample_free_throw_trajectories(
     return trajs
 
 
-def _free_throw_replicate(cfg: FreeThrowSimConfig, tie_map, cell: int, rep: int):
-    """The models of one replicated season, one per h and the tied model
-    last (``criteria._depth_models``), and 0 truncated walks; or None when
-    the season drew no game."""
+def _free_throw_replicate(cfg: FreeThrowSimConfig, shared, cell: int, rep: int):
+    """The games of one replicated season and 0 truncated walks, or None
+    when the season drew no game."""
     rng = _rng(cfg.seed, _TAG_FREE_THROW, rep)
     trajs = sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng)
-    if not trajs:
-        return None
-    return _depth_models(trajs, FT_ALPHABET, cfg.h_range, cfg.boundary, tie_map=tie_map), 0
+    return (trajs, 0) if trajs else None
 
 
 def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> PowerStudyResult:
@@ -511,5 +593,4 @@ def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> Pow
     and the full h=1 model. The selection rows carry the model name as
     ``h_true`` and 0 as ``J``.
     """
-    jagged_map = jagged_free_throw_map(FT_ALPHABET, cfg.boundary)
-    return _run_study(cfg, _free_throw_replicate, jagged_map, (0,), cfg.model.name, workers)
+    return _run_study(cfg, _free_throw_replicate, None, (0,), cfg.model.name, workers)

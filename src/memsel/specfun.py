@@ -12,9 +12,9 @@ reading both from full rows.
 asymptotic Bernoulli-number series after shifting the argument above 12
 with the standard recurrences; their target accuracy, grid-checked in the
 tests, is 1e-10 absolute on [1e-3, 1e6]. The shift runs in place over
-the whole array, a 0/1 increment per element, with the same bits as
-shifting each argument alone; ``_polygamma`` gives both functions from
-one shared shift, each with the bits of its own call.
+the arguments below the shift point, a 0/1 increment per element, with
+the same bits as shifting each argument alone; ``_polygamma`` gives both
+functions from one shared shift, each with the bits of its own call.
 """
 
 from __future__ import annotations
@@ -63,27 +63,40 @@ def _shifted(arr: np.ndarray, psi: bool, psi1: bool):
     and the sums for psi and psi' (None for one not asked for).
 
     The psi sum collects -1/z and the psi' sum +1/z^2 for each z passed on
-    the way. Each pass runs over the whole array in place, with ``inc`` 1.0
-    where an argument is still below _SHIFT and 0.0 where it is done: a
-    finished element adds 0.0 to its argument and its sums, which leaves
-    them unchanged, so every element ends with the same bits as when
-    shifted alone, and each sum with the bits of a loop that kept it alone.
+    the way. Only the arguments below _SHIFT are shifted; the others keep
+    their value and zero sums. Each pass runs over those arguments in
+    place, with ``inc`` 1.0 where an argument is still below _SHIFT and 0.0
+    where it is done: a finished element adds 0.0 to its argument and its
+    sums, which leaves them unchanged, so every element ends with the same
+    bits as when shifted alone, and each sum with the bits of a loop that
+    kept it alone.
     """
     zz = np.array(arr, dtype=float, ndmin=1)
     acc = np.zeros_like(zz) if psi else None
     acc1 = np.zeros_like(zz) if psi1 else None
-    inc = np.empty_like(zz)
-    step = np.empty_like(zz)
-    while zz.size and zz.min() < _SHIFT:
-        np.less(zz, _SHIFT, out=inc)
+    low = np.flatnonzero(zz < _SHIFT)
+    if not low.size:
+        return zz, acc, acc1
+    z = zz.ravel()[low]
+    sub = np.zeros_like(z) if psi else None
+    sub1 = np.zeros_like(z) if psi1 else None
+    inc = np.empty_like(z)
+    step = np.empty_like(z)
+    while z.min() < _SHIFT:
+        np.less(z, _SHIFT, out=inc)
         if psi:
-            np.divide(inc, zz, out=step)
-            acc -= step
+            np.divide(inc, z, out=step)
+            sub -= step
         if psi1:
-            np.multiply(zz, zz, out=step)
+            np.multiply(z, z, out=step)
             np.divide(inc, step, out=step)
-            acc1 += step
-        zz += inc
+            sub1 += step
+        z += inc
+    zz.ravel()[low] = z  # the arrays made here are contiguous: ravel() is a view
+    if psi:
+        acc.ravel()[low] = sub
+    if psi1:
+        acc1.ravel()[low] = sub1
     return zz, acc, acc1
 
 

@@ -234,11 +234,11 @@ class TestCountDepths:
 
     def check(self, trajs, hs, m, mode):
         alphabet = StateAlphabet.of_size(m)
-        batched = _count_depths(trajs, hs, alphabet, mode)
+        batched = _count_depths([trajs], hs, alphabet, mode)
         assert sorted(batched) == sorted(set(hs))
         for h in hs:
             alone = count_transitions(trajs, h, alphabet, mode)
-            for tc in (batched[h], alone):
+            for tc in (batched[h].view(0), alone):
                 assert (tc.h, tc.boundary, tc.ids) == (h, mode, tuple(t.id for t in trajs))
                 self.assert_matches(tc, trajs, h, m, mode)
 
@@ -289,7 +289,7 @@ class TestCountDepths:
             trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, m, 40).tolist()))
                      for i in range(30)]
             spans.clear()
-            _count_depths(trajs, range(0, 12), StateAlphabet.of_size(m), mode)
+            _count_depths([trajs], range(0, 12), StateAlphabet.of_size(m), mode)
             assert spans and max(spans) <= (m + 1) * 40 * 30
 
     def test_unsorted_and_repeated_depths(self):

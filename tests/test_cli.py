@@ -1,9 +1,12 @@
 """Command-line interface behavior, file outputs and exit codes."""
 
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -12,7 +15,6 @@ import numpy as np
 import pytest
 
 import memsel.criteria
-import memsel.simulate
 from memsel import cli
 from memsel.cli import build_parser, main
 from memsel.dataio import (
@@ -429,7 +431,8 @@ class TestSimulateCommand:
                 pools.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(memsel.simulate, "ProcessPoolExecutor", CountingPool)
+        # the study imports the pool class when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         args = ["simulate", "--free-throw", "--games", "30", "--replicates", "20", "--seed", "4"]
         outputs = {}
         for workers in ("1", "2"):
@@ -519,8 +522,12 @@ class TestSimulateCommand:
         (["--free-throw", "--ft-model", "h0:x"], "cannot parse --ft-model"),
         (["--free-throw", "--lambda", "nan"], "rate must be finite and > 0, got nan"),
         (["--free-throw", "--lambda", "inf"], "rate must be finite and > 0, got inf"),
+        # numpy's Poisson sampler refuses a rate above its limit
+        (["--free-throw", "--lambda", "1e300"], "numpy's Poisson limit, got 1e+300"),
+        # the shared network is drawn from a stream keyed by h_true
+        (["--M", "3", "--h-range", "1..2", "--h-true", "-1"], "true memory depth must be >= 0"),
     ], ids=["repeated", "ft-repeated", "unknown", "ft-p-range", "ft-p-nan", "ft-arity",
-            "ft-text", "ft-lambda-nan", "ft-lambda-inf"])
+            "ft-text", "ft-lambda-nan", "ft-lambda-inf", "ft-lambda-huge", "h-true-negative"])
     def test_config_error_names_its_cause(self, tmp_path, capsys, args, message):
         out = tmp_path / "d"
         assert main(["simulate", *args, "--out", str(out)]) == 2
@@ -597,11 +604,11 @@ class TestOracleCommand:
         real = memsel.criteria._score_batch
 
         def corrupted(*args):
-            reports = real(*args)
-            for rep in reports:
-                if "LOO" in rep.values:
-                    rep.values["LOO"] += 50.0
-            return reports
+            values = real(*args)
+            which = args[-1]
+            if "LOO" in which:
+                values[:, memsel.criteria._columns(which).index("LOO")] += 50.0
+            return values
 
         monkeypatch.setattr(memsel.criteria, "_score_batch", corrupted)
         assert main(["oracle", "--input", str(season), "--h", "1",
@@ -740,3 +747,15 @@ class TestRepeatedMainCalls:
         monkeypatch.setattr(cli, "cmd_criteria", lambda args: seen.append(args.command) or 7)
         assert main(["criteria", "--input", str(season), "--h-max", "1"]) == 7
         assert seen == ["criteria"]
+
+
+def test_import_leaves_the_process_pool_out():
+    # a serial run never starts a pool, so importing the CLI does not import one
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    code = ("import sys, memsel.cli; memsel.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

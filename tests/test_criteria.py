@@ -597,9 +597,10 @@ class TestBatchedScorer:
         seen = []
         real = criteria_module._score_batch
 
-        def spy(tcs, *args):
-            seen.append([tc.h for tc in tcs])
-            return real(tcs, *args)
+        def spy(ks, *args):  # the batch's models are the next len(ks) depths
+            done = sum(map(len, seen))
+            seen.append(list(range(done, done + len(ks))))
+            return real(ks, *args)
 
         monkeypatch.setattr(criteria_module, "_score_batch", spy)
         rng = np.random.default_rng(5)

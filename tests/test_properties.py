@@ -16,6 +16,7 @@ from memsel.chain import (
     BoundaryMode,
     StateAlphabet,
     Trajectory,
+    _count_depths,
     count_transitions,
 )
 from memsel.criteria import (
@@ -93,6 +94,37 @@ def test_subset_evaluation_matches_full_report(seed, j, which):
     for name, value in part.values.items():
         expected = full.value(name)
         assert value == expected or (math.isnan(value) and math.isnan(expected)), name
+
+
+@PROPERTY
+@given(
+    m=st.integers(2, 4),
+    sets=st.lists(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8), min_size=1,
+                           max_size=4), min_size=1, max_size=5),
+    hs=st.sets(st.integers(0, 4), min_size=1),
+    mode=st.sampled_from(list(BoundaryMode)),
+)
+def test_joint_counting_equals_each_set_counted_alone(m, sets, hs, mode):
+    # one-step walks included: a TRUNCATED set may have no rows at some depth
+    sets = [[Trajectory(f"s{s}t{i}", tuple(x % m for x in steps)) for i, steps in enumerate(g)]
+            for s, g in enumerate(sets)]
+    alphabet = StateAlphabet.of_size(m)
+    joint = _count_depths(sets, hs, alphabet, mode)
+    for h in hs:
+        stack = joint[h]
+        assert stack.n_sets == len(sets)
+        alone = [_count_depths([group], hs, alphabet, mode)[h].view(0) for group in sets]
+        # the stack holds each set's arrays in turn, as counted alone
+        assert stack.counts.tobytes() == np.concatenate([a.total.counts for a in alone]).tobytes()
+        assert stack.t.tobytes() == np.concatenate([a.stacked()[1] for a in alone]).tobytes()
+        for s, want in enumerate(alone):
+            got = stack.view(s)
+            assert (got.h, got.boundary, got.ids) == (want.h, want.boundary, want.ids)
+            assert got.total.keys == want.total.keys
+            assert got.total.counts.dtype == want.total.counts.dtype
+            assert got.total.counts.tobytes() == want.total.counts.tobytes()
+            for a, b in zip(got.stacked(), want.stacked()):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @PROPERTY

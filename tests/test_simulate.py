@@ -167,16 +167,17 @@ def test_worker_count_from_environment(monkeypatch, value, expected):
 
 
 def recording_replicate(cfg, shared, cell, rep):
-    """A replicate that leaves one file per call in directory ``shared``; its
-    one model has a single trajectory, so no CV2 value, and the tally rejects it."""
+    """A replicate that leaves one file per call in directory ``shared``; it
+    has a single trajectory, so no CV2 value, and the tally rejects it."""
     (Path(shared) / f"{cell}-{rep}").touch()
     time.sleep(0.002)  # so a briefly stalled tally leaves the pool little to run
-    return ([count_transitions([Trajectory("t", (0, 1))], 0, StateAlphabet.of_size(2))],
-            [1], [None]), 0
+    return [Trajectory("t", (0, 1))], 0
 
 
 def test_failed_tally_cancels_the_pending_replicates(tmp_path):
-    cfg = SimpleNamespace(replicates=4000, h_range=(0,), criteria=("CV2",))
+    cfg = SimpleNamespace(replicates=4000, h_range=(0,), criteria=("CV2",),
+                          alphabet=StateAlphabet.of_size(2), boundary=BoundaryMode.PADDED,
+                          tie_map=None)
     with pytest.raises(ValueError, match="needs at least two trajectories"):
         simulate._run_study(cfg, recording_replicate, str(tmp_path), (0,), 0, workers=2)
     # the pool finishes the chunks of jobs it has already queued, and no more
@@ -304,6 +305,8 @@ class TestPowerStudy:
             SimConfig(criteria=("LOO", "AIC", "LOO"))
         with pytest.raises(ValueError):
             SimConfig(criteria=("CV2",), J_values=(1,))
+        with pytest.raises(ValueError, match="true memory depth must be >= 0"):
+            SimConfig(h_true=-1)
 
 
 class TestFreeThrow:
@@ -360,6 +363,19 @@ class TestFreeThrow:
         with pytest.raises(ValueError, match="CV2"):
             FreeThrowSimConfig(model=model, games=1, criteria=("LOO", "CV2"))
 
+    def test_rate_is_bounded_by_numpys_poisson_limit(self):
+        limit = simulate._POISSON_LAM_MAX
+        assert limit == 9.223372006484771e18
+        rng = np.random.default_rng(0)
+        rng.poisson(limit)  # numpy takes the limit itself
+        FreeThrowSimConfig(lam=limit)
+        above = float(np.nextafter(limit, np.inf))
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(above)
+        for lam in (above, 1e300):
+            with pytest.raises(ValueError, match="at most 9.223372006484771e\\+18"):
+                FreeThrowSimConfig(lam=lam)
+
     def test_worker_count_does_not_change_results(self):
         # seed 2 draws 5 seasons with no game among its 24 replicates
         cfg = FreeThrowSimConfig(
@@ -399,14 +415,20 @@ class TestChunkedScoring:
         cfg = SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=3, seed=4)
         net = generate_network(cfg.m, cfg.h_true, cfg.seed)
         jobs = [(0, 1), (0, 2), (1, 0), (1, 1)]  # spans both cells
-        results = simulate._run_chunk(cfg, simulate._replicate_values, net, jobs)
-        for (cell, rep), (reports, truncated) in zip(jobs, results, strict=True):
+        flags, values, truncated = simulate._run_chunk(cfg, simulate._replicate_values, net, jobs)
+        assert flags == [True] * len(jobs)
+        assert values.shape[:2] == (len(jobs), len(cfg.h_range))
+        want_truncated = 0
+        for (cell, rep), rows in zip(jobs, values.tolist(), strict=True):
             rng = simulate._rng(cfg.seed, simulate._TAG_TRAJECTORIES, cell, rep)
             ids = [f"r{rep}t{i}" for i in range(cfg.J_values[cell])]
             trajs = simulate._sample_walks(net, cfg.length_cap, rng, ids)
-            assert reports == evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
-                                              which=cfg.criteria)
-            assert truncated == sum(tr.truncated for tr in trajs)
+            reports = evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
+                                      which=cfg.criteria)
+            assert [dict(zip(r.values, row)) for r, row in zip(reports, rows)] == \
+                [r.values for r in reports]
+            want_truncated += sum(tr.truncated for tr in trajs)
+        assert truncated == want_truncated
 
     def test_free_throw_chunk_with_empty_seasons(self, monkeypatch):
         cfg = FreeThrowSimConfig(games=2, lam=0.3, replicates=40, seed=2)
@@ -427,10 +449,37 @@ class TestChunkedScoring:
         monkeypatch.setattr(simulate, "_CHUNK", 1)
         assert repr(free_throw_power(cfg)) == repr(chunked)
 
+    @pytest.mark.parametrize("study, cfg", [
+        (run_power_study, SimConfig(m=4, h_true=1, h_range=(0, 1, 2, 3), J_values=(2, 5),
+                                    replicates=21, seed=6)),
+        (run_power_study, SimConfig(m=3, h_true=2, h_range=(1, 2, 3), J_values=(4,),
+                                    replicates=18, seed=2, boundary="truncated")),
+        (free_throw_power, FreeThrowSimConfig(games=6, lam=3.0, replicates=20, seed=5)),
+    ])
+    def test_join_bound_keeps_every_byte(self, study, cfg, monkeypatch):
+        want = repr(study(cfg))
+        joins = []
+        real = simulate._depth_models
+
+        def spy(sets, *args, **kwargs):
+            joins.append(len(sets))
+            return real(sets, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_depth_models", spy)
+        # 0 counts every replicate alone; 40 steps joins a few replicates and
+        # leaves some larger than the bound alone
+        for join_steps in (0, 40, 10**9):
+            monkeypatch.setattr(simulate, "_JOIN_STEPS", join_steps)
+            joins.clear()
+            assert repr(study(cfg)) == want, join_steps
+            assert repr(study(cfg, workers=2)) == want, join_steps
+            if join_steps == 40:  # serial runs only: some chunks split, some passes join
+                assert max(joins) > 1 and len(joins) > -(-cfg.replicates // simulate._CHUNK)
+
     def test_chunk_of_empty_seasons_only(self):
         results = simulate._run_chunk(SimpleNamespace(criteria=("LOO",)),
                                       lambda cfg, shared, cell, rep: None, None, [(0, 0), (0, 1)])
-        assert results == [None, None]
+        assert results == ([False, False], None, 0)
 
     @pytest.mark.parametrize("kept", [1, 37, 200, 10_000])
     def test_gap_summary_equals_the_per_record_form(self, kept):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from memsel.specfun import _log_beta_cells, digamma, log_beta_ratio, trigamma
+from memsel.specfun import _log_beta_cells, _shifted, digamma, log_beta_ratio, trigamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -214,3 +214,41 @@ def test_in_place_shift_is_bit_identical_to_mask_loop(fn, psi1):
         assert isinstance(got, float)
         assert float.hex(got) == float.hex(float(reference_psi(scalar, psi1)[0]))
     assert fn(np.empty((0, 4))).shape == (0, 4)
+
+
+def whole_array_shift(z, psi, psi1):
+    """The shift loop over every argument: a 0/1 increment per element per pass."""
+    zz = np.array(z, dtype=float, ndmin=1)
+    acc = np.zeros_like(zz) if psi else None
+    acc1 = np.zeros_like(zz) if psi1 else None
+    inc = np.empty_like(zz)
+    step = np.empty_like(zz)
+    while zz.size and zz.min() < 12.0:
+        np.less(zz, 12.0, out=inc)
+        if psi:
+            np.divide(inc, zz, out=step)
+            acc -= step
+        if psi1:
+            np.multiply(zz, zz, out=step)
+            np.divide(inc, step, out=step)
+            acc1 += step
+        zz += inc
+    return zz, acc, acc1
+
+
+@pytest.mark.parametrize("psi, psi1", [(True, True), (True, False), (False, True)])
+def test_shifting_the_low_arguments_alone_keeps_every_bit(psi, psi1):
+    # arguments at or above 12 are left out of the loop: they keep their value and zero sums
+    rng = np.random.default_rng(12)
+    at_12 = np.array([12.0, np.nextafter(12.0, 0.0), np.nextafter(12.0, np.inf), 11.0, 13.0])
+    counts = (rng.integers(0, 40, 2000) + 0.3).astype(float)  # a count table plus a prior
+    mixed = np.concatenate([counts, at_12, 10 ** rng.uniform(-3, 6, 500)])
+    rng.shuffle(mixed)
+    for z in (mixed, at_12, np.full(7, 12.0), np.array([1e6, 40.0]), np.array([1e-3]),
+              np.empty(0), counts.reshape(40, 50)):
+        got, want = _shifted(z, psi, psi1), whole_array_shift(z, psi, psi1)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.tobytes() == w.tobytes()
