@@ -20,8 +20,9 @@ over its layers: sampling the walks (``simulate._sample_walks``, or
 (``chain._count_depths``, which ``criteria._depth_models`` calls once per
 pass: since the study counts several replicates of a chunk in one pass,
 once per pass, before that once per replicate), scoring
-(``criteria._score``, which the study calls from ``simulate`` where it
-scores a chunk of replicates at once) and the rest.
+(``criteria._score``, which the study calls once per chunk of
+replicates, through ``criteria._set_values`` or, in checkouts before it,
+from ``simulate``) and the rest.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def worker() -> int:
             sampler = "_sample_walks" if hasattr(simulate, "_sample_walks") else "sample_trajectory"
             # the study counts through criteria._depth_models, which calls
             # _count_depths by criteria's name for it, once per pass over one or
-            # several replicates, and scores through simulate's name for _score,
-            # once per chunk; neither layer calls the other, so no time is
-            # counted twice
+            # several replicates, and scores through criteria._set_values (or,
+            # before it, simulate's name for _score), once per chunk; neither
+            # layer calls the other, so no time is counted twice
             layers = {"sampling": [(simulate, sampler)], "counting": [(criteria, "_count_depths")],
                       "scoring": [(criteria, "_score"), (simulate, "_score")]}
             spent = dict.fromkeys(layers, 0.0)

@@ -406,7 +406,8 @@ def _score(stacks: Sequence[CountStack], prior: DirichletPrior, which: tuple[str
                           + [offsets[-1:]])
     js = _concat([np.diff(st.sets) for st in stacks])
     pairs = _concat([np.diff(st.bounds[st.sets]) for st in stacks])
-    kk = np.repeat(np.asarray(ks, dtype=np.int64), [st.n_sets for st in stacks])
+    # as floats, each k converted alone: a count past int64 (M^(h+1) at a deep h) still scores
+    kk = np.repeat(np.array([float(k) for k in ks]), [st.n_sets for st in stacks])
     transitions = np.diff(np.concatenate([[0], np.cumsum(Ns)])[rows])
     out = np.empty((len(js), len(_columns(which))))
     first_model = np.cumsum([0] + [st.n_sets for st in stacks]).tolist()
@@ -543,7 +544,7 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     values, complexity = [], []
     for name in which:
         if name == "AIC":
-            values.append(-2.0 * sums["ml"] + 2.0 * ks.astype(float))
+            values.append(-2.0 * sums["ml"] + 2.0 * ks)
         elif name in ("LPD", "LPPD", "LOO"):
             values.append(-2.0 * sums[name])
         elif name == "CV2":
@@ -638,7 +639,9 @@ def _depth_models(sets, alphabet, h_range, mode=BoundaryMode.PADDED, aic_penalty
     ``sets`` at once: one stack per depth in ``h_range``, in increasing
     order, holding every set (counted in one ``_count_depths`` pass), then
     with ``tie_map`` one one-set stack per set holding its tied model; and
-    each stack's AIC parameter count."""
+    each stack's AIC parameter count. Scored in this order, the models run
+    depth by depth over every set, then the tied model of every set
+    (``_set_values`` regroups them set by set)."""
     hs = sorted({int(h) for h in h_range})
     if not hs:
         raise ValueError("h_range must be non-empty")
@@ -656,6 +659,26 @@ def _depth_models(sets, alphabet, h_range, mode=BoundaryMode.PADDED, aic_penalty
         stacks += [CountStack.of(tie_counts(tied.view(s), tie_map)) for s in range(tied.n_sets)]
         ks += [tied_param_count(tie_map, m)] * tied.n_sets
     return stacks, ks
+
+
+def _set_values(joins, alphabet, h_range, prior, which, mode=BoundaryMode.PADDED,
+                tie_map=None) -> np.ndarray:
+    """The values of ``_depth_models``' models for every set of every join
+    (a list of sets counted in one pass), all scored in one ``_score``
+    call: one (set, model, column) array, the sets in order, each set's
+    models its depths in increasing order and then its tied model."""
+    stacks, ks, n_sets = [], [], []
+    for sets in joins:
+        join_stacks, join_ks = _depth_models(sets, alphabet, h_range, mode, tie_map=tie_map)
+        stacks += join_stacks
+        ks += join_ks
+        n_sets.append(len(sets))
+    values = _score(stacks, prior, which, ks)
+    # each join's rows run model by model over its sets: regrouped set by set
+    n_models = len(values) // sum(n_sets)
+    ends = np.cumsum([0] + n_sets).tolist()
+    return _concat([values[n_models * lo:n_models * hi].reshape(n_models, hi - lo, -1)
+                    .swapaxes(0, 1) for lo, hi in zip(ends[:-1], ends[1:])])
 
 
 def _unavailable(criterion: str) -> ValueError:

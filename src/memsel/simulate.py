@@ -29,9 +29,8 @@ from .criteria import (
     CRITERIA,
     DirichletPrior,
     _concat,
-    _depth_models,
     _normalize_which,
-    _score,
+    _set_values,
     _unavailable,
 )
 from .tying import jagged_free_throw_map
@@ -314,12 +313,12 @@ def _run_chunk(cfg, replicate, shared, jobs):
     walks, or None for a replicate with no data), the criterion values of
     the kept ones, and their truncated walks in all.
 
-    The values form one (kept job, model, column) array: the models of
-    ``criteria._depth_models`` per job, each depth in ``cfg.h_range`` and
-    then the tied model of ``cfg.tie_map``, in the columns of
-    ``criteria._score`` for ``cfg.criteria``. Consecutive kept jobs are
-    counted in one pass while their steps fit ``_JOIN_STEPS``, and every
-    model of the chunk is scored in one ``_score`` call.
+    The values form one (kept job, model, column) array
+    (``criteria._set_values``): each depth in ``cfg.h_range`` and then the
+    tied model of ``cfg.tie_map``, in the columns of ``criteria._score``
+    for ``cfg.criteria``. Consecutive kept jobs are counted in one pass
+    while their steps fit ``_JOIN_STEPS``, and every model of the chunk is
+    scored in one ``_score`` call.
     """
     results = [replicate(cfg, shared, cell, rep) for cell, rep in jobs]
     kept = [trajs for trajs, _ in filter(None, results)]
@@ -336,26 +335,9 @@ def _run_chunk(cfg, replicate, shared, jobs):
         joins[-1].append(trajs)
         steps += size
     alphabet = cfg.alphabet
-    stacks, ks, n_stacks_of = [], [], []
-    for sets in joins:
-        join_stacks, join_ks = _depth_models(sets, alphabet, cfg.h_range, cfg.boundary,
-                                             tie_map=cfg.tie_map)
-        stacks += join_stacks
-        ks += join_ks
-        n_stacks_of.append(len(join_stacks))
-    values = _score(stacks, DirichletPrior.symmetric(alphabet.size), tuple(cfg.criteria), ks)
-    # a join's rows run depth by depth, each over its sets, then its tied
-    # models one set each: reordered set by set
-    depths, width, out, lo = len(cfg.h_range), values.shape[1], [], 0
-    for sets, n_stacks in zip(joins, n_stacks_of):
-        n_sets = len(sets)
-        n_tied = n_stacks - depths  # one-set stacks: 0, or one per set
-        rows = values[lo:lo + (depths * n_sets + n_tied)]
-        out.append(np.concatenate(
-            [rows[:depths * n_sets].reshape(depths, n_sets, width).swapaxes(0, 1),
-             rows[depths * n_sets:].reshape(n_sets, n_tied // n_sets, width)], axis=1))
-        lo += len(rows)
-    return flags, _concat(out), truncated
+    values = _set_values(joins, alphabet, cfg.h_range, DirichletPrior.symmetric(alphabet.size),
+                         tuple(cfg.criteria), cfg.boundary, cfg.tie_map)
+    return flags, values, truncated
 
 
 def _gap_summary(values, ref: int) -> list:

@@ -71,7 +71,7 @@ def _shifted(arr: np.ndarray, psi: bool, psi1: bool):
     bits as when shifted alone, and each sum with the bits of a loop that
     kept it alone.
     """
-    zz = np.array(arr, dtype=float, ndmin=1)
+    zz = np.array(arr, dtype=float, ndmin=1, order="C")  # so ravel() below is a view
     acc = np.zeros_like(zz) if psi else None
     acc1 = np.zeros_like(zz) if psi1 else None
     low = np.flatnonzero(zz < _SHIFT)
@@ -92,7 +92,7 @@ def _shifted(arr: np.ndarray, psi: bool, psi1: bool):
             np.divide(inc, step, out=step)
             sub1 += step
         z += inc
-    zz.ravel()[low] = z  # the arrays made here are contiguous: ravel() is a view
+    zz.ravel()[low] = z
     if psi:
         acc.ravel()[low] = sub
     if psi1:

@@ -547,6 +547,22 @@ class TestBatchedScorer:
                 for mode in BoundaryMode:
                     self.check(rng, m, j, mode)
 
+    @pytest.mark.parametrize("mode", list(BoundaryMode))
+    def test_parameter_counts_past_int64(self, mode):
+        # M=3 at h >= 40 has more than 2^63 parameters: AIC adds 2.0 * float(k)
+        rng = np.random.default_rng(17)
+        alphabet, _, prior, _ = self.dataset(rng, 3, 1, mode)
+        trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 3, int(n)).tolist()))
+                 for i, n in enumerate(rng.integers(45, 90, 4))]
+        for penalty in ("params", "full"):
+            reports = evaluate_depths(trajs, alphabet, [40, 41], prior, mode, aic_penalty=penalty)
+            for rep in reports:
+                k = 3 ** (rep.h + 1) if penalty == "full" else param_count(3, rep.h, mode)
+                assert rep.k_params == k > 2**63
+                ref = reference_values(count_transitions(trajs, rep.h, alphabet, mode), prior, k)
+                assert {n: float.hex(v) for n, v in rep.values.items()} == \
+                    {n: float.hex(v) for n, v in ref.items()}
+
     @pytest.mark.parametrize("alpha", [1.0, 0.3])
     def test_cv2_fold_table_equals_the_add_at_form(self, alpha):
         # the first fold's table is summed by np.bincount; the reference uses np.add.at
@@ -597,9 +613,11 @@ class TestBatchedScorer:
         seen = []
         real = criteria_module._score_batch
 
-        def spy(ks, *args):  # the batch's models are the next len(ks) depths
-            done = sum(map(len, seen))
-            seen.append(list(range(done, done + len(ks))))
+        # each depth's parameter count (2, 8, 26, 80 at M=3) names the batch's models
+        depth_of = {param_count(3, h, BoundaryMode.PADDED): h for h in range(4)}
+
+        def spy(ks, *args):
+            seen.append([depth_of[int(k)] for k in ks.tolist()])
             return real(ks, *args)
 
         monkeypatch.setattr(criteria_module, "_score_batch", spy)

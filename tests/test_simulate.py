@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import find_record
-from memsel import simulate
+from memsel import criteria, simulate
 from memsel.chain import START, BoundaryMode, StateAlphabet, Trajectory, count_transitions
 from memsel.criteria import evaluate_depths
 from memsel.simulate import (
@@ -459,13 +459,13 @@ class TestChunkedScoring:
     def test_join_bound_keeps_every_byte(self, study, cfg, monkeypatch):
         want = repr(study(cfg))
         joins = []
-        real = simulate._depth_models
+        real = criteria._depth_models
 
         def spy(sets, *args, **kwargs):
             joins.append(len(sets))
             return real(sets, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_depth_models", spy)
+        monkeypatch.setattr(criteria, "_depth_models", spy)
         # 0 counts every replicate alone; 40 steps joins a few replicates and
         # leaves some larger than the bound alone
         for join_steps in (0, 40, 10**9):

@@ -204,7 +204,9 @@ def test_in_place_shift_is_bit_identical_to_mask_loop(fn, psi1):
     near = [12.0, 11.0, 13.0, 1e-3, 1e6]
     edges = [np.nextafter(v, d) for v in near for d in (0.0, np.inf)] + near
     counts = rng.integers(0, 40, (300, 8)) + rng.uniform(0.1, 3.0, 8)  # count rows + prior
-    for z in (grid(5), np.array(edges), counts, 10 ** rng.uniform(-3, 6, (17, 3))):
+    # a transposed or Fortran-ordered table keeps each element's value
+    for z in (grid(5), np.array(edges), counts, 10 ** rng.uniform(-3, 6, (17, 3)), counts.T,
+              np.asfortranarray(counts)):
         got = fn(z)
         assert got.shape == z.shape
         ref = reference_psi(z, psi1).reshape(z.shape)
@@ -244,8 +246,10 @@ def test_shifting_the_low_arguments_alone_keeps_every_bit(psi, psi1):
     counts = (rng.integers(0, 40, 2000) + 0.3).astype(float)  # a count table plus a prior
     mixed = np.concatenate([counts, at_12, 10 ** rng.uniform(-3, 6, 500)])
     rng.shuffle(mixed)
+    table = counts.reshape(40, 50)
+    # transposed and Fortran-ordered tables: shifted in place of their own elements
     for z in (mixed, at_12, np.full(7, 12.0), np.array([1e6, 40.0]), np.array([1e-3]),
-              np.empty(0), counts.reshape(40, 50)):
+              np.empty(0), table, table.T, np.asfortranarray(table), mixed[::3]):
         got, want = _shifted(z, psi, psi1), whole_array_shift(z, psi, psi1)
         for g, w in zip(got, want):
             if w is None:
