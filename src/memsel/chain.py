@@ -16,7 +16,8 @@ occurrence through a dense table, without sorting, so no code exceeds
 M+1 times the number of steps. Several sets of trajectories (the
 replicates of a power study) can share the pass: the set is the
 outermost key, and each set's rows come out contiguous, with the bits
-they have when the set is counted alone (``CountStack``).
+they have when the set is counted alone: one ``TrajectoryCounts`` holds
+them all, and its ``view(s)`` is set s.
 """
 
 from __future__ import annotations
@@ -205,48 +206,67 @@ class CountTable:
 
 
 class TrajectoryCounts:
-    """Every trajectory's count rows, stacked, plus their element-wise total.
+    """Counted trajectories at one depth: one or more sets of them (the
+    replicates of a power study), counted in one pass and stacked set after
+    set.
 
-    ``idx`` gives each stacked row's row in ``total``, ``counts`` its
-    destination counts, and trajectory j owns rows ``bounds[j]:bounds[j+1]``.
-    The ``per_trajectory`` tables are built from them on first access.
+    Set s owns the total rows ``rows[s]:rows[s+1]`` of ``counts`` and the
+    trajectories ``sets[s]:sets[s+1]``. Trajectory g owns the (trajectory,
+    context) rows ``bounds[g]:bounds[g+1]`` of ``t``, and ``idx`` gives each
+    of those rows its row in ``counts``. ``decode(r0, r1)`` returns the keys
+    of total rows r0:r1. ``view(s)`` is set s alone, with the bits it has
+    when counted alone. One set also reads as its ``total`` table and its
+    ``per_trajectory`` tables, built on first access; several sets have no
+    one total table, since their keys repeat, so ``total`` raises ValueError.
     """
 
-    def __init__(self, ids, total: CountTable, idx: np.ndarray, counts: np.ndarray,
-                 bounds: np.ndarray):
+    def __init__(self, h, alphabet, boundary, ids, counts, rows, idx, t, bounds, sets, decode):
         counts.flags.writeable = False
-        self.ids, self.total, self._stack, self._per = tuple(ids), total, (idx, counts, bounds), None
+        t.flags.writeable = False
+        self.h, self.alphabet, self.boundary, self.ids = h, alphabet, boundary, ids
+        self.counts, self.rows, self.idx, self.t = counts, rows, idx, t
+        self.bounds, self.sets, self._decode = bounds, sets, decode
 
     @property
-    def per_trajectory(self) -> tuple[tuple[str, CountTable], ...]:
-        if self._per is None:
-            idx, counts, bounds = self._stack
-            b = bounds.tolist()
-            self._per = tuple(
-                (tid, CountTable._counted(self.h, self.alphabet, self.boundary, counts[s:e],
-                                          partial(_keys_at, self.total, idx[s:e])))
-                for tid, s, e in zip(self.ids, b, b[1:]))
-        return self._per
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every trajectory's rows in turn: their total-table rows, counts and bounds."""
-        return self._stack
+    def n_sets(self) -> int:
+        return len(self.sets) - 1
 
     @property
     def n_trajectories(self) -> int:
         return len(self.ids)
 
-    @property
-    def h(self) -> int:
-        return self.total.h
+    @cached_property
+    def total(self) -> CountTable:
+        """The one set's total table, its rows those of ``counts``."""
+        if self.n_sets != 1:
+            raise ValueError(f"{self.n_sets} sets of counts have no one total table; "
+                             "view(s) has set s's")
+        return CountTable._counted(self.h, self.alphabet, self.boundary, self.counts,
+                                   partial(self._decode, 0, len(self.counts)))
 
-    @property
-    def alphabet(self) -> StateAlphabet:
-        return self.total.alphabet
+    @cached_property
+    def per_trajectory(self) -> tuple[tuple[str, CountTable], ...]:
+        total, b = self.total, self.bounds.tolist()
+        return tuple(
+            (tid, CountTable._counted(self.h, self.alphabet, self.boundary, self.t[s:e],
+                                      partial(_keys_at, total, self.idx[s:e])))
+            for tid, s, e in zip(self.ids, b, b[1:]))
 
-    @property
-    def boundary(self) -> BoundaryMode:
-        return self.total.boundary
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every trajectory's rows in turn: their total rows, counts and bounds."""
+        return self.idx, self.t, self.bounds
+
+    def view(self, s: int) -> "TrajectoryCounts":
+        """Set s alone, over views of the stack's arrays."""
+        r0, r1 = self.rows[s:s + 2].tolist()
+        g0, g1 = self.sets[s:s + 2].tolist()
+        p0, p1 = self.bounds[[g0, g1]].tolist()
+        idx, bounds = self.idx[p0:p1], self.bounds[g0:g1 + 1]
+        return TrajectoryCounts(
+            self.h, self.alphabet, self.boundary, self.ids[g0:g1], self.counts[r0:r1],
+            np.array([0, r1 - r0]), idx - r0 if r0 else idx, self.t[p0:p1],
+            bounds - p0 if p0 else bounds, np.array([0, g1 - g0]),
+            partial(_decode_from, self._decode, r0) if r0 else self._decode)
 
 
 # A dense ranking table may hold at most this many entries per key; keys
@@ -287,23 +307,25 @@ def _digit(steps: np.ndarray, pos: np.ndarray, at: np.ndarray, lag: int) -> np.n
     return np.where(pos[at] >= lag, steps.take(at - lag, mode="clip") + 1, 0)
 
 
-def _contexts(steps: np.ndarray, pos: np.ndarray, at: np.ndarray, h: int) -> list[tuple]:
-    """The depth-h context of each step in ``at``, as a token tuple."""
+def _row_contexts(steps, pos, first: np.ndarray, h: int, r0: int, r1: int) -> list[tuple]:
+    """The depth-h contexts of total rows r0:r1, as token tuples, from each
+    row's first counted step ``first``."""
+    at = first[r0:r1]
     toks = np.empty((at.size, h), dtype=np.int64)
     for j in range(h):
         toks[:, j] = _digit(steps, pos, at, h - j) - 1
     return list(map(tuple, toks.tolist()))
 
 
-def _row_contexts(steps, pos, first: np.ndarray, h: int, r0: int, r1: int) -> list[tuple]:
-    """The contexts of total rows r0:r1, from each row's first counted step ``first``."""
-    return _contexts(steps, pos, first[r0:r1], h)
-
-
 def _keys_at(table: CountTable, idx: np.ndarray) -> list:
     """The keys of ``table``'s rows ``idx``."""
     keys = table.keys
     return [keys[i] for i in idx.tolist()]
+
+
+def _decode_from(decode, r0: int, a: int, b: int) -> list:
+    """The keys of rows a:b of a stack whose row 0 is row r0 of ``decode``'s."""
+    return decode(r0 + a, r0 + b)
 
 
 def count_transitions(
@@ -322,50 +344,7 @@ def count_transitions(
     """
     if h < 0:
         raise ValueError("memory depth h must be >= 0")
-    return _count_depths([list(trajectories)], [h], alphabet, mode)[h].view(0)
-
-
-class CountStack:
-    """Several sets of trajectories counted at one depth, stacked set after
-    set: the form the scorer reads.
-
-    Set s owns the total rows ``rows[s]:rows[s+1]`` of ``counts`` and the
-    trajectories ``sets[s]:sets[s+1]``. Trajectory g owns the (trajectory,
-    context) rows ``bounds[g]:bounds[g+1]`` of ``t``, and ``idx`` gives each
-    of those rows its row in ``counts``. ``view(s)`` is set s's
-    TrajectoryCounts, with the bits it has when counted alone.
-    """
-
-    def __init__(self, h, alphabet, boundary, ids, counts, rows, idx, t, bounds, sets,
-                 decode=None):
-        counts.flags.writeable = False
-        t.flags.writeable = False
-        self.h, self.alphabet, self.boundary, self.ids = h, alphabet, boundary, ids
-        self.counts, self.rows, self.idx, self.t = counts, rows, idx, t
-        self.bounds, self.sets, self._decode = bounds, sets, decode
-
-    @classmethod
-    def of(cls, tc: TrajectoryCounts) -> "CountStack":
-        """The one-set stack over ``tc``'s arrays (it has no ``view``)."""
-        idx, t, bounds = tc.stacked()
-        return cls(tc.h, tc.alphabet, tc.boundary, tc.ids, tc.total.counts,
-                   np.array([0, tc.total.n_contexts]), idx, t, bounds,
-                   np.array([0, tc.n_trajectories]))
-
-    @property
-    def n_sets(self) -> int:
-        return len(self.sets) - 1
-
-    def view(self, s: int) -> TrajectoryCounts:
-        """Set s's counts as a TrajectoryCounts over views of the stack's arrays."""
-        r0, r1 = self.rows[s:s + 2].tolist()
-        g0, g1 = self.sets[s:s + 2].tolist()
-        p0, p1 = self.bounds[[g0, g1]].tolist()
-        idx, bounds = self.idx[p0:p1], self.bounds[g0:g1 + 1]
-        total = CountTable._counted(self.h, self.alphabet, self.boundary, self.counts[r0:r1],
-                                    partial(self._decode, r0, r1))
-        return TrajectoryCounts(self.ids[g0:g1], total, idx - r0 if r0 else idx, self.t[p0:p1],
-                                bounds - p0 if p0 else bounds)
+    return _count_depths([list(trajectories)], [h], alphabet, mode)[h]
 
 
 def _count_depths(
@@ -373,9 +352,9 @@ def _count_depths(
     hs: Iterable[int],
     alphabet: StateAlphabet,
     mode: BoundaryMode = BoundaryMode.PADDED,
-) -> dict[int, CountStack]:
+) -> dict[int, TrajectoryCounts]:
     """Every set of trajectories in ``sets`` counted at every depth in ``hs``
-    (each >= 0), in one pass: per depth, a CountStack of the sets in turn.
+    (each >= 0), in one pass: per depth, a TrajectoryCounts of the sets in turn.
 
     The concatenated steps and their trajectory and position indices are
     built once. The set is the outermost key: depth 0 has one context per
@@ -434,6 +413,6 @@ def _count_depths(
         t = np.bincount(prow * m + dest, minlength=pfirst.size * m).reshape(-1, m)
         rows = np.bincount(owner[at[first]] + 1, minlength=n_sets + 1).cumsum()
         bounds = np.bincount(traj[at[pfirst]] + 1, minlength=n_traj + 1).cumsum()
-        out[h] = CountStack(h, alphabet, mode, ids, n, rows, row[pfirst], t, bounds, set_bounds,
-                            partial(_row_contexts, steps, pos, at[first], h))
+        out[h] = TrajectoryCounts(h, alphabet, mode, ids, n, rows, row[pfirst], t, bounds,
+                                  set_bounds, partial(_row_contexts, steps, pos, at[first], h))
     return out

@@ -56,6 +56,8 @@ class CliError(Exception):
 
 
 def _parse_h_range(args) -> list[int]:
+    if args.h_range is not None and args.h_max is not None:
+        raise CliError("--h-range and --h-max both set the depths; give one of them")
     if args.h_range is not None:
         text = args.h_range
         sep = ".." if ".." in text else (":" if ":" in text else None)
@@ -110,9 +112,14 @@ def _existing(path, what: str = "input file") -> Path:
 
 def _load_input(args):
     path = _existing(args.input)
+    is_csv = path.suffix.lower() == ".csv"
+    # each format reads its own label option; the other one would be ignored
+    if (args.states if is_csv else args.labels) is not None:
+        raise CliError(f"--states applies to JSONL input and --labels to CSV input; "
+                       f"drop {'--states' if is_csv else '--labels'} for {path}")
     states = args.states.split(",") if args.states else None
     try:
-        if path.suffix.lower() == ".csv":
+        if is_csv:
             labels = tuple(args.labels.split(",")) if args.labels else ("0", "1")
             alphabet, trajs = import_outcome_csv(path, labels)
         else:

@@ -11,8 +11,8 @@ every criterion.
 LPPD, LOO, CV2 and k_WAIC2 sum over (trajectory, context) rows, one term
 per trajectory. One scorer, ``_score``, serves ``evaluate`` (one model),
 ``evaluate_depths`` (every depth plus a tied model) and the power study
-(every model of a chunk of replicates). It reads count tables as
-counted, stacked set after set (``chain.CountStack``), scores
+(every model of a chunk of replicates). It reads ``TrajectoryCounts`` as
+counted, each holding one or more sets stacked set after set, scores
 consecutive models in batches within a size bound, running each kernel
 once per batch with every sum taken in the order of one model scored
 alone, so batching never changes a bit of the output, and returns one
@@ -47,7 +47,6 @@ import numpy as np
 
 from .chain import (
     BoundaryMode,
-    CountStack,
     CountTable,
     StateAlphabet,
     Trajectory,
@@ -382,7 +381,7 @@ def _left_sums(xs: np.ndarray, js: np.ndarray) -> np.ndarray:
     return np.add.accumulate(block, axis=2)[:, :, -1]
 
 
-def _score(stacks: Sequence[CountStack], prior: DirichletPrior, which: tuple[str, ...],
+def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[str, ...],
            ks: Sequence[int]) -> np.ndarray:
     """Criterion values for every model, one row each in the columns
     ``_columns(which)``: the models are the sets of each stack in turn, and
@@ -597,11 +596,12 @@ def evaluate(
     """
     which = _normalize_which(which)
     prior = _prior_for(tc.alphabet, prior)
+    if tc.n_sets != 1:
+        raise ValueError(f"evaluate scores one set of counts, not {tc.n_sets} sets; pass view(s)")
     if k_params is None:
         k_params = param_count(tc.alphabet.size, tc.h, tc.boundary)
-    stacks = [CountStack.of(tc)]
-    return _reports(stacks, [k_params], [label], which,
-                    _score(stacks, prior, which, [k_params]))[0]
+    return _reports([tc], [k_params], [label], which,
+                    _score([tc], prior, which, [k_params]))[0]
 
 
 def evaluate_depths(
@@ -638,10 +638,10 @@ def _depth_models(sets, alphabet, h_range, mode=BoundaryMode.PADDED, aic_penalty
     """What ``evaluate_depths`` scores, for every set of trajectories in
     ``sets`` at once: one stack per depth in ``h_range``, in increasing
     order, holding every set (counted in one ``_count_depths`` pass), then
-    with ``tie_map`` one one-set stack per set holding its tied model; and
-    each stack's AIC parameter count. Scored in this order, the models run
-    depth by depth over every set, then the tied model of every set
-    (``_set_values`` regroups them set by set)."""
+    with ``tie_map`` one stack of every set's tied model (one ``tie_counts``
+    call); and each stack's AIC parameter count. Scored in this order, the
+    models run depth by depth over every set, then the tied model of every
+    set (``_set_values`` regroups them set by set)."""
     hs = sorted({int(h) for h in h_range})
     if not hs:
         raise ValueError("h_range must be non-empty")
@@ -655,9 +655,8 @@ def _depth_models(sets, alphabet, h_range, mode=BoundaryMode.PADDED, aic_penalty
     m = alphabet.size
     ks = [m ** (h + 1) if aic_penalty == "full" else param_count(m, h, mode) for h in hs]
     if tie_map is not None:
-        tied = counts[tie_map.h]
-        stacks += [CountStack.of(tie_counts(tied.view(s), tie_map)) for s in range(tied.n_sets)]
-        ks += [tied_param_count(tie_map, m)] * tied.n_sets
+        stacks.append(tie_counts(counts[tie_map.h], tie_map))
+        ks.append(tied_param_count(tie_map, m))
     return stacks, ks
 
 

@@ -254,6 +254,8 @@ class SimConfig:
             raise ValueError("h_range must be non-empty")
         if not self.J_values or min(self.J_values) < 1:
             raise ValueError("J values must be positive")
+        if repeated := [j for i, j in enumerate(self.J_values) if j in self.J_values[:i]]:
+            raise ValueError(f"J value {repeated[0]} is named twice")
         _normalize_study(self, min(self.J_values), "J")
 
     @property

@@ -9,6 +9,7 @@ reduced table, with C (M - 1) free parameters for C classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from .chain import (
     START,
     BoundaryMode,
-    CountTable,
     StateAlphabet,
     TrajectoryCounts,
     _first_occurrence,
@@ -78,11 +78,13 @@ class TieMap:
 
 
 def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
-    """Reduce count tables so rows are keyed by class id instead of context.
+    """Reduce counts so rows are keyed by class id instead of context.
 
-    Counts are summed within each class, per trajectory and in total, so
-    the reduced total still equals the reduced per-trajectory sum exactly.
-    Classes appear in order of first occurrence, like counted contexts. A
+    Counts are summed within each class, per trajectory and in total, set by
+    set, so the reduced total still equals the reduced per-trajectory sum
+    exactly. ``tc`` may hold several sets: (set, class) is ranked with the
+    set outermost, as counting ranks contexts, so each set's classes appear
+    in order of first occurrence, with the bits of the set tied alone. A
     map that names a state token >= M for these counts is rejected, and so
     is one that names a START context for truncated counts, which never
     hold one: its class would add M - 1 parameters with no count behind them.
@@ -99,21 +101,29 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
         if max(ctx, default=START) >= m:
             raise ValueError(f"tie map context {ctx!r} has state token {max(ctx)}, "
                              f"outside the M={m} states 0..{m - 1}")
-    classes = np.array([tie_map.class_of(ctx) for ctx in tc.total.keys], dtype=np.int64)
-    row, first = _first_occurrence(classes, tie_map.n_classes)
-    tied = np.zeros((first.size, tc.alphabet.size), dtype=np.int64)
-    np.add.at(tied, row, tc.total.counts)
-    idx, t, bounds = tc.stacked()
+    c = tie_map.n_classes
+    classes = np.array([tie_map.class_of(ctx) for ctx in tc._decode(0, len(tc.counts))],
+                       dtype=np.int64)
+    owner = np.repeat(np.arange(tc.n_sets), np.diff(tc.rows))  # each total row's set
+    row, first = _first_occurrence(owner * c + classes, tc.n_sets * c)
+    tied = np.zeros((first.size, m), dtype=np.int64)
+    np.add.at(tied, row, tc.counts)
+    rows = np.bincount(owner[first] + 1, minlength=tc.n_sets + 1).cumsum()
     # group the stacked rows by (trajectory, class), in order of first occurrence
     n_traj = tc.n_trajectories
-    traj = np.repeat(np.arange(n_traj), np.diff(bounds))
-    prow, pfirst = _first_occurrence(traj * first.size + row[idx], n_traj * first.size)
-    tidx = row[idx[pfirst]]
-    tbounds = np.bincount(traj[pfirst] + 1, minlength=n_traj + 1).cumsum()
-    tied_t = np.zeros((tidx.size, tc.alphabet.size), dtype=np.int64)
-    np.add.at(tied_t, prow, t)
-    total = CountTable._counted(tc.h, tc.alphabet, tc.boundary, tied, classes[first].tolist)
-    return TrajectoryCounts(tc.ids, total, tidx, tied_t, tbounds)
+    traj = np.repeat(np.arange(n_traj), np.diff(tc.bounds))
+    prow, pfirst = _first_occurrence(traj * c + classes[tc.idx], n_traj * c)
+    tidx = row[tc.idx[pfirst]]
+    bounds = np.bincount(traj[pfirst] + 1, minlength=n_traj + 1).cumsum()
+    tied_t = np.zeros((tidx.size, m), dtype=np.int64)
+    np.add.at(tied_t, prow, tc.t)
+    return TrajectoryCounts(tc.h, tc.alphabet, tc.boundary, tc.ids, tied, rows, tidx, tied_t,
+                            bounds, tc.sets, partial(_class_ids, classes[first]))
+
+
+def _class_ids(keys: np.ndarray, r0: int, r1: int) -> list:
+    """The class ids of tied rows r0:r1."""
+    return keys[r0:r1].tolist()
 
 
 def tied_param_count(tie_map: TieMap, m: int) -> int:

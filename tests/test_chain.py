@@ -16,6 +16,7 @@ from memsel.chain import (
     _count_depths,
     count_transitions,
 )
+from memsel.criteria import evaluate
 from memsel.dataio import load_tie_map
 from memsel.tying import TieMap, tie_counts
 
@@ -295,6 +296,30 @@ class TestCountDepths:
     def test_unsorted_and_repeated_depths(self):
         trajs = [Trajectory("a", (0, 1, 2, 1)), Trajectory("b", (2, 2))]
         self.check(trajs, [3, 1, 3, 0], 3, BoundaryMode.PADDED)
+
+    @pytest.mark.parametrize("mode", list(BoundaryMode))
+    def test_count_transitions_is_the_one_set_stack(self, mode):
+        rng = np.random.default_rng(12)
+        trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 3, int(rng.integers(1, 12))).tolist()))
+                 for i in range(5)]
+        for h in (0, 1, 3):
+            want = _count_depths([trajs], [h], AB3, mode)[h]
+            got = count_transitions(trajs, h, AB3, mode)
+            assert (got.n_sets, got.n_trajectories) == (1, 5)
+            for name in ("counts", "rows", "idx", "t", "bounds", "sets"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+            assert got.total.keys == want.total.keys
+
+    def test_several_sets_have_no_one_total(self):
+        sets = [[Trajectory("a", (0, 1, 2))], [Trajectory("b", (2, 1)), Trajectory("c", (0,))]]
+        stack = _count_depths(sets, [1], AB3)[1]
+        assert stack.n_sets == 2
+        # the sets' keys repeat: each set's total is its view's
+        for read in (lambda: stack.total, lambda: stack.per_trajectory, lambda: evaluate(stack)):
+            with pytest.raises(ValueError, match="2 sets"):
+                read()
+        assert stack.view(1).total == count_transitions(sets[1], 1, AB3).total
 
 
 def reference_first_occurrence(keys):

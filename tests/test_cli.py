@@ -308,6 +308,30 @@ class TestErrorPaths:
         assert f"{tmp_path} is not a file" in capsys.readouterr().err
         assert not out.exists()
 
+    # each of these options would be dropped without a word, so it is refused
+    @pytest.mark.parametrize("command, named", [
+        (["criteria", "--input", "{season}", "--h-range", "0..1", "--h-max", "2"],
+         "--h-range and --h-max"),
+        (["select", "--input", "{season}", "--h-range", "0..1", "--h-max", "2"],
+         "--h-range and --h-max"),
+        (["simulate", "--M", "3", "--h-range", "1..2", "--h-max", "2", "--J", "4",
+          "--replicates", "5"], "--h-range and --h-max"),
+        (["criteria", "--input", "{csv}", "--h-max", "1", "--states", "x,y"], "drop --states"),
+        (["oracle", "--input", "{csv}", "--h", "1", "--states", "0,1"], "drop --states"),
+        (["criteria", "--input", "{season}", "--h-max", "1", "--labels", "x,y"],
+         "drop --labels"),
+        (["select", "--input", "{season}", "--h-max", "1", "--labels", "0,1"], "drop --labels"),
+    ], ids=["criteria-h", "select-h", "simulate-h", "csv-states", "oracle-csv-states",
+            "jsonl-labels", "select-jsonl-labels"])
+    def test_ignored_option_is_config_error(self, season, tmp_path, capsys, command, named):
+        games = tmp_path / "games.csv"
+        games.write_text("g1,1\ng1,0\ng2,1\n")
+        out = tmp_path / "o"
+        assert main([a.format(season=season, csv=games) for a in command]
+                    + ["--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_tie_map_file(self, season, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["criteria", "--input", str(season), "--h-range", "0..1",
@@ -503,6 +527,9 @@ class TestSimulateCommand:
         ["--free-throw", "--h-max", "1"],
         ["--free-throw", "--network-per-replicate"],
         ["--free-throw", "--h-true", "0"],
+        # a repeated J would run its cell twice under one label
+        ["--M", "3", "--h-range", "1..2", "--J", "4", "--J", "4", "--replicates", "5",
+         "--criteria", "LOO,AIC"],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, args):
         out = tmp_path / "d"
@@ -526,8 +553,11 @@ class TestSimulateCommand:
         (["--free-throw", "--lambda", "1e300"], "numpy's Poisson limit, got 1e+300"),
         # the shared network is drawn from a stream keyed by h_true
         (["--M", "3", "--h-range", "1..2", "--h-true", "-1"], "true memory depth must be >= 0"),
+        (["--M", "3", "--h-range", "1..2", "--J", "4", "--J", "4", "--replicates", "5",
+          "--criteria", "LOO,AIC"], "J value 4 is named twice"),
     ], ids=["repeated", "ft-repeated", "unknown", "ft-p-range", "ft-p-nan", "ft-arity",
-            "ft-text", "ft-lambda-nan", "ft-lambda-inf", "ft-lambda-huge", "h-true-negative"])
+            "ft-text", "ft-lambda-nan", "ft-lambda-inf", "ft-lambda-huge", "h-true-negative",
+            "J-repeated"])
     def test_config_error_names_its_cause(self, tmp_path, capsys, args, message):
         out = tmp_path / "d"
         assert main(["simulate", *args, "--out", str(out)]) == 2

@@ -128,6 +128,39 @@ def test_joint_counting_equals_each_set_counted_alone(m, sets, hs, mode):
 
 
 @PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 4),
+    sets=st.lists(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8), min_size=1,
+                           max_size=4), min_size=1, max_size=5),
+    h=st.integers(0, 3),
+    mode=st.sampled_from(list(BoundaryMode)),
+    n_classes=st.integers(1, 4),
+)
+def test_tying_a_stack_equals_tying_each_set_alone(seed, m, sets, h, mode, n_classes):
+    sets = [[Trajectory(f"s{s}t{i}", tuple(x % m for x in steps)) for i, steps in enumerate(g)]
+            for s, g in enumerate(sets)]
+    stack = _count_depths(sets, [h], StateAlphabet.of_size(m), mode)[h]
+    # about half the contexts of any set listed, the rest caught by the default class
+    rng = np.random.default_rng(seed)
+    keys = sorted({k for s in range(stack.n_sets) for k in stack.view(s).total.keys})
+    listed = {ctx: int(rng.integers(0, n_classes)) for ctx in keys if rng.random() < 0.5}
+    default = int(rng.integers(0, n_classes))
+    ids = {c: i for i, c in enumerate(sorted({default, *listed.values()}))}
+    tie_map = TieMap(h, len(ids), {ctx: ids[c] for ctx, c in listed.items()},
+                     default_class=ids[default])
+    tied = tie_counts(stack, tie_map)
+    assert tied.n_sets == len(sets)
+    for s in range(stack.n_sets):
+        got, want = tied.view(s), tie_counts(stack.view(s), tie_map)
+        assert got.ids == want.ids
+        assert got.total.keys == want.total.keys
+        for a, b in zip((got.counts, got.idx, got.t, got.bounds),
+                        (want.counts, want.idx, want.t, want.bounds)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), j=st.integers(2, 5), m=st.integers(2, 3))
 def test_trajectory_order_leaves_argmin_unchanged(seed, j, m):
     rng = np.random.default_rng(seed)

@@ -262,8 +262,9 @@ class TestPowerStudy:
         assert fresh.selection != shared.selection
 
     def test_fresh_networks_differ_across_grid_cells(self, monkeypatch):
-        # cells (j, rep) and (j + 1, rep - 101) once shared a network seed
-        cfg = SimConfig(m=3, h_true=1, h_range=(1,), J_values=(2, 2), replicates=102,
+        # cells (j, rep) and (j + 1, rep - 101) once shared a network seed; the
+        # network's stream is keyed by the cell's index, not its J
+        cfg = SimConfig(m=3, h_true=1, h_range=(1,), J_values=(2, 3), replicates=102,
                         criteria=("LOO",), seed=7, network_per_replicate=True)
         nets = []
         real = simulate._sample_walks
@@ -305,6 +306,9 @@ class TestPowerStudy:
             SimConfig(criteria=("LOO", "AIC", "LOO"))
         with pytest.raises(ValueError):
             SimConfig(criteria=("CV2",), J_values=(1,))
+        # a repeated J would run its cell twice under one label
+        with pytest.raises(ValueError, match="J value 4 is named twice"):
+            SimConfig(J_values=(4, 16, 4))
         with pytest.raises(ValueError, match="true memory depth must be >= 0"):
             SimConfig(h_true=-1)
 
