@@ -252,10 +252,6 @@ class TrajectoryCounts:
                                       partial(_keys_at, total, self.idx[s:e])))
             for tid, s, e in zip(self.ids, b, b[1:]))
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every trajectory's rows in turn: their total rows, counts and bounds."""
-        return self.idx, self.t, self.bounds
-
     def view(self, s: int) -> "TrajectoryCounts":
         """Set s alone, over views of the stack's arrays."""
         r0, r1 = self.rows[s:s + 2].tolist()

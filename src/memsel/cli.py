@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chain import BoundaryMode, count_transitions
+from .chain import BoundaryMode, StateAlphabet, count_transitions
 from .criteria import CRITERIA, DirichletPrior, _normalize_which, argmin, evaluate, evaluate_depths
 from .dataio import (
     Records,
@@ -110,6 +110,16 @@ def _existing(path, what: str = "input file") -> Path:
     return path
 
 
+def _label_option(text: str | None, option: str, default=None):
+    """A comma-separated label option as a tuple (``default`` when it is not
+    given); a list that makes no alphabet, an empty one too, exits 2 naming
+    the option."""
+    try:
+        return default if text is None else StateAlphabet(tuple(text.split(","))).labels
+    except ValueError as exc:
+        raise CliError(f"{option} {text!r}: {exc}") from None
+
+
 def _load_input(args):
     path = _existing(args.input)
     is_csv = path.suffix.lower() == ".csv"
@@ -117,13 +127,12 @@ def _load_input(args):
     if (args.states if is_csv else args.labels) is not None:
         raise CliError(f"--states applies to JSONL input and --labels to CSV input; "
                        f"drop {'--states' if is_csv else '--labels'} for {path}")
-    states = args.states.split(",") if args.states else None
     try:
         if is_csv:
-            labels = tuple(args.labels.split(",")) if args.labels else ("0", "1")
-            alphabet, trajs = import_outcome_csv(path, labels)
+            alphabet, trajs = import_outcome_csv(
+                path, _label_option(args.labels, "--labels", ("0", "1")))
         else:
-            alphabet, trajs = read_trajectories_jsonl(path, states)
+            alphabet, trajs = read_trajectories_jsonl(path, _label_option(args.states, "--states"))
     except TrajectoryFormatError as exc:
         raise _input_error(exc, path, f"{path}: empty input ({exc})") from None
     return alphabet, trajs
@@ -343,7 +352,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_import(args) -> int:
-    labels = tuple(args.labels.split(",")) if args.labels else ("0", "1")
+    labels = _label_option(args.labels, "--labels", ("0", "1"))
     try:
         alphabet, trajs = import_outcome_csv(_existing(args.input), labels)
     except TrajectoryFormatError as exc:

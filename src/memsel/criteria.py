@@ -257,11 +257,13 @@ class CriterionReport:
 
 def _normalize_which(which) -> tuple[str, ...]:
     """``which`` as a tuple of criterion names (None: all of CRITERIA); an
-    unknown or repeated name raises ValueError. Every criterion list that
-    the library or the CLI takes is checked here."""
+    empty list, or an unknown or repeated name, raises ValueError. Every
+    criterion list that the library or the CLI takes is checked here."""
     if which is None:
         return CRITERIA
     names = tuple(which)
+    if not names:
+        raise ValueError("name at least one criterion")
     for i, name in enumerate(names):
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
@@ -367,20 +369,6 @@ def _ratio_tables(names, N, NA, NAs, idx, in_first, a, cells):
     return xc, xr
 
 
-def _left_sums(xs: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """For each row of ``xs`` and each model, ``reduce(add, terms, 0.0)``
-    over the model's ``js`` consecutive terms in the row: added left to
-    right from 0.0, as Python adds them (not ``sum()``, which compensates
-    from Python 3.12, nor numpy's pairwise sum). Each model's terms follow
-    a 0.0 in a zero-padded row of one ``np.add.accumulate``; the padding
-    adds 0.0 to a sum that is never -0.0.
-    """
-    block = np.zeros((len(xs), len(js), 1 + int(js.max(initial=0))))
-    model = np.repeat(np.arange(len(js)), js)
-    block[:, model, np.arange(model.size) - (np.cumsum(js) - js)[model] + 1] = xs
-    return np.add.accumulate(block, axis=2)[:, :, -1]
-
-
 def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tuple[str, ...],
            ks: Sequence[int]) -> np.ndarray:
     """Criterion values for every model, one row each in the columns
@@ -458,9 +446,10 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     for LOO, log B(c + t + a) - log B(c + a) for CV2, and
     t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Only the
     cells with t > 0 are read; a row's t total comes from them. Every sum
-    adds a model's own terms in the order one model scored alone would,
-    so each value is bit-identical to scoring the models one at a time.
-    Returns one row of values per model, in the columns ``_columns(which)``.
+    (one ``np.bincount`` per model for the trajectories' terms) adds a
+    model's own terms in the order one model scored alone would, so each
+    value is bit-identical to scoring the models one at a time. Returns one
+    row of values per model, in the columns ``_columns(which)``.
     """
     need = set(which)
     a, a0 = prior.alpha, prior.total
@@ -500,6 +489,7 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
 
     n_groups = len(traj_sizes)  # one group per (model, trajectory)
     grp = np.repeat(np.arange(n_groups), traj_sizes)
+    model = np.repeat(np.arange(n_models), js)  # each group's model
 
     # per-trajectory terms, summed per model
     terms = {term for term, used_by in _TERM_USERS.items() if need & used_by}
@@ -517,7 +507,6 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     if ratios:
         in_first = None
         if "CV2" in terms:  # each model's first floor(J/2) trajectories, per stacked row
-            model = np.repeat(np.arange(n_models), js)
             in_first = ((np.arange(n_groups) - (np.cumsum(js) - js)[model]) < (js // 2)[model])[grp]
         xc, xr = _ratio_tables(ratios, N, NA, NAs, idx, in_first, a, (flat, at, col, reps, row))
         # each of these is freed once read, as is k_WAIC2's block: a batch may
@@ -536,8 +525,8 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
         pointwise["k_WAIC2"] = np.bincount(
             grp, weights=_trigamma_rows(sq, totals, tot["tri_s"][idx]), minlength=n_groups)
         del sq
-    if pointwise:
-        sums.update(zip(pointwise, _left_sums(np.array(list(pointwise.values())), js)))
+    # added in order from 0.0: not pairwise, nor by sum(), which compensates from Python 3.12
+    sums.update((name, np.bincount(model, x, n_models)) for name, x in pointwise.items())
 
     lppd, plugin, post = sums.get("LPPD"), sums.get("plugin"), sums.get("post")
     values, complexity = [], []
@@ -563,7 +552,7 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
                 fit, k = plugin, 2.0 * sums["k_DIC2"]
             complexity.append(k)
             values.append(-2.0 * fit + 2.0 * k)
-    return np.stack(values + complexity, axis=1) if values else np.empty((n_models, 0))
+    return np.stack(values + complexity, axis=1)
 
 
 def _reports(stacks, ks, labels, which, values: np.ndarray) -> list[CriterionReport]:

@@ -76,6 +76,8 @@ def read_trajectories_jsonl(
                 continue
             if "seq" not in obj:
                 raise TrajectoryFormatError(lineno, 'missing "seq" field')
+            if not isinstance(obj["seq"], list) or not obj["seq"]:
+                raise TrajectoryFormatError(lineno, '"seq" must be a non-empty list')
             raw.append((lineno, obj))
     if not raw:
         raise TrajectoryFormatError(0, "no trajectories in input")
@@ -92,11 +94,8 @@ def read_trajectories_jsonl(
 
     trajs: list[Trajectory] = []
     for lineno, obj in raw:
-        seq = obj["seq"]
-        if not isinstance(seq, list) or not seq:
-            raise TrajectoryFormatError(lineno, '"seq" must be a non-empty list')
         try:
-            steps = alphabet.indices(seq)
+            steps = alphabet.indices(obj["seq"])
         except ValueError as exc:
             raise TrajectoryFormatError(lineno, str(exc)) from None
         tid = str(obj.get("id", f"traj{len(trajs)}"))
@@ -126,9 +125,10 @@ def import_outcome_csv(
 ) -> tuple[StateAlphabet, list[Trajectory]]:
     """Import ordered (group_id, outcome) CSV rows as per-group trajectories.
 
-    Rows sharing a group id form one trajectory in file order; the default
-    labels follow the miss=0 / hit=1 convention. A header row whose second
-    column is not a known label is skipped.
+    Consecutive rows sharing a group id form one trajectory in file order
+    (an id that resumes after another group raises TrajectoryFormatError);
+    the default labels follow the miss=0 / hit=1 convention. A header row
+    whose second column is not a known label is skipped.
     """
     path = Path(path)
     alphabet = StateAlphabet(tuple(labels))
@@ -151,6 +151,8 @@ def import_outcome_csv(
             if gid not in seqs:
                 order.append(gid)
                 seqs[gid] = []
+            elif gid != order[-1]:
+                raise TrajectoryFormatError(lineno, f"group {gid!r} resumes after another group")
             seqs[gid].append(state)
     if not order:
         raise TrajectoryFormatError(0, "no outcome rows in input")

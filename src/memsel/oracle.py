@@ -133,7 +133,7 @@ def audit(
         raise ValueError(f"at least {MIN_DRAWS} draws are required, got {draws}")
     alpha = _prior_for(tc.alphabet, prior).alpha
     both, one = (_log_mean_power, _variance), (_log_mean_power,)
-    idx, counts, bounds = tc.stacked()
+    idx, counts, bounds = tc.idx, tc.t, tc.bounds
     n = tc.total.counts
     totals = n[idx]  # the total row of each trajectory row's context
     lpd, half_dic = _sum_cells(list(zip(n + alpha, n)), draws, seed, both)

@@ -136,6 +136,7 @@ def _walk_table(net: RandomNetwork) -> tuple[list, list, int]:
     if not np.array_equal(code[ids], successor):
         raise ValueError("the network has no row for some context that a walk can reach")
     cum = np.cumsum(np.array(list(net.rows.values()), dtype=float), axis=1)
+    cum[:, -1] = 1.0  # a uniform in [0, 1) never reads past the row
     start = ((START,) * h + (0,))[1:]  # START..START, start state 0
     return cum.ravel().tolist(), (ids * m).ravel().tolist(), contexts.index(start) * m
 
@@ -191,14 +192,13 @@ def sample_trajectory(
 def _walk(net: RandomNetwork, length_cap: int, uniforms, traj_id: str) -> Trajectory:
     """One walk, taking the next uniform from the iterator ``uniforms`` at
     each step and no more: the next state is the first whose cumulative
-    probability exceeds it (M-1 when a row sums to less than that)."""
+    probability exceeds it, where each row's last entry is 1.0, so M-1
+    when a row sums to less than that."""
     cum, successor, row = net._walk_table
     m, absorbing = net.m, net.m - 1
     steps: list[int] = []
     for u in uniforms:
         nxt = bisect_right(cum, u, row, row + m) - row
-        if nxt == m:
-            nxt = m - 1
         steps.append(nxt)
         if nxt == absorbing or len(steps) == length_cap:
             break

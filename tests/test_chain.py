@@ -226,7 +226,7 @@ class TestCountDepths:
         keys = tc.total.keys
         assert list(keys) == list(total)
         assert tc.total.counts.tolist() == list(total.values())
-        idx, counts, bounds = tc.stacked()
+        idx, counts, bounds = tc.idx, tc.t, tc.bounds
         b = bounds.tolist()
         assert b[-1] == len(idx)
         for j, rows in enumerate(per_trajectory):
@@ -355,5 +355,5 @@ class TestFirstOccurrence:
         monkeypatch.setattr(chain, "_DENSE_SPAN_PER_KEY", per_key)
         got = tie_counts(tc, tie_map)
         assert got.total == want.total
-        for a, b in zip(got.stacked(), want.stacked()):
-            assert a.tolist() == b.tolist()
+        for name in ("idx", "t", "bounds"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()

@@ -18,6 +18,7 @@ import memsel.criteria
 from memsel import cli
 from memsel.cli import build_parser, main
 from memsel.dataio import (
+    TrajectoryFormatError,
     import_outcome_csv,
     load_tie_map,
     read_trajectories_jsonl,
@@ -332,6 +333,43 @@ class TestErrorPaths:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    # an empty list is a list given, not an option left out: it exits 2, named
+    @pytest.mark.parametrize("command, named", [
+        (["criteria", "--input", "{season}", "--h-range", "0..1", "--states", ""], "--states"),
+        (["criteria", "--input", "{csv}", "--h-range", "0..1", "--labels", ""], "--labels"),
+        (["oracle", "--input", "{season}", "--h", "1", "--states", ""], "--states"),
+        (["oracle", "--input", "{csv}", "--h", "1", "--labels", ""], "--labels"),
+        (["import", "--input", "{csv}", "--labels", ""], "--labels"),
+    ], ids=["criteria-jsonl", "criteria-csv", "oracle-jsonl", "oracle-csv", "import"])
+    def test_empty_label_list_is_config_error(self, season, tmp_path, capsys, command, named):
+        games = tmp_path / "games.csv"
+        games.write_text("g1,1\ng1,0\ng2,1\n")
+        out = tmp_path / "o"
+        argv = [a.format(season=season, csv=games) for a in command]
+        assert main(argv + (["--output", str(out)] if argv[0] == "import"
+                            else ["--out", str(out)])) == 2
+        assert f"error: {named} '': alphabet needs at least two states" in capsys.readouterr().err
+        assert not out.exists()
+
+    # branches of the option parsers: each exits 2 with its message
+    @pytest.mark.parametrize("options, message", [
+        (["--h-range", "x..2"], "cannot parse --h-range 'x..2'; use e.g. 0..3"),
+        (["--h-range", "2..1"], "invalid depth range 2..1"),
+        (["--h-range", "0..1", "--prior-alpha", "one"], "cannot parse --prior-alpha 'one'"),
+        (["--h-range", "0..1", "--prior-alpha", "1,2,3"],
+         "--prior-alpha needs 1 or 2 components, got 3"),
+    ], ids=["h-range-text", "h-range-reversed", "prior-text", "prior-components"])
+    def test_option_error_table(self, season, tmp_path, capsys, options, message):
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), *options, "--out", str(out)]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bare_h_range_is_a_maximum(self, season, tmp_path):
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "3", "--out", str(out)]) == 0
+        assert [r["h"] for r in read_csv(out / "criteria.csv")] == ["0", "1", "2", "3"]
+
     def test_missing_tie_map_file(self, season, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["criteria", "--input", str(season), "--h-range", "0..1",
@@ -368,6 +406,36 @@ class TestImportCommand:
                      "--output", str(out)]) == 2
         assert "does not exist" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("", 3, "line 0: no outcome rows in input"),
+        ("game,outcome\n", 3, "line 0: no outcome rows in input"),
+        ("g1,1\ng2,0\ng1,0\n", 2, "line 3: group 'g1' resumes after another group"),
+    ], ids=["empty", "header-only", "resumed-group"])
+    def test_bad_csv_is_refused(self, tmp_path, capsys, text, code, message):
+        csv_path, out = tmp_path / "games.csv", tmp_path / "t.jsonl"
+        csv_path.write_text(text)
+        assert main(["import", "--input", str(csv_path), "--output", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [
+        (["criteria", "--h-range", "0..2", "--tie", "jagged"], "criteria.csv"),
+        (["oracle", "--h", "1", "--draws", "1000"], "oracle.json"),
+    ])
+    def test_csv_input_scores_as_its_import(self, season, tmp_path, command, name):
+        # a CSV --input reads as the JSONL that import makes of it
+        _, trajs = read_trajectories_jsonl(season)
+        games = tmp_path / "games.csv"
+        games.write_text("game,outcome\n" + "".join(
+            f"{t.id},{s}\n" for t in trajs for s in t.steps))
+        imported = tmp_path / "games.jsonl"
+        assert main(["import", "--input", str(games), "--output", str(imported)]) == 0
+        for path, out in ((games, "from_csv"), (imported, "from_jsonl")):
+            assert main([command[0], "--input", str(path), *command[1:],
+                         "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "from_csv" / name).read_bytes()
+                == (tmp_path / "from_jsonl" / name).read_bytes())
 
     def test_output_directory_is_made(self, tmp_path):
         csv_path = tmp_path / "games.csv"
@@ -712,6 +780,48 @@ class TestDataIo:
         path.write_text(json.dumps(spec))
         tm = load_tie_map(path, StateAlphabet(("0", "1")))
         assert tm.class_of((1,)) == 1
+
+    # each reader's refusals: the exception type and its message
+    @pytest.mark.parametrize("read, text, error, message", [
+        ("jsonl", '[1, 2]\n', TrajectoryFormatError, "line 1: expected a JSON object"),
+        ("jsonl", '{"seq": ["0"]}\n{"states": ["0", "1"]}\n', TrajectoryFormatError,
+         "line 2: header line must come first"),
+        ("jsonl", '{"id": "a"}\n', TrajectoryFormatError, 'line 1: missing "seq" field'),
+        ("jsonl", '{"states": ["0", "1"]}\n{"id": "a", "seq": []}\n', TrajectoryFormatError,
+         'line 2: "seq" must be a non-empty list'),
+        # with no header, before the labels seen are read as the alphabet
+        ("jsonl", '{"id": "a", "seq": 5}\n', TrajectoryFormatError,
+         'line 1: "seq" must be a non-empty list'),
+        ("jsonl", '{"id": "a", "seq": []}\n{"id": "b", "seq": ["x", "y"]}\n',
+         TrajectoryFormatError, 'line 1: "seq" must be a non-empty list'),
+        ("csv", "g1\n", TrajectoryFormatError, "line 1: expected two columns: group id, outcome"),
+        ("csv", "g1,1\ng1,7\n", TrajectoryFormatError, "line 2: unknown state label '7'"),
+        ("csv", "", TrajectoryFormatError, "line 0: no outcome rows in input"),
+        # g1 would be spliced across g2, with a 1 -> 0 transition the data never had
+        ("csv", "game,outcome\ng1,1\ng2,0\ng1,0\n", TrajectoryFormatError,
+         "line 4: group 'g1' resumes after another group"),
+        ("tie", '{"classes": [{"default": true}]}', ValueError,
+         'tie map file must define "h" and "classes"'),
+        ("tie", '{"h": 1}', ValueError, 'tie map file must define "h" and "classes"'),
+        ("tie", '{"h": 1, "classes": []}', ValueError, "tie map needs a non-empty class list"),
+        ("tie", '{"h": 1, "classes": [5]}', ValueError, "class 0 must be an object"),
+        ("tie", '{"h": 1, "classes": [{"default": true}, {"default": true}]}', ValueError,
+         "only one class may be the default"),
+        ("tie", '{"h": 1, "classes": [{"contexts": [["0"]]}, {"contexts": [["0"]]}]}',
+         ValueError, "context ['0'] listed in two classes"),
+    ], ids=["jsonl-not-object", "jsonl-late-header", "jsonl-no-seq", "jsonl-empty-seq",
+            "jsonl-seq-not-list", "jsonl-empty-seq-no-header",
+            "csv-one-column", "csv-unknown-label", "csv-no-rows", "csv-resumed-group",
+            "tie-no-h", "tie-no-classes", "tie-no-class", "tie-class-not-object",
+            "tie-two-defaults", "tie-context-twice"])
+    def test_reader_error_table(self, tmp_path, read, text, error, message):
+        path = tmp_path / "input"
+        path.write_text(text)
+        reader = {"jsonl": read_trajectories_jsonl, "csv": import_outcome_csv,
+                  "tie": lambda p: load_tie_map(p, StateAlphabet(("0", "1")))}[read]
+        with pytest.raises(error) as info:
+            reader(path)
+        assert str(info.value) == message
 
     def test_csv_import_header_optional(self, tmp_path):
         p = tmp_path / "no_header.csv"

@@ -373,6 +373,15 @@ class TestEvaluateAndSelect:
         with pytest.raises(ValueError):
             rep.value("NOPE")
 
+    @pytest.mark.parametrize("which", [(), []])
+    def test_empty_criterion_list_is_refused(self, which):
+        # a report with no values would be written without a word
+        alphabet, trajs, tc = random_instance(np.random.default_rng(16), j=3, h=1)
+        with pytest.raises(ValueError, match="name at least one criterion"):
+            evaluate(tc, which=which)
+        with pytest.raises(ValueError, match="name at least one criterion"):
+            evaluate_depths(trajs, alphabet, range(2), which=which)
+
     def test_cv2_nan_for_single_trajectory(self):
         _, _, tc = random_instance(np.random.default_rng(15), j=1)
         assert math.isnan(evaluate(tc).value("CV2"))
@@ -458,7 +467,7 @@ def reference_values(tc, prior, k_params):
     n = tc.total.counts
     ns = n.sum(axis=1)
     a, a0 = prior.alpha, prior.total
-    idx, t, bounds = tc.stacked()
+    idx, t, bounds = tc.idx, tc.t, tc.bounds
     j = tc.n_trajectories
     traj = np.repeat(np.arange(j), np.diff(bounds))
 
@@ -590,7 +599,7 @@ class TestBatchedScorer:
         for mode in BoundaryMode:
             for rep in evaluate_depths(trajs, alphabet, range(3), prior, mode):
                 tc = count_transitions(trajs, rep.h, alphabet, mode)
-                assert (np.count_nonzero(tc.stacked()[1], axis=1) >= 3).any()
+                assert (np.count_nonzero(tc.t, axis=1) >= 3).any()
                 ref = reference_values(tc, prior, rep.k_params)
                 assert {n: float.hex(rep.values[n]) for n in ref} == \
                     {n: float.hex(v) for n, v in ref.items()}, (mode, rep.h)
@@ -624,7 +633,7 @@ class TestBatchedScorer:
         rng = np.random.default_rng(5)
         alphabet, trajs, prior, _ = self.dataset(rng, 3, 6, BoundaryMode.PADDED)
         # a model's size is its (trajectory, context) rows plus its transitions (Polya draws)
-        sizes = {h: count_transitions(trajs, h, alphabet).stacked()[1] for h in range(4)}
+        sizes = {h: count_transitions(trajs, h, alphabet).t for h in range(4)}
         sizes = {h: len(t) + int(t.sum()) for h, t in sizes.items()}
         monkeypatch.setattr(criteria_module, "_BATCH_CELLS", sizes[0] + sizes[1])
         evaluate_depths(trajs, alphabet, range(4), prior)

@@ -13,7 +13,15 @@ import pytest
 from conftest import random_instance
 from memsel.chain import StateAlphabet, Trajectory, count_transitions
 from memsel.criteria import evaluate, lpd
-from memsel.oracle import MIN_DRAWS, _log_mean_power, _variance, audit, cv2_refit, loo_refit
+from memsel.oracle import (
+    MIN_DRAWS,
+    OracleEstimate,
+    _log_mean_power,
+    _variance,
+    audit,
+    cv2_refit,
+    loo_refit,
+)
 
 AB2 = StateAlphabet(("0", "1"))
 DRAWS = 20_000
@@ -35,6 +43,25 @@ def test_zero_counts_estimates():
     got = audit(tc, draws=DRAWS, seed=0)
     assert got["LPPD"].estimate == 0.0 and got["LPPD"].std_error == 0.0
     assert got["k_WAIC2"].estimate == 0.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cv2_refit([Trajectory("a", (0, 1))], 1, AB2), ValueError,
+     "two-fold cross validation needs at least two trajectories"),
+    (lambda: audit(random_instance(np.random.default_rng(0))[2], draws=MIN_DRAWS - 1),
+     ValueError, f"at least {MIN_DRAWS} draws are required, got {MIN_DRAWS - 1}"),
+], ids=["cv2-refit-one-trajectory", "audit-few-draws"])
+def test_error_table(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_z_at_zero_standard_error():
+    # an exact estimate: a reference equal to it is no gap, any other an infinite one
+    exact = OracleEstimate(-3.5, 0.0)
+    assert exact.z(-3.5) == 0.0
+    assert exact.z(-3.25) == math.inf and exact.z(-4.0) == math.inf
 
 
 def test_lppd_agreement():

@@ -84,7 +84,8 @@ def assert_matches_reference(tc, prior):
 @given(
     seed=st.integers(0, 2**32 - 1),
     j=st.integers(1, 4),
-    which=st.lists(st.sampled_from(CRITERIA), unique=True),
+    # an empty list is refused (test_criteria.py), so at least one name
+    which=st.lists(st.sampled_from(CRITERIA), min_size=1, unique=True),
 )
 def test_subset_evaluation_matches_full_report(seed, j, which):
     _, _, tc = random_instance(np.random.default_rng(seed), j=j)
@@ -116,14 +117,15 @@ def test_joint_counting_equals_each_set_counted_alone(m, sets, hs, mode):
         alone = [_count_depths([group], hs, alphabet, mode)[h].view(0) for group in sets]
         # the stack holds each set's arrays in turn, as counted alone
         assert stack.counts.tobytes() == np.concatenate([a.total.counts for a in alone]).tobytes()
-        assert stack.t.tobytes() == np.concatenate([a.stacked()[1] for a in alone]).tobytes()
+        assert stack.t.tobytes() == np.concatenate([a.t for a in alone]).tobytes()
         for s, want in enumerate(alone):
             got = stack.view(s)
             assert (got.h, got.boundary, got.ids) == (want.h, want.boundary, want.ids)
             assert got.total.keys == want.total.keys
             assert got.total.counts.dtype == want.total.counts.dtype
             assert got.total.counts.tobytes() == want.total.counts.tobytes()
-            for a, b in zip(got.stacked(), want.stacked()):
+            for name in ("idx", "t", "bounds"):
+                a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
@@ -397,7 +399,7 @@ def test_counts_from_tables_stack_like_counting(seed, m, j, h, mode):
     # stacking the tables by key lookup
     rng = np.random.default_rng(seed)
     counted = count_transitions(random_walks(rng, m, j, 10), h, StateAlphabet.of_size(m), mode)
-    for x, y in zip(counted.stacked(), stack_from_tables(counted.per_trajectory, counted.total)):
+    for x, y in zip((counted.idx, counted.t, counted.bounds), stack_from_tables(counted.per_trajectory, counted.total)):
         assert np.array_equal(x, y)
 
 

@@ -109,6 +109,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_trajectory(net, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_uniform_past_a_short_row_steps_to_the_last_state(self, h):
+        # a row summing below 1.0: a uniform at or above its sum steps to M-1
+        row = np.array([0.25, 0.25, 0.375])
+        assert row.sum() == 0.875
+        net = RandomNetwork(StateAlphabet.of_size(3), h, dict.fromkeys(
+            simulate._padded_contexts(3, h), row))
+        for u in (0.875, 0.9, 1.0 - 2.0**-53):
+            walk = simulate._walk(net, 10, iter([0.1, 0.3, u, 0.0]), "t")
+            assert (walk.steps, walk.truncated) == ((0, 1, 2), False)
+
     def test_unreachable_row_rejected(self):
         row = np.array([0.5, 0.25, 0.25])
         rows = {(-1,): row, (0,): row, (1,): row}  # no row after state 2
@@ -311,6 +322,9 @@ class TestPowerStudy:
             SimConfig(J_values=(4, 16, 4))
         with pytest.raises(ValueError, match="true memory depth must be >= 0"):
             SimConfig(h_true=-1)
+        # no criterion would sample and count every replicate for no output
+        with pytest.raises(ValueError, match="name at least one criterion"):
+            SimConfig(m=3, h_range=(1, 2), J_values=(4,), replicates=2, criteria=())
 
 
 class TestFreeThrow:
@@ -366,6 +380,8 @@ class TestFreeThrow:
             FreeThrowSimConfig(model=model, criteria=("AIC", "AIC"))
         with pytest.raises(ValueError, match="CV2"):
             FreeThrowSimConfig(model=model, games=1, criteria=("LOO", "CV2"))
+        with pytest.raises(ValueError, match="name at least one criterion"):
+            FreeThrowSimConfig(model=model, criteria=())
 
     def test_rate_is_bounded_by_numpys_poisson_limit(self):
         limit = simulate._POISSON_LAM_MAX
@@ -396,6 +412,13 @@ class TestFreeThrow:
             replicates=50, seed=0, criteria=("CV2",))
         with pytest.raises(ValueError, match="CV2.*at least two trajectories"):
             free_throw_power(cfg)
+
+    def test_seasons_without_a_game_raise(self):
+        # a rate this low draws no shot in any game of any season
+        cfg = FreeThrowSimConfig(games=3, lam=1e-12, replicates=4, criteria=("LOO",))
+        with pytest.raises(ValueError) as info:
+            free_throw_power(cfg)
+        assert str(info.value) == "every replicate drew zero games; increase lam or games"
 
 
 class TestChunkedScoring:
