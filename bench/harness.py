@@ -34,7 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 def start_worker(src: str, cpu: int) -> None:
     """Pin this worker to ``cpu``, run serially, and import memsel from ``src``."""
     os.sched_setaffinity(0, {cpu})
-    os.environ.pop("MEMSEL_THREADS", None)
     sys.path.insert(0, src)
     from memsel import cli
 
@@ -51,8 +50,7 @@ class Side:
 
     def __init__(self, name: str, script: str, src: Path, cpu: int):
         self.name = name
-        env = {k: v for k, v in os.environ.items() if k != "MEMSEL_THREADS"}
-        env["PYTHONHASHSEED"] = "0"
+        env = {**os.environ, "PYTHONHASHSEED": "0"}
         self.proc = subprocess.Popen(
             [sys.executable, script, "--worker", str(src), "--cpu", str(cpu)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT)

@@ -55,24 +55,15 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_h_range(args) -> list[int]:
-    if args.h_range is not None and args.h_max is not None:
-        raise CliError("--h-range and --h-max both set the depths; give one of them")
-    if args.h_range is not None:
-        text = args.h_range
-        sep = ".." if ".." in text else (":" if ":" in text else None)
-        try:
-            if sep:
-                lo, hi = text.split(sep, 1)
-                lo, hi = int(lo), int(hi)
-            else:
-                lo, hi = 0, int(text)
-        except ValueError:
-            raise CliError(f"cannot parse --h-range {text!r}; use e.g. 0..3") from None
-    elif args.h_max is not None:
-        lo, hi = 0, args.h_max
-    else:
-        raise CliError("one of --h-range or --h-max is required")
+def _parse_h_range(text: str | None) -> list[int]:
+    """The depths of --h-range: ``LO..HI``, or a bare ``H`` for 0..H."""
+    if text is None:
+        raise CliError("--h-range is required")
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = (int(lo), int(hi)) if sep else (0, int(text))
+    except ValueError:
+        raise CliError(f"cannot parse --h-range {text!r}; use e.g. 0..3") from None
     if lo < 0 or hi < lo:
         raise CliError(f"invalid depth range {lo}..{hi}")
     return list(range(lo, hi + 1))
@@ -110,32 +101,24 @@ def _existing(path, what: str = "input file") -> Path:
     return path
 
 
-def _label_option(text: str | None, option: str, default=None):
-    """A comma-separated label option as a tuple (``default`` when it is not
-    given); a list that makes no alphabet, an empty one too, exits 2 naming
-    the option."""
+def _parse_states(text: str | None):
+    """--states as a tuple (None when it is not given); a list that makes no
+    alphabet, an empty one too, exits 2 naming the option."""
     try:
-        return default if text is None else StateAlphabet(tuple(text.split(","))).labels
+        return None if text is None else StateAlphabet(tuple(text.split(","))).labels
     except ValueError as exc:
-        raise CliError(f"{option} {text!r}: {exc}") from None
+        raise CliError(f"--states {text!r}: {exc}") from None
 
 
 def _load_input(args):
+    """The input's alphabet and trajectories: a .csv file reads as outcome CSV,
+    any other as trajectory JSONL, each with --states as its labels."""
     path = _existing(args.input)
-    is_csv = path.suffix.lower() == ".csv"
-    # each format reads its own label option; the other one would be ignored
-    if (args.states if is_csv else args.labels) is not None:
-        raise CliError(f"--states applies to JSONL input and --labels to CSV input; "
-                       f"drop {'--states' if is_csv else '--labels'} for {path}")
+    read = import_outcome_csv if path.suffix.lower() == ".csv" else read_trajectories_jsonl
     try:
-        if is_csv:
-            alphabet, trajs = import_outcome_csv(
-                path, _label_option(args.labels, "--labels", ("0", "1")))
-        else:
-            alphabet, trajs = read_trajectories_jsonl(path, _label_option(args.states, "--states"))
+        return read(path, _parse_states(args.states))
     except TrajectoryFormatError as exc:
         raise _input_error(exc, path, f"{path}: empty input ({exc})") from None
-    return alphabet, trajs
 
 
 def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
@@ -156,7 +139,7 @@ def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
 
 def _reports_for(args, alphabet, trajs):
     """The report per depth, and the manifest config that reproduces it."""
-    h_values = _parse_h_range(args)
+    h_values = _parse_h_range(args.h_range)
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
     tie_map = tie_label = None
@@ -238,11 +221,11 @@ _PROFILES = {
     "ci": {**_GRID, "J_values": (4, 16, 64), "replicates": 200},
 }
 # The options that shape a study, in the order a refusal names them. Each is
-# stored under the config field it sets (--h-max sets h_range) and defaults to
-# None, so that a given option can be told from one left out.
+# stored under the config field it sets and defaults to None, so that a given
+# option can be told from one left out.
 _STUDY_FLAGS = {"m": "--M", "J_values": "--J", "replicates": "--replicates",
                 "length_cap": "--length-cap", "criteria": "--criteria", "h_range": "--h-range",
-                "h_max": "--h-max", "free_throw": "--free-throw", "h_true": "--h-true",
+                "free_throw": "--free-throw", "h_true": "--h-true",
                 "network_per_replicate": "--network-per-replicate", "games": "--games",
                 "lam": "--lambda", "model": "--ft-model"}
 
@@ -254,12 +237,12 @@ def _study_config(args) -> SimConfig | FreeThrowSimConfig:
     it is --free-throw) or when the run's config has no such field. An
     option left out takes the config's default.
     """
-    given = {dest: "h_range" if dest == "h_max" else dest
-             for dest in _STUDY_FLAGS if getattr(args, dest) is not None}
+    given = {field: value for field in _STUDY_FLAGS
+             if (value := getattr(args, field)) is not None}
 
     def refuse(fields, message):
-        if refused := [dest for dest, field in given.items() if field in fields]:
-            raise CliError(message.format(", ".join(_STUDY_FLAGS[d] for d in refused)))
+        if refused := [_STUDY_FLAGS[field] for field in given if field in fields]:
+            raise CliError(message.format(", ".join(refused)))
 
     if args.profile:
         refuse({*_PROFILES[args.profile], "free_throw"},
@@ -267,12 +250,12 @@ def _study_config(args) -> SimConfig | FreeThrowSimConfig:
     given.pop("free_throw", None)
     config = FreeThrowSimConfig if args.free_throw else SimConfig
     reads = {f.name for f in dataclasses.fields(config)}
-    refuse(set(given.values()) - reads, "{} do not apply with --free-throw; drop them"
+    refuse(given.keys() - reads, "{} do not apply with --free-throw; drop them"
            if args.free_throw else "{} apply only with --free-throw; drop them")
     kwargs = {**_PROFILES.get(args.profile, {}), "seed": args.seed, "boundary": args.boundary,
-              **{field: getattr(args, dest) for dest, field in given.items()}}
-    if "h_range" in given.values():
-        kwargs["h_range"] = tuple(_parse_h_range(args))
+              **given}
+    if "h_range" in given:
+        kwargs["h_range"] = tuple(_parse_h_range(args.h_range))
     if "model" in given:
         kwargs["model"] = _parse_ft_model(args.model)
     return config(**kwargs)
@@ -352,9 +335,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_import(args) -> int:
-    labels = _label_option(args.labels, "--labels", ("0", "1"))
+    states = _parse_states(args.states)
     try:
-        alphabet, trajs = import_outcome_csv(_existing(args.input), labels)
+        alphabet, trajs = import_outcome_csv(_existing(args.input), states)
     except TrajectoryFormatError as exc:
         raise _input_error(exc, args.input, str(exc)) from None
     write_trajectories_jsonl(args.output, alphabet, trajs)
@@ -364,17 +347,16 @@ def cmd_import(args) -> int:
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="trajectory JSONL (or outcome CSV)")
-    p.add_argument("--states", help="comma-separated state labels (overrides the header)")
-    p.add_argument("--labels", help="comma-separated outcome labels for CSV input")
+    p.add_argument("--input", required=True, help="trajectory JSONL, or outcome CSV (.csv)")
+    p.add_argument("--states", help="comma-separated state labels in id order (overrides a "
+                                    "JSONL header; CSV default 0,1)")
     p.add_argument("--prior-alpha", help="symmetric value or comma list (default 1)")
     p.add_argument("--boundary", choices=["padded", "truncated"], default="padded")
     p.add_argument("--out", default="memsel_out", help="output directory")
 
 
 def _add_model_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--h-range", help="inclusive range, e.g. 0..3")
-    p.add_argument("--h-max", type=int, help="shorthand for 0..H")
+    p.add_argument("--h-range", help="inclusive range LO..HI, or H for 0..H")
     p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
     p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
 
@@ -402,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the options in _STUDY_FLAGS: each dest is the config field the option sets
     p.add_argument("--M", dest="m", type=int, help=f"alphabet size (default {SimConfig.m})")
     p.add_argument("--h-true", type=int, help=f"true memory depth (default {SimConfig.h_true})")
-    p.add_argument("--h-range", help="inclusive range, e.g. 1..5 (default "
+    p.add_argument("--h-range", help="inclusive range LO..HI, or H for 0..H (default "
                                      f"{SimConfig.h_range[0]}..{SimConfig.h_range[-1]})")
-    p.add_argument("--h-max", type=int, help="shorthand for 0..H")
     p.add_argument("--J", dest="J_values", metavar="J", type=int, action="append",
                    help=f"sample size; repeat for a sweep (default {SimConfig.J_values[0]})")
     p.add_argument("--replicates", type=int,
@@ -418,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network-per-replicate", action="store_true", default=None,
                    help="draw a fresh true network for every replicate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count, >= 1 (default: MEMSEL_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="process count, >= 1 (default 1)")
     p.add_argument("--free-throw", action="store_true", default=None,
                    help="per-game experiment with Poisson game lengths")
     p.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float,
@@ -442,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("import", help="convert (group, outcome) CSV to JSONL")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--labels", help="comma-separated outcome labels (default 0,1)")
+    p.add_argument("--states", help="comma-separated outcome labels in id order (default 0,1)")
 
     return parser
 

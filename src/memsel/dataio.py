@@ -48,7 +48,8 @@ def read_trajectories_jsonl(
 
     The alphabet comes from, in order of precedence: the ``states``
     argument, a header line {"states": [...]}, or the sorted set of labels
-    seen in the file.
+    seen in the file. A file that needs the last and holds one label only
+    raises TrajectoryFormatError at its first trajectory.
     """
     path = Path(path)
     raw: list[tuple[int, dict]] = []
@@ -90,6 +91,10 @@ def read_trajectories_jsonl(
         seen: set[str] = set()
         for _, obj in raw:
             seen.update(map(str, obj["seq"]))
+        if len(seen) < 2:
+            raise TrajectoryFormatError(
+                raw[0][0], f"every step is {seen.pop()!r}, so the states cannot be inferred; "
+                           'name them in a {"states": [...]} header line or with --states')
         alphabet = StateAlphabet(tuple(sorted(seen)))
 
     trajs: list[Trajectory] = []
@@ -121,17 +126,19 @@ def write_trajectories_jsonl(path, alphabet: StateAlphabet, trajectories) -> Non
 
 def import_outcome_csv(
     path,
-    labels: tuple[str, str] = ("0", "1"),
+    states: list[str] | None = None,
 ) -> tuple[StateAlphabet, list[Trajectory]]:
     """Import ordered (group_id, outcome) CSV rows as per-group trajectories.
 
     Consecutive rows sharing a group id form one trajectory in file order
-    (an id that resumes after another group raises TrajectoryFormatError);
-    the default labels follow the miss=0 / hit=1 convention. A header row
-    whose second column is not a known label is skipped.
+    (an id that resumes after another group raises TrajectoryFormatError).
+    ``states`` are the outcome labels in id order, stripped as the cells
+    are; None means the miss=0 / hit=1 convention, ``0,1``. A first row
+    whose outcome is neither a label nor an integer is a header and is
+    skipped; any other unknown outcome raises TrajectoryFormatError.
     """
     path = Path(path)
-    alphabet = StateAlphabet(tuple(labels))
+    alphabet = StateAlphabet(("0", "1") if states is None else tuple(s.strip() for s in states))
     order: list[str] = []
     seqs: dict[str, list[int]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -142,8 +149,10 @@ def import_outcome_csv(
             if len(row) < 2:
                 raise TrajectoryFormatError(lineno, "expected two columns: group id, outcome")
             gid, outcome = row[0].strip(), row[1].strip()
-            if lineno == 1 and outcome not in alphabet.labels:
-                continue  # header row
+            # a header names its column; an integer outcome is a mistyped state
+            if lineno == 1 and outcome not in alphabet.labels \
+                    and not outcome.lstrip("-").isdecimal():
+                continue
             try:
                 state = alphabet.index(outcome)
             except ValueError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import pickle
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -81,17 +80,13 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def worker_count(workers: int | None = None) -> int:
-    """The worker count: ``workers`` when given, else MEMSEL_THREADS (unset or
-    empty means 1, serial). A count below 1, or a MEMSEL_THREADS that is not
-    an integer, raises ValueError."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"the worker count must be >= 1, got {workers}")
-        return int(workers)
-    raw = os.environ.get("MEMSEL_THREADS", "").strip() or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"MEMSEL_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    """The worker count: ``workers``, or 1 (serial) when it is None. A count
+    below 1 raises ValueError."""
+    if workers is None:
+        return 1
+    if workers < 1:
+        raise ValueError(f"the worker count must be >= 1, got {workers}")
+    return int(workers)
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,10 +81,10 @@ class TestCriteriaCommand:
     def test_manifest_records_the_parsed_argv(self, season, tmp_path, monkeypatch):
         # main(argv) records its own argv, not the host process's arguments
         monkeypatch.setattr(sys, "argv", ["host", "extra_host_arg", "--zzz"])
-        argv = ["criteria", "--input", str(season), "--h-max", "1", "--out", str(tmp_path / "a")]
+        argv = ["criteria", "--input", str(season), "--h-range", "1", "--out", str(tmp_path / "a")]
         assert main(argv) == 0
         assert json.loads((tmp_path / "a" / "manifest.json").read_text())["argv"] == argv
-        argv = ["criteria", "--input", str(season), "--h-max", "1", "--out", str(tmp_path / "b")]
+        argv = ["criteria", "--input", str(season), "--h-range", "1", "--out", str(tmp_path / "b")]
         monkeypatch.setattr(sys, "argv", ["memsel"] + argv)
         assert main() == 0
         assert json.loads((tmp_path / "b" / "manifest.json").read_text())["argv"] == argv
@@ -101,22 +101,16 @@ class TestCriteriaCommand:
 
     def test_prior_changes_bayesian_criteria_only(self, season, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["criteria", "--input", str(season), "--h-max", "1", "--out", str(out1)])
-        main(["criteria", "--input", str(season), "--h-max", "1",
+        main(["criteria", "--input", str(season), "--h-range", "1", "--out", str(out1)])
+        main(["criteria", "--input", str(season), "--h-range", "1",
               "--prior-alpha", "0.5", "--out", str(out2)])
         r1, r2 = read_csv(out1 / "criteria.csv"), read_csv(out2 / "criteria.csv")
         assert r1[0]["AIC"] == r2[0]["AIC"]
         assert r1[0]["LOO"] != r2[0]["LOO"]
 
-    def test_h_range_colon_syntax(self, season, tmp_path):
-        out = tmp_path / "out"
-        assert main(["criteria", "--input", str(season), "--h-range", "0:2",
-                     "--out", str(out)]) == 0
-        assert len(read_csv(out / "criteria.csv")) == 3
-
     def test_cv2_unavailable_on_one_trajectory(self, one_game, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["criteria", "--input", str(one_game), "--h-max", "1",
+        assert main(["criteria", "--input", str(one_game), "--h-range", "1",
                      "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "CV2: unavailable (needs at least two trajectories)" in printed
@@ -126,7 +120,7 @@ class TestCriteriaCommand:
     def test_cv2_special_value_spelled_per_format(self, one_game, tmp_path):
         # the same NaN cell: repr in criteria.csv, JSON's NaN in criteria.json
         out = tmp_path / "out"
-        assert main(["criteria", "--input", str(one_game), "--h-max", "1",
+        assert main(["criteria", "--input", str(one_game), "--h-range", "1",
                      "--out", str(out)]) == 0
         assert [line.split(",")[14] for line in
                 (out / "criteria.csv").read_text().splitlines()] == ["CV2", "nan", "nan"]
@@ -165,13 +159,13 @@ class TestSelectCommand:
         assert (select["tie"], select["aic_penalty"]) == ("jagged", "full")
 
     def test_unknown_criterion(self, season, tmp_path, capsys):
-        assert main(["select", "--input", str(season), "--h-max", "1",
+        assert main(["select", "--input", str(season), "--h-range", "1",
                      "--criterion", "XYZ", "--out", str(tmp_path / "o")]) == 2
         assert "error: unknown criterion 'XYZ'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_cv2_on_one_trajectory(self, one_game, tmp_path, capsys):
-        assert main(["select", "--input", str(one_game), "--h-max", "1",
+        assert main(["select", "--input", str(one_game), "--h-range", "1",
                      "--criterion", "CV2", "--out", str(tmp_path / "o")]) == 2
         assert "needs at least two trajectories" in capsys.readouterr().err
 
@@ -180,7 +174,7 @@ class TestErrorPaths:
     def test_malformed_jsonl_line_numbered(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "a", "seq": ["0"]}\nnot json\n')
-        code = main(["criteria", "--input", str(bad), "--h-max", "1",
+        code = main(["criteria", "--input", str(bad), "--h-range", "1",
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
@@ -188,15 +182,27 @@ class TestErrorPaths:
     def test_unknown_state_label(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         data.write_text('{"id": "a", "seq": ["0", "7"]}\n')
-        assert main(["criteria", "--input", data.as_posix(), "--h-max", "1",
+        assert main(["criteria", "--input", data.as_posix(), "--h-range", "1",
                      "--states", "0,1", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "line 1: unknown state label '7'" in err
 
+    def test_one_label_without_states_names_the_fix(self, tmp_path, capsys):
+        hits = tmp_path / "hits.jsonl"
+        hits.write_text('{"id": "g0", "seq": ["1", "1"]}\n{"id": "g1", "seq": ["1"]}\n')
+        out = tmp_path / "o"
+        argv = ["criteria", "--input", str(hits), "--h-range", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert (f"error: {hits}: line 1: every step is '1', so the states cannot be inferred; "
+                'name them in a {"states": [...]} header line or with --states\n'
+                == capsys.readouterr().err)
+        assert not out.exists()
+        assert main(argv + ["--states", "0,1"]) == 0
+
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["criteria", "--input", str(empty), "--h-max", "1",
+        assert main(["criteria", "--input", str(empty), "--h-range", "1",
                      "--out", str(tmp_path / "o")]) == 3
 
     def test_unmapped_tie_context_is_config_error(self, season, tmp_path, capsys):
@@ -214,14 +220,14 @@ class TestErrorPaths:
     def test_non_list_states_header_is_line_numbered(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"states": 5}\n{"id": "a", "seq": ["0", "1"]}\n')
-        assert main(["criteria", "--input", str(bad), "--h-max", "1",
+        assert main(["criteria", "--input", str(bad), "--h-range", "1",
                      "--out", str(tmp_path / "o")]) == 2
         assert "line 1" in capsys.readouterr().err
 
     def test_repeated_header_labels_are_line_numbered(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('\n{"states": ["a", "a"]}\n{"id": "x", "seq": ["a"]}\n')
-        assert main(["criteria", "--input", str(bad), "--h-max", "1",
+        assert main(["criteria", "--input", str(bad), "--h-range", "1",
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "unique" in err
@@ -294,13 +300,13 @@ class TestErrorPaths:
 
     def test_missing_file(self, tmp_path):
         assert main(["criteria", "--input", str(tmp_path / "nope.jsonl"),
-                     "--h-max", "1", "--out", str(tmp_path / "o")]) == 2
+                     "--h-range", "1", "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("command", [
-        ["criteria", "--input", "{dir}", "--h-max", "1"],
+        ["criteria", "--input", "{dir}", "--h-range", "1"],
         ["oracle", "--input", "{dir}", "--h", "1"],
         ["import", "--input", "{dir}", "--output", "{dir}/x.jsonl"],
-        ["criteria", "--input", "{season}", "--h-max", "1", "--tie", "{dir}"],
+        ["criteria", "--input", "{season}", "--h-range", "1", "--tie", "{dir}"],
     ])
     def test_directory_given_as_a_file_is_config_error(self, season, tmp_path, capsys, command):
         out = tmp_path / "o"
@@ -309,56 +315,55 @@ class TestErrorPaths:
         assert f"{tmp_path} is not a file" in capsys.readouterr().err
         assert not out.exists()
 
-    # each of these options would be dropped without a word, so it is refused
-    @pytest.mark.parametrize("command, named", [
-        (["criteria", "--input", "{season}", "--h-range", "0..1", "--h-max", "2"],
-         "--h-range and --h-max"),
-        (["select", "--input", "{season}", "--h-range", "0..1", "--h-max", "2"],
-         "--h-range and --h-max"),
-        (["simulate", "--M", "3", "--h-range", "1..2", "--h-max", "2", "--J", "4",
-          "--replicates", "5"], "--h-range and --h-max"),
-        (["criteria", "--input", "{csv}", "--h-max", "1", "--states", "x,y"], "drop --states"),
-        (["oracle", "--input", "{csv}", "--h", "1", "--states", "0,1"], "drop --states"),
-        (["criteria", "--input", "{season}", "--h-max", "1", "--labels", "x,y"],
-         "drop --labels"),
-        (["select", "--input", "{season}", "--h-max", "1", "--labels", "0,1"], "drop --labels"),
-    ], ids=["criteria-h", "select-h", "simulate-h", "csv-states", "oracle-csv-states",
-            "jsonl-labels", "select-jsonl-labels"])
-    def test_ignored_option_is_config_error(self, season, tmp_path, capsys, command, named):
+    # an empty list is a list given, not an option left out: it exits 2, named
+    @pytest.mark.parametrize("command", [
+        ["criteria", "--input", "{season}", "--h-range", "0..1"],
+        ["criteria", "--input", "{csv}", "--h-range", "0..1"],
+        ["oracle", "--input", "{season}", "--h", "1"],
+        ["oracle", "--input", "{csv}", "--h", "1"],
+        ["import", "--input", "{csv}"],
+    ], ids=["criteria-jsonl", "criteria-csv", "oracle-jsonl", "oracle-csv", "import"])
+    def test_empty_label_list_is_config_error(self, season, tmp_path, capsys, command):
         games = tmp_path / "games.csv"
         games.write_text("g1,1\ng1,0\ng2,1\n")
         out = tmp_path / "o"
-        assert main([a.format(season=season, csv=games) for a in command]
-                    + ["--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        argv = [a.format(season=season, csv=games) for a in command] + ["--states", ""]
+        assert main(argv + (["--output", str(out)] if argv[0] == "import"
+                            else ["--out", str(out)])) == 2
+        assert "error: --states '': alphabet needs at least two states" in capsys.readouterr().err
         assert not out.exists()
 
-    # an empty list is a list given, not an option left out: it exits 2, named
-    @pytest.mark.parametrize("command, named", [
-        (["criteria", "--input", "{season}", "--h-range", "0..1", "--states", ""], "--states"),
-        (["criteria", "--input", "{csv}", "--h-range", "0..1", "--labels", ""], "--labels"),
-        (["oracle", "--input", "{season}", "--h", "1", "--states", ""], "--states"),
-        (["oracle", "--input", "{csv}", "--h", "1", "--labels", ""], "--labels"),
-        (["import", "--input", "{csv}", "--labels", ""], "--labels"),
-    ], ids=["criteria-jsonl", "criteria-csv", "oracle-jsonl", "oracle-csv", "import"])
-    def test_empty_label_list_is_config_error(self, season, tmp_path, capsys, command, named):
+    # --h-range H and --states are the one spelling of each: argparse knows no other
+    @pytest.mark.parametrize("command", [
+        ["criteria", "--input", "{season}", "--h-max", "1"],
+        ["select", "--input", "{season}", "--h-max", "1"],
+        ["simulate", "--M", "3", "--J", "4", "--replicates", "5", "--h-max", "2"],
+        ["criteria", "--input", "{csv}", "--h-range", "1", "--labels", "0,1"],
+        ["oracle", "--input", "{csv}", "--h", "1", "--labels", "0,1"],
+        ["import", "--input", "{csv}", "--labels", "0,1"],
+    ], ids=["criteria-h-max", "select-h-max", "simulate-h-max", "criteria-labels",
+            "oracle-labels", "import-labels"])
+    def test_removed_option_is_refused_by_argparse(self, season, tmp_path, capsys, command):
         games = tmp_path / "games.csv"
         games.write_text("g1,1\ng1,0\ng2,1\n")
         out = tmp_path / "o"
         argv = [a.format(season=season, csv=games) for a in command]
-        assert main(argv + (["--output", str(out)] if argv[0] == "import"
-                            else ["--out", str(out)])) == 2
-        assert f"error: {named} '': alphabet needs at least two states" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--output", str(out)] if argv[0] == "import" else ["--out", str(out)]))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {command[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
     # branches of the option parsers: each exits 2 with its message
     @pytest.mark.parametrize("options, message", [
         (["--h-range", "x..2"], "cannot parse --h-range 'x..2'; use e.g. 0..3"),
+        (["--h-range", "0:2"], "cannot parse --h-range '0:2'; use e.g. 0..3"),
         (["--h-range", "2..1"], "invalid depth range 2..1"),
         (["--h-range", "0..1", "--prior-alpha", "one"], "cannot parse --prior-alpha 'one'"),
         (["--h-range", "0..1", "--prior-alpha", "1,2,3"],
          "--prior-alpha needs 1 or 2 components, got 3"),
-    ], ids=["h-range-text", "h-range-reversed", "prior-text", "prior-components"])
+    ], ids=["h-range-text", "h-range-colon", "h-range-reversed", "prior-text",
+            "prior-components"])
     def test_option_error_table(self, season, tmp_path, capsys, options, message):
         out = tmp_path / "o"
         assert main(["criteria", "--input", str(season), *options, "--out", str(out)]) == 2
@@ -395,10 +400,21 @@ class TestImportCommand:
         csv_path.write_text("g1,make\ng1,miss\n")
         out = tmp_path / "t.jsonl"
         assert main(["import", "--input", str(csv_path), "--output", str(out),
-                     "--labels", "miss,make"]) == 0
+                     "--states", "miss,make"]) == 0
         alphabet, trajs = read_trajectories_jsonl(out)
         assert alphabet.labels == ("miss", "make")
         assert trajs[0].steps == (1, 0)
+
+    def test_states_are_stripped_as_cells_are(self, tmp_path):
+        # an unstripped " make" would match no cell, so line 1 would read as a header
+        csv_path = tmp_path / "games.csv"
+        csv_path.write_text("g1,make\ng1, miss\ng2,make \n")
+        out = tmp_path / "t.jsonl"
+        assert main(["import", "--input", str(csv_path), "--output", str(out),
+                     "--states", "miss, make"]) == 0
+        alphabet, trajs = read_trajectories_jsonl(out)
+        assert alphabet.labels == ("miss", "make")
+        assert [t.steps for t in trajs] == [(1, 0), (1,)]
 
     def test_missing_input_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
@@ -411,7 +427,11 @@ class TestImportCommand:
         ("", 3, "line 0: no outcome rows in input"),
         ("game,outcome\n", 3, "line 0: no outcome rows in input"),
         ("g1,1\ng2,0\ng1,0\n", 2, "line 3: group 'g1' resumes after another group"),
-    ], ids=["empty", "header-only", "resumed-group"])
+        # an integer outcome on line 1 is a mistyped row, not a header to skip
+        ("g1,2\ng1,0\ng2,1\n", 2, "line 1: unknown state label '2'"),
+        ("g1,-1\ng1,0\n", 2, "line 1: unknown state label '-1'"),
+    ], ids=["empty", "header-only", "resumed-group", "integer-first-row",
+            "negative-first-row"])
     def test_bad_csv_is_refused(self, tmp_path, capsys, text, code, message):
         csv_path, out = tmp_path / "games.csv", tmp_path / "t.jsonl"
         csv_path.write_text(text)
@@ -424,18 +444,25 @@ class TestImportCommand:
         (["oracle", "--h", "1", "--draws", "1000"], "oracle.json"),
     ])
     def test_csv_input_scores_as_its_import(self, season, tmp_path, command, name):
-        # a CSV --input reads as the JSONL that import makes of it
+        # a CSV --input reads as the JSONL that import makes of it, with the
+        # default outcomes 0,1 or with miss,make named by --states
         _, trajs = read_trajectories_jsonl(season)
-        games = tmp_path / "games.csv"
-        games.write_text("game,outcome\n" + "".join(
-            f"{t.id},{s}\n" for t in trajs for s in t.steps))
-        imported = tmp_path / "games.jsonl"
-        assert main(["import", "--input", str(games), "--output", str(imported)]) == 0
-        for path, out in ((games, "from_csv"), (imported, "from_jsonl")):
-            assert main([command[0], "--input", str(path), *command[1:],
-                         "--out", str(tmp_path / out)]) == 0
-        assert ((tmp_path / "from_csv" / name).read_bytes()
-                == (tmp_path / "from_jsonl" / name).read_bytes())
+        results = []
+        for states in ([], ["--states", "miss,make"]):
+            labels = states[1].split(",") if states else ["0", "1"]
+            games = tmp_path / f"{labels[1]}.csv"
+            games.write_text("game,outcome\n" + "".join(
+                f"{t.id},{labels[s]}\n" for t in trajs for s in t.steps))
+            imported = games.with_suffix(".jsonl")
+            assert main(["import", "--input", str(games), *states,
+                         "--output", str(imported)]) == 0
+            assert read_trajectories_jsonl(imported)[0].labels == tuple(labels)
+            for path, extra in ((games, states), (imported, [])):
+                out = tmp_path / f"{path.name}.out"
+                assert main([command[0], "--input", str(path), *command[1:], *extra,
+                             "--out", str(out)]) == 0
+                results.append((out / name).read_bytes())
+        assert len(set(results)) == 1
 
     def test_output_directory_is_made(self, tmp_path):
         csv_path = tmp_path / "games.csv"
@@ -543,17 +570,6 @@ class TestSimulateCommand:
         assert f"worker count must be >= 1, got {workers}" in capsys.readouterr().err
         assert not (out / "selection.csv").exists()
 
-    @pytest.mark.parametrize("value", ["abc", "-2", "0", "1.5"])
-    @pytest.mark.parametrize("mode", [["--M", "3", "--h-range", "1..2"],
-                                      ["--free-throw", "--games", "5"]])
-    def test_bad_memsel_threads_is_config_error(self, tmp_path, capsys, monkeypatch, mode, value):
-        monkeypatch.setenv("MEMSEL_THREADS", value)
-        args = ["simulate", *mode, "--replicates", "2"]
-        assert main(args + ["--out", str(tmp_path / "bad")]) == 2
-        assert f"MEMSEL_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
-        monkeypatch.setenv("MEMSEL_THREADS", "")
-        assert main(args + ["--out", str(tmp_path / "empty")]) == 0
-
     def test_free_throw_cv2_needs_two_games(self, tmp_path, capsys):
         base = ["simulate", "--free-throw", "--criteria", "LOO,CV2", "--replicates", "20",
                 "--out", str(tmp_path / "o")]
@@ -580,7 +596,7 @@ class TestSimulateCommand:
         ["--profile", "ci", "--length-cap", "50"],
         ["--profile", "ci", "--criteria", "LOO"],
         ["--profile", "ci", "--h-range", "1..2"],
-        ["--profile", "ci", "--h-max", "0"],
+        ["--profile", "ci", "--h-range", "0"],
         ["--profile", "ci", "--free-throw"],
         # a grid study reads no free-throw option, so it refuses them
         ["--games", "5"],
@@ -592,7 +608,7 @@ class TestSimulateCommand:
         ["--free-throw", "--J", "4"],
         ["--free-throw", "--length-cap", "50"],
         ["--free-throw", "--h-range", "0..1"],
-        ["--free-throw", "--h-max", "1"],
+        ["--free-throw", "--h-range", "1"],
         ["--free-throw", "--network-per-replicate"],
         ["--free-throw", "--h-true", "0"],
         # a repeated J would run its cell twice under one label
@@ -647,8 +663,8 @@ class TestSimulateCommand:
 
     def test_free_throw_names_the_grid_options_it_refuses(self, tmp_path, capsys):
         assert main(["simulate", "--free-throw", "--games", "5", "--h-true", "0", "--M", "3",
-                     "--h-max", "1", "--out", str(tmp_path / "o")]) == 2
-        assert "--M, --h-max, --h-true do not apply with --free-throw" in capsys.readouterr().err
+                     "--h-range", "1", "--out", str(tmp_path / "o")]) == 2
+        assert "--M, --h-range, --h-true do not apply with --free-throw" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, config", [([], SimConfig),
                                               (["--free-throw"], FreeThrowSimConfig)])
@@ -794,6 +810,9 @@ class TestDataIo:
          'line 1: "seq" must be a non-empty list'),
         ("jsonl", '{"id": "a", "seq": []}\n{"id": "b", "seq": ["x", "y"]}\n',
          TrajectoryFormatError, 'line 1: "seq" must be a non-empty list'),
+        ("jsonl", '\n{"id": "a", "seq": ["x"]}\n{"id": "b", "seq": ["x", "x"]}\n',
+         TrajectoryFormatError, "line 2: every step is 'x', so the states cannot be inferred; "
+                                'name them in a {"states": [...]} header line or with --states'),
         ("csv", "g1\n", TrajectoryFormatError, "line 1: expected two columns: group id, outcome"),
         ("csv", "g1,1\ng1,7\n", TrajectoryFormatError, "line 2: unknown state label '7'"),
         ("csv", "", TrajectoryFormatError, "line 0: no outcome rows in input"),
@@ -810,7 +829,7 @@ class TestDataIo:
         ("tie", '{"h": 1, "classes": [{"contexts": [["0"]]}, {"contexts": [["0"]]}]}',
          ValueError, "context ['0'] listed in two classes"),
     ], ids=["jsonl-not-object", "jsonl-late-header", "jsonl-no-seq", "jsonl-empty-seq",
-            "jsonl-seq-not-list", "jsonl-empty-seq-no-header",
+            "jsonl-seq-not-list", "jsonl-empty-seq-no-header", "jsonl-one-label",
             "csv-one-column", "csv-unknown-label", "csv-no-rows", "csv-resumed-group",
             "tie-no-h", "tie-no-classes", "tie-no-class", "tie-class-not-object",
             "tie-two-defaults", "tie-context-twice"])
@@ -885,7 +904,7 @@ class TestRepeatedMainCalls:
         assert main(self.SIMULATE + ["--out", str(tmp_path / "s")]) == 0
         seen = []
         monkeypatch.setattr(cli, "cmd_criteria", lambda args: seen.append(args.command) or 7)
-        assert main(["criteria", "--input", str(season), "--h-max", "1"]) == 7
+        assert main(["criteria", "--input", str(season), "--h-range", "1"]) == 7
         assert seen == ["criteria"]
 
 

@@ -168,13 +168,13 @@ def searchsorted_walk(net, length_cap, rng):
     return steps
 
 
-@pytest.mark.parametrize("value, expected", [(None, 1), ("", 1), (" ", 1), ("1", 1), ("3", 3)])
-def test_worker_count_from_environment(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("MEMSEL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MEMSEL_THREADS", value)
-    assert worker_count() == expected
+def test_worker_count_is_the_argument_or_one(monkeypatch):
+    # no environment variable sets it: a run's count is in its argv
+    monkeypatch.setenv("MEMSEL_THREADS", "3")
+    assert worker_count() == 1
+    assert worker_count(3) == 3
+    with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
+        worker_count(0)
 
 
 def recording_replicate(cfg, shared, cell, rep):
