@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,8 +83,14 @@ class StateAlphabet:
         except KeyError:
             raise ValueError(f"unknown state label {label!r}") from None
 
-    def indices(self, labels: Iterable) -> tuple[int, ...]:
-        """State ids of ``labels``, each converted by ``str``, mapped in one pass."""
+    def indices(self, labels: Sequence) -> tuple[int, ...]:
+        """State ids of ``labels``, mapped in one pass. Labels are looked up
+        as given; only when one misses (say, the int 1 of a JSON ``seq``)
+        is every label looked up again as its ``str``."""
+        try:
+            return tuple(map(self._index.__getitem__, labels))
+        except (KeyError, TypeError):
+            pass
         try:
             return tuple(map(self._index.__getitem__, map(str, labels)))
         except KeyError as exc:
@@ -135,7 +141,7 @@ class CountTable:
     absent context means an all-zero row. The context of each row is
     decoded only when ``keys`` or ``rows`` is first read, since scoring
     needs the counts alone. Instances are immutable, so they can be shared
-    freely.
+    freely. Tables have no ``==`` of their own: compare their ``rows``.
     """
 
     h: int
@@ -194,15 +200,6 @@ class CountTable:
     def get(self, ctx) -> np.ndarray:
         """Count vector for ``ctx``; all zeros when the context was never seen."""
         return self.rows.get(ctx, np.zeros(self.alphabet.size, dtype=np.int64))
-
-    def __eq__(self, other):
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        if (self.h, self.alphabet, self.boundary) != (other.h, other.alphabet, other.boundary):
-            return False
-        if self.rows.keys() != other.rows.keys():
-            return False
-        return all(np.array_equal(v, other.rows[k]) for k, v in self.rows.items())
 
 
 class TrajectoryCounts:

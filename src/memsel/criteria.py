@@ -192,7 +192,7 @@ def lpd(total: CountTable, prior: DirichletPrior | None = None) -> float:
     """
     prior = _prior_for(total.alphabet, prior)
     n = total.counts
-    return float(log_beta_ratio(n + prior.alpha, n)[0])
+    return log_beta_ratio(n + prior.alpha, n)
 
 
 def predictive_log_density(
@@ -210,7 +210,7 @@ def predictive_log_density(
     if test.counts.size == 0:
         return 0.0
     g = np.stack([train.get(k) for k in test.keys])
-    return float(log_beta_ratio(g + prior.alpha, test.counts)[0])
+    return log_beta_ratio(g + prior.alpha, test.counts)
 
 
 # ---------------------------------------------------------------------------

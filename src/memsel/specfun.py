@@ -6,22 +6,22 @@ of ``np.log`` terms with no log-gamma cancellation, so it keeps its
 digits at counts of 1e8 and beyond. Only cells with t > 0 draw:
 ``_log_beta_cells`` takes x at those cells and each row's x total, for
 one or more x tables over the same increments, which share one expansion
-of the draws. ``log_beta_ratio`` is its dense form for one 2-D table,
-reading both from full rows.
-``digamma`` and ``trigamma`` use the
-asymptotic Bernoulli-number series after shifting the argument above 12
-with the standard recurrences; their target accuracy, grid-checked in the
-tests, is 1e-10 absolute on [1e-3, 1e6]. The shift runs in place over
-the arguments below the shift point, a 0/1 increment per element, with
-the same bits as shifting each argument alone; ``_polygamma`` gives both
-functions from one shared shift, each with the bits of its own call.
+of the draws. ``log_beta_ratio(x, t)`` is its one public dense form: the
+sum over the rows of one 2-D table, reading both from full rows.
+``_polygamma`` gives psi and psi' from the asymptotic Bernoulli-number
+series after shifting the argument above 12 with the standard
+recurrences; its target accuracy, grid-checked in the tests, is 1e-10
+absolute on [1e-3, 1e6]. The shift runs in place over the arguments
+below the shift point, a 0/1 increment per element, with the same bits
+as shifting each argument alone, and one shift serves both functions,
+each with the bits it has when computed alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["log_beta_ratio", "digamma", "trigamma"]
+__all__ = ["log_beta_ratio"]
 
 # Arguments are pushed above this value by recurrence before applying the
 # asymptotic tails below; with seven Bernoulli terms the truncation error
@@ -49,13 +49,6 @@ _PSI1_TAIL = (
     -691.0 / 2730.0,
     7.0 / 6.0,
 )
-
-
-def _positive_array(z, name: str) -> np.ndarray:
-    arr = np.asarray(z, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.min(arr) <= 0.0):
-        raise ValueError(f"{name} is defined only for finite arguments > 0")
-    return arr
 
 
 def _shifted(arr: np.ndarray, psi: bool, psi1: bool):
@@ -113,9 +106,10 @@ def _series(zz: np.ndarray, tail: tuple[float, ...]) -> tuple[np.ndarray, np.nda
 
 def _polygamma(arr: np.ndarray, psi: bool = True, psi1: bool = True):
     """psi and psi' of the finite positive floats ``arr`` (None for one not
-    asked for), as 1-D arrays, from one shared shift loop. Each has the bits
-    of its own ``digamma`` or ``trigamma`` call: the shift is elementwise
-    and each series below runs its own operations in order."""
+    asked for), in the shape of ``arr`` (at least 1-D), from one shared
+    shift loop; accurate to 1e-10 absolute on [1e-3, 1e6]. Each has the bits
+    it has when asked for alone: the shift is elementwise and each series
+    below runs its own operations in order."""
     zz, acc, acc1 = _shifted(arr, psi, psi1)
     if psi:
         u, poly = _series(zz, _PSI_TAIL)
@@ -135,37 +129,13 @@ def _polygamma(arr: np.ndarray, psi: bool = True, psi1: bool = True):
     return acc, acc1
 
 
-def _shaped(res: np.ndarray, arr: np.ndarray):
-    res = res.reshape(arr.shape)
-    return float(res) if res.ndim == 0 else res
-
-
-def digamma(z):
-    """psi(z) = d/dz ln Gamma(z) for z > 0 (elementwise on arrays)."""
-    arr = _positive_array(z, "digamma")
-    return _shaped(_polygamma(arr, psi1=False)[0], arr)
-
-
-def trigamma(z):
-    """psi'(z), the derivative of the digamma function, for z > 0."""
-    arr = _positive_array(z, "trigamma")
-    return _shaped(_polygamma(arr, psi=False)[1], arr)
-
-
-def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
-    """Per group, the sum over rows of log B(x + t) - log B(x).
+def log_beta_ratio(x, t) -> float:
+    """The sum over rows of log B(x + t) - log B(x).
 
     ``x`` holds finite positive rows (one component per destination) and
-    ``t`` the matching non-negative integer increments; row r adds to
-    group ``group[r]`` (default: every row to group 0). Each row's
-    increments expand into draws, destination m first and then k = 0 ..
-    t_m - 1; the draw at position i of its row weighs log(x_m + k) -
-    log(X + i), with X the row total. One ``np.bincount`` sums the weights
-    sequentially in draw order, so a group's value depends only on its own
-    rows and their order, never on the other rows scored with it.
-
-    Only the cells with t > 0 draw: this reads x there and each row's total,
-    and hands them to ``_log_beta_cells``.
+    ``t`` the matching non-negative integer increments. Only the cells with
+    t > 0 draw: this reads x there and each row's total, and hands them to
+    ``_log_beta_cells`` as one group.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t)
@@ -173,21 +143,27 @@ def log_beta_ratio(x, t, group=None, n_groups: int = 1) -> np.ndarray:
         raise ValueError("x and t must be matching rows of at least two components")
     if x.size and (not np.all(np.isfinite(x)) or np.min(x) <= 0.0 or np.min(t) < 0):
         raise ValueError("log_beta_ratio needs finite x > 0 and increments t >= 0")
-    if group is None:
-        group = np.zeros(len(t), dtype=np.intp)
     flat = t.ravel()
     cells = np.flatnonzero(flat)  # (row, destination) cells that draw
-    return _log_beta_cells([x.ravel()[cells]], [x.sum(axis=1)], cells // t.shape[1],
-                           flat[cells], t.sum(axis=1), group, n_groups)[0]
+    return float(_log_beta_cells([x.ravel()[cells]], [x.sum(axis=1)], cells // t.shape[1],
+                                 flat[cells], t.sum(axis=1), np.zeros(len(t), dtype=np.intp),
+                                 1)[0, 0])
 
 
 def _log_beta_cells(xc, xr, row, reps, totals, group, n_groups: int) -> np.ndarray:
-    """``log_beta_ratio`` from the cells that draw, for one or more x tables.
+    """``log_beta_ratio`` from the cells that draw, per group, for one or
+    more x tables.
 
     ``reps`` holds the increments t > 0 in row order (within a row, in
     destination order), ``row`` each one's row and ``totals`` each row's
     sum of t; table s gives x at those cells in ``xc[s]`` and each row's x
-    total in ``xr[s]``. Row s of the result is table s's value per group.
+    total in ``xr[s]``, and row r adds to group ``group[r]``. Each row's
+    increments expand into draws, destination m first and then k = 0 ..
+    t_m - 1; the draw at position i of its row weighs log(x_m + k) -
+    log(X + i), with X the row total. One ``np.bincount`` sums the weights
+    sequentially in draw order, so a group's value depends only on its own
+    rows and their order, never on the other rows scored with it. Row s of
+    the result is table s's value per group.
     """
     cell_start = np.cumsum(reps) - reps
     row_start = np.cumsum(totals) - totals

@@ -1,6 +1,19 @@
-"""Shared generators for randomized small test instances."""
+"""Shared generators for randomized small test instances, and psi and psi'."""
+
+import numpy as np
 
 from memsel.chain import BoundaryMode, StateAlphabet, Trajectory, count_transitions
+from memsel.specfun import _polygamma
+
+
+def digamma(z):
+    """psi(z) elementwise, at least 1-D, from ``_polygamma``, the kernel the scorer calls."""
+    return _polygamma(np.asarray(z, dtype=float), psi1=False)[0]
+
+
+def trigamma(z):
+    """psi'(z) elementwise, at least 1-D, from ``_polygamma``."""
+    return _polygamma(np.asarray(z, dtype=float), psi=False)[1]
 
 
 def random_instance(rng, m=None, j=None, h=None, max_len=6,
@@ -31,6 +44,11 @@ def keyed_sum(tables, h, alphabet, boundary):
         for ctx, vec in table.rows.items():
             rows[ctx] = rows[ctx] + vec if ctx in rows else vec
     return CountTable(h, alphabet, rows, boundary)
+
+
+def rows_of(table):
+    """A count table's rows as plain lists, keyed by context: tables compare through these."""
+    return {k: v.tolist() for k, v in table.rows.items()}
 
 
 def find_record(records, **match):

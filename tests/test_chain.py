@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import keyed_sum
+from conftest import keyed_sum, rows_of
 from memsel import chain
 from memsel.chain import (
     START,
@@ -21,10 +21,6 @@ from memsel.dataio import load_tie_map
 from memsel.tying import TieMap, tie_counts
 
 AB3 = StateAlphabet.of_size(3)
-
-
-def rows_of(table):
-    return {k: v.tolist() for k, v in table.rows.items()}
 
 
 def tie_map_file(tmp_path, h, contexts):
@@ -146,14 +142,14 @@ class TestCounting:
                  for i in range(8)]
         tc = count_transitions(trajs, 2, AB3)
         rebuilt = keyed_sum([t for _, t in tc.per_trajectory], 2, AB3, BoundaryMode.PADDED)
-        assert rebuilt == tc.total
+        assert rows_of(rebuilt) == rows_of(tc.total)
 
     def test_trajectory_order_invariance_of_total(self):
         rng = np.random.default_rng(2)
         trajs = [Trajectory(f"t{i}", tuple(rng.integers(0, 3, 5).tolist())) for i in range(6)]
         a = count_transitions(trajs, 1, AB3).total
         b = count_transitions(trajs[::-1], 1, AB3).total
-        assert a == b
+        assert rows_of(a) == rows_of(b)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -319,7 +315,7 @@ class TestCountDepths:
         for read in (lambda: stack.total, lambda: stack.per_trajectory, lambda: evaluate(stack)):
             with pytest.raises(ValueError, match="2 sets"):
                 read()
-        assert stack.view(1).total == count_transitions(sets[1], 1, AB3).total
+        assert rows_of(stack.view(1).total) == rows_of(count_transitions(sets[1], 1, AB3).total)
 
 
 def reference_first_occurrence(keys):
@@ -354,6 +350,6 @@ class TestFirstOccurrence:
         want = tie_counts(tc, tie_map)
         monkeypatch.setattr(chain, "_DENSE_SPAN_PER_KEY", per_key)
         got = tie_counts(tc, tie_map)
-        assert got.total == want.total
+        assert rows_of(got.total) == rows_of(want.total)
         for name in ("idx", "t", "bounds"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist()

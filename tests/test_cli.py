@@ -742,16 +742,18 @@ class TestDataIo:
         assert alphabet2.labels == ("y", "x")
 
     def test_json_numbers_read_as_labels(self, tmp_path):
-        # labels are matched by their str(): the number 1 is the label "1"
+        # labels are matched by their str(): the number 1 is the label "1",
+        # before or after a string label in the same trajectory
         numbers, strings = tmp_path / "n.jsonl", tmp_path / "s.jsonl"
         numbers.write_text('{"states": ["0", "1"]}\n{"id": "a", "seq": [0, 1, 1]}\n'
-                           '{"id": "b", "seq": [1, "0"]}\n')
+                           '{"id": "b", "seq": [1, "0"]}\n{"id": "c", "seq": ["1", "0", 0]}\n')
         strings.write_text('{"states": ["0", "1"]}\n{"id": "a", "seq": ["0", "1", "1"]}\n'
-                           '{"id": "b", "seq": ["1", "0"]}\n')
+                           '{"id": "b", "seq": ["1", "0"]}\n{"id": "c", "seq": ["1", "0", "0"]}\n')
         got, want = read_trajectories_jsonl(numbers), read_trajectories_jsonl(strings)
         assert got[0] == want[0]
-        assert [(t.id, t.steps) for t in got[1]] == [("a", (0, 1, 1)), ("b", (1, 0))]
-        assert [(t.id, t.steps) for t in want[1]] == [("a", (0, 1, 1)), ("b", (1, 0))]
+        steps = [("a", (0, 1, 1)), ("b", (1, 0)), ("c", (1, 0, 0))]
+        assert [(t.id, t.steps) for t in got[1]] == steps
+        assert [(t.id, t.steps) for t in want[1]] == steps
         inferred = tmp_path / "i.jsonl"
         inferred.write_text('{"id": "a", "seq": [1, 0, 1]}\n')
         alphabet, trajs = read_trajectories_jsonl(inferred)
@@ -813,6 +815,13 @@ class TestDataIo:
         ("jsonl", '\n{"id": "a", "seq": ["x"]}\n{"id": "b", "seq": ["x", "x"]}\n',
          TrajectoryFormatError, "line 2: every step is 'x', so the states cannot be inferred; "
                                 'name them in a {"states": [...]} header line or with --states'),
+        # a label that is unknown as given and as its str(), whatever its JSON type
+        ("jsonl", '{"states": ["0", "1"]}\n{"id": "a", "seq": ["0", "y"]}\n',
+         TrajectoryFormatError, "line 2: unknown state label 'y'"),
+        ("jsonl", '{"states": ["0", "1"]}\n{"id": "a", "seq": [0, "1", "y"]}\n',
+         TrajectoryFormatError, "line 2: unknown state label 'y'"),
+        ("jsonl", '{"states": ["0", "1"]}\n{"id": "a", "seq": ["1", [0]]}\n',
+         TrajectoryFormatError, "line 2: unknown state label '[0]'"),
         ("csv", "g1\n", TrajectoryFormatError, "line 1: expected two columns: group id, outcome"),
         ("csv", "g1,1\ng1,7\n", TrajectoryFormatError, "line 2: unknown state label '7'"),
         ("csv", "", TrajectoryFormatError, "line 0: no outcome rows in input"),
@@ -830,6 +839,7 @@ class TestDataIo:
          ValueError, "context ['0'] listed in two classes"),
     ], ids=["jsonl-not-object", "jsonl-late-header", "jsonl-no-seq", "jsonl-empty-seq",
             "jsonl-seq-not-list", "jsonl-empty-seq-no-header", "jsonl-one-label",
+            "jsonl-unknown-str-label", "jsonl-unknown-after-int", "jsonl-unhashable-label",
             "csv-one-column", "csv-unknown-label", "csv-no-rows", "csv-resumed-group",
             "tie-no-h", "tie-no-classes", "tie-no-class", "tie-class-not-object",
             "tie-two-defaults", "tie-context-twice"])

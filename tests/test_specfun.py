@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from memsel.specfun import _log_beta_cells, _shifted, digamma, log_beta_ratio, trigamma
+from conftest import digamma, trigamma
+from memsel.specfun import _log_beta_cells, _shifted, log_beta_ratio
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -19,7 +20,15 @@ def grid(seed=0, n=4000):
 
 def ratio(x, t):
     """log B(x + t) - log B(x) of a single row."""
-    return float(log_beta_ratio([x], [t])[0])
+    return log_beta_ratio([x], [t])
+
+
+def grouped(xs, t, groups, n_groups):
+    """Per x table in ``xs``, log B(x + t) - log B(x) summed per group of rows."""
+    flat = t.ravel()
+    cells = np.flatnonzero(flat)  # (row, destination) cells that draw
+    return _log_beta_cells([x.ravel()[cells] for x in xs], [x.sum(axis=1) for x in xs],
+                           cells // t.shape[1], flat[cells], t.sum(axis=1), groups, n_groups)
 
 
 def mp_ratio(x, t):
@@ -32,18 +41,16 @@ def mp_ratio(x, t):
 
 
 def test_digamma_known_values():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-    assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
-    # recurrence from psi(1/2) = -gamma - 2 ln 2
+    # psi(5.5) by the recurrence from psi(1/2) = -gamma - 2 ln 2
     ref = -EULER_GAMMA - 2 * math.log(2) + sum(1.0 / (0.5 + k) for k in range(5))
-    assert digamma(5.5) == pytest.approx(ref, abs=1e-12)
-    assert digamma(5.5) == pytest.approx(1.6110931486, abs=1e-9)
+    got = digamma([1.0, 2.0, 5.5])
+    assert got.tolist() == pytest.approx([-EULER_GAMMA, 1.0 - EULER_GAMMA, ref], abs=1e-12)
+    assert got[2] == pytest.approx(1.6110931486, abs=1e-9)
 
 
 def test_trigamma_known_values():
-    assert trigamma(1.0) == pytest.approx(math.pi**2 / 6, rel=1e-12)
-    assert trigamma(2.0) == pytest.approx(math.pi**2 / 6 - 1.0, rel=1e-12)
-    assert trigamma(0.5) == pytest.approx(math.pi**2 / 2, rel=1e-12)
+    assert trigamma([1.0, 2.0, 0.5]).tolist() == pytest.approx(
+        [math.pi**2 / 6, math.pi**2 / 6 - 1.0, math.pi**2 / 2], rel=1e-12)
 
 
 def test_grid_accuracy_against_scipy():
@@ -61,7 +68,7 @@ def test_recurrences_on_random_grid():
     # one draw: log B(x + e_m) - log B(x) = log(x_m / X)
     x = np.stack([z, z[::-1]], axis=1)
     one = np.tile([1, 0], (len(z), 1))
-    lbr = log_beta_ratio(x, one, np.arange(len(z)), len(z))
+    lbr = [log_beta_ratio(x[r:r + 1], one[r:r + 1]) for r in range(len(z))]
     assert np.allclose(lbr, np.log(z / x.sum(axis=1)), rtol=1e-9, atol=1e-9)
     assert np.allclose(digamma(z + 1) - digamma(z), 1.0 / z, rtol=1e-9, atol=1e-9)
     assert np.allclose(trigamma(z + 1) - trigamma(z), -1.0 / z**2, rtol=1e-9, atol=1e-9)
@@ -98,15 +105,14 @@ def test_log_beta_symmetry_and_rows():
     # destinations permuted together with their increments
     assert ratio(x, t) == pytest.approx(ratio(x[p], t[p]), rel=1e-12)
     mat, inc = rng.uniform(0.1, 9.0, (5, 4)), rng.integers(0, 7, (5, 4))
-    rows = log_beta_ratio(mat, inc, np.arange(5), 5)
-    assert rows.shape == (5,)
-    for i in range(5):
-        assert rows[i] == ratio(mat[i], inc[i])
+    rows = [ratio(mat[i], inc[i]) for i in range(5)]
+    assert log_beta_ratio(mat, inc) == pytest.approx(sum(rows), rel=1e-12)
+    assert grouped([mat], inc, np.arange(5), 5)[0].tolist() == rows
     # groups sum their own rows in order, whatever else is scored alongside
     groups = np.array([1, 0, 1, 2, 1])
-    by_group = log_beta_ratio(mat, inc, groups, 4)
+    by_group = grouped([mat], inc, groups, 4)[0]
     for k in range(4):
-        assert by_group[k] == log_beta_ratio(mat[groups == k], inc[groups == k])[0]
+        assert by_group[k] == log_beta_ratio(mat[groups == k], inc[groups == k])
     assert by_group[3] == 0.0
 
 
@@ -118,25 +124,14 @@ def test_log_beta_cells_tables_equal_each_table_alone():
         t[rng.random(rows) < 0.2] = 0
         x = rng.uniform(0.05, 50.0, (3, rows, m))
         groups = rng.integers(0, 4, rows)
-        flat = t.ravel()
-        cells = np.flatnonzero(flat)
-        draws = (cells // m, flat[cells], t.sum(axis=1), groups, 4)
-        got = _log_beta_cells([xs.ravel()[cells] for xs in x], [xs.sum(axis=1) for xs in x],
-                              *draws)
+        got = grouped(x, t, groups, 4)
         assert got.shape == (3, 4)
         for xs, row in zip(x, got):
-            alone = _log_beta_cells([xs.ravel()[cells]], [xs.sum(axis=1)], *draws)
-            assert row.tolist() == alone[0].tolist() == log_beta_ratio(xs, t, groups, 4).tolist()
+            by_group = [log_beta_ratio(xs[groups == k], t[groups == k]) for k in range(4)]
+            assert row.tolist() == grouped([xs], t, groups, 4)[0].tolist() == by_group
     none = np.zeros(0, dtype=np.int64)
     assert _log_beta_cells([np.zeros(0)] * 2, [np.zeros(0)] * 2, none, none, none, none,
                            1).tolist() == [[0.0], [0.0]]
-
-
-@pytest.mark.parametrize("fn", [digamma, trigamma])
-def test_domain_errors(fn):
-    for bad in (0.0, -1.5, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            fn(bad)
 
 
 def test_log_beta_domain_errors():
@@ -160,7 +155,7 @@ def test_log_beta_ratio_keeps_digits_at_large_counts(base):
     rng = np.random.default_rng(int(base))
     x = np.floor(rng.uniform(0.1, 1.0, (20, 4)) * base) + rng.uniform(0.2, 3.0, 4)
     t = rng.integers(0, 6, (20, 4))
-    got = log_beta_ratio(x, t, np.arange(20), 20)
+    got = [log_beta_ratio(x[r:r + 1], t[r:r + 1]) for r in range(20)]
     err = max(abs(got[r] - float(mp_ratio(x[r], t[r]))) for r in range(20))
     assert err <= 1e-13
 
@@ -212,9 +207,7 @@ def test_in_place_shift_is_bit_identical_to_mask_loop(fn, psi1):
         ref = reference_psi(z, psi1).reshape(z.shape)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     for scalar in edges:
-        got = fn(scalar)
-        assert isinstance(got, float)
-        assert float.hex(got) == float.hex(float(reference_psi(scalar, psi1)[0]))
+        assert fn(scalar).tobytes() == reference_psi(scalar, psi1).tobytes()
     assert fn(np.empty((0, 4))).shape == (0, 4)
 
 
