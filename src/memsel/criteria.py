@@ -20,17 +20,19 @@ array of values, a row per model.
 
 Only the count cells that draw are scored: the Polya sums of LPPD, LOO,
 CV2 and LPD run over the cells with t > 0 (``specfun._log_beta_cells``),
-each reading x at those cells and one x total per row. A row total is
-read where the row equals a row already summed: LPPD and LPD read the
-row sums of N + a, summed once per batch over its total rows, and CV2
-those of its two fold tables. LOO's row g - t + a is summed in its
-columns, since (g + a) - t, LPPD's total less the row's draws, is not
-the same float when a is not dyadic (a = 0.3). k_WAIC2 scatters its cell
-terms into a zeroed block before the row sum: numpy sums a row of 8 or
-more values as a tree, so a row with three or more terms must keep its
-columns. psi and psi' of every table come from one shared pass
-(``_psi_tables``) over each table's arguments, one per count value
-(``_count_args``).
+each reading x at those cells and one x total per row, and each group's
+draws (a model's for LPD, a trajectory's for the others) are summed
+pairwise. A row total is read where the row equals a row already summed:
+LPPD and LPD read the row sums of N + a, summed once per batch over its
+total rows, and CV2 those of its two fold tables. LOO's row g - t + a is
+summed in its columns, since (g + a) - t, LPPD's total less the row's
+draws, is not the same float when a is not dyadic (a = 0.3). k_WAIC2
+scatters its cell terms into a zeroed block before the row sum, since
+numpy sums a row of 8 or more values as a tree. Every row sum is
+``_row_sums``, numpy's order for one row taken column by column over all
+rows, with the bits of ``x.sum(axis=1)``. psi and psi' of every table
+come from one shared pass (``_psi_tables``) over each table's arguments,
+one per count value (``_count_args``).
 
 Criterion names used throughout: AIC, DIC1, DIC2, LPD, LPPD, WAIC1,
 WAIC2, LOO, CV2.
@@ -164,12 +166,47 @@ def _ml_terms(N: np.ndarray, Ns: np.ndarray) -> np.ndarray:
     return N * np.log(np.where(N > 0, N / Ns[:, None], 1.0))
 
 
+# numpy sums a contiguous row of up to this many values as one pairwise block
+_PAIRWISE_BLOCK = 128
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` with its bits, column by column.
+
+    numpy sums each row of a C-ordered 2-D array on its own: below 8
+    values one after another, and from 8 up to ``_PAIRWISE_BLOCK`` in 8
+    running sums (column c adds to sum c % 8) joined as a tree, the
+    columns past the last multiple of 8 added after in turn. The same
+    additions run here across all rows at once, one vector operation per
+    column, which on rows of a few values is several times faster than
+    numpy's loop over the rows. Longer rows are left to numpy.
+    """
+    m = x.shape[1]
+    if m > _PAIRWISE_BLOCK:
+        return x.sum(axis=1)
+    if m < 8:
+        out = x[:, 0] + x[:, 1]
+        tail = range(2, m)
+    else:
+        r = x[:, :8]
+        for c in range(8, m - m % 8, 8):
+            r = r + x[:, c:c + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[:, 0::2] + r[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        out = r[:, 0] + r[:, 1]
+        tail = range(m - m % 8, m)
+    for c in tail:
+        out += x[:, c]
+    return out
+
+
 def _trigamma_rows(sq: np.ndarray, s: np.ndarray, tri_s: np.ndarray) -> np.ndarray:
     # sum_k n_k^2 tri_k - (sum_k n_k)^2 tri_s per row of counts n, from the
     # terms n_k^2 tri_k in their columns (``sq``) and the count totals ``s``:
     # k_WAIC2's per-row term and k_DIC2's
     s = s.astype(float)
-    return sq.sum(axis=1) - s * s * tri_s
+    return _row_sums(sq) - s * s * tri_s
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +313,10 @@ def _normalize_which(which) -> tuple[str, ...]:
 # this many; a larger model is scored alone. A model's size is its
 # (trajectory, context) rows plus its transitions, one Polya draw each in
 # ``_log_beta_cells``: the two lengths of the batch's temporaries. The
-# LPPD, LOO and CV2 call holds five draw-sized arrays (three weights, the
-# k/i index and a row-total buffer) and, per table, one value per drawing
-# cell (never more than the draws) and one total per row; LOO's row totals
-# and k_WAIC2's block are rows x M. The power study scores a chunk of
+# LPPD, LOO and CV2 call holds six draw-sized arrays (three weights, the
+# draw -> cell index, the k/i index and a row-total buffer) and, per
+# table, one value per drawing cell (never more than the draws) and one
+# total per row; LOO's row totals and k_WAIC2's block are rows x M. The power study scores a chunk of
 # replicates in one call, counted a few replicates at a time (while their
 # steps fit ``simulate._JOIN_STEPS``), so a batch may hold several counting
 # passes' stacks. On the paper grid (M=8, h 1..5) a batch then averages 80
@@ -350,7 +387,7 @@ def _ratio_tables(names, N, NA, NAs, idx, in_first, a, cells):
             # g - t + a is g + a where t = 0; summed per row in its columns
             dense = NA.take(idx, axis=0)
             dense.ravel()[flat] = xc[-1]
-            xr.append(dense.sum(axis=1))
+            xr.append(_row_sums(dense))
             del dense  # freed before CV2's fold tables are built
         else:
             first_cell = in_first[row]
@@ -365,7 +402,7 @@ def _ratio_tables(names, N, NA, NAs, idx, in_first, a, cells):
             rest = N - first
             rest += a
             first += a
-            xr.append(np.where(in_first, rest.sum(axis=1)[idx], first.sum(axis=1)[idx]))
+            xr.append(np.where(in_first, _row_sums(rest)[idx], _row_sums(first)[idx]))
     return xc, xr
 
 
@@ -383,7 +420,7 @@ def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tup
     """
     need = set(which)
     N = _concat([st.counts for st in stacks])
-    Ns = N.sum(axis=1)
+    Ns = _row_sums(N)
     tot = {"N": N, "Ns": Ns}
     tot.update(_psi_tables(N, Ns, prior, bool(need & {"WAIC1", "DIC1"}),
                            bool(need & {"WAIC2", "DIC2"})))
@@ -446,10 +483,12 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     for LOO, log B(c + t + a) - log B(c + a) for CV2, and
     t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Only the
     cells with t > 0 are read; a row's t total comes from them. Every sum
-    (one ``np.bincount`` per model for the trajectories' terms) adds a
-    model's own terms in the order one model scored alone would, so each
-    value is bit-identical to scoring the models one at a time. Returns one
-    row of values per model, in the columns ``_columns(which)``.
+    adds a model's own terms in the order one model scored alone would, so
+    each value is bit-identical to scoring the models one at a time: each
+    group's Polya draws pairwise on their own (one ``np.add.reduceat``),
+    every row with the bits of numpy's row sum (``_row_sums``), and the
+    trajectories' terms in order (one ``np.bincount`` per model). Returns
+    one row of values per model, in the columns ``_columns(which)``.
     """
     need = set(which)
     a, a0 = prior.alpha, prior.total
@@ -458,7 +497,7 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     spans = list(zip(rows[:-1].tolist(), rows[1:].tolist()))
     # LPPD and LPD read the row sums of N + a, summed once here
     NA = N + a
-    NAs = NA.sum(axis=1)
+    NAs = _row_sums(NA)
 
     # terms over the total rows first, each summed over its model's own rows:
     # their temporaries are gone before the per-trajectory arrays are built
@@ -483,9 +522,8 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     if "LPD" in need:
         # LPD draws every total row's counts again: x = N + a, read at the cells that draw
         nz = np.flatnonzero(N != 0)
-        sums["LPD"] = _log_beta_cells(
-            [NA.ravel()[nz]], [NAs], nz // m, N.ravel()[nz], Ns,
-            np.repeat(np.arange(n_models), np.diff(rows)), n_models)[0]
+        sums["LPD"] = _log_beta_cells([NA.ravel()[nz]], [NAs], nz // m, N.ravel()[nz], Ns,
+                                      np.diff(rows))[0]
 
     n_groups = len(traj_sizes)  # one group per (model, trajectory)
     grp = np.repeat(np.arange(n_groups), traj_sizes)
@@ -512,11 +550,11 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
         # each of these is freed once read, as is k_WAIC2's block: a batch may
         # hold a whole chunk of replicates, and its peak memory is what is alive at once
         del NA
-        pointwise.update(zip(ratios, _log_beta_cells(xc, xr, row, reps, totals, grp, n_groups)))
+        pointwise.update(zip(ratios, _log_beta_cells(xc, xr, row, reps, totals, traj_sizes)))
         del xc, xr
     if "k_WAIC2" in terms:
-        # each cell's t^2 psi' in its column, zeros elsewhere: numpy sums a
-        # row of 8 or more as a tree, so the row keeps its columns
+        # each cell's t^2 psi' in its column, zeros elsewhere: a row of 8 or
+        # more sums as a tree (``_row_sums``), so the row keeps its columns
         sq = np.zeros((len(idx), m))
         term = reps.astype(float)
         term *= term

@@ -337,6 +337,21 @@ def _run_chunk(cfg, replicate, shared, jobs):
     return flags, values, truncated
 
 
+# A pool worker's (cfg, replicate, shared), set once by _init_worker when it starts.
+_WORKER_STUDY = None
+
+
+def _init_worker(cfg, replicate, shared):
+    global _WORKER_STUDY
+    _WORKER_STUDY = (cfg, replicate, shared)
+
+
+def _run_worker_chunk(jobs):
+    """``_run_chunk`` in a pool worker, on the study it was started with: a
+    task carries only its job list."""
+    return _run_chunk(*_WORKER_STUDY, jobs)
+
+
 def _gap_summary(values, ref: int) -> list:
     """Per criterion and depth, the min, max, mean and share below zero of
     each kept replicate's gap to the depth at index ``ref``; ``values`` holds
@@ -387,13 +402,14 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
     replicate) and tally the results into a PowerStudyResult.
 
     Jobs run cell by cell, in chunks of _CHUNK (``_run_chunk``), serially
-    or in a process pool; a job returns its trajectories and truncated
-    walks, or None for a replicate with no data, which is skipped. A NaN
-    value raises as its chunk arrives. Each cell appends its selection and
-    delta records (labelled with ``h_true`` and the cell's entry in
-    ``cells`` as J) once its last chunk is in (``_tally_cell``): selection
-    frequencies over the cell's kept replicates, and gaps to ``h_true``
-    when it is a candidate depth.
+    or in a process pool whose workers each get ``(cfg, replicate, shared)``
+    once, when they start (``_init_worker``); a job returns its trajectories
+    and truncated walks, or None for a replicate with no data, which is
+    skipped. A NaN value raises as its chunk arrives. Each cell appends its
+    selection and delta records (labelled with ``h_true`` and the cell's
+    entry in ``cells`` as J) once its last chunk is in (``_tally_cell``):
+    selection frequencies over the cell's kept replicates, and gaps to
+    ``h_true`` when it is a candidate depth.
     """
     workers = worker_count(workers)
     if workers > 1:
@@ -401,8 +417,7 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
         pickle.dumps((cfg, replicate, shared))
     n_reps = cfg.replicates
     jobs = [(cell, rep) for cell in range(len(cells)) for rep in range(n_reps)]
-    args = (itertools.repeat(cfg), itertools.repeat(replicate), itertools.repeat(shared),
-            [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)])
+    chunks = [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)]
     criteria = tuple(cfg.criteria)
     selection: list[dict] = []
     deltas: list[dict] = []
@@ -416,10 +431,12 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-        pool = ProcessPoolExecutor(workers)
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker,
+                                   initargs=(cfg, replicate, shared))
     try:
-        for chunk_flags, values, n_truncated in (map if pool is None else pool.map)(
-                _run_chunk, *args):
+        results = ((_run_chunk(cfg, replicate, shared, chunk) for chunk in chunks)
+                   if pool is None else pool.map(_run_worker_chunk, chunks))
+        for chunk_flags, values, n_truncated in results:
             truncated += n_truncated
             flags += chunk_flags
             if values is not None:

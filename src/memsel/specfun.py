@@ -6,8 +6,10 @@ of ``np.log`` terms with no log-gamma cancellation, so it keeps its
 digits at counts of 1e8 and beyond. Only cells with t > 0 draw:
 ``_log_beta_cells`` takes x at those cells and each row's x total, for
 one or more x tables over the same increments, which share one expansion
-of the draws. ``log_beta_ratio(x, t)`` is its one public dense form: the
-sum over the rows of one 2-D table, reading both from full rows.
+of the draws, and sums the terms of each group of consecutive rows
+pairwise, so rounding grows with the log of a group's draw count.
+``log_beta_ratio(x, t)`` is its one public dense form: the sum over the
+rows of one 2-D table, reading both from full rows.
 ``_polygamma`` gives psi and psi' from the asymptotic Bernoulli-number
 series after shifting the argument above 12 with the standard
 recurrences; its target accuracy, grid-checked in the tests, is 1e-10
@@ -146,44 +148,56 @@ def log_beta_ratio(x, t) -> float:
     flat = t.ravel()
     cells = np.flatnonzero(flat)  # (row, destination) cells that draw
     return float(_log_beta_cells([x.ravel()[cells]], [x.sum(axis=1)], cells // t.shape[1],
-                                 flat[cells], t.sum(axis=1), np.zeros(len(t), dtype=np.intp),
-                                 1)[0, 0])
+                                 flat[cells], t.sum(axis=1), [len(t)])[0, 0])
 
 
-def _log_beta_cells(xc, xr, row, reps, totals, group, n_groups: int) -> np.ndarray:
+def _log_beta_cells(xc, xr, row, reps, totals, sizes) -> np.ndarray:
     """``log_beta_ratio`` from the cells that draw, per group, for one or
     more x tables.
 
     ``reps`` holds the increments t > 0 in row order (within a row, in
     destination order), ``row`` each one's row and ``totals`` each row's
     sum of t; table s gives x at those cells in ``xc[s]`` and each row's x
-    total in ``xr[s]``, and row r adds to group ``group[r]``. Each row's
-    increments expand into draws, destination m first and then k = 0 ..
-    t_m - 1; the draw at position i of its row weighs log(x_m + k) -
-    log(X + i), with X the row total. One ``np.bincount`` sums the weights
-    sequentially in draw order, so a group's value depends only on its own
-    rows and their order, never on the other rows scored with it. Row s of
-    the result is table s's value per group.
+    total in ``xr[s]``. The groups are consecutive runs of rows: group g
+    holds the next ``sizes[g]`` rows. Each row's increments expand into
+    draws, destination m first and then k = 0 .. t_m - 1; the draw at
+    position i of its row weighs log(x_m + k) - log(X + i), with X the row
+    total. One ``np.add.reduceat`` per table sums each group's weights,
+    starting at the group's first draw: pairwise, in the order of numpy's
+    sum over that group's draws alone, so a group's value depends only on
+    its own rows and their order, never on the other rows scored with it.
+    A group with no draw is 0.0. Row s of the result is table s's value
+    per group.
     """
     cell_start = np.cumsum(reps) - reps
-    row_start = np.cumsum(totals) - totals
-    # Draw-sized buffers are reused in place: with one x at most three are
-    # alive at once, with s of them s + 2.
+    row_end = np.cumsum(totals)
+    row_start = row_end - totals
+    # Draw-sized buffers are reused in place, and x and the row totals are
+    # read through one draw -> cell index: with one x at most four are alive
+    # at once (the index, k/i, the weights and a row-total buffer), with s
+    # of them s + 3.
+    cell = np.repeat(np.arange(len(reps)), reps)
     # k: draws before this one in its cell (from the draw index over all rows)
-    ki = np.arange(int(totals.sum()))
-    ki -= np.repeat(cell_start, reps)
+    ki = np.arange(cell.size)
+    ki -= cell_start.take(cell)
     ws = []
     for x in xc:
-        w = np.repeat(x, reps)
+        w = x.take(cell)
         w += ki
         ws.append(np.log(w, out=w))
     # i: draws before this one in its row, k plus the cell's offset in its row
-    ki += np.repeat(cell_start - row_start[row], reps)
+    ki += (cell_start - row_start[row]).take(cell)
     for w, x_total in zip(ws, xr):
-        xi = np.repeat(x_total, totals)
+        xi = x_total[row].take(cell)
         xi += ki
         w -= np.log(xi, out=xi)
         del xi
-    del ki
-    draw_group = np.repeat(group, totals)
-    return np.array([np.bincount(draw_group, weights=w, minlength=n_groups) for w in ws])
+    del ki, cell
+    # each group's draws: from its first row's first draw to the next group's
+    draw_bounds = np.concatenate(([0], row_end))[np.concatenate(([0], np.cumsum(sizes)))]
+    drawn = draw_bounds[1:] > draw_bounds[:-1]
+    starts = draw_bounds[:-1][drawn]
+    out = np.zeros((len(ws), drawn.size))
+    for values, w in zip(out, ws):
+        values[drawn] = np.add.reduceat(w, starts)
+    return out

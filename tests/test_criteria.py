@@ -696,3 +696,20 @@ class TestTabulatedPsi:
         calls.clear()
         evaluate_depths(trajs, alphabet, range(4), prior, which=("LOO", "CV2"))
         assert calls == []
+
+
+class TestRowSums:
+    """Short rows summed column by column keep the bits of numpy's row sums."""
+
+    @pytest.mark.parametrize("m", list(range(2, 18)) + [128, 129])
+    def test_equals_numpy_row_sums(self, m):
+        rng = np.random.default_rng(m)
+        for n in (0, 1, 7, 1000):
+            x = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-6, 6, (n, m))
+            x[rng.random((n, m)) < 0.3] = 0.0
+            counts = rng.integers(0, 50, (n, m))
+            for table in (x, counts, np.abs(x)):
+                got = criteria_module._row_sums(table)
+                want = table.sum(axis=1)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (m, n, table.dtype)

@@ -1,7 +1,9 @@
 """Network generation, trajectory sampling and power-study machinery."""
 
+import concurrent.futures
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -193,6 +195,38 @@ def test_failed_tally_cancels_the_pending_replicates(tmp_path):
         simulate._run_study(cfg, recording_replicate, str(tmp_path), (0,), 0, workers=2)
     # the pool finishes the chunks of jobs it has already queued, and no more
     assert len(list(tmp_path.iterdir())) < 1000
+
+
+def test_pool_tasks_carry_only_their_jobs(monkeypatch):
+    # the study goes to each worker once, through the pool's initializer: a
+    # task pickles its job list, never the shared network
+    task_bytes = []
+
+    class RecordingPool:
+        """Runs in-process what a pool would run, and pickles each task as a pool would."""
+
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            if initializer is not None:
+                initializer(*initargs)
+
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                task_bytes.append(len(pickle.dumps((fn, args))))
+                yield fn(*args)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "_WORKER_STUDY", None)  # the initializer runs in-process
+    cfg = SimConfig(m=8, h_true=3, h_range=(1, 3), J_values=(2,), replicates=40,
+                    criteria=("LOO",), seed=5)
+    network = generate_network(cfg.m, cfg.h_true, cfg.seed)
+    assert len(pickle.dumps(network)) > 30_000
+    pooled = run_power_study(cfg, workers=2)
+    assert len(task_bytes) == 3  # 40 replicates in chunks of 16
+    assert max(task_bytes) < 1_000
+    assert repr(pooled) == repr(run_power_study(cfg, workers=1))
 
 
 UNPICKLABLE_STUDY = """

@@ -24,11 +24,18 @@ def ratio(x, t):
 
 
 def grouped(xs, t, groups, n_groups):
-    """Per x table in ``xs``, log B(x + t) - log B(x) summed per group of rows."""
+    """Per x table in ``xs``, log B(x + t) - log B(x) summed per group of rows.
+
+    ``_log_beta_cells`` takes groups as consecutive runs of rows, so the rows
+    are put in group order first (stable: a group keeps its rows' order).
+    """
+    order = np.argsort(groups, kind="stable")
+    xs, t = [np.asarray(x)[order] for x in xs], t[order]
     flat = t.ravel()
     cells = np.flatnonzero(flat)  # (row, destination) cells that draw
     return _log_beta_cells([x.ravel()[cells] for x in xs], [x.sum(axis=1) for x in xs],
-                           cells // t.shape[1], flat[cells], t.sum(axis=1), groups, n_groups)
+                           cells // t.shape[1], flat[cells], t.sum(axis=1),
+                           np.bincount(groups, minlength=n_groups))
 
 
 def mp_ratio(x, t):
@@ -130,8 +137,33 @@ def test_log_beta_cells_tables_equal_each_table_alone():
             by_group = [log_beta_ratio(xs[groups == k], t[groups == k]) for k in range(4)]
             assert row.tolist() == grouped([xs], t, groups, 4)[0].tolist() == by_group
     none = np.zeros(0, dtype=np.int64)
-    assert _log_beta_cells([np.zeros(0)] * 2, [np.zeros(0)] * 2, none, none, none, none,
-                           1).tolist() == [[0.0], [0.0]]
+    assert _log_beta_cells([np.zeros(0)] * 2, [np.zeros(0)] * 2, none, none, none,
+                           [0]).tolist() == [[0.0], [0.0]]
+
+
+def test_log_beta_cells_consecutive_groups_equal_each_group_alone():
+    # random group sizes, empty groups and groups whose rows draw nothing
+    # included: every group keeps the bits it has when scored alone
+    rng = np.random.default_rng(13)
+    for m in (2, 4, 8):
+        sizes = rng.integers(0, 12, 40)
+        sizes[:3] = 0
+        sizes[5] = 4
+        rows = int(sizes.sum())
+        t = rng.integers(0, 30, (rows, m))
+        t[rng.random(rows) < 0.3] = 0
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        t[bounds[5]:bounds[6]] = 0  # a group whose rows draw nothing
+        xs = rng.uniform(0.05, 50.0, (2, rows, m))
+        flat = t.ravel()
+        cells = np.flatnonzero(flat)
+        got = _log_beta_cells([x.ravel()[cells] for x in xs], [x.sum(axis=1) for x in xs],
+                              cells // m, flat[cells], t.sum(axis=1), sizes)
+        assert got.shape == (2, sizes.size)
+        for x, row in zip(xs, got):
+            alone = [log_beta_ratio(x[r0:r1], t[r0:r1]) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+            assert [float.hex(v) for v in row] == [float.hex(v) for v in alone]
+        assert (got[:, :3] == 0.0).all() and (got[:, 5] == 0.0).all()
 
 
 def test_log_beta_domain_errors():
