@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: criteria, select, simulate, oracle, import. Every command
+Subcommands: criteria, simulate, oracle, import. Every command
 that writes files also drops a manifest.json with the resolved
 configuration, input digests and seed, which is enough to reproduce the
 outputs byte-identically (timestamps aside). Exit codes: 0 success,
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .chain import BoundaryMode, StateAlphabet, count_transitions
-from .criteria import CRITERIA, DirichletPrior, _normalize_which, argmin, evaluate, evaluate_depths
+from .criteria import CRITERIA, DirichletPrior, argmin, evaluate, evaluate_depths
 from .dataio import (
     Records,
     TrajectoryFormatError,
@@ -137,8 +137,16 @@ def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
     write_json(manifest, out_dir / "manifest.json")
 
 
-def _reports_for(args, alphabet, trajs):
-    """The report per depth, and the manifest config that reproduces it."""
+def _refuse_uncounted(reports, boundary: BoundaryMode) -> None:
+    """A depth that counts no transition scores 0 and would win: exit 2, naming it."""
+    for r in reports:
+        if r.n_transitions == 0:
+            raise CliError(f"depth h={r.h} counts no transition under --boundary "
+                           f"{boundary.value}: no trajectory is longer than {r.h} steps")
+
+
+def cmd_criteria(args) -> int:
+    alphabet, trajs = _load_input(args)
     h_values = _parse_h_range(args.h_range)
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
@@ -150,6 +158,7 @@ def _reports_for(args, alphabet, trajs):
     reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
                               aic_penalty=args.aic_penalty, tie_map=tie_map,
                               tie_label=tie_label)
+    _refuse_uncounted(reports, boundary)
     config = {
         "input": str(args.input),
         "h_values": [r.h for r in reports],
@@ -160,12 +169,6 @@ def _reports_for(args, alphabet, trajs):
         "aic_penalty": args.aic_penalty,
         "states": list(alphabet.labels),
     }
-    return reports, config
-
-
-def cmd_criteria(args) -> int:
-    alphabet, trajs = _load_input(args)
-    reports, config = _reports_for(args, alphabet, trajs)
     out_dir = Path(args.out)
     write_reports(reports, out_dir)
     _write_manifest(out_dir, args, config, [Path(args.input)], seed=None)
@@ -176,19 +179,6 @@ def cmd_criteria(args) -> int:
             print(f"{name}: unavailable (needs at least two trajectories)")
         else:
             print(f"{name}: best {best.label} ({best.value(name):.4f})")
-    return EXIT_OK
-
-
-def cmd_select(args) -> int:
-    alphabet, trajs = _load_input(args)
-    _normalize_which((args.criterion,))
-    reports, config = _reports_for(args, alphabet, trajs)
-    best = argmin(reports, args.criterion)
-    out_dir = Path(args.out)
-    write_reports(reports, out_dir)
-    config["criterion"] = args.criterion
-    _write_manifest(out_dir, args, config, [Path(args.input)], seed=None)
-    print(f"selected: {best.label} by {args.criterion} = {best.value(args.criterion):.4f}")
     return EXIT_OK
 
 
@@ -308,6 +298,7 @@ def cmd_oracle(args) -> int:
     boundary = BoundaryMode(args.boundary)
     tc = count_transitions(trajs, args.h, alphabet, boundary)
     rep = evaluate(tc, prior, ("LPD", "LPPD", "LOO", "CV2", "WAIC2", "DIC2"))
+    _refuse_uncounted([rep], boundary)
 
     # LPD and LPPD go back from the deviance scale to the log scale the
     # estimators work on; multiplying by -0.5 is exact.
@@ -355,12 +346,6 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="memsel_out", help="output directory")
 
 
-def _add_model_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--h-range", help="inclusive range LO..HI, or H for 0..H")
-    p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
-    p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memsel",
@@ -369,14 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"memsel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("criteria", help="criterion report per memory depth")
+    p = sub.add_parser("criteria", help="criterion report per memory depth, with each argmin")
     _add_data_options(p)
-    _add_model_options(p)
-
-    p = sub.add_parser("select", help="pick the best depth under one criterion")
-    _add_data_options(p)
-    _add_model_options(p)
-    p.add_argument("--criterion", default="LOO", help=f"one of {', '.join(CRITERIA)}")
+    p.add_argument("--h-range", help="inclusive range LO..HI, or H for 0..H")
+    p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
+    p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
 
     p = sub.add_parser("simulate", help="selection power studies")
     p.add_argument("--profile", choices=list(_PROFILES),
@@ -438,8 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     args.argv = argv
     # looked up per call, so the cached parser holds no command function
-    command = {"criteria": cmd_criteria, "select": cmd_select, "simulate": cmd_simulate,
-               "oracle": cmd_oracle, "import": cmd_import}[args.command]
+    command = {"criteria": cmd_criteria, "simulate": cmd_simulate, "oracle": cmd_oracle,
+               "import": cmd_import}[args.command]
     try:
         return command(args)
     except CliError as exc:

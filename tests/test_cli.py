@@ -132,42 +132,32 @@ class TestCriteriaCommand:
         assert main(["criteria", "--input", str(season),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_manifest_config_records_the_model_options(self, season, tmp_path):
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "0..2", "--tie", "jagged",
+                     "--aic-penalty", "full", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {"input", "h_values", "labels", "prior_alpha", "boundary", "tie",
+                               "aic_penalty", "states"}
+        assert (config["tie"], config["aic_penalty"]) == ("jagged", "full")
+        assert config["labels"] == ["h=0", "h=1", "h=2", "jagged(h=1)"]
+
+    def test_select_command_is_gone(self, season, tmp_path, capsys):
+        # criteria prints the argmin of every criterion; select only repeated one of them
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--input", str(season), "--h-range", "0..2", "--criterion", "LOO",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'select'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def one_game(tmp_path):
     path = tmp_path / "one.jsonl"
     path.write_text('{"id": "g0", "seq": ["1", "0", "1", "1", "0"]}\n')
     return path
-
-
-class TestSelectCommand:
-    def test_prints_choice(self, season, tmp_path, capsys):
-        assert main(["select", "--input", str(season), "--h-range", "0..2",
-                     "--criterion", "LOO", "--out", str(tmp_path / "o")]) == 0
-        assert "selected: h=" in capsys.readouterr().out
-
-    def test_manifest_config_is_the_criteria_config_plus_criterion(self, season, tmp_path):
-        common = ["--input", str(season), "--h-range", "0..2", "--tie", "jagged",
-                  "--aic-penalty", "full"]
-        assert main(["criteria", *common, "--out", str(tmp_path / "c")]) == 0
-        assert main(["select", *common, "--criterion", "WAIC2", "--out", str(tmp_path / "s")]) == 0
-        criteria, select = (json.loads((tmp_path / d / "manifest.json").read_text())["config"]
-                            for d in ("c", "s"))
-        assert select == {**criteria, "criterion": "WAIC2"}
-        assert set(select) == {"input", "h_values", "labels", "prior_alpha", "boundary", "tie",
-                               "aic_penalty", "states", "criterion"}
-        assert (select["tie"], select["aic_penalty"]) == ("jagged", "full")
-
-    def test_unknown_criterion(self, season, tmp_path, capsys):
-        assert main(["select", "--input", str(season), "--h-range", "1",
-                     "--criterion", "XYZ", "--out", str(tmp_path / "o")]) == 2
-        assert "error: unknown criterion 'XYZ'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_cv2_on_one_trajectory(self, one_game, tmp_path, capsys):
-        assert main(["select", "--input", str(one_game), "--h-range", "1",
-                     "--criterion", "CV2", "--out", str(tmp_path / "o")]) == 2
-        assert "needs at least two trajectories" in capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -210,12 +200,11 @@ class TestErrorPaths:
         path = tmp_path / "tie.json"
         path.write_text(json.dumps({"h": 1, "classes": [
             {"contexts": [["0"]]}, {"contexts": [["START"]]}]}))
-        for command in (["criteria"], ["select", "--criterion", "LOO"]):
-            out = tmp_path / command[0]
-            assert main(command + ["--input", str(season), "--h-range", "0..2",
-                                   "--tie", str(path), "--out", str(out)]) == 2
-            assert "no tie class" in capsys.readouterr().err
-            assert not out.exists()
+        out = tmp_path / "o"
+        assert main(["criteria", "--input", str(season), "--h-range", "0..2",
+                     "--tie", str(path), "--out", str(out)]) == 2
+        assert "no tie class" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_list_states_header_is_line_numbered(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -293,6 +282,22 @@ class TestErrorPaths:
         assert "list" in capsys.readouterr().err
         assert not out.exists()
 
+    # the longest game of the season has 11 shots, so truncated h=11 counts
+    # nothing: scored as 0 on every criterion, it would win every argmin
+    @pytest.mark.parametrize("command", [
+        ["criteria", "--h-range", "10..11"],
+        ["oracle", "--h", "11", "--draws", "1000"],
+    ], ids=["criteria", "oracle"])
+    def test_depth_that_counts_no_transition_is_config_error(self, tmp_path, capsys, command):
+        season = Path(__file__).parent / "data" / "season.jsonl"
+        out = tmp_path / "o"
+        argv = [command[0], "--input", str(season), *command[1:], "--out", str(out)]
+        assert main(argv + ["--boundary", "truncated"]) == 2
+        assert ("error: depth h=11 counts no transition under --boundary truncated: "
+                "no trajectory is longer than 11 steps\n") == capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0  # padded counting counts every step at every depth
+
     def test_negative_oracle_depth_is_config_error(self, season, tmp_path, capsys):
         assert main(["oracle", "--input", str(season), "--h", "-1",
                      "--out", str(tmp_path / "o")]) == 2
@@ -336,12 +341,11 @@ class TestErrorPaths:
     # --h-range H and --states are the one spelling of each: argparse knows no other
     @pytest.mark.parametrize("command", [
         ["criteria", "--input", "{season}", "--h-max", "1"],
-        ["select", "--input", "{season}", "--h-max", "1"],
         ["simulate", "--M", "3", "--J", "4", "--replicates", "5", "--h-max", "2"],
         ["criteria", "--input", "{csv}", "--h-range", "1", "--labels", "0,1"],
         ["oracle", "--input", "{csv}", "--h", "1", "--labels", "0,1"],
         ["import", "--input", "{csv}", "--labels", "0,1"],
-    ], ids=["criteria-h-max", "select-h-max", "simulate-h-max", "criteria-labels",
+    ], ids=["criteria-h-max", "simulate-h-max", "criteria-labels",
             "oracle-labels", "import-labels"])
     def test_removed_option_is_refused_by_argparse(self, season, tmp_path, capsys, command):
         games = tmp_path / "games.csv"
