@@ -37,7 +37,6 @@ from .simulate import (
     SimConfig,
     free_throw_power,
     run_power_study,
-    worker_count,
 )
 from .tying import jagged_free_throw_map
 
@@ -255,10 +254,9 @@ def cmd_simulate(args) -> int:
     # the first file written makes --out, so a run that a bad argument or a
     # failed study stops (a ValueError exits 2) leaves no directory
     cfg = _study_config(args)
-    workers = worker_count(args.workers)
     out_dir = Path(args.out)
     if args.free_throw:
-        result = free_throw_power(cfg, workers=workers)
+        result = free_throw_power(cfg, workers=args.workers)
         config = {
             "model": dataclasses.asdict(cfg.model), "games": cfg.games, "lambda": cfg.lam,
             "replicates": cfg.replicates, "seed": cfg.seed, "boundary": cfg.boundary.value,
@@ -268,7 +266,7 @@ def cmd_simulate(args) -> int:
         deltas = None
         telemetry = None  # game lengths are Poisson draws: nothing is capped
     else:
-        result = run_power_study(cfg, workers=workers)
+        result = run_power_study(cfg, workers=args.workers)
         summary = {
             "config": {
                 "M": cfg.m, "h_true": cfg.h_true, "h_range": list(cfg.h_range),

@@ -329,14 +329,11 @@ _BATCH_CELLS = 2**14
 _TERM_USERS = {"LPPD": {"LPPD", "WAIC1", "WAIC2"}, "LOO": {"LOO"}, "CV2": {"CV2"},
                "k_WAIC2": {"WAIC2"}}
 
-# the criteria reported with a complexity term k_<name>
-_PENALIZED = ("WAIC1", "WAIC2", "DIC1", "DIC2")
-
 
 def _columns(which: tuple[str, ...]) -> tuple[str, ...]:
     """The columns of ``_score``'s values: ``which`` in turn, then the
     complexity terms of the criteria in it that have one, in the same order."""
-    return tuple(which) + tuple("k_" + name for name in which if name in _PENALIZED)
+    return tuple(which) + tuple("k_" + name for name in which if "k_" + name in K_TERMS)
 
 
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
@@ -344,22 +341,15 @@ def _concat(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior, psi: bool,
-                psi1: bool) -> dict:
-    """From one ``_polygamma`` pass, psi (when ``psi``) and psi' (when
-    ``psi1``) at N + a per cell and at Ns + a0 per row: "psi" and "psi_s",
-    "tri" and "tri_s". The pass runs over both tables' ``_count_args``,
-    the cells' first.
+def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior) -> dict:
+    """From one ``_polygamma`` pass, psi and psi' at N + a per cell and at
+    Ns + a0 per row: "psi" and "psi_s", "tri" and "tri_s". The pass runs
+    over both tables' ``_count_args``, the cells' first.
     """
-    if not (psi or psi1):
-        return {}
     (args_n, at_n), (args_s, at_s) = _count_args(N, prior.alpha), _count_args(Ns, prior.total)
     at_s = at_s + args_n.size
-    out = {}
-    for name, r in zip(("psi", "tri"), _polygamma(np.concatenate([args_n, args_s]), psi, psi1)):
-        if r is not None:
-            out[name], out[name + "_s"] = r[at_n], r[at_s]
-    return out
+    psi, tri = _polygamma(np.concatenate([args_n, args_s]))
+    return {"psi": psi[at_n], "psi_s": psi[at_s], "tri": tri[at_n], "tri_s": tri[at_s]}
 
 
 def _ratio_tables(names, N, NA, NAs, idx, in_first, a, cells):
@@ -414,16 +404,17 @@ def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tup
 
     Consecutive models are scored in batches (``_BATCH_CELLS``), each batch
     reading its slices of the stacks as counted. The stacks' total rows are
-    joined once, with their row sums, and the psi and psi' terms that
-    ``which`` needs are evaluated once, over every model's count cells and
-    row sums (by ``_psi_tables``): a batch reads its own slice of each.
+    joined once, with their row sums, and when ``which`` holds a WAIC or
+    DIC criterion, psi and psi' are evaluated once, over every model's
+    count cells and row sums (by ``_psi_tables``): a batch reads its own
+    slice of each.
     """
     need = set(which)
     N = _concat([st.counts for st in stacks])
     Ns = _row_sums(N)
     tot = {"N": N, "Ns": Ns}
-    tot.update(_psi_tables(N, Ns, prior, bool(need & {"WAIC1", "DIC1"}),
-                           bool(need & {"WAIC2", "DIC2"})))
+    if need & {"WAIC1", "WAIC2", "DIC1", "DIC2"}:
+        tot.update(_psi_tables(N, Ns, prior))
     # per model: its total rows (rows[i]:rows[i+1]), trajectories, pair rows and k
     offsets = np.cumsum([0] + [len(st.counts) for st in stacks])
     rows = np.concatenate([st.rows[:-1] + off for st, off in zip(stacks, offsets.tolist())]
@@ -471,12 +462,12 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     ``js[i]`` consecutive trajectories, trajectory g the next
     ``traj_sizes[g]`` (trajectory, context) rows, with counts ``t`` and
     total rows ``idx``. ``tot`` also holds arrays over the total rows: the
-    row sums ``Ns`` and those of ``psi``, ``psi_s``, ``tri`` and ``tri_s``
-    that ``which`` needs (``_psi_tables``). Every kernel runs once per
-    batch: one ``_log_beta_cells`` call for LPPD, LOO and CV2 together,
-    with one group per (model, trajectory), one for LPD, with one group
-    per model, and elementwise terms whose per-model sums run over each
-    model's own contiguous slice. Trajectory j's log terms sum, over its
+    row sums ``Ns`` and, when ``which`` holds a WAIC or DIC criterion,
+    ``psi``, ``psi_s``, ``tri`` and ``tri_s`` (``_psi_tables``). Every
+    kernel runs once per batch: one ``_log_beta_cells`` call for LPPD, LOO
+    and CV2 together, with one group per (model, trajectory), one for LPD,
+    with one group per model, and elementwise terms whose per-model sums
+    run over each model's own contiguous slice. Trajectory j's log terms sum, over its
     count rows t with total rows g and rows c of the other CV2 fold (the
     first floor(J/2) trajectories against the rest and vice versa):
     log B(g + t + a) - log B(g + a) for LPPD, log B(g + a) - log B(g - t + a)

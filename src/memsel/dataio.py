@@ -1,7 +1,8 @@
 """File formats: trajectory JSONL, sports CSV import, tie-map JSON, reports.
 
-See FORMATS.md at the repository root for the format reference. Reading
-errors carry the 1-based line number of the offending record.
+See FORMATS.md at the repository root for the format reference. Inputs
+are UTF-8, and a leading byte-order mark is skipped. Reading errors carry
+the 1-based line number of the offending record.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def read_trajectories_jsonl(
     path = Path(path)
     raw: list[tuple[int, dict]] = []
     header_alphabet: StateAlphabet | None = None
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -133,15 +134,17 @@ def import_outcome_csv(
     Consecutive rows sharing a group id form one trajectory in file order
     (an id that resumes after another group raises TrajectoryFormatError).
     ``states`` are the outcome labels in id order, stripped as the cells
-    are; None means the miss=0 / hit=1 convention, ``0,1``. A first row
-    whose outcome is neither a label nor an integer is a header and is
-    skipped; any other unknown outcome raises TrajectoryFormatError.
+    are; None means the miss=0 / hit=1 convention, ``0,1``. The first
+    non-blank row, when its outcome is neither a label nor an integer, is a
+    header and is skipped; any other unknown outcome raises
+    TrajectoryFormatError.
     """
     path = Path(path)
     alphabet = StateAlphabet(("0", "1") if states is None else tuple(s.strip() for s in states))
     order: list[str] = []
     seqs: dict[str, list[int]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    first = True  # the first non-blank row may be a header
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
@@ -150,9 +153,10 @@ def import_outcome_csv(
                 raise TrajectoryFormatError(lineno, "expected two columns: group id, outcome")
             gid, outcome = row[0].strip(), row[1].strip()
             # a header names its column; an integer outcome is a mistyped state
-            if lineno == 1 and outcome not in alphabet.labels \
-                    and not outcome.lstrip("-").isdecimal():
-                continue
+            if first:
+                first = False
+                if outcome not in alphabet.labels and not outcome.lstrip("-").isdecimal():
+                    continue
             try:
                 state = alphabet.index(outcome)
             except ValueError as exc:
@@ -178,7 +182,7 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
     must list a context.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict) or "h" not in spec or "classes" not in spec:
         raise ValueError('tie map file must define "h" and "classes"')
@@ -324,24 +328,22 @@ def _json_text(obj, indent: str = "") -> str:
     return f"{left}\n{inner}{body}\n{indent}{right}"
 
 
-def _write(path, text: str) -> Path:
-    path = Path(path)
+def _write(path, text: str) -> None:
     with _create(path) as fh:
         fh.write(text)
-    return path
 
 
-def write_json(obj, path) -> Path:
+def write_json(obj, path) -> None:
     """Write ``obj`` as indented, key-sorted JSON plus a newline, in one write."""
-    return _write(path, _json_text(obj) + "\n")
+    _write(path, _json_text(obj) + "\n")
 
 
-def write_reports(reports: list[CriterionReport], out_dir) -> tuple[Path, Path]:
-    """Write criteria.json and criteria.csv; returns the two paths."""
+def write_reports(reports: list[CriterionReport], out_dir) -> None:
+    """Write criteria.json and criteria.csv."""
     out_dir = Path(out_dir)
     records = Records(r.as_dict() for r in reports)
-    json_path = write_json(records, out_dir / "criteria.json")
-    return json_path, _write(out_dir / "criteria.csv", records.csv(_REPORT_COLUMNS))
+    write_json(records, out_dir / "criteria.json")
+    _write(out_dir / "criteria.csv", records.csv(_REPORT_COLUMNS))
 
 
 def write_study(summary: dict, selection, deltas, out_dir) -> None:

@@ -15,8 +15,7 @@ series after shifting the argument above 12 with the standard
 recurrences; its target accuracy, grid-checked in the tests, is 1e-10
 absolute on [1e-3, 1e6]. The shift runs in place over the arguments
 below the shift point, a 0/1 increment per element, with the same bits
-as shifting each argument alone, and one shift serves both functions,
-each with the bits it has when computed alone.
+as shifting each argument alone, and one shift serves both functions.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ _PSI1_TAIL = (
 )
 
 
-def _shifted(arr: np.ndarray, psi: bool, psi1: bool):
+def _shifted(arr: np.ndarray):
     """Shift every argument to at least _SHIFT by the recurrence; return it
-    and the sums for psi and psi' (None for one not asked for).
+    and the sums for psi and psi'.
 
     The psi sum collects -1/z and the psi' sum +1/z^2 for each z passed on
     the way. Only the arguments below _SHIFT are shifted; the others keep
@@ -63,35 +62,30 @@ def _shifted(arr: np.ndarray, psi: bool, psi1: bool):
     place, with ``inc`` 1.0 where an argument is still below _SHIFT and 0.0
     where it is done: a finished element adds 0.0 to its argument and its
     sums, which leaves them unchanged, so every element ends with the same
-    bits as when shifted alone, and each sum with the bits of a loop that
-    kept it alone.
+    bits as when shifted alone.
     """
     zz = np.array(arr, dtype=float, ndmin=1, order="C")  # so ravel() below is a view
-    acc = np.zeros_like(zz) if psi else None
-    acc1 = np.zeros_like(zz) if psi1 else None
+    acc = np.zeros_like(zz)
+    acc1 = np.zeros_like(zz)
     low = np.flatnonzero(zz < _SHIFT)
     if not low.size:
         return zz, acc, acc1
     z = zz.ravel()[low]
-    sub = np.zeros_like(z) if psi else None
-    sub1 = np.zeros_like(z) if psi1 else None
+    sub = np.zeros_like(z)
+    sub1 = np.zeros_like(z)
     inc = np.empty_like(z)
     step = np.empty_like(z)
     while z.min() < _SHIFT:
         np.less(z, _SHIFT, out=inc)
-        if psi:
-            np.divide(inc, z, out=step)
-            sub -= step
-        if psi1:
-            np.multiply(z, z, out=step)
-            np.divide(inc, step, out=step)
-            sub1 += step
+        np.divide(inc, z, out=step)
+        sub -= step
+        np.multiply(z, z, out=step)
+        np.divide(inc, step, out=step)
+        sub1 += step
         z += inc
     zz.ravel()[low] = z
-    if psi:
-        acc.ravel()[low] = sub
-    if psi1:
-        acc1.ravel()[low] = sub1
+    acc.ravel()[low] = sub
+    acc1.ravel()[low] = sub1
     return zz, acc, acc1
 
 
@@ -106,28 +100,24 @@ def _series(zz: np.ndarray, tail: tuple[float, ...]) -> tuple[np.ndarray, np.nda
     return u, poly
 
 
-def _polygamma(arr: np.ndarray, psi: bool = True, psi1: bool = True):
-    """psi and psi' of the finite positive floats ``arr`` (None for one not
-    asked for), in the shape of ``arr`` (at least 1-D), from one shared
-    shift loop; accurate to 1e-10 absolute on [1e-3, 1e6]. Each has the bits
-    it has when asked for alone: the shift is elementwise and each series
-    below runs its own operations in order."""
-    zz, acc, acc1 = _shifted(arr, psi, psi1)
-    if psi:
-        u, poly = _series(zz, _PSI_TAIL)
-        # acc + log z - 0.5 / z - poly u, summed in place in that order
-        term = np.log(zz)
-        acc += term
-        acc -= np.divide(0.5, zz, out=term)
-        acc -= np.multiply(poly, u, out=poly)
-    if psi1:
-        u, poly = _series(zz, _PSI1_TAIL)
-        # acc1 + 1 / z + 0.5 u + poly u / z, summed in place in that order
-        term = np.divide(1.0, zz)
-        acc1 += term
-        acc1 += np.multiply(0.5, u, out=term)
-        poly *= u
-        acc1 += np.divide(poly, zz, out=poly)
+def _polygamma(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi and psi' of the finite positive floats ``arr``, in the shape of
+    ``arr`` (at least 1-D), from one shared shift loop; accurate to 1e-10
+    absolute on [1e-3, 1e6]."""
+    zz, acc, acc1 = _shifted(arr)
+    u, poly = _series(zz, _PSI_TAIL)
+    # acc + log z - 0.5 / z - poly u, summed in place in that order
+    term = np.log(zz)
+    acc += term
+    acc -= np.divide(0.5, zz, out=term)
+    acc -= np.multiply(poly, u, out=poly)
+    u, poly = _series(zz, _PSI1_TAIL)
+    # acc1 + 1 / z + 0.5 u + poly u / z, summed in place in that order
+    term = np.divide(1.0, zz)
+    acc1 += term
+    acc1 += np.multiply(0.5, u, out=term)
+    poly *= u
+    acc1 += np.divide(poly, zz, out=poly)
     return acc, acc1
 
 

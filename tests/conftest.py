@@ -8,12 +8,12 @@ from memsel.specfun import _polygamma
 
 def digamma(z):
     """psi(z) elementwise, at least 1-D, from ``_polygamma``, the kernel the scorer calls."""
-    return _polygamma(np.asarray(z, dtype=float), psi1=False)[0]
+    return _polygamma(np.asarray(z, dtype=float))[0]
 
 
 def trigamma(z):
     """psi'(z) elementwise, at least 1-D, from ``_polygamma``."""
-    return _polygamma(np.asarray(z, dtype=float), psi=False)[1]
+    return _polygamma(np.asarray(z, dtype=float))[1]
 
 
 def random_instance(rng, m=None, j=None, h=None, max_len=6,

@@ -366,8 +366,14 @@ class TestErrorPaths:
         (["--h-range", "0..1", "--prior-alpha", "one"], "cannot parse --prior-alpha 'one'"),
         (["--h-range", "0..1", "--prior-alpha", "1,2,3"],
          "--prior-alpha needs 1 or 2 components, got 3"),
+        (["--h-range", "0..1", "--prior-alpha", "0"], "prior components must be finite and > 0"),
+        (["--h-range", "0..1", "--prior-alpha", "-1"], "prior components must be finite and > 0"),
+        (["--h-range", "0..1", "--prior-alpha", "nan"],
+         "prior components must be finite and > 0"),
+        (["--h-range", "0..1", "--prior-alpha", "inf"],
+         "prior components must be finite and > 0"),
     ], ids=["h-range-text", "h-range-colon", "h-range-reversed", "prior-text",
-            "prior-components"])
+            "prior-components", "prior-zero", "prior-negative", "prior-nan", "prior-inf"])
     def test_option_error_table(self, season, tmp_path, capsys, options, message):
         out = tmp_path / "o"
         assert main(["criteria", "--input", str(season), *options, "--out", str(out)]) == 2
@@ -434,8 +440,10 @@ class TestImportCommand:
         # an integer outcome on line 1 is a mistyped row, not a header to skip
         ("g1,2\ng1,0\ng2,1\n", 2, "line 1: unknown state label '2'"),
         ("g1,-1\ng1,0\n", 2, "line 1: unknown state label '-1'"),
+        # so is one on the first non-blank row
+        ("\n,\ng1,2\ng1,0\n", 2, "line 3: unknown state label '2'"),
     ], ids=["empty", "header-only", "resumed-group", "integer-first-row",
-            "negative-first-row"])
+            "negative-first-row", "integer-first-row-after-blank"])
     def test_bad_csv_is_refused(self, tmp_path, capsys, text, code, message):
         csv_path, out = tmp_path / "games.csv", tmp_path / "t.jsonl"
         csv_path.write_text(text)
@@ -467,6 +475,22 @@ class TestImportCommand:
                              "--out", str(out)]) == 0
                 results.append((out / name).read_bytes())
         assert len(set(results)) == 1
+
+    # an Excel export starts with a byte-order mark; a header may follow blank rows
+    @pytest.mark.parametrize("prefix", ["\ufeff", "\n \n,\ngame,result\n"],
+                             ids=["bom", "header-after-blank-rows"])
+    def test_csv_scores_as_its_plain_twin(self, tmp_path, prefix):
+        rows = "g1,1\ng1,0\ng1,1\ng2,1\ng2,1\n"
+        results = []
+        for name, text in (("plain", rows), ("variant", prefix + rows)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text, encoding="utf-8")
+            out = tmp_path / name
+            assert main(["criteria", "--input", str(path), "--h-range", "0..1",
+                         "--out", str(out)]) == 0
+            results.append((out / "criteria.csv").read_bytes())
+        assert results[0] == results[1]
+        assert [r["J"] for r in read_csv(tmp_path / "variant" / "criteria.csv")] == ["2", "2"]
 
     def test_output_directory_is_made(self, tmp_path):
         csv_path = tmp_path / "games.csv"
@@ -643,9 +667,12 @@ class TestSimulateCommand:
         (["--M", "3", "--h-range", "1..2", "--h-true", "-1"], "true memory depth must be >= 0"),
         (["--M", "3", "--h-range", "1..2", "--J", "4", "--J", "4", "--replicates", "5",
           "--criteria", "LOO,AIC"], "J value 4 is named twice"),
+        (["--M", "1"], "alphabet size must be >= 2"),
+        (["--J", "0"], "J values must be positive"),
+        (["--length-cap", "0"], "length cap must be >= 1"),
     ], ids=["repeated", "ft-repeated", "unknown", "ft-p-range", "ft-p-nan", "ft-arity",
             "ft-text", "ft-lambda-nan", "ft-lambda-inf", "ft-lambda-huge", "h-true-negative",
-            "J-repeated"])
+            "J-repeated", "M-one", "J-zero", "length-cap-zero"])
     def test_config_error_names_its_cause(self, tmp_path, capsys, args, message):
         out = tmp_path / "d"
         assert main(["simulate", *args, "--out", str(out)]) == 2
@@ -855,6 +882,19 @@ class TestDataIo:
         with pytest.raises(error) as info:
             reader(path)
         assert str(info.value) == message
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        bom = "\ufeff"
+        jsonl = tmp_path / "bom.jsonl"
+        jsonl.write_text(bom + '{"states": ["0", "1"]}\n{"id": "g1", "seq": ["1", "0"]}\n',
+                         encoding="utf-8")
+        alphabet, trajs = read_trajectories_jsonl(jsonl)
+        assert alphabet.labels == ("0", "1")
+        assert [(t.id, t.steps) for t in trajs] == [("g1", (1, 0))]
+        tie = tmp_path / "bom.json"
+        tie.write_text(bom + json.dumps({"h": 1, "classes": [{"default": True}]}),
+                       encoding="utf-8")
+        assert load_tie_map(tie, alphabet).default_class == 0
 
     def test_csv_import_header_optional(self, tmp_path):
         p = tmp_path / "no_header.csv"

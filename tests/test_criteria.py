@@ -680,19 +680,19 @@ class TestTabulatedPsi:
         calls = []
         real = criteria_module._polygamma
 
-        def spy(z, psi, psi1):
-            calls.append((psi, psi1))
-            return real(z, psi, psi1)
+        def spy(z):
+            calls.append(z.size)
+            return real(z)
 
         monkeypatch.setattr(criteria_module, "_polygamma", spy)
         monkeypatch.setattr(criteria_module, "_BATCH_CELLS", 1)  # every model a batch of its own
         got = evaluate_depths(trajs, alphabet, range(4), prior, tie_map=tie_map)
         assert [r.values for r in got] == [r.values for r in want]
         # psi and psi' of the count cells and of the row sums: one shared pass per _score call
-        assert calls == [(True, True)]
+        assert len(calls) == 1
         calls.clear()
         evaluate_depths(trajs, alphabet, range(4), prior, which=("WAIC1", "LOO"))
-        assert calls == [(True, False)]
+        assert len(calls) == 1
         calls.clear()
         evaluate_depths(trajs, alphabet, range(4), prior, which=("LOO", "CV2"))
         assert calls == []
