@@ -3,8 +3,13 @@
 Subcommands: criteria, simulate, oracle, import. Every command
 that writes files also drops a manifest.json with the resolved
 configuration, input digests and seed, which is enough to reproduce the
-outputs byte-identically (timestamps aside). Exit codes: 0 success,
-1 oracle audit failure, 2 bad input or configuration, 3 empty input.
+outputs byte-identically (timestamps aside).
+
+``main`` alone maps a failure to its exit code, with one ``error:`` line
+on stderr: 0 success; 1 oracle audit failure (some |z| > 4); 2 bad input
+or configuration, that is a ``ValueError`` (a malformed record, a refused
+option) or an ``OSError`` (a missing input, an unusable output path);
+3 empty input (``EmptyInputError``).
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from . import __version__
 from .chain import BoundaryMode, StateAlphabet, count_transitions
 from .criteria import CRITERIA, DirichletPrior, argmin, evaluate, evaluate_depths
 from .dataio import (
+    EmptyInputError,
     Records,
-    TrajectoryFormatError,
     file_digest,
     import_outcome_csv,
     load_tie_map,
@@ -30,7 +35,7 @@ from .dataio import (
     write_study,
     write_trajectories_jsonl,
 )
-from .oracle import MIN_DRAWS, audit
+from .oracle import audit
 from .simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
@@ -48,23 +53,17 @@ EXIT_EMPTY = 3
 _Z_LIMIT = 4.0
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_CONFIG):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_h_range(text: str | None) -> list[int]:
     """The depths of --h-range: ``LO..HI``, or a bare ``H`` for 0..H."""
     if text is None:
-        raise CliError("--h-range is required")
+        raise ValueError("--h-range is required")
     lo, sep, hi = text.partition("..")
     try:
         lo, hi = (int(lo), int(hi)) if sep else (0, int(text))
     except ValueError:
-        raise CliError(f"cannot parse --h-range {text!r}; use e.g. 0..3") from None
+        raise ValueError(f"cannot parse --h-range {text!r}; use e.g. 0..3") from None
     if lo < 0 or hi < lo:
-        raise CliError(f"invalid depth range {lo}..{hi}")
+        raise ValueError(f"invalid depth range {lo}..{hi}")
     return list(range(lo, hi + 1))
 
 
@@ -74,30 +73,12 @@ def _parse_prior(text: str | None, m: int) -> DirichletPrior:
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
-        raise CliError(f"cannot parse --prior-alpha {text!r}") from None
+        raise ValueError(f"cannot parse --prior-alpha {text!r}") from None
     if len(parts) == 1:
         return DirichletPrior.symmetric(m, parts[0])
     if len(parts) != m:
-        raise CliError(f"--prior-alpha needs 1 or {m} components, got {len(parts)}")
+        raise ValueError(f"--prior-alpha needs 1 or {m} components, got {len(parts)}")
     return DirichletPrior(parts)
-
-
-def _input_error(exc: TrajectoryFormatError, path, empty_message: str) -> CliError:
-    """Empty input exits 3 with ``empty_message``; any other bad record exits 2."""
-    if exc.line == 0:
-        return CliError(empty_message, EXIT_EMPTY)
-    return CliError(f"{path}: {exc}")
-
-
-def _existing(path, what: str = "input file") -> Path:
-    """``path`` as a Path; a missing file or a directory exits 2 rather than
-    with a traceback."""
-    path = Path(path)
-    if not path.exists():
-        raise CliError(f"{what} {path} does not exist")
-    if not path.is_file():
-        raise CliError(f"{what} {path} is not a file")
-    return path
 
 
 def _parse_states(text: str | None):
@@ -106,18 +87,23 @@ def _parse_states(text: str | None):
     try:
         return None if text is None else StateAlphabet(tuple(text.split(","))).labels
     except ValueError as exc:
-        raise CliError(f"--states {text!r}: {exc}") from None
+        raise ValueError(f"--states {text!r}: {exc}") from None
 
 
 def _load_input(args):
     """The input's alphabet and trajectories: a .csv file reads as outcome CSV,
     any other as trajectory JSONL, each with --states as its labels."""
-    path = _existing(args.input)
-    read = import_outcome_csv if path.suffix.lower() == ".csv" else read_trajectories_jsonl
-    try:
-        return read(path, _parse_states(args.states))
-    except TrajectoryFormatError as exc:
-        raise _input_error(exc, path, f"{path}: empty input ({exc})") from None
+    csv_input = Path(args.input).suffix.lower() == ".csv"
+    read = import_outcome_csv if csv_input else read_trajectories_jsonl
+    return read(args.input, _parse_states(args.states))
+
+
+def _refuse_unusable_dir(path) -> None:
+    """Exit 2 unless the nearest existing of ``path`` and its parents is a directory."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{existing}: Not a directory")
 
 
 def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
@@ -140,11 +126,12 @@ def _refuse_uncounted(reports, boundary: BoundaryMode) -> None:
     """A depth that counts no transition scores 0 and would win: exit 2, naming it."""
     for r in reports:
         if r.n_transitions == 0:
-            raise CliError(f"depth h={r.h} counts no transition under --boundary "
-                           f"{boundary.value}: no trajectory is longer than {r.h} steps")
+            raise ValueError(f"depth h={r.h} counts no transition under --boundary "
+                             f"{boundary.value}: no trajectory is longer than {r.h} steps")
 
 
 def cmd_criteria(args) -> int:
+    _refuse_unusable_dir(args.out)
     alphabet, trajs = _load_input(args)
     h_values = _parse_h_range(args.h_range)
     prior = _parse_prior(args.prior_alpha, alphabet.size)
@@ -153,7 +140,7 @@ def cmd_criteria(args) -> int:
     if args.tie == "jagged":
         tie_map, tie_label = jagged_free_throw_map(alphabet, boundary), "jagged(h=1)"
     elif args.tie:
-        tie_map = load_tie_map(_existing(args.tie, "tie map file"), alphabet)
+        tie_map = load_tie_map(args.tie, alphabet)
     reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
                               aic_penalty=args.aic_penalty, tie_map=tie_map,
                               tie_label=tie_label)
@@ -195,7 +182,7 @@ def _parse_ft_model(text: str) -> FreeThrowModel:
         return FreeThrowModel.jagged(values[0], values[1])
     if kind == "h1" and len(values) == 3:
         return FreeThrowModel(values[0], values[1], values[2])
-    raise CliError(
+    raise ValueError(
         f"cannot parse --ft-model {text!r}; use h0:P, jagged:P_MISS,P_OTHER "
         "or h1:P_FIRST,P_HIT,P_MISS"
     )
@@ -231,7 +218,7 @@ def _study_config(args) -> SimConfig | FreeThrowSimConfig:
 
     def refuse(fields, message):
         if refused := [_STUDY_FLAGS[field] for field in given if field in fields]:
-            raise CliError(message.format(", ".join(refused)))
+            raise ValueError(message.format(", ".join(refused)))
 
     if args.profile:
         refuse({*_PROFILES[args.profile], "free_throw"},
@@ -253,6 +240,7 @@ def _study_config(args) -> SimConfig | FreeThrowSimConfig:
 def cmd_simulate(args) -> int:
     # the first file written makes --out, so a run that a bad argument or a
     # failed study stops (a ValueError exits 2) leaves no directory
+    _refuse_unusable_dir(args.out)
     cfg = _study_config(args)
     out_dir = Path(args.out)
     if args.free_throw:
@@ -289,9 +277,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _refuse_unusable_dir(args.out)
     alphabet, trajs = _load_input(args)
-    if args.draws < MIN_DRAWS:
-        raise CliError(f"--draws must be at least {MIN_DRAWS}")
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
     tc = count_transitions(trajs, args.h, alphabet, boundary)
@@ -301,10 +288,11 @@ def cmd_oracle(args) -> int:
     # LPD and LPPD go back from the deviance scale to the log scale the
     # estimators work on; multiplying by -0.5 is exact.
     scale = {"LPD": -0.5, "LPPD": -0.5}
+    estimates = audit(tc, prior, args.draws, args.seed)
     rows = []
     worst = 0.0
     print(f"{'quantity':>8} {'closed':>14} {'mc':>14} {'se':>10} {'z':>7}")
-    for name, estimate in audit(tc, prior, args.draws, args.seed).items():
+    for name, estimate in estimates.items():
         closed = scale.get(name, 1.0) * rep.value(name)
         z = estimate.z(closed)
         worst = max(worst, abs(z))
@@ -324,11 +312,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_import(args) -> int:
-    states = _parse_states(args.states)
-    try:
-        alphabet, trajs = import_outcome_csv(_existing(args.input), states)
-    except TrajectoryFormatError as exc:
-        raise _input_error(exc, args.input, str(exc)) from None
+    _refuse_unusable_dir(Path(args.output).parent)
+    alphabet, trajs = import_outcome_csv(args.input, _parse_states(args.states))
     write_trajectories_jsonl(args.output, alphabet, trajs)
     total = sum(len(t) for t in trajs)
     print(f"imported {len(trajs)} trajectories, {total} steps -> {args.output}")
@@ -422,12 +407,14 @@ def main(argv: list[str] | None = None) -> int:
                "import": cmd_import}[args.command]
     try:
         return command(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    except EmptyInputError as exc:
+        code, error = EXIT_EMPTY, exc
+    except OSError as exc:
+        code, error = EXIT_CONFIG, f"{exc.filename}: {exc.strerror}" if exc.filename else exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main_entry() -> None:

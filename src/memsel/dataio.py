@@ -1,8 +1,8 @@
 """File formats: trajectory JSONL, sports CSV import, tie-map JSON, reports.
 
 See FORMATS.md at the repository root for the format reference. Inputs
-are UTF-8, and a leading byte-order mark is skipped. Reading errors carry
-the 1-based line number of the offending record.
+are UTF-8, and a leading byte-order mark is skipped. Reading errors name
+the file and the 1-based line of the offending record.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .tying import TieMap
 
 __all__ = [
     "TrajectoryFormatError",
+    "EmptyInputError",
     "read_trajectories_jsonl",
     "write_trajectories_jsonl",
     "import_outcome_csv",
@@ -34,11 +35,26 @@ START_TOKEN = "START"  # reserved token string for tie-map context files
 
 
 class TrajectoryFormatError(ValueError):
-    """A malformed record; ``line`` is the 1-based line number."""
+    """A malformed record at 1-based ``line`` of the file ``path``."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
+
+
+class EmptyInputError(ValueError):
+    """An input file that holds no trajectory."""
+
+
+def _lines(path):
+    """The lines of UTF-8 file ``path`` as text mode splits them, endings kept, BOM skipped."""
+    with Path(path).open("rb") as fh:
+        raw_lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
+        for lineno, raw in enumerate(raw_lines, start=1):
+            try:
+                yield raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
+            except UnicodeDecodeError as exc:
+                raise TrajectoryFormatError(path, lineno,
+                                            f"not UTF-8 text ({exc.reason})") from None
 
 
 def read_trajectories_jsonl(
@@ -52,37 +68,35 @@ def read_trajectories_jsonl(
     seen in the file. A file that needs the last and holds one label only
     raises TrajectoryFormatError at its first trajectory.
     """
-    path = Path(path)
     raw: list[tuple[int, dict]] = []
     header_alphabet: StateAlphabet | None = None
-    with path.open("r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TrajectoryFormatError(path, lineno, f"invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise TrajectoryFormatError(path, lineno, "expected a JSON object")
+        if "states" in obj and "seq" not in obj:
+            if header_alphabet is not None or raw:
+                raise TrajectoryFormatError(path, lineno, "header line must come first")
+            if not isinstance(obj["states"], list):
+                raise TrajectoryFormatError(path, lineno, '"states" must be a list of labels')
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TrajectoryFormatError(lineno, f"invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise TrajectoryFormatError(lineno, "expected a JSON object")
-            if "states" in obj and "seq" not in obj:
-                if header_alphabet is not None or raw:
-                    raise TrajectoryFormatError(lineno, "header line must come first")
-                if not isinstance(obj["states"], list):
-                    raise TrajectoryFormatError(lineno, '"states" must be a list of labels')
-                try:
-                    header_alphabet = StateAlphabet(tuple(obj["states"]))
-                except ValueError as exc:
-                    raise TrajectoryFormatError(lineno, str(exc)) from None
-                continue
-            if "seq" not in obj:
-                raise TrajectoryFormatError(lineno, 'missing "seq" field')
-            if not isinstance(obj["seq"], list) or not obj["seq"]:
-                raise TrajectoryFormatError(lineno, '"seq" must be a non-empty list')
-            raw.append((lineno, obj))
+                header_alphabet = StateAlphabet(tuple(obj["states"]))
+            except ValueError as exc:
+                raise TrajectoryFormatError(path, lineno, str(exc)) from None
+            continue
+        if "seq" not in obj:
+            raise TrajectoryFormatError(path, lineno, 'missing "seq" field')
+        if not isinstance(obj["seq"], list) or not obj["seq"]:
+            raise TrajectoryFormatError(path, lineno, '"seq" must be a non-empty list')
+        raw.append((lineno, obj))
     if not raw:
-        raise TrajectoryFormatError(0, "no trajectories in input")
+        raise EmptyInputError(f"{path}: no trajectories in input")
 
     if states is not None:
         alphabet = StateAlphabet(tuple(states))
@@ -94,8 +108,8 @@ def read_trajectories_jsonl(
             seen.update(map(str, obj["seq"]))
         if len(seen) < 2:
             raise TrajectoryFormatError(
-                raw[0][0], f"every step is {seen.pop()!r}, so the states cannot be inferred; "
-                           'name them in a {"states": [...]} header line or with --states')
+                path, raw[0][0], f"every step is {seen.pop()!r}, so the states cannot be "
+                'inferred; name them in a {"states": [...]} header line or with --states')
         alphabet = StateAlphabet(tuple(sorted(seen)))
 
     trajs: list[Trajectory] = []
@@ -103,7 +117,7 @@ def read_trajectories_jsonl(
         try:
             steps = alphabet.indices(obj["seq"])
         except ValueError as exc:
-            raise TrajectoryFormatError(lineno, str(exc)) from None
+            raise TrajectoryFormatError(path, lineno, str(exc)) from None
         tid = str(obj.get("id", f"traj{len(trajs)}"))
         trajs.append(Trajectory._unchecked(tid, steps))
     return alphabet, trajs
@@ -139,36 +153,35 @@ def import_outcome_csv(
     header and is skipped; any other unknown outcome raises
     TrajectoryFormatError.
     """
-    path = Path(path)
     alphabet = StateAlphabet(("0", "1") if states is None else tuple(s.strip() for s in states))
     order: list[str] = []
     seqs: dict[str, list[int]] = {}
     first = True  # the first non-blank row may be a header
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
+    reader = csv.reader(_lines(path))
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        lineno = reader.line_num  # the file line that the record ends on
+        if len(row) < 2:
+            raise TrajectoryFormatError(path, lineno, "expected two columns: group id, outcome")
+        gid, outcome = row[0].strip(), row[1].strip()
+        # a header names its column; an integer outcome is a mistyped state
+        if first:
+            first = False
+            if outcome not in alphabet.labels and not outcome.lstrip("-").isdecimal():
                 continue
-            if len(row) < 2:
-                raise TrajectoryFormatError(lineno, "expected two columns: group id, outcome")
-            gid, outcome = row[0].strip(), row[1].strip()
-            # a header names its column; an integer outcome is a mistyped state
-            if first:
-                first = False
-                if outcome not in alphabet.labels and not outcome.lstrip("-").isdecimal():
-                    continue
-            try:
-                state = alphabet.index(outcome)
-            except ValueError as exc:
-                raise TrajectoryFormatError(lineno, str(exc)) from None
-            if gid not in seqs:
-                order.append(gid)
-                seqs[gid] = []
-            elif gid != order[-1]:
-                raise TrajectoryFormatError(lineno, f"group {gid!r} resumes after another group")
-            seqs[gid].append(state)
+        try:
+            state = alphabet.index(outcome)
+        except ValueError as exc:
+            raise TrajectoryFormatError(path, lineno, str(exc)) from None
+        if gid not in seqs:
+            order.append(gid)
+            seqs[gid] = []
+        elif gid != order[-1]:
+            raise TrajectoryFormatError(path, lineno, f"group {gid!r} resumes after another group")
+        seqs[gid].append(state)
     if not order:
-        raise TrajectoryFormatError(0, "no outcome rows in input")
+        raise EmptyInputError(f"{path}: no outcome rows in input")
     trajs = [Trajectory(gid, tuple(seqs[gid])) for gid in order]
     return alphabet, trajs
 
@@ -181,9 +194,7 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
     most one class may be the default catch-all, and every other class
     must list a context.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8-sig") as fh:
-        spec = json.load(fh)
+    spec = json.loads("".join(_lines(path)))
     if not isinstance(spec, dict) or "h" not in spec or "classes" not in spec:
         raise ValueError('tie map file must define "h" and "classes"')
     h = spec["h"]

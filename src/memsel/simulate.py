@@ -146,10 +146,10 @@ def _padded_contexts(m: int, h: int):
 
 def generate_network(m: int, h_true: int, seed: int) -> RandomNetwork:
     """Draw one row per depth-h context from a flat Dirichlet, deterministically."""
-    return _draw_network(m, h_true, _rng(seed, _TAG_NETWORK, h_true))
+    return _draw_network(m, h_true, seed, _TAG_NETWORK, h_true)
 
 
-def _draw_network(m: int, h_true: int, rng: np.random.Generator) -> RandomNetwork:
+def _draw_network(m: int, h_true: int, seed: int, *key: int) -> RandomNetwork:
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
     if h_true < 0:
@@ -162,6 +162,7 @@ def _draw_network(m: int, h_true: int, rng: np.random.Generator) -> RandomNetwor
         )
     alphabet = StateAlphabet.of_size(m)
     # one call draws the rows in turn, the same stream as one call per row
+    rng = _rng(seed, *key)  # after the checks: a negative key fails with numpy's message
     rows = dict(zip(_padded_contexts(m, h_true), rng.dirichlet(np.ones(m), size=n_contexts)))
     return RandomNetwork(alphabet, h_true, rows)
 
@@ -297,7 +298,7 @@ def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int
     """One freshly sampled batch of trajectories, and how many of its walks
     the length cap cut."""
     if net is None:
-        net = _draw_network(cfg.m, cfg.h_true, _rng(cfg.seed, _TAG_NETWORK, j_index, rep))
+        net = _draw_network(cfg.m, cfg.h_true, cfg.seed, _TAG_NETWORK, j_index, rep)
     rng = _rng(cfg.seed, _TAG_TRAJECTORIES, j_index, rep)
     ids = [f"r{rep}t{i}" for i in range(cfg.J_values[j_index])]
     trajs = _sample_walks(net, cfg.length_cap, rng, ids)

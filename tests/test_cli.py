@@ -18,6 +18,7 @@ import memsel.criteria
 from memsel import cli
 from memsel.cli import build_parser, main
 from memsel.dataio import (
+    EmptyInputError,
     TrajectoryFormatError,
     import_outcome_csv,
     load_tie_map,
@@ -317,7 +318,7 @@ class TestErrorPaths:
         out = tmp_path / "o"
         argv = [a.format(dir=tmp_path, season=season) for a in command]
         assert main(argv + (["--out", str(out)] if command[0] != "import" else [])) == 2
-        assert f"{tmp_path} is not a file" in capsys.readouterr().err
+        assert f"error: {tmp_path}: Is a directory\n" == capsys.readouterr().err
         assert not out.exists()
 
     # an empty list is a list given, not an option left out: it exits 2, named
@@ -389,8 +390,41 @@ class TestErrorPaths:
         out = tmp_path / "o"
         assert main(["criteria", "--input", str(season), "--h-range", "0..1",
                      "--tie", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
-        assert "tie map file" in capsys.readouterr().err
+        assert (f"error: {tmp_path / 'nope.json'}: No such file or directory\n"
+                == capsys.readouterr().err)
         assert not out.exists()
+
+    # a file where an output directory would go is refused before any input is
+    # read or any study is run: every work function here raises if it is called
+    @pytest.mark.parametrize("command", [
+        ["criteria", "--input", "{season}", "--h-range", "0..1", "--out", "{afile}"],
+        ["oracle", "--input", "{season}", "--h", "1", "--out", "{afile}/sub"],
+        ["simulate", "--profile", "ci", "--seed", "1", "--out", "{afile}/sub"],
+        ["simulate", "--free-throw", "--out", "{afile}/sub/deeper"],
+        ["import", "--input", "{season}", "--output", "{afile}/x.jsonl"],
+    ], ids=["criteria", "oracle", "simulate", "simulate-free-throw", "import"])
+    def test_unusable_output_path_is_refused_first(self, season, tmp_path, capsys,
+                                                   monkeypatch, command):
+        def work(*args, **kwargs):
+            raise AssertionError("the command ran before refusing its output path")
+
+        for name in ("_load_input", "import_outcome_csv", "run_power_study",
+                     "free_throw_power"):
+            monkeypatch.setattr(cli, name, work)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main([a.format(season=season, afile=afile) for a in command]) == 2
+        assert f"error: {afile}: Not a directory\n" == capsys.readouterr().err
+        assert afile.read_text() == "" and sorted(tmp_path.iterdir()) == [afile, season]
+
+    def test_failed_write_is_config_error(self, season, tmp_path, capsys):
+        # the output directory passes, then the first file cannot be opened
+        out = tmp_path / "o"
+        (out / "criteria.json").mkdir(parents=True)
+        assert main(["criteria", "--input", str(season), "--h-range", "0..1",
+                     "--out", str(out)]) == 2
+        assert (f"error: {out / 'criteria.json'}: Is a directory\n"
+                == capsys.readouterr().err)
 
 
 class TestImportCommand:
@@ -430,12 +464,13 @@ class TestImportCommand:
         out = tmp_path / "t.jsonl"
         assert main(["import", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(out)]) == 2
-        assert "does not exist" in capsys.readouterr().err
+        assert (f"error: {tmp_path / 'nope.csv'}: No such file or directory\n"
+                == capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("text, code, message", [
-        ("", 3, "line 0: no outcome rows in input"),
-        ("game,outcome\n", 3, "line 0: no outcome rows in input"),
+        ("", 3, "games.csv: no outcome rows in input"),
+        ("game,outcome\n", 3, "games.csv: no outcome rows in input"),
         ("g1,1\ng2,0\ng1,0\n", 2, "line 3: group 'g1' resumes after another group"),
         # an integer outcome on line 1 is a mistyped row, not a header to skip
         ("g1,2\ng1,0\ng2,1\n", 2, "line 1: unknown state label '2'"),
@@ -741,9 +776,11 @@ class TestOracleCommand:
         rows = json.loads((tmp_path / "o" / "oracle.json").read_text())
         assert all(abs(r["z"]) <= 4.0 for r in rows)
 
-    def test_too_few_draws_rejected(self, season, tmp_path):
+    def test_too_few_draws_rejected(self, season, tmp_path, capsys):
         assert main(["oracle", "--input", str(season), "--h", "1",
                      "--draws", "10", "--out", str(tmp_path / "o")]) == 2
+        # refused before the table header is printed
+        assert capsys.readouterr() == ("", "error: at least 1000 draws are required, got 10\n")
 
     def test_corrupted_closed_form_fails_audit(self, season, tmp_path, monkeypatch):
         real = memsel.criteria._score_batch
@@ -794,8 +831,9 @@ class TestDataIo:
         path = tmp_path / "d.jsonl"
         path.write_text('{"states": ["0", "1"]}\n{"id": "a", "seq": [0, 1]}\n'
                         '{"id": "b", "seq": [1, 7, 0]}\n')
-        with pytest.raises(ValueError, match=r"^line 3: unknown state label '7'$"):
+        with pytest.raises(TrajectoryFormatError) as info:
             read_trajectories_jsonl(path)
+        assert str(info.value) == f"{path}: line 3: unknown state label '7'"
 
     def test_jsonl_roundtrip(self, tmp_path):
         ab = StateAlphabet(("a", "b", "c"))
@@ -855,7 +893,16 @@ class TestDataIo:
          TrajectoryFormatError, "line 2: unknown state label '[0]'"),
         ("csv", "g1\n", TrajectoryFormatError, "line 1: expected two columns: group id, outcome"),
         ("csv", "g1,1\ng1,7\n", TrajectoryFormatError, "line 2: unknown state label '7'"),
-        ("csv", "", TrajectoryFormatError, "line 0: no outcome rows in input"),
+        # a record is numbered by the line it ends on, past a quoted cell's newline
+        ("csv", 'g1,1\n"g\n1",0\ng1,7\n', TrajectoryFormatError,
+         "line 4: unknown state label '7'"),
+        ("csv", "", EmptyInputError, "no outcome rows in input"),
+        ("jsonl", "\n", EmptyInputError, "no trajectories in input"),
+        # a byte that is not UTF-8 names its line
+        ("jsonl", b'{"id": "a", "seq": ["0", "1"]}\n{"id": "b", "seq": ["\xff"]}\n',
+         TrajectoryFormatError, "line 2: not UTF-8 text (invalid start byte)"),
+        ("csv", b"\xef\xbb\xbfg1,1\ng1,0\ng\xff,1\n", TrajectoryFormatError,
+         "line 3: not UTF-8 text (invalid start byte)"),
         # g1 would be spliced across g2, with a 1 -> 0 transition the data never had
         ("csv", "game,outcome\ng1,1\ng2,0\ng1,0\n", TrajectoryFormatError,
          "line 4: group 'g1' resumes after another group"),
@@ -871,17 +918,19 @@ class TestDataIo:
     ], ids=["jsonl-not-object", "jsonl-late-header", "jsonl-no-seq", "jsonl-empty-seq",
             "jsonl-seq-not-list", "jsonl-empty-seq-no-header", "jsonl-one-label",
             "jsonl-unknown-str-label", "jsonl-unknown-after-int", "jsonl-unhashable-label",
-            "csv-one-column", "csv-unknown-label", "csv-no-rows", "csv-resumed-group",
+            "csv-one-column", "csv-unknown-label", "csv-quoted-newline", "csv-no-rows",
+            "jsonl-no-trajectories", "jsonl-not-utf8", "csv-not-utf8", "csv-resumed-group",
             "tie-no-h", "tie-no-classes", "tie-no-class", "tie-class-not-object",
             "tie-two-defaults", "tie-context-twice"])
     def test_reader_error_table(self, tmp_path, read, text, error, message):
         path = tmp_path / "input"
-        path.write_text(text)
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         reader = {"jsonl": read_trajectories_jsonl, "csv": import_outcome_csv,
                   "tie": lambda p: load_tie_map(p, StateAlphabet(("0", "1")))}[read]
         with pytest.raises(error) as info:
             reader(path)
-        assert str(info.value) == message
+        # a reader's own errors name the file; a tie map's name only the fault
+        assert str(info.value) == (message if read == "tie" else f"{path}: {message}")
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         bom = "\ufeff"

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from memsel.chain import StateAlphabet, Trajectory, count_transitions
-from memsel.criteria import evaluate, lpd
+from memsel.chain import CountTable, StateAlphabet, Trajectory, count_transitions
+from memsel.criteria import DirichletPrior, evaluate, evaluate_depths, lpd
 from memsel.oracle import (
     MIN_DRAWS,
     OracleEstimate,
@@ -22,6 +22,8 @@ from memsel.oracle import (
     cv2_refit,
     loo_refit,
 )
+from memsel.simulate import generate_network
+from memsel.tying import TieMap
 
 AB2 = StateAlphabet(("0", "1"))
 DRAWS = 20_000
@@ -50,7 +52,23 @@ def test_zero_counts_estimates():
      "two-fold cross validation needs at least two trajectories"),
     (lambda: audit(random_instance(np.random.default_rng(0))[2], draws=MIN_DRAWS - 1),
      ValueError, f"at least {MIN_DRAWS} draws are required, got {MIN_DRAWS - 1}"),
-], ids=["cv2-refit-one-trajectory", "audit-few-draws"])
+    # the refusals of the layers under the oracle that no other test reaches
+    (lambda: CountTable(-1, AB2, {}), ValueError, "memory depth h must be >= 0"),
+    (lambda: CountTable(1, AB2, {(0,): np.array([1, 2, 3])}), ValueError,
+     "count row for (0,) must have length 2"),
+    (lambda: DirichletPrior([1.0]), ValueError,
+     "prior must be a vector with one component per state"),
+    (lambda: evaluate_depths([Trajectory("a", (0, 1))], AB2, [-1, 0]), ValueError,
+     "memory depths must be >= 0"),
+    (lambda: evaluate_depths([Trajectory("a", (0, 1))], AB2, [0], aic_penalty="bic"),
+     ValueError, "aic_penalty must be 'params' or 'full'"),
+    (lambda: TieMap(h=-1, n_classes=1, assignments={}), ValueError,
+     "memory depth h must be >= 0"),
+    # checked before the seed, which takes h_true as a key, is made
+    (lambda: generate_network(3, -1, 0), ValueError, "true memory depth must be >= 0"),
+], ids=["cv2-refit-one-trajectory", "audit-few-draws", "count-table-negative-depth",
+        "count-table-row-length", "prior-one-component", "depths-negative",
+        "depths-aic-penalty", "tie-map-negative-depth", "network-negative-depth"])
 def test_error_table(call, error, message):
     with pytest.raises(error) as info:
         call()
