@@ -53,10 +53,8 @@ EXIT_EMPTY = 3
 _Z_LIMIT = 4.0
 
 
-def _parse_h_range(text: str | None) -> list[int]:
+def _parse_h_range(text: str) -> list[int]:
     """The depths of --h-range: ``LO..HI``, or a bare ``H`` for 0..H."""
-    if text is None:
-        raise ValueError("--h-range is required")
     lo, sep, hi = text.partition("..")
     try:
         lo, hi = (int(lo), int(hi)) if sep else (0, int(text))
@@ -122,12 +120,12 @@ def _write_manifest(out_dir: Path, args, config: dict, inputs: list[Path], seed,
     write_json(manifest, out_dir / "manifest.json")
 
 
-def _refuse_uncounted(reports, boundary: BoundaryMode) -> None:
+def _refuse_uncounted(reports) -> None:
     """A depth that counts no transition scores 0 and would win: exit 2, naming it."""
     for r in reports:
         if r.n_transitions == 0:
             raise ValueError(f"depth h={r.h} counts no transition under --boundary "
-                             f"{boundary.value}: no trajectory is longer than {r.h} steps")
+                             f"{r.boundary}: no trajectory is longer than {r.h} steps")
 
 
 def cmd_criteria(args) -> int:
@@ -137,14 +135,16 @@ def cmd_criteria(args) -> int:
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
     tie_map = tie_label = None
+    inputs = [Path(args.input)]
     if args.tie == "jagged":
-        tie_map, tie_label = jagged_free_throw_map(alphabet, boundary), "jagged(h=1)"
+        tie_map, tie_label = jagged_free_throw_map(alphabet), "jagged(h=1)"
     elif args.tie:
         tie_map = load_tie_map(args.tie, alphabet)
+        inputs.append(Path(args.tie))
     reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
                               aic_penalty=args.aic_penalty, tie_map=tie_map,
                               tie_label=tie_label)
-    _refuse_uncounted(reports, boundary)
+    _refuse_uncounted(reports)
     config = {
         "input": str(args.input),
         "h_values": [r.h for r in reports],
@@ -157,7 +157,7 @@ def cmd_criteria(args) -> int:
     }
     out_dir = Path(args.out)
     write_reports(reports, out_dir)
-    _write_manifest(out_dir, args, config, [Path(args.input)], seed=None)
+    _write_manifest(out_dir, args, config, inputs, seed=None)
     for name in CRITERIA:
         try:
             best = argmin(reports, name)
@@ -282,8 +282,8 @@ def cmd_oracle(args) -> int:
     prior = _parse_prior(args.prior_alpha, alphabet.size)
     boundary = BoundaryMode(args.boundary)
     tc = count_transitions(trajs, args.h, alphabet, boundary)
-    rep = evaluate(tc, prior, ("LPD", "LPPD", "LOO", "CV2", "WAIC2", "DIC2"))
-    _refuse_uncounted([rep], boundary)
+    rep = evaluate(tc, prior)
+    _refuse_uncounted([rep])
 
     # LPD and LPPD go back from the deviance scale to the log scale the
     # estimators work on; multiplying by -0.5 is exact.
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criteria", help="criterion report per memory depth, with each argmin")
     _add_data_options(p)
-    p.add_argument("--h-range", help="inclusive range LO..HI, or H for 0..H")
+    p.add_argument("--h-range", required=True, help="inclusive range LO..HI, or H for 0..H")
     p.add_argument("--tie", help='tie map JSON file or the builtin "jagged"')
     p.add_argument("--aic-penalty", choices=["params", "full"], default="params")
 

@@ -137,6 +137,15 @@ def param_count(m: int, h: int, boundary: BoundaryMode) -> int:
     return m**h * (m - 1)
 
 
+def _penalty(k_params: int) -> float:
+    """``k_params`` as a float, or inf past the float range (M^(h+1) at a deep
+    h), so that AIC's argmin passes over such a depth."""
+    try:
+        return float(k_params)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # Internal kernels
 
@@ -218,7 +227,7 @@ def aic(total: CountTable, k_params: int) -> float:
     if k_params < 1:
         raise ValueError("k_params must be >= 1")
     n = total.counts
-    return -2.0 * float(np.sum(_ml_terms(n, n.sum(axis=1)))) + 2.0 * float(k_params)
+    return -2.0 * float(np.sum(_ml_terms(n, n.sum(axis=1)))) + 2.0 * _penalty(k_params)
 
 
 def lpd(total: CountTable, prior: DirichletPrior | None = None) -> float:
@@ -422,7 +431,7 @@ def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tup
     js = _concat([np.diff(st.sets) for st in stacks])
     pairs = _concat([np.diff(st.bounds[st.sets]) for st in stacks])
     # as floats, each k converted alone: a count past int64 (M^(h+1) at a deep h) still scores
-    kk = np.repeat(np.array([float(k) for k in ks]), [st.n_sets for st in stacks])
+    kk = np.repeat(np.array([_penalty(k) for k in ks]), [st.n_sets for st in stacks])
     transitions = np.diff(np.concatenate([[0], np.cumsum(Ns)])[rows])
     out = np.empty((len(js), len(_columns(which))))
     first_model = np.cumsum([0] + [st.n_sets for st in stacks]).tolist()

@@ -57,6 +57,19 @@ def _lines(path):
                                             f"not UTF-8 text ({exc.reason})") from None
 
 
+def _json(path, lineno: int, text: str):
+    """``json.loads(text)`` for ``text`` from line ``lineno`` of ``path``: JSON
+    that is malformed, or nested past Python's recursion limit, raises
+    TrajectoryFormatError at its line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TrajectoryFormatError(path, lineno + exc.lineno - 1,
+                                    f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise TrajectoryFormatError(path, lineno, "invalid JSON (nested too deeply)") from None
+
+
 def read_trajectories_jsonl(
     path,
     states: list[str] | None = None,
@@ -74,10 +87,7 @@ def read_trajectories_jsonl(
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TrajectoryFormatError(path, lineno, f"invalid JSON ({exc.msg})") from None
+        obj = _json(path, lineno, line)
         if not isinstance(obj, dict):
             raise TrajectoryFormatError(path, lineno, "expected a JSON object")
         if "states" in obj and "seq" not in obj:
@@ -139,6 +149,18 @@ def write_trajectories_jsonl(path, alphabet: StateAlphabet, trajectories) -> Non
             fh.write(json.dumps(rec) + "\n")
 
 
+def _csv_records(path):
+    """The records of CSV file ``path``, each with the file line it ends on. A
+    malformed record, such as a cell past ``csv.field_size_limit()``, raises
+    TrajectoryFormatError."""
+    reader = csv.reader(_lines(path))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise TrajectoryFormatError(path, reader.line_num, str(exc)) from None
+
+
 def import_outcome_csv(
     path,
     states: list[str] | None = None,
@@ -157,11 +179,9 @@ def import_outcome_csv(
     order: list[str] = []
     seqs: dict[str, list[int]] = {}
     first = True  # the first non-blank row may be a header
-    reader = csv.reader(_lines(path))
-    for row in reader:
+    for lineno, row in _csv_records(path):
         if not row or all(not c.strip() for c in row):
             continue
-        lineno = reader.line_num  # the file line that the record ends on
         if len(row) < 2:
             raise TrajectoryFormatError(path, lineno, "expected two columns: group id, outcome")
         gid, outcome = row[0].strip(), row[1].strip()
@@ -192,9 +212,18 @@ def load_tie_map(path, alphabet: StateAlphabet) -> TieMap:
 
     Context tokens are state labels or the reserved string "START"; at
     most one class may be the default catch-all, and every other class
-    must list a context.
+    must list a context. Every error names the file; malformed JSON also
+    names its line, and JSON nested too deeply to parse line 1.
     """
-    spec = json.loads("".join(_lines(path)))
+    spec = _json(path, 1, "".join(_lines(path)))
+    try:
+        return _tie_map(spec, alphabet)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _tie_map(spec, alphabet: StateAlphabet) -> TieMap:
+    """The tie map that the parsed JSON ``spec`` describes."""
     if not isinstance(spec, dict) or "h" not in spec or "classes" not in spec:
         raise ValueError('tie map file must define "h" and "classes"')
     h = spec["h"]

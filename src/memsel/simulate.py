@@ -15,6 +15,7 @@ import math
 import pickle
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -294,22 +295,21 @@ class PowerStudyResult:
     jagged_win_rate: dict | None = None
 
 
-def _replicate_values(cfg: SimConfig, net: RandomNetwork, j_index: int, rep: int):
-    """One freshly sampled batch of trajectories, and how many of its walks
-    the length cap cut."""
+def _replicate_values(cfg: SimConfig, j_index: int, rep: int, net: RandomNetwork | None = None):
+    """One freshly sampled batch of trajectories, walked on ``net``, or on a
+    network drawn for this replicate alone when ``net`` is None."""
     if net is None:
         net = _draw_network(cfg.m, cfg.h_true, cfg.seed, _TAG_NETWORK, j_index, rep)
     rng = _rng(cfg.seed, _TAG_TRAJECTORIES, j_index, rep)
     ids = [f"r{rep}t{i}" for i in range(cfg.J_values[j_index])]
-    trajs = _sample_walks(net, cfg.length_cap, rng, ids)
-    return trajs, sum(tr.truncated for tr in trajs)
+    return _sample_walks(net, cfg.length_cap, rng, ids)
 
 
-def _run_chunk(cfg, replicate, shared, jobs):
-    """``replicate(cfg, shared, cell, rep)`` for each (cell, rep) of ``jobs``:
-    which jobs returned data (a job returns its trajectories and truncated
-    walks, or None for a replicate with no data), the criterion values of
-    the kept ones, and their truncated walks in all.
+def _run_chunk(cfg, replicate, jobs):
+    """``replicate(cfg, cell, rep)`` for each (cell, rep) of ``jobs``: which
+    jobs returned data (a job returns its trajectories, or None for a
+    replicate with no data), the criterion values of the kept ones, and
+    how many of their walks the length cap cut.
 
     The values form one (kept job, model, column) array
     (``criteria._set_values``): each depth in ``cfg.h_range`` and then the
@@ -318,10 +318,10 @@ def _run_chunk(cfg, replicate, shared, jobs):
     while their steps fit ``_JOIN_STEPS``, and every model of the chunk is
     scored in one ``_score`` call.
     """
-    results = [replicate(cfg, shared, cell, rep) for cell, rep in jobs]
-    kept = [trajs for trajs, _ in filter(None, results)]
-    truncated = sum(n for _, n in filter(None, results))
-    flags = [result is not None for result in results]
+    results = [replicate(cfg, cell, rep) for cell, rep in jobs]
+    kept = [trajs for trajs in results if trajs is not None]
+    truncated = sum(tr.truncated for trajs in kept for tr in trajs)
+    flags = [trajs is not None for trajs in results]
     if not kept:
         return flags, None, truncated
     joins, steps = [], _JOIN_STEPS
@@ -338,13 +338,13 @@ def _run_chunk(cfg, replicate, shared, jobs):
     return flags, values, truncated
 
 
-# A pool worker's (cfg, replicate, shared), set once by _init_worker when it starts.
+# A pool worker's (cfg, replicate), set once by _init_worker when it starts.
 _WORKER_STUDY = None
 
 
-def _init_worker(cfg, replicate, shared):
+def _init_worker(cfg, replicate):
     global _WORKER_STUDY
-    _WORKER_STUDY = (cfg, replicate, shared)
+    _WORKER_STUDY = (cfg, replicate)
 
 
 def _run_worker_chunk(jobs):
@@ -398,24 +398,24 @@ def _tally_cell(cfg, h_true, label, values: np.ndarray, selection: list, deltas:
     return (tied[:, None] < depths[:, rivals]).all(axis=1).sum(axis=0)
 
 
-def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None):
-    """Run ``replicate(cfg, shared, cell_index, rep)`` over every (cell,
-    replicate) and tally the results into a PowerStudyResult.
+def _run_study(cfg, replicate, cells: tuple, h_true, workers: int | None):
+    """Run ``replicate(cfg, cell_index, rep)`` over every (cell, replicate)
+    and tally the results into a PowerStudyResult.
 
     Jobs run cell by cell, in chunks of _CHUNK (``_run_chunk``), serially
-    or in a process pool whose workers each get ``(cfg, replicate, shared)``
-    once, when they start (``_init_worker``); a job returns its trajectories
-    and truncated walks, or None for a replicate with no data, which is
-    skipped. A NaN value raises as its chunk arrives. Each cell appends its
-    selection and delta records (labelled with ``h_true`` and the cell's
-    entry in ``cells`` as J) once its last chunk is in (``_tally_cell``):
-    selection frequencies over the cell's kept replicates, and gaps to
-    ``h_true`` when it is a candidate depth.
+    or in a process pool whose workers each get ``(cfg, replicate)`` once,
+    when they start (``_init_worker``); a job returns its trajectories, or
+    None for a replicate with no data, which is skipped. A NaN value raises
+    as its chunk arrives. Each cell appends its selection and delta records
+    (labelled with ``h_true`` and the cell's entry in ``cells`` as J) once
+    its last chunk is in (``_tally_cell``): selection frequencies over the
+    cell's kept replicates, and gaps to ``h_true`` when it is a candidate
+    depth.
     """
     workers = worker_count(workers)
     if workers > 1:
         # a pool that cannot pickle a job never shuts down: fail before starting one
-        pickle.dumps((cfg, replicate, shared))
+        pickle.dumps((cfg, replicate))
     n_reps = cfg.replicates
     jobs = [(cell, rep) for cell in range(len(cells)) for rep in range(n_reps)]
     chunks = [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)]
@@ -433,9 +433,9 @@ def _run_study(cfg, replicate, shared, cells: tuple, h_true, workers: int | None
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
         pool = ProcessPoolExecutor(workers, initializer=_init_worker,
-                                   initargs=(cfg, replicate, shared))
+                                   initargs=(cfg, replicate))
     try:
-        results = ((_run_chunk(cfg, replicate, shared, chunk) for chunk in chunks)
+        results = ((_run_chunk(cfg, replicate, chunk) for chunk in chunks)
                    if pool is None else pool.map(_run_worker_chunk, chunks))
         for chunk_flags, values, n_truncated in results:
             truncated += n_truncated
@@ -474,10 +474,8 @@ def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyRes
     any worker count. ``truncated_walks`` counts the walks that hit
     ``length_cap`` before absorption, over the whole grid.
     """
-    shared_net = None
-    if not cfg.network_per_replicate:
-        shared_net = generate_network(cfg.m, cfg.h_true, cfg.seed)
-    return _run_study(cfg, _replicate_values, shared_net, cfg.J_values, cfg.h_true, workers)
+    net = None if cfg.network_per_replicate else generate_network(cfg.m, cfg.h_true, cfg.seed)
+    return _run_study(cfg, partial(_replicate_values, net=net), cfg.J_values, cfg.h_true, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +521,7 @@ class FreeThrowSimConfig:
 
     h_range = (0, 1, 2, 3)  # not a field: no run scores other depths
     alphabet = FT_ALPHABET  # not a field
+    tie_map = jagged_free_throw_map(FT_ALPHABET)  # not a field: scored after the depths
 
     model: FreeThrowModel = FreeThrowModel.jagged(0.82, 0.66)
     games: int = 91
@@ -538,14 +537,9 @@ class FreeThrowSimConfig:
         if self.lam > _POISSON_LAM_MAX:
             raise ValueError(f"the shots-per-game rate must be at most {_POISSON_LAM_MAX!r}, "
                              f"numpy's Poisson limit, got {self.lam}")
-        if self.games < 1 or self.replicates < 1:
-            raise ValueError("games and replicates must be >= 1")
+        if self.games < 1:
+            raise ValueError("games must be >= 1")
         _normalize_study(self, self.games, "games")
-
-    @property
-    def tie_map(self):
-        """The two-class jagged map, scored after the depths."""
-        return jagged_free_throw_map(FT_ALPHABET, self.boundary)
 
 
 def sample_free_throw_trajectories(
@@ -571,12 +565,10 @@ def sample_free_throw_trajectories(
     return trajs
 
 
-def _free_throw_replicate(cfg: FreeThrowSimConfig, shared, cell: int, rep: int):
-    """The games of one replicated season and 0 truncated walks, or None
-    when the season drew no game."""
+def _free_throw_replicate(cfg: FreeThrowSimConfig, cell: int, rep: int):
+    """The games of one replicated season, or None when it drew no game."""
     rng = _rng(cfg.seed, _TAG_FREE_THROW, rep)
-    trajs = sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng)
-    return (trajs, 0) if trajs else None
+    return sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng) or None
 
 
 def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> PowerStudyResult:
@@ -590,4 +582,4 @@ def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> Pow
     and the full h=1 model. The selection rows carry the model name as
     ``h_true`` and 0 as ``J``.
     """
-    return _run_study(cfg, _free_throw_replicate, None, (0,), cfg.model.name, workers)
+    return _run_study(cfg, _free_throw_replicate, (0,), cfg.model.name, workers)

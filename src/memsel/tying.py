@@ -131,20 +131,14 @@ def tied_param_count(tie_map: TieMap, m: int) -> int:
     return tie_map.n_classes * (m - 1)
 
 
-def jagged_free_throw_map(
-    alphabet: StateAlphabet,
-    boundary: BoundaryMode = BoundaryMode.PADDED,
-) -> TieMap:
+def jagged_free_throw_map(alphabet: StateAlphabet) -> TieMap:
     """Two-class h=1 map: outcomes are independent except right after a miss.
 
     Outcomes are 0 (miss) and 1 (hit). Class 0 holds the after-miss
-    context; class 1 pools the after-hit context with (in padded mode) the
-    first-shot START context, which is exactly the "not after a miss"
-    condition.
+    context; the default class 1 holds every other context (after a hit,
+    and under padded counting a game's first shot), which is exactly the
+    "not after a miss" condition.
     """
     if alphabet.size != 2:
         raise ValueError("the jagged free-throw model needs a binary alphabet")
-    assignments = {(0,): 0, (1,): 1}
-    if BoundaryMode(boundary) is BoundaryMode.PADDED:
-        assignments[(START,)] = 1
-    return TieMap(h=1, n_classes=2, assignments=assignments)
+    return TieMap(h=1, n_classes=2, assignments={(0,): 0}, default_class=1)

@@ -5,6 +5,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from memsel.cli import build_parser, main
 from memsel.dataio import (
     EmptyInputError,
     TrajectoryFormatError,
+    file_digest,
     import_outcome_csv,
     load_tie_map,
     read_trajectories_jsonl,
@@ -129,9 +131,12 @@ class TestCriteriaCommand:
         assert text.count('"CV2": NaN,') == 2
         assert all(np.isnan(r["CV2"]) for r in json.loads(text))
 
-    def test_missing_range_is_config_error(self, season, tmp_path):
-        assert main(["criteria", "--input", str(season),
-                     "--out", str(tmp_path / "o")]) == 2
+    def test_missing_range_is_config_error(self, season, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["criteria", "--input", str(season), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --h-range" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_manifest_config_records_the_model_options(self, season, tmp_path):
         out = tmp_path / "o"
@@ -142,6 +147,17 @@ class TestCriteriaCommand:
                                "aic_penalty", "states"}
         assert (config["tie"], config["aic_penalty"]) == ("jagged", "full")
         assert config["labels"] == ["h=0", "h=1", "h=2", "jagged(h=1)"]
+
+    def test_manifest_digests_a_tie_map_file(self, season, tmp_path):
+        # the builtin jagged map is no file; a --tie file is an input of the run
+        data = Path(__file__).parent / "data"
+        series, tie_file = data / "series.jsonl", data / "series_tie.json"
+        for tie, inputs in (("jagged", [season]), (str(tie_file), [series, tie_file])):
+            out = tmp_path / Path(tie).stem
+            assert main(["criteria", "--input", str(inputs[0]), "--h-range", "0..2",
+                         "--tie", tie, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["inputs"] == {str(p): file_digest(p) for p in inputs}
 
     def test_select_command_is_gone(self, season, tmp_path, capsys):
         # criteria prints the argmin of every criterion; select only repeated one of them
@@ -341,7 +357,7 @@ class TestErrorPaths:
 
     # --h-range H and --states are the one spelling of each: argparse knows no other
     @pytest.mark.parametrize("command", [
-        ["criteria", "--input", "{season}", "--h-max", "1"],
+        ["criteria", "--input", "{season}", "--h-range", "1", "--h-max", "1"],
         ["simulate", "--M", "3", "--J", "4", "--replicates", "5", "--h-max", "2"],
         ["criteria", "--input", "{csv}", "--h-range", "1", "--labels", "0,1"],
         ["oracle", "--input", "{csv}", "--h", "1", "--labels", "0,1"],
@@ -380,6 +396,24 @@ class TestErrorPaths:
         assert main(["criteria", "--input", str(season), *options, "--out", str(out)]) == 2
         assert f"error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
+
+    # M^(h+1) - 1 parameters past the float range: AIC is inf, the other criteria score
+    @pytest.mark.parametrize("command", [
+        ["criteria", "--input", "{season}", "--h-range", "1100..1100"],
+        ["oracle", "--input", "{season}", "--h", "1100", "--draws", "1000"],
+        ["simulate", "--M", "3", "--h-range", "700..700", "--J", "2", "--replicates", "1"],
+    ], ids=["criteria", "oracle", "simulate"])
+    def test_depth_past_the_float_range_scores_aic_inf(self, tmp_path, command):
+        season = Path(__file__).parent / "data" / "season.jsonl"
+        out = tmp_path / "o"
+        assert main([a.format(season=season) for a in command] + ["--out", str(out)]) == 0
+        if command[0] == "criteria":
+            [row] = read_csv(out / "criteria.csv")
+            assert row["AIC"] == "inf" and float(row["LOO"]) < math.inf
+            assert row["k_params"] == str(2**1101 - 1)
+        elif command[0] == "simulate":
+            assert {r["criterion"]: r["frequency"] for r in read_csv(out / "selection.csv")
+                    }["AIC"] == "1.0"
 
     def test_bare_h_range_is_a_maximum(self, season, tmp_path):
         out = tmp_path / "o"
@@ -915,13 +949,24 @@ class TestDataIo:
          "only one class may be the default"),
         ("tie", '{"h": 1, "classes": [{"contexts": [["0"]]}, {"contexts": [["0"]]}]}',
          ValueError, "context ['0'] listed in two classes"),
+        # each of these once ended in a traceback and exit 1
+        ("csv", "g1,1\ng1,0\ng1," + "1" * (csv.field_size_limit() + 1) + "\ng1,0\n",
+         TrajectoryFormatError,
+         f"line 3: field larger than field limit ({csv.field_size_limit()})"),
+        ("jsonl", '{"states": ["0", "1"]}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
+         TrajectoryFormatError, "line 2: invalid JSON (nested too deeply)"),
+        ("tie", '{"h": 1, "classes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         TrajectoryFormatError, "line 1: invalid JSON (nested too deeply)"),
+        ("tie", '{"h": 1, "classes": [', TrajectoryFormatError,
+         "line 1: invalid JSON (Expecting value)"),
     ], ids=["jsonl-not-object", "jsonl-late-header", "jsonl-no-seq", "jsonl-empty-seq",
             "jsonl-seq-not-list", "jsonl-empty-seq-no-header", "jsonl-one-label",
             "jsonl-unknown-str-label", "jsonl-unknown-after-int", "jsonl-unhashable-label",
             "csv-one-column", "csv-unknown-label", "csv-quoted-newline", "csv-no-rows",
             "jsonl-no-trajectories", "jsonl-not-utf8", "csv-not-utf8", "csv-resumed-group",
             "tie-no-h", "tie-no-classes", "tie-no-class", "tie-class-not-object",
-            "tie-two-defaults", "tie-context-twice"])
+            "tie-two-defaults", "tie-context-twice", "csv-oversized-cell", "jsonl-nested-deep",
+            "tie-nested-deep", "tie-truncated"])
     def test_reader_error_table(self, tmp_path, read, text, error, message):
         path = tmp_path / "input"
         path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
@@ -929,8 +974,7 @@ class TestDataIo:
                   "tie": lambda p: load_tie_map(p, StateAlphabet(("0", "1")))}[read]
         with pytest.raises(error) as info:
             reader(path)
-        # a reader's own errors name the file; a tie map's name only the fault
-        assert str(info.value) == (message if read == "tie" else f"{path}: {message}")
+        assert str(info.value) == f"{path}: {message}"
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         bom = "\ufeff"

@@ -80,6 +80,10 @@ class TestAic:
         with pytest.raises(ValueError):
             aic(single_row_table([1, 1]), 0)
 
+    def test_count_past_the_float_range_is_inf(self):
+        # M^(h+1) - 1 at M=2, h=1100 does not fit in a float
+        assert aic(single_row_table([1, 1]), 2**1101 - 1) == math.inf
+
 
 class TestParamCounts:
     def test_values(self):

@@ -1,6 +1,7 @@
 """Network generation, trajectory sampling and power-study machinery."""
 
 import concurrent.futures
+import functools
 import math
 import os
 import pickle
@@ -179,12 +180,12 @@ def test_worker_count_is_the_argument_or_one(monkeypatch):
         worker_count(0)
 
 
-def recording_replicate(cfg, shared, cell, rep):
-    """A replicate that leaves one file per call in directory ``shared``; it
-    has a single trajectory, so no CV2 value, and the tally rejects it."""
-    (Path(shared) / f"{cell}-{rep}").touch()
+def recording_replicate(cfg, cell, rep, directory):
+    """A replicate that leaves one file per call in ``directory``; it has a
+    single trajectory, so no CV2 value, and the tally rejects it."""
+    (Path(directory) / f"{cell}-{rep}").touch()
     time.sleep(0.002)  # so a briefly stalled tally leaves the pool little to run
-    return [Trajectory("t", (0, 1))], 0
+    return [Trajectory("t", (0, 1))]
 
 
 def test_failed_tally_cancels_the_pending_replicates(tmp_path):
@@ -192,7 +193,8 @@ def test_failed_tally_cancels_the_pending_replicates(tmp_path):
                           alphabet=StateAlphabet.of_size(2), boundary=BoundaryMode.PADDED,
                           tie_map=None)
     with pytest.raises(ValueError, match="needs at least two trajectories"):
-        simulate._run_study(cfg, recording_replicate, str(tmp_path), (0,), 0, workers=2)
+        simulate._run_study(cfg, functools.partial(recording_replicate, directory=str(tmp_path)),
+                            (0,), 0, workers=2)
     # the pool finishes the chunks of jobs it has already queued, and no more
     assert len(list(tmp_path.iterdir())) < 1000
 
@@ -234,10 +236,10 @@ from types import SimpleNamespace
 from memsel import simulate
 
 def main():
-    def replicate(cfg, shared, cell, rep):  # a local function cannot be pickled
+    def replicate(cfg, cell, rep):  # a local function cannot be pickled
         return None
     cfg = SimpleNamespace(replicates=100, h_range=(0,), criteria=("LOO",))
-    simulate._run_study(cfg, replicate, None, (0,), 0, workers=2)
+    simulate._run_study(cfg, replicate, (0,), 0, workers=2)
 
 main()
 """
@@ -319,8 +321,8 @@ class TestPowerStudy:
             return real(net, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_sample_walks", spy)
-        simulate._replicate_values(cfg, None, 0, 101)
-        simulate._replicate_values(cfg, None, 1, 0)
+        simulate._replicate_values(cfg, 0, 101)
+        simulate._replicate_values(cfg, 1, 0)
         a, b = nets[0], nets[-1]
         assert any(not np.array_equal(a.rows[k], b.rows[k]) for k in a.rows)
 
@@ -476,7 +478,8 @@ class TestChunkedScoring:
         cfg = SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=3, seed=4)
         net = generate_network(cfg.m, cfg.h_true, cfg.seed)
         jobs = [(0, 1), (0, 2), (1, 0), (1, 1)]  # spans both cells
-        flags, values, truncated = simulate._run_chunk(cfg, simulate._replicate_values, net, jobs)
+        replicate = functools.partial(simulate._replicate_values, net=net)
+        flags, values, truncated = simulate._run_chunk(cfg, replicate, jobs)
         assert flags == [True] * len(jobs)
         assert values.shape[:2] == (len(jobs), len(cfg.h_range))
         want_truncated = 0
@@ -539,7 +542,7 @@ class TestChunkedScoring:
 
     def test_chunk_of_empty_seasons_only(self):
         results = simulate._run_chunk(SimpleNamespace(criteria=("LOO",)),
-                                      lambda cfg, shared, cell, rep: None, None, [(0, 0), (0, 1)])
+                                      lambda cfg, cell, rep: None, [(0, 0), (0, 1)])
         assert results == ([False, False], None, 0)
 
     @pytest.mark.parametrize("kept", [1, 37, 200, 10_000])

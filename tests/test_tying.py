@@ -114,7 +114,7 @@ def test_unmapped_context_without_default_rejected():
 
 class TestJaggedMap:
     def test_padded_classes(self):
-        tm = jagged_free_throw_map(AB2, BoundaryMode.PADDED)
+        tm = jagged_free_throw_map(AB2)
         assert tm.n_classes == 2
         assert tm.class_of((0,)) == 0       # after a miss
         assert tm.class_of((1,)) == 1       # after a hit
@@ -122,11 +122,13 @@ class TestJaggedMap:
         assert tied_param_count(tm, 2) == 2
 
     def test_truncated_classes(self):
-        tm = jagged_free_throw_map(AB2, BoundaryMode.TRUNCATED)
-        assert tm.class_of((0,)) == 0
-        assert tm.class_of((1,)) == 1
-        with pytest.raises(ValueError):
-            tm.class_of((START,))
+        # truncated counts hold no START row: class 1 is the after-hit row alone
+        trajs = [Trajectory("a", (1, 1, 0)), Trajectory("b", (0, 0, 1))]
+        tc = count_transitions(trajs, 1, AB2, BoundaryMode.TRUNCATED)
+        tied = tie_counts(tc, jagged_free_throw_map(AB2))
+        assert tied.total.rows[0].tolist() == [1, 1]  # after a miss: 0 -> 0, 0 -> 1
+        assert tied.total.rows[1].tolist() == [1, 1]  # after a hit: 1 -> 1, 1 -> 0
+        assert tied.total.total_transitions() == 4
 
     def test_first_shot_pools_with_after_hit(self):
         # games starting with a make and a miss: the first-shot counts land
