@@ -23,7 +23,10 @@ Each call is split into three phases, timed by wrappers that the worker
 puts around the program from outside: parse (``cli.build_parser`` plus
 ``argparse.ArgumentParser.parse_args``), write (the ``dataio`` writers
 that ``cli`` calls, by their names in ``cli``) and compute (the rest).
-Every output except manifest.json is hashed (sha256). Round 0 warms up
+The worker also counts the minor page faults of each call (the
+``ru_minflt`` of ``getrusage`` before and after it): pages that the
+process maps or gets back after freeing them. Every output except
+manifest.json is hashed (sha256). Round 0 warms up
 and is not timed. Then, once per side: ``memsel simulate --profile ci
 --seed 1`` (wall time and the sha256 of each output).
 """
@@ -37,6 +40,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -86,12 +90,14 @@ def worker() -> int:
         out = Path(req["out"])
         spent.update(parse=0.0, write=0.0)
         buf = io.StringIO()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
             rc = cli.main(req["argv"] + ["--out", str(out)])
         seconds = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         reply = {"rc": rc, "seconds": seconds, "parse": spent["parse"], "write": spent["write"],
-                 "compute": seconds - spent["parse"] - spent["write"],
+                 "compute": seconds - spent["parse"] - spent["write"], "minor_faults": faults,
                  "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                             for p in sorted(out.iterdir()) if p.name != "manifest.json"}}
         sys.stdout.write(json.dumps(reply) + "\n")
@@ -129,6 +135,8 @@ def _summary(calls: dict, entries: int) -> dict:
         "per_call_s": {name: quartiles([r["seconds"] for r in rs]) for name, rs in calls.items()},
         "phase_median_s": {name: {p: quartiles([r[p] for r in rs])["median"] for p in PHASES}
                            for name, rs in calls.items()},
+        "minor_faults_per_call": {name: quartiles([r["minor_faults"] for r in rs])
+                                  for name, rs in calls.items()},
         "paired_speedup": quartiles(ratios),
         "change_ahead_in_pairs": f"{sum(x > 1.0 for x in ratios)}/{len(ratios)}",
         "exit_codes": {name: sorted({str(r["rc"]) for r in rs}) for name, rs in calls.items()},
@@ -177,6 +185,7 @@ def compare(args) -> int:
     result["simulate_profile_ci_seed1"] = {
         "call": "memsel simulate --profile ci --seed 1",
         "wall_s": {name: r["seconds"] for name, r in ci.items()},
+        "minor_faults": {name: r["minor_faults"] for name, r in ci.items()},
         "exit_codes": {name: r["rc"] for name, r in ci.items()},
         "output_sha256": {name: r["sha256"] for name, r in ci.items()},
         "outputs_identical": ci["base"]["sha256"] == ci["change"]["sha256"],

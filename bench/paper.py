@@ -3,26 +3,34 @@
 
 Usage, from the root of a git checkout:
 
-    python3 bench/paper.py --base <commit> [--rounds 2] [--out BENCH_paper.json]
+    python3 bench/paper.py --base <commit> [--h-true 1 5] [--workers 1 2]
+                           [--rounds 2] [--out BENCH_paper.json]
 
-Each side runs ``memsel simulate --profile paper --h-true 1 --seed 1
---workers 1`` (M=8, h = 1..5, all nine criteria, one shared network,
-J = 4, 8, ..., 256, 10^4 replicates per J) in its own worker interpreter
-pinned to one CPU, as ``bench/harness.py`` describes; the sides take
-turns, base first. A run records its wall time and the sha256 of
-``selection.csv``, ``delta.csv`` and ``summary.json``; the file keeps
-every run and says whether both sides wrote the same bytes. The speed-up
-and the target check read each side's median run: runs of one commit
-spread by about 10% on a shared host, so one run, or the fastest of a
-few, says little. One run lasts several minutes.
+Each side runs ``memsel simulate --profile paper --h-true H --seed 1
+--workers W`` (M=8, h = 1..5, all nine criteria, one shared network,
+J = 4, 8, ..., 256, 10^4 replicates per J) for every H in ``--h-true``
+and W in ``--workers``, in its own worker interpreter, as
+``bench/harness.py`` describes. A ``--workers 1`` run stays pinned to the
+worker's one CPU; for a larger count the worker widens its affinity to
+every CPU the script may use while the run lasts, so that the pool's
+processes, which inherit it when they start, can spread. Each round runs
+every (H, W) once per side; each (H, W) alternates, round by round,
+which side goes first. A run records its wall time, its minor page
+faults (``ru_minflt`` of the worker and of its pool's processes, which
+``RUSAGE_CHILDREN`` counts once they have exited) and the sha256 of ``selection.csv``, ``delta.csv`` and
+``summary.json``; the file keeps every run and says, per H, whether both
+sides and every worker count wrote the same bytes. The speed-up and the
+target check read each side's median run: runs of one commit spread by
+about 10% on a shared host, so one run, or the fastest of a few, says
+little. One run lasts minutes.
 
 Then, per side, a split of the time of one ``run_power_study`` of 20
-replicates at each paper J (so each J weighs as much as in the full run)
-over its layers: sampling the walks (``simulate._sample_walks``, or
-``sample_trajectory`` in checkouts before it), counting
-(``chain._count_depths``, which ``criteria._depth_models`` calls once per
-pass: since the study counts several replicates of a chunk in one pass,
-once per pass, before that once per replicate), scoring
+replicates at each paper J at h_true = 1 (so each J weighs as much as in
+the full run), serially on one CPU, over its layers: sampling the walks
+(``simulate._sample_walks``, or ``sample_trajectory`` in checkouts before
+it), counting (``chain._count_depths``, which ``criteria._depth_models``
+calls once per pass: since the study counts several replicates of a chunk
+in one pass, once per pass, before that once per replicate), scoring
 (``criteria._score``, which the study calls once per chunk of
 replicates, through ``criteria._set_values`` or, in checkouts before it,
 from ``simulate``) and the rest.
@@ -35,6 +43,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -44,10 +53,20 @@ from pathlib import Path
 import harness
 from harness import ROOT, open_sides
 
-ARGV = ["simulate", "--profile", "paper", "--h-true", "1", "--seed", "1", "--workers", "1"]
+ARGV = ["simulate", "--profile", "paper", "--seed", "1"]
 OUTPUTS = ("selection.csv", "delta.csv", "summary.json")
 SPLIT_REPLICATES = 20
-TARGET_S = 300  # the roadmap's aim for one h_true of the paper profile
+TARGET_S = 300  # the roadmap's aim for one h_true of the paper profile on one CPU
+
+
+def _argv(h_true: int, workers: int) -> list[str]:
+    return ARGV + ["--h-true", str(h_true), "--workers", str(workers)]
+
+
+def _faults() -> int:
+    """Minor page faults so far of this process and of its waited-for children."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def worker() -> int:
@@ -58,10 +77,19 @@ def worker() -> int:
         req = json.loads(line)
         reply = {}
         if req["op"] == "paper":
+            pinned = os.sched_getaffinity(0)
+            if req["workers"] > 1:
+                os.sched_setaffinity(0, req["cpus"])
+            faults = _faults()
             t0 = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()):
-                reply["rc"] = cli.main(ARGV + ["--out", req["out"]])
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    reply["rc"] = cli.main(_argv(req["h_true"], req["workers"])
+                                           + ["--out", req["out"]])
+            finally:
+                os.sched_setaffinity(0, pinned)
             reply["wall_s"] = time.perf_counter() - t0
+            reply["minor_faults"] = _faults() - faults
             reply["sha256"] = {name: hashlib.sha256((Path(req["out"]) / name).read_bytes())
                                .hexdigest() for name in OUTPUTS}
         elif req["op"] == "split":
@@ -101,45 +129,72 @@ def worker() -> int:
     return 0
 
 
+def _cell(runs: dict, h_true: int, workers: int) -> dict:
+    """One (h_true, workers) cell's runs per side, their medians and digests."""
+    wall = {name: [x["wall_s"] for x in xs] for name, xs in runs.items()}
+    median = {name: statistics.median(xs) for name, xs in wall.items()}
+    return {
+        "call": "memsel " + " ".join(_argv(h_true, workers)),
+        "wall_s": wall,
+        "median_wall_s": median,
+        "speedup": median["base"] / median["change"],
+        "change_ahead_in_rounds": f"{sum(b > c for b, c in zip(wall['base'], wall['change']))}"
+                                  f"/{len(wall['base'])}",
+        "minor_faults": {name: [x["minor_faults"] for x in xs] for name, xs in runs.items()},
+        "exit_codes": {name: sorted({x["rc"] for x in xs}) for name, xs in runs.items()},
+        "output_sha256": {name: xs[0]["sha256"] for name, xs in runs.items()},
+        "outputs_identical": all(x["sha256"] == runs["base"][0]["sha256"]
+                                 for xs in runs.values() for x in xs),
+    }
+
+
 def compare(args) -> int:
-    cpu = min(os.sched_getaffinity(0))
+    cpus = sorted(os.sched_getaffinity(0))
+    cpu = cpus[0]
+    cells = [(h, w) for h in args.h_true for w in args.workers]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         srcs = {"base": harness.export_src(args.base, work / "base"), "change": ROOT / "src"}
         result = harness.provenance("paper", __file__, args.base, srcs, cpu)
-        runs = {name: [] for name in srcs}
+        runs = {cell: {name: [] for name in srcs} for cell in cells}
         with contextlib.ExitStack() as stack:
             sides = open_sides(stack, __file__, srcs, cpu)
             for r in range(args.rounds):
-                for name, side in sides.items():
-                    reply = side.run({"op": "paper", "out": str(work / f"{name}-{r}")})
-                    runs[name].append(reply)
-                    print(f"round {r + 1}/{args.rounds}: {name} {reply['wall_s']:.1f} s",
-                          file=sys.stderr)
+                for i, (h, w) in enumerate(cells):
+                    # each cell alternates which side goes first, round by round
+                    order = list(sides) if (r + i) % 2 == 0 else list(sides)[::-1]
+                    for name in order:
+                        reply = sides[name].run({"op": "paper", "h_true": h, "workers": w,
+                                                 "cpus": cpus, "out": str(work / f"{name}-{r}-h{h}-w{w}")})
+                        runs[h, w][name].append(reply)
+                        print(f"round {r + 1}/{args.rounds}: h_true={h} workers={w} {name} "
+                              f"{reply['wall_s']:.1f} s", file=sys.stderr)
             split = {name: side.run({"op": "split"}) for name, side in sides.items()}
-    wall = {name: [x["wall_s"] for x in xs] for name, xs in runs.items()}
-    result["call"] = "memsel " + " ".join(ARGV)
-    result["workers"] = 1
-    result["wall_s"] = wall
-    median = {name: statistics.median(xs) for name, xs in wall.items()}
-    result["median_wall_s"] = median
-    result["speedup"] = median["base"] / median["change"]
-    result["exit_codes"] = {name: sorted({x["rc"] for x in xs}) for name, xs in runs.items()}
-    result["output_sha256"] = {name: xs[0]["sha256"] for name, xs in runs.items()}
-    result["runs"] = runs
-    result["outputs_identical"] = all(x["sha256"] == runs["base"][0]["sha256"]
-                                      for xs in runs.values() for x in xs)
+    result["cells"] = {f"h_true={h} workers={w}": _cell(runs[h, w], h, w) for h, w in cells}
+    # per h_true and side, every worker count must write the same bytes
+    result["worker_counts_agree"] = {
+        f"h_true={h}": all(runs[h, w][name][0]["sha256"] == runs[h, args.workers[0]][name][0][
+            "sha256"] for w in args.workers for name in srcs) for h in args.h_true}
     result["layer_split"] = {
         "model": f"share of the time of {SPLIT_REPLICATES} replicates at each paper J",
         **split,
     }
     share = split["change"]["share"]
-    result["target"] = {"wall_s": TARGET_S, "met": median["change"] < TARGET_S,
+    serial = [c for (h, w), c in zip(cells, result["cells"].values()) if w == 1]
+    result["target"] = {"wall_s": TARGET_S, "workers": 1,
+                        "met": all(c["median_wall_s"]["change"] < TARGET_S for c in serial),
                         "largest_layer": max(share, key=share.get)}
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(json.dumps({"wall_s": wall, "outputs_identical": result["outputs_identical"]}))
+    print(json.dumps({key: c["median_wall_s"] for key, c in result["cells"].items()}))
     return 0
 
 
+def _options(ap) -> None:
+    ap.add_argument("--h-true", type=int, nargs="+", default=[1], help="h_true values to run")
+    ap.add_argument("--workers", type=int, nargs="+", default=[1],
+                    help="worker counts to run each h_true at")
+
+
 if __name__ == "__main__":
-    sys.exit(harness.main(__doc__, 2, "full runs per side", "BENCH_paper.json", worker, compare))
+    sys.exit(harness.main(__doc__, 2, "full runs per side of each (h_true, workers)",
+                          "BENCH_paper.json", worker, compare, _options))

@@ -40,10 +40,11 @@ from .simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
     SimConfig,
+    _keep_heap_mapped,
     free_throw_power,
     run_power_study,
 )
-from .tying import jagged_free_throw_map
+from .tying import TieMapError, jagged_free_throw_map
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -141,9 +142,12 @@ def cmd_criteria(args) -> int:
     elif args.tie:
         tie_map = load_tie_map(args.tie, alphabet)
         inputs.append(Path(args.tie))
-    reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
-                              aic_penalty=args.aic_penalty, tie_map=tie_map,
-                              tie_label=tie_label)
+    try:
+        reports = evaluate_depths(trajs, alphabet, h_values, prior, boundary,
+                                  aic_penalty=args.aic_penalty, tie_map=tie_map,
+                                  tie_label=tie_label)
+    except TieMapError as exc:  # the builtin jagged map fits any binary counts
+        raise TieMapError(f"{args.tie}: {exc}") from None
     _refuse_uncounted(reports)
     config = {
         "input": str(args.input),
@@ -405,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so the cached parser holds no command function
     command = {"criteria": cmd_criteria, "simulate": cmd_simulate, "oracle": cmd_oracle,
                "import": cmd_import}[args.command]
+    _keep_heap_mapped()  # a command's batches reuse the pages the last one freed
     try:
         return command(args)
     except EmptyInputError as exc:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import pickle
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -73,6 +75,39 @@ _CHUNK = 16
 # steps). 2**13 timed best of 2**12 to 2**15 at J = 64, 128 and 256. Each
 # set's counts keep their bits in any pass, so results do not depend on it.
 _JOIN_STEPS = 2**13
+
+
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets. With its
+# default, dynamic thresholds glibc hands the freed top of the heap back to
+# the kernel and unmaps freed arrays above a threshold that it raises as it
+# goes, so each batch of scoring or counting faults its temporaries' pages
+# back in. Setting either threshold turns the dynamic one off, so both are
+# set: arrays up to 32 MiB (glibc's 64-bit maximum) come from the heap, and
+# the heap is trimmed only when more than 2 GiB at its top is free (the
+# largest value mallopt takes).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+_TRIM_THRESHOLD = 2**31 - 1
+
+
+@cache
+def _keep_heap_mapped() -> None:
+    """Keep freed memory mapped for the rest of this process: glibc on Linux
+    only, once per process; elsewhere, or without ``mallopt``, nothing.
+
+    The settings are process-wide, so only the CLI and the pool workers it
+    starts apply them; a library call keeps the default allocator.
+    """
+    if sys.platform != "linux" or "CS_GNU_LIBC_VERSION" not in os.confstr_names:
+        return  # not glibc: another allocator, with parameters of its own
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -344,6 +379,7 @@ _WORKER_STUDY = None
 
 def _init_worker(cfg, replicate):
     global _WORKER_STUDY
+    _keep_heap_mapped()
     _WORKER_STUDY = (cfg, replicate)
 
 

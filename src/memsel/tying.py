@@ -22,7 +22,11 @@ from .chain import (
     _first_occurrence,
 )
 
-__all__ = ["TieMap", "tie_counts", "jagged_free_throw_map", "tied_param_count"]
+__all__ = ["TieMap", "TieMapError", "tie_counts", "jagged_free_throw_map", "tied_param_count"]
+
+
+class TieMapError(ValueError):
+    """A tie map that does not fit the counts it ties."""
 
 
 def _check_context(ctx, h: int) -> None:
@@ -73,7 +77,7 @@ class TieMap:
     def class_of(self, ctx: tuple) -> int:
         cls = self.assignments.get(ctx, self.default_class)
         if cls is None:
-            raise ValueError(f"context {ctx!r} has no tie class and the map has no default")
+            raise TieMapError(f"context {ctx!r} has no tie class and the map has no default")
         return cls
 
 
@@ -85,22 +89,24 @@ def tie_counts(tc: TrajectoryCounts, tie_map: TieMap) -> TrajectoryCounts:
     exactly. ``tc`` may hold several sets: (set, class) is ranked with the
     set outermost, as counting ranks contexts, so each set's classes appear
     in order of first occurrence, with the bits of the set tied alone. A
-    map that names a state token >= M for these counts is rejected, and so
-    is one that names a START context for truncated counts, which never
-    hold one: its class would add M - 1 parameters with no count behind them.
+    map that does not fit the counts raises TieMapError: one for another
+    depth, one that names a state token >= M, one that names a START
+    context for truncated counts, which never hold one (its class would
+    add M - 1 parameters with no count behind them), and one with no
+    default that misses a counted context.
     """
     if tie_map.h != tc.h:
-        raise ValueError(f"tie map is for h={tie_map.h} but the counts have h={tc.h}")
+        raise TieMapError(f"tie map is for h={tie_map.h} but the counts have h={tc.h}")
     m = tc.alphabet.size
     truncated = tc.boundary is BoundaryMode.TRUNCATED
     for ctx in tie_map.assignments:
         if truncated and START in ctx:
             shown = tuple("START" if tok == START else tok for tok in ctx)
-            raise ValueError(f"tie map context {shown!r} holds START, which truncated "
-                             "counting never sees")
+            raise TieMapError(f"tie map context {shown!r} holds START, which truncated "
+                              "counting never sees")
         if max(ctx, default=START) >= m:
-            raise ValueError(f"tie map context {ctx!r} has state token {max(ctx)}, "
-                             f"outside the M={m} states 0..{m - 1}")
+            raise TieMapError(f"tie map context {ctx!r} has state token {max(ctx)}, "
+                              f"outside the M={m} states 0..{m - 1}")
     c = tie_map.n_classes
     classes = np.array([tie_map.class_of(ctx) for ctx in tc._decode(0, len(tc.counts))],
                        dtype=np.int64)

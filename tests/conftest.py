@@ -1,9 +1,21 @@
-"""Shared generators for randomized small test instances, and psi and psi'."""
+"""Shared generators for randomized small test instances, psi and psi', and
+a fixture that unsets the allocator settings."""
 
 import numpy as np
+import pytest
 
+from memsel import simulate
 from memsel.chain import BoundaryMode, StateAlphabet, Trajectory, count_transitions
 from memsel.specfun import _polygamma
+
+
+@pytest.fixture
+def heap_unset():
+    """This process as if the CLI had not set its allocator yet, before and
+    after the test, so that a later ``main`` call applies the real settings."""
+    simulate._keep_heap_mapped.cache_clear()
+    yield
+    simulate._keep_heap_mapped.cache_clear()
 
 
 def digamma(z):

@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -220,7 +221,7 @@ class TestErrorPaths:
         out = tmp_path / "o"
         assert main(["criteria", "--input", str(season), "--h-range", "0..2",
                      "--tie", str(path), "--out", str(out)]) == 2
-        assert "no tie class" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: context (1,) has no tie class")
         assert not out.exists()
 
     def test_non_list_states_header_is_line_numbered(self, tmp_path, capsys):
@@ -283,7 +284,8 @@ class TestErrorPaths:
         argv = ["criteria", "--input", str(season), "--h-range", "0..1",
                 "--tie", str(path), "--out", str(out)]
         assert main(argv + ["--boundary", "truncated"]) == 2
-        assert "tie map context ('START',) holds START" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: tie map context ('START',) holds START")
         assert not out.exists()
         assert main(argv) == 0  # padded counting does see it
 
@@ -1053,6 +1055,72 @@ class TestRepeatedMainCalls:
         monkeypatch.setattr(cli, "cmd_criteria", lambda args: seen.append(args.command) or 7)
         assert main(["criteria", "--input", str(season), "--h-range", "1"]) == 7
         assert seen == ["criteria"]
+
+
+GLIBC = sys.platform == "linux" and "CS_GNU_LIBC_VERSION" in os.confstr_names
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls, or that has none."""
+
+    def __init__(self, with_mallopt=True):
+        self.calls = []
+        if with_mallopt:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+@pytest.mark.usefixtures("heap_unset")  # each test starts as a new process would
+class TestHeapSettings:
+    """``main`` keeps freed memory mapped on glibc, once per process."""
+
+    def criteria(self, season, out):
+        return main(["criteria", "--input", str(season), "--h-range", "0..1", "--out", str(out)])
+
+    @pytest.mark.skipif(not GLIBC, reason="mallopt is set on glibc only")
+    def test_main_sets_both_thresholds_once_per_process(self, season, tmp_path, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert self.criteria(season, tmp_path / "a") == 0
+        assert self.criteria(season, tmp_path / "b") == 0
+        # glibc's M_MMAP_THRESHOLD at its 64-bit maximum, then M_TRIM_THRESHOLD
+        assert libc.calls == [(-3, 32 * 1024 * 1024), (-1, 2**31 - 1)]
+
+    @pytest.mark.parametrize("platform", ["linux", "darwin", "win32"])
+    def test_no_mallopt_or_another_platform_runs_the_command(self, season, tmp_path,
+                                                            monkeypatch, capsys, platform):
+        opened = []
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: opened.append(name) or FakeLibc(with_mallopt=False))
+        assert self.criteria(season, tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "o" / "criteria.csv").exists()
+        # only glibc on Linux looks for mallopt
+        assert opened == ([None] if GLIBC and platform == "linux" else [])
+
+    @pytest.mark.skipif(not GLIBC, reason="mallopt is set on glibc only")
+    def test_repeated_calls_stop_faulting_freed_memory_back_in(self, tmp_path, capsys):
+        import resource
+
+        rng = np.random.default_rng(3)
+        series = tmp_path / "series.jsonl"
+        lines = [json.dumps({"states": list("abcd")})]
+        lines += [json.dumps({"id": f"t{j}", "seq": ["abcd"[s] for s in rng.integers(0, 4, 600)]})
+                  for j in range(20)]
+        series.write_text("\n".join(lines) + "\n")
+
+        def calls(first, n):
+            for i in range(first, first + n):
+                assert main(["criteria", "--input", str(series), "--h-range", "0..5",
+                             "--out", str(tmp_path / f"o{i}")]) == 0
+
+        calls(0, 3)  # warm-up: imports, first-call caches, the heap's high-water mark
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        calls(3, 20)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+        capsys.readouterr()
+        # with glibc's dynamic thresholds each call faults in hundreds of pages
+        assert faults < 10
 
 
 def test_import_leaves_the_process_pool_out():

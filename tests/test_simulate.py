@@ -231,6 +231,25 @@ def test_pool_tasks_carry_only_their_jobs(monkeypatch):
     assert repr(pooled) == repr(run_power_study(cfg, workers=1))
 
 
+def heap_settings_applied() -> int:
+    """How many times this process set its allocator: 0 or 1."""
+    return simulate._keep_heap_mapped.cache_info().currsize
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_workers_keep_the_heap_mapped(heap_unset, method):
+    # a library caller's process keeps its allocator; each pool worker sets its own
+    import multiprocessing
+
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    with concurrent.futures.ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context(method),
+            initializer=simulate._init_worker, initargs=(None, None)) as pool:
+        assert pool.submit(heap_settings_applied).result(timeout=120) == 1
+    assert heap_settings_applied() == 0
+
+
 UNPICKLABLE_STUDY = """
 from types import SimpleNamespace
 from memsel import simulate
