@@ -130,13 +130,9 @@ def provenance(topic: str, script: str, base: str, srcs: dict, cpu: int) -> dict
     }
 
 
-def main(doc: str, rounds: int, rounds_help: str, out_name: str, worker, compare,
-         options=None) -> int:
-    """Parse ``--base/--rounds/--out`` (or the hidden ``--worker/--cpu``), plus
-    whatever ``options(parser)`` adds, and dispatch."""
+def main(doc: str, rounds: int, rounds_help: str, out_name: str, worker, compare) -> int:
+    """Parse ``--base/--rounds/--out`` (or the hidden ``--worker/--cpu``) and dispatch."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
-    if options is not None:
-        options(ap)
     ap.add_argument("--base", help="commit to compare against (its src/ is exported with git archive)")
     ap.add_argument("--rounds", type=int, default=rounds, help=rounds_help)
     ap.add_argument("--out", default=str(ROOT / out_name))

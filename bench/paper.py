@@ -3,21 +3,20 @@
 
 Usage, from the root of a git checkout:
 
-    python3 bench/paper.py --base <commit> [--h-true 1 5] [--workers 1 2]
-                           [--rounds 2] [--out BENCH_paper.json]
+    python3 bench/paper.py --base <commit> [--rounds 2] [--out BENCH_paper.json]
 
 Each side runs ``memsel simulate --profile paper --h-true H --seed 1
---workers W`` (M=8, h = 1..5, all nine criteria, one shared network,
-J = 4, 8, ..., 256, 10^4 replicates per J) for every H in ``--h-true``
-and W in ``--workers``, in its own worker interpreter, as
-``bench/harness.py`` describes. A ``--workers 1`` run stays pinned to the
-worker's one CPU; for a larger count the worker widens its affinity to
-every CPU the script may use while the run lasts, so that the pool's
-processes, which inherit it when they start, can spread. Each round runs
-every (H, W) once per side; each (H, W) alternates, round by round,
-which side goes first. A run records its wall time, its minor page
-faults (``ru_minflt`` of the worker and of its pool's processes, which
-``RUSAGE_CHILDREN`` counts once they have exited) and the sha256 of ``selection.csv``, ``delta.csv`` and
+--workers W`` (M=8, h = 1..5, all nine criteria, one shared network, J =
+4, 8, ..., 256, 10^4 replicates per J) for every (H, W) in ``CELLS``, in
+its own worker interpreter, as ``bench/harness.py`` describes. A
+``--workers 1`` run stays pinned to the worker's one CPU; for a larger
+count the worker widens its affinity to every CPU the script may use
+while the run lasts, so that the pool's processes, which inherit it when
+they start, can spread. Each round runs every (H, W) once per side; each
+(H, W) alternates, round by round, which side goes first. A run records
+its wall time, its minor page faults (``ru_minflt`` of the worker and of
+its pool's processes, which ``RUSAGE_CHILDREN`` counts once they have
+exited) and the sha256 of ``selection.csv``, ``delta.csv`` and
 ``summary.json``; the file keeps every run and says, per H, whether both
 sides and every worker count wrote the same bytes. The speed-up and the
 target check read each side's median run: runs of one commit spread by
@@ -57,6 +56,9 @@ ARGV = ["simulate", "--profile", "paper", "--seed", "1"]
 OUTPUTS = ("selection.csv", "delta.csv", "summary.json")
 SPLIT_REPLICATES = 20
 TARGET_S = 300  # the roadmap's aim for one h_true of the paper profile on one CPU
+# (h_true, workers) of each recorded run; the file is rewritten as a whole,
+# so this lists the whole grid that it holds
+CELLS = [(h, w) for h in (1, 5) for w in (1, 2)]
 
 
 def _argv(h_true: int, workers: int) -> list[str]:
@@ -151,36 +153,38 @@ def _cell(runs: dict, h_true: int, workers: int) -> dict:
 def compare(args) -> int:
     cpus = sorted(os.sched_getaffinity(0))
     cpu = cpus[0]
-    cells = [(h, w) for h in args.h_true for w in args.workers]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         srcs = {"base": harness.export_src(args.base, work / "base"), "change": ROOT / "src"}
         result = harness.provenance("paper", __file__, args.base, srcs, cpu)
-        runs = {cell: {name: [] for name in srcs} for cell in cells}
+        runs = {cell: {name: [] for name in srcs} for cell in CELLS}
         with contextlib.ExitStack() as stack:
             sides = open_sides(stack, __file__, srcs, cpu)
             for r in range(args.rounds):
-                for i, (h, w) in enumerate(cells):
+                for i, (h, w) in enumerate(CELLS):
                     # each cell alternates which side goes first, round by round
                     order = list(sides) if (r + i) % 2 == 0 else list(sides)[::-1]
                     for name in order:
+                        out = str(work / f"{name}-{r}-h{h}-w{w}")
                         reply = sides[name].run({"op": "paper", "h_true": h, "workers": w,
-                                                 "cpus": cpus, "out": str(work / f"{name}-{r}-h{h}-w{w}")})
+                                                 "cpus": cpus, "out": out})
                         runs[h, w][name].append(reply)
                         print(f"round {r + 1}/{args.rounds}: h_true={h} workers={w} {name} "
                               f"{reply['wall_s']:.1f} s", file=sys.stderr)
             split = {name: side.run({"op": "split"}) for name, side in sides.items()}
-    result["cells"] = {f"h_true={h} workers={w}": _cell(runs[h, w], h, w) for h, w in cells}
+    result["cells"] = {f"h_true={h} workers={w}": _cell(runs[h, w], h, w) for h, w in CELLS}
     # per h_true and side, every worker count must write the same bytes
-    result["worker_counts_agree"] = {
-        f"h_true={h}": all(runs[h, w][name][0]["sha256"] == runs[h, args.workers[0]][name][0][
-            "sha256"] for w in args.workers for name in srcs) for h in args.h_true}
+    digests = {}
+    for (h, _), cell in runs.items():
+        digests.setdefault(h, []).extend(xs[0]["sha256"] for xs in cell.values())
+    result["worker_counts_agree"] = {f"h_true={h}": all(d == ds[0] for d in ds)
+                                     for h, ds in digests.items()}
     result["layer_split"] = {
         "model": f"share of the time of {SPLIT_REPLICATES} replicates at each paper J",
         **split,
     }
     share = split["change"]["share"]
-    serial = [c for (h, w), c in zip(cells, result["cells"].values()) if w == 1]
+    serial = [c for (h, w), c in zip(CELLS, result["cells"].values()) if w == 1]
     result["target"] = {"wall_s": TARGET_S, "workers": 1,
                         "met": all(c["median_wall_s"]["change"] < TARGET_S for c in serial),
                         "largest_layer": max(share, key=share.get)}
@@ -189,12 +193,6 @@ def compare(args) -> int:
     return 0
 
 
-def _options(ap) -> None:
-    ap.add_argument("--h-true", type=int, nargs="+", default=[1], help="h_true values to run")
-    ap.add_argument("--workers", type=int, nargs="+", default=[1],
-                    help="worker counts to run each h_true at")
-
-
 if __name__ == "__main__":
     sys.exit(harness.main(__doc__, 2, "full runs per side of each (h_true, workers)",
-                          "BENCH_paper.json", worker, compare, _options))
+                          "BENCH_paper.json", worker, compare))

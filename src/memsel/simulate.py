@@ -91,6 +91,15 @@ _MMAP_THRESHOLD = 32 * 1024 * 1024
 _TRIM_THRESHOLD = 2**31 - 1
 
 
+def _glibc() -> bool:
+    """Whether the running C library is glibc. Others may define the name
+    too (musl does) or refuse it, so its value is read."""
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
 @cache
 def _keep_heap_mapped() -> None:
     """Keep freed memory mapped for the rest of this process: glibc on Linux
@@ -99,7 +108,7 @@ def _keep_heap_mapped() -> None:
     The settings are process-wide, so only the CLI and the pool workers it
     starts apply them; a library call keeps the default allocator.
     """
-    if sys.platform != "linux" or "CS_GNU_LIBC_VERSION" not in os.confstr_names:
+    if sys.platform != "linux" or not _glibc():
         return  # not glibc: another allocator, with parameters of its own
     import ctypes
 

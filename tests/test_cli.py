@@ -5,6 +5,7 @@ import concurrent.futures
 import csv
 import ctypes
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from memsel.simulate import (
     FreeThrowModel,
     FreeThrowSimConfig,
     SimConfig,
+    _glibc,
     _rng,
     generate_network,
     sample_trajectory,
@@ -1057,7 +1059,7 @@ class TestRepeatedMainCalls:
         assert seen == ["criteria"]
 
 
-GLIBC = sys.platform == "linux" and "CS_GNU_LIBC_VERSION" in os.confstr_names
+GLIBC = sys.platform == "linux" and _glibc()
 
 
 class FakeLibc:
@@ -1098,6 +1100,22 @@ class TestHeapSettings:
         # only glibc on Linux looks for mallopt
         assert opened == ([None] if GLIBC and platform == "linux" else [])
 
+    @pytest.mark.parametrize("answer", [None, "", "musl", OSError(22, "Invalid argument"),
+                                        ValueError("unrecognized configuration name")])
+    def test_another_linux_libc_is_left_alone(self, season, tmp_path, monkeypatch, answer):
+        # musl defines the name too, so the value, not the name, tells glibc apart
+        def confstr(name):
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        opened = []
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or FakeLibc())
+        assert self.criteria(season, tmp_path / "o") == 0
+        assert opened == []
+
     @pytest.mark.skipif(not GLIBC, reason="mallopt is set on glibc only")
     def test_repeated_calls_stop_faulting_freed_memory_back_in(self, tmp_path, capsys):
         import resource
@@ -1115,6 +1133,10 @@ class TestHeapSettings:
                              "--out", str(tmp_path / f"o{i}")]) == 0
 
         calls(0, 3)  # warm-up: imports, first-call caches, the heap's high-water mark
+        # a full collection writes every tracked object's header, and pages still
+        # shared copy-on-write with a child that an earlier test forked fault
+        # once on that write: take those before counting
+        gc.collect()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         calls(3, 20)
         faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
