@@ -325,13 +325,12 @@ def _normalize_which(which) -> tuple[str, ...]:
 # LPPD, LOO and CV2 call holds six draw-sized arrays (three weights, the
 # draw -> cell index, the k/i index and a row-total buffer) and, per
 # table, one value per drawing cell (never more than the draws) and one
-# total per row; LOO's row totals and k_WAIC2's block are rows x M. The power study scores a chunk of
-# replicates in one call, counted a few replicates at a time (while their
-# steps fit ``simulate._JOIN_STEPS``), so a batch may hold several counting
-# passes' stacks. On the paper grid (M=8, h 1..5) a batch then averages 80
-# models (the whole chunk) at J=4, 40 at J=16, 10 at J=64, 5 at J=128 and 2
-# at J=256; on the ``power_grid`` benchmark the whole chunk of 15 models is
-# one batch. 2**13 to 2**16 timed alike at J = 16, 64 and 256.
+# total per row; LOO's row totals and k_WAIC2's block are rows x M. The
+# power study scores a chunk of replicates, counted in one pass, in one
+# call. On the paper grid (M=8, h 1..5) a batch then averages 80 models (the
+# whole chunk) at J=4, 40 at J=16, 10 at J=64, 5 at J=128 and 2 at J=256; on
+# the ``power_grid`` benchmark the whole chunk of 15 models is one batch.
+# 2**13 to 2**16 timed alike at J = 16, 64 and 256.
 _BATCH_CELLS = 2**14
 
 # which criteria use each per-trajectory term
@@ -668,7 +667,7 @@ def _depth_models(sets, alphabet, h_range, mode=BoundaryMode.PADDED, aic_penalty
     with ``tie_map`` one stack of every set's tied model (one ``tie_counts``
     call); and each stack's AIC parameter count. Scored in this order, the
     models run depth by depth over every set, then the tied model of every
-    set (``_set_values`` regroups them set by set)."""
+    set."""
     hs = sorted({int(h) for h in h_range})
     if not hs:
         raise ValueError("h_range must be non-empty")
@@ -685,26 +684,6 @@ def _depth_models(sets, alphabet, h_range, mode=BoundaryMode.PADDED, aic_penalty
         stacks.append(tie_counts(counts[tie_map.h], tie_map))
         ks.append(tied_param_count(tie_map, m))
     return stacks, ks
-
-
-def _set_values(joins, alphabet, h_range, prior, which, mode=BoundaryMode.PADDED,
-                tie_map=None) -> np.ndarray:
-    """The values of ``_depth_models``' models for every set of every join
-    (a list of sets counted in one pass), all scored in one ``_score``
-    call: one (set, model, column) array, the sets in order, each set's
-    models its depths in increasing order and then its tied model."""
-    stacks, ks, n_sets = [], [], []
-    for sets in joins:
-        join_stacks, join_ks = _depth_models(sets, alphabet, h_range, mode, tie_map=tie_map)
-        stacks += join_stacks
-        ks += join_ks
-        n_sets.append(len(sets))
-    values = _score(stacks, prior, which, ks)
-    # each join's rows run model by model over its sets: regrouped set by set
-    n_models = len(values) // sum(n_sets)
-    ends = np.cumsum([0] + n_sets).tolist()
-    return _concat([values[n_models * lo:n_models * hi].reshape(n_models, hi - lo, -1)
-                    .swapaxes(0, 1) for lo, hi in zip(ends[:-1], ends[1:])])
 
 
 def _unavailable(criterion: str) -> ValueError:

@@ -31,8 +31,9 @@ from .criteria import (
     CRITERIA,
     DirichletPrior,
     _concat,
+    _depth_models,
     _normalize_which,
-    _set_values,
+    _score,
     _unavailable,
 )
 from .tying import jagged_free_throw_map
@@ -61,20 +62,12 @@ _MAX_NETWORK_CONTEXTS = 2_000_000
 # A replicate's walks take their uniforms from its stream this many at a time.
 _UNIFORM_BLOCK = 1024
 
-# A study scores this many consecutive (cell, replicate) jobs in one
-# ``_score`` call, serially or as one pool task; a chunk may span cells. It
-# does not depend on the worker count, and scoring never changes a bit
-# with the models scored alongside, so results do not depend on it either.
+# A study counts this many consecutive (cell, replicate) jobs in one
+# ``_count_depths`` pass and scores them in one ``_score`` call, serially or
+# as one pool task; a chunk may span cells. It does not depend on the worker
+# count, and neither counting nor scoring changes a bit with the sets or
+# models alongside, so results do not depend on it either.
 _CHUNK = 16
-
-# A chunk's consecutive kept replicates are counted in one ``_count_depths``
-# pass while their steps add up to at most this many; a larger replicate is
-# counted alone. Counting's ranking tables grow with the steps of a pass:
-# on the paper grid one pass over a chunk's 16 replicates took a tenth of
-# 16 passes at J=4 (835 steps) but longer at J=128 and 256 (26k and 52k
-# steps). 2**13 timed best of 2**12 to 2**15 at J = 64, 128 and 256. Each
-# set's counts keep their bits in any pass, so results do not depend on it.
-_JOIN_STEPS = 2**13
 
 
 # glibc's mallopt parameters (malloc.h) and the values the CLI sets. With its
@@ -355,12 +348,11 @@ def _run_chunk(cfg, replicate, jobs):
     replicate with no data), the criterion values of the kept ones, and
     how many of their walks the length cap cut.
 
-    The values form one (kept job, model, column) array
-    (``criteria._set_values``): each depth in ``cfg.h_range`` and then the
+    The kept jobs are counted in one ``criteria._depth_models`` pass and
+    every model scored in one ``_score`` call. The values form one (kept
+    job, model, column) array: each depth in ``cfg.h_range`` and then the
     tied model of ``cfg.tie_map``, in the columns of ``criteria._score``
-    for ``cfg.criteria``. Consecutive kept jobs are counted in one pass
-    while their steps fit ``_JOIN_STEPS``, and every model of the chunk is
-    scored in one ``_score`` call.
+    for ``cfg.criteria``.
     """
     results = [replicate(cfg, cell, rep) for cell, rep in jobs]
     kept = [trajs for trajs in results if trajs is not None]
@@ -368,18 +360,11 @@ def _run_chunk(cfg, replicate, jobs):
     flags = [trajs is not None for trajs in results]
     if not kept:
         return flags, None, truncated
-    joins, steps = [], _JOIN_STEPS
-    for trajs in kept:
-        size = sum(map(len, trajs))
-        if steps + size > _JOIN_STEPS:
-            joins.append([])
-            steps = 0
-        joins[-1].append(trajs)
-        steps += size
     alphabet = cfg.alphabet
-    values = _set_values(joins, alphabet, cfg.h_range, DirichletPrior.symmetric(alphabet.size),
-                         tuple(cfg.criteria), cfg.boundary, cfg.tie_map)
-    return flags, values, truncated
+    stacks, ks = _depth_models(kept, alphabet, cfg.h_range, cfg.boundary, tie_map=cfg.tie_map)
+    values = _score(stacks, DirichletPrior.symmetric(alphabet.size), tuple(cfg.criteria), ks)
+    # the rows run model by model over the kept jobs: regrouped job by job
+    return flags, values.reshape(len(stacks), len(kept), -1).swapaxes(0, 1), truncated
 
 
 # A pool worker's (cfg, replicate), set once by _init_worker when it starts.

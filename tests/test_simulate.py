@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import find_record
-from memsel import criteria, simulate
+from memsel import simulate
 from memsel.chain import START, BoundaryMode, StateAlphabet, Trajectory, count_transitions
 from memsel.criteria import evaluate_depths
 from memsel.simulate import (
@@ -477,21 +477,43 @@ class TestFreeThrow:
 
 
 class TestChunkedScoring:
-    """Consecutive replicates are scored together, _CHUNK at a time; every
-    result equals scoring each replicate alone, on any worker count."""
+    """Consecutive replicates are counted and scored together, _CHUNK at a
+    time; every result equals scoring each replicate alone, on any worker
+    count."""
 
     @pytest.mark.parametrize("cfg", [
         # 37 replicates: the last chunk is short
         SimConfig(m=4, h_true=1, h_range=(1, 2, 3), J_values=(4,), replicates=37, seed=3),
         # 10 replicates per J: the first chunk spans both cells
         SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=10, seed=4),
+        SimConfig(m=4, h_true=1, h_range=(0, 1, 2, 3), J_values=(2, 5), replicates=21, seed=6),
+        SimConfig(m=3, h_true=2, h_range=(1, 2, 3), J_values=(4,), replicates=18, seed=2,
+                  boundary="truncated"),
+        FreeThrowSimConfig(games=6, lam=3.0, replicates=20, seed=5),
+        # the first chunk walks 32,250 steps: its counting ranks them in one pass
+        SimConfig(m=8, h_true=1, h_range=(1, 2, 3), J_values=(256,), replicates=17, seed=4),
     ])
     def test_chunks_score_like_single_replicates(self, cfg, monkeypatch):
         assert cfg.replicates % simulate._CHUNK
-        chunked = run_power_study(cfg)
-        assert repr(run_power_study(cfg, workers=2)) == repr(chunked)
-        monkeypatch.setattr(simulate, "_CHUNK", 1)
-        assert repr(run_power_study(cfg)) == repr(chunked)
+        grid = isinstance(cfg, SimConfig)
+        study = run_power_study if grid else free_throw_power
+        chunked = repr(study(cfg))
+        assert repr(study(cfg, workers=2)) == chunked
+        passes = []
+        real = simulate._depth_models
+
+        def spy(sets, *args, **kwargs):
+            passes.append(len(sets))
+            return real(sets, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_depth_models", spy)  # serial runs only
+        n_jobs = (len(cfg.J_values) if grid else 1) * cfg.replicates
+        for chunk in (simulate._CHUNK, 1):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            passes.clear()
+            assert repr(study(cfg)) == chunked, chunk
+            # every replicate is kept: one pass per chunk, holding all its jobs
+            assert passes == [min(chunk, n_jobs - i) for i in range(0, n_jobs, chunk)], chunk
 
     def test_chunk_reports_equal_each_replicate_evaluated_alone(self):
         cfg = SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=3, seed=4)
@@ -531,33 +553,6 @@ class TestChunkedScoring:
         assert any(empty[:simulate._CHUNK]) and not all(empty[:simulate._CHUNK])
         monkeypatch.setattr(simulate, "_CHUNK", 1)
         assert repr(free_throw_power(cfg)) == repr(chunked)
-
-    @pytest.mark.parametrize("study, cfg", [
-        (run_power_study, SimConfig(m=4, h_true=1, h_range=(0, 1, 2, 3), J_values=(2, 5),
-                                    replicates=21, seed=6)),
-        (run_power_study, SimConfig(m=3, h_true=2, h_range=(1, 2, 3), J_values=(4,),
-                                    replicates=18, seed=2, boundary="truncated")),
-        (free_throw_power, FreeThrowSimConfig(games=6, lam=3.0, replicates=20, seed=5)),
-    ])
-    def test_join_bound_keeps_every_byte(self, study, cfg, monkeypatch):
-        want = repr(study(cfg))
-        joins = []
-        real = criteria._depth_models
-
-        def spy(sets, *args, **kwargs):
-            joins.append(len(sets))
-            return real(sets, *args, **kwargs)
-
-        monkeypatch.setattr(criteria, "_depth_models", spy)
-        # 0 counts every replicate alone; 40 steps joins a few replicates and
-        # leaves some larger than the bound alone
-        for join_steps in (0, 40, 10**9):
-            monkeypatch.setattr(simulate, "_JOIN_STEPS", join_steps)
-            joins.clear()
-            assert repr(study(cfg)) == want, join_steps
-            assert repr(study(cfg, workers=2)) == want, join_steps
-            if join_steps == 40:  # serial runs only: some chunks split, some passes join
-                assert max(joins) > 1 and len(joins) > -(-cfg.replicates // simulate._CHUNK)
 
     def test_chunk_of_empty_seasons_only(self):
         results = simulate._run_chunk(SimpleNamespace(criteria=("LOO",)),
