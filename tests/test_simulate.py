@@ -486,9 +486,12 @@ class TestChunkedScoring:
         SimConfig(m=4, h_true=1, h_range=(1, 2, 3), J_values=(4,), replicates=37, seed=3),
         # 10 replicates per J: the first chunk spans both cells
         SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=10, seed=4),
+        # h = 0 next to deeper models, over two cells
         SimConfig(m=4, h_true=1, h_range=(0, 1, 2, 3), J_values=(2, 5), replicates=21, seed=6),
+        # truncated counting
         SimConfig(m=3, h_true=2, h_range=(1, 2, 3), J_values=(4,), replicates=18, seed=2,
                   boundary="truncated"),
+        # the free-throw study, with its tied model
         FreeThrowSimConfig(games=6, lam=3.0, replicates=20, seed=5),
         # the first chunk walks 32,250 steps: its counting ranks them in one pass
         SimConfig(m=8, h_true=1, h_range=(1, 2, 3), J_values=(256,), replicates=17, seed=4),
