@@ -17,7 +17,10 @@ Calls timed, each one ``criteria.evaluate_depths`` on inputs made by
   h = 1..5 under all nine criteria, as one power-study replicate does;
 - ``j256``-shaped: the same at J = 256 (the batch drawn with 256 walks,
   entries 0..3), the largest J of ``simulate --profile paper``, where a
-  batch of ``criteria._score`` holds one or two models;
+  batch of ``criteria._score`` holds one or two models; with it, a whole
+  J=256 cell of 32 replicates (``memsel simulate --M 8 --J 256
+  --replicates 32 --h-range 1..5 --seed 1 --workers 1`` at h_true = 1 and
+  5), each run alone in a fresh worker, for its peak RSS and wall time;
 - ``long_series``-shaped: 20 x 600 steps of an order-2 chain on 4 states
   with its h=2 tie map (``gen.long_series``, entries 0..3), scored at
   h = 0..5 plus the tied model.
@@ -50,6 +53,8 @@ from harness import ROOT, open_sides, quartiles
 GRID_J = (4, 16, 64)
 GRID_ENTRIES = 8
 J256_ENTRIES = 4
+J256_CELL = ["simulate", "--M", "8", "--J", "256", "--replicates", "32", "--h-range", "1..5",
+             "--seed", "1", "--workers", "1"]
 LONG_ENTRIES = 4
 SHAPES = ("power_grid_shape", "j256_shape", "long_series_shape")
 
@@ -178,6 +183,35 @@ def _time_shape(srcs: dict, cpu: int, inputs: list[dict], rounds: int, repeat: i
     }
 
 
+def _j256_cells(srcs: dict, cpu: int, rounds: int, work: Path) -> dict:
+    """Each J=256 cell run alone, ``rounds`` times per side, each run in a
+    fresh worker, so that its peak RSS is the cell's; sides alternate."""
+    cells = {}
+    for h_true in (1, 5):
+        runs = {name: [] for name in srcs}
+        order = list(srcs)
+        for r in range(rounds):
+            for name in order:
+                with contextlib.ExitStack() as stack:
+                    side = open_sides(stack, __file__, {name: srcs[name]}, cpu)[name]
+                    runs[name].append(side.run({
+                        "op": "cli", "out": str(work / f"j256-{h_true}-{name}-{r}"),
+                        "argv": J256_CELL + ["--h-true", str(h_true)]}))
+            order.reverse()
+        cells[f"h_true={h_true}"] = {
+            "call": "memsel " + " ".join(J256_CELL + ["--h-true", str(h_true)]),
+            "peak_rss_mb": {name: quartiles([x["maxrss_mb"] for x in xs])
+                            for name, xs in runs.items()},
+            "wall_s": {name: quartiles([x["seconds"] for x in xs]) for name, xs in runs.items()},
+            "outputs_identical": all(x["rc"] == 0 and x["sha256"] == runs["base"][0]["sha256"]
+                                     for xs in runs.values() for x in xs),
+        }
+        print(f"j256 cell h_true={h_true}: peak RSS "
+              + ", ".join(f"{name} {cells[f'h_true={h_true}']['peak_rss_mb'][name]['median']:.1f} MB"
+                          for name in srcs), file=sys.stderr)
+    return cells
+
+
 def compare(args) -> int:
     cpu = min(os.sched_getaffinity(0))
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -188,6 +222,7 @@ def compare(args) -> int:
         shapes = _shape_inputs(work)
         result["power_grid_shape"] = _time_shape(srcs, cpu, shapes["power_grid"], args.rounds, 20)
         result["j256_shape"] = _time_shape(srcs, cpu, shapes["j256"], args.rounds, 3)
+        result["j256_shape"]["simulate_cell"] = _j256_cells(srcs, cpu, args.rounds, work)
         result["long_series_shape"] = _time_shape(srcs, cpu, shapes["long_series"], args.rounds, 3)
         for key in SHAPES:
             print(f"{key}: {json.dumps(result[key]['paired_speedup'])}", file=sys.stderr)

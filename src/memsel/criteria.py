@@ -32,7 +32,12 @@ numpy sums a row of 8 or more values as a tree. Every row sum is
 ``_row_sums``, numpy's order for one row taken column by column over all
 rows, with the bits of ``x.sum(axis=1)``. psi and psi' of every table
 come from one shared pass (``_psi_tables``) over each table's arguments,
-one per count value (``_count_args``).
+one per count value (``_count_args``; one per value and column under an
+asymmetric prior), and are kept as tables over those values: a batch
+reads them per count value, gathered at its own counts, so no array of
+them over every cell outlives its batch. A batch reads the
+per-trajectory rows only at their counted cells, and no batch copies
+the dense rows.
 
 Criterion names used throughout: AIC, DIC1, DIC2, LPD, LPPD, WAIC1,
 WAIC2, LOO, CV2.
@@ -322,8 +327,8 @@ def _normalize_which(which) -> tuple[str, ...]:
 # this many; a larger model is scored alone. A model's size is its
 # (trajectory, context) rows plus its transitions, one Polya draw each in
 # ``_log_beta_cells``: the two lengths of the batch's temporaries. The
-# LPPD, LOO and CV2 call holds six draw-sized arrays (three weights, the
-# draw -> cell index, the k/i index and a row-total buffer) and, per
+# LPPD, LOO and CV2 call holds four draw-sized arrays (the draw -> cell
+# index, k, i and then one table's weights, a row-total buffer) and, per
 # table, one value per drawing cell (never more than the draws) and one
 # total per row; LOO's row totals and k_WAIC2's block are rows x M. The
 # power study scores a chunk of replicates, counted in one pass, in one
@@ -349,15 +354,24 @@ def _concat(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior) -> dict:
-    """From one ``_polygamma`` pass, psi and psi' at N + a per cell and at
-    Ns + a0 per row: "psi" and "psi_s", "tri" and "tri_s". The pass runs
-    over both tables' ``_count_args``, the cells' first.
+def _psi_tables(N: np.ndarray, Ns: np.ndarray, prior: DirichletPrior) -> tuple[dict, dict]:
+    """psi and psi' at N + a per cell and at Ns + a0 per row, as tables over
+    the count values, from one ``_polygamma`` pass over both tables'
+    ``_count_args`` (the cells' first).
+
+    Returns the tables, "psi" and "tri" over N's arguments and "psi_s" and
+    "tri_s" over Ns's, and the read positions, "at" per cell and "at_s" per
+    row: psi at cell c is ``psi[at[c]]``. A batch gathers only what it reads.
+    When every prior component is equal, ``_count_args`` takes the one value,
+    so there is one argument per count value and "at" is N itself.
     """
-    (args_n, at_n), (args_s, at_s) = _count_args(N, prior.alpha), _count_args(Ns, prior.total)
-    at_s = at_s + args_n.size
+    a = prior.alpha
+    (args_n, at_n), (args_s, at_s) = (_count_args(N, a[0] if (a == a[0]).all() else a),
+                                      _count_args(Ns, prior.total))
     psi, tri = _polygamma(np.concatenate([args_n, args_s]))
-    return {"psi": psi[at_n], "psi_s": psi[at_s], "tri": tri[at_n], "tri_s": tri[at_s]}
+    k = args_n.size
+    return ({"psi": psi[:k], "tri": tri[:k], "psi_s": psi[k:], "tri_s": tri[k:]},
+            {"at": at_n, "at_s": at_s})
 
 
 def _ratio_tables(names, N, NA, NAs, idx, in_first, a, cells):
@@ -411,18 +425,22 @@ def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tup
     ``ks`` holds each stack's AIC parameter count.
 
     Consecutive models are scored in batches (``_BATCH_CELLS``), each batch
-    reading its slices of the stacks as counted. The stacks' total rows are
-    joined once, with their row sums, and when ``which`` holds a WAIC or
-    DIC criterion, psi and psi' are evaluated once, over every model's
-    count cells and row sums (by ``_psi_tables``): a batch reads its own
-    slice of each.
+    reading its slices of the stacks as counted: the stacks' per-trajectory
+    rows only at their counted cells, and its slice of the total rows. The
+    stacks' total rows are joined once, with their row sums, and when
+    ``which`` holds a WAIC or DIC criterion, psi and psi' are evaluated once
+    (``_psi_tables``), per count value of the cells and of the row sums: a
+    batch reads them at its own counts.
     """
     need = set(which)
     N = _concat([st.counts for st in stacks])
+    m = N.shape[1]
     Ns = _row_sums(N)
     tot = {"N": N, "Ns": Ns}
+    tables = {}
     if need & {"WAIC1", "WAIC2", "DIC1", "DIC2"}:
-        tot.update(_psi_tables(N, Ns, prior))
+        tables, at = _psi_tables(N, Ns, prior)
+        tot.update(at)
     # per model: its total rows (rows[i]:rows[i+1]), trajectories, pair rows and k
     offsets = np.cumsum([0] + [len(st.counts) for st in stacks])
     rows = np.concatenate([st.rows[:-1] + off for st, off in zip(stacks, offsets.tolist())]
@@ -437,7 +455,8 @@ def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tup
 
     def batch(lo, hi):
         r0, r1 = rows[lo], rows[hi]
-        idx, t, traj_sizes = [], [], []
+        idx, flat, reps, traj_sizes = [], [], [], []
+        n_pairs = 0  # the batch's pair rows so far
         for i in range(bisect_right(first_model, lo) - 1, len(stacks)):
             if first_model[i] >= hi:
                 break
@@ -447,11 +466,17 @@ def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tup
             p0, p1 = st.bounds[g0], st.bounds[g1]
             shift = offsets[i] - r0
             idx.append(st.idx[p0:p1] + shift if shift else st.idx[p0:p1])
-            t.append(st.t[p0:p1])
+            # the slice's counted cells, by flat index in the batch's pair rows
+            t = st.t[p0:p1].ravel()
+            nz = np.flatnonzero(t)
+            reps.append(t[nz])
+            flat.append(nz + n_pairs * m if n_pairs else nz)
+            n_pairs += int(p1 - p0)
             traj_sizes.append(np.diff(st.bounds[g0:g1 + 1]))
         out[lo:hi] = _score_batch(kk[lo:hi], js[lo:hi], rows[lo:hi + 1] - r0,
-                                  {name: x[r0:r1] for name, x in tot.items()}, _concat(idx),
-                                  _concat(t), _concat(traj_sizes), prior, which)
+                                  {name: x[r0:r1] for name, x in tot.items()}, tables,
+                                  _concat(idx), (_concat(flat), _concat(reps)),
+                                  _concat(traj_sizes), prior, which)
 
     lo, batch_size = 0, 0
     for hi, size in enumerate((pairs + transitions).tolist()):
@@ -463,15 +488,17 @@ def _score(stacks: Sequence[TrajectoryCounts], prior: DirichletPrior, which: tup
     return out
 
 
-def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndarray:
+def _score_batch(ks, js, rows, tot, tables, idx, cells, traj_sizes, prior, which) -> np.ndarray:
     """Score models together: their rows are stacked, model after model.
 
     Model i owns the total rows ``rows[i]:rows[i+1]`` of ``tot["N"]`` and
     ``js[i]`` consecutive trajectories, trajectory g the next
-    ``traj_sizes[g]`` (trajectory, context) rows, with counts ``t`` and
-    total rows ``idx``. ``tot`` also holds arrays over the total rows: the
-    row sums ``Ns`` and, when ``which`` holds a WAIC or DIC criterion,
-    ``psi``, ``psi_s``, ``tri`` and ``tri_s`` (``_psi_tables``). Every
+    ``traj_sizes[g]`` (trajectory, context) rows, with total rows ``idx``;
+    ``cells`` holds their counted cells, each one's flat index in those
+    rows and its count t > 0, in row order. ``tot`` also holds arrays over
+    the total rows: the row sums ``Ns`` and, when ``which`` holds a WAIC
+    or DIC criterion, the read positions ``at`` and ``at_s`` of the psi
+    and psi' ``tables`` (``_psi_tables``), which are gathered here. Every
     kernel runs once per batch: one ``_log_beta_cells`` call for LPPD, LOO
     and CV2 together, with one group per (model, trajectory), one for LPD,
     with one group per model, and elementwise terms whose per-model sums
@@ -481,7 +508,7 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
     log B(g + t + a) - log B(g + a) for LPPD, log B(g + a) - log B(g - t + a)
     for LOO, log B(c + t + a) - log B(c + a) for CV2, and
     t^2 psi'(g + a) - (sum t)^2 psi'(sum g + a0) for k_WAIC2. Only the
-    cells with t > 0 are read; a row's t total comes from them. Every sum
+    cells with t > 0 are given; a row's t total comes from them. Every sum
     adds a model's own terms in the order one model scored alone would, so
     each value is bit-identical to scoring the models one at a time: each
     group's Polya draws pairwise on their own (one ``np.add.reduceat``),
@@ -511,12 +538,16 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
         sums["plugin"] = per_model(N * (np.log(NA) - np.log(Ns + a0)[:, None]))
     if need & {"WAIC1", "DIC1"}:
         # posterior mean of the log likelihood: sum N (psi(N + a) - psi(N_row + a0))
-        sums["post"] = per_model(N * (tot["psi"] - tot["psi_s"][:, None]))
+        psi = tables["psi"].take(tot["at"])
+        psi -= tables["psi_s"].take(tot["at_s"])[:, None]
+        psi *= N
+        sums["post"] = per_model(psi)
+        del psi
     if "DIC2" in need:
         sq = N.astype(float)
         sq *= sq
-        sq *= tot["tri"]
-        sums["k_DIC2"] = per_model(_trigamma_rows(sq, Ns, tot["tri_s"]))
+        sq *= tables["tri"].take(tot["at"])
+        sums["k_DIC2"] = per_model(_trigamma_rows(sq, Ns, tables["tri_s"].take(tot["at_s"])))
         del sq
     if "LPD" in need:
         # LPD draws every total row's counts again: x = N + a, read at the cells that draw
@@ -534,8 +565,7 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
         terms.discard("CV2")
     pointwise = {}
     if terms:
-        flat = np.flatnonzero(t != 0)
-        reps = t.ravel()[flat]
+        flat, reps = cells
         row, col = np.divmod(flat, m)
         totals = np.bincount(row, reps, len(idx)).astype(np.int64)  # exact: integer counts
         at = idx[row] * m + col  # each cell's cell in the total rows
@@ -557,10 +587,11 @@ def _score_batch(ks, js, rows, tot, idx, t, traj_sizes, prior, which) -> np.ndar
         sq = np.zeros((len(idx), m))
         term = reps.astype(float)
         term *= term
-        term *= tot["tri"].ravel()[at]
+        term *= tables["tri"].take(tot["at"].ravel()[at])
         sq.ravel()[flat] = term
+        tri_s = tables["tri_s"].take(tot["at_s"][idx])
         pointwise["k_WAIC2"] = np.bincount(
-            grp, weights=_trigamma_rows(sq, totals, tot["tri_s"][idx]), minlength=n_groups)
+            grp, weights=_trigamma_rows(sq, totals, tri_s), minlength=n_groups)
         del sq
     # added in order from 0.0: not pairwise, nor by sum(), which compensates from Python 3.12
     sums.update((name, np.bincount(model, x, n_models)) for name, x in pointwise.items())

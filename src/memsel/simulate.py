@@ -143,6 +143,11 @@ class RandomNetwork:
     def __post_init__(self):
         object.__setattr__(self, "_walk_table", _walk_table(self))
 
+    def __reduce__(self):
+        # pickled without the walk table, which is derived from rows and is
+        # about half the pickle: unpickling rebuilds it
+        return RandomNetwork, (self.alphabet, self.h_true, self.rows)
+
     @property
     def m(self) -> int:
         return self.alphabet.size

@@ -5,9 +5,11 @@ as the Polya-urn probability of drawing those counts one at a time, a sum
 of ``np.log`` terms with no log-gamma cancellation, so it keeps its
 digits at counts of 1e8 and beyond. Only cells with t > 0 draw:
 ``_log_beta_cells`` takes x at those cells and each row's x total, for
-one or more x tables over the same increments, which share one expansion
-of the draws, and sums the terms of each group of consecutive rows
-pairwise, so rounding grows with the log of a group's draw count.
+one or more x tables over the same increments, which share the draws'
+cell and in-cell indices and are weighed one table at a time, so a call
+holds four draw-sized arrays however many tables it scores, and sums the
+terms of each group of consecutive rows pairwise, so rounding grows with
+the log of a group's draw count.
 ``log_beta_ratio(x, t)`` is its one public dense form: the sum over the
 rows of one 2-D table, reading both from full rows.
 ``_polygamma`` gives psi and psi' from the asymptotic Bernoulli-number
@@ -157,37 +159,38 @@ def _log_beta_cells(xc, xr, row, reps, totals, sizes) -> np.ndarray:
     sum over that group's draws alone, so a group's value depends only on
     its own rows and their order, never on the other rows scored with it.
     A group with no draw is 0.0. Row s of the result is table s's value
-    per group.
+    per group; each table is weighed and summed before the next.
     """
     cell_start = np.cumsum(reps) - reps
     row_end = np.cumsum(totals)
     row_start = row_end - totals
-    # Draw-sized buffers are reused in place, and x and the row totals are
-    # read through one draw -> cell index: with one x at most four are alive
-    # at once (the index, k/i, the weights and a row-total buffer), with s
-    # of them s + 3.
+    # The tables are weighed one at a time, so at most four draw-sized arrays
+    # are alive at once, whatever the number of tables: the draw -> cell
+    # index, k, i or then the table's weights, and a row-total buffer. k and
+    # i are floats, exact below 2**53 draws, and add with the bits of their
+    # integers but without a cast per draw.
     cell = np.repeat(np.arange(len(reps)), reps)
     # k: draws before this one in its cell (from the draw index over all rows)
-    ki = np.arange(cell.size)
-    ki -= cell_start.take(cell)
-    ws = []
-    for x in xc:
-        w = x.take(cell)
-        w += ki
-        ws.append(np.log(w, out=w))
-    # i: draws before this one in its row, k plus the cell's offset in its row
-    ki += (cell_start - row_start[row]).take(cell)
-    for w, x_total in zip(ws, xr):
-        xi = x_total[row].take(cell)
-        xi += ki
-        w -= np.log(xi, out=xi)
-        del xi
-    del ki, cell
+    k = np.arange(float(cell.size))
+    k -= cell_start.astype(float).take(cell)
+    # i, draws before this one in its row, is k plus its cell's offset in the row
+    cell_offset = (cell_start - row_start[row]).astype(float)
     # each group's draws: from its first row's first draw to the next group's
     draw_bounds = np.concatenate(([0], row_end))[np.concatenate(([0], np.cumsum(sizes)))]
     drawn = draw_bounds[1:] > draw_bounds[:-1]
     starts = draw_bounds[:-1][drawn]
-    out = np.zeros((len(ws), drawn.size))
-    for values, w in zip(out, ws):
+    out = np.zeros((len(xc), drawn.size))
+    for values, x, x_total in zip(out, xc, xr):
+        i = cell_offset.take(cell)
+        i += k
+        xi = x_total[row].take(cell)
+        xi += i
+        del i
+        w = x.take(cell)
+        w += k
+        np.log(w, out=w)
+        w -= np.log(xi, out=xi)
+        del xi
         values[drawn] = np.add.reduceat(w, starts)
+        del w
     return out

@@ -67,6 +67,21 @@ class TestNetwork:
         with pytest.raises(ValueError):
             generate_network(10, 9, seed=0)
 
+    def test_pickle_rebuilds_the_walk_table(self):
+        net = generate_network(8, 5, seed=0)
+        data = pickle.dumps(net)
+        # the instance dict, walk table included, was the whole pickle (8.15 MB
+        # at M=8, h_true=5); without the table it is 4.02 MB
+        assert len(data) < 0.6 * len(pickle.dumps(vars(net)))
+        back = pickle.loads(data)
+        assert back._walk_table == net._walk_table
+
+        def walks(n):
+            ids = [f"t{i}" for i in range(64)]
+            return [tr.steps for tr in simulate._sample_walks(n, 10_000, np.random.default_rng(3), ids)]
+
+        assert walks(back) == walks(net)
+
 
 class TestSampling:
     def test_immediate_absorption_gives_length_one(self):
