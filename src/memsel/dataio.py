@@ -392,15 +392,18 @@ def write_study(summary: dict, selection, deltas, out_dir) -> None:
     ``selection`` and ``deltas`` are the study's records
     (``PowerStudyResult``); ``deltas`` is None for a study that keeps
     none. summary.json is ``summary`` with the records added under
-    "selection" and "deltas"; delta.csv is written when there are deltas.
+    "selection" and "deltas"; delta.csv is written when there are deltas,
+    and an earlier run's is removed when there are none.
     """
     out_dir = Path(out_dir)
     summary = {**summary, "selection": Records(selection)}
     _write(out_dir / "selection.csv", summary["selection"].csv(_SELECTION_COLUMNS))
     if deltas is not None:
         summary["deltas"] = Records(deltas)
-        if deltas:
-            _write(out_dir / "delta.csv", summary["deltas"].csv(_DELTA_COLUMNS))
+    if deltas:
+        _write(out_dir / "delta.csv", summary["deltas"].csv(_DELTA_COLUMNS))
+    else:
+        (out_dir / "delta.csv").unlink(missing_ok=True)
     write_json(summary, out_dir / "summary.json")
 
 

@@ -30,7 +30,6 @@ from .chain import (
 from .criteria import (
     CRITERIA,
     DirichletPrior,
-    _concat,
     _depth_models,
     _normalize_which,
     _score,
@@ -348,28 +347,28 @@ def _replicate_values(cfg: SimConfig, j_index: int, rep: int, net: RandomNetwork
 
 
 def _run_chunk(cfg, replicate, jobs):
-    """``replicate(cfg, cell, rep)`` for each (cell, rep) of ``jobs``: which
-    jobs returned data (a job returns its trajectories, or None for a
-    replicate with no data), the criterion values of the kept ones, and
-    how many of their walks the length cap cut.
+    """``replicate(cfg, cell, rep)`` for each (cell, rep) of ``jobs``: one
+    entry per job, that replicate's criterion values or None when it had no
+    data (a job returns its trajectories, or None), and how many of the kept
+    jobs' walks the length cap cut.
 
     The kept jobs are counted in one ``criteria._depth_models`` pass and
-    every model scored in one ``_score`` call. The values form one (kept
-    job, model, column) array: each depth in ``cfg.h_range`` and then the
-    tied model of ``cfg.tie_map``, in the columns of ``criteria._score``
-    for ``cfg.criteria``.
+    every model scored in one ``_score`` call. A job's values form one
+    (model, column) array: each depth in ``cfg.h_range`` and then the tied
+    model of ``cfg.tie_map``, in the columns of ``criteria._score`` for
+    ``cfg.criteria``.
     """
     results = [replicate(cfg, cell, rep) for cell, rep in jobs]
     kept = [trajs for trajs in results if trajs is not None]
     truncated = sum(tr.truncated for trajs in kept for tr in trajs)
-    flags = [trajs is not None for trajs in results]
     if not kept:
-        return flags, None, truncated
+        return [None] * len(jobs), truncated
     alphabet = cfg.alphabet
     stacks, ks = _depth_models(kept, alphabet, cfg.h_range, cfg.boundary, tie_map=cfg.tie_map)
     values = _score(stacks, DirichletPrior.symmetric(alphabet.size), tuple(cfg.criteria), ks)
     # the rows run model by model over the kept jobs: regrouped job by job
-    return flags, values.reshape(len(stacks), len(kept), -1).swapaxes(0, 1), truncated
+    rows = iter(values.reshape(len(stacks), len(kept), -1).swapaxes(0, 1))
+    return [None if trajs is None else next(rows) for trajs in results], truncated
 
 
 # A pool worker's (cfg, replicate), set once by _init_worker when it starts.
@@ -405,8 +404,8 @@ def _gap_summary(values, ref: int) -> list:
 
 def _tally_cell(cfg, h_true, label, values: np.ndarray, selection: list, deltas: list):
     """Append one cell's selection and delta records from the values of its
-    kept replicates (``_run_chunk``'s array), and return the tied model's
-    wins per criterion (zeros without a tied model).
+    kept replicates (their ``_run_chunk`` entries, stacked), and return the
+    tied model's wins per criterion (zeros without a tied model).
 
     A criterion chooses the first depth of least value, so a tie goes to
     the smaller h; the tied model wins when it is strictly below every
@@ -440,12 +439,13 @@ def _run_study(cfg, replicate, cells: tuple, h_true, workers: int | None):
     Jobs run cell by cell, in chunks of _CHUNK (``_run_chunk``), serially
     or in a process pool whose workers each get ``(cfg, replicate)`` once,
     when they start (``_init_worker``); a job returns its trajectories, or
-    None for a replicate with no data, which is skipped. A NaN value raises
-    as its chunk arrives. Each cell appends its selection and delta records
-    (labelled with ``h_true`` and the cell's entry in ``cells`` as J) once
-    its last chunk is in (``_tally_cell``): selection frequencies over the
-    cell's kept replicates, and gaps to ``h_true`` when it is a candidate
-    depth.
+    None for a replicate with no data, which is skipped. A chunk's entries
+    are read beside its jobs, and a NaN value raises as its chunk arrives.
+    Each cell appends its selection and delta records (labelled with
+    ``h_true`` and the cell's entry in ``cells`` as J) once its last
+    replicate's entry is in (``_tally_cell``): selection frequencies over
+    the cell's kept replicates, and gaps to ``h_true`` when it is a
+    candidate depth.
     """
     workers = worker_count(workers)
     if workers > 1:
@@ -459,8 +459,7 @@ def _run_study(cfg, replicate, cells: tuple, h_true, workers: int | None):
     deltas: list[dict] = []
     wins = np.zeros(len(criteria), dtype=np.int64)
     n_kept, truncated = 0, 0
-    labels = iter(cells)
-    flags, parts = [], []  # the jobs and kept values not yet tallied, in job order
+    rows = []  # the kept values of the cell not yet tallied
     # results are tallied as they arrive, so no more than one cell's values
     # (plus the pool's unread results) are held at a time
     pool = None
@@ -472,23 +471,21 @@ def _run_study(cfg, replicate, cells: tuple, h_true, workers: int | None):
     try:
         results = ((_run_chunk(cfg, replicate, chunk) for chunk in chunks)
                    if pool is None else pool.map(_run_worker_chunk, chunks))
-        for chunk_flags, values, n_truncated in results:
+        for chunk, (entries, n_truncated) in zip(chunks, results):
             truncated += n_truncated
-            flags += chunk_flags
-            if values is not None:
-                nan = np.isnan(values[:, :, :len(criteria)]).any(axis=(0, 1))
-                if nan.any():
-                    raise _unavailable(criteria[int(nan.argmax())])
-                parts.append(values)
-            while len(flags) >= n_reps:  # a cell is complete
-                kept = sum(flags[:n_reps])
-                del flags[:n_reps]
-                if not kept:  # only a free-throw season can come back empty
-                    raise ValueError("every replicate drew zero games; increase lam or games")
-                joined = _concat(parts)
-                parts = [joined[kept:]] if kept < len(joined) else []
-                n_kept += kept
-                wins += _tally_cell(cfg, h_true, next(labels), joined[:kept], selection, deltas)
+            for (cell, rep), values in zip(chunk, entries, strict=True):
+                if values is not None:
+                    nan = np.isnan(values[:, :len(criteria)]).any(axis=0)
+                    if nan.any():
+                        raise _unavailable(criteria[int(nan.argmax())])
+                    rows.append(values)
+                if rep == n_reps - 1:  # the cell is complete
+                    if not rows:  # only a free-throw season can come back empty
+                        raise ValueError("every replicate drew zero games; increase lam or games")
+                    n_kept += len(rows)
+                    wins += _tally_cell(cfg, h_true, cells[cell], np.stack(rows),
+                                        selection, deltas)
+                    rows = []
     finally:
         if pool is not None:
             # an error in the tally drops the pending replicates instead of running them

@@ -626,6 +626,17 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["config"]["h_true"] == 1
 
+    @pytest.mark.parametrize("rerun", [["--h-true", "3"], ["--free-throw", "--games", "3"]])
+    def test_run_without_deltas_removes_an_earlier_delta_csv(self, tmp_path, rerun):
+        grid = ["simulate", "--M", "3", "--h-range", "1..2", "--J", "4"]
+        common = ["--replicates", "3", "--seed", "1", "--out", str(tmp_path / "o")]
+        assert main(grid + ["--h-true", "1"] + common) == 0
+        assert (tmp_path / "o" / "delta.csv").exists()
+        assert main((grid if rerun[0] == "--h-true" else ["simulate"]) + rerun + common) == 0
+        assert not (tmp_path / "o" / "delta.csv").exists()
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary.get("deltas", []) == []
+
     @pytest.mark.parametrize("cap, recorded", [(["--length-cap", "60"], 60), ([], 10_000)])
     def test_grid_manifest_records_the_length_cap(self, tmp_path, cap, recorded):
         out = tmp_path / "o"

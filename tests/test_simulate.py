@@ -533,22 +533,56 @@ class TestChunkedScoring:
             # every replicate is kept: one pass per chunk, holding all its jobs
             assert passes == [min(chunk, n_jobs - i) for i in range(0, n_jobs, chunk)], chunk
 
+    @pytest.mark.parametrize("cfg", [
+        # 4 cells of 5 replicates: the first chunk ends inside the last cell
+        SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(2, 3, 4, 5), replicates=5, seed=4),
+        # 37 of the 60 seasons draw no game
+        FreeThrowSimConfig(games=3, lam=0.2, replicates=60, seed=3, criteria=("AIC", "LOO")),
+    ])
+    def test_each_cell_is_tallied_once_its_last_chunk_is_in(self, cfg, monkeypatch):
+        # a cell is tallied, once and in cell order, over its own kept
+        # replicates, before any replicate of a later chunk runs
+        grid = isinstance(cfg, SimConfig)
+        name = "_replicate_values" if grid else "_free_throw_replicate"
+        real_replicate, real_tally = getattr(simulate, name), simulate._tally_cell
+        kept, tallies = [], []
+
+        def replicate(*args, **kwargs):
+            trajs = real_replicate(*args, **kwargs)
+            kept.append(trajs is not None)
+            return trajs
+
+        def tally(cfg, h_true, label, values, *args):
+            tallies.append((label, len(values), len(kept)))
+            return real_tally(cfg, h_true, label, values, *args)
+
+        monkeypatch.setattr(simulate, name, replicate)  # serial runs only
+        monkeypatch.setattr(simulate, "_tally_cell", tally)
+        (run_power_study if grid else free_throw_power)(cfg)
+        cells, n = (cfg.J_values if grid else (0,)), cfg.replicates
+        assert len(kept) == len(cells) * n
+        assert grid or 0 < sum(kept) < len(kept)
+        chunk_end = [min(math.ceil((i + 1) * n / simulate._CHUNK) * simulate._CHUNK, len(kept))
+                     for i in range(len(cells))]
+        assert tallies == [(label, sum(kept[i * n:(i + 1) * n]), chunk_end[i])
+                           for i, label in enumerate(cells)]
+
     def test_chunk_reports_equal_each_replicate_evaluated_alone(self):
         cfg = SimConfig(m=3, h_true=1, h_range=(0, 1, 2), J_values=(3, 5), replicates=3, seed=4)
         net = generate_network(cfg.m, cfg.h_true, cfg.seed)
         jobs = [(0, 1), (0, 2), (1, 0), (1, 1)]  # spans both cells
         replicate = functools.partial(simulate._replicate_values, net=net)
-        flags, values, truncated = simulate._run_chunk(cfg, replicate, jobs)
-        assert flags == [True] * len(jobs)
-        assert values.shape[:2] == (len(jobs), len(cfg.h_range))
+        entries, truncated = simulate._run_chunk(cfg, replicate, jobs)
+        assert len(entries) == len(jobs)
+        assert all(values.shape[0] == len(cfg.h_range) for values in entries)
         want_truncated = 0
-        for (cell, rep), rows in zip(jobs, values.tolist(), strict=True):
+        for (cell, rep), values in zip(jobs, entries, strict=True):
             rng = simulate._rng(cfg.seed, simulate._TAG_TRAJECTORIES, cell, rep)
             ids = [f"r{rep}t{i}" for i in range(cfg.J_values[cell])]
             trajs = simulate._sample_walks(net, cfg.length_cap, rng, ids)
             reports = evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
                                       which=cfg.criteria)
-            assert [dict(zip(r.values, row)) for r, row in zip(reports, rows)] == \
+            assert [dict(zip(r.values, row)) for r, row in zip(reports, values.tolist())] == \
                 [r.values for r in reports]
             want_truncated += sum(tr.truncated for tr in trajs)
         assert truncated == want_truncated
@@ -575,7 +609,7 @@ class TestChunkedScoring:
     def test_chunk_of_empty_seasons_only(self):
         results = simulate._run_chunk(SimpleNamespace(criteria=("LOO",)),
                                       lambda cfg, cell, rep: None, [(0, 0), (0, 1)])
-        assert results == ([False, False], None, 0)
+        assert results == ([None, None], 0)
 
     @pytest.mark.parametrize("kept", [1, 37, 200, 10_000])
     def test_gap_summary_equals_the_per_record_form(self, kept):
