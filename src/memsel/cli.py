@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network-per-replicate", action="store_true", default=None,
                    help="draw a fresh true network for every replicate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="process count, >= 1 (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="most worker processes, >= 1 (default 1)")
     p.add_argument("--free-throw", action="store_true", default=None,
                    help="per-game experiment with Poisson game lengths")
     p.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float,

@@ -116,11 +116,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def worker_count(workers: int | None = None) -> int:
-    """The worker count: ``workers``, or 1 (serial) when it is None. A count
-    below 1 raises ValueError."""
-    if workers is None:
-        return 1
+def worker_count(workers: int = 1) -> int:
+    """The worker count ``workers``, 1 (serial) by default. A count below 1
+    raises ValueError."""
     if workers < 1:
         raise ValueError(f"the worker count must be >= 1, got {workers}")
     return int(workers)
@@ -290,6 +288,8 @@ class SimConfig:
             raise ValueError("length cap must be >= 1")
         if not self.h_range:
             raise ValueError("h_range must be non-empty")
+        if self.h_range[0] < 0:
+            raise ValueError("memory depths must be >= 0")
         if not self.J_values or min(self.J_values) < 1:
             raise ValueError("J values must be positive")
         if repeated := [j for i, j in enumerate(self.J_values) if j in self.J_values[:i]]:
@@ -354,9 +354,8 @@ def _run_chunk(cfg, replicate, jobs):
 
     The kept jobs are counted in one ``criteria._depth_models`` pass and
     every model scored in one ``_score`` call. A job's values form one
-    (model, column) array: each depth in ``cfg.h_range`` and then the tied
-    model of ``cfg.tie_map``, in the columns of ``criteria._score`` for
-    ``cfg.criteria``.
+    (model, criterion) array: each depth in ``cfg.h_range`` and then the
+    tied model of ``cfg.tie_map``, each in the order of ``cfg.criteria``.
     """
     results = [replicate(cfg, cell, rep) for cell, rep in jobs]
     kept = [trajs for trajs in results if trajs is not None]
@@ -366,8 +365,8 @@ def _run_chunk(cfg, replicate, jobs):
     alphabet = cfg.alphabet
     stacks, ks = _depth_models(kept, alphabet, cfg.h_range, cfg.boundary, tie_map=cfg.tie_map)
     values = _score(stacks, DirichletPrior.symmetric(alphabet.size), tuple(cfg.criteria), ks)
-    # the rows run model by model over the kept jobs: regrouped job by job
-    rows = iter(values.reshape(len(stacks), len(kept), -1).swapaxes(0, 1))
+    # the rows run model by model over the kept jobs: their criterion columns, job by job
+    rows = iter(values[:, :len(cfg.criteria)].reshape(len(stacks), len(kept), -1).swapaxes(0, 1))
     return [None if trajs is None else next(rows) for trajs in results], truncated
 
 
@@ -390,13 +389,13 @@ def _run_worker_chunk(jobs):
 def _gap_summary(values, ref: int) -> list:
     """Per criterion and depth, the min, max, mean and share below zero of
     each kept replicate's gap to the depth at index ``ref``; ``values`` holds
-    for each kept replicate one row of values per depth for each criterion.
+    for each kept replicate one row of criterion values per depth.
 
     The gaps form one C-ordered (criterion, depth, kept) array, reduced
     along its last axis, so each statistic has the bits of the same
     reduction over that criterion and depth's gaps alone.
     """
-    vals = np.asarray(values).transpose(1, 2, 0).copy()
+    vals = np.asarray(values).transpose(2, 1, 0).copy()
     gaps = vals - vals[:, ref:ref + 1]
     stats = (gaps.min(axis=2), gaps.max(axis=2), gaps.mean(axis=2), (gaps < 0.0).mean(axis=2))
     return np.stack(stats, axis=2).tolist()
@@ -405,14 +404,15 @@ def _gap_summary(values, ref: int) -> list:
 def _tally_cell(cfg, h_true, label, values: np.ndarray, selection: list, deltas: list):
     """Append one cell's selection and delta records from the values of its
     kept replicates (their ``_run_chunk`` entries, stacked), and return the
-    tied model's wins per criterion (zeros without a tied model).
+    tied model's win rate per criterion, or None without a tied model.
 
     A criterion chooses the first depth of least value, so a tie goes to
     the smaller h; the tied model wins when it is strictly below every
-    depth up to its own.
+    depth up to its own. The rate is the cell's own: a ``SimConfig``'s
+    ``tie_map`` is None, and the free-throw study has the one cell.
     """
     criteria, n_depths = tuple(cfg.criteria), len(cfg.h_range)
-    depths = values[:, :n_depths, :len(criteria)]
+    depths = values[:, :n_depths]
     chosen = depths.argmin(axis=1)
     for i, c in enumerate(criteria):
         counts = np.bincount(chosen[:, i], minlength=n_depths).tolist()
@@ -420,19 +420,19 @@ def _tally_cell(cfg, h_true, label, values: np.ndarray, selection: list, deltas:
             selection.append({"h_true": h_true, "J": label, "criterion": c, "h_chosen": h,
                               "frequency": count / len(values)})
     if h_true in cfg.h_range:
-        summary = _gap_summary(depths.transpose(0, 2, 1), cfg.h_range.index(h_true))
+        summary = _gap_summary(depths, cfg.h_range.index(h_true))
         for i, c in enumerate(criteria):
             for h, (lo, hi, mean, below) in zip(cfg.h_range, summary[i]):
                 deltas.append({"h_true": h_true, "J": label, "criterion": c, "h": h,
                                "min": lo, "max": hi, "mean": mean, "frac_below_zero": below})
     if cfg.tie_map is None:
-        return np.zeros(len(criteria), dtype=np.int64)
+        return None
     rivals = [i for i, h in enumerate(cfg.h_range) if h <= cfg.tie_map.h]
-    tied = values[:, n_depths, :len(criteria)]
-    return (tied[:, None] < depths[:, rivals]).all(axis=1).sum(axis=0)
+    wins = (values[:, n_depths, None] < depths[:, rivals]).all(axis=1).sum(axis=0)
+    return {c: w / len(values) for c, w in zip(criteria, wins.tolist())}
 
 
-def _run_study(cfg, replicate, cells: tuple, h_true, workers: int | None):
+def _run_study(cfg, replicate, cells: tuple, h_true, workers: int = 1):
     """Run ``replicate(cfg, cell_index, rep)`` over every (cell, replicate)
     and tally the results into a PowerStudyResult.
 
@@ -445,20 +445,20 @@ def _run_study(cfg, replicate, cells: tuple, h_true, workers: int | None):
     ``h_true`` and the cell's entry in ``cells`` as J) once its last
     replicate's entry is in (``_tally_cell``): selection frequencies over
     the cell's kept replicates, and gaps to ``h_true`` when it is a
-    candidate depth.
+    candidate depth. A pool starts all its workers at once, so it has at
+    most one per chunk.
     """
-    workers = worker_count(workers)
-    if workers > 1:
-        # a pool that cannot pickle a job never shuts down: fail before starting one
-        pickle.dumps((cfg, replicate))
     n_reps = cfg.replicates
     jobs = [(cell, rep) for cell in range(len(cells)) for rep in range(n_reps)]
     chunks = [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)]
+    workers = min(worker_count(workers), len(chunks))
+    if workers > 1:
+        # a pool that cannot pickle a job never shuts down: fail before starting one
+        pickle.dumps((cfg, replicate))
     criteria = tuple(cfg.criteria)
     selection: list[dict] = []
     deltas: list[dict] = []
-    wins = np.zeros(len(criteria), dtype=np.int64)
-    n_kept, truncated = 0, 0
+    jagged, truncated = None, 0
     rows = []  # the kept values of the cell not yet tallied
     # results are tallied as they arrive, so no more than one cell's values
     # (plus the pool's unread results) are held at a time
@@ -475,29 +475,25 @@ def _run_study(cfg, replicate, cells: tuple, h_true, workers: int | None):
             truncated += n_truncated
             for (cell, rep), values in zip(chunk, entries, strict=True):
                 if values is not None:
-                    nan = np.isnan(values[:, :len(criteria)]).any(axis=0)
+                    nan = np.isnan(values).any(axis=0)
                     if nan.any():
                         raise _unavailable(criteria[int(nan.argmax())])
                     rows.append(values)
                 if rep == n_reps - 1:  # the cell is complete
                     if not rows:  # only a free-throw season can come back empty
                         raise ValueError("every replicate drew zero games; increase lam or games")
-                    n_kept += len(rows)
-                    wins += _tally_cell(cfg, h_true, cells[cell], np.stack(rows),
-                                        selection, deltas)
+                    jagged = _tally_cell(cfg, h_true, cells[cell], np.stack(rows),
+                                         selection, deltas)
                     rows = []
     finally:
         if pool is not None:
             # an error in the tally drops the pending replicates instead of running them
             pool.shutdown(cancel_futures=True)
-    return PowerStudyResult(
-        tuple(selection), tuple(deltas), truncated_walks=truncated,
-        jagged_win_rate=(None if cfg.tie_map is None else
-                         {c: w / n_kept for c, w in zip(criteria, wins.tolist())}),
-    )
+    return PowerStudyResult(tuple(selection), tuple(deltas), truncated_walks=truncated,
+                            jagged_win_rate=jagged)
 
 
-def run_power_study(cfg: SimConfig, workers: int | None = None) -> PowerStudyResult:
+def run_power_study(cfg: SimConfig, workers: int = 1) -> PowerStudyResult:
     """Selection frequencies and criterion gaps over the (J, replicate) grid.
 
     By default one network per true depth is drawn from the seed and
@@ -580,19 +576,24 @@ def sample_free_throw_trajectories(
     lam: float,
     rng: np.random.Generator,
 ) -> list[Trajectory]:
-    """Per-game outcome sequences with Poisson(lam) lengths; zero-shot games dropped."""
+    """Per-game outcome sequences with Poisson(lam) lengths; zero-shot games
+    dropped. After the lengths, each shot reads the next uniform of ``rng``:
+    one call draws the season's, the values that one call per shot draws,
+    and leaves the stream where those calls would."""
     counts = rng.poisson(lam, size=games)
+    uniforms = rng.random(int(counts.sum()))
     trajs: list[Trajectory] = []
-    for g, n in enumerate(counts):
-        n = int(n)
+    start = 0
+    for g, n in enumerate(counts.tolist()):
         if n == 0:
             continue
         outcomes = []
         p = model.p_first
-        for _ in range(n):
-            hit = rng.random() < p
+        for u in uniforms[start:start + n].tolist():
+            hit = u < p
             outcomes.append(FT_HIT if hit else FT_MISS)
             p = model.p_after_hit if hit else model.p_after_miss
+        start += n
         trajs.append(Trajectory._unchecked(f"g{g}", tuple(outcomes)))
     return trajs
 
@@ -603,7 +604,7 @@ def _free_throw_replicate(cfg: FreeThrowSimConfig, cell: int, rep: int):
     return sample_free_throw_trajectories(cfg.model, cfg.games, cfg.lam, rng) or None
 
 
-def free_throw_power(cfg: FreeThrowSimConfig, workers: int | None = None) -> PowerStudyResult:
+def free_throw_power(cfg: FreeThrowSimConfig, workers: int = 1) -> PowerStudyResult:
     """Selection frequencies over replicated seasons drawn from a known model.
 
     Each replicate draws per-game shot counts from Poisson(lam), samples

@@ -1166,3 +1166,23 @@ def test_import_leaves_the_process_pool_out():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_exits_with_mains_codes(tmp_path):
+    # `python -m memsel.cli` runs main_entry, the console script's target
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "memsel.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60, cwd=tmp_path)
+
+    assert run("--version").returncode == 0
+    (tmp_path / "empty.csv").write_text("")
+    season = str(Path(__file__).parent / "data" / "season.jsonl")
+    for args, code in ((["criteria", "--input", season, "--h-range", "3..1"], 2),
+                       (["import", "--input", "empty.csv", "--output", "e.jsonl"], 3)):
+        proc = run(*args)
+        assert proc.returncode == code, args
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), args

@@ -22,12 +22,17 @@ from memsel.criteria import (
     DirichletPrior,
     aic,
     argmin,
+    dic,
     evaluate,
     evaluate_depths,
+    loo,
     lpd,
+    lppd,
+    lppd_cv2,
     param_count,
     predictive_log_density,
     select_order,
+    waic,
 )
 from memsel import criteria as criteria_module
 from memsel import simulate
@@ -794,3 +799,24 @@ class TestRowSums:
                 want = table.sum(axis=1)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (m, n, table.dtype)
+
+
+class TestSingleCriterionViews:
+    """The single-criterion views that perfbench/probe.py times report what
+    ``evaluate`` reports, bit for bit."""
+
+    @pytest.mark.parametrize("view, name, variant", [
+        (lppd, "LPPD", None), (loo, "LOO", None), (lppd_cv2, "CV2", None),
+        (waic, "WAIC1", 1), (waic, "WAIC2", 2), (dic, "DIC1", 1), (dic, "DIC2", 2),
+    ])
+    @pytest.mark.parametrize("prior", [None, DirichletPrior((0.3, 1.7, 0.5))])
+    def test_view_equals_evaluate(self, view, name, variant, prior):
+        _, _, tc = random_instance(np.random.default_rng(3), m=3, j=4, h=1, max_len=12)
+        report = evaluate(tc, prior, (name,))
+        if variant is None:
+            got = view(tc, prior)
+            want = -0.5 * report.value(name) if name == "LPPD" else report.value(name)
+        else:
+            got = view(tc, prior, variant=variant)
+            want = (report.value(name), report.value("k_" + name))
+        assert repr(got) == repr(want)

@@ -20,6 +20,8 @@ from memsel import simulate
 from memsel.chain import START, BoundaryMode, StateAlphabet, Trajectory, count_transitions
 from memsel.criteria import evaluate_depths
 from memsel.simulate import (
+    FT_HIT,
+    FT_MISS,
     FreeThrowModel,
     FreeThrowSimConfig,
     RandomNetwork,
@@ -246,6 +248,37 @@ def test_pool_tasks_carry_only_their_jobs(monkeypatch):
     assert repr(pooled) == repr(run_power_study(cfg, workers=1))
 
 
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    # a forked pool starts all its workers at once: a study of two chunks
+    # starts two, and a study of one chunk runs serially, with no pool
+    pools = []
+
+    class SizedPool:
+        """Records its size and runs in-process what a pool would run."""
+
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
+    monkeypatch.setattr(simulate, "_WORKER_STUDY", None)  # the initializer runs in-process
+    for replicates, want in ((simulate._CHUNK + 1, [2]), (simulate._CHUNK, [])):
+        cfg = SimConfig(m=3, h_true=1, h_range=(1, 2), J_values=(4,), replicates=replicates,
+                        seed=1, criteria=("AIC", "LOO"))
+        pools.clear()
+        pooled = run_power_study(cfg, workers=8)
+        assert pools == want, replicates
+        pools.clear()
+        assert repr(pooled) == repr(run_power_study(cfg, workers=1))
+        assert pools == []
+
+
 def heap_settings_applied() -> int:
     """How many times this process set its allocator: 0 or 1."""
     return simulate._keep_heap_mapped.cache_info().currsize
@@ -375,6 +408,12 @@ class TestPowerStudy:
         assert large["mean"] > small["mean"]
         assert large["frac_below_zero"] <= small["frac_below_zero"]
 
+    def test_negative_depth_is_refused_when_the_config_is_built(self):
+        # not by the first chunk, after the network is drawn and the pool started
+        with pytest.raises(ValueError, match="^memory depths must be >= 0$"):
+            SimConfig(m=3, h_range=(-1, 1), J_values=(4,), replicates=2)
+        SimConfig(m=3, h_range=(0, 1), J_values=(4,), replicates=2)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(replicates=0)
@@ -412,6 +451,29 @@ class TestFreeThrow:
             FreeThrowModel.independent(0.5), games=400, lam=0.5, rng=rng)
         assert 0 < len(trajs) < 400
         assert all(len(t) >= 1 for t in trajs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("lam, games", [(0.2, 3), (0.7, 12), (7.615, 91), (40.0, 5)])
+    def test_season_draws_like_one_uniform_per_shot(self, seed, lam, games):
+        # the per-shot reference: one rng.random() call per shot, after the lengths
+        def per_shot(model, games, lam, rng):
+            trajs = []
+            for g, n in enumerate(rng.poisson(lam, size=games)):
+                outcomes, p = [], model.p_first
+                for _ in range(int(n)):
+                    hit = rng.random() < p
+                    outcomes.append(FT_HIT if hit else FT_MISS)
+                    p = model.p_after_hit if hit else model.p_after_miss
+                if outcomes:
+                    trajs.append(Trajectory(f"g{g}", tuple(outcomes)))
+            return trajs
+
+        model = FreeThrowModel(0.6, 0.75, 0.4)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        trajs = sample_free_throw_trajectories(model, games, lam, rng)
+        want = per_shot(model, games, lam, ref_rng)
+        assert [(t.id, t.steps) for t in trajs] == [(t.id, t.steps) for t in want]
+        assert rng.random() == ref_rng.random()  # the stream is left where it was
 
     def test_hit_rate_matches_model(self):
         rng = np.random.default_rng(1)
@@ -574,7 +636,6 @@ class TestChunkedScoring:
         replicate = functools.partial(simulate._replicate_values, net=net)
         entries, truncated = simulate._run_chunk(cfg, replicate, jobs)
         assert len(entries) == len(jobs)
-        assert all(values.shape[0] == len(cfg.h_range) for values in entries)
         want_truncated = 0
         for (cell, rep), values in zip(jobs, entries, strict=True):
             rng = simulate._rng(cfg.seed, simulate._TAG_TRAJECTORIES, cell, rep)
@@ -582,8 +643,9 @@ class TestChunkedScoring:
             trajs = simulate._sample_walks(net, cfg.length_cap, rng, ids)
             reports = evaluate_depths(trajs, net.alphabet, cfg.h_range, mode=cfg.boundary,
                                       which=cfg.criteria)
-            assert [dict(zip(r.values, row)) for r, row in zip(reports, values.tolist())] == \
-                [r.values for r in reports]
+            assert values.shape == (len(cfg.h_range), len(cfg.criteria))
+            assert [dict(zip(cfg.criteria, row)) for row in values.tolist()] == \
+                [{c: r.values[c] for c in cfg.criteria} for r in reports]
             want_truncated += sum(tr.truncated for tr in trajs)
         assert truncated == want_truncated
 
@@ -618,7 +680,8 @@ class TestChunkedScoring:
         rng = np.random.default_rng(kept)
         values = (rng.normal(size=(kept, 3, 5)) * 100.0).tolist()
         ref = 1
-        summary = simulate._gap_summary(values, ref)
+        # passed as the tally holds them: (kept, depth, criterion)
+        summary = simulate._gap_summary(np.asarray(values).transpose(0, 2, 1), ref)
         assert len(summary) == 3
         for c, per_depth in enumerate(summary):
             assert len(per_depth) == 5
